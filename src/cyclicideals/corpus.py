@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Optional
 
 from .oracle import enumerate_ideals
-from .rings import (MonomialAlgebra, RingPresentation, build_algebra,
+from .rings import (MonomialAlgebra, RingPresentation, build_algebra, mono_str,
                     parse_presentation)
 from .structure import classify_dsc, spec_classify
 
@@ -136,16 +136,7 @@ def sweep_presentations(max_vars: int = 3, exponents: tuple[int, ...] = (2, 3),
                 alg = build_algebra(pres)
                 if alg.dim - 1 > max_mdim:
                     continue
-                rel_str = ",".join(_mono_name(names, m) for m in rels)
+                rel_str = ",".join(mono_str(m, names) for m in rels)
                 out.append((f"F2[{','.join(names)}]/({rel_str})", pres))
     return out
 
-
-def _mono_name(names, m) -> str:
-    parts = []
-    for v, e in enumerate(m):
-        if e == 1:
-            parts.append(names[v])
-        elif e > 1:
-            parts.append(f"{names[v]}^{e}")
-    return "*".join(parts)

@@ -4,15 +4,21 @@ Vectors are tuples of ints reduced mod p, matrices are tuples of such
 rows, and a subspace is always stored as the unique reduced row echelon
 basis of its row space, so equal subspaces compare equal structurally.
 
-For p == 2 every row operation runs bit-packed (one Python int per row,
-bit j = column j, pivot = least significant set bit).  The packed and
+That basis is kept in the form elimination computes it, and converted
+to tuples only at the API edge.  For p == 2 a row is one Python int (bit
+j = column j, pivot = least significant set bit) and every row
+operation is a single xor, after the packed GF(2) idioms of M4RI
+(Albrecht and Bard, The M4RI Library).  For odd p a row is a (pivot,
+tuple) pair, so no reduction searches for its pivots.  The packed and
 generic paths compute the same canonical objects and are differential
 tested against each other.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -23,23 +29,29 @@ def _inv(a: int, p: int) -> int:
 
 
 def normalize_vec(v: Sequence[int], p: int) -> Vec:
-    return tuple(c % p for c in v)
+    return tuple([c % p for c in v])
 
 
 # ---------------------------------------------------------------------------
 # packed GF(2) kernel of the module
 
+# byte -> ASCII digit of its parity; ASCII digit -> byte
+_PARITY = bytes(0x30 | (b & 1) for b in range(256))
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def pack_vec(v: Sequence[int]) -> int:
-    m = 0
-    for j, c in enumerate(v):
-        if c & 1:
-            m |= 1 << j
-    return m
+    """Bit j of the result is v[j] mod 2."""
+    try:
+        raw = bytes(v)
+    except ValueError:  # entries outside 0..255; parity survives mod 256
+        raw = bytes(c % 256 for c in v)
+    return int(raw.translate(_PARITY)[::-1], 2) if raw else 0
 
 
 def unpack_vec(m: int, n: int) -> Vec:
-    return tuple((m >> j) & 1 for j in range(n))
+    """The low n bits of m as a 0/1 tuple, bit j at position j."""
+    return tuple(format(m, f"0{n}b")[::-1][:n].encode().translate(_DIGITS))
 
 
 def gf2_reduce(v: int, rows: Sequence[int]) -> int:
@@ -59,8 +71,7 @@ def gf2_insert(rows: list[int], v: int) -> bool:
     for i, r in enumerate(rows):
         if r & piv:
             rows[i] = r ^ v
-    rows.append(v)
-    rows.sort(key=lambda r: r & -r)
+    insort(rows, v, key=lambda r: r & -r)
     return True
 
 
@@ -71,47 +82,59 @@ def gf2_rref(vectors: Iterable[int]) -> list[int]:
     return rows
 
 
+def gf2_apply(masks: Sequence[int], v: int) -> int:
+    """Image of v under the linear map whose column j is masks[j]."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= masks[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
-# generic GF(p) rows
+# generic GF(p) rows: a reduced echelon basis is a list of (pivot, row)
+# pairs sorted by pivot, each row monic at its pivot
 
 
-def _reduce_generic(v: Vec, rows: Sequence[Vec], p: int) -> Vec:
-    w = list(v)
-    for r in rows:
-        piv = next(j for j, c in enumerate(r) if c)
-        if w[piv]:
-            c = w[piv]  # rows are monic at their pivot
-            for j, rj in enumerate(r):
-                if rj:
-                    w[j] = (w[j] - c * rj) % p
+def _reduce_generic(v: Sequence[int], basis: Sequence[tuple[int, Vec]], p: int) -> Vec:
+    w = v
+    for piv, r in basis:
+        c = w[piv]
+        if c:
+            w = [(a - c * b) % p for a, b in zip(w, r)]
     return tuple(w)
 
 
-def _insert_generic(rows: list[Vec], v: Vec, p: int) -> bool:
-    v = _reduce_generic(v, rows, p)
-    if not any(v):
+def _insert_generic(basis: list[tuple[int, Vec]], v: Sequence[int], p: int) -> bool:
+    """Insert v into a reduced echelon basis in place; False if dependent."""
+    w = _reduce_generic(v, basis, p)
+    piv = next((j for j, c in enumerate(w) if c), -1)
+    if piv < 0:
         return False
-    piv = next(j for j, c in enumerate(v) if c)
-    scale = _inv(v[piv], p)
-    v = tuple((scale * c) % p for c in v)
-    for i, r in enumerate(rows):
-        if r[piv]:
-            c = r[piv]
-            rows[i] = tuple((rj - c * vj) % p for rj, vj in zip(r, v))
-    rows.append(v)
-    rows.sort(key=lambda r: next(j for j, c in enumerate(r) if c))
+    scale = _inv(w[piv], p)
+    w = tuple([(scale * c) % p for c in w])
+    for i, (q, r) in enumerate(basis):
+        c = r[piv]
+        if c:
+            basis[i] = (q, tuple([(a - c * b) % p for a, b in zip(r, w)]))
+    insort(basis, (piv, w))
     return True
+
+
+def _echelon(vectors: Iterable[Sequence[int]], p: int) -> list:
+    """Packed reduced echelon basis of the span of `vectors`."""
+    if p == 2:
+        return gf2_rref(map(pack_vec, vectors))
+    basis: list[tuple[int, Vec]] = []
+    for v in vectors:
+        _insert_generic(basis, normalize_vec(v, p), p)
+    return basis
 
 
 def rref_rows(vectors: Iterable[Sequence[int]], p: int, ncols: int) -> tuple[Vec, ...]:
     """Canonical reduced row echelon basis of the span of `vectors`."""
-    if p == 2:
-        packed = gf2_rref(pack_vec(normalize_vec(v, 2)) for v in vectors)
-        return tuple(unpack_vec(m, ncols) for m in packed)
-    rows: list[Vec] = []
-    for v in vectors:
-        _insert_generic(rows, normalize_vec(v, p), p)
-    return tuple(rows)
+    return Subspace.span(p, ncols, vectors).rows
 
 
 # ---------------------------------------------------------------------------
@@ -146,35 +169,58 @@ def transpose(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of GF(p)^ambient held as its canonical RREF basis."""
+    """A subspace of GF(p)^ambient held as its canonical RREF basis.
+
+    `basis` is that basis in packed form: ints for p == 2, (pivot, row)
+    pairs for odd p, sorted by pivot either way.  `rows` is the tuple
+    view, built on first use.
+    """
 
     p: int
     ambient: int
-    rows: tuple[Vec, ...]
+    basis: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
 
     @classmethod
     def span(cls, p: int, ambient: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        return cls(p, ambient, rref_rows(vectors, p, ambient))
+        return cls(p, ambient, _echelon(vectors, p))
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
         return cls(p, ambient, ())
 
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        if self.p == 2:
+            return tuple(unpack_vec(m, self.ambient) for m in self.basis)
+        return tuple(r for _, r in self.basis)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        if self.p == 2:
+            return tuple((m & -m).bit_length() - 1 for m in self.basis)
+        return tuple(piv for piv, _ in self.basis)
+
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
     def reduce(self, v: Sequence[int]) -> Vec:
-        v = normalize_vec(v, self.p)
         if self.p == 2:
-            return unpack_vec(gf2_reduce(pack_vec(v), [pack_vec(r) for r in self.rows]), self.ambient)
-        return _reduce_generic(v, self.rows, self.p)
+            return unpack_vec(gf2_reduce(pack_vec(v), self.basis), self.ambient)
+        return _reduce_generic(normalize_vec(v, self.p), self.basis, self.p)
 
     def contains(self, v: Sequence[int]) -> bool:
+        if self.p == 2:
+            return not gf2_reduce(pack_vec(v), self.basis)
         return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        if self.p == 2:
+            return not any(gf2_reduce(m, self.basis) for m in other.basis)
+        return not any(any(_reduce_generic(r, self.basis, self.p)) for r in other.rows)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -184,31 +230,34 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    return Subspace.span(a.p, a.ambient, a.rows + b.rows)
+    basis = list(a.basis)
+    if a.p == 2:
+        for m in b.basis:
+            gf2_insert(basis, m)
+    else:
+        for r in b.rows:
+            _insert_generic(basis, r, a.p)
+    return Subspace(a.p, a.ambient, basis)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus block elimination: rows [A|A] and [B|0]; rows whose left
-    block vanishes carry the intersection in the right block."""
+    block vanishes carry the intersection in the right block, already in
+    reduced echelon form."""
     _check_compatible(a, b)
     n, p = a.ambient, a.p
     if p == 2:
-        arows = [pack_vec(r) for r in a.rows]
-        brows = [pack_vec(r) for r in b.rows]
         mask = (1 << n) - 1
-        block = [r | (r << n) for r in arows] + list(brows)
-        inter = [row >> n for row in gf2_rref(block) if not (row & mask)]
-        return Subspace(p, n, tuple(unpack_vec(m, n) for m in gf2_rref(inter)))
+        block = gf2_rref([r | (r << n) for r in a.basis] + list(b.basis))
+        return Subspace(p, n, [row >> n for row in block if not (row & mask)])
     block = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
-    reduced = rref_rows(block, p, 2 * n)
-    inter = [row[n:] for row in reduced if not any(row[:n])]
-    return Subspace(p, n, rref_rows(inter, p, n))
+    return Subspace(p, n, [(piv - n, r[n:]) for piv, r in _echelon(block, p) if piv >= n])
 
 
 def kernel(m: Mat) -> Subspace:
     """Right null space {v : each row of m dots v to zero}."""
-    reduced = rref_rows(m.rows, m.p, m.ncols)
-    pivots = [next(j for j, c in enumerate(r) if c) for r in reduced]
+    reduced = Subspace.span(m.p, m.ncols, m.rows)
+    pivots = reduced.pivots
     pivot_set = set(pivots)
     basis = []
     for f in range(m.ncols):
@@ -216,11 +265,11 @@ def kernel(m: Mat) -> Subspace:
             continue
         v = [0] * m.ncols
         v[f] = 1
-        for r, piv in zip(reduced, pivots):
+        for r, piv in zip(reduced.rows, pivots):
             if r[f]:
                 v[piv] = (-r[f]) % m.p
-        basis.append(tuple(v))
-    return Subspace(m.p, m.ncols, rref_rows(basis, m.p, m.ncols))
+        basis.append(v)
+    return Subspace.span(m.p, m.ncols, basis)
 
 
 def left_kernel(m: Mat) -> Subspace:

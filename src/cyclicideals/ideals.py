@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from . import gf
-from .rings import Algebra, Element
+from .rings import Algebra, Element, _mult_matrix
+
+
+class InfeasibleSizeError(RuntimeError):
+    """The algebra is too large (or the field too big) for brute force."""
 
 
 class Ideal:
@@ -28,14 +32,18 @@ class Ideal:
             self._check_closed()
 
     def _check_closed(self) -> None:
-        alg = self.algebra
-        full = self.space.dim == alg.dim
-        for row in self.space.rows:
-            if not full and row[0] != 0:
-                raise ValueError("proper ideal with a unit coordinate")
-            for g in alg.gens:
-                if not self.space.contains(alg._mul_coeffs(g.coeffs, row)):
-                    raise ValueError("subspace is not closed under the algebra action")
+        alg, space = self.algebra, self.space
+        if space.dim < alg.dim and 0 in space.pivots:
+            raise ValueError("proper ideal with a unit coordinate")
+        if alg.p == 2:
+            images = (gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
+                      for r in space.basis)
+            closed = not any(gf.gf2_reduce(v, space.basis) for v in images)
+        else:
+            closed = all(space.contains(alg._mul_coeffs(g.coeffs, row))
+                         for g in alg.gens for row in space.rows)
+        if not closed:
+            raise ValueError("subspace is not closed under the algebra action")
 
     @property
     def dim(self) -> int:
@@ -71,7 +79,7 @@ class Ideal:
                 and self.space == other.space)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.space.rows))
+        return hash((id(self.algebra), self.space))
 
     def __add__(self, other: "Ideal") -> "Ideal":
         return ideal_sum(self, other)
@@ -91,24 +99,38 @@ class Ideal:
 
 
 def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
-    """Smallest ideal containing the generators: span closure under the action."""
-    rows: list[gf.Vec] = []
-    space = gf.Subspace.zero(alg.p, alg.dim)
+    """Smallest ideal containing the generators: span closure under the action.
+
+    Each new vector goes straight into the growing echelon basis.  The
+    action maps into M, so a unit can only come in as a generator.
+    """
     queue = [g.coeffs for g in gens]
+    if any(v[0] for v in queue):
+        return unit_ideal(alg)  # a unit generates everything
+    p = alg.p
+    if p == 2:
+        basis = packed_closure(alg, (), map(gf.pack_vec, queue))
+    else:
+        basis = []
+        actions = [g.coeffs for g in alg.gens]
+        while queue:
+            v = queue.pop()
+            if gf._insert_generic(basis, v, p):
+                queue.extend(alg._mul_coeffs(g, v) for g in actions)
+    return Ideal(alg, gf.Subspace(p, alg.dim, basis))
+
+
+def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> list[int]:
+    """Packed RREF of the smallest ideal containing span(rows) and the
+    seed vectors; rows must already be in packed reduced echelon form."""
+    actions = alg.gf2_action_masks()
+    basis = list(rows)
+    queue = list(seeds)
     while queue:
         v = queue.pop()
-        red = space.reduce(v)
-        if not any(red):
-            continue
-        if red[0]:
-            # a unit got in, so the closure is everything
-            return unit_ideal(alg)
-        rows.append(red)
-        space = gf.Subspace.span(alg.p, alg.dim, rows)
-        rows = list(space.rows)
-        for g in alg.gens:
-            queue.append(alg._mul_coeffs(g.coeffs, red))
-    return Ideal(alg, space)
+        if gf.gf2_insert(basis, v):
+            queue.extend(gf.gf2_apply(masks, v) for masks in actions)
+    return basis
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
@@ -146,11 +168,6 @@ def maximal_ideal(alg: Algebra) -> Ideal:
 def cyclic(alg: Algebra, z: Element) -> Ideal:
     """The cyclic module Rz (an ideal, since R is commutative)."""
     return ideal_from_generators(alg, [z])
-
-
-def _mult_matrix(alg: Algebra, z: Element) -> gf.Mat:
-    rows = [alg._mul_coeffs(alg.basis_element(k).coeffs, z.coeffs) for k in range(alg.dim)]
-    return gf.Mat(alg.p, tuple(rows), alg.dim)
 
 
 def annihilator(alg: Algebra, target: Union[Element, Ideal]) -> Ideal:
@@ -199,7 +216,7 @@ class QuotientAlgebra(Algebra):
         self.source = source
         self.ideal = ideal
         self.p = source.p
-        pivots = {next(j for j, c in enumerate(r) if c) for r in ideal.rows}
+        pivots = set(ideal.space.pivots)
         self.nonpivot = tuple(j for j in range(source.dim) if j not in pivots)
         self.dim = len(self.nonpivot)
         gens = []
@@ -273,31 +290,12 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
     cached = getattr(alg, "_cyclic_table", None)
     if cached is not None:
         return cached
-    actions = alg.gf2_action_masks()
     mdim = alg.dim - 1
     if mdim > 20:
-        raise ValueError("cyclic table infeasible at this dimension")
-
-    def apply(masks: list[int], v: int) -> int:
-        out = 0
-        while v:
-            low = v & -v
-            out ^= masks[low.bit_length() - 1]
-            v ^= low
-        return out
-
+        raise InfeasibleSizeError(f"cyclic table infeasible at dim M = {mdim} (limit 20)")
     table: dict[int, tuple[int, ...]] = {0: ()}
     for m in range(1, 1 << mdim):
         vec = m << 1  # maximal-ideal span sits above the unit coordinate
-        rows: list[int] = []
-        queue = [vec]
-        while queue:
-            v = queue.pop()
-            v = gf.gf2_reduce(v, rows)
-            if v:
-                gf.gf2_insert(rows, v)
-                for masks in actions:
-                    queue.append(apply(masks, v))
-        table[vec] = tuple(rows)
+        table[vec] = tuple(packed_closure(alg, (), [vec]))
     alg._cyclic_table = table
     return table

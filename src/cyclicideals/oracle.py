@@ -11,18 +11,15 @@ the constructive machinery is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import gf
 from .decompose import CyclicDecomposition, Trace, _truncated, _trusted
-from .ideals import (Ideal, cyclic, ideal_from_generators, ideal_sum, is_simple,
-                     maximal_ideal, packed_cyclic_table, unit_ideal, zero_ideal)
+from .ideals import (Ideal, InfeasibleSizeError, cyclic, ideal_from_generators,
+                     ideal_sum, is_simple, maximal_ideal, packed_closure,
+                     packed_cyclic_table, zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
-
-
-class InfeasibleSizeError(RuntimeError):
-    """The algebra is too large (or the field too big) for brute force."""
 
 
 def _require_feasible(alg: Algebra, max_dim: int) -> None:
@@ -31,29 +28,6 @@ def _require_feasible(alg: Algebra, max_dim: int) -> None:
     if alg.dim - 1 > max_dim:
         raise InfeasibleSizeError(
             f"dim M = {alg.dim - 1} exceeds the oracle bound {max_dim}")
-
-
-def _apply(masks: list[int], v: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out ^= masks[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
-def _close(alg: Algebra, rows: tuple[int, ...], seeds: list[int]) -> tuple[int, ...]:
-    """Smallest ideal containing span(rows) and the seed vectors, packed RREF."""
-    actions = alg.gf2_action_masks()
-    work = list(rows)
-    queue = list(seeds)
-    while queue:
-        v = gf.gf2_reduce(queue.pop(), work)
-        if not v:
-            continue
-        gf.gf2_insert(work, v)
-        queue.extend(_apply(masks, v) for masks in actions)
-    return tuple(work)
 
 
 @dataclass
@@ -78,11 +52,6 @@ def _entry_key_sort(alg: Algebra, key: tuple[int, ...]):
     return (len(key), tuple(gf.unpack_vec(r, alg.dim) for r in key))
 
 
-def _ideal_from_key(alg: Algebra, key: tuple[int, ...]) -> Ideal:
-    vecs = [gf.unpack_vec(r, alg.dim) for r in key]
-    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, vecs))
-
-
 def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     """Every ideal of alg, zero through R, in canonical (dim, basis) order.
 
@@ -90,10 +59,10 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     over its free coordinates, close up, deduplicate.  Cached per
     algebra.
     """
+    _require_feasible(alg, max_dim)
     cached = getattr(alg, "_census", None)
     if cached is not None:
         return cached
-    _require_feasible(alg, max_dim)
     seen = {()}
     frontier: list[tuple[int, ...]] = [()]
     while frontier:
@@ -106,18 +75,17 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
                 for b, k in enumerate(free):
                     if combo >> b & 1:
                         v |= 1 << k
-                grown = _close(alg, rows, [v])
+                grown = tuple(packed_closure(alg, rows, [v]))
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
         frontier = nxt
     keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
     keys.append(tuple(1 << k for k in range(alg.dim)))
-    entries = []
-    for key in keys:
-        ideal = unit_ideal(alg) if len(key) == alg.dim else _ideal_from_key(alg, key)
-        entries.append(CensusEntry(ideal, key))
-    census = IdealCensus(alg, tuple(entries))
+    # every key, R's included, is already a packed reduced echelon basis
+    entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key)), key)
+                    for key in keys)
+    census = IdealCensus(alg, entries)
     alg._census = census
     return census
 
@@ -133,7 +101,7 @@ def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
     seen = set()
     for mask in range(1 << len(vectors)):
         seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
-        seen.add(_close(alg, (), seeds))
+        seen.add(tuple(packed_closure(alg, (), seeds)))
     keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
     keys.append(tuple(1 << k for k in range(alg.dim)))
     return keys
@@ -161,10 +129,6 @@ def _candidates(alg: Algebra, key: tuple[int, ...]):
     return cands
 
 
-def _proper_key(i: Ideal) -> tuple[int, ...]:
-    return tuple(gf.pack_vec(r) for r in i.rows)
-
-
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
     """First decomposition of i into independent cyclic submodules found
@@ -179,33 +143,13 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                       truncated=_truncated(alg), trusted=_trusted(alg, [alg.unit()]))
         return CyclicDecomposition(i, (alg.unit(),),
                                    (is_simple(alg, i),), trace)
-    key = _proper_key(i)
+    key = i.space.basis
     cache = getattr(alg, "_brute_cache", None)
     if cache is None:
         cache = alg._brute_cache = {}
-    if key in cache:
-        found = cache[key]
-    else:
-        cands = _candidates(alg, key)
-        target = len(key)
-
-        def dfs(start: int, rows: list[int], dim: int) -> Optional[list[int]]:
-            if dim == target:
-                return []
-            for idx in range(start, len(cands)):
-                v, crows = cands[idx]
-                if dim + len(crows) > target:
-                    continue
-                merged = list(rows)
-                if not all(gf.gf2_insert(merged, r) for r in crows):
-                    continue
-                rest = dfs(idx + 1, merged, dim + len(crows))
-                if rest is not None:
-                    return [v] + rest
-            return None
-
-        found = dfs(0, [], 0)
-        cache[key] = found
+    if key not in cache:
+        cache[key] = next(_covers(_candidates(alg, key), len(key)), None)
+    found = cache[key]
     if found is None:
         return None
     gens = tuple(alg.element(gf.unpack_vec(v, alg.dim)) for v in found)
@@ -225,28 +169,25 @@ def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int
     _require_feasible(alg, max_dim)
     if i.dim == alg.dim:
         return (1,)
-    key = _proper_key(i)
-    if not key:
-        return (0,)
-    cands = _candidates(alg, key)
-    target = len(key)
-    found: set[int] = set()
+    key = i.space.basis
+    return tuple(sorted({len(c) for c in _covers(_candidates(alg, key), len(key))}))
 
-    def dfs(start: int, rows: list[int], dim: int, depth: int) -> None:
-        if dim == target:
-            found.add(depth)
-            return
-        for idx in range(start, len(cands)):
-            v, crows = cands[idx]
-            if dim + len(crows) > target:
-                continue
-            merged = list(rows)
-            if not all(gf.gf2_insert(merged, r) for r in crows):
-                continue
-            dfs(idx + 1, merged, dim + len(crows), depth + 1)
 
-    dfs(0, [], 0, 0)
-    return tuple(sorted(found))
+def _covers(cands, target: int, start: int = 0, rows: Sequence[int] = (), dim: int = 0):
+    """Every family of candidates from `start` on whose cyclic submodules
+    are independent of rows and of each other and fill the remaining
+    target - dim dimensions, as generator lists in depth-first order."""
+    if dim == target:
+        yield []
+        return
+    for idx in range(start, len(cands)):
+        v, crows = cands[idx]
+        if dim + len(crows) > target:
+            continue
+        merged = list(rows)
+        if all(gf.gf2_insert(merged, r) for r in crows):
+            for rest in _covers(cands, target, idx + 1, merged, dim + len(crows)):
+                yield [v] + rest
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:

@@ -6,7 +6,8 @@ algebra it builds is spanned by the standard monomials (those divisible
 by no relation and below the truncation degree), ordered by degree and
 then lexicographically with earlier variables first, so position 0 is
 always the unit monomial.  Products of standard monomials are again
-standard or zero, which keeps multiplication a table lookup.
+standard or zero, so multiplying by one variable is a lookup in that
+variable's successor map, and a general product composes those maps.
 
 Quotients by arbitrary ideals (see ideals.quotient_algebra) share the
 same element interface but multiply through lift / multiply / project.
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import gf
 
@@ -54,10 +54,6 @@ def mono_degree(e: Sequence[int]) -> int:
 
 def mono_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_str(e: Sequence[int], names: Sequence[str]) -> str:
@@ -358,14 +354,12 @@ class Algebra:
         assert self.p == 2
         cached = getattr(self, "_gf2_actions", None)
         if cached is None:
-            cached = []
-            for g in self.gens:
-                col = []
-                for k in range(self.dim):
-                    col.append(gf.pack_vec(self._mul_coeffs(g.coeffs, self.basis_element(k).coeffs)))
-                cached.append(col)
-            self._gf2_actions = cached
+            cached = self._gf2_actions = self._action_masks()
         return cached
+
+    def _action_masks(self) -> list[list[int]]:
+        return [[gf.pack_vec(self._mul_coeffs(g.coeffs, self.basis_element(k).coeffs))
+                 for k in range(self.dim)] for g in self.gens]
 
 
 class MonomialAlgebra(Algebra):
@@ -378,35 +372,48 @@ class MonomialAlgebra(Algebra):
         self.dim = len(self.basis)
         self.index = {m: i for i, m in enumerate(self.basis)}
         nv = len(presentation.vars)
-        table = np.full((self.dim, self.dim), -1, dtype=np.int32)
         cap = presentation.truncate
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                prod = mono_mul(a, b)
-                if cap is not None and mono_degree(prod) >= cap:
-                    continue
-                k = self.index.get(prod)
-                if k is not None:
-                    table[i, j] = k
-        self.table = table
-        self._tbl = [tuple(int(x) for x in row) for row in table]
+        # succ[v][k]: index of x_v * m_k, or -1 where that product vanishes
+        self.succ = [[-1 if cap is not None and mono_degree(m) + 1 >= cap
+                      else self.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1)
+                      for m in self.basis] for v in range(nv)]
+        self._rows: dict[int, list[int]] = {}
         self.gens = tuple(self.basis_element(self.index[tuple(int(i == v) for i in range(nv))])
                           for v in range(nv))
 
+    def _row(self, i: int) -> list[int]:
+        """Index of m_i * m_j for every j (-1 where it vanishes): the
+        successor maps composed along m_i, memoised per left factor."""
+        row = self._rows.get(i)
+        if row is None:
+            row = list(range(self.dim))
+            for step, e in zip(self.succ, self.basis[i]):
+                for _ in range(e):
+                    row = [step[k] if k >= 0 else -1 for k in row]
+            self._rows[i] = row
+        return row
+
     def _mul_coeffs(self, a: gf.Vec, b: gf.Vec) -> gf.Vec:
-        p = self.p
+        span = range(self.dim)
+        ia = list(compress(span, a))
+        ib = list(compress(span, b))
+        # walk the sparser operand's monomials, on a tie the right one, so
+        # x^n * x reuses the row of x
+        if len(ib) <= len(ia):
+            a, b, ia, ib = b, a, ib, ia
         out = [0] * self.dim
-        tbl = self._tbl
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            row = tbl[i]
-            for j, cb in enumerate(b):
-                if cb:
-                    k = row[j]
-                    if k >= 0:
-                        out[k] = (out[k] + ca * cb) % p
-        return tuple(out)
+        for i in ia:
+            ca = a[i]
+            row = self._row(i)
+            for j in ib:
+                k = row[j]
+                if k >= 0:
+                    out[k] += ca * b[j]
+        p = self.p
+        return tuple([c % p for c in out])
+
+    def _action_masks(self) -> list[list[int]]:
+        return [[1 << k if k >= 0 else 0 for k in step] for step in self.succ]
 
     def el_str(self, coeffs: Sequence[int]) -> str:
         names = self.presentation.vars

@@ -19,7 +19,7 @@ from . import gf
 from .ideals import (Ideal, annihilator, cyclic, ideal_sum, is_simple, maximal_ideal,
                      min_generators, module_times_ideal, packed_cyclic_table,
                      quotient_algebra, zero_ideal)
-from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
+from .rings import Algebra, Element, MonomialAlgebra, RingPresentation, _mult_matrix
 
 
 class SearchSpaceExceededError(RuntimeError):
@@ -52,10 +52,6 @@ class MDecomposition:
 
     def summand_count(self) -> int:
         return len(self.summands())
-
-    def part_subspaces(self) -> list[gf.Subspace]:
-        alg = self.algebra
-        return [cyclic(alg, g).space for g in self.summands()]
 
     def simple_span(self) -> gf.Subspace:
         alg = self.algebra
@@ -123,9 +119,9 @@ def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal
         if g.is_zero():
             continue
         c = cyclic(alg, g)
-        if c.space.rows in seen:
+        if c.space in seen:
             continue
-        seen.add(c.space.rows)
+        seen.add(c.space)
         parts.append((g, c))
     total = gf.Subspace.zero(alg.p, alg.dim)
     dimsum = 0
@@ -153,9 +149,8 @@ def _socle_rows(alg: Algebra) -> list[int]:
     """Packed RREF of {v in M-span : g*v = 0 for every generator}."""
     soc = maximal_ideal(alg).space
     for g in alg.gens:
-        rows = [alg._mul_coeffs(alg.basis_element(k).coeffs, g.coeffs) for k in range(alg.dim)]
-        soc = gf.subspace_intersect(soc, gf.left_kernel(gf.Mat(alg.p, tuple(rows), alg.dim)))
-    return [gf.pack_vec(r) for r in soc.rows]
+        soc = gf.subspace_intersect(soc, gf.left_kernel(_mult_matrix(alg, g)))
+    return list(soc.basis)
 
 
 def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
@@ -170,7 +165,7 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
     actions = alg.gf2_action_masks()
 
     def killed(v: int) -> bool:
-        return all(_apply(masks, v) == 0 for masks in actions)
+        return all(gf.gf2_apply(masks, v) == 0 for masks in actions)
 
     def complete(rows: list[int], dim: int) -> Optional[list[int]]:
         # grow with socle vectors to fill M; the added rows are the
@@ -218,15 +213,6 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
     return None
 
 
-def _apply(masks: list[int], v: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out ^= masks[low.bit_length() - 1]
-        v ^= low
-    return out
-
-
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """Search for a witness decomposition of the maximal ideal.
 
@@ -235,7 +221,12 @@ def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDeco
     witness exists at this size; raises SearchSpaceExceededError when
     the bounds prevent the sweep from running at all.
     """
-    split = canonical_variable_split(alg)
+    return _witness_search(alg, canonical_variable_split(alg), max_pair_dim)
+
+
+def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
+                    max_pair_dim: int) -> Optional[MDecomposition]:
+    """find_m_decomposition given the result of canonical_variable_split."""
     if split is not None:
         nonsimple = [g for g, c in split if not is_simple(alg, c)]
         simple = [g for g, c in split if is_simple(alg, c)]
@@ -319,7 +310,7 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
 
     exceeded = False
     try:
-        dec = find_m_decomposition(alg, max_pair_dim)
+        dec = _witness_search(alg, split, max_pair_dim)
     except SearchSpaceExceededError:
         dec = None
         exceeded = True

@@ -118,10 +118,10 @@ def test_subspace_ambient_mismatch():
 
 
 def _generic_rref(vectors, p, ncols):
-    rows = []
+    basis = []  # (pivot, row) pairs
     for v in vectors:
-        gf._insert_generic(rows, gf.normalize_vec(v, p), p)
-    return tuple(rows)
+        gf._insert_generic(basis, gf.normalize_vec(v, p), p)
+    return tuple(row for _, row in basis)
 
 
 def test_packed_matches_generic_gf2():

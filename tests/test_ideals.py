@@ -10,7 +10,8 @@ from cyclicideals import (Ideal, annihilator, cyclic, ideal_from_generators,
                           parse_element, quotient_algebra, unit_ideal,
                           zero_ideal)
 from cyclicideals import gf
-from cyclicideals.ideals import packed_cyclic_table
+from cyclicideals import oracle
+from cyclicideals.ideals import InfeasibleSizeError, packed_cyclic_table
 from conftest import CHAIN5, SQUARE_ZERO_N2, build
 
 
@@ -173,5 +174,14 @@ def test_packed_cyclic_table_matches_cyclic(pair_n3):
 
 def test_packed_cyclic_table_guard():
     wide = build("field 2 / vars x / truncate 23")  # dim M = 22
-    with pytest.raises(ValueError, match="infeasible"):
+    with pytest.raises(InfeasibleSizeError, match="infeasible"):
+        packed_cyclic_table(wide)
+    assert not hasattr(wide, "_cyclic_table")
+
+
+def test_packed_cyclic_table_refusal_is_the_oracle_refusal():
+    # one typed refusal for every size limit, caught under either name
+    assert oracle.InfeasibleSizeError is InfeasibleSizeError
+    wide = build("field 2 / vars x / truncate 22")  # dim M = 21
+    with pytest.raises(oracle.InfeasibleSizeError, match="dim M = 21"):
         packed_cyclic_table(wide)

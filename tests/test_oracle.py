@@ -171,6 +171,14 @@ def test_oracle_refuses_odd_fields_and_big_rings():
     assert oracle_dsc(wide, max_dim=10).answer == "yes"
 
 
+def test_cached_census_still_checks_the_bound():
+    alg = build(TRIPLE)  # dim M = 6
+    assert enumerate_ideals(alg, 8).count == 80
+    with pytest.raises(InfeasibleSizeError, match="exceeds the oracle bound 5"):
+        enumerate_ideals(alg, 5)
+    assert enumerate_ideals(alg, 6) is alg._census
+
+
 # ---------------------------------------------------------------------------
 # the three-summand obstruction
 

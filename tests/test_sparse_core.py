@@ -1,0 +1,162 @@
+"""Differential checks of the arithmetic core over random presentations.
+
+Products come from successor maps composed on demand; these tests
+recompute every basis product from exponent addition, the relations and
+the degree cap, compare the GF(2) action masks with packed products, and
+check the packed and generic echelon paths against brute-force spans.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+from cyclicideals import gf
+from cyclicideals.rings import (Algebra, RingPresentation, build_algebra,
+                                mono_degree, mono_divides, parse_element)
+
+
+@st.composite
+def presentations(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nv = draw(st.integers(1, 3))
+    truncate = draw(st.one_of(st.none(), st.integers(2, 7)))
+    rels = []
+    for v in range(nv):
+        # without a truncation every variable needs a pure power
+        if truncate is None or draw(st.booleans()):
+            m = [0] * nv
+            m[v] = draw(st.integers(2, 5))
+            rels.append(tuple(m))
+    for _ in range(draw(st.integers(0, 3))):
+        m = tuple(draw(st.integers(0, 3)) for _ in range(nv))
+        if mono_degree(m) >= 2:
+            rels.append(m)
+    return RingPresentation.make(p, [f"x{v}" for v in range(nv)], rels, truncate)
+
+
+def _standard(pres, m) -> bool:
+    if pres.truncate is not None and mono_degree(m) >= pres.truncate:
+        return False
+    return not any(mono_divides(r, m) for r in pres.relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_basis_products_are_exponent_addition(pres):
+    alg = build_algebra(pres)
+    for i, a in enumerate(alg.basis):
+        ei = alg.basis_element(i).coeffs
+        for j, b in enumerate(alg.basis):
+            got = alg._mul_coeffs(ei, alg.basis_element(j).coeffs)
+            prod = tuple(x + y for x, y in zip(a, b))
+            want = [0] * alg.dim
+            if _standard(pres, prod):
+                want[alg.index[prod]] = 1
+            assert got == tuple(want), (a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.data())
+def test_products_of_random_elements(pres, data):
+    # bilinearity against the basis products, with coefficients mod p
+    alg = build_algebra(pres)
+    coeffs = st.lists(st.integers(0, pres.p - 1), min_size=alg.dim, max_size=alg.dim)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    want = [0] * alg.dim
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            prod = tuple(x + y for x, y in zip(alg.basis[i], alg.basis[j]))
+            if ca and cb and _standard(pres, prod):
+                k = alg.index[prod]
+                want[k] = (want[k] + ca * cb) % pres.p
+    assert alg._mul_coeffs(tuple(a), tuple(b)) == tuple(want)
+    assert alg._mul_coeffs(tuple(b), tuple(a)) == tuple(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_gf2_action_masks_match_packed_products(pres):
+    if pres.p != 2:
+        pres = RingPresentation.make(2, pres.vars, pres.relations, pres.truncate)
+    alg = build_algebra(pres)
+    masks = alg.gf2_action_masks()
+    # the generic construction multiplies out every product
+    assert masks == Algebra._action_masks(alg)
+    for g, column in zip(alg.gens, masks):
+        for k in range(alg.dim):
+            prod = alg._mul_coeffs(g.coeffs, alg.basis_element(k).coeffs)
+            assert column[k] == gf.pack_vec(prod)
+
+
+# ---------------------------------------------------------------------------
+# packed and generic echelon forms
+
+
+def _span_set(p, n, rows):
+    out = set()
+    for coeffs in product(range(p), repeat=len(rows)):
+        v = [0] * n
+        for c, r in zip(coeffs, rows):
+            v = [(x + c * y) % p for x, y in zip(v, r)]
+        out.add(tuple(v))
+    return out
+
+
+@st.composite
+def subspace_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[p]))
+    vec = st.tuples(*[st.integers(0, 2 * p) for _ in range(n)])
+    a, b = (draw(st.lists(vec, max_size=n + 1)) for _ in range(2))
+    return p, n, a, b, draw(vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_echelon_paths_agree_with_brute_force(case):
+    p, n, avecs, bvecs, v = case
+    a = gf.Subspace.span(p, n, avecs)
+    b = gf.Subspace.span(p, n, bvecs)
+    sa, sb = _span_set(p, n, a.rows), _span_set(p, n, b.rows)
+    assert sa == _span_set(p, n, [gf.normalize_vec(u, p) for u in avecs])
+    red = a.reduce(v)
+    diff = tuple((x - y) % p for x, y in zip(gf.normalize_vec(v, p), red))
+    assert diff in sa
+    assert all(red[piv] == 0 for piv in a.pivots)
+    assert a.contains(v) == (gf.normalize_vec(v, p) in sa)
+    s = gf.subspace_sum(a, b)
+    assert _span_set(p, n, s.rows) == {tuple((x + y) % p for x, y in zip(u, w))
+                                        for u in sa for w in sb}
+    i = gf.subspace_intersect(a, b)
+    assert _span_set(p, n, i.rows) == sa & sb
+    assert i == gf.Subspace.span(p, n, i.rows)  # canonical as returned
+    assert a.contains_subspace(i) and s.contains_subspace(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_pairs())
+def test_packed_gf2_matches_generic_elimination(case):
+    _, n, avecs, bvecs, v = case
+    generic = []
+    for u in avecs:
+        gf._insert_generic(generic, gf.normalize_vec(u, 2), 2)
+    a = gf.Subspace.span(2, n, avecs)
+    assert a.rows == tuple(r for _, r in generic)
+    assert a.pivots == tuple(piv for piv, _ in generic)
+    assert a.reduce(v) == gf._reduce_generic(gf.normalize_vec(v, 2), generic, 2)
+    b = gf.Subspace.span(2, n, bvecs)
+    for r in b.rows:
+        gf._insert_generic(generic, r, 2)
+    assert gf.subspace_sum(a, b).rows == tuple(r for _, r in generic)
+
+
+def test_large_truncation_multiplies_without_a_table():
+    # dim 4095, just under the build guard; a dense product table would
+    # hold about 16.8M entries here
+    alg = build_algebra(RingPresentation.make(2, ("x", "y"), (), 90))
+    assert alg.dim == 4095
+    x40, y40 = parse_element(alg, "x^40"), parse_element(alg, "y^40")
+    prod = x40 * y40
+    assert prod == alg.basis_element(alg.index[(40, 40)])
+    assert (prod * parse_element(alg, "x^10")).is_zero()  # degree 90 hits the cap
+    assert str(prod * alg.gens[0]) == "x^41*y^40"
