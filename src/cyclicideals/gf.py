@@ -282,48 +282,37 @@ def left_kernel(m: Mat) -> Subspace:
 # reduction came from.  Backbone of affine_meet / split_components / solve.
 
 
-def _tagged_solve(rows: Sequence[tuple[Vec, tuple]], target: Vec, p: int,
-                  tag_add, tag_scale, tag_zero):
+def _tagged_solve(rows: Sequence[tuple[Vec, Vec]], target: Vec, p: int,
+                  tag_zero: Vec) -> Optional[Vec]:
     """Eliminate (vector, tag) pairs, then reduce target, accumulating tags.
 
-    Returns the accumulated tag if target lies in the span, else None.
-    Row operations apply identically to vectors and tags, so any linear
-    invariant relating a row to its tag is preserved.
+    Tags are vectors over GF(p) too.  Returns the accumulated tag if
+    target lies in the span, else None.  Row operations apply identically
+    to vectors and tags, so any linear invariant relating a row to its
+    tag is preserved.
     """
-    work: list[tuple[Vec, tuple]] = []
+    work: list[tuple[int, Vec, list[int]]] = []  # (pivot, monic row, tag)
     for vec, tag in rows:
         vec = list(vec)
-        for wv, wt in work:
-            piv = next(j for j, c in enumerate(wv) if c)
-            if vec[piv]:
-                c = vec[piv]
+        for piv, wv, wt in work:
+            c = vec[piv]
+            if c:
                 vec = [(a - c * b) % p for a, b in zip(vec, wv)]
-                tag = tag_add(tag, tag_scale((-c) % p, wt))
-        if any(vec):
-            piv = next(j for j, c in enumerate(vec) if c)
+                tag = [(a - c * b) % p for a, b in zip(tag, wt)]
+        piv = next((j for j, c in enumerate(vec) if c), -1)
+        if piv >= 0:
             s = _inv(vec[piv], p)
-            vec = [(s * c) % p for c in vec]
-            tag = tag_scale(s, tag)
-            work.append((tuple(vec), tag))
+            work.append((piv, tuple([(s * c) % p for c in vec]), [(s * c) % p for c in tag]))
     residual = list(target)
     acc = tag_zero
-    for wv, wt in work:
-        piv = next(j for j, c in enumerate(wv) if c)
-        if residual[piv]:
-            c = residual[piv]
+    for piv, wv, wt in work:
+        c = residual[piv]
+        if c:
             residual = [(a - c * b) % p for a, b in zip(residual, wv)]
-            acc = tag_add(acc, tag_scale(c, wt))
+            acc = [(a + c * b) % p for a, b in zip(acc, wt)]
     if any(residual):
         return None
-    return acc
-
-
-def _vtag_add(p):
-    return lambda u, v: tuple((a + b) % p for a, b in zip(u, v))
-
-
-def _vtag_scale(p):
-    return lambda c, v: tuple((c * a) % p for a in v)
+    return tuple(acc)
 
 
 def affine_meet(point: Sequence[int], w: Subspace, u: Subspace) -> Optional[Vec]:
@@ -339,7 +328,7 @@ def affine_meet(point: Sequence[int], w: Subspace, u: Subspace) -> Optional[Vec]
         raise ValueError("ambient mismatch")
     zero = (0,) * n
     rows = [(r, zero) for r in w.rows] + [(r, r) for r in u.rows]
-    return _tagged_solve(rows, point, p, _vtag_add(p), _vtag_scale(p), zero)
+    return _tagged_solve(rows, point, p, zero)
 
 
 def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[list[Vec]]:
@@ -355,22 +344,15 @@ def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[li
         _check_compatible(parts[0], s)
     v = normalize_vec(v, p)
     k = len(parts)
-    zero = tuple((0,) * n for _ in range(k))
-
-    def add(u, w):
-        return tuple(tuple((a + b) % p for a, b in zip(uu, ww)) for uu, ww in zip(u, w))
-
-    def scale(c, u):
-        return tuple(tuple((c * a) % p for a in uu) for uu in u)
-
+    # one flat tag per row: its copy in the block of the part it came from
     rows = []
     for i, s in enumerate(parts):
         for r in s.rows:
-            tag = list(zero)
-            tag[i] = r
-            rows.append((r, tuple(tag)))
-    got = _tagged_solve(rows, v, p, add, scale, zero)
-    return None if got is None else list(got)
+            tag = [0] * (k * n)
+            tag[i * n:(i + 1) * n] = r
+            rows.append((r, tag))
+    got = _tagged_solve(rows, v, p, (0,) * (k * n))
+    return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
 
 
 def solve_combination(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> Optional[Vec]:
@@ -388,4 +370,4 @@ def solve_combination(rows: Sequence[Sequence[int]], target: Sequence[int], p: i
     target = normalize_vec(target, p)
     if len(target) != n:
         raise ValueError("ambient mismatch")
-    return _tagged_solve(tagged, target, p, _vtag_add(p), _vtag_scale(p), zero)
+    return _tagged_solve(tagged, target, p, zero)

@@ -372,10 +372,9 @@ class MonomialAlgebra(Algebra):
         self.dim = len(self.basis)
         self.index = {m: i for i, m in enumerate(self.basis)}
         nv = len(presentation.vars)
-        cap = presentation.truncate
-        # succ[v][k]: index of x_v * m_k, or -1 where that product vanishes
-        self.succ = [[-1 if cap is not None and mono_degree(m) + 1 >= cap
-                      else self.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1)
+        # succ[v][k]: index of x_v * m_k, or -1 where that product vanishes,
+        # which is exactly when it is no standard monomial
+        self.succ = [[self.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1)
                       for m in self.basis] for v in range(nv)]
         self._rows: dict[int, list[int]] = {}
         self.gens = tuple(self.basis_element(self.index[tuple(int(i == v) for i in range(nv))])
