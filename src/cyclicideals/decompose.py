@@ -95,26 +95,38 @@ class CyclicDecomposition:
 
 
 def verify_decomposition(alg, i: Ideal, dec: CyclicDecomposition) -> bool:
-    """Directness certificate: summand dims add up to dim i and cover it."""
-    total = gf.Subspace.zero(alg.p, alg.dim)
-    dimsum = 0
-    for g, flag in zip(dec.generators, dec.simple_flags):
-        c = cyclic(alg, g)
-        if flag != is_simple(alg, c):
-            return False
-        dimsum += c.dim
-        total = gf.subspace_sum(total, c.space)
-    return dimsum == i.dim and total == i.space
+    """Directness certificate: the summands are independent and fill i."""
+    closures = [cyclic(alg, g) for g in dec.generators]
+    if list(dec.simple_flags) != [is_simple(alg, c) for c in closures]:
+        return False
+    return gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space
+
+
+def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
+                        ) -> CyclicDecomposition:
+    """The one constructor of a CyclicDecomposition.
+
+    Closes each generator once and reads the summand dims and simplicity
+    flags off those closures; `knobs` are the branch's Trace fields
+    (axis, n0, m0, l0, l1, l2).  Checks nothing: callers that must
+    return a verified split go through _finish.
+    """
+    gens = tuple(gens)
+    closures = [cyclic(alg, g) for g in gens]
+    pres = getattr(alg, "presentation", None)
+    exps = [knobs[k] for k in ("n0", "m0") if knobs.get(k) is not None]
+    trace = Trace(branch=branch, dims=tuple(c.dim for c in closures),
+                  truncated=pres is not None and pres.truncate is not None,
+                  trusted=_trusted(alg, gens, exps), **knobs)
+    flags = tuple(is_simple(alg, c) for c in closures)
+    return CyclicDecomposition(i, gens, flags, trace)
 
 
 def semisimple_decompose(alg, i: Ideal) -> CyclicDecomposition:
     """Split an ideal killed by M into one line per basis row."""
     if module_times_ideal(alg, i).dim != 0:
         raise ValueError("not semisimple")
-    gens = tuple(i.basis_elements())
-    trace = Trace(branch="semisimple", dims=(1,) * i.dim,
-                  truncated=_truncated(alg), trusted=_trusted(alg, gens))
-    return CyclicDecomposition(i, gens, (True,) * i.dim, trace)
+    return build_decomposition(alg, i, i.basis_elements(), "semisimple")
 
 
 def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
@@ -138,12 +150,7 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     raise ValueError("no such exponent")
 
 
-def _truncated(alg) -> bool:
-    pres = getattr(alg, "presentation", None)
-    return pres is not None and pres.truncate is not None
-
-
-def _trusted(alg, gens, exps=()) -> bool:
+def _trusted(alg, gens, exps) -> bool:
     """A truncated-model decomposition lifts to the full ring when its
     generators and exponents stay strictly below the horizon, the top
     degree the model still represents faithfully.  The ideal's tail may
@@ -162,21 +169,16 @@ def _trusted(alg, gens, exps=()) -> bool:
 
 
 def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
-    """First element of i (canonical coefficient order) not in avoid."""
-    p = alg.p
-    rows = i.rows
-    if p ** len(rows) > 1 << 22:
-        raise InternalContradictionError("element sweep infeasible")
-    for code in range(1, p ** len(rows)):
-        v = [0] * alg.dim
-        c = code
-        for r in rows:
-            d = c % p
-            c //= p
-            if d:
-                v = [(a + d * b) % p for a, b in zip(v, r)]
-        if not avoid.contains(v):
-            return alg.element(v)
+    """First element of i not in avoid, in the order of the p-adic codes
+    sum d_k p^k of the combinations sum d_k rows[k] of i's basis.
+
+    That is the first basis row outside avoid: codes below p^k combine
+    only rows[0..k-1], so while those rows lie in avoid so does every
+    such code, and code p^k is rows[k] itself.
+    """
+    for r in i.rows:
+        if not avoid.contains(r):
+            return alg.element(r)
     return None
 
 
@@ -220,9 +222,8 @@ def _check(cond: bool, msg: str) -> None:
         raise InternalContradictionError(msg)
 
 
-def _finish(alg, i, gens, trace) -> CyclicDecomposition:
-    flags = tuple(is_simple(alg, cyclic(alg, g)) for g in gens)
-    out = CyclicDecomposition(i, tuple(gens), flags, trace)
+def _finish(alg, i, gens, branch, **knobs) -> CyclicDecomposition:
+    out = build_decomposition(alg, i, gens, branch, **knobs)
     _check(verify_decomposition(alg, i, out), "decomposition failed verification")
     return out
 
@@ -236,12 +237,7 @@ def _principal(alg, dec, i, which) -> CyclicDecomposition:
     except NotExpressibleError as exc:
         raise InternalContradictionError("principal branch generator "
                                          "not a power") from exc
-    gen = g ** n
-    c = cyclic(alg, gen)
-    _check(c.space == i.space, "power generates the wrong ideal")
-    trace = Trace(branch="principal", axis=which, n0=n, dims=(c.dim,),
-                  truncated=_truncated(alg), trusted=_trusted(alg, [gen], (n,)))
-    return _finish(alg, i, [gen], trace)
+    return _finish(alg, i, [g ** n], "principal", axis=which, n0=n)
 
 
 def _ideal_simple_part(alg, i, rx, ry, span) -> gf.Subspace:
@@ -260,21 +256,13 @@ def _axis(alg, dec, i, which, rx, ry, span) -> CyclicDecomposition:
     n0, l0 = minimal_exponent(alg, dec, i, which)
     gen = g ** n0 + l0
     _check(not gen.is_zero(), "axis generator vanished")
-    j = _ideal_simple_part(alg, i, rx, ry, span)
-    ij = gf.subspace_intersect(i.space, j)
-    c = cyclic(alg, gen)
-    _check(c.dim + ij.dim == i.dim
-           and gf.subspace_sum(c.space, ij) == i.space,
-           "axis sum is not direct onto i")
     if not l0.is_zero():
         # the correction must not change the annihilator
         _check(annihilator(alg, gen) == annihilator(alg, g ** n0),
                "axis correction changed the annihilator")
-    gens = [gen] + [alg.element(r) for r in ij.rows]
-    trace = Trace(branch="axis", axis=which, n0=n0, l0=str(l0),
-                  dims=(c.dim,) + (1,) * ij.dim,
-                  truncated=_truncated(alg), trusted=_trusted(alg, gens, (n0,)))
-    return _finish(alg, i, gens, trace)
+    j = _ideal_simple_part(alg, i, rx, ry, span)
+    gens = [gen] + [alg.element(r) for r in gf.subspace_intersect(i.space, j).rows]
+    return _finish(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
 
 def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
@@ -284,20 +272,16 @@ def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
     yp = dec.y ** m0 + l2
     j = _ideal_simple_part(alg, i, rx, ry, span)
     ij = gf.subspace_intersect(i.space, j)
-    cx = cyclic(alg, xp)
-    cy = cyclic(alg, yp)
-    s = gf.subspace_sum(gf.subspace_sum(cx.space, cy.space), ij)
-    _check(cx.dim + cy.dim + ij.dim == s.dim, "axis summands overlap")
+    s = gf.direct_sum(alg.p, alg.dim,
+                      [cyclic(alg, xp).space, cyclic(alg, yp).space, ij])
+    _check(s is not None, "axis summands overlap")
     _check(i.space.contains_subspace(s), "axis summands escape i")
     rest = [alg.element(r) for r in ij.rows]
+    knobs = dict(n0=n0, m0=m0, l1=str(l1), l2=str(l2))
 
     if s == i.space:
         _check(not xp.is_zero() and not yp.is_zero(), "axis generator vanished")
-        trace = Trace(branch="two_axes", n0=n0, m0=m0, l1=str(l1), l2=str(l2),
-                      dims=(cx.dim, cy.dim) + (1,) * ij.dim,
-                      truncated=_truncated(alg),
-                      trusted=_trusted(alg, [xp, yp] + rest, (n0, m0)))
-        return _finish(alg, i, [xp, yp] + rest, trace)
+        return _finish(alg, i, [xp, yp] + rest, "two_axes", **knobs)
 
     # the two-axis sum falls short: a single diagonal generator
     # c x^(n0-1) + d y^(m0-1) + l must close the gap
@@ -315,12 +299,4 @@ def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
         raise InternalContradictionError("diagonal components are not "
                                          "unit powers") from exc
     _check(nx == n0 - 1 and ny == m0 - 1, "diagonal exponents off the shelf")
-    cz = cyclic(alg, zp)
-    _check(cz.dim + ij.dim == i.dim
-           and gf.subspace_sum(cz.space, ij) == i.space,
-           "diagonal sum is not direct onto i")
-    trace = Trace(branch="diagonal", n0=n0, m0=m0, l1=str(l1), l2=str(l2),
-                  dims=(cz.dim,) + (1,) * ij.dim,
-                  truncated=_truncated(alg),
-                  trusted=_trusted(alg, [zp] + rest, (n0, m0)))
-    return _finish(alg, i, [zp] + rest, trace)
+    return _finish(alg, i, [zp] + rest, "diagonal", **knobs)

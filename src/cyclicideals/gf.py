@@ -240,6 +240,17 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.p, a.ambient, basis)
 
 
+def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subspace]:
+    """The sum of the parts when it is direct, None when they overlap."""
+    total = Subspace.zero(p, ambient)
+    for s in parts:
+        grown = subspace_sum(total, s)
+        if grown.dim != total.dim + s.dim:
+            return None
+        total = grown
+    return total
+
+
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus block elimination: rows [A|A] and [B|0]; rows whose left
     block vanishes carry the intersection in the right block, already in

@@ -20,6 +20,10 @@ class InfeasibleSizeError(RuntimeError):
     """The algebra is too large (or the field too big) for brute force."""
 
 
+# largest dim M whose packed cyclic table (2^dim M closures) is built
+CYCLIC_TABLE_MAX_DIM = 20
+
+
 class Ideal:
     __slots__ = ("algebra", "space")
 
@@ -291,8 +295,9 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
     if cached is not None:
         return cached
     mdim = alg.dim - 1
-    if mdim > 20:
-        raise InfeasibleSizeError(f"cyclic table infeasible at dim M = {mdim} (limit 20)")
+    if mdim > CYCLIC_TABLE_MAX_DIM:
+        raise InfeasibleSizeError(f"cyclic table infeasible at dim M = {mdim} "
+                                  f"(limit {CYCLIC_TABLE_MAX_DIM})")
     table: dict[int, tuple[int, ...]] = {0: ()}
     for m in range(1, 1 << mdim):
         vec = m << 1  # maximal-ideal span sits above the unit coordinate

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf
-from .decompose import CyclicDecomposition, Trace, _truncated, _trusted
+from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (Ideal, InfeasibleSizeError, cyclic, ideal_from_generators,
-                     ideal_sum, is_simple, maximal_ideal, packed_closure,
-                     packed_cyclic_table, zero_ideal)
+                     is_simple, maximal_ideal, packed_closure, packed_cyclic_table,
+                     zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -139,10 +139,7 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
         raise ValueError("algebra mismatch")
     if i.dim == alg.dim:
         # only R itself contains a unit, so R = R*1 is the sole cover
-        trace = Trace(branch="exhaustive", dims=(alg.dim,),
-                      truncated=_truncated(alg), trusted=_trusted(alg, [alg.unit()]))
-        return CyclicDecomposition(i, (alg.unit(),),
-                                   (is_simple(alg, i),), trace)
+        return build_decomposition(alg, i, [alg.unit()], "exhaustive")
     key = i.space.basis
     cache = getattr(alg, "_brute_cache", None)
     if cache is None:
@@ -152,12 +149,8 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
     found = cache[key]
     if found is None:
         return None
-    gens = tuple(alg.element(gf.unpack_vec(v, alg.dim)) for v in found)
-    flags = tuple(is_simple(alg, cyclic(alg, g)) for g in gens)
-    dims = tuple(cyclic(alg, g).dim for g in gens)
-    trace = Trace(branch="exhaustive", dims=dims,
-                  truncated=_truncated(alg), trusted=_trusted(alg, gens))
-    return CyclicDecomposition(i, gens, flags, trace)
+    gens = [alg.element(gf.unpack_vec(v, alg.dim)) for v in found]
+    return build_decomposition(alg, i, gens, "exhaustive")
 
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
@@ -234,11 +227,7 @@ def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
     for g, c in zip((x, y, z), parts):
         if is_simple(alg, c) or c.is_zero():
             raise ValueError(f"hypothesis not satisfied: R{g} must be non-simple")
-    total = zero_ideal(alg)
-    dimsum = 0
-    for c in parts + [rest]:
-        dimsum += c.dim
-        total = ideal_sum(total, c)
-    if dimsum != total.dim or total != maximal_ideal(alg):
+    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in parts + [rest]])
+    if total != maximal_ideal(alg).space:
         raise ValueError("hypothesis not satisfied: sum is not direct onto M")
     return ideal_from_generators(alg, [x + y, x + z])

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf
-from .ideals import (Ideal, annihilator, cyclic, ideal_sum, is_simple, maximal_ideal,
-                     min_generators, module_times_ideal, packed_cyclic_table,
-                     quotient_algebra, zero_ideal)
+from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, annihilator,
+                     cyclic, ideal_sum, is_simple, maximal_ideal, min_generators,
+                     module_times_ideal, packed_cyclic_table, quotient_algebra,
+                     zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation, _mult_matrix
 
 
@@ -80,16 +81,11 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
     if any(g.is_zero() for g in parts):
         problems.append("zero summand")
         return problems
-    subs = [cyclic(alg, g) for g in parts]
-    total = gf.Subspace.zero(alg.p, alg.dim)
-    dimsum = 0
-    for s in subs:
-        dimsum += s.dim
-        total = gf.subspace_sum(total, s.space)
-    mdim = alg.dim - 1
-    if total.dim != dimsum:
+    total = gf.direct_sum(alg.p, alg.dim, [cyclic(alg, g).space for g in parts])
+    if total is None:
+        # overlapping summands never fill M directly: both problems hold
         problems.append("summands are not independent")
-    if total != maximal_ideal(alg).space or dimsum != mdim:
+    if total != maximal_ideal(alg).space:
         problems.append("summands do not fill the maximal ideal")
     if dec.x is not None and dec.y is not None:
         if not (dec.x * dec.y).is_zero():
@@ -123,12 +119,8 @@ def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal
             continue
         seen.add(c.space)
         parts.append((g, c))
-    total = gf.Subspace.zero(alg.p, alg.dim)
-    dimsum = 0
-    for _, c in parts:
-        dimsum += c.dim
-        total = gf.subspace_sum(total, c.space)
-    if dimsum == total.dim == alg.dim - 1:
+    total = gf.direct_sum(alg.p, alg.dim, [c.space for _, c in parts])
+    if total is not None and total.dim == alg.dim - 1:
         return parts
     return None
 
@@ -157,15 +149,13 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
     """Exhaustive GF(2) sweep over single generators and generator pairs.
 
     Complete at this size: if any witness exists, the sweep finds the
-    first one in canonical vector order.
+    first one in canonical vector order.  A found vector v is a simple
+    summand exactly when dim Rv = 1: then g*v = c*v for each generator
+    g, and g nilpotent forces c = 0.
     """
     mdim = alg.dim - 1
     table = packed_cyclic_table(alg)
     soc = _socle_rows(alg)
-    actions = alg.gf2_action_masks()
-
-    def killed(v: int) -> bool:
-        return all(gf.gf2_apply(masks, v) == 0 for masks in actions)
 
     def complete(rows: list[int], dim: int) -> Optional[list[int]]:
         # grow with socle vectors to fill M; the added rows are the
@@ -186,7 +176,7 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
         nonsimple, simples = [], []
         for v in found:
             elt = alg.element(gf.unpack_vec(v, alg.dim))
-            if len(table[v]) == 1 and killed(v):
+            if len(table[v]) == 1:
                 simples.append(elt)
             else:
                 nonsimple.append(elt)
@@ -239,7 +229,7 @@ def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
         # under any witness M^2 = Rx^2 + Ry^2, so M^2 never needs three
         # generators; no witness can exist
         return None
-    if alg.p != 2 or alg.dim - 1 > max_pair_dim:
+    if alg.p != 2 or alg.dim - 1 > min(max_pair_dim, CYCLIC_TABLE_MAX_DIM):
         raise SearchSpaceExceededError("search space exceeded")
     return _packed_fallback(alg)
 
@@ -273,10 +263,6 @@ class DscVerdict:
         }
 
 
-def _oracle_feasible(alg: Algebra, max_oracle_dim: int) -> bool:
-    return alg.p == 2 and alg.dim - 1 <= max_oracle_dim
-
-
 def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> DscVerdict:
     """Decide whether every ideal of alg splits into cyclic summands.
 
@@ -300,11 +286,11 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
             j = oracle_mod.three_summand_counterexample(alg, x, y, z, rest)
             note = ("sum of three independent non-simple cyclic summands: "
                     f"R({x} + {y}) + R({x} + {z}) admits no direct-sum cover")
-            if _oracle_feasible(alg, max_oracle_dim):
-                if oracle_mod.brute_decompose(alg, j) is not None:
+            try:
+                if oracle_mod.brute_decompose(alg, j, max_oracle_dim) is not None:
                     raise RuntimeError("internal contradiction: refutation ideal decomposed")
                 notes.append("counterexample confirmed by exhaustive search")
-            else:
+            except InfeasibleSizeError:
                 notes.append("oracle confirmation skipped: infeasible size")
             return DscVerdict("no", None, j, note, tuple(notes))
 
@@ -318,18 +304,18 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     if dec is not None:
         return DscVerdict("yes", dec, None, None, tuple(notes))
 
-    if _oracle_feasible(alg, max_oracle_dim):
+    try:
         verdict = oracle_mod.oracle_dsc(alg, max_oracle_dim)
-        if verdict.answer == "no":
-            return DscVerdict("no", None, verdict.counterexample,
-                              verdict.counterexample_note, tuple(notes) + verdict.notes)
-        if not exceeded:
-            raise RuntimeError("internal contradiction: every ideal decomposes "
-                               "yet the complete witness search found nothing")
-        notes.append("oracle accepts every ideal but no witness was constructed")
+    except InfeasibleSizeError:
+        notes.append("oracle infeasible at this size")
         return DscVerdict("undecided_by_search", None, None, None, tuple(notes))
-
-    notes.append("oracle infeasible at this size")
+    if verdict.answer == "no":
+        return DscVerdict("no", None, verdict.counterexample,
+                          verdict.counterexample_note, tuple(notes) + verdict.notes)
+    if not exceeded:
+        raise RuntimeError("internal contradiction: every ideal decomposes "
+                           "yet the complete witness search found nothing")
+    notes.append("oracle accepts every ideal but no witness was constructed")
     return DscVerdict("undecided_by_search", None, None, None, tuple(notes))
 
 

@@ -8,6 +8,11 @@ from cyclicideals.cli import main
 from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, TRIPLE, TWO_AXES)
 
 INFINITE = "field 2 / vars x y / rel x*y"
+# three non-simple axes with dim M = 9, one past the default oracle bound
+TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
+             " / rel x*y / rel x*z / rel y*z")
+# dim M = 23, past the packed cyclic table's limit of 20
+WIDE = "field 2 / vars x y / rel x^2 / rel y^12"
 
 
 @pytest.fixture
@@ -48,6 +53,22 @@ def test_classify_undecided(ring_file, capsys):
     code, out, _ = run(capsys, "classify", ring_file(GF3_UNDECIDED))
     assert code == 2
     assert "dsc: undecided" in out
+
+
+def test_classify_confirms_with_a_raised_oracle_bound(ring_file, capsys):
+    code, out, _ = run(capsys, "classify", ring_file(TRIPLE_N4),
+                       "--max-oracle-dim", "10")
+    assert code == 1
+    assert "note: counterexample confirmed by exhaustive search" in out
+
+
+def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
+    path = ring_file(WIDE)
+    code, out, _ = run(capsys, "classify", path, "--max-dim", "25")
+    assert code == 2 and "witness search space exceeded" in out
+    for argv in (["decompose", path, "--ideal", "x"], ["spec", path]):
+        code, _, err = run(capsys, *argv, "--max-dim", "25")
+        assert code == 4 and "refused: search space exceeded" in err
 
 
 def test_classify_json_is_deterministic(ring_file, capsys):
@@ -109,6 +130,16 @@ def test_decompose_text_and_json(ring_file, capsys):
     payload = json.loads(out)
     assert payload["trace"]["branch"] == "two_axes"
     assert payload["generators"] == ["x", "y"]
+
+
+def test_decompose_diagonal_in_a_wide_ideal(ring_file, capsys):
+    # R(x + y) has dim 15 over GF(5): 5^15 combinations of its basis
+    ring = ring_file("field 5 / vars x y / rel x^9 / rel y^9 / rel x*y")
+    code, out, _ = run(capsys, "decompose", "--json", ring, "--ideal", "x+y")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["trace"]["branch"] == "diagonal"
+    assert payload["generators"] == ["x + y"]
 
 
 def test_decompose_zero_ideal(ring_file, capsys):

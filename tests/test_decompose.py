@@ -2,11 +2,14 @@
 
 import pytest
 
+import random
+
 from cyclicideals import (CyclicDecomposition, Trace, WitnessInvalidError,
-                          cyclic, decompose_ideal, find_m_decomposition,
+                          cyclic, decompose_ideal, find_m_decomposition, gf,
                           ideal_from_generators, minimal_exponent,
                           parse_element, semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
+from cyclicideals.decompose import _first_outside
 from conftest import AXIS_SOCLE, POWER_SERIES, build
 
 
@@ -197,6 +200,42 @@ def test_verify_decomposition_counts_dimensions(pair_n3):
     # right generators, wrong flags
     mislabeled = CyclicDecomposition(m, (x, y), (True, False), Trace(branch="two_axes"))
     assert not verify_decomposition(pair_n3, m, mislabeled)
+
+
+def _first_outside_by_sweep(alg, i, avoid):
+    """Reference: walk every combination sum d_k rows[k] of i's basis in
+    the order of its p-adic code sum d_k p^k."""
+    p, rows = alg.p, i.rows
+    for code in range(1, p ** len(rows)):
+        v = [0] * alg.dim
+        c = code
+        for r in rows:
+            d = c % p
+            c //= p
+            if d:
+                v = [(a + d * b) % p for a, b in zip(v, r)]
+        if not avoid.contains(v):
+            return alg.element(v)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_first_outside_matches_element_sweep(p):
+    alg = build(f"field {p} / vars x y / rel x^3 / rel y^2")  # dim M = 5
+    rng = random.Random(700 + p)
+
+    def vec():
+        return [0] + [rng.randrange(p) for _ in range(alg.dim - 1)]
+
+    for _ in range(40):
+        i = ideal_from_generators(
+            alg, [alg.element(vec()) for _ in range(rng.randrange(1, 3))])
+        avoid = gf.Subspace.span(p, alg.dim, [vec() for _ in range(rng.randrange(0, 5))])
+        for a in (avoid, gf.subspace_sum(avoid, i.space)):
+            got = _first_outside(alg, i, a)
+            want = _first_outside_by_sweep(alg, i, a)
+            assert (got is None) == (want is None)
+            assert got is None or got.coeffs == want.coeffs
 
 
 def test_length_never_exceeds_witness_bound(pair_n3):

@@ -206,6 +206,20 @@ def test_modular_dimension_law_sweep(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
+def test_direct_sum_sweep(p):
+    """direct_sum agrees with summing the parts and adding their dims."""
+    rng = random.Random(2500 + p)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(0, 4))]
+        total = gf.Subspace.zero(p, n)
+        for s in parts:
+            total = gf.subspace_sum(total, s)
+        direct = total.dim == sum(s.dim for s in parts)
+        assert gf.direct_sum(p, n, parts) == (total if direct else None)
+
+
+@pytest.mark.parametrize("p", [2, 3])
 def test_affine_meet_sweep(p):
     """Returned points satisfy both memberships; None answers are
     re-checked by brute force over the (small) u."""

@@ -2,8 +2,9 @@
 
 Each case runs one command in process and compares its stdout with the
 stored file, so any change to a verdict, witness, counterexample, census
-or decomposition shows up as a diff.  After a deliberate output change,
-regenerate the files with
+or decomposition shows up as a diff.  The stdout of every script under
+demos/ is frozen the same way, as `demo-<name>.txt`.  After a deliberate
+output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import runpy
 import sys
 import tempfile
 from importlib import resources
@@ -22,6 +24,8 @@ import pytest
 from cyclicideals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
+DEMO_NAMES = sorted(p.stem for p in DEMOS.glob("*.py"))
 
 # rings outside the bundled corpus, written to a temporary file per run
 EXTRA_RINGS = {
@@ -101,6 +105,13 @@ def _run(argv: list[str], paths: dict[str, str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def _run_demo(name: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def ring_paths(tmp_path_factory):
     return _ring_paths(tmp_path_factory.mktemp("golden"))
@@ -113,6 +124,12 @@ def test_golden_json(stem, argv, code, ring_paths):
     assert got == (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_golden_demo(name):
+    got = _run_demo(name)
+    assert got == (GOLDEN / f"demo-{name}.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -122,4 +139,7 @@ if __name__ == "__main__":
             if got_code != code:
                 sys.exit(f"{stem}: exit {got_code}, expected {code}")
             (GOLDEN / f"{stem}.json").write_text(got, encoding="utf-8")
-    print(f"wrote {len(CASES)} golden files to {GOLDEN}")
+    for name in DEMO_NAMES:
+        (GOLDEN / f"demo-{name}.txt").write_text(_run_demo(name),
+                                                 encoding="utf-8")
+    print(f"wrote {len(CASES) + len(DEMO_NAMES)} golden files to {GOLDEN}")

@@ -79,6 +79,15 @@ def test_witness_problems_reported(pair_n3):
     broken = MDecomposition(pair_n3, x + y, y, ())
     problems = m_decomposition_problems(broken)
     assert problems and not verify_m_decomposition(broken)
+    assert problems == ["summands are not independent",
+                        "summands do not fill the maximal ideal",
+                        "x*y is nonzero",
+                        "R/Ann(x + y) is not a principal ideal ring"]
+    # independent but short of M; overlapping through a socle line
+    assert m_decomposition_problems(MDecomposition(pair_n3, x, None, ())) == [
+        "summands do not fill the maximal ideal"]
+    assert m_decomposition_problems(MDecomposition(pair_n3, x, y, (x * x,))) == [
+        "summands are not independent", "summands do not fill the maximal ideal"]
 
 
 def test_search_space_exceeded():
