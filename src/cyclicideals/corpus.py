@@ -101,10 +101,8 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
     }
 
 
-def run_corpus(max_pair_dim: int = 12, max_oracle_dim: int = 8,
-               selectors=None, use_oracle: bool = True) -> list[dict]:
-    return [run_case(c.key, max_pair_dim, max_oracle_dim, use_oracle)
-            for c in matching_cases(selectors)]
+def run_corpus(selectors=None, use_oracle: bool = True) -> list[dict]:
+    return [run_case(c.key, use_oracle=use_oracle) for c in matching_cases(selectors)]
 
 
 _SWEEP_VARS = ("x", "y", "z")

@@ -240,15 +240,11 @@ def _principal(alg, dec, i, which) -> CyclicDecomposition:
     return _finish(alg, i, [g ** n], "principal", axis=which, n0=n)
 
 
-def _ideal_simple_part(alg, i, rx, ry, span) -> gf.Subspace:
-    # J = the portion of the simple span that i reaches: project each
-    # basis row of i onto L along Rx + Ry
-    lparts = []
-    for r in i.rows:
-        comps = gf.split_components(r, [rx, ry, span])
-        _check(comps is not None, "ideal escapes the witness sum")
-        lparts.append(comps[2])
-    return gf.Subspace.span(alg.p, alg.dim, lparts)
+def _ideal_simple_part(i, rx, ry, span) -> gf.Subspace:
+    # J = the portion of the simple span that i projects onto along
+    # Rx + Ry; the witness is direct onto M, so J = (i + Rx + Ry) meet L
+    reach = gf.subspace_sum(gf.subspace_sum(i.space, rx), ry)
+    return gf.subspace_intersect(reach, span)
 
 
 def _axis(alg, dec, i, which, rx, ry, span) -> CyclicDecomposition:
@@ -260,7 +256,7 @@ def _axis(alg, dec, i, which, rx, ry, span) -> CyclicDecomposition:
         # the correction must not change the annihilator
         _check(annihilator(alg, gen) == annihilator(alg, g ** n0),
                "axis correction changed the annihilator")
-    j = _ideal_simple_part(alg, i, rx, ry, span)
+    j = _ideal_simple_part(i, rx, ry, span)
     gens = [gen] + [alg.element(r) for r in gf.subspace_intersect(i.space, j).rows]
     return _finish(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
@@ -270,7 +266,7 @@ def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
     m0, l2 = minimal_exponent(alg, dec, i, "y")
     xp = dec.x ** n0 + l1
     yp = dec.y ** m0 + l2
-    j = _ideal_simple_part(alg, i, rx, ry, span)
+    j = _ideal_simple_part(i, rx, ry, span)
     ij = gf.subspace_intersect(i.space, j)
     s = gf.direct_sum(alg.p, alg.dim,
                       [cyclic(alg, xp).space, cyclic(alg, yp).space, ij])

@@ -12,6 +12,12 @@ operation is a single xor, after the packed GF(2) idioms of M4RI
 tuple) pair, so no reduction searches for its pivots.  The packed and
 generic paths compute the same canonical objects and are differential
 tested against each other.
+
+Every row operation runs in one of two kernel pairs, gf2_reduce /
+gf2_insert and _reduce_generic / _insert_generic.  Intersections,
+kernels and solves eliminate block rows [left | right] on them, the
+right block in the columns above the left one (for p == 2, the bits
+above bit n).
 """
 
 from __future__ import annotations
@@ -22,10 +28,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[int, ...]
-
-
-def _inv(a: int, p: int) -> int:
-    return pow(a, -1, p)
 
 
 def normalize_vec(v: Sequence[int], p: int) -> Vec:
@@ -112,7 +114,7 @@ def _insert_generic(basis: list[tuple[int, Vec]], v: Sequence[int], p: int) -> b
     piv = next((j for j, c in enumerate(w) if c), -1)
     if piv < 0:
         return False
-    scale = _inv(w[piv], p)
+    scale = pow(w[piv], -1, p)
     w = tuple([(scale * c) % p for c in w])
     for i, (q, r) in enumerate(basis):
         c = r[piv]
@@ -251,95 +253,84 @@ def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subs
     return total
 
 
+def _vanishing_block(p: int, n: int, rows: Sequence) -> list:
+    """Zassenhaus block elimination over [left | right] rows, the left
+    block n columns wide: the rows whose left block vanishes carry their
+    right blocks out as a packed reduced echelon basis."""
+    if p == 2:
+        return [r >> n for r in gf2_rref(rows) if not r & ((1 << n) - 1)]
+    return [(piv - n, r[n:]) for piv, r in _echelon(rows, p) if piv >= n]
+
+
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus block elimination: rows [A|A] and [B|0]; rows whose left
-    block vanishes carry the intersection in the right block, already in
-    reduced echelon form."""
+    """a meet b, from the rows [A|A] and [B|0]."""
     _check_compatible(a, b)
     n, p = a.ambient, a.p
     if p == 2:
-        mask = (1 << n) - 1
-        block = gf2_rref([r | (r << n) for r in a.basis] + list(b.basis))
-        return Subspace(p, n, [row >> n for row in block if not (row & mask)])
-    block = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
-    return Subspace(p, n, [(piv - n, r[n:]) for piv, r in _echelon(block, p) if piv >= n])
+        rows = [r | r << n for r in a.basis] + list(b.basis)
+    else:
+        rows = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
+    return Subspace(p, n, _vanishing_block(p, n, rows))
+
+
+def left_kernel(m: Mat) -> Subspace:
+    """{a : a . m = 0}, coefficients over the rows of m, from the rows
+    [m_i | e_i]."""
+    n, p, k = m.ncols, m.p, len(m.rows)
+    if p == 2:
+        rows = [pack_vec(r) | 1 << (n + i) for i, r in enumerate(m.rows)]
+    else:
+        rows = [r + tuple(int(j == i) for j in range(k)) for i, r in enumerate(m.rows)]
+    return Subspace(p, k, _vanishing_block(p, n, rows))
 
 
 def kernel(m: Mat) -> Subspace:
     """Right null space {v : each row of m dots v to zero}."""
-    reduced = Subspace.span(m.p, m.ncols, m.rows)
-    pivots = reduced.pivots
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.ncols
-        v[f] = 1
-        for r, piv in zip(reduced.rows, pivots):
-            if r[f]:
-                v[piv] = (-r[f]) % m.p
-        basis.append(v)
-    return Subspace.span(m.p, m.ncols, basis)
-
-
-def left_kernel(m: Mat) -> Subspace:
-    """{a : a . m = 0}, coefficients over the rows of m."""
-    return kernel(transpose(m))
+    return left_kernel(transpose(m))
 
 
 # ---------------------------------------------------------------------------
-# tagged elimination: solve over a row list while tracking where each
-# reduction came from.  Backbone of affine_meet / split_components / solve.
+# tagged elimination: solve over [vec | tag] rows while tracking where
+# each reduction came from.  Backbone of affine_meet / split_components /
+# solve_combination.
 
 
-def _tagged_solve(rows: Sequence[tuple[Vec, Vec]], target: Vec, p: int,
-                  tag_zero: Vec) -> Optional[Vec]:
-    """Eliminate (vector, tag) pairs, then reduce target, accumulating tags.
+def _tagged_solve(rows: Sequence, target: Vec, p: int, n: int, width: int
+                  ) -> Optional[Vec]:
+    """The tag of target over the [vec | tag] rows, None when target is
+    outside the span of their vecs.
 
-    Tags are vectors over GF(p) too.  Returns the accumulated tag if
-    target lies in the span, else None.  Row operations apply identically
-    to vectors and tags, so any linear invariant relating a row to its
-    tag is preserved.
+    Rows are packed for the row kernels, the vec in the low n columns
+    and a tag `width` columns wide above it (for p == 2, tag bits above
+    bit n).  A row whose vec reduces to zero is dropped, so the kept
+    rows are the greedy basis of the vecs in row order; target is then
+    sum c_j vec_j over that basis in exactly one way, and the result is
+    sum c_j tag_j, whatever order the elimination runs in.
     """
-    work: list[tuple[int, Vec, list[int]]] = []  # (pivot, monic row, tag)
-    for vec, tag in rows:
-        vec = list(vec)
-        for piv, wv, wt in work:
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, wv)]
-                tag = [(a - c * b) % p for a, b in zip(tag, wt)]
-        piv = next((j for j, c in enumerate(vec) if c), -1)
-        if piv >= 0:
-            s = _inv(vec[piv], p)
-            work.append((piv, tuple([(s * c) % p for c in vec]), [(s * c) % p for c in tag]))
-    residual = list(target)
-    acc = tag_zero
-    for piv, wv, wt in work:
-        c = residual[piv]
-        if c:
-            residual = [(a - c * b) % p for a, b in zip(residual, wv)]
-            acc = [(a + c * b) % p for a, b in zip(acc, wt)]
-    if any(residual):
-        return None
-    return tuple(acc)
+    if p == 2:
+        mask = (1 << n) - 1
+        basis: list = []
+        for r in rows:
+            r = gf2_reduce(r, basis)
+            if r & mask:
+                gf2_insert(basis, r)
+        res = gf2_reduce(pack_vec(target), basis)
+        return None if res & mask else unpack_vec(res >> n, width)
+    basis = []
+    for r in rows:
+        r = _reduce_generic(r, basis, p)
+        if any(r[:n]):
+            _insert_generic(basis, r, p)
+    # target - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tag
+    res = _reduce_generic(target + (0,) * width, basis, p)
+    return None if any(res[:n]) else tuple([-c % p for c in res[n:]])
 
 
 def affine_meet(point: Sequence[int], w: Subspace, u: Subspace) -> Optional[Vec]:
-    """Some v in (point + w) intersect u, or None if the coset misses u.
-
-    Tags carry the u-component of every working row; the accumulated tag
-    of point is then a member of u congruent to point mod w.
-    """
-    _check_compatible(w, u)
-    p, n = w.p, w.ambient
-    point = normalize_vec(point, p)
-    if len(point) != n:
-        raise ValueError("ambient mismatch")
-    zero = (0,) * n
-    rows = [(r, zero) for r in w.rows] + [(r, r) for r in u.rows]
-    return _tagged_solve(rows, point, p, zero)
+    """Some v in (point + w) intersect u, or None if the coset misses u:
+    the u-component of point split over [w, u]."""
+    got = split_components(point, [w, u])
+    return None if got is None else got[1]
 
 
 def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[list[Vec]]:
@@ -354,15 +345,16 @@ def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[li
     for s in parts[1:]:
         _check_compatible(parts[0], s)
     v = normalize_vec(v, p)
+    if len(v) != n:
+        raise ValueError("ambient mismatch")
     k = len(parts)
-    # one flat tag per row: its copy in the block of the part it came from
-    rows = []
-    for i, s in enumerate(parts):
-        for r in s.rows:
-            tag = [0] * (k * n)
-            tag[i * n:(i + 1) * n] = r
-            rows.append((r, tag))
-    got = _tagged_solve(rows, v, p, (0,) * (k * n))
+    # each row's tag is its copy in the block of the part it came from
+    if p == 2:
+        rows = [r | r << (n * (i + 1)) for i, s in enumerate(parts) for r in s.basis]
+    else:
+        rows = [r + (0,) * (n * i) + r + (0,) * (n * (k - 1 - i))
+                for i, s in enumerate(parts) for r in s.rows]
+    got = _tagged_solve(rows, v, p, n, k * n)
     return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
 
 
@@ -370,15 +362,13 @@ def solve_combination(rows: Sequence[Sequence[int]], target: Sequence[int], p: i
     """Coefficients c with sum c_i * rows_i = target, or None."""
     if not rows:
         return None if any(c % p for c in target) else ()
-    n = len(rows[0])
-    k = len(rows)
-    zero = (0,) * k
-    tagged = []
-    for i, r in enumerate(rows):
-        tag = [0] * k
-        tag[i] = 1
-        tagged.append((normalize_vec(r, p), tuple(tag)))
+    n, k = len(rows[0]), len(rows)
     target = normalize_vec(target, p)
     if len(target) != n:
         raise ValueError("ambient mismatch")
-    return _tagged_solve(tagged, target, p, zero)
+    if p == 2:
+        tagged = [pack_vec(r) | 1 << (n + i) for i, r in enumerate(rows)]
+    else:
+        tagged = [normalize_vec(r, p) + tuple(int(j == i) for j in range(k))
+                  for i, r in enumerate(rows)]
+    return _tagged_solve(tagged, target, p, n, k)

@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import (Ideal, InfeasibleSizeError, cyclic, ideal_from_generators,
-                     is_simple, maximal_ideal, packed_closure, packed_cyclic_table,
-                     zero_ideal)
+from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
+                     ideal_from_generators, is_simple, maximal_ideal, packed_closure,
+                     packed_cyclic_table, zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -28,6 +28,11 @@ def _require_feasible(alg: Algebra, max_dim: int) -> None:
     if alg.dim - 1 > max_dim:
         raise InfeasibleSizeError(
             f"dim M = {alg.dim - 1} exceeds the oracle bound {max_dim}")
+    if alg.dim - 1 > CYCLIC_TABLE_MAX_DIM:
+        # brute_decompose needs the packed cyclic table, and past its
+        # limit the census alone runs for minutes
+        raise InfeasibleSizeError(f"dim M = {alg.dim - 1} exceeds the cyclic "
+                                  f"table limit {CYCLIC_TABLE_MAX_DIM}")
 
 
 @dataclass

@@ -13,6 +13,7 @@ primes, Krull dimension at most one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf
@@ -53,6 +54,11 @@ class MDecomposition:
 
     def summand_count(self) -> int:
         return len(self.summands())
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """m_decomposition_problems of this witness, computed once."""
+        return tuple(m_decomposition_problems(self))
 
     def simple_span(self) -> gf.Subspace:
         alg = self.algebra
@@ -103,7 +109,7 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
 
 
 def verify_m_decomposition(dec: MDecomposition) -> bool:
-    return not m_decomposition_problems(dec)
+    return not dec.problems
 
 
 def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal]]]:
@@ -130,10 +136,9 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     x = nonsimple[0] if len(nonsimple) > 0 else None
     y = nonsimple[1] if len(nonsimple) > 1 else None
     dec = MDecomposition(alg, x, y, tuple(simples))
-    problems = m_decomposition_problems(dec)
-    if problems:
+    if dec.problems:
         raise RuntimeError("internal contradiction: witness failed verification: "
-                           + "; ".join(problems))
+                           + "; ".join(dec.problems))
     return dec
 
 

@@ -71,6 +71,16 @@ def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
         assert code == 4 and "refused: search space exceeded" in err
 
 
+def test_oracle_bound_past_the_cyclic_table_limit(ring_file, capsys):
+    code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", "25")
+    assert code == 4 and "table limit 20" in err
+    # dim M = 21: the witness search and the oracle both refuse
+    narrower = ring_file(WIDE.replace("y^12", "y^11"))
+    code, out, _ = run(capsys, "classify", narrower, "--max-dim", "12",
+                       "--max-oracle-dim", "25")
+    assert code == 2 and "oracle infeasible at this size" in out
+
+
 def test_classify_json_is_deterministic(ring_file, capsys):
     path = ring_file(PAIR_N3)
     _, first, _ = run(capsys, "classify", "--json", path)

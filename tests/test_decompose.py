@@ -9,7 +9,7 @@ from cyclicideals import (CyclicDecomposition, Trace, WitnessInvalidError,
                           ideal_from_generators, minimal_exponent,
                           parse_element, semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
-from cyclicideals.decompose import _first_outside
+from cyclicideals.decompose import _first_outside, _ideal_simple_part
 from conftest import AXIS_SOCLE, POWER_SERIES, build
 
 
@@ -236,6 +236,27 @@ def test_first_outside_matches_element_sweep(p):
             want = _first_outside_by_sweep(alg, i, a)
             assert (got is None) == (want is None)
             assert got is None or got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("text", [
+    "field 2 / vars x y w / rel x^5 / rel y^4 / rel x*y / rel w^2 / rel x*w / rel y*w",
+    "field 3 / vars x y w / rel x^4 / rel y^4 / rel x*y / rel w^2 / rel x*w / rel y*w",
+    "field 5 / vars x y / rel x^4 / rel y^3 / rel x*y",
+])
+def test_ideal_simple_part_is_the_projection(text):
+    """J = (i + Rx + Ry) meet L equals the span of the L-parts of i's rows."""
+    alg = build(text)
+    dec = find_m_decomposition(alg)
+    rx, ry = cyclic(alg, dec.x).space, cyclic(alg, dec.y).space
+    span = dec.simple_span()
+    rng = random.Random(800 + alg.p)
+    for _ in range(40):
+        gens = [alg.element([0] + [rng.randrange(alg.p) for _ in range(alg.dim - 1)])
+                for _ in range(rng.randrange(1, 4))]
+        i = ideal_from_generators(alg, gens)
+        lparts = [gf.split_components(r, [rx, ry, span])[2] for r in i.rows]
+        want = gf.Subspace.span(alg.p, alg.dim, lparts)
+        assert _ideal_simple_part(i, rx, ry, span) == want
 
 
 def test_length_never_exceeds_witness_bound(pair_n3):

@@ -83,6 +83,9 @@ def test_split_components_hand():
 def test_split_components_outside():
     parts = [gf.Subspace.span(2, 3, [(1, 0, 0)])]
     assert gf.split_components((1, 1, 0), parts) is None
+    for short in [(1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            gf.split_components(short, parts)
 
 
 def test_solve_combination_hand():
@@ -293,3 +296,124 @@ def test_solve_combination_sweep(p):
         got = gf.solve_combination(rows, target, p)
         assert got is not None
         assert _combine(got, rows, p, n) == target
+
+
+# ---------------------------------------------------------------------------
+# the row-kernel solves against the dense eliminations they replaced: the
+# same particular solutions, not only valid ones
+
+
+def _dense_tagged_solve(rows, target, p, tag_zero):
+    """Reference: eliminate (vector, tag) pairs on dense lists, keeping
+    the greedy basis, then reduce target and accumulate its tag."""
+    work = []  # (pivot, monic row, tag)
+    for vec, tag in rows:
+        vec = list(vec)
+        for piv, wv, wt in work:
+            c = vec[piv]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, wv)]
+                tag = [(a - c * b) % p for a, b in zip(tag, wt)]
+        piv = next((j for j, c in enumerate(vec) if c), -1)
+        if piv >= 0:
+            s = pow(vec[piv], -1, p)
+            work.append((piv, tuple((s * c) % p for c in vec), [(s * c) % p for c in tag]))
+    residual = list(target)
+    acc = tag_zero
+    for piv, wv, wt in work:
+        c = residual[piv]
+        if c:
+            residual = [(a - c * b) % p for a, b in zip(residual, wv)]
+            acc = [(a + c * b) % p for a, b in zip(acc, wt)]
+    return None if any(residual) else tuple(acc)
+
+
+def _dense_affine_meet(point, w, u):
+    zero = (0,) * w.ambient
+    rows = [(r, zero) for r in w.rows] + [(r, r) for r in u.rows]
+    return _dense_tagged_solve(rows, gf.normalize_vec(point, w.p), w.p, zero)
+
+
+def _dense_split_components(v, parts):
+    p, n, k = parts[0].p, parts[0].ambient, len(parts)
+    rows = []
+    for i, s in enumerate(parts):
+        for r in s.rows:
+            tag = [0] * (k * n)
+            tag[i * n:(i + 1) * n] = r
+            rows.append((r, tag))
+    got = _dense_tagged_solve(rows, gf.normalize_vec(v, p), p, (0,) * (k * n))
+    return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
+
+
+def _dense_solve_combination(rows, target, p):
+    k = len(rows)
+    tagged = [(gf.normalize_vec(r, p), tuple(int(j == i) for j in range(k)))
+              for i, r in enumerate(rows)]
+    return _dense_tagged_solve(tagged, gf.normalize_vec(target, p), p, (0,) * k)
+
+
+def _dense_kernel(m):
+    """Reference: back-substitution from the RREF of m's rows."""
+    reduced = gf.Subspace.span(m.p, m.ncols, m.rows)
+    pivots = reduced.pivots
+    basis = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        v = [0] * m.ncols
+        v[f] = 1
+        for r, piv in zip(reduced.rows, pivots):
+            if r[f]:
+                v[piv] = (-r[f]) % m.p
+        basis.append(v)
+    return gf.Subspace.span(m.p, m.ncols, basis)
+
+
+def _overlapping(rng, p, n):
+    """A subspace that shares a random vector with a second one."""
+    a, b = _random_subspace(rng, p, n), _random_subspace(rng, p, n)
+    common = tuple(rng.randrange(p) for _ in range(n))
+    return (gf.subspace_sum(a, gf.Subspace.span(p, n, [common])),
+            gf.subspace_sum(b, gf.Subspace.span(p, n, [common])))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tagged_solves_match_dense_reference(p):
+    rng = random.Random(6000 + p)
+    meets_overlap = splits_overlap = 0
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        w, u = _overlapping(rng, p, n) if rng.randrange(2) else (
+            _random_subspace(rng, p, n), _random_subspace(rng, p, n))
+        meets_overlap += gf.subspace_intersect(w, u).dim > 0
+        point = tuple(rng.randrange(p) for _ in range(n))
+        assert gf.affine_meet(point, w, u) == _dense_affine_meet(point, w, u)
+
+        parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(1, 4))]
+        splits_overlap += gf.direct_sum(p, n, parts) is None
+        total = gf.Subspace.zero(p, n)
+        for s in parts:
+            total = gf.subspace_sum(total, s)
+        inside = _combine([rng.randrange(p) for _ in range(total.dim)], total.rows, p, n)
+        for v in (inside, point):
+            assert gf.split_components(v, parts) == _dense_split_components(v, parts)
+
+        k = rng.randrange(1, 6)
+        rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
+        target = _combine([rng.randrange(p) for _ in range(k)], rows, p, n)
+        for t in (target, point):
+            assert gf.solve_combination(rows, t, p) == _dense_solve_combination(rows, t, p)
+    # the sweep reaches the cases where a particular solution is a choice
+    assert meets_overlap > 50 and splits_overlap > 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernels_match_back_substitution(p):
+    rng = random.Random(7000 + p)
+    for _ in range(300):
+        nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
+        m = gf.Mat.from_rows(p, [[rng.randrange(p) for _ in range(ncols)]
+                                 for _ in range(nrows)], ncols)
+        assert gf.kernel(m) == _dense_kernel(m)
+        assert gf.left_kernel(m) == _dense_kernel(gf.transpose(m))

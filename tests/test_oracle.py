@@ -179,6 +179,15 @@ def test_cached_census_still_checks_the_bound():
     assert enumerate_ideals(alg, 6) is alg._census
 
 
+def test_oracle_stops_at_the_cyclic_table_limit():
+    alg = build("field 2 / vars x y / rel x^2 / rel y^12")  # dim M = 23
+    for run in (enumerate_ideals, oracle_dsc):
+        with pytest.raises(InfeasibleSizeError, match="table limit 20"):
+            run(alg, 25)
+    assert getattr(alg, "_census", None) is None
+    assert getattr(alg, "_cyclic_table", None) is None
+
+
 # ---------------------------------------------------------------------------
 # the three-summand obstruction
 
