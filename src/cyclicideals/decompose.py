@@ -13,13 +13,14 @@ cyclic splitting:
               single mixed generator z' = c x^(n0-1) + d y^(m0-1) + l
               carries both axes.
 
-Every branch re-checks the identities it relies on and raises
-InternalContradictionError rather than return an unverified answer.
+Every branch re-checks the identities it relies on, and
+build_decomposition checks every split direct onto i; a failed check
+raises InternalContradictionError rather than return an unverified one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import gf
@@ -58,18 +59,7 @@ class Trace:
     trusted: bool = True
 
     def as_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "axis": self.axis,
-            "n0": self.n0,
-            "m0": self.m0,
-            "l0": self.l0,
-            "l1": self.l1,
-            "l2": self.l2,
-            "dims": list(self.dims),
-            "truncated": self.truncated,
-            "trusted": self.trusted,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 @dataclass(frozen=True)
@@ -102,17 +92,25 @@ def verify_decomposition(alg, i: Ideal, dec: CyclicDecomposition) -> bool:
     return gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space
 
 
+def _check(cond: bool, msg: str) -> None:
+    if not cond:
+        raise InternalContradictionError(msg)
+
+
 def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
                         ) -> CyclicDecomposition:
-    """The one constructor of a CyclicDecomposition.
+    """The one constructor of a CyclicDecomposition, and a checked one.
 
-    Closes each generator once and reads the summand dims and simplicity
-    flags off those closures; `knobs` are the branch's Trace fields
-    (axis, n0, m0, l0, l1, l2).  Checks nothing: callers that must
-    return a verified split go through _finish.
+    Closes each generator once, checks that those closures are direct
+    onto i (raising InternalContradictionError otherwise), and reads the
+    summand dims and simplicity flags off them, so the result passes
+    verify_decomposition.  `knobs` are the branch's Trace fields (axis,
+    n0, m0, l0, l1, l2).
     """
     gens = tuple(gens)
     closures = [cyclic(alg, g) for g in gens]
+    _check(gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space,
+           "decomposition failed verification")
     pres = getattr(alg, "presentation", None)
     exps = [knobs[k] for k in ("n0", "m0") if knobs.get(k) is not None]
     trace = Trace(branch=branch, dims=tuple(c.dim for c in closures),
@@ -138,13 +136,12 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     g = dec.x if which == "x" else dec.y
     if g is None:
         raise ValueError("no such exponent")
-    span = dec.simple_span()
     gn = alg.unit()
     for n in range(1, alg.dim + 1):
         gn = gn * g
         if gn.is_zero() or i.space.contains(gn.coeffs):
             return n, alg.zero()
-        met = gf.affine_meet(gn.coeffs, span, i.space)
+        met = gf.affine_meet(gn.coeffs, dec.simple_span, i.space)
         if met is not None:
             return n, alg.element(met) - gn
     raise ValueError("no such exponent")
@@ -186,7 +183,9 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     """Decompose a proper ideal using a verified witness for M.
 
     Branches: principal, semisimple, axis, two_axes, diagonal.  The
-    returned decomposition always passes verify_decomposition.
+    witness's closures Rx, Ry and L are read off dec, never rebuilt, and
+    the split comes from build_decomposition, so it is checked direct
+    onto i.
     """
     if not verify_m_decomposition(dec):
         raise WitnessInvalidError("witness invalid")
@@ -195,10 +194,7 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     if i.dim == alg.dim:
         raise ValueError("not proper")
 
-    zero_sub = gf.Subspace.zero(alg.p, alg.dim)
-    rx = cyclic(alg, dec.x).space if dec.x is not None else zero_sub
-    ry = cyclic(alg, dec.y).space if dec.y is not None else zero_sub
-    span = dec.simple_span()
+    rx, ry, span = dec.rx.space, dec.ry.space, dec.simple_span
 
     if i.dim == 0:
         return semisimple_decompose(alg, i)
@@ -208,24 +204,11 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
         return _principal(alg, dec, i, "y")
     if module_times_ideal(alg, i).dim == 0:
         return semisimple_decompose(alg, i)
-    rxl = gf.subspace_sum(rx, span)
-    ryl = gf.subspace_sum(ry, span)
-    if rx.dim and rxl.contains_subspace(i.space):
-        return _axis(alg, dec, i, "x", rx, ry, span)
-    if ry.dim and ryl.contains_subspace(i.space):
-        return _axis(alg, dec, i, "y", rx, ry, span)
-    return _general(alg, dec, i, rx, ry, span)
-
-
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InternalContradictionError(msg)
-
-
-def _finish(alg, i, gens, branch, **knobs) -> CyclicDecomposition:
-    out = build_decomposition(alg, i, gens, branch, **knobs)
-    _check(verify_decomposition(alg, i, out), "decomposition failed verification")
-    return out
+    if rx.dim and gf.subspace_sum(rx, span).contains_subspace(i.space):
+        return _axis(alg, dec, i, "x")
+    if ry.dim and gf.subspace_sum(ry, span).contains_subspace(i.space):
+        return _axis(alg, dec, i, "y")
+    return _general(alg, dec, i)
 
 
 def _principal(alg, dec, i, which) -> CyclicDecomposition:
@@ -237,17 +220,17 @@ def _principal(alg, dec, i, which) -> CyclicDecomposition:
     except NotExpressibleError as exc:
         raise InternalContradictionError("principal branch generator "
                                          "not a power") from exc
-    return _finish(alg, i, [g ** n], "principal", axis=which, n0=n)
+    return build_decomposition(alg, i, [g ** n], "principal", axis=which, n0=n)
 
 
-def _ideal_simple_part(i, rx, ry, span) -> gf.Subspace:
+def _ideal_simple_part(dec, i) -> gf.Subspace:
     # J = the portion of the simple span that i projects onto along
     # Rx + Ry; the witness is direct onto M, so J = (i + Rx + Ry) meet L
-    reach = gf.subspace_sum(gf.subspace_sum(i.space, rx), ry)
-    return gf.subspace_intersect(reach, span)
+    reach = gf.subspace_sum(gf.subspace_sum(i.space, dec.rx.space), dec.ry.space)
+    return gf.subspace_intersect(reach, dec.simple_span)
 
 
-def _axis(alg, dec, i, which, rx, ry, span) -> CyclicDecomposition:
+def _axis(alg, dec, i, which) -> CyclicDecomposition:
     g = dec.x if which == "x" else dec.y
     n0, l0 = minimal_exponent(alg, dec, i, which)
     gen = g ** n0 + l0
@@ -256,18 +239,17 @@ def _axis(alg, dec, i, which, rx, ry, span) -> CyclicDecomposition:
         # the correction must not change the annihilator
         _check(annihilator(alg, gen) == annihilator(alg, g ** n0),
                "axis correction changed the annihilator")
-    j = _ideal_simple_part(i, rx, ry, span)
+    j = _ideal_simple_part(dec, i)
     gens = [gen] + [alg.element(r) for r in gf.subspace_intersect(i.space, j).rows]
-    return _finish(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
+    return build_decomposition(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
 
-def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
+def _general(alg, dec, i) -> CyclicDecomposition:
     n0, l1 = minimal_exponent(alg, dec, i, "x")
     m0, l2 = minimal_exponent(alg, dec, i, "y")
     xp = dec.x ** n0 + l1
     yp = dec.y ** m0 + l2
-    j = _ideal_simple_part(i, rx, ry, span)
-    ij = gf.subspace_intersect(i.space, j)
+    ij = gf.subspace_intersect(i.space, _ideal_simple_part(dec, i))
     s = gf.direct_sum(alg.p, alg.dim,
                       [cyclic(alg, xp).space, cyclic(alg, yp).space, ij])
     _check(s is not None, "axis summands overlap")
@@ -277,14 +259,14 @@ def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
 
     if s == i.space:
         _check(not xp.is_zero() and not yp.is_zero(), "axis generator vanished")
-        return _finish(alg, i, [xp, yp] + rest, "two_axes", **knobs)
+        return build_decomposition(alg, i, [xp, yp] + rest, "two_axes", **knobs)
 
     # the two-axis sum falls short: a single diagonal generator
     # c x^(n0-1) + d y^(m0-1) + l must close the gap
     _check(n0 >= 2 and m0 >= 2, "diagonal branch with boundary exponent")
     zp = _first_outside(alg, i, s)
     _check(zp is not None, "no element outside the axis sum")
-    comps = gf.split_components(zp.coeffs, [rx, ry, span])
+    comps = gf.split_components(zp.coeffs, [dec.rx.space, dec.ry.space, dec.simple_span])
     _check(comps is not None, "diagonal element escapes the witness sum")
     zx, zy = alg.element(comps[0]), alg.element(comps[1])
     _check(not zx.is_zero() and not zy.is_zero(), "diagonal element lost an axis")
@@ -295,4 +277,4 @@ def _general(alg, dec, i, rx, ry, span) -> CyclicDecomposition:
         raise InternalContradictionError("diagonal components are not "
                                          "unit powers") from exc
     _check(nx == n0 - 1 and ny == m0 - 1, "diagonal exponents off the shelf")
-    return _finish(alg, i, [zp] + rest, "diagonal", **knobs)
+    return build_decomposition(alg, i, [zp] + rest, "diagonal", **knobs)

@@ -3,8 +3,9 @@
 An ideal is a subspace of the algebra (in basis coordinates) closed
 under multiplication by every generator of the maximal ideal.  Each one
 is held in canonical RREF form, so ideals compare and hash structurally.
-Closure is re-checked on construction: any operation that produced a
-non-ideal is a bug we want to hear about immediately.
+Closure is re-checked on construction, unless the basis comes straight
+out of a closure loop: any operation that produced a non-ideal is a bug
+we want to hear about immediately.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class Ideal:
                 "dim": self.dim}
 
     def contains(self, z: Element) -> bool:
+        self._require_same(z)
         return self.space.contains(z.coeffs)
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -74,7 +76,7 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def _require_same(self, other: "Ideal") -> None:
+    def _require_same(self, other: Union["Ideal", Element]) -> None:
         if self.algebra is not other.algebra:
             raise ValueError("algebra mismatch")
 
@@ -105,7 +107,8 @@ class Ideal:
 def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     """Smallest ideal containing the generators: span closure under the action.
 
-    Each new vector goes straight into the growing echelon basis.  The
+    Each new vector goes straight into the growing echelon basis and
+    queues its images, so the basis comes out closed, unchecked.  The
     action maps into M, so a unit can only come in as a generator.
     """
     queue = [g.coeffs for g in gens]
@@ -121,7 +124,7 @@ def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
             v = queue.pop()
             if gf._insert_generic(basis, v, p):
                 queue.extend(alg._mul_coeffs(g, v) for g in actions)
-    return Ideal(alg, gf.Subspace(p, alg.dim, basis))
+    return Ideal(alg, gf.Subspace(p, alg.dim, basis), _trusted=True)
 
 
 def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> list[int]:

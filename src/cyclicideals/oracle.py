@@ -87,9 +87,10 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
         frontier = nxt
     keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
     keys.append(tuple(1 << k for k in range(alg.dim)))
-    # every key, R's included, is already a packed reduced echelon basis
-    entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key)), key)
-                    for key in keys)
+    # every key, R's included, is already a closed packed reduced echelon
+    # basis: packed_closure queues the image of every row it inserts
+    entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
+                                key) for key in keys)
     census = IdealCensus(alg, entries)
     alg._census = census
     return census

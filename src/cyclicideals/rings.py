@@ -298,6 +298,8 @@ class Element:
         out = self.algebra.unit()
         for _ in range(n):
             out = out * self
+            if out.is_zero():
+                break  # every later power is zero too
         return out
 
     def is_zero(self) -> bool:

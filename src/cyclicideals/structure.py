@@ -8,19 +8,23 @@ principal ideal rings.  This module
 searches for such witnesses, refutes when three non-simple cyclic
 summands show up, and classifies the prime spectrum (at most three
 primes, Krull dimension at most one).
+
+R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
+generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
+onto M*Rg and that ideal's square onto M^2*Rg.  So the witness's own Rg
+decides it, and no annihilator or quotient algebra is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf
-from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, annihilator,
-                     cyclic, ideal_sum, is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, packed_cyclic_table, quotient_algebra,
-                     zero_ideal)
+from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
+                     ideal_sum, is_simple, maximal_ideal, min_generators,
+                     module_times_ideal, packed_cyclic_table, zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation, _mult_matrix
 
 
@@ -40,7 +44,9 @@ def is_principal_ideal_ring(alg: Algebra) -> bool:
 
 @dataclass(frozen=True)
 class MDecomposition:
-    """Witness M = Rx + Ry + sum of simple Rw, all summands independent."""
+    """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
+    independent.  Its closures rx, ry (zero for a missing axis) and
+    simple_span are cached fields, built once."""
 
     algebra: Algebra
     x: Optional[Element]
@@ -60,21 +66,29 @@ class MDecomposition:
         """m_decomposition_problems of this witness, computed once."""
         return tuple(m_decomposition_problems(self))
 
+    @cached_property
+    def rx(self) -> Ideal:
+        return zero_ideal(self.algebra) if self.x is None else cyclic(self.algebra, self.x)
+
+    @cached_property
+    def ry(self) -> Ideal:
+        return zero_ideal(self.algebra) if self.y is None else cyclic(self.algebra, self.y)
+
+    @cached_property
     def simple_span(self) -> gf.Subspace:
         alg = self.algebra
         return gf.Subspace.span(alg.p, alg.dim, [w.coeffs for w in self.simples])
 
     def as_dict(self) -> dict:
-        alg = self.algebra
         return {
             "x": None if self.x is None else str(self.x),
             "y": None if self.y is None else str(self.y),
             "simples": [str(w) for w in self.simples],
             "dims": {
-                "x": None if self.x is None else cyclic(alg, self.x).dim,
-                "y": None if self.y is None else cyclic(alg, self.y).dim,
+                "x": None if self.x is None else self.rx.dim,
+                "y": None if self.y is None else self.ry.dim,
                 "simples": [1] * len(self.simples),
-                "maximal_ideal": alg.dim - 1,
+                "maximal_ideal": self.algebra.dim - 1,
             },
         }
 
@@ -83,11 +97,11 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
     """Why the witness fails to verify; empty list means it holds."""
     alg = dec.algebra
     problems = []
-    parts = dec.summands()
-    if any(g.is_zero() for g in parts):
+    if any(g.is_zero() for g in dec.summands()):
         problems.append("zero summand")
         return problems
-    total = gf.direct_sum(alg.p, alg.dim, [cyclic(alg, g).space for g in parts])
+    simples = [cyclic(alg, w) for w in dec.simples]
+    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in [dec.rx, dec.ry] + simples])
     if total is None:
         # overlapping summands never fill M directly: both problems hold
         problems.append("summands are not independent")
@@ -96,14 +110,12 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
     if dec.x is not None and dec.y is not None:
         if not (dec.x * dec.y).is_zero():
             problems.append("x*y is nonzero")
-    for w in dec.simples:
-        if not is_simple(alg, cyclic(alg, w)):
+    for w, c in zip(dec.simples, simples):
+        if not is_simple(alg, c):
             problems.append(f"summand {w} is not simple")
-    for g in (dec.x, dec.y):
-        if g is None:
-            continue
-        ann = annihilator(alg, g)
-        if not is_principal_ideal_ring(quotient_algebra(alg, ann).target):
+    for g, rg in ((dec.x, dec.rx), (dec.y, dec.ry)):
+        # R/Ann(g) ~ Rg: its maximal ideal needs one generator iff M*Rg does
+        if g is not None and min_generators(alg, module_times_ideal(alg, rg)) > 1:
             problems.append(f"R/Ann({g}) is not a principal ideal ring")
     return problems
 
@@ -360,12 +372,7 @@ class SpecReport:
     truncated_model: bool
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "primes": list(self.primes),
-            "krull_dim": self.krull_dim,
-            "truncated_model": self.truncated_model,
-        }
+        return {**asdict(self), "primes": list(self.primes)}
 
 
 def _support_vars(alg: MonomialAlgebra, z: Element) -> set[int]:

@@ -158,6 +158,14 @@ def test_decompose_zero_ideal(ring_file, capsys):
     assert "branch: semisimple" in out
 
 
+def test_decompose_huge_exponent(ring_file, capsys):
+    # x^1000000000 is zero; the power stops at the first zero power
+    code, out, _ = run(capsys, "decompose", ring_file(PAIR_N3), "--ideal",
+                       "x^1000000000")
+    assert code == 0
+    assert "branch: semisimple" in out
+
+
 def test_decompose_truncation_note(ring_file, capsys):
     path = ring_file(AXIS_SOCLE)
     code, out, _ = run(capsys, "decompose", path, "--ideal", "x+y")

@@ -4,12 +4,14 @@ import pytest
 
 import random
 
-from cyclicideals import (CyclicDecomposition, Trace, WitnessInvalidError,
-                          cyclic, decompose_ideal, find_m_decomposition, gf,
-                          ideal_from_generators, minimal_exponent,
-                          parse_element, semisimple_decompose, unit_ideal,
+from cyclicideals import (CyclicDecomposition, InternalContradictionError,
+                          Trace, WitnessInvalidError, cyclic, decompose_ideal,
+                          find_m_decomposition, gf, ideal_from_generators,
+                          maximal_ideal, minimal_exponent, parse_element,
+                          semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
-from cyclicideals.decompose import _first_outside, _ideal_simple_part
+from cyclicideals.decompose import (_first_outside, _ideal_simple_part,
+                                    build_decomposition)
 from conftest import AXIS_SOCLE, POWER_SERIES, build
 
 
@@ -191,6 +193,13 @@ def test_semisimple_decompose_requires_killed(pair_n3):
         semisimple_decompose(pair_n3, cyclic(pair_n3, pair_n3.gens[0]))
 
 
+def test_build_decomposition_refuses_an_overlap(pair_n3):
+    # R(x+y) = span{x+y, x^2, y^2} meets Rx in x^2: 3 + 2 > dim M = 4
+    x, y = pair_n3.gens
+    with pytest.raises(InternalContradictionError, match="failed verification"):
+        build_decomposition(pair_n3, maximal_ideal(pair_n3), [x + y, x], "two_axes")
+
+
 def test_verify_decomposition_counts_dimensions(pair_n3):
     x, y = pair_n3.gens
     m = ideal_of(pair_n3, "x", "y")
@@ -247,8 +256,7 @@ def test_ideal_simple_part_is_the_projection(text):
     """J = (i + Rx + Ry) meet L equals the span of the L-parts of i's rows."""
     alg = build(text)
     dec = find_m_decomposition(alg)
-    rx, ry = cyclic(alg, dec.x).space, cyclic(alg, dec.y).space
-    span = dec.simple_span()
+    rx, ry, span = dec.rx.space, dec.ry.space, dec.simple_span
     rng = random.Random(800 + alg.p)
     for _ in range(40):
         gens = [alg.element([0] + [rng.randrange(alg.p) for _ in range(alg.dim - 1)])
@@ -256,7 +264,7 @@ def test_ideal_simple_part_is_the_projection(text):
         i = ideal_from_generators(alg, gens)
         lparts = [gf.split_components(r, [rx, ry, span])[2] for r in i.rows]
         want = gf.Subspace.span(alg.p, alg.dim, lparts)
-        assert _ideal_simple_part(i, rx, ry, span) == want
+        assert _ideal_simple_part(dec, i) == want
 
 
 def test_length_never_exceeds_witness_bound(pair_n3):

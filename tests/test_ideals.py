@@ -45,6 +45,18 @@ def test_non_ideal_subspace_rejected(pair_n3):
         span_of(pair_n3, "1 + x")
 
 
+def test_contains_refuses_another_algebra(pair_n3):
+    # x of GF(2)[x]/(x^3) has the coordinates of x in pair_n3's basis
+    small = build("field 2 / vars x / rel x^3")
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        maximal_ideal(pair_n3).contains(small.gens[0])
+    # over GF(3) the shorter vector used to overrun the basis rows
+    big = build("field 3 / vars x y / rel x^3 / rel y^3 / rel x*y")
+    small3 = build("field 3 / vars x / rel x^3")
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        maximal_ideal(big).contains(small3.gens[0])
+
+
 def test_lattice_operations(pair_n3):
     x, y = pair_n3.gens
     rx, ry = cyclic(pair_n3, x), cyclic(pair_n3, y)

@@ -112,6 +112,15 @@ def test_truncated_chain_basis():
     assert (x ** 6).is_zero()
 
 
+def test_power_stops_once_zero():
+    alg = build(PAIR_N3)
+    x, y = alg.gens
+    assert (x ** 1_000_000_000).is_zero()  # not 10^9 multiplications
+    assert (x + y) ** 2 == x * x + y * y and x ** 0 == alg.unit()
+    unit = alg.unit() + x
+    assert unit ** 7 == unit * unit * unit * unit * unit * unit * unit
+
+
 def test_impure_relation_prunes_basis():
     alg = build("field 2 / vars x y / rel x^3 / rel y^3 / rel x^2*y")
     assert (2, 1) not in alg.basis
