@@ -2,8 +2,12 @@
 
 For each ring: how many ideals exist, how many summands their
 decompositions use, and whether any ideal ever decomposes at two
-different lengths (none ever does; that is the invariance the
-constructive routine leans on).
+different lengths.  None ever does, and that is a theorem, not an
+observation: if I = Rg_1 + ... + Rg_n is direct with every g_k nonzero,
+then I/MI is the direct sum of the one-dimensional Rg_k/Mg_k
+(Nakayama), so n = dim I - dim MI for every decomposition.  The census
+reports that one length per ideal; the constructive routine leans on
+the same invariance.
 """
 
 from collections import Counter

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .decompose import decompose_ideal
 from .ideals import ideal_from_generators
@@ -211,10 +212,7 @@ def _cmd_oracle(args) -> int:
         verdict = oracle_dsc(alg, args.max_oracle_dim)
     except InfeasibleSizeError as exc:
         raise RefusalError(str(exc)) from exc
-    histogram: dict[str, int] = {}
-    for e in census.entries:
-        for n in e.lengths:
-            histogram[str(n)] = histogram.get(str(n), 0) + 1
+    histogram = Counter(str(n) for e in census.entries for n in e.lengths)
     payload = {
         "ring": pres_str(pres),
         "census": census.count,

@@ -160,10 +160,6 @@ class Mat:
         return cls(p, out, ncols)
 
 
-def rref(m: Mat) -> Mat:
-    return Mat(m.p, rref_rows(m.rows, m.p, m.ncols), m.ncols)
-
-
 def transpose(m: Mat) -> Mat:
     cols = tuple(tuple(r[j] for r in m.rows) for j in range(m.ncols))
     return Mat(m.p, cols, len(m.rows))

@@ -3,9 +3,14 @@
 Everything here is deliberately brute force.  The census lists all
 ideals by breadth-first closure extension (cross-checkable against a
 subset-closure sweep at tiny sizes); the decomposition search tries
-every family of cyclic submodules in a canonical order.  Results are
-exact within the feasibility bounds and are used as the ground truth
-the constructive machinery is tested against.
+families of cyclic submodules in a canonical order.  Results are exact
+within the feasibility bounds and are used as the ground truth the
+constructive machinery is tested against.
+
+Nakayama prunes that search and proves length invariance: if I = Rg_1 +
+... + Rg_n is direct with every g_k nonzero, I/MI is the direct sum of
+the lines Rg_k/Mg_k, so the g_k are independent modulo MI (none lies in
+MI) and n = mu(I) = dim I - dim MI for every decomposition of I.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from typing import Optional, Sequence
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
-                     ideal_from_generators, is_simple, maximal_ideal, packed_closure,
-                     packed_cyclic_table, zero_ideal)
+                     ideal_from_generators, is_simple, maximal_ideal,
+                     module_times_ideal, packed_closure, packed_cyclic_table,
+                     zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -113,12 +119,11 @@ def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
     return keys
 
 
-def _candidates(alg: Algebra, key: tuple[int, ...]):
-    """Distinct cyclic submodules inside the ideal, canonically ordered.
-
-    Returns (generator vector, packed rows) pairs; the generator is the
-    first element (coefficient order) producing that submodule.
-    """
+def _candidates(alg: Algebra, key: tuple[int, ...], mi: Sequence[int]):
+    """Distinct cyclic submodules of the ideal not inside MI, canonically
+    ordered, as (generator vector, packed rows) pairs; the generator is
+    the first element (coefficient order) producing that submodule.  Rv
+    lies in MI exactly when v does, so testing that one decides."""
     table = packed_cyclic_table(alg)
     by_rows: dict[tuple[int, ...], int] = {}
     d = len(key)
@@ -127,80 +132,79 @@ def _candidates(alg: Algebra, key: tuple[int, ...]):
         for b in range(d):
             if s >> b & 1:
                 v ^= key[b]
-        rows = table[v]
-        if rows not in by_rows:
-            by_rows[rows] = v
-    cands = [(v, rows) for rows, v in by_rows.items()]
-    cands.sort(key=lambda c: (len(c[1]), tuple(gf.unpack_vec(r, alg.dim) for r in c[1])))
+        by_rows.setdefault(table[v], v)
+    cands = [(v, rows) for rows, v in by_rows.items() if gf.gf2_reduce(v, mi)]
+    cands.sort(key=lambda c: _entry_key_sort(alg, c[1]))
     return cands
+
+
+def _first_cover(cands, target: int, heads: Sequence[int], start: int = 0,
+                 rows: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
+    """Generators of the first family (depth first) of candidates from
+    `start` on whose submodules, with rows, are independent and span
+    target dimensions, or None.  Each generator must be independent of
+    heads (MI and the generators chosen so far; Nakayama), so the search
+    never goes deeper than mu(I) summands."""
+    if len(rows) == target:
+        return ()
+    for idx in range(start, len(cands)):
+        v, crows = cands[idx]
+        grown, merged = list(heads), list(rows)
+        if (len(rows) + len(crows) <= target and gf.gf2_insert(grown, v)
+                and all(gf.gf2_insert(merged, r) for r in crows)):
+            rest = _first_cover(cands, target, grown, idx + 1, merged)
+            if rest is not None:
+                return (v,) + rest
+    return None
+
+
+def _cover(alg: Algebra, i: Ideal, max_dim: int) -> Optional[tuple[int, ...]]:
+    """Packed generators of the first cover of i, or None; the result
+    for a proper ideal is cached on the algebra."""
+    _require_feasible(alg, max_dim)
+    if i.algebra is not alg:
+        raise ValueError("algebra mismatch")
+    if i.dim == alg.dim:
+        return (1,)  # only R itself contains a unit, so R = R*1 is the sole cover
+    key = i.space.basis
+    cache = vars(alg).setdefault("_brute_cache", {})
+    if key not in cache:
+        mi = module_times_ideal(alg, i).space.basis
+        cache[key] = _first_cover(_candidates(alg, key, mi), len(key), mi)
+    return cache[key]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
     """First decomposition of i into independent cyclic submodules found
     by depth-first search over the canonical candidate order, or None
-    after exhausting every family.  Absence results are cached."""
-    _require_feasible(alg, max_dim)
-    if i.algebra is not alg:
-        raise ValueError("algebra mismatch")
-    if i.dim == alg.dim:
-        # only R itself contains a unit, so R = R*1 is the sole cover
-        return build_decomposition(alg, i, [alg.unit()], "exhaustive")
-    key = i.space.basis
-    cache = getattr(alg, "_brute_cache", None)
-    if cache is None:
-        cache = alg._brute_cache = {}
-    if key not in cache:
-        cache[key] = next(_covers(_candidates(alg, key), len(key)), None)
-    found = cache[key]
-    if found is None:
-        return None
-    gens = [alg.element(gf.unpack_vec(v, alg.dim)) for v in found]
-    return build_decomposition(alg, i, gens, "exhaustive")
+    when no family covers i.  Absence results are cached."""
+    found = _cover(alg, i, max_dim)
+    return None if found is None else build_decomposition(
+        alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found], "exhaustive")
 
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
-    """Every achievable number of summands over all decompositions of i.
-
-    Exhaustive; the singleton answer for all ideals at once is the
-    length-invariance phenomenon.
-    """
-    _require_feasible(alg, max_dim)
-    if i.dim == alg.dim:
-        return (1,)
-    key = i.space.basis
-    return tuple(sorted({len(c) for c in _covers(_candidates(alg, key), len(key))}))
-
-
-def _covers(cands, target: int, start: int = 0, rows: Sequence[int] = (), dim: int = 0):
-    """Every family of candidates from `start` on whose cyclic submodules
-    are independent of rows and of each other and fill the remaining
-    target - dim dimensions, as generator lists in depth-first order."""
-    if dim == target:
-        yield []
-        return
-    for idx in range(start, len(cands)):
-        v, crows = cands[idx]
-        if dim + len(crows) > target:
-            continue
-        merged = list(rows)
-        if all(gf.gf2_insert(merged, r) for r in crows):
-            for rest in _covers(cands, target, idx + 1, merged, dim + len(crows)):
-                yield [v] + rest
+    """Every achievable number of summands over all decompositions of i:
+    by Nakayama (mu(I),) when i decomposes, else (), read off the cover
+    brute_decompose finds (cached) with no search of its own."""
+    found = _cover(alg, i, max_dim)
+    return () if found is None else (len(found),)
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
-    """Fill in decomposability and achievable lengths for every entry."""
+    """Fill in decomposability and lengths, one search per ideal."""
     alg = census.algebra
     for e in census.entries:
-        dec = brute_decompose(alg, e.ideal, max_dim)
-        e.decomposable = dec is not None
+        e.decomposable = brute_decompose(alg, e.ideal, max_dim) is not None
         e.lengths = decomposition_lengths(alg, e.ideal, max_dim)
     return census
 
 
 def length_invariance(census: IdealCensus) -> bool:
-    """True when no ideal admits two decompositions of different lengths."""
+    """True when no ideal admits two decompositions of different lengths:
+    proved (Nakayama, see the module docstring) rather than measured, so
+    every completed census passes."""
     for e in census.entries:
         if e.lengths is None:
             raise ValueError("census incomplete")

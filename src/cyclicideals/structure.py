@@ -242,7 +242,7 @@ def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
         # three independent non-simple cyclic summands refute any witness
         return None
     msq = module_times_ideal(alg, maximal_ideal(alg))
-    if msq.dim - module_times_ideal(alg, msq).dim >= 3:
+    if min_generators(alg, msq) >= 3:
         # under any witness M^2 = Rx^2 + Ry^2, so M^2 never needs three
         # generators; no witness can exist
         return None

@@ -18,25 +18,7 @@ from cyclicideals import (Ideal, annihilator, cyclic, gf, ideal_from_generators,
                           module_times_ideal, quotient_algebra)
 from cyclicideals.rings import (Algebra, RingPresentation, build_algebra,
                                 mono_degree, mono_divides, parse_element)
-
-
-@st.composite
-def presentations(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    nv = draw(st.integers(1, 3))
-    truncate = draw(st.one_of(st.none(), st.integers(2, 7)))
-    rels = []
-    for v in range(nv):
-        # without a truncation every variable needs a pure power
-        if truncate is None or draw(st.booleans()):
-            m = [0] * nv
-            m[v] = draw(st.integers(2, 5))
-            rels.append(tuple(m))
-    for _ in range(draw(st.integers(0, 3))):
-        m = tuple(draw(st.integers(0, 3)) for _ in range(nv))
-        if mono_degree(m) >= 2:
-            rels.append(m)
-    return RingPresentation.make(p, [f"x{v}" for v in range(nv)], rels, truncate)
+from conftest import maximal_ideal_elements, presentations
 
 
 def _standard(pres, m) -> bool:
@@ -93,18 +75,12 @@ def test_gf2_action_masks_match_packed_products(pres):
             assert column[k] == gf.pack_vec(prod)
 
 
-def _maximal_ideal_elements(alg, data, count):
-    tail = st.lists(st.integers(0, alg.p - 1), min_size=alg.dim - 1,
-                    max_size=alg.dim - 1)
-    return [alg.element([0] + data.draw(tail)) for _ in range(count)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(presentations(), st.data())
 def test_generated_ideals_pass_the_checked_constructor(pres, data):
     # ideal_from_generators skips the closure check; redo it from outside
     alg = build_algebra(pres)
-    gens = _maximal_ideal_elements(alg, data, data.draw(st.integers(0, 3)))
+    gens = maximal_ideal_elements(alg, data, data.draw(st.integers(0, 3)))
     i = ideal_from_generators(alg, gens)
     assert Ideal(alg, i.space) == i
     assert all(i.contains(g) for g in gens)
@@ -118,7 +94,7 @@ def test_pir_criterion_matches_the_quotient():
     @given(presentations(), st.data())
     def check(pres, data):
         alg = build_algebra(pres)
-        for g in _maximal_ideal_elements(alg, data, 3):
+        for g in maximal_ideal_elements(alg, data, 3):
             if g.is_zero():
                 continue
             got = min_generators(alg, module_times_ideal(alg, cyclic(alg, g))) <= 1
