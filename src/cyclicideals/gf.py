@@ -249,7 +249,7 @@ def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subs
     return total
 
 
-def _vanishing_block(p: int, n: int, rows: Sequence) -> list:
+def vanishing_block(p: int, n: int, rows: Sequence) -> list:
     """Zassenhaus block elimination over [left | right] rows, the left
     block n columns wide: the rows whose left block vanishes carry their
     right blocks out as a packed reduced echelon basis."""
@@ -266,7 +266,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         rows = [r | r << n for r in a.basis] + list(b.basis)
     else:
         rows = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
-    return Subspace(p, n, _vanishing_block(p, n, rows))
+    return Subspace(p, n, vanishing_block(p, n, rows))
 
 
 def left_kernel(m: Mat) -> Subspace:
@@ -277,7 +277,7 @@ def left_kernel(m: Mat) -> Subspace:
         rows = [pack_vec(r) | 1 << (n + i) for i, r in enumerate(m.rows)]
     else:
         rows = [r + tuple(int(j == i) for j in range(k)) for i, r in enumerate(m.rows)]
-    return Subspace(p, k, _vanishing_block(p, n, rows))
+    return Subspace(p, k, vanishing_block(p, n, rows))
 
 
 def kernel(m: Mat) -> Subspace:

@@ -140,6 +140,29 @@ def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> l
     return basis
 
 
+def packed_socle(alg: Algebra, rows: Sequence[int]) -> list[int]:
+    """Packed RREF of the socle of R/I, for the ideal I = span(rows) in
+    packed reduced echelon form: the v in M, zero at every pivot of I,
+    with g*v in I for every generator g.
+
+    One elimination of the rows [images of e_k mod I, one block per
+    generator | e_k] over the non-pivot coordinates k >= 1; the rows
+    whose image blocks vanish span the socle.
+    """
+    actions = alg.gf2_action_masks()
+    n = alg.dim
+    width = n * len(actions)
+    pivots = {r & -r for r in rows}
+    block = []
+    for k in range(1, n):
+        if 1 << k not in pivots:
+            images = 0
+            for j, masks in enumerate(actions):
+                images |= gf.gf2_reduce(masks[k], rows) << (n * j)
+            block.append(images | 1 << (width + k))
+    return gf.vanishing_block(2, width, block)
+
+
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     a._require_same(b)
     return Ideal(a.algebra, gf.subspace_sum(a.space, b.space))

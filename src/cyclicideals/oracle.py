@@ -1,16 +1,25 @@
 """Exhaustive GF(2) certificates: enumerate every ideal, decide each one.
 
 Everything here is deliberately brute force.  The census lists all
-ideals by breadth-first closure extension (cross-checkable against a
-subset-closure sweep at tiny sizes); the decomposition search tries
-families of cyclic submodules in a canonical order.  Results are exact
-within the feasibility bounds and are used as the ground truth the
-constructive machinery is tested against.
+ideals one dimension at a time (cross-checkable against a subset-closure
+sweep at tiny sizes); the decomposition search tries families of cyclic
+submodules in a canonical order.  Results are exact within the
+feasibility bounds and are used as the ground truth the constructive
+machinery is tested against.
 
-Nakayama prunes that search and proves length invariance: if I = Rg_1 +
-... + Rg_n is direct with every g_k nonzero, I/MI is the direct sum of
-the lines Rg_k/Mg_k, so the g_k are independent modulo MI (none lies in
-MI) and n = mu(I) = dim I - dim MI for every decomposition of I.
+The census steps up by socle lines.  A nonzero ideal J has MJ strictly
+inside it (Nakayama), so any hyperplane H of J containing MJ is an
+ideal with dim H = dim J - 1, and J = H + span(v) for the v reduced
+modulo H; that v lies in the socle of R/H, since Mv lies in MJ, inside
+H.  So the ideals one dimension above I are exactly the I + span(v) for
+the nonzero v of the socle of R/I, each closed as it stands, and over
+GF(2) distinct v give distinct ideals.
+
+Nakayama also prunes the decomposition search and proves length
+invariance: if I = Rg_1 + ... + Rg_n is direct with every g_k nonzero,
+I/MI is the direct sum of the lines Rg_k/Mg_k, so the g_k are
+independent modulo MI (none lies in MI) and n = mu(I) = dim I - dim MI
+for every decomposition of I.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
                      ideal_from_generators, is_simple, maximal_ideal,
                      module_times_ideal, packed_closure, packed_cyclic_table,
-                     zero_ideal)
+                     packed_socle, zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -66,9 +75,11 @@ def _entry_key_sort(alg: Algebra, key: tuple[int, ...]):
 def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     """Every ideal of alg, zero through R, in canonical (dim, basis) order.
 
-    Breadth-first: extend each known ideal by one new generator chosen
-    over its free coordinates, close up, deduplicate.  Cached per
-    algebra.
+    Breadth-first, one dimension per step: the children of I are the
+    I + span(v) for the nonzero v of the socle of R/I (see the module
+    docstring), each I's echelon basis with v inserted.  An ideal J is
+    reached once per hyperplane of J over MJ, so children are
+    deduplicated.  Cached per algebra.
     """
     _require_feasible(alg, max_dim)
     cached = getattr(alg, "_census", None)
@@ -79,14 +90,13 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     while frontier:
         nxt = []
         for rows in frontier:
-            pivots = {r & -r for r in rows}
-            free = [k for k in range(1, alg.dim) if (1 << k) not in pivots]
-            for combo in range(1, 1 << len(free)):
-                v = 0
-                for b, k in enumerate(free):
-                    if combo >> b & 1:
-                        v |= 1 << k
-                grown = tuple(packed_closure(alg, rows, [v]))
+            lines = [0]
+            for s in packed_socle(alg, rows):
+                lines += [v ^ s for v in lines]
+            for v in lines[1:]:
+                grown = list(rows)
+                gf.gf2_insert(grown, v)
+                grown = tuple(grown)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)
@@ -94,7 +104,7 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
     keys.append(tuple(1 << k for k in range(alg.dim)))
     # every key, R's included, is already a closed packed reduced echelon
-    # basis: packed_closure queues the image of every row it inserts
+    # basis: each child adds one socle vector v of R/I, and Mv lies in I
     entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
                                 key) for key in keys)
     census = IdealCensus(alg, entries)
@@ -158,19 +168,25 @@ def _first_cover(cands, target: int, heads: Sequence[int], start: int = 0,
     return None
 
 
-def _cover(alg: Algebra, i: Ideal, max_dim: int) -> Optional[tuple[int, ...]]:
-    """Packed generators of the first cover of i, or None; the result
-    for a proper ideal is cached on the algebra."""
+def _decomposition(alg: Algebra, i: Ideal, max_dim: int
+                   ) -> Optional[CyclicDecomposition]:
+    """The checked decomposition of i built from its first cover, or
+    None; for a proper ideal it is searched for and built once, then
+    cached on the algebra."""
     _require_feasible(alg, max_dim)
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     if i.dim == alg.dim:
-        return (1,)  # only R itself contains a unit, so R = R*1 is the sole cover
+        # only R itself contains a unit, so R = R*1 is the sole cover
+        return build_decomposition(alg, i, [alg.unit()], "exhaustive")
     key = i.space.basis
     cache = vars(alg).setdefault("_brute_cache", {})
     if key not in cache:
         mi = module_times_ideal(alg, i).space.basis
-        cache[key] = _first_cover(_candidates(alg, key, mi), len(key), mi)
+        found = _first_cover(_candidates(alg, key, mi), len(key), mi)
+        cache[key] = None if found is None else build_decomposition(
+            alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found],
+            "exhaustive")
     return cache[key]
 
 
@@ -178,18 +194,17 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
     """First decomposition of i into independent cyclic submodules found
     by depth-first search over the canonical candidate order, or None
-    when no family covers i.  Absence results are cached."""
-    found = _cover(alg, i, max_dim)
-    return None if found is None else build_decomposition(
-        alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found], "exhaustive")
+    when no family covers i.  Results for proper ideals are cached."""
+    return _decomposition(alg, i, max_dim)
 
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
     """Every achievable number of summands over all decompositions of i:
-    by Nakayama (mu(I),) when i decomposes, else (), read off the cover
-    brute_decompose finds (cached) with no search of its own."""
-    found = _cover(alg, i, max_dim)
-    return () if found is None else (len(found),)
+    by Nakayama (mu(I),) when i decomposes, else (), read off the
+    decomposition brute_decompose finds (cached) with no search of its
+    own."""
+    dec = _decomposition(alg, i, max_dim)
+    return () if dec is None else (dec.length,)
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:

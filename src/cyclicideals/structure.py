@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 from . import gf
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
                      ideal_sum, is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, packed_cyclic_table, zero_ideal)
-from .rings import Algebra, Element, MonomialAlgebra, RingPresentation, _mult_matrix
+                     module_times_ideal, packed_cyclic_table, packed_socle,
+                     zero_ideal)
+from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
 
 class SearchSpaceExceededError(RuntimeError):
@@ -154,14 +155,6 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def _socle_rows(alg: Algebra) -> list[int]:
-    """Packed RREF of {v in M-span : g*v = 0 for every generator}."""
-    soc = maximal_ideal(alg).space
-    for g in alg.gens:
-        soc = gf.subspace_intersect(soc, gf.left_kernel(_mult_matrix(alg, g)))
-    return list(soc.basis)
-
-
 def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
     """Exhaustive GF(2) sweep over single generators and generator pairs.
 
@@ -172,7 +165,7 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
     """
     mdim = alg.dim - 1
     table = packed_cyclic_table(alg)
-    soc = _socle_rows(alg)
+    soc = packed_socle(alg, ())
 
     def complete(rows: list[int], dim: int) -> Optional[list[int]]:
         # grow with socle vectors to fill M; the added rows are the

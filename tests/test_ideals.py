@@ -11,8 +11,11 @@ from cyclicideals import (Ideal, annihilator, cyclic, ideal_from_generators,
                           zero_ideal)
 from cyclicideals import gf
 from cyclicideals import oracle
-from cyclicideals.ideals import InfeasibleSizeError, packed_cyclic_table
-from conftest import CHAIN5, SQUARE_ZERO_N2, build
+from cyclicideals.ideals import (InfeasibleSizeError, packed_cyclic_table,
+                                 packed_socle)
+from cyclicideals.rings import _mult_matrix
+from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
+                      SQUARE_ZERO_N3, TRIPLE, build)
 
 
 def span_of(alg, *texts):
@@ -197,3 +200,30 @@ def test_packed_cyclic_table_refusal_is_the_oracle_refusal():
     wide = build("field 2 / vars x / truncate 22")  # dim M = 21
     with pytest.raises(oracle.InfeasibleSizeError, match="dim M = 21"):
         packed_cyclic_table(wide)
+
+
+# ---------------------------------------------------------------------------
+# packed socle
+
+
+@pytest.mark.parametrize("text", [PAIR_N3, TRIPLE, AXIS_SOCLE, SQUARE_ZERO_N3])
+def test_packed_socle_is_the_socle_of_the_quotient(text):
+    # by the definition: every v in M off the pivots of I whose images
+    # under the generators all lie in I
+    alg = build(text)
+    actions = alg.gf2_action_masks()
+    for e in oracle.enumerate_ideals(alg).entries[:-1]:
+        pivots = {r & -r for r in e.key}
+        free = [1 << k for k in range(1, alg.dim) if 1 << k not in pivots]
+        kept = []
+        for combo in range(1, 1 << len(free)):
+            v = sum(bit for b, bit in enumerate(free) if combo >> b & 1)
+            if not any(gf.gf2_reduce(gf.gf2_apply(m, v), e.key) for m in actions):
+                kept.append(v)
+        assert packed_socle(alg, e.key) == gf.gf2_rref(kept)
+    # and the socle of R itself as the intersection of M with the left
+    # kernels of the generators' multiplication matrices
+    soc = maximal_ideal(alg).space
+    for g in alg.gens:
+        soc = gf.subspace_intersect(soc, gf.left_kernel(_mult_matrix(alg, g)))
+    assert packed_socle(alg, ()) == list(soc.basis)

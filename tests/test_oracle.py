@@ -22,15 +22,15 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclicideals import (InfeasibleSizeError, brute_decompose,
+from cyclicideals import (Ideal, InfeasibleSizeError, brute_decompose,
                           classify_dsc, complete_census, cyclic,
                           decomposition_lengths, enumerate_ideals,
                           enumerate_ideals_subsets, find_m_decomposition, gf,
                           ideal_from_generators, is_simple, length_invariance,
                           maximal_ideal, min_generators, module_times_ideal,
-                          oracle_dsc, three_summand_counterexample, unit_ideal,
-                          zero_ideal)
-from cyclicideals.ideals import packed_cyclic_table
+                          oracle, oracle_dsc, three_summand_counterexample,
+                          unit_ideal, zero_ideal)
+from cyclicideals.ideals import packed_closure, packed_cyclic_table
 from cyclicideals.rings import RingPresentation, build_algebra
 from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
@@ -47,9 +47,71 @@ FROZEN_COUNTS = [
 ]
 
 
+# Reference: the free-coordinate enumeration, which makes no use of the
+# socle.  It extends every ideal by every nonzero combination of its free
+# coordinates and closes each one.
+
+
+def _reference_enumerate(alg) -> set[tuple[int, ...]]:
+    seen = {()}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for rows in frontier:
+            pivots = {r & -r for r in rows}
+            free = [k for k in range(1, alg.dim) if (1 << k) not in pivots]
+            for combo in range(1, 1 << len(free)):
+                v = 0
+                for b, k in enumerate(free):
+                    if combo >> b & 1:
+                        v |= 1 << k
+                grown = tuple(packed_closure(alg, rows, [v]))
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
+        frontier = nxt
+    return seen | {tuple(1 << k for k in range(alg.dim))}
+
+
+def _matches_reference_census(alg) -> int:
+    """The census lists the reference's ideals once each, and every
+    entry, built unchecked, passes the checked constructor; returns the
+    census count."""
+    census = enumerate_ideals(alg, 8)
+    keys = [e.key for e in census.entries]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _reference_enumerate(alg)
+    for e in census.entries:
+        assert Ideal(alg, e.ideal.space).space.basis == e.key
+    return census.count
+
+
 @pytest.mark.parametrize("text,count", FROZEN_COUNTS)
 def test_census_counts(text, count):
-    assert enumerate_ideals(build(text)).count == count
+    assert _matches_reference_census(build(text)) == count
+
+
+def test_census_count_at_dim_m_13():
+    # frozen from _reference_enumerate, which takes seconds on this ring
+    alg = build("field 2 / vars x y / rel x^4 / rel y^4 / rel x^3*y^2")
+    assert alg.dim - 1 == 13
+    assert enumerate_ideals(alg, 13).count == 315
+
+
+def test_census_matches_the_reference_on_random_rings():
+    counts = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = build_algebra(RingPresentation.make(2, pres.vars, pres.relations,
+                                                  pres.truncate))
+        assume(alg.dim - 1 <= 8)
+        counts.append(_matches_reference_census(alg))
+
+    check()
+    # most drawn rings are tiny; enough must have a lattice worth comparing
+    assert sum(n > 20 for n in counts) >= 8, counts
 
 
 def test_census_order_and_extremes(pair_n3):
@@ -138,6 +200,23 @@ def test_census_lengths_stay_under_witness_bound(pair_n3):
     for e in census.entries:
         if e.ideal.dim < pair_n3.dim:
             assert all(n <= bound for n in e.lengths)
+
+
+def test_census_builds_each_decomposition_once(monkeypatch):
+    # the oracle command completes the census, then asks oracle_dsc,
+    # which reads the decompositions the census built
+    alg = build(PAIR_N3)
+    built = Counter()
+    original = oracle.build_decomposition
+
+    def counting(alg, i, gens, branch, **knobs):
+        built[i.space.basis] += 1
+        return original(alg, i, gens, branch, **knobs)
+
+    monkeypatch.setattr(oracle, "build_decomposition", counting)
+    census = complete_census(enumerate_ideals(alg))
+    assert oracle_dsc(alg).answer == "yes"
+    assert [built[e.key] for e in census.entries[:-1]] == [1] * 13
 
 
 def test_lengths_refuse_another_algebra():
