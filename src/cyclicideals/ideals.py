@@ -21,7 +21,8 @@ class InfeasibleSizeError(RuntimeError):
     """The algebra is too large (or the field too big) for brute force."""
 
 
-# largest dim M whose packed cyclic table (2^dim M closures) is built
+# largest dim M whose packed cyclic table is offered: it closes a vector
+# when first read, but a search may read up to 2^dim M of them
 CYCLIC_TABLE_MAX_DIM = 20
 
 
@@ -220,7 +221,12 @@ def is_simple(alg: Algebra, i: Ideal) -> bool:
 
 
 def module_times_ideal(alg: Algebra, i: Ideal) -> Ideal:
-    """M * i, computed from generator action on a basis of i."""
+    """M * i, computed from generator action on a basis of i (over GF(2)
+    on the packed rows)."""
+    if alg.p == 2:
+        rows = gf.gf2_rref(gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
+                           for r in i.space.basis)
+        return Ideal(alg, gf.Subspace(2, alg.dim, rows))
     prods = [alg._mul_coeffs(g.coeffs, row) for g in alg.gens for row in i.rows]
     return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, prods))
 
@@ -310,11 +316,28 @@ def quotient_algebra(alg: Algebra, i: Ideal) -> QuotientMap:
 # packed GF(2) caches used by the searches
 
 
-def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
-    """Map every vector of the maximal-ideal span to cyclic(v)'s RREF rows.
+class _CyclicTable(dict):
+    """Vector of the maximal-ideal span -> RREF rows of its cyclic module,
+    closed with packed_closure the first time the vector is read."""
 
-    GF(2) only.  The table is cached on the algebra; searches and the
-    brute-force oracle lean on it heavily.
+    def __init__(self, alg: Algebra):
+        super().__init__({0: ()})
+        self.alg = alg
+
+    def __missing__(self, vec: int) -> tuple[int, ...]:
+        if vec & 1 or vec >> self.alg.dim:
+            raise KeyError(vec)  # outside the maximal-ideal span
+        rows = self[vec] = tuple(packed_closure(self.alg, (), [vec]))
+        return rows
+
+
+def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
+    """Map each vector of the maximal-ideal span to cyclic(v)'s RREF rows.
+
+    GF(2) only.  The table is cached on the algebra and lazy: a vector
+    is closed the first time it is read, so a search pays only for the
+    generators it looks at.  Past CYCLIC_TABLE_MAX_DIM it refuses before
+    any work.
     """
     assert alg.p == 2
     cached = getattr(alg, "_cyclic_table", None)
@@ -324,9 +347,5 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
     if mdim > CYCLIC_TABLE_MAX_DIM:
         raise InfeasibleSizeError(f"cyclic table infeasible at dim M = {mdim} "
                                   f"(limit {CYCLIC_TABLE_MAX_DIM})")
-    table: dict[int, tuple[int, ...]] = {0: ()}
-    for m in range(1, 1 << mdim):
-        vec = m << 1  # maximal-ideal span sits above the unit coordinate
-        table[vec] = tuple(packed_closure(alg, (), [vec]))
-    alg._cyclic_table = table
+    table = alg._cyclic_table = _CyclicTable(alg)
     return table

@@ -155,17 +155,31 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
+def _packed_fallback(alg: Algebra, msq: Ideal) -> Optional[MDecomposition]:
     """Exhaustive GF(2) sweep over single generators and generator pairs.
 
     Complete at this size: if any witness exists, the sweep finds the
     first one in canonical vector order.  A found vector v is a simple
     summand exactly when dim Rv = 1: then g*v = c*v for each generator
     g, and g nilpotent forces c = 0.
+
+    Pruned by Nakayama, given msq = M^2.  If M = Rg_1 + ... + Rg_n is
+    direct, then M^2 is the direct sum of the Mg_k, so M/M^2 is the
+    direct sum of the lines Rg_k/Mg_k: every g_k lies outside M^2, and
+    the g_k are independent modulo M^2.  So a choice with a vector
+    inside M^2, or a pair v, w equal modulo M^2, never succeeds, and the
+    sweep skips it.  Whether a choice succeeds depends on the submodules
+    Rv, Rw alone, so the sweep also keeps only the first generator (in
+    canonical order) of each submodule: a choice made with later
+    generators succeeds exactly when the one made with the first
+    generators does, and that one comes no later in the order.  So the
+    sweep returns the first witness of the unpruned sweep.  No vector of
+    M^2 is read from the cyclic table, so none is closed.
     """
     mdim = alg.dim - 1
     table = packed_cyclic_table(alg)
     soc = packed_socle(alg, ())
+    sq = msq.space.basis
 
     def complete(rows: list[int], dim: int) -> Optional[list[int]]:
         # grow with socle vectors to fill M; the added rows are the
@@ -180,7 +194,15 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
             return None
         return added
 
-    vectors = [m << 1 for m in range(1, 1 << mdim)]
+    # the first generator of each cyclic submodule not inside M^2, in
+    # canonical order, with its rows and its class modulo M^2
+    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
+    for m in range(1, 1 << mdim):
+        v = m << 1
+        coset = gf.gf2_reduce(v, sq)
+        if coset:
+            firsts.setdefault(table[v], (v, coset))
+    cands = [(v, rows, coset) for rows, (v, coset) in firsts.items()]
 
     def build(found: list[int], krows: list[int]) -> MDecomposition:
         nonsimple, simples = [], []
@@ -193,21 +215,19 @@ def _packed_fallback(alg: Algebra) -> Optional[MDecomposition]:
         simples.extend(alg.element(gf.unpack_vec(r, alg.dim)) for r in krows)
         return _normalized_witness(alg, nonsimple, simples)
 
-    for v in vectors:
-        rows = list(table[v])
-        added = complete(rows, len(rows))
+    for v, rows, _ in cands:
+        added = complete(list(rows), len(rows))
         if added is not None:
             return build([v], added)
-    dims = {v: len(table[v]) for v in vectors}
-    for i, v in enumerate(vectors):
-        dv = dims[v]
-        for w in vectors[i + 1:]:
-            if dv + dims[w] > mdim:
+    for i, (v, vrows, vcoset) in enumerate(cands):
+        dv = len(vrows)
+        for w, wrows, wcoset in cands[i + 1:]:
+            if wcoset == vcoset or dv + len(wrows) > mdim:
                 continue
-            merged = list(table[v])
-            if not all(gf.gf2_insert(merged, r) for r in table[w]):
+            merged = list(vrows)
+            if not all(gf.gf2_insert(merged, r) for r in wrows):
                 continue
-            added = complete(merged, dv + dims[w])
+            added = complete(merged, dv + len(wrows))
             if added is not None:
                 return build([v, w], added)
     return None
@@ -241,7 +261,7 @@ def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
         return None
     if alg.p != 2 or alg.dim - 1 > min(max_pair_dim, CYCLIC_TABLE_MAX_DIM):
         raise SearchSpaceExceededError("search space exceeded")
-    return _packed_fallback(alg)
+    return _packed_fallback(alg, msq)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Ideal arithmetic, annihilators, quotients, and the packed caches."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclicideals import (Ideal, annihilator, cyclic, ideal_from_generators,
+from cyclicideals import (Ideal, annihilator, build_algebra, cyclic,
+                          ideal_from_generators,
                           ideal_intersect, ideal_product, ideal_sum, is_simple,
                           maximal_ideal, min_generators, module_times_ideal,
                           parse_element, quotient_algebra, unit_ideal,
@@ -15,7 +18,8 @@ from cyclicideals.ideals import (InfeasibleSizeError, packed_cyclic_table,
                                  packed_socle)
 from cyclicideals.rings import _mult_matrix
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
-                      SQUARE_ZERO_N3, TRIPLE, build)
+                      SQUARE_ZERO_N3, TRIPLE, build, maximal_ideal_elements,
+                      presentations)
 
 
 def span_of(alg, *texts):
@@ -78,6 +82,34 @@ def test_module_times_ideal(pair_n3):
     m = maximal_ideal(pair_n3)
     assert module_times_ideal(pair_n3, m) == span_of(pair_n3, "x^2", "y^2")
     assert module_times_ideal(pair_n3, zero_ideal(pair_n3)).is_zero()
+
+
+def _tuple_module_times_ideal(alg, i):
+    # every generator times every basis row of i, on coefficient tuples
+    prods = [alg._mul_coeffs(g.coeffs, row) for g in alg.gens for row in i.rows]
+    return gf.Subspace.span(alg.p, alg.dim, prods)
+
+
+def test_module_times_ideal_matches_the_tuple_path():
+    # over GF(2) M*I is computed on packed rows; it must agree with the
+    # tuple products, and with the product ideal M*I, for every prime
+    primes = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(presentations(), st.data())
+    def check(pres, data):
+        alg = build_algebra(pres)
+        assume(alg.dim <= 40)
+        m = maximal_ideal(alg)
+        gens = maximal_ideal_elements(alg, data, data.draw(st.integers(1, 3)))
+        for i in (m, ideal_from_generators(alg, gens)):
+            mi = module_times_ideal(alg, i)
+            assert mi.space == _tuple_module_times_ideal(alg, i)
+            assert mi == ideal_product(m, i)
+        primes[alg.p] += 1
+
+    check()
+    assert min(primes[p] for p in (2, 3, 5)) >= 20, primes
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +207,24 @@ def test_quotient_rejects_improper(pair_n3):
 # packed cyclic table
 
 
-def test_packed_cyclic_table_matches_cyclic(pair_n3):
+def test_packed_cyclic_table_matches_cyclic():
+    alg = build(PAIR_N3)  # a fresh table: nothing closed yet
+    table = packed_cyclic_table(alg)
+    assert table == {0: ()}
+    for m in range(1, 1 << (alg.dim - 1)):
+        vec = m << 1
+        z = alg.element(gf.unpack_vec(vec, alg.dim))
+        assert table[vec] == tuple(gf.pack_vec(r) for r in cyclic(alg, z).rows)
+    assert len(table) == 1 << (alg.dim - 1)
+    assert packed_cyclic_table(alg) is table
+
+
+def test_packed_cyclic_table_refuses_vectors_outside_m(pair_n3):
     table = packed_cyclic_table(pair_n3)
-    assert len(table) == 1 << (pair_n3.dim - 1)
-    for vec, rows in table.items():
-        if vec == 0:
-            assert rows == ()
-            continue
-        z = pair_n3.element(gf.unpack_vec(vec, pair_n3.dim))
-        expected = tuple(gf.pack_vec(r) for r in cyclic(pair_n3, z).rows)
-        assert rows == expected
+    for vec in (1, 0b11, 1 << pair_n3.dim, -2):
+        with pytest.raises(KeyError):
+            table[vec]
+        assert vec not in table
 
 
 def test_packed_cyclic_table_guard():

@@ -1,6 +1,11 @@
 """Witness search, the DSC verdict, products, and the prime spectrum."""
 
+from collections import Counter
+from typing import Optional
+from unittest import mock
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           canonical_variable_split, classify_dsc,
@@ -10,10 +15,15 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           parse_element, parse_presentation,
                           quotient_algebra, spec_classify,
                           verify_m_decomposition)
+from cyclicideals import gf, structure
+from cyclicideals.corpus import sweep_presentations
+from cyclicideals.ideals import (maximal_ideal, module_times_ideal,
+                                 packed_cyclic_table, packed_socle)
+from cyclicideals.rings import RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_UNDECIDED, PAIR_N3, POWER_SERIES,
                       SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
-                      build_pres)
+                      build_pres, presentations)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +150,154 @@ def test_fallback_exhausts_honestly():
     big = build(PAIR_N3)
     q = quotient_by(big, "x^2 + y^2")
     assert find_m_decomposition(q) is None
+
+
+# Reference: the unpruned sweep, which makes no use of Nakayama.  It tries
+# every nonzero vector of M, and every pair of them, in canonical order.
+
+
+def _reference_fallback(alg) -> Optional[MDecomposition]:
+    mdim = alg.dim - 1
+    table = packed_cyclic_table(alg)
+    soc = packed_socle(alg, ())
+
+    def complete(rows, dim):
+        work = list(rows)
+        added = []
+        for r in soc:
+            if gf.gf2_reduce(r, work):
+                gf.gf2_insert(work, r)
+                added.append(r)
+        if dim + len(added) != mdim:
+            return None
+        return added
+
+    vectors = [m << 1 for m in range(1, 1 << mdim)]
+
+    def build(found, krows):
+        nonsimple, simples = [], []
+        for v in found:
+            elt = alg.element(gf.unpack_vec(v, alg.dim))
+            if len(table[v]) == 1:
+                simples.append(elt)
+            else:
+                nonsimple.append(elt)
+        simples.extend(alg.element(gf.unpack_vec(r, alg.dim)) for r in krows)
+        return structure._normalized_witness(alg, nonsimple, simples)
+
+    for v in vectors:
+        rows = list(table[v])
+        added = complete(rows, len(rows))
+        if added is not None:
+            return build([v], added)
+    dims = {v: len(table[v]) for v in vectors}
+    for i, v in enumerate(vectors):
+        dv = dims[v]
+        for w in vectors[i + 1:]:
+            if dv + dims[w] > mdim:
+                continue
+            merged = list(table[v])
+            if not all(gf.gf2_insert(merged, r) for r in table[w]):
+                continue
+            added = complete(merged, dv + dims[w])
+            if added is not None:
+                return build([v, w], added)
+    return None
+
+
+def _witness_payload(dec) -> Optional[dict]:
+    return None if dec is None else dec.as_dict()
+
+
+def _matches_reference_witness(make) -> tuple[bool, bool]:
+    """find_m_decomposition against the same search with the unpruned
+    sweep, each on a fresh algebra from make(); returns whether the sweep
+    was reached and whether it found a witness."""
+    reached = []
+
+    def reference(alg, msq):
+        reached.append(alg)
+        return _reference_fallback(alg)
+
+    with mock.patch.object(structure, "_packed_fallback", reference):
+        expected = _witness_payload(find_m_decomposition(make()))
+    assert _witness_payload(find_m_decomposition(make())) == expected
+    return bool(reached), bool(reached) and expected is not None
+
+
+def test_pruned_sweep_matches_the_reference_on_the_sweep_family():
+    family = sweep_presentations(3, (2, 3, 4), 11)
+    assert len(family) == 141
+    outcomes = Counter(_matches_reference_witness(lambda: build_algebra(pres))
+                       for _, pres in family)
+    # every monomial ring of the family that reaches the sweep has no witness
+    assert outcomes == Counter({(False, False): 112, (True, False): 29})
+
+
+def _identify(alg, g, m2: int):
+    """R/(g + m2) for a generator g and a packed m2 in M^2: g becomes an
+    element of M^2, so the variable images no longer split M."""
+    z = g + alg.element(gf.unpack_vec(m2, alg.dim))
+    return quotient_algebra(alg, cyclic(alg, z)).target
+
+
+def test_pruned_sweep_matches_the_reference_on_quotients():
+    # the monomial rings never reach the sweep with a witness; these do
+    outcomes = Counter()
+    for _, pres in sweep_presentations(3, (2, 3), 8):
+        alg = build_algebra(pres)
+        msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
+        for k in range(len(alg.gens)):
+            for r in msq:
+                def make(k=k, r=r):
+                    fresh = build_algebra(pres)
+                    return _identify(fresh, fresh.gens[k], r)
+                outcomes[_matches_reference_witness(make)] += 1
+    assert outcomes == Counter({(False, False): 150, (True, False): 153,
+                                (True, True): 68})
+
+
+def test_pruned_sweep_matches_the_reference_on_random_rings():
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(), st.data())
+    def check(pres, data):
+        pres = RingPresentation.make(2, pres.vars, pres.relations, pres.truncate)
+        alg = build_algebra(pres)
+        assume(alg.dim - 1 <= 8)
+        # half the draws identify a variable with an element of M^2
+        k = data.draw(st.integers(0, len(alg.gens) - 1)) if data.draw(st.booleans()) else None
+        m2 = 0
+        for r in module_times_ideal(alg, maximal_ideal(alg)).space.basis:
+            if data.draw(st.booleans()):
+                m2 ^= r
+
+        def make():
+            fresh = build_algebra(pres)
+            return fresh if k is None else _identify(fresh, fresh.gens[k], m2)
+
+        outcomes[_matches_reference_witness(make)] += 1
+
+    check()
+    # the variable split answers most drawn rings before the sweep runs;
+    # enough must reach it for the comparison to mean something
+    assert outcomes[True, False] + outcomes[True, True] >= 8, outcomes
+
+
+@pytest.mark.parametrize("found", [False, True])
+def test_fallback_closes_no_vector_of_m_squared(found):
+    if found:  # a pair witness: test_fallback_pair's ring
+        big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
+                    " / rel x*y / rel x*z / rel y*z")
+        alg = quotient_by(big, "x^2 + z")
+    else:  # Rx and Ry share xy, and nothing else splits M
+        alg = build("field 2 / vars x y / rel x^2 / rel y^2")
+    assert canonical_variable_split(alg) is None
+    assert (find_m_decomposition(alg) is not None) == found
+    msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
+    closed = [v for v in packed_cyclic_table(alg) if v]
+    assert closed and all(gf.gf2_reduce(v, msq) for v in closed)
 
 
 # ---------------------------------------------------------------------------
