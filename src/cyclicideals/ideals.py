@@ -11,7 +11,7 @@ we want to hear about immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import gf
 from .rings import Algebra, Element, _mult_matrix
@@ -220,13 +220,17 @@ def is_simple(alg: Algebra, i: Ideal) -> bool:
     return all(not any(alg._mul_coeffs(g.coeffs, row)) for g in alg.gens)
 
 
+def _packed_times_m(alg: Algebra, rows: Sequence[int]) -> list[int]:
+    """Packed RREF of M * span(rows), for an ideal span(rows) over GF(2)."""
+    return gf.gf2_rref(gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
+                       for r in rows)
+
+
 def module_times_ideal(alg: Algebra, i: Ideal) -> Ideal:
     """M * i, computed from generator action on a basis of i (over GF(2)
     on the packed rows)."""
     if alg.p == 2:
-        rows = gf.gf2_rref(gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
-                           for r in i.space.basis)
-        return Ideal(alg, gf.Subspace(2, alg.dim, rows))
+        return Ideal(alg, gf.Subspace(2, alg.dim, _packed_times_m(alg, i.space.basis)))
     prods = [alg._mul_coeffs(g.coeffs, row) for g in alg.gens for row in i.rows]
     return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, prods))
 
@@ -313,7 +317,7 @@ def quotient_algebra(alg: Algebra, i: Ideal) -> QuotientMap:
 
 
 # ---------------------------------------------------------------------------
-# packed GF(2) caches used by the searches
+# packed GF(2) caches and the cyclic-cover search
 
 
 class _CyclicTable(dict):
@@ -349,3 +353,69 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
                                   f"(limit {CYCLIC_TABLE_MAX_DIM})")
     table = alg._cyclic_table = _CyclicTable(alg)
     return table
+
+
+def packed_first_cover(alg: Algebra, rows: Sequence[int]
+                       ) -> Optional[tuple[list[int], list[int]]]:
+    """A direct cover of the ideal I = span(rows) by cyclic submodules, as
+    (generators of the non-simple summands, generators of the simple
+    ones), or None when I is no direct sum of cyclic modules.  GF(2);
+    rows is a packed reduced echelon basis.
+
+    Any one cover decides: Rg = R/Ann(g) is indecomposable over a local
+    ring, so by Krull-Schmidt every direct cover of I has the same
+    summands up to isomorphism.  Nakayama prunes: if I = Rg_1 + ... +
+    Rg_n is direct, I/MI is the direct sum of the lines Rg_k/Mg_k, so
+    every g_k lies outside MI and the g_k are independent modulo MI.  MI
+    is the direct sum of the Mg_k, so at most mu(MI) summands are
+    non-simple (Mg_k != 0).  The simple summands lie in S = soc(R) meet I,
+    and lines of S complete a non-simple part N to a direct cover exactly
+    when N + S = I: then a basis of S reduced greedily against N
+    supplies them.  S is spanned by its lines outside MI, unless it lies
+    in MI, and then N + S = I already forces N = I.  So the depth-first
+    search branches only over non-simple cyclic submodules, at most
+    mu(MI) deep, and at each node completes from the simple ones, the Rv
+    of dimension 1 (gv = cv with g nilpotent forces c = 0).
+
+    Generators come from walking the subsets of rows in Gray-code order,
+    one XOR for the vector and one for its class modulo MI per step
+    (reduction against an echelon basis is linear).  Only vectors
+    outside MI are read from the cyclic table, and each submodule keeps
+    the generator of the smallest subset mask.
+    """
+    table = packed_cyclic_table(alg)
+    mi = _packed_times_m(alg, rows)
+    classes = [gf.gf2_reduce(r, mi) for r in rows]
+    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
+    mask = v = cls = 0
+    for s in range(1, 1 << len(rows)):
+        b = (s & -s).bit_length() - 1
+        mask ^= 1 << b
+        v ^= rows[b]
+        cls ^= classes[b]
+        if cls:
+            cyc = table[v]
+            if cyc not in firsts or mask < firsts[cyc][0]:
+                firsts[cyc] = (mask, v)
+    soc = gf.gf2_rref(v for cyc, (_, v) in firsts.items() if len(cyc) == 1)
+    cands = sorted((mask, v, cyc) for cyc, (mask, v) in firsts.items() if len(cyc) > 1)
+    depth = len(mi) - len(_packed_times_m(alg, mi))
+    target = len(rows)
+
+    def search(start: int, heads: list[int], span: list[int], chosen: list[int]):
+        work = list(span)
+        simples = [r for r in soc if gf.gf2_insert(work, r)]
+        if len(work) == target:
+            return chosen, simples
+        if len(chosen) < depth:
+            for idx in range(start, len(cands)):
+                _, v, cyc = cands[idx]
+                grown, merged = list(heads), list(span)
+                if (len(span) + len(cyc) <= target and gf.gf2_insert(grown, v)
+                        and all(gf.gf2_insert(merged, r) for r in cyc)):
+                    found = search(idx + 1, grown, merged, chosen + [v])
+                    if found is not None:
+                        return found
+        return None
+
+    return search(0, list(mi), [], [])

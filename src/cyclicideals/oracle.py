@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force.  The census lists all
 ideals one dimension at a time (cross-checkable against a subset-closure
-sweep at tiny sizes); the decomposition search tries families of cyclic
-submodules in a canonical order.  Results are exact within the
+sweep at tiny sizes); the decomposition search is the exhaustive
+cyclic-cover search ideals.packed_first_cover, which the witness search
+of M shares.  Results are exact within the
 feasibility bounds and are used as the ground truth the constructive
 machinery is tested against.
 
@@ -15,7 +16,7 @@ H.  So the ideals one dimension above I are exactly the I + span(v) for
 the nonzero v of the socle of R/I, each closed as it stands, and over
 GF(2) distinct v give distinct ideals.
 
-Nakayama also prunes the decomposition search and proves length
+Nakayama also prunes that search (see its docstring) and proves length
 invariance: if I = Rg_1 + ... + Rg_n is direct with every g_k nonzero,
 I/MI is the direct sum of the lines Rg_k/Mg_k, so the g_k are
 independent modulo MI (none lies in MI) and n = mu(I) = dim I - dim MI
@@ -25,14 +26,14 @@ for every decomposition of I.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
                      ideal_from_generators, is_simple, maximal_ideal,
-                     module_times_ideal, packed_closure, packed_cyclic_table,
-                     packed_socle, zero_ideal)
+                     packed_closure, packed_first_cover, packed_socle,
+                     zero_ideal)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -129,45 +130,6 @@ def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
     return keys
 
 
-def _candidates(alg: Algebra, key: tuple[int, ...], mi: Sequence[int]):
-    """Distinct cyclic submodules of the ideal not inside MI, canonically
-    ordered, as (generator vector, packed rows) pairs; the generator is
-    the first element (coefficient order) producing that submodule.  Rv
-    lies in MI exactly when v does, so testing that one decides."""
-    table = packed_cyclic_table(alg)
-    by_rows: dict[tuple[int, ...], int] = {}
-    d = len(key)
-    for s in range(1, 1 << d):
-        v = 0
-        for b in range(d):
-            if s >> b & 1:
-                v ^= key[b]
-        by_rows.setdefault(table[v], v)
-    cands = [(v, rows) for rows, v in by_rows.items() if gf.gf2_reduce(v, mi)]
-    cands.sort(key=lambda c: _entry_key_sort(alg, c[1]))
-    return cands
-
-
-def _first_cover(cands, target: int, heads: Sequence[int], start: int = 0,
-                 rows: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
-    """Generators of the first family (depth first) of candidates from
-    `start` on whose submodules, with rows, are independent and span
-    target dimensions, or None.  Each generator must be independent of
-    heads (MI and the generators chosen so far; Nakayama), so the search
-    never goes deeper than mu(I) summands."""
-    if len(rows) == target:
-        return ()
-    for idx in range(start, len(cands)):
-        v, crows = cands[idx]
-        grown, merged = list(heads), list(rows)
-        if (len(rows) + len(crows) <= target and gf.gf2_insert(grown, v)
-                and all(gf.gf2_insert(merged, r) for r in crows)):
-            rest = _first_cover(cands, target, grown, idx + 1, merged)
-            if rest is not None:
-                return (v,) + rest
-    return None
-
-
 def _decomposition(alg: Algebra, i: Ideal, max_dim: int
                    ) -> Optional[CyclicDecomposition]:
     """The checked decomposition of i built from its first cover, or
@@ -182,19 +144,18 @@ def _decomposition(alg: Algebra, i: Ideal, max_dim: int
     key = i.space.basis
     cache = vars(alg).setdefault("_brute_cache", {})
     if key not in cache:
-        mi = module_times_ideal(alg, i).space.basis
-        found = _first_cover(_candidates(alg, key, mi), len(key), mi)
+        found = packed_first_cover(alg, key)
         cache[key] = None if found is None else build_decomposition(
-            alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found],
+            alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found[0] + found[1]],
             "exhaustive")
     return cache[key]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
-    """First decomposition of i into independent cyclic submodules found
-    by depth-first search over the canonical candidate order, or None
-    when no family covers i.  Results for proper ideals are cached."""
+    """A decomposition of i into independent cyclic submodules, the first
+    one the exhaustive cover search finds, or None when no family covers
+    i.  Results for proper ideals are cached."""
     return _decomposition(alg, i, max_dim)
 
 

@@ -12,7 +12,10 @@ primes, Krull dimension at most one).
 R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
 generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
 onto M*Rg and that ideal's square onto M^2*Rg.  So the witness's own Rg
-decides it, and no annihilator or quotient algebra is built.
+decides it, and no annihilator or quotient algebra is built.  In a
+direct M = Rx + Ry + L that always holds: xy lies in Rx meet Ry = 0 and
+Lx = 0, so M*Rx = Mx = Rx^2, which is cyclic.  So every cyclic cover of
+M with at most two non-simple summands is a witness.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from typing import Optional, Sequence
 from . import gf
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
                      ideal_sum, is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, packed_cyclic_table, packed_socle,
-                     zero_ideal)
+                     module_times_ideal, packed_first_cover, zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
 
 class SearchSpaceExceededError(RuntimeError):
-    """Witness search bounds prevent an exhaustive pair sweep."""
+    """Witness search bounds prevent an exhaustive search for a cyclic
+    cover of M."""
 
 
 def is_principal_ideal_ring(alg: Algebra) -> bool:
@@ -155,91 +158,14 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def _packed_fallback(alg: Algebra, msq: Ideal) -> Optional[MDecomposition]:
-    """Exhaustive GF(2) sweep over single generators and generator pairs.
-
-    Complete at this size: if any witness exists, the sweep finds the
-    first one in canonical vector order.  A found vector v is a simple
-    summand exactly when dim Rv = 1: then g*v = c*v for each generator
-    g, and g nilpotent forces c = 0.
-
-    Pruned by Nakayama, given msq = M^2.  If M = Rg_1 + ... + Rg_n is
-    direct, then M^2 is the direct sum of the Mg_k, so M/M^2 is the
-    direct sum of the lines Rg_k/Mg_k: every g_k lies outside M^2, and
-    the g_k are independent modulo M^2.  So a choice with a vector
-    inside M^2, or a pair v, w equal modulo M^2, never succeeds, and the
-    sweep skips it.  Whether a choice succeeds depends on the submodules
-    Rv, Rw alone, so the sweep also keeps only the first generator (in
-    canonical order) of each submodule: a choice made with later
-    generators succeeds exactly when the one made with the first
-    generators does, and that one comes no later in the order.  So the
-    sweep returns the first witness of the unpruned sweep.  No vector of
-    M^2 is read from the cyclic table, so none is closed.
-    """
-    mdim = alg.dim - 1
-    table = packed_cyclic_table(alg)
-    soc = packed_socle(alg, ())
-    sq = msq.space.basis
-
-    def complete(rows: list[int], dim: int) -> Optional[list[int]]:
-        # grow with socle vectors to fill M; the added rows are the
-        # simple summands (each new row is independent of what stands)
-        work = list(rows)
-        added = []
-        for r in soc:
-            if gf.gf2_reduce(r, work):
-                gf.gf2_insert(work, r)
-                added.append(r)
-        if dim + len(added) != mdim:
-            return None
-        return added
-
-    # the first generator of each cyclic submodule not inside M^2, in
-    # canonical order, with its rows and its class modulo M^2
-    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
-    for m in range(1, 1 << mdim):
-        v = m << 1
-        coset = gf.gf2_reduce(v, sq)
-        if coset:
-            firsts.setdefault(table[v], (v, coset))
-    cands = [(v, rows, coset) for rows, (v, coset) in firsts.items()]
-
-    def build(found: list[int], krows: list[int]) -> MDecomposition:
-        nonsimple, simples = [], []
-        for v in found:
-            elt = alg.element(gf.unpack_vec(v, alg.dim))
-            if len(table[v]) == 1:
-                simples.append(elt)
-            else:
-                nonsimple.append(elt)
-        simples.extend(alg.element(gf.unpack_vec(r, alg.dim)) for r in krows)
-        return _normalized_witness(alg, nonsimple, simples)
-
-    for v, rows, _ in cands:
-        added = complete(list(rows), len(rows))
-        if added is not None:
-            return build([v], added)
-    for i, (v, vrows, vcoset) in enumerate(cands):
-        dv = len(vrows)
-        for w, wrows, wcoset in cands[i + 1:]:
-            if wcoset == vcoset or dv + len(wrows) > mdim:
-                continue
-            merged = list(vrows)
-            if not all(gf.gf2_insert(merged, r) for r in wrows):
-                continue
-            added = complete(merged, dv + len(wrows))
-            if added is not None:
-                return build([v, w], added)
-    return None
-
-
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """Search for a witness decomposition of the maximal ideal.
 
     Tries the canonical variable grouping first, then (GF(2), bounded
-    dimension) the exhaustive element-pair sweep.  Returns None when no
-    witness exists at this size; raises SearchSpaceExceededError when
-    the bounds prevent the sweep from running at all.
+    dimension) the exhaustive search for a cyclic cover of M.  Returns
+    None when no witness exists at this size; raises
+    SearchSpaceExceededError when the bounds prevent that search from
+    running at all.
     """
     return _witness_search(alg, canonical_variable_split(alg), max_pair_dim)
 
@@ -254,14 +180,22 @@ def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
             return _normalized_witness(alg, nonsimple, simple)
         # three independent non-simple cyclic summands refute any witness
         return None
-    msq = module_times_ideal(alg, maximal_ideal(alg))
+    m = maximal_ideal(alg)
+    msq = module_times_ideal(alg, m)
     if min_generators(alg, msq) >= 3:
         # under any witness M^2 = Rx^2 + Ry^2, so M^2 never needs three
         # generators; no witness can exist
         return None
     if alg.p != 2 or alg.dim - 1 > min(max_pair_dim, CYCLIC_TABLE_MAX_DIM):
         raise SearchSpaceExceededError("search space exceeded")
-    return _packed_fallback(alg, msq)
+    # any cover of M decides (Krull-Schmidt), and it has at most
+    # mu(M^2) <= 2 non-simple summands, so it is a witness (Mx = Rx^2)
+    found = packed_first_cover(alg, m.space.basis)
+    if found is None:
+        return None
+    nonsimple, simples = ([alg.element(gf.unpack_vec(v, alg.dim)) for v in vs]
+                          for vs in found)
+    return _normalized_witness(alg, nonsimple, simples)
 
 
 # ---------------------------------------------------------------------------

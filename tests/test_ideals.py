@@ -16,7 +16,7 @@ from cyclicideals import gf
 from cyclicideals import oracle
 from cyclicideals.ideals import (InfeasibleSizeError, packed_cyclic_table,
                                  packed_socle)
-from cyclicideals.rings import _mult_matrix
+from cyclicideals.rings import RingPresentation, _mult_matrix
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
                       SQUARE_ZERO_N3, TRIPLE, build, maximal_ideal_elements,
                       presentations)
@@ -92,23 +92,26 @@ def _tuple_module_times_ideal(alg, i):
 
 def test_module_times_ideal_matches_the_tuple_path():
     # over GF(2) M*I is computed on packed rows; it must agree with the
-    # tuple products, and with the product ideal M*I, for every prime
+    # tuple products, and with the product ideal M*I, for every prime;
+    # each prime gets its own run, so each gets its floor of rings
     primes = Counter()
+    for p in (2, 3, 5):
 
-    @settings(max_examples=150, deadline=None)
-    @given(presentations(), st.data())
-    def check(pres, data):
-        alg = build_algebra(pres)
-        assume(alg.dim <= 40)
-        m = maximal_ideal(alg)
-        gens = maximal_ideal_elements(alg, data, data.draw(st.integers(1, 3)))
-        for i in (m, ideal_from_generators(alg, gens)):
-            mi = module_times_ideal(alg, i)
-            assert mi.space == _tuple_module_times_ideal(alg, i)
-            assert mi == ideal_product(m, i)
-        primes[alg.p] += 1
+        @settings(max_examples=150, deadline=None)
+        @given(presentations(), st.data())
+        def check(pres, data):
+            alg = build_algebra(RingPresentation.make(p, pres.vars, pres.relations,
+                                                      pres.truncate))
+            assume(alg.dim <= 40)
+            m = maximal_ideal(alg)
+            gens = maximal_ideal_elements(alg, data, data.draw(st.integers(1, 3)))
+            for i in (m, ideal_from_generators(alg, gens)):
+                mi = module_times_ideal(alg, i)
+                assert mi.space == _tuple_module_times_ideal(alg, i)
+                assert mi == ideal_product(m, i)
+            primes[p] += 1
 
-    check()
+        check()
     assert min(primes[p] for p in (2, 3, 5)) >= 20, primes
 
 

@@ -28,13 +28,20 @@ from cyclicideals import (Ideal, InfeasibleSizeError, brute_decompose,
                           enumerate_ideals_subsets, find_m_decomposition, gf,
                           ideal_from_generators, is_simple, length_invariance,
                           maximal_ideal, min_generators, module_times_ideal,
-                          oracle, oracle_dsc, three_summand_counterexample,
-                          unit_ideal, zero_ideal)
+                          oracle, oracle_dsc, parse_element,
+                          three_summand_counterexample, unit_ideal,
+                          verify_decomposition, zero_ideal)
 from cyclicideals.ideals import packed_closure, packed_cyclic_table
 from cyclicideals.rings import RingPresentation, build_algebra
 from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
                       TWO_AXES, build, maximal_ideal_elements, presentations)
+
+# GF(2)[x,y,w1..w3]/(x^2, y^2, w_i*(x,y,w)): most of M is socle, so most
+# covers need simple summands
+SOCLE_W3 = ("field 2 / vars x y w1 w2 w3 / rel x^2 / rel y^2 / rel w1*x / rel w1*y"
+            " / rel w2*x / rel w2*y / rel w3*x / rel w3*y / rel w1^2 / rel w1*w2"
+            " / rel w1*w3 / rel w2^2 / rel w2*w3 / rel w3^2")
 
 FROZEN_COUNTS = [
     (PAIR_N3, 14),
@@ -44,6 +51,7 @@ FROZEN_COUNTS = [
     (SQUARE_ZERO_N2, 6),
     (SQUARE_ZERO_N3, 17),
     (AXIS_SOCLE, 18),
+    (SOCLE_W3, 426),
 ]
 
 
@@ -262,30 +270,57 @@ def _reference_covers(cands, target, start=0, rows=(), dim=0):
                 yield [v] + rest
 
 
+def _cover_dims(alg, cover) -> list[int]:
+    table = packed_cyclic_table(alg)
+    return sorted(len(table[v]) for v in cover)
+
+
 def _matches_reference(alg, i, cands) -> bool:
-    """brute_decompose finds the unpruned search's first cover, and the
-    lengths of all covers are exactly mu(I), or there are none; returns
-    whether i decomposes."""
+    """brute_decompose finds a cover exactly when the unpruned search
+    does; that cover verifies, has mu(I) summands and the summand dims of
+    the reference's first cover (Krull-Schmidt), and the lengths of all
+    covers are exactly mu(I), or there are none; returns whether i
+    decomposes."""
     covers = list(_reference_covers(cands, i.dim))
     dec = brute_decompose(alg, i)
-    got = None if dec is None else [gf.pack_vec(g.coeffs) for g in dec.generators]
-    assert got == (covers[0] if covers else None)
+    assert (dec is not None) == bool(covers)
+    if dec is not None:
+        assert verify_decomposition(alg, i, dec)
+        assert dec.length == min_generators(alg, i)
+        got = [gf.pack_vec(g.coeffs) for g in dec.generators]
+        assert _cover_dims(alg, got) == _cover_dims(alg, covers[0])
     lengths = decomposition_lengths(alg, i)
     assert lengths == tuple(sorted({len(c) for c in covers}))
     assert lengths == ((min_generators(alg, i),) if covers else ())
     return bool(covers)
 
 
-@pytest.mark.parametrize("text,stuck", [
-    (TRIPLE, 1), (PAIR_N4, 0),
-    ("field 2 / vars x y z / rel x^3 / rel y^2 / rel z^2 / rel y*z", 36),
-])
+XYZ = "field 2 / vars x y z / rel x^3 / rel y^2 / rel z^2 / rel y*z"
+
+
+@pytest.mark.parametrize("text,stuck", [(TRIPLE, 1), (PAIR_N4, 0), (XYZ, 36),
+                                        (SOCLE_W3, 205)])
 def test_pruned_search_matches_the_reference_on_a_census(text, stuck):
     alg = build(text)
     entries = enumerate_ideals(alg).entries[:-1]  # R is answered without a search
     outcomes = Counter(_matches_reference(alg, e.ideal, _reference_candidates(alg, e.key))
                        for e in entries)
     assert outcomes == Counter({True: len(entries) - stuck, False: stuck})
+
+
+@pytest.mark.parametrize("text", [TRIPLE, PAIR_N4, XYZ])
+def test_every_cover_has_the_same_summand_dims(text):
+    # Krull-Schmidt: a cyclic module over a local ring is indecomposable,
+    # so all covers of an ideal share their summands up to isomorphism
+    alg = build(text)
+    for e in enumerate_ideals(alg).entries[:-1]:
+        covers = _reference_covers(_reference_candidates(alg, e.key), e.ideal.dim)
+        assert len({tuple(_cover_dims(alg, c)) for c in covers}) <= 1
+
+
+STUCK_IDEALS = [(TRIPLE, ("x1 + x3", "x2 + x3")), (XYZ, ("x^2", "x*z")),
+                (XYZ, ("x^2", "x*y")), (SOCLE_W3, ("x", "y")),
+                (SOCLE_W3, ("x", "y + w3"))]
 
 
 def test_pruned_search_matches_the_reference_on_random_ideals():
@@ -306,8 +341,14 @@ def test_pruned_search_matches_the_reference_on_random_ideals():
         seen[_matches_reference(alg, i, cands)] += 1
 
     check()
-    # both outcomes must occur, or the comparison proves nothing; about
-    # one random ideal in ten admits no cover
+    # both outcomes must occur, or the comparison proves nothing; one
+    # random ideal in ten to thirty admits no cover, so explicit ideals
+    # without one keep that side filled on every run
+    for text, gens in STUCK_IDEALS:
+        alg = build(text)
+        i = ideal_from_generators(alg, [parse_element(alg, g) for g in gens])
+        assert not _matches_reference(alg, i, _reference_candidates(alg, i.space.basis))
+        seen[False] += 1
     assert seen[True] >= 100 and seen[False] >= 5, seen
 
 

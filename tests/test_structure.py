@@ -17,7 +17,7 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           verify_m_decomposition)
 from cyclicideals import gf, structure
 from cyclicideals.corpus import sweep_presentations
-from cyclicideals.ideals import (maximal_ideal, module_times_ideal,
+from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
                                  packed_cyclic_table, packed_socle)
 from cyclicideals.rings import RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
@@ -205,24 +205,35 @@ def _reference_fallback(alg) -> Optional[MDecomposition]:
     return None
 
 
-def _witness_payload(dec) -> Optional[dict]:
-    return None if dec is None else dec.as_dict()
+def _summand_dims(dec: MDecomposition) -> list[int]:
+    return sorted(cyclic(dec.algebra, g).dim for g in dec.summands())
 
 
 def _matches_reference_witness(make) -> tuple[bool, bool]:
-    """find_m_decomposition against the same search with the unpruned
-    sweep, each on a fresh algebra from make(); returns whether the sweep
-    was reached and whether it found a witness."""
+    """find_m_decomposition against the unpruned sweep, each on a fresh
+    algebra from make(): where the cover search is reached, it finds a
+    witness exactly when the sweep does, and that witness verifies, has
+    mu(M) summands and the sweep's summand dims (Krull-Schmidt); returns
+    whether the search was reached and whether it found a witness."""
     reached = []
+    search = structure.packed_first_cover
 
-    def reference(alg, msq):
+    def recording(alg, rows):
         reached.append(alg)
-        return _reference_fallback(alg)
+        return search(alg, rows)
 
-    with mock.patch.object(structure, "_packed_fallback", reference):
-        expected = _witness_payload(find_m_decomposition(make()))
-    assert _witness_payload(find_m_decomposition(make())) == expected
-    return bool(reached), bool(reached) and expected is not None
+    with mock.patch.object(structure, "packed_first_cover", recording):
+        dec = find_m_decomposition(make())
+    if not reached:
+        return False, False
+    expected = _reference_fallback(make())
+    assert (dec is None) == (expected is None)
+    if dec is not None:
+        alg = dec.algebra
+        assert verify_m_decomposition(dec)
+        assert dec.summand_count() == min_generators(alg, maximal_ideal(alg))
+        assert _summand_dims(dec) == _summand_dims(expected)
+    return True, dec is not None
 
 
 def test_pruned_sweep_matches_the_reference_on_the_sweep_family():
