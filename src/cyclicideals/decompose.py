@@ -108,7 +108,12 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
     n0, m0, l0, l1, l2).
     """
     gens = tuple(gens)
-    closures = [cyclic(alg, g) for g in gens]
+    return _build(alg, i, gens, [cyclic(alg, g) for g in gens], branch, knobs)
+
+
+def _build(alg, i: Ideal, gens: tuple, closures: list, branch: str, knobs: dict
+           ) -> CyclicDecomposition:
+    """build_decomposition on closures already built, closures[k] = R gens[k]."""
     _check(gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space,
            "decomposition failed verification")
     pres = getattr(alg, "presentation", None)
@@ -250,8 +255,8 @@ def _general(alg, dec, i) -> CyclicDecomposition:
     xp = dec.x ** n0 + l1
     yp = dec.y ** m0 + l2
     ij = gf.subspace_intersect(i.space, _ideal_simple_part(dec, i))
-    s = gf.direct_sum(alg.p, alg.dim,
-                      [cyclic(alg, xp).space, cyclic(alg, yp).space, ij])
+    axes = [cyclic(alg, xp), cyclic(alg, yp)]
+    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [ij])
     _check(s is not None, "axis summands overlap")
     _check(i.space.contains_subspace(s), "axis summands escape i")
     rest = [alg.element(r) for r in ij.rows]
@@ -259,7 +264,8 @@ def _general(alg, dec, i) -> CyclicDecomposition:
 
     if s == i.space:
         _check(not xp.is_zero() and not yp.is_zero(), "axis generator vanished")
-        return build_decomposition(alg, i, [xp, yp] + rest, "two_axes", **knobs)
+        gens = (xp, yp, *rest)
+        return _build(alg, i, gens, axes + [cyclic(alg, g) for g in rest], "two_axes", knobs)
 
     # the two-axis sum falls short: a single diagonal generator
     # c x^(n0-1) + d y^(m0-1) + l must close the gap

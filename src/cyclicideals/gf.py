@@ -4,34 +4,50 @@ Vectors are tuples of ints reduced mod p, matrices are tuples of such
 rows, and a subspace is always stored as the unique reduced row echelon
 basis of its row space, so equal subspaces compare equal structurally.
 
-That basis is kept in the form elimination computes it, and converted
-to tuples only at the API edge.  For p == 2 a row is one Python int (bit
-j = column j, pivot = least significant set bit) and every row
-operation is a single xor, after the packed GF(2) idioms of M4RI
-(Albrecht and Bard, The M4RI Library).  For odd p a row is a (pivot,
-tuple) pair, so no reduction searches for its pivots.  The packed and
-generic paths compute the same canonical objects and are differential
-tested against each other.
+That basis is kept in the form elimination computes it, one Python int
+per row for every p, and converted to tuples only at the API edge.
+Coordinate j of a row sits in the W-bit field at bits [jW, (j + 1)W),
+W fixed per p.
 
-Every row operation runs in one of two kernel pairs, gf2_reduce /
-gf2_insert and _reduce_generic / _insert_generic.  Intersections,
-kernels and solves eliminate block rows [left | right] on them, the
-right block in the columns above the left one (for p == 2, the bits
-above bit n).
+For p == 2, W = 1 and every row operation is a single xor, after the
+packed GF(2) idioms of M4RI (Albrecht and Bard, The M4RI Library).
+
+For odd p a row operation is v + (p - c) r, whose fields stay below
+p^2, followed by one field-wise reduction mod p made of whole-int
+operations: with m = ceil(2^s / p), the quotient floor(x / p) of each
+field x is bits [s, W) of that field of v * m, and the reduction
+subtracts p times it.  This is exact for every field x < p^2 once
+2^s >= p^3: e = m p - 2^s lies in [0, p), so x m / 2^s = x / p +
+x e / (p 2^s), and the second term is below p^2 / 2^s <= 1 / p, too
+small to carry x / p past the next integer.  W holds (p^2 - 1) m, so no
+field of v * m spills into the next one.
+
+A row's pivot is its lowest nonzero field, read off its lowest set bit.
+Basis rows are monic at their pivots, so their lowest set bits sort
+them by pivot.  Every row operation runs in one kernel pair,
+gf2_reduce / gf2_insert for p == 2 and PackedField.reduce / .insert
+otherwise.  Intersections, kernels and solves eliminate block rows
+[left | right] on them, the right block in the fields above the left
+one: shifted by n W for a left block n coordinates wide.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence, Union
 
 Vec = tuple[int, ...]
 
 
 def normalize_vec(v: Sequence[int], p: int) -> Vec:
     return tuple([c % p for c in v])
+
+
+def _lowest(r: int) -> int:
+    return r & -r
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +86,12 @@ def gf2_insert(rows: list[int], v: int) -> bool:
     if v == 0:
         return False
     piv = v & -v
-    for i, r in enumerate(rows):
-        if r & piv:
-            rows[i] = r ^ v
-    insort(rows, v, key=lambda r: r & -r)
+    # only rows pivoted below v can have v's pivot bit
+    at = bisect_left(rows, piv, key=_lowest)
+    for i in range(at):
+        if rows[i] & piv:
+            rows[i] ^= v
+    rows.insert(at, v)
     return True
 
 
@@ -95,43 +113,138 @@ def gf2_apply(masks: Sequence[int], v: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generic GF(p) rows: a reduced echelon basis is a list of (pivot, row)
-# pairs sorted by pivot, each row monic at its pivot
+# one packed row layout per prime
 
 
-def _reduce_generic(v: Sequence[int], basis: Sequence[tuple[int, Vec]], p: int) -> Vec:
-    w = v
-    for piv, r in basis:
-        c = w[piv]
-        if c:
-            w = [(a - c * b) % p for a, b in zip(w, r)]
-    return tuple(w)
+class _GF2:
+    """The p == 2 kernels behind the PackedField interface, W = 1."""
+
+    p = 2
+    w = 1
+
+    def pack(self, v: Sequence[int]) -> int:
+        return pack_vec(v)
+
+    def unpack(self, x: int, n: int) -> Vec:
+        return unpack_vec(x, n)
+
+    def reduce(self, v: int, rows: Sequence[int]) -> int:
+        return gf2_reduce(v, rows)
+
+    def insert(self, rows: list[int], v: int) -> bool:
+        return gf2_insert(rows, v)
+
+    def rref(self, vectors: Iterable[int]) -> list[int]:
+        return gf2_rref(vectors)
+
+    def apply(self, masks: Sequence[int], v: int) -> int:
+        return gf2_apply(masks, v)
+
+    def neg(self, x: int) -> int:
+        return x
 
 
-def _insert_generic(basis: list[tuple[int, Vec]], v: Sequence[int], p: int) -> bool:
-    """Insert v into a reduced echelon basis in place; False if dependent."""
-    w = _reduce_generic(v, basis, p)
-    piv = next((j for j, c in enumerate(w) if c), -1)
-    if piv < 0:
-        return False
-    scale = pow(w[piv], -1, p)
-    w = tuple([(scale * c) % p for c in w])
-    for i, (q, r) in enumerate(basis):
-        c = r[piv]
-        if c:
-            basis[i] = (q, tuple([(a - c * b) % p for a, b in zip(r, w)]))
-    insort(basis, (piv, w))
-    return True
+class PackedField:
+    """GF(p) rows for odd p, coordinate j in the W-bit field at bit jW
+    (the module docstring states the layout and why mod is exact)."""
+
+    def __init__(self, p: int):
+        s = (p ** 3 - 1).bit_length()  # least s with 2^s >= p^3
+        m = -(-(1 << s) // p)
+        self.p, self.s, self.m = p, s, m
+        self.w = w = ((p * p - 1) * m).bit_length()
+        self.one = (1 << w) - 1  # the bits of field 0
+        self._top = (1 << w) - (1 << s)  # bits [s, W) of field 0
+        self._bits = 0
+        self._quot = 0  # bits [s, W) of every field below bit _bits
+
+    def _widen(self, bits: int) -> None:
+        fields = max(-(-bits // self.w), 2 * self._bits // self.w, 64)
+        self._bits = fields * self.w
+        self._quot = self._top * (((1 << self._bits) - 1) // self.one)
+
+    def mod(self, x: int) -> int:
+        """Each field of x reduced mod p; every field must be below p^2."""
+        if x >> self._bits:
+            self._widen(x.bit_length())
+        return x - ((x * self.m & self._quot) >> self.s) * self.p
+
+    def pack(self, v: Sequence[int]) -> int:
+        p, w = self.p, self.w
+        out = 0
+        for c in reversed(v):
+            out = out << w | c % p
+        return out
+
+    def unpack(self, x: int, n: int) -> Vec:
+        w, one = self.w, self.one
+        return tuple([x >> (w * j) & one for j in range(n)])
+
+    def reduce(self, v: int, rows: Sequence[int]) -> int:
+        """Reduce v against rows in reduced echelon form."""
+        if not v:
+            return v
+        p, one, mod = self.p, self.one, self.mod
+        # v is zero at the pivots below its lowest nonzero field
+        start = bisect_left(rows, (v & -v) >> (self.w - 1), key=_lowest)
+        for r in islice(rows, start, None):
+            c = v >> ((r & -r).bit_length() - 1) & one
+            if c:
+                v = mod(v + (p - c) * r)
+        return v
+
+    def insert(self, rows: list[int], v: int) -> bool:
+        """Insert v into a reduced echelon basis in place; False if dependent."""
+        v = self.reduce(v, rows)
+        if not v:
+            return False
+        p, one, mod = self.p, self.one, self.mod
+        sh = (v & -v).bit_length() - 1
+        sh -= sh % self.w
+        c = v >> sh & one
+        if c != 1:
+            v = mod(pow(c, -1, p) * v)
+        # only rows pivoted below v can be nonzero at v's pivot
+        at = bisect_left(rows, 1 << sh, key=_lowest)
+        for i in range(at):
+            c = rows[i] >> sh & one
+            if c:
+                rows[i] = mod(rows[i] + (p - c) * v)
+        rows.insert(at, v)
+        return True
+
+    def rref(self, vectors: Iterable[int]) -> list[int]:
+        rows: list[int] = []
+        for v in vectors:
+            self.insert(rows, v)
+        return rows
+
+    def apply(self, masks: Sequence[int], v: int) -> int:
+        """Image of v under the linear map whose column j is masks[j];
+        reduced after every term, so no field reaches p^2."""
+        w, one, mod = self.w, self.one, self.mod
+        out = 0
+        while v:
+            j = ((v & -v).bit_length() - 1) // w
+            c = v >> (j * w) & one
+            v -= c << (j * w)
+            out = mod(out + c * masks[j])
+        return out
+
+    def neg(self, x: int) -> int:
+        return self.mod(x * (self.p - 1))
 
 
-def _echelon(vectors: Iterable[Sequence[int]], p: int) -> list:
-    """Packed reduced echelon basis of the span of `vectors`."""
-    if p == 2:
-        return gf2_rref(map(pack_vec, vectors))
-    basis: list[tuple[int, Vec]] = []
-    for v in vectors:
-        _insert_generic(basis, normalize_vec(v, p), p)
-    return basis
+Field = Union[_GF2, PackedField]
+_FIELDS: dict[int, Field] = {2: _GF2()}
+
+
+def packed_field(p: int) -> Field:
+    """The packed row layout and kernels of GF(p), one per prime."""
+    f = _FIELDS.get(p)
+    if f is None:
+        f = _FIELDS[p] = PackedField(p)
+    return f
 
 
 def rref_rows(vectors: Iterable[Sequence[int]], p: int, ncols: int) -> tuple[Vec, ...]:
@@ -169,9 +282,8 @@ def transpose(m: Mat) -> Mat:
 class Subspace:
     """A subspace of GF(p)^ambient held as its canonical RREF basis.
 
-    `basis` is that basis in packed form: ints for p == 2, (pivot, row)
-    pairs for odd p, sorted by pivot either way.  `rows` is the tuple
-    view, built on first use.
+    `basis` is that basis as packed rows (see packed_field), sorted by
+    pivot.  `rows` is the tuple view, built on first use.
     """
 
     p: int
@@ -183,42 +295,42 @@ class Subspace:
 
     @classmethod
     def span(cls, p: int, ambient: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        return cls(p, ambient, _echelon(vectors, p))
+        f = packed_field(p)
+        return cls(p, ambient, f.rref(map(f.pack, vectors)))
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
         return cls(p, ambient, ())
 
+    @property
+    def field(self) -> Field:
+        return packed_field(self.p)
+
     @cached_property
     def rows(self) -> tuple[Vec, ...]:
-        if self.p == 2:
-            return tuple(unpack_vec(m, self.ambient) for m in self.basis)
-        return tuple(r for _, r in self.basis)
+        f = self.field
+        return tuple(f.unpack(r, self.ambient) for r in self.basis)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        if self.p == 2:
-            return tuple((m & -m).bit_length() - 1 for m in self.basis)
-        return tuple(piv for piv, _ in self.basis)
+        w = self.field.w
+        return tuple(((r & -r).bit_length() - 1) // w for r in self.basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def reduce(self, v: Sequence[int]) -> Vec:
-        if self.p == 2:
-            return unpack_vec(gf2_reduce(pack_vec(v), self.basis), self.ambient)
-        return _reduce_generic(normalize_vec(v, self.p), self.basis, self.p)
+        f = self.field
+        return f.unpack(f.reduce(f.pack(v), self.basis), self.ambient)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if self.p == 2:
-            return not gf2_reduce(pack_vec(v), self.basis)
-        return not any(self.reduce(v))
+        f = self.field
+        return not f.reduce(f.pack(v), self.basis)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if self.p == 2:
-            return not any(gf2_reduce(m, self.basis) for m in other.basis)
-        return not any(any(_reduce_generic(r, self.basis, self.p)) for r in other.rows)
+        f = self.field
+        return not any(f.reduce(r, self.basis) for r in other.basis)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -228,13 +340,10 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
+    f = a.field
     basis = list(a.basis)
-    if a.p == 2:
-        for m in b.basis:
-            gf2_insert(basis, m)
-    else:
-        for r in b.rows:
-            _insert_generic(basis, r, a.p)
+    for r in b.basis:
+        f.insert(basis, r)
     return Subspace(a.p, a.ambient, basis)
 
 
@@ -249,23 +358,21 @@ def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subs
     return total
 
 
-def vanishing_block(p: int, n: int, rows: Sequence) -> list:
-    """Zassenhaus block elimination over [left | right] rows, the left
-    block n columns wide: the rows whose left block vanishes carry their
-    right blocks out as a packed reduced echelon basis."""
-    if p == 2:
-        return [r >> n for r in gf2_rref(rows) if not r & ((1 << n) - 1)]
-    return [(piv - n, r[n:]) for piv, r in _echelon(rows, p) if piv >= n]
+def vanishing_block(p: int, n: int, rows: Iterable[int]) -> list[int]:
+    """Zassenhaus block elimination over packed [left | right] rows, the
+    left block n coordinates wide: the rows whose left block vanishes
+    carry their right blocks out as a packed reduced echelon basis."""
+    f = packed_field(p)
+    shift = n * f.w
+    return [r >> shift for r in f.rref(rows) if not r & ((1 << shift) - 1)]
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """a meet b, from the rows [A|A] and [B|0]."""
     _check_compatible(a, b)
     n, p = a.ambient, a.p
-    if p == 2:
-        rows = [r | r << n for r in a.basis] + list(b.basis)
-    else:
-        rows = [r + r for r in a.rows] + [r + (0,) * n for r in b.rows]
+    shift = n * a.field.w
+    rows = [r | r << shift for r in a.basis] + list(b.basis)
     return Subspace(p, n, vanishing_block(p, n, rows))
 
 
@@ -273,10 +380,8 @@ def left_kernel(m: Mat) -> Subspace:
     """{a : a . m = 0}, coefficients over the rows of m, from the rows
     [m_i | e_i]."""
     n, p, k = m.ncols, m.p, len(m.rows)
-    if p == 2:
-        rows = [pack_vec(r) | 1 << (n + i) for i, r in enumerate(m.rows)]
-    else:
-        rows = [r + tuple(int(j == i) for j in range(k)) for i, r in enumerate(m.rows)]
+    f = packed_field(p)
+    rows = [f.pack(r) | 1 << (n + i) * f.w for i, r in enumerate(m.rows)]
     return Subspace(p, k, vanishing_block(p, n, rows))
 
 
@@ -288,38 +393,31 @@ def kernel(m: Mat) -> Subspace:
 # ---------------------------------------------------------------------------
 # tagged elimination: solve over [vec | tag] rows while tracking where
 # each reduction came from.  Backbone of affine_meet / split_components /
-# solve_combination.
+# solve_packed.
 
 
-def _tagged_solve(rows: Sequence, target: Vec, p: int, n: int, width: int
+def _tagged_solve(rows: Iterable[int], target: int, f: Field, n: int, width: int
                   ) -> Optional[Vec]:
     """The tag of target over the [vec | tag] rows, None when target is
     outside the span of their vecs.
 
-    Rows are packed for the row kernels, the vec in the low n columns
-    and a tag `width` columns wide above it (for p == 2, tag bits above
-    bit n).  A row whose vec reduces to zero is dropped, so the kept
-    rows are the greedy basis of the vecs in row order; target is then
-    sum c_j vec_j over that basis in exactly one way, and the result is
-    sum c_j tag_j, whatever order the elimination runs in.
+    Rows are packed, the vec in the low n coordinates and a tag `width`
+    coordinates wide in the fields above it.  A row whose vec reduces to
+    zero is dropped, so the kept rows are the greedy basis of the vecs
+    in row order; target is then sum c_j vec_j over that basis in
+    exactly one way, and the result is sum c_j tag_j, whatever order
+    the elimination runs in.
     """
-    if p == 2:
-        mask = (1 << n) - 1
-        basis: list = []
-        for r in rows:
-            r = gf2_reduce(r, basis)
-            if r & mask:
-                gf2_insert(basis, r)
-        res = gf2_reduce(pack_vec(target), basis)
-        return None if res & mask else unpack_vec(res >> n, width)
-    basis = []
+    shift = n * f.w
+    mask = (1 << shift) - 1
+    basis: list[int] = []
     for r in rows:
-        r = _reduce_generic(r, basis, p)
-        if any(r[:n]):
-            _insert_generic(basis, r, p)
+        r = f.reduce(r, basis)
+        if r & mask:
+            f.insert(basis, r)
     # target - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tag
-    res = _reduce_generic(target + (0,) * width, basis, p)
-    return None if any(res[:n]) else tuple([-c % p for c in res[n:]])
+    res = f.reduce(target, basis)
+    return None if res & mask else f.unpack(f.neg(res >> shift), width)
 
 
 def affine_meet(point: Sequence[int], w: Subspace, u: Subspace) -> Optional[Vec]:
@@ -340,31 +438,19 @@ def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[li
     p, n = parts[0].p, parts[0].ambient
     for s in parts[1:]:
         _check_compatible(parts[0], s)
-    v = normalize_vec(v, p)
     if len(v) != n:
         raise ValueError("ambient mismatch")
+    f = packed_field(p)
     k = len(parts)
     # each row's tag is its copy in the block of the part it came from
-    if p == 2:
-        rows = [r | r << (n * (i + 1)) for i, s in enumerate(parts) for r in s.basis]
-    else:
-        rows = [r + (0,) * (n * i) + r + (0,) * (n * (k - 1 - i))
-                for i, s in enumerate(parts) for r in s.rows]
-    got = _tagged_solve(rows, v, p, n, k * n)
+    rows = [r | r << (n * (i + 1) * f.w) for i, s in enumerate(parts) for r in s.basis]
+    got = _tagged_solve(rows, f.pack(v), f, n, k * n)
     return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
 
 
-def solve_combination(rows: Sequence[Sequence[int]], target: Sequence[int], p: int) -> Optional[Vec]:
-    """Coefficients c with sum c_i * rows_i = target, or None."""
-    if not rows:
-        return None if any(c % p for c in target) else ()
-    n, k = len(rows[0]), len(rows)
-    target = normalize_vec(target, p)
-    if len(target) != n:
-        raise ValueError("ambient mismatch")
-    if p == 2:
-        tagged = [pack_vec(r) | 1 << (n + i) for i, r in enumerate(rows)]
-    else:
-        tagged = [normalize_vec(r, p) + tuple(int(j == i) for j in range(k))
-                  for i, r in enumerate(rows)]
-    return _tagged_solve(tagged, target, p, n, k)
+def solve_packed(p: int, n: int, rows: Sequence[int], target: int) -> Optional[Vec]:
+    """Coefficients c with sum c_i * rows_i = target, or None, over
+    packed rows n coordinates wide."""
+    f = packed_field(p)
+    tagged = [r | 1 << (n + i) * f.w for i, r in enumerate(rows)]
+    return _tagged_solve(tagged, target, f, n, len(rows))

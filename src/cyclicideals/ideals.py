@@ -41,14 +41,10 @@ class Ideal:
         alg, space = self.algebra, self.space
         if space.dim < alg.dim and 0 in space.pivots:
             raise ValueError("proper ideal with a unit coordinate")
-        if alg.p == 2:
-            images = (gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
-                      for r in space.basis)
-            closed = not any(gf.gf2_reduce(v, space.basis) for v in images)
-        else:
-            closed = all(space.contains(alg._mul_coeffs(g.coeffs, row))
-                         for g in alg.gens for row in space.rows)
-        if not closed:
+        f = space.field
+        images = (f.apply(masks, r) for masks in alg.action_masks()
+                  for r in space.basis)
+        if any(f.reduce(v, space.basis) for v in images):
             raise ValueError("subspace is not closed under the algebra action")
 
     @property
@@ -115,42 +111,34 @@ def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     queue = [g.coeffs for g in gens]
     if any(v[0] for v in queue):
         return unit_ideal(alg)  # a unit generates everything
-    p = alg.p
-    if p == 2:
-        basis = packed_closure(alg, (), map(gf.pack_vec, queue))
-    else:
-        basis = []
-        actions = [g.coeffs for g in alg.gens]
-        while queue:
-            v = queue.pop()
-            if gf._insert_generic(basis, v, p):
-                queue.extend(alg._mul_coeffs(g, v) for g in actions)
-    return Ideal(alg, gf.Subspace(p, alg.dim, basis), _trusted=True)
+    basis = packed_closure(alg, (), map(gf.packed_field(alg.p).pack, queue))
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, basis), _trusted=True)
 
 
 def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> list[int]:
     """Packed RREF of the smallest ideal containing span(rows) and the
     seed vectors; rows must already be in packed reduced echelon form."""
-    actions = alg.gf2_action_masks()
+    f, actions = gf.packed_field(alg.p), alg.action_masks()
     basis = list(rows)
     queue = list(seeds)
     while queue:
         v = queue.pop()
-        if gf.gf2_insert(basis, v):
-            queue.extend(gf.gf2_apply(masks, v) for masks in actions)
+        if f.insert(basis, v):
+            queue.extend(f.apply(masks, v) for masks in actions)
     return basis
 
 
 def packed_socle(alg: Algebra, rows: Sequence[int]) -> list[int]:
     """Packed RREF of the socle of R/I, for the ideal I = span(rows) in
-    packed reduced echelon form: the v in M, zero at every pivot of I,
-    with g*v in I for every generator g.
+    packed reduced echelon form over GF(2): the v in M, zero at every
+    pivot of I, with g*v in I for every generator g.
 
     One elimination of the rows [images of e_k mod I, one block per
     generator | e_k] over the non-pivot coordinates k >= 1; the rows
     whose image blocks vanish span the socle.
     """
-    actions = alg.gf2_action_masks()
+    assert alg.p == 2
+    actions = alg.action_masks()
     n = alg.dim
     width = n * len(actions)
     pivots = {r & -r for r in rows}
@@ -216,23 +204,20 @@ def is_simple(alg: Algebra, i: Ideal) -> bool:
     """One-dimensional and killed by the maximal ideal."""
     if i.dim != 1:
         return False
-    row = i.rows[0]
-    return all(not any(alg._mul_coeffs(g.coeffs, row)) for g in alg.gens)
+    f, (row,) = i.space.field, i.space.basis
+    return not any(f.apply(masks, row) for masks in alg.action_masks())
 
 
 def _packed_times_m(alg: Algebra, rows: Sequence[int]) -> list[int]:
-    """Packed RREF of M * span(rows), for an ideal span(rows) over GF(2)."""
-    return gf.gf2_rref(gf.gf2_apply(masks, r) for masks in alg.gf2_action_masks()
-                       for r in rows)
+    """Packed RREF of M * span(rows), for an ideal span(rows)."""
+    f = gf.packed_field(alg.p)
+    return f.rref(f.apply(masks, r) for masks in alg.action_masks()
+                  for r in rows)
 
 
 def module_times_ideal(alg: Algebra, i: Ideal) -> Ideal:
-    """M * i, computed from generator action on a basis of i (over GF(2)
-    on the packed rows)."""
-    if alg.p == 2:
-        return Ideal(alg, gf.Subspace(2, alg.dim, _packed_times_m(alg, i.space.basis)))
-    prods = [alg._mul_coeffs(g.coeffs, row) for g in alg.gens for row in i.rows]
-    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, prods))
+    """M * i, from the generators' action on the packed basis of i."""
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, _packed_times_m(alg, i.space.basis)))
 
 
 def min_generators(alg: Algebra, i: Ideal) -> int:

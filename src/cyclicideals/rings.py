@@ -350,17 +350,17 @@ class Algebra:
         c[k] = 1
         return Element(self, c)
 
-    # mask of each basis vector's image under multiplication by g, one
-    # list per generator; only meaningful for p == 2 search code
-    def gf2_action_masks(self) -> list[list[int]]:
-        assert self.p == 2
-        cached = getattr(self, "_gf2_actions", None)
+    # packed image (gf.packed_field(p)) of each basis vector under
+    # multiplication by g, one list per generator, for every p
+    def action_masks(self) -> list[list[int]]:
+        cached = getattr(self, "_actions", None)
         if cached is None:
-            cached = self._gf2_actions = self._action_masks()
+            cached = self._actions = self._action_masks()
         return cached
 
     def _action_masks(self) -> list[list[int]]:
-        return [[gf.pack_vec(self._mul_coeffs(g.coeffs, self.basis_element(k).coeffs))
+        f = gf.packed_field(self.p)
+        return [[f.pack(self._mul_coeffs(g.coeffs, self.basis_element(k).coeffs))
                  for k in range(self.dim)] for g in self.gens]
 
 
@@ -414,7 +414,8 @@ class MonomialAlgebra(Algebra):
         return tuple([c % p for c in out])
 
     def _action_masks(self) -> list[list[int]]:
-        return [[1 << k if k >= 0 else 0 for k in step] for step in self.succ]
+        w = gf.packed_field(self.p).w
+        return [[1 << w * k if k >= 0 else 0 for k in step] for step in self.succ]
 
     def el_str(self, coeffs: Sequence[int]) -> str:
         names = self.presentation.vars
@@ -563,25 +564,27 @@ def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
     Every nonzero member of Rx has this form when R/Ann(x) is a principal
     ideal ring (the caller's responsibility to ensure).  Raises
     NotExpressibleError otherwise, or when z is zero or outside Rx.
+
+    Row k of x^n's multiplication matrix is e_k * x^n, so it is x's
+    multiplication map applied to row k of x^(n-1); the rows of x are
+    that map's packed columns themselves.
     """
     if z.is_zero():
         raise NotExpressibleError("not expressible")
-    rx = gf.Subspace.span(alg.p, alg.dim, _mult_matrix(alg, x).rows)
-    if not rx.contains(z.coeffs):
-        raise NotExpressibleError("not expressible")
-    n = 0
-    xn = alg.unit()
-    while n < alg.dim:
-        n += 1
-        xn = xn * x
-        if xn.is_zero():
+    p, dim = alg.p, alg.dim
+    f = gf.packed_field(p)
+    cols = [f.pack(row) for row in _mult_matrix(alg, x).rows]
+    target = f.pack(z.coeffs)
+    if f.reduce(target, f.rref(cols)):
+        raise NotExpressibleError("not expressible")  # z is outside Rx
+    rows = cols
+    for n in range(1, dim + 1):
+        if not rows[0]:  # row 0 is x^n itself
             break
-        rows = _mult_matrix(alg, xn).rows
-        a = gf.solve_combination(rows, z.coeffs, alg.p)
-        if a is None:
-            continue
+        a = gf.solve_packed(p, dim, rows, target)
         # the solution coset is a + Ann(x^n) which sits inside the maximal
         # ideal whenever x^n != 0, so a unit solution exists iff a is one
-        if a[0] != 0:
+        if a is not None and a[0] != 0:
             return alg.element(a), n
+        rows = [f.apply(cols, r) for r in rows]
     raise NotExpressibleError("not expressible")

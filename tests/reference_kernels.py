@@ -1,0 +1,93 @@
+"""Tuple row kernels over GF(p): the reference the packed kernels of
+`cyclicideals.gf` are tested against.
+
+A reduced echelon basis is a list of (pivot, row) pairs sorted by
+pivot, each row a tuple monic at its pivot.  Every operation is plain
+arithmetic mod p on one coordinate at a time, so nothing here shares a
+layout or a reduction trick with the packed rows.
+"""
+
+from bisect import insort
+
+
+def reduce_rows(v, basis, p):
+    """v reduced against the (pivot, row) basis."""
+    w = v
+    for piv, r in basis:
+        c = w[piv]
+        if c:
+            w = [(a - c * b) % p for a, b in zip(w, r)]
+    return tuple(w)
+
+
+def insert_row(basis, v, p):
+    """Insert v into a reduced echelon basis in place; False if dependent."""
+    w = reduce_rows(v, basis, p)
+    piv = next((j for j, c in enumerate(w) if c), -1)
+    if piv < 0:
+        return False
+    scale = pow(w[piv], -1, p)
+    w = tuple([(scale * c) % p for c in w])
+    for i, (q, r) in enumerate(basis):
+        c = r[piv]
+        if c:
+            basis[i] = (q, tuple([(a - c * b) % p for a, b in zip(r, w)]))
+    insort(basis, (piv, w))
+    return True
+
+
+def echelon(vectors, p):
+    """The (pivot, row) reduced echelon basis of the span of vectors."""
+    basis = []
+    for v in vectors:
+        insert_row(basis, tuple(c % p for c in v), p)
+    return basis
+
+
+def vanishing_block(n, rows, p):
+    """Right blocks of the echelon rows of [left | right] whose left
+    block, n coordinates wide, vanishes."""
+    return tuple(r[n:] for piv, r in echelon(rows, p) if piv >= n)
+
+
+def intersect(a_rows, b_rows, n, p):
+    """Echelon rows of span(a) meet span(b), from [A|A] and [B|0]."""
+    rows = [tuple(r) + tuple(r) for r in a_rows] + [tuple(r) + (0,) * n for r in b_rows]
+    return vanishing_block(n, rows, p)
+
+
+def left_kernel(m_rows, n, p):
+    """Echelon rows of {a : a . m = 0}, from [m_i | e_i]."""
+    k = len(m_rows)
+    rows = [tuple(r) + tuple(int(j == i) for j in range(k)) for i, r in enumerate(m_rows)]
+    return vanishing_block(n, rows, p)
+
+
+def tagged_solve(rows, target, p, n, width):
+    """The tag of target over the [vec | tag] rows, None when target is
+    outside the span of their vecs; rows whose vec reduces to zero are
+    dropped, so the answer is read over the greedy basis in row order."""
+    basis = []
+    for r in rows:
+        r = reduce_rows(r, basis, p)
+        if any(r[:n]):
+            insert_row(basis, r, p)
+    res = reduce_rows(tuple(target) + (0,) * width, basis, p)
+    return None if any(res[:n]) else tuple([-c % p for c in res[n:]])
+
+
+def split_components(v, parts_rows, n, p):
+    """One component of v per part, or None when v is outside their sum."""
+    k = len(parts_rows)
+    rows = [tuple(r) + (0,) * (n * i) + tuple(r) + (0,) * (n * (k - 1 - i))
+            for i, part in enumerate(parts_rows) for r in part]
+    got = tagged_solve(rows, tuple(c % p for c in v), p, n, k * n)
+    return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
+
+
+def solve_combination(rows, target, p):
+    """Coefficients c with sum c_i rows_i = target, or None."""
+    n, k = len(target), len(rows)
+    tagged = [tuple(c % p for c in r) + tuple(int(j == i) for j in range(k))
+              for i, r in enumerate(rows)]
+    return tagged_solve(tagged, tuple(c % p for c in target), p, n, k)

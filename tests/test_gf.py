@@ -2,7 +2,7 @@
 
 Hand-worked fixtures pin the canonical forms; seeded sweeps check the
 algebraic laws; the packed GF(2) path is differential-tested against
-the generic eliminator it shadows.
+the tuple reference kernels of tests/reference_kernels.py.
 """
 
 import random
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cyclicideals import gf
+import reference_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +89,19 @@ def test_split_components_outside():
             gf.split_components(short, parts)
 
 
+def _solve(rows, target, p):
+    """gf.solve_packed on tuple rows and target."""
+    f = gf.packed_field(p)
+    return gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+
+
 def test_solve_combination_hand():
-    got = gf.solve_combination([(1, 2), (0, 1)], (2, 2), 3)
+    got = _solve([(1, 2), (0, 1)], (2, 2), 3)
     assert got == (2, 1)
-    assert gf.solve_combination([(1, 0)], (0, 1), 2) is None
+    assert _solve([(1, 0)], (0, 1), 2) is None
     # empty row list spans only zero
-    assert gf.solve_combination([], (0, 0), 5) == ()
-    assert gf.solve_combination([], (1,), 5) is None
+    assert _solve([], (0, 0), 5) == ()
+    assert _solve([], (1,), 5) is None
 
 
 def test_subspace_sum_and_intersect_hand():
@@ -121,10 +128,7 @@ def test_subspace_ambient_mismatch():
 
 
 def _generic_rref(vectors, p, ncols):
-    basis = []  # (pivot, row) pairs
-    for v in vectors:
-        gf._insert_generic(basis, gf.normalize_vec(v, p), p)
-    return tuple(row for _, row in basis)
+    return tuple(row for _, row in reference_kernels.echelon(vectors, p))
 
 
 def test_packed_matches_generic_gf2():
@@ -293,7 +297,7 @@ def test_solve_combination_sweep(p):
         rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
         coeffs = [rng.randrange(p) for _ in range(k)]
         target = _combine(coeffs, rows, p, n)
-        got = gf.solve_combination(rows, target, p)
+        got = _solve(rows, target, p)
         assert got is not None
         assert _combine(got, rows, p, n) == target
 
@@ -403,7 +407,7 @@ def test_tagged_solves_match_dense_reference(p):
         rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
         target = _combine([rng.randrange(p) for _ in range(k)], rows, p, n)
         for t in (target, point):
-            assert gf.solve_combination(rows, t, p) == _dense_solve_combination(rows, t, p)
+            assert _solve(rows, t, p) == _dense_solve_combination(rows, t, p)
     # the sweep reaches the cases where a particular solution is a choice
     assert meets_overlap > 50 and splits_overlap > 20
 

@@ -91,9 +91,9 @@ def _tuple_module_times_ideal(alg, i):
 
 
 def test_module_times_ideal_matches_the_tuple_path():
-    # over GF(2) M*I is computed on packed rows; it must agree with the
-    # tuple products, and with the product ideal M*I, for every prime;
-    # each prime gets its own run, so each gets its floor of rings
+    # M*I is computed on packed rows for every prime; it must agree with
+    # the tuple products, and with the product ideal M*I; each prime gets
+    # its own run, so each gets its floor of rings
     primes = Counter()
     for p in (2, 3, 5):
 
@@ -254,7 +254,7 @@ def test_packed_socle_is_the_socle_of_the_quotient(text):
     # by the definition: every v in M off the pivots of I whose images
     # under the generators all lie in I
     alg = build(text)
-    actions = alg.gf2_action_masks()
+    actions = alg.action_masks()
     for e in oracle.enumerate_ideals(alg).entries[:-1]:
         pivots = {r & -r for r in e.key}
         free = [1 << k for k in range(1, alg.dim) if 1 << k not in pivots]
