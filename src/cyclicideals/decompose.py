@@ -133,22 +133,24 @@ def semisimple_decompose(alg, i: Ideal) -> CyclicDecomposition:
 
 
 def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
-                     ) -> tuple[int, Element]:
+                     ) -> tuple[int, Element, Element]:
     """Least n with g^n + l in i for some l in the simple span; returns
-    (n, l) with l = 0 whenever g^n itself lies in i.  The first n with
-    g^n = 0 qualifies vacuously (take l = 0), so the exponent always
-    exists for a nilpotent axis."""
+    (n, l, g^n) with l = 0 whenever g^n itself lies in i.  The first n
+    with g^n = 0 qualifies vacuously (take l = 0), so the exponent
+    always exists for a nilpotent axis."""
     g = dec.x if which == "x" else dec.y
     if g is None:
         raise ValueError("no such exponent")
-    gn = alg.unit()
+    f, cols, basis = alg.field, alg.columns(g), i.space.basis
+    meet = gf.affine_meet(dec.simple_span, i.space)
+    gn = alg.unit().vec
     for n in range(1, alg.dim + 1):
-        gn = gn * g
-        if gn.is_zero() or i.space.contains(gn.coeffs):
-            return n, alg.zero()
-        met = gf.affine_meet(gn.coeffs, dec.simple_span, i.space)
+        gn = f.apply(cols, gn)
+        if not gn or not f.reduce(gn, basis):
+            return n, alg.zero(), Element.packed(alg, gn)
+        met = meet(gn)
         if met is not None:
-            return n, alg.element(met) - gn
+            return n, Element.packed(alg, f.addmul(met, -1, gn)), Element.packed(alg, gn)
     raise ValueError("no such exponent")
 
 
@@ -178,9 +180,9 @@ def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
     only rows[0..k-1], so while those rows lie in avoid so does every
     such code, and code p^k is rows[k] itself.
     """
-    for r in i.rows:
-        if not avoid.contains(r):
-            return alg.element(r)
+    for r in i.space.basis:
+        if avoid.field.reduce(r, avoid.basis):
+            return Element.packed(alg, r)
     return None
 
 
@@ -237,29 +239,28 @@ def _ideal_simple_part(dec, i) -> gf.Subspace:
 
 def _axis(alg, dec, i, which) -> CyclicDecomposition:
     g = dec.x if which == "x" else dec.y
-    n0, l0 = minimal_exponent(alg, dec, i, which)
-    gen = g ** n0 + l0
+    n0, l0, gn = minimal_exponent(alg, dec, i, which)
+    gen = gn + l0
     _check(not gen.is_zero(), "axis generator vanished")
     if not l0.is_zero():
         # the correction must not change the annihilator
-        _check(annihilator(alg, gen) == annihilator(alg, g ** n0),
+        _check(annihilator(alg, gen) == annihilator(alg, gn),
                "axis correction changed the annihilator")
     j = _ideal_simple_part(dec, i)
-    gens = [gen] + [alg.element(r) for r in gf.subspace_intersect(i.space, j).rows]
+    gens = [gen] + [Element.packed(alg, r) for r in gf.subspace_intersect(i.space, j).basis]
     return build_decomposition(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
 
 def _general(alg, dec, i) -> CyclicDecomposition:
-    n0, l1 = minimal_exponent(alg, dec, i, "x")
-    m0, l2 = minimal_exponent(alg, dec, i, "y")
-    xp = dec.x ** n0 + l1
-    yp = dec.y ** m0 + l2
+    n0, l1, xn = minimal_exponent(alg, dec, i, "x")
+    m0, l2, ym = minimal_exponent(alg, dec, i, "y")
+    xp, yp = xn + l1, ym + l2
     ij = gf.subspace_intersect(i.space, _ideal_simple_part(dec, i))
     axes = [cyclic(alg, xp), cyclic(alg, yp)]
     s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [ij])
     _check(s is not None, "axis summands overlap")
     _check(i.space.contains_subspace(s), "axis summands escape i")
-    rest = [alg.element(r) for r in ij.rows]
+    rest = [Element.packed(alg, r) for r in ij.basis]
     knobs = dict(n0=n0, m0=m0, l1=str(l1), l2=str(l2))
 
     if s == i.space:
@@ -272,9 +273,9 @@ def _general(alg, dec, i) -> CyclicDecomposition:
     _check(n0 >= 2 and m0 >= 2, "diagonal branch with boundary exponent")
     zp = _first_outside(alg, i, s)
     _check(zp is not None, "no element outside the axis sum")
-    comps = gf.split_components(zp.coeffs, [dec.rx.space, dec.ry.space, dec.simple_span])
+    comps = gf.split_components(zp.vec, [dec.rx.space, dec.ry.space, dec.simple_span])
     _check(comps is not None, "diagonal element escapes the witness sum")
-    zx, zy = alg.element(comps[0]), alg.element(comps[1])
+    zx, zy = Element.packed(alg, comps[0]), Element.packed(alg, comps[1])
     _check(not zx.is_zero() and not zy.is_zero(), "diagonal element lost an axis")
     try:
         _, nx = power_form(alg, dec.x, zx)

@@ -1,13 +1,13 @@
-"""Exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p) on packed rows.
 
-Vectors are tuples of ints reduced mod p, matrices are tuples of such
-rows, and a subspace is always stored as the unique reduced row echelon
-basis of its row space, so equal subspaces compare equal structurally.
-
-That basis is kept in the form elimination computes it, one Python int
-per row for every p, and converted to tuples only at the API edge.
-Coordinate j of a row sits in the W-bit field at bits [jW, (j + 1)W),
-W fixed per p.
+A vector over GF(p) is one Python int, its packed row: coordinate j
+sits in the W-bit field at bits [jW, (j + 1)W), W fixed per p, and every
+field holds a value reduced mod p.  A linear map is the list of the
+packed rows of its columns.  A subspace is always stored as the unique
+reduced row echelon basis of its row space, packed rows sorted by
+pivot, so equal subspaces compare equal structurally.  Tuples of ints
+appear only at the API edge: pack and unpack convert, and rref_rows,
+Subspace.span and the Subspace tuple views take or give them.
 
 For p == 2, W = 1 and every row operation is a single xor, after the
 packed GF(2) idioms of M4RI (Albrecht and Bard, The M4RI Library).
@@ -24,11 +24,12 @@ field of v * m spills into the next one.
 
 A row's pivot is its lowest nonzero field, read off its lowest set bit.
 Basis rows are monic at their pivots, so their lowest set bits sort
-them by pivot.  Every row operation runs in one kernel pair,
-gf2_reduce / gf2_insert for p == 2 and PackedField.reduce / .insert
-otherwise.  Intersections, kernels and solves eliminate block rows
-[left | right] on them, the right block in the fields above the left
-one: shifted by n W for a left block n coordinates wide.
+them by pivot.  Every row operation runs in one kernel pair per field:
+gf2_reduce / gf2_place for p == 2 and PackedField.reduce / .place
+otherwise, insert being reduce followed by place.  Intersections,
+kernels and solves eliminate block rows [left | right] on them, the
+right block in the fields above the left one: shifted by n W for a left
+block n coordinates wide.
 """
 
 from __future__ import annotations
@@ -37,13 +38,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Vec = tuple[int, ...]
-
-
-def normalize_vec(v: Sequence[int], p: int) -> Vec:
-    return tuple([c % p for c in v])
 
 
 def _lowest(r: int) -> int:
@@ -80,11 +77,8 @@ def gf2_reduce(v: int, rows: Sequence[int]) -> int:
     return v
 
 
-def gf2_insert(rows: list[int], v: int) -> bool:
-    """Insert v into a reduced echelon basis in place; False if dependent."""
-    v = gf2_reduce(v, rows)
-    if v == 0:
-        return False
+def gf2_place(rows: list[int], v: int) -> None:
+    """Add v, nonzero and reduced against the echelon rows, to them."""
     piv = v & -v
     # only rows pivoted below v can have v's pivot bit
     at = bisect_left(rows, piv, key=_lowest)
@@ -92,14 +86,15 @@ def gf2_insert(rows: list[int], v: int) -> bool:
         if rows[i] & piv:
             rows[i] ^= v
     rows.insert(at, v)
+
+
+def gf2_insert(rows: list[int], v: int) -> bool:
+    """Insert v into a reduced echelon basis in place; False if dependent."""
+    v = gf2_reduce(v, rows)
+    if v == 0:
+        return False
+    gf2_place(rows, v)
     return True
-
-
-def gf2_rref(vectors: Iterable[int]) -> list[int]:
-    rows: list[int] = []
-    for v in vectors:
-        gf2_insert(rows, v)
-    return rows
 
 
 def gf2_apply(masks: Sequence[int], v: int) -> int:
@@ -116,11 +111,28 @@ def gf2_apply(masks: Sequence[int], v: int) -> int:
 # one packed row layout per prime
 
 
-class _GF2:
+class _Rows:
+    """insert and rref on a field's reduce and place."""
+
+    def insert(self, rows: list[int], v: int) -> bool:
+        """Insert v into a reduced echelon basis in place; False if dependent."""
+        v = self.reduce(v, rows)
+        if not v:
+            return False
+        self.place(rows, v)
+        return True
+
+    def rref(self, vectors: Iterable[int]) -> list[int]:
+        rows: list[int] = []
+        for v in vectors:
+            self.insert(rows, v)
+        return rows
+
+
+class _GF2(_Rows):
     """The p == 2 kernels behind the PackedField interface, W = 1."""
 
-    p = 2
-    w = 1
+    p, w, one = 2, 1, 1
 
     def pack(self, v: Sequence[int]) -> int:
         return pack_vec(v)
@@ -131,20 +143,20 @@ class _GF2:
     def reduce(self, v: int, rows: Sequence[int]) -> int:
         return gf2_reduce(v, rows)
 
+    def place(self, rows: list[int], v: int) -> None:
+        gf2_place(rows, v)
+
     def insert(self, rows: list[int], v: int) -> bool:
         return gf2_insert(rows, v)
-
-    def rref(self, vectors: Iterable[int]) -> list[int]:
-        return gf2_rref(vectors)
 
     def apply(self, masks: Sequence[int], v: int) -> int:
         return gf2_apply(masks, v)
 
-    def neg(self, x: int) -> int:
-        return x
+    def addmul(self, x: int, c: int, y: int) -> int:
+        return x ^ y if c & 1 else x
 
 
-class PackedField:
+class PackedField(_Rows):
     """GF(p) rows for odd p, coordinate j in the W-bit field at bit jW
     (the module docstring states the layout and why mod is exact)."""
 
@@ -193,11 +205,8 @@ class PackedField:
                 v = mod(v + (p - c) * r)
         return v
 
-    def insert(self, rows: list[int], v: int) -> bool:
-        """Insert v into a reduced echelon basis in place; False if dependent."""
-        v = self.reduce(v, rows)
-        if not v:
-            return False
+    def place(self, rows: list[int], v: int) -> None:
+        """Add v, nonzero and reduced against the echelon rows, to them."""
         p, one, mod = self.p, self.one, self.mod
         sh = (v & -v).bit_length() - 1
         sh -= sh % self.w
@@ -211,13 +220,6 @@ class PackedField:
             if c:
                 rows[i] = mod(rows[i] + (p - c) * v)
         rows.insert(at, v)
-        return True
-
-    def rref(self, vectors: Iterable[int]) -> list[int]:
-        rows: list[int] = []
-        for v in vectors:
-            self.insert(rows, v)
-        return rows
 
     def apply(self, masks: Sequence[int], v: int) -> int:
         """Image of v under the linear map whose column j is masks[j];
@@ -231,8 +233,9 @@ class PackedField:
             out = mod(out + c * masks[j])
         return out
 
-    def neg(self, x: int) -> int:
-        return self.mod(x * (self.p - 1))
+    def addmul(self, x: int, c: int, y: int) -> int:
+        """x + c y for reduced rows x, y and any int c."""
+        return self.mod(x + c % self.p * y)
 
 
 Field = Union[_GF2, PackedField]
@@ -253,29 +256,7 @@ def rref_rows(vectors: Iterable[Sequence[int]], p: int, ncols: int) -> tuple[Vec
 
 
 # ---------------------------------------------------------------------------
-# public matrix / subspace types
-
-
-@dataclass(frozen=True)
-class Mat:
-    """A matrix over GF(p): tuple of row tuples, entries in [0, p)."""
-
-    p: int
-    rows: tuple[Vec, ...]
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Iterable[Sequence[int]], ncols: int) -> "Mat":
-        out = tuple(normalize_vec(r, p) for r in rows)
-        for r in out:
-            if len(r) != ncols:
-                raise ValueError("row length does not match ncols")
-        return cls(p, out, ncols)
-
-
-def transpose(m: Mat) -> Mat:
-    cols = tuple(tuple(r[j] for r in m.rows) for j in range(m.ncols))
-    return Mat(m.p, cols, len(m.rows))
+# subspaces
 
 
 @dataclass(frozen=True)
@@ -376,18 +357,12 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(p, n, vanishing_block(p, n, rows))
 
 
-def left_kernel(m: Mat) -> Subspace:
-    """{a : a . m = 0}, coefficients over the rows of m, from the rows
-    [m_i | e_i]."""
-    n, p, k = m.ncols, m.p, len(m.rows)
-    f = packed_field(p)
-    rows = [f.pack(r) | 1 << (n + i) * f.w for i, r in enumerate(m.rows)]
-    return Subspace(p, k, vanishing_block(p, n, rows))
-
-
-def kernel(m: Mat) -> Subspace:
-    """Right null space {v : each row of m dots v to zero}."""
-    return left_kernel(transpose(m))
+def left_kernel(p: int, n: int, rows: Sequence[int]) -> Subspace:
+    """{a : sum a_i rows_i = 0}, coefficients over the packed rows, each
+    n coordinates wide, from the rows [rows_i | e_i]."""
+    w = packed_field(p).w
+    tagged = [r | 1 << (n + i) * w for i, r in enumerate(rows)]
+    return Subspace(p, len(rows), vanishing_block(p, n, tagged))
 
 
 # ---------------------------------------------------------------------------
@@ -396,39 +371,47 @@ def kernel(m: Mat) -> Subspace:
 # solve_packed.
 
 
-def _tagged_solve(rows: Iterable[int], target: int, f: Field, n: int, width: int
-                  ) -> Optional[Vec]:
-    """The tag of target over the [vec | tag] rows, None when target is
-    outside the span of their vecs.
+def _tagged_basis(rows: Iterable[int], f: Field, n: int) -> list[int]:
+    """The elimination of the [vec | tag] rows, vec in the low n
+    coordinates and the tag in the fields above it.
 
-    Rows are packed, the vec in the low n coordinates and a tag `width`
-    coordinates wide in the fields above it.  A row whose vec reduces to
-    zero is dropped, so the kept rows are the greedy basis of the vecs
-    in row order; target is then sum c_j vec_j over that basis in
-    exactly one way, and the result is sum c_j tag_j, whatever order
-    the elimination runs in.
+    A row whose vec reduces to zero is dropped, so the kept rows are the
+    greedy basis of the vecs in row order; a target in their span is
+    then sum c_j vec_j over that basis in exactly one way, whatever
+    order the elimination runs in.
     """
-    shift = n * f.w
-    mask = (1 << shift) - 1
+    mask = (1 << n * f.w) - 1
     basis: list[int] = []
     for r in rows:
         r = f.reduce(r, basis)
         if r & mask:
-            f.insert(basis, r)
+            f.place(basis, r)
+    return basis
+
+
+def _tagged_solve(basis: Sequence[int], target: int, f: Field, n: int) -> Optional[int]:
+    """The packed tag sum c_j tag_j of target over a _tagged_basis, None
+    when target is outside the span of its vecs."""
+    shift = n * f.w
     # target - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tag
     res = f.reduce(target, basis)
-    return None if res & mask else f.unpack(f.neg(res >> shift), width)
+    return None if res & ((1 << shift) - 1) else f.addmul(0, -1, res >> shift)
 
 
-def affine_meet(point: Sequence[int], w: Subspace, u: Subspace) -> Optional[Vec]:
-    """Some v in (point + w) intersect u, or None if the coset misses u:
-    the u-component of point split over [w, u]."""
-    got = split_components(point, [w, u])
-    return None if got is None else got[1]
+def affine_meet(w: Subspace, u: Subspace) -> Callable[[int], Optional[int]]:
+    """Eliminate the rows [w | 0] and [u | u] once, and return the map from
+    a packed point to some packed v in (point + w) meet u, the u-component
+    of point split over [w, u], or to None when the coset misses u."""
+    _check_compatible(w, u)
+    f, n = w.field, w.ambient
+    shift = n * f.w
+    basis = _tagged_basis([*w.basis, *(r | r << shift for r in u.basis)], f, n)
+    return lambda point: _tagged_solve(basis, point, f, n)
 
 
-def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[list[Vec]]:
-    """Write v = sum of one component per part; None if v is outside the sum.
+def split_components(v: int, parts: Sequence[Subspace]) -> Optional[list[int]]:
+    """Write the packed row v = sum of one packed component per part;
+    None if v is outside the sum.
 
     The parts are expected to be independent; with overlap the returned
     components are still a valid splitting, just not the unique one.
@@ -438,19 +421,20 @@ def split_components(v: Sequence[int], parts: Sequence[Subspace]) -> Optional[li
     p, n = parts[0].p, parts[0].ambient
     for s in parts[1:]:
         _check_compatible(parts[0], s)
-    if len(v) != n:
-        raise ValueError("ambient mismatch")
     f = packed_field(p)
-    k = len(parts)
+    shift = n * f.w
+    if v >> shift:
+        raise ValueError("ambient mismatch")
     # each row's tag is its copy in the block of the part it came from
-    rows = [r | r << (n * (i + 1) * f.w) for i, s in enumerate(parts) for r in s.basis]
-    got = _tagged_solve(rows, f.pack(v), f, n, k * n)
-    return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
+    rows = [r | r << shift * (i + 1) for i, s in enumerate(parts) for r in s.basis]
+    got = _tagged_solve(_tagged_basis(rows, f, n), v, f, n)
+    mask = (1 << shift) - 1
+    return None if got is None else [got >> shift * i & mask for i in range(len(parts))]
 
 
-def solve_packed(p: int, n: int, rows: Sequence[int], target: int) -> Optional[Vec]:
-    """Coefficients c with sum c_i * rows_i = target, or None, over
-    packed rows n coordinates wide."""
+def solve_packed(p: int, n: int, rows: Sequence[int], target: int) -> Optional[int]:
+    """Packed coefficients c with sum c_i * rows_i = target, or None,
+    over packed rows n coordinates wide."""
     f = packed_field(p)
     tagged = [r | 1 << (n + i) * f.w for i, r in enumerate(rows)]
-    return _tagged_solve(tagged, target, f, n, len(rows))
+    return _tagged_solve(_tagged_basis(tagged, f, n), target, f, n)

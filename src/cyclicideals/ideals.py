@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from . import gf
-from .rings import Algebra, Element, _mult_matrix
+from .rings import Algebra, Element
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -56,15 +56,15 @@ class Ideal:
         return self.space.rows
 
     def basis_elements(self) -> list[Element]:
-        return [self.algebra.element(r) for r in self.rows]
+        return [Element.packed(self.algebra, r) for r in self.space.basis]
 
     def as_dict(self) -> dict:
-        return {"basis": [self.algebra.el_str(r) for r in self.rows],
+        return {"basis": [self.algebra.el_str(r) for r in self.space.basis],
                 "dim": self.dim}
 
     def contains(self, z: Element) -> bool:
         self._require_same(z)
-        return self.space.contains(z.coeffs)
+        return not self.space.field.reduce(z.vec, self.space.basis)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         self._require_same(other)
@@ -97,7 +97,7 @@ class Ideal:
         return other.contains_ideal(self)
 
     def __repr__(self) -> str:
-        gens = ", ".join(self.algebra.el_str(r) for r in self.rows)
+        gens = ", ".join(self.algebra.el_str(r) for r in self.space.basis)
         return f"Ideal<span {{{gens}}}>"
 
 
@@ -108,10 +108,10 @@ def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     queues its images, so the basis comes out closed, unchecked.  The
     action maps into M, so a unit can only come in as a generator.
     """
-    queue = [g.coeffs for g in gens]
-    if any(v[0] for v in queue):
+    queue = [g.vec for g in gens]
+    if any(v & alg.field.one for v in queue):
         return unit_ideal(alg)  # a unit generates everything
-    basis = packed_closure(alg, (), map(gf.packed_field(alg.p).pack, queue))
+    basis = packed_closure(alg, (), queue)
     return Ideal(alg, gf.Subspace(alg.p, alg.dim, basis), _trusted=True)
 
 
@@ -160,8 +160,10 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     a._require_same(b)
     alg = a.algebra
-    prods = [alg._mul_coeffs(u, v) for u in a.rows for v in b.rows]
-    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, prods))
+    f = alg.field
+    maps = [alg.columns(Element.packed(alg, v)) for v in b.space.basis]
+    prods = [f.apply(cols, u) for cols in maps for u in a.space.basis]
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, f.rref(prods)))
 
 
 def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -174,14 +176,14 @@ def zero_ideal(alg: Algebra) -> Ideal:
 
 
 def unit_ideal(alg: Algebra) -> Ideal:
-    rows = [alg.basis_element(k).coeffs for k in range(alg.dim)]
-    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, rows))
+    rows = [alg.basis_element(k).vec for k in range(alg.dim)]
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows))
 
 
 def maximal_ideal(alg: Algebra) -> Ideal:
     """The unique maximal ideal: everything with zero unit coordinate."""
-    rows = [alg.basis_element(k).coeffs for k in range(1, alg.dim)]
-    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, rows))
+    rows = [alg.basis_element(k).vec for k in range(1, alg.dim)]
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows))
 
 
 def cyclic(alg: Algebra, z: Element) -> Ideal:
@@ -193,11 +195,10 @@ def annihilator(alg: Algebra, target: Union[Element, Ideal]) -> Ideal:
     """Ann(z) = {a : a*z = 0}; for an ideal, intersect over its basis."""
     if isinstance(target, Ideal):
         out = unit_ideal(alg)
-        for row in target.rows:
-            out = ideal_intersect(out, annihilator(alg, alg.element(row)))
+        for row in target.space.basis:
+            out = ideal_intersect(out, annihilator(alg, Element.packed(alg, row)))
         return out
-    space = gf.left_kernel(_mult_matrix(alg, target))
-    return Ideal(alg, space)
+    return Ideal(alg, gf.left_kernel(alg.p, alg.dim, alg.mult_map(target)))
 
 
 def is_simple(alg: Algebra, i: Ideal) -> bool:
@@ -247,31 +248,33 @@ class QuotientAlgebra(Algebra):
         gens = []
         seen = set()
         for g in source.gens:
-            img = self.project_coeffs(g.coeffs)
-            if any(img) and img not in seen:
+            img = self.project_vec(g.vec)
+            if img and img not in seen:
                 seen.add(img)
-                gens.append(Element(self, img))
+                gens.append(Element.packed(self, img))
         self.gens = tuple(gens)
 
-    def project_coeffs(self, coeffs: Sequence[int]) -> gf.Vec:
-        red = self.ideal.space.reduce(coeffs)
-        return tuple(red[j] for j in self.nonpivot)
+    def project_vec(self, v: int) -> int:
+        """The packed row v of R reduced modulo I, read off the non-pivot
+        coordinates: its image in R/I."""
+        f = self.field
+        red = f.reduce(v, self.ideal.space.basis)
+        return sum((red >> j * f.w & f.one) << k * f.w for k, j in enumerate(self.nonpivot))
 
-    def lift_coeffs(self, coeffs: Sequence[int]) -> gf.Vec:
-        out = [0] * self.source.dim
-        for c, j in zip(coeffs, self.nonpivot):
-            out[j] = c % self.p
-        return tuple(out)
+    def lift_vec(self, v: int) -> int:
+        """The canonical section: coordinate k of v at non-pivot k of R."""
+        f = self.field
+        return sum((v >> k * f.w & f.one) << j * f.w for k, j in enumerate(self.nonpivot))
 
-    def _mul_coeffs(self, a: gf.Vec, b: gf.Vec) -> gf.Vec:
-        prod = self.source._mul_coeffs(self.lift_coeffs(a), self.lift_coeffs(b))
-        return self.project_coeffs(prod)
+    def columns(self, z: Element) -> list[int]:
+        cols = self.source.columns(Element.packed(self.source, self.lift_vec(z.vec)))
+        return [self.project_vec(cols[j]) for j in self.nonpivot]
 
-    def el_str(self, coeffs: Sequence[int]) -> str:
-        return self.source.el_str(self.lift_coeffs(coeffs))
+    def el_str(self, vec: int) -> str:
+        return self.source.el_str(self.lift_vec(vec))
 
     def __repr__(self) -> str:
-        killed = ", ".join(self.source.el_str(r) for r in self.ideal.rows)
+        killed = ", ".join(self.source.el_str(r) for r in self.ideal.space.basis)
         return f"QuotientAlgebra<mod span {{{killed}}}, dim {self.dim}>"
 
 
@@ -285,12 +288,12 @@ class QuotientMap:
     def project(self, z: Element) -> Element:
         if z.algebra is not self.source:
             raise ValueError("algebra mismatch")
-        return Element(self.target, self.target.project_coeffs(z.coeffs))
+        return Element.packed(self.target, self.target.project_vec(z.vec))
 
     def lift(self, z: Element) -> Element:
         if z.algebra is not self.target:
             raise ValueError("algebra mismatch")
-        return Element(self.source, self.target.lift_coeffs(z.coeffs))
+        return Element.packed(self.source, self.target.lift_vec(z.vec))
 
 
 def quotient_algebra(alg: Algebra, i: Ideal) -> QuotientMap:
@@ -382,7 +385,7 @@ def packed_first_cover(alg: Algebra, rows: Sequence[int]
             cyc = table[v]
             if cyc not in firsts or mask < firsts[cyc][0]:
                 firsts[cyc] = (mask, v)
-    soc = gf.gf2_rref(v for cyc, (_, v) in firsts.items() if len(cyc) == 1)
+    soc = gf.packed_field(2).rref(v for cyc, (_, v) in firsts.items() if len(cyc) == 1)
     cands = sorted((mask, v, cyc) for cyc, (mask, v) in firsts.items() if len(cyc) > 1)
     depth = len(mi) - len(_packed_times_m(alg, mi))
     target = len(rows)

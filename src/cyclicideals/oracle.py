@@ -146,7 +146,7 @@ def _decomposition(alg: Algebra, i: Ideal, max_dim: int
     if key not in cache:
         found = packed_first_cover(alg, key)
         cache[key] = None if found is None else build_decomposition(
-            alg, i, [alg.element(gf.unpack_vec(v, alg.dim)) for v in found[0] + found[1]],
+            alg, i, [Element.packed(alg, v) for v in found[0] + found[1]],
             "exhaustive")
     return cache[key]
 

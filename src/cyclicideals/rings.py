@@ -7,17 +7,19 @@ by no relation and below the truncation degree), ordered by degree and
 then lexicographically with earlier variables first, so position 0 is
 always the unit monomial.  Products of standard monomials are again
 standard or zero, so multiplying by one variable is a lookup in that
-variable's successor map, and a general product composes those maps.
-
-Quotients by arbitrary ideals (see ideals.quotient_algebra) share the
-same element interface but multiply through lift / multiply / project.
+variable's successor map, packed (see gf) as the algebra's action masks.
+Elements are packed rows, and every product goes through one primitive,
+Algebra.columns(z), the packed columns e_k * z.  A monomial algebra
+computes column k when it is first read, as x_v times column j for
+m_k = x_v * m_j, so v * z costs the parent chains of v's support only;
+a quotient (see ideals.quotient_algebra) lifts z and projects.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import gf
@@ -252,15 +254,27 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
 
 
 class Element:
-    """An algebra element as a dense coefficient tuple over the basis."""
+    """An algebra element held as `vec`, the packed row (gf.packed_field) of
+    its coordinates over the basis; `coeffs` is the tuple view."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "vec")
 
     def __init__(self, algebra: "Algebra", coeffs: Sequence[int]):
-        self.algebra = algebra
-        self.coeffs = gf.normalize_vec(coeffs, algebra.p)
-        if len(self.coeffs) != algebra.dim:
+        if len(coeffs) != algebra.dim:
             raise ValueError("coefficient length does not match algebra dimension")
+        self.algebra = algebra
+        self.vec = algebra.field.pack(coeffs)
+
+    @classmethod
+    def packed(cls, algebra: "Algebra", vec: int) -> "Element":
+        """The element whose packed row is vec, every field reduced mod p."""
+        z = cls.__new__(cls)
+        z.algebra, z.vec = algebra, vec
+        return z
+
+    @property
+    def coeffs(self) -> gf.Vec:
+        return self.algebra.field.unpack(self.vec, self.algebra.dim)
 
     def _require_same(self, other: "Element") -> None:
         if self.algebra is not other.algebra:
@@ -268,90 +282,99 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same(other)
-        p = self.algebra.p
-        return Element(self.algebra, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return Element.packed(self.algebra, self.algebra.field.addmul(self.vec, 1, other.vec))
 
     def __sub__(self, other: "Element") -> "Element":
-        self._require_same(other)
-        p = self.algebra.p
-        return Element(self.algebra, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Element":
-        p = self.algebra.p
-        return Element(self.algebra, tuple((-a) % p for a in self.coeffs))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._require_same(other)
-            return Element(self.algebra, self.algebra._mul_coeffs(self.coeffs, other.coeffs))
+            alg = self.algebra
+            return Element.packed(alg, alg.field.apply(alg.columns(other), self.vec))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Element":
-        c %= self.algebra.p
-        return Element(self.algebra, tuple(c * a for a in self.coeffs))
+        return Element.packed(self.algebra, self.algebra.field.addmul(0, c, self.vec))
 
     def __pow__(self, n: int) -> "Element":
         if n < 0:
             raise ValueError("negative power")
-        out = self.algebra.unit()
+        alg = self.algebra
+        f, cols, v = alg.field, alg.columns(self), alg.unit().vec
         for _ in range(n):
-            out = out * self
-            if out.is_zero():
+            v = f.apply(cols, v)
+            if not v:
                 break  # every later power is zero too
-        return out
+        return Element.packed(alg, v)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.vec
 
     def is_unit(self) -> bool:
         # local ring: units are exactly the elements outside the maximal ideal
-        return self.coeffs[0] != 0
+        return bool(self.vec & self.algebra.field.one)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.algebra is other.algebra
-                and self.coeffs == other.coeffs)
+                and self.vec == other.vec)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coeffs))
+        return hash((id(self.algebra), self.vec))
 
     def __str__(self) -> str:
-        return self.algebra.el_str(self.coeffs)
+        return self.algebra.el_str(self.vec)
 
     def __repr__(self) -> str:
         return f"<{self}>"
 
 
 class Algebra:
-    """Shared element plumbing; concrete classes supply the product."""
+    """A finite-dimensional local algebra over GF(p), basis vector 0 its
+    unit.  Elements are packed rows; concrete classes supply the one
+    product primitive, columns, and el_str."""
 
     p: int
     dim: int
     gens: tuple[Element, ...]
 
-    def _mul_coeffs(self, a: gf.Vec, b: gf.Vec) -> gf.Vec:
+    def columns(self, z: Element) -> Sequence[int]:
+        """The packed columns e_k * z by basis index k, so field.apply(
+        columns(z), v) is v * z; a column may be computed when first read."""
         raise NotImplementedError
 
-    def el_str(self, coeffs: Sequence[int]) -> str:
+    def mult_map(self, z: Element) -> list[int]:
+        cols = self.columns(z)
+        return [cols[k] for k in range(self.dim)]
+
+    def el_str(self, vec: int) -> str:
         raise NotImplementedError
+
+    @property
+    def field(self) -> gf.Field:
+        return gf.packed_field(self.p)
 
     def element(self, coeffs: Sequence[int]) -> Element:
         return Element(self, coeffs)
 
     def zero(self) -> Element:
-        return Element(self, (0,) * self.dim)
+        return Element.packed(self, 0)
 
     def unit(self) -> Element:
-        return Element(self, (1,) + (0,) * (self.dim - 1))
+        return Element.packed(self, 1)
 
     def basis_element(self, k: int) -> Element:
-        c = [0] * self.dim
-        c[k] = 1
-        return Element(self, c)
+        if not 0 <= k < self.dim:
+            raise IndexError("basis index out of range")
+        return Element.packed(self, 1 << k * self.field.w)
 
-    # packed image (gf.packed_field(p)) of each basis vector under
-    # multiplication by g, one list per generator, for every p
+    # packed image of each basis vector under multiplication by g, one
+    # list per generator, for every p
     def action_masks(self) -> list[list[int]]:
         cached = getattr(self, "_actions", None)
         if cached is None:
@@ -359,9 +382,7 @@ class Algebra:
         return cached
 
     def _action_masks(self) -> list[list[int]]:
-        f = gf.packed_field(self.p)
-        return [[f.pack(self._mul_coeffs(g.coeffs, self.basis_element(k).coeffs))
-                 for k in range(self.dim)] for g in self.gens]
+        return [self.mult_map(g) for g in self.gens]
 
 
 class MonomialAlgebra(Algebra):
@@ -378,49 +399,27 @@ class MonomialAlgebra(Algebra):
         # which is exactly when it is no standard monomial
         self.succ = [[self.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1)
                       for m in self.basis] for v in range(nv)]
-        self._rows: dict[int, list[int]] = {}
         self.gens = tuple(self.basis_element(self.index[tuple(int(i == v) for i in range(nv))])
                           for v in range(nv))
 
-    def _row(self, i: int) -> list[int]:
-        """Index of m_i * m_j for every j (-1 where it vanishes): the
-        successor maps composed along m_i, memoised per left factor."""
-        row = self._rows.get(i)
-        if row is None:
-            row = list(range(self.dim))
-            for step, e in zip(self.succ, self.basis[i]):
-                for _ in range(e):
-                    row = [step[k] if k >= 0 else -1 for k in row]
-            self._rows[i] = row
-        return row
+    @cached_property
+    def _parents(self) -> dict[int, tuple[int, int]]:
+        # k -> some (v, j) with m_k = x_v * m_j, so j < k; built on first
+        # use, so building the algebra does not pay for it
+        return {k: (v, j) for v, step in enumerate(self.succ)
+                for j, k in enumerate(step) if k > 0}
 
-    def _mul_coeffs(self, a: gf.Vec, b: gf.Vec) -> gf.Vec:
-        span = range(self.dim)
-        ia = list(compress(span, a))
-        ib = list(compress(span, b))
-        # walk the sparser operand's monomials, on a tie the right one, so
-        # x^n * x reuses the row of x
-        if len(ib) <= len(ia):
-            a, b, ia, ib = b, a, ib, ia
-        out = [0] * self.dim
-        for i in ia:
-            ca = a[i]
-            row = self._row(i)
-            for j in ib:
-                k = row[j]
-                if k >= 0:
-                    out[k] += ca * b[j]
-        p = self.p
-        return tuple([c % p for c in out])
+    def columns(self, z: Element) -> "_Columns":
+        return _Columns(self, z.vec)
 
     def _action_masks(self) -> list[list[int]]:
         w = gf.packed_field(self.p).w
         return [[1 << w * k if k >= 0 else 0 for k in step] for step in self.succ]
 
-    def el_str(self, coeffs: Sequence[int]) -> str:
+    def el_str(self, vec: int) -> str:
         names = self.presentation.vars
         parts = []
-        for i, c in enumerate(coeffs):
+        for i, c in enumerate(self.field.unpack(vec, self.dim)):
             if not c:
                 continue
             mono = mono_str(self.basis[i], names)
@@ -440,6 +439,26 @@ class MonomialAlgebra(Algebra):
         trunc = f", truncate {self.presentation.truncate}" if self.presentation.truncate else ""
         return (f"MonomialAlgebra(GF({self.p})[{', '.join(self.presentation.vars)}]"
                 f" / ({rels}){trunc}, dim {self.dim})")
+
+
+class _Columns(dict):
+    """Basis index k -> e_k * z in a monomial algebra, column 0 being z;
+    column k is x_v times its parent's (MonomialAlgebra._parents),
+    computed when first read and kept."""
+
+    def __init__(self, alg: MonomialAlgebra, z: int):
+        super().__init__({0: z})
+        self.alg = alg
+
+    def __missing__(self, k: int) -> int:
+        chain, parents = [], self.alg._parents
+        while k not in self:
+            chain.append(k)
+            k = parents[k][1]
+        col, apply, actions = self[k], self.alg.field.apply, self.alg.action_masks()
+        for k in reversed(chain):
+            col = self[k] = apply(actions[parents[k][0]], col)
+        return col
 
 
 def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebra:
@@ -553,11 +572,6 @@ def parse_element(alg: MonomialAlgebra, text: str) -> Element:
 # unit-power normal form inside a cyclic module
 
 
-def _mult_matrix(alg: Algebra, z: Element) -> gf.Mat:
-    rows = [alg._mul_coeffs(alg.basis_element(k).coeffs, z.coeffs) for k in range(alg.dim)]
-    return gf.Mat(alg.p, tuple(rows), alg.dim)
-
-
 def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
     """Write z = a * x^n with a a unit and n >= 1.
 
@@ -565,16 +579,14 @@ def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
     ideal ring (the caller's responsibility to ensure).  Raises
     NotExpressibleError otherwise, or when z is zero or outside Rx.
 
-    Row k of x^n's multiplication matrix is e_k * x^n, so it is x's
-    multiplication map applied to row k of x^(n-1); the rows of x are
-    that map's packed columns themselves.
+    Column k of mult_map(x^n) is e_k * x^n, so it is mult_map(x) applied
+    to column k of mult_map(x^(n-1)).
     """
     if z.is_zero():
         raise NotExpressibleError("not expressible")
-    p, dim = alg.p, alg.dim
-    f = gf.packed_field(p)
-    cols = [f.pack(row) for row in _mult_matrix(alg, x).rows]
-    target = f.pack(z.coeffs)
+    p, dim, f = alg.p, alg.dim, alg.field
+    cols = alg.mult_map(x)
+    target = z.vec
     if f.reduce(target, f.rref(cols)):
         raise NotExpressibleError("not expressible")  # z is outside Rx
     rows = cols
@@ -584,7 +596,7 @@ def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
         a = gf.solve_packed(p, dim, rows, target)
         # the solution coset is a + Ann(x^n) which sits inside the maximal
         # ideal whenever x^n != 0, so a unit solution exists iff a is one
-        if a is not None and a[0] != 0:
-            return alg.element(a), n
+        if a is not None and a & f.one:
+            return Element.packed(alg, a), n
         rows = [f.apply(cols, r) for r in rows]
     raise NotExpressibleError("not expressible")

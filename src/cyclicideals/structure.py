@@ -81,7 +81,7 @@ class MDecomposition:
     @cached_property
     def simple_span(self) -> gf.Subspace:
         alg = self.algebra
-        return gf.Subspace.span(alg.p, alg.dim, [w.coeffs for w in self.simples])
+        return gf.Subspace(alg.p, alg.dim, alg.field.rref(w.vec for w in self.simples))
 
     def as_dict(self) -> dict:
         return {
@@ -193,8 +193,7 @@ def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
     found = packed_first_cover(alg, m.space.basis)
     if found is None:
         return None
-    nonsimple, simples = ([alg.element(gf.unpack_vec(v, alg.dim)) for v in vs]
-                          for vs in found)
+    nonsimple, simples = ([Element.packed(alg, v) for v in vs] for vs in found)
     return _normalized_witness(alg, nonsimple, simples)
 
 

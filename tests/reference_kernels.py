@@ -1,13 +1,21 @@
 """Tuple row kernels over GF(p): the reference the packed kernels of
-`cyclicideals.gf` are tested against.
+`cyclicideals.gf` and the packed products of `cyclicideals.rings` are
+tested against.
 
 A reduced echelon basis is a list of (pivot, row) pairs sorted by
 pivot, each row a tuple monic at its pivot.  Every operation is plain
 arithmetic mod p on one coordinate at a time, so nothing here shares a
-layout or a reduction trick with the packed rows.
+layout or a reduction trick with the packed rows.  Products add
+exponents over the monomial basis, so they share neither the successor
+maps nor mult_map.
 """
 
 from bisect import insort
+
+
+def normalize(v, p):
+    """v with every coordinate reduced mod p, as a tuple."""
+    return tuple([c % p for c in v])
 
 
 def reduce_rows(v, basis, p):
@@ -91,3 +99,43 @@ def solve_combination(rows, target, p):
     tagged = [tuple(c % p for c in r) + tuple(int(j == i) for j in range(k))
               for i, r in enumerate(rows)]
     return tagged_solve(tagged, tuple(c % p for c in target), p, n, k)
+
+
+def transpose(rows, ncols):
+    """The columns of the matrix with the given rows, ncols wide."""
+    return tuple(tuple(r[j] for r in rows) for j in range(ncols))
+
+
+def kernel(m_rows, ncols, p):
+    """Echelon rows of the right null space {v : each row of m dots v to
+    zero}: the left kernel of the transpose."""
+    return left_kernel(transpose(m_rows, ncols), len(m_rows), p)
+
+
+def product(alg, a, b):
+    """a * b on coefficient tuples.
+
+    Over a monomial algebra, m_i * m_j is the basis monomial with
+    exponent m_i + m_j, or zero when that is no standard monomial.  Over
+    a quotient R/I, it is the product of the lifts in R, reduced modulo
+    I and read off the non-pivot coordinates.
+    """
+    p = alg.p
+    source = getattr(alg, "source", None)
+    if source is not None:
+        def lift(c):
+            out = [0] * source.dim
+            for x, j in zip(c, alg.nonpivot):
+                out[j] = x
+            return out
+        prod = reduce_rows(product(source, lift(a), lift(b)), echelon(alg.ideal.rows, p), p)
+        return tuple(prod[j] for j in alg.nonpivot)
+    out = [0] * alg.dim
+    terms_b = [(alg.basis[j], cb) for j, cb in enumerate(b) if cb % p]
+    for i, ca in enumerate(a):
+        if ca % p:
+            for mb, cb in terms_b:
+                k = alg.index.get(tuple(x + y for x, y in zip(alg.basis[i], mb)))
+                if k is not None:
+                    out[k] = (out[k] + ca * cb) % p
+    return tuple(out)

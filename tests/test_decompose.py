@@ -3,15 +3,19 @@
 import pytest
 
 import random
+from collections import Counter
+from itertools import product
 
-from cyclicideals import (CyclicDecomposition, InternalContradictionError,
+from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError,
                           Trace, WitnessInvalidError, cyclic, decompose_ideal,
                           find_m_decomposition, gf, ideal_from_generators,
                           maximal_ideal, minimal_exponent, parse_element,
                           semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
+from cyclicideals import oracle
 from cyclicideals.decompose import (_first_outside, _ideal_simple_part,
                                     build_decomposition)
+import reference_kernels
 from conftest import AXIS_SOCLE, POWER_SERIES, build
 
 
@@ -151,10 +155,10 @@ def test_minimal_exponent_with_witness():
     dec = find_m_decomposition(alg)
     assert dec.x == alg.var("x") and dec.simples == (alg.var("w"),)
     i = ideal_of(alg, "x^2 + w")
-    n, l = minimal_exponent(alg, dec, i, "x")
-    assert (n, l) == (2, alg.var("w"))
-    n, l = minimal_exponent(alg, dec, ideal_of(alg, "x"), "x")
-    assert n == 1 and l.is_zero()
+    n, l, gn = minimal_exponent(alg, dec, i, "x")
+    assert (n, l, gn) == (2, alg.var("w"), alg.var("x") ** 2)
+    n, l, gn = minimal_exponent(alg, dec, ideal_of(alg, "x"), "x")
+    assert n == 1 and l.is_zero() and gn == alg.var("x")
     with pytest.raises(ValueError, match="no such exponent"):
         minimal_exponent(alg, dec, i, "y")  # the witness has no y slot
 
@@ -164,8 +168,80 @@ def test_minimal_exponent_vacuous_at_nilpotency(pair_n3):
     dec = find_m_decomposition(pair_n3)
     i = ideal_of(pair_n3, "x + y^2")
     assert minimal_exponent(pair_n3, dec, i, "x")[0] == 2
-    n, l = minimal_exponent(pair_n3, dec, i, "y")
-    assert n == 3 and l.is_zero()
+    n, l, gn = minimal_exponent(pair_n3, dec, i, "y")
+    assert n == 3 and l.is_zero() and gn.is_zero()
+
+
+def _every_ideal(alg):
+    """Every proper ideal as its packed echelon rows, one socle line of
+    R/I at a time as in the oracle's census, for any p: the lines are
+    the socle vectors whose last nonzero coefficient over its basis is 1."""
+    f, n, actions = alg.field, alg.dim, alg.action_masks()
+    width = n * len(actions)
+    seen, frontier = {()}, [()]
+    while frontier:
+        grown_all = []
+        for rows in frontier:
+            pivots = {((r & -r).bit_length() - 1) // f.w for r in rows}
+            block = [sum(f.reduce(masks[k], rows) << j * n * f.w
+                         for j, masks in enumerate(actions)) | 1 << (width + k) * f.w
+                     for k in range(1, n) if k not in pivots]
+            soc = gf.vanishing_block(alg.p, width, block)
+            for k, top in enumerate(soc):
+                for cs in product(range(alg.p), repeat=k):
+                    v = top
+                    for c, r in zip(cs, soc):
+                        v = f.addmul(v, c, r)
+                    grown = list(rows)
+                    f.insert(grown, v)
+                    if tuple(grown) not in seen:
+                        seen.add(tuple(grown))
+                        grown_all.append(tuple(grown))
+        frontier = grown_all
+    return seen
+
+
+def _per_exponent_minimal_exponent(alg, dec, i, which):
+    """Reference: minimal_exponent with g^n from the tuple product and a
+    fresh tuple elimination of the simple span and i for every n; returns
+    (n, l, g^n) as tuples."""
+    g, p = (dec.x if which == "x" else dec.y).coeffs, alg.p
+    ideal = reference_kernels.echelon(i.rows, p)
+    gn = alg.unit().coeffs
+    for n in range(1, alg.dim + 1):
+        gn = reference_kernels.product(alg, gn, g)
+        if not any(reference_kernels.reduce_rows(gn, ideal, p)):
+            return n, (0,) * alg.dim, gn
+        parts = [dec.simple_span.rows, i.rows]
+        met = reference_kernels.split_components(gn, parts, alg.dim, p)
+        if met is not None:
+            return n, tuple((a - b) % p for a, b in zip(met[1], gn)), gn
+    raise ValueError("no such exponent")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_minimal_exponent_matches_the_per_exponent_loop(p):
+    # every ideal of the decompose benchmark's rings: x^a, y^b, x*y, and
+    # a socle variable w on the second
+    rels = "rel x*y / rel w^2 / rel x*w / rel y*w"
+    seen = Counter()
+    for text in (f"field {p} / vars x y / rel x^9 / rel y^9 / rel x*y",
+                 f"field {p} / vars x y w / rel x^7 / rel y^11 / {rels}"):
+        alg = build(text)
+        dec = find_m_decomposition(alg)
+        ideals = _every_ideal(alg)
+        if p == 2:
+            census = oracle.enumerate_ideals(alg, alg.dim)
+            assert ideals == {e.key for e in census.entries[:-1]}
+        for rows in ideals:
+            i = Ideal(alg, gf.Subspace(p, alg.dim, rows), _trusted=True)
+            for which in ("x", "y"):
+                n, l, gn = minimal_exponent(alg, dec, i, which)
+                want = _per_exponent_minimal_exponent(alg, dec, i, which)
+                assert (n, l.coeffs, gn.coeffs) == want
+                seen[n > 1, l.is_zero()] += 1
+    # later exponents, and corrections l, occur
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +338,8 @@ def test_ideal_simple_part_is_the_projection(text):
         gens = [alg.element([0] + [rng.randrange(alg.p) for _ in range(alg.dim - 1)])
                 for _ in range(rng.randrange(1, 4))]
         i = ideal_from_generators(alg, gens)
-        lparts = [gf.split_components(r, [rx, ry, span])[2] for r in i.rows]
+        lparts = [alg.field.unpack(gf.split_components(r, [rx, ry, span])[2], alg.dim)
+                  for r in i.space.basis]
         want = gf.Subspace.span(alg.p, alg.dim, lparts)
         assert _ideal_simple_part(dec, i) == want
 

@@ -2,7 +2,8 @@
 
 Hand-worked fixtures pin the canonical forms; seeded sweeps check the
 algebraic laws; the packed GF(2) path is differential-tested against
-the tuple reference kernels of tests/reference_kernels.py.
+the tuple reference kernels of tests/reference_kernels.py.  Right null
+spaces are gf.left_kernel of the transpose.
 """
 
 import random
@@ -18,10 +19,19 @@ import reference_kernels
 # hand-worked canonical forms
 
 
+def _packed(rows, p):
+    return [gf.packed_field(p).pack(r) for r in rows]
+
+
+def _kernel(rows, ncols, p):
+    """The right null space of the matrix with these tuple rows, as
+    gf.left_kernel of its transpose."""
+    return gf.left_kernel(p, len(rows), _packed(reference_kernels.transpose(rows, ncols), p))
+
+
 def test_rref_gf3_hand():
     # over GF(3): 2*(2,1) = (1,2) and (1,2) spans both rows, rank 1
-    m = gf.Mat.from_rows(3, [(2, 1), (1, 2)], 2)
-    assert gf.rref_rows(m.rows, 3, 2) == ((1, 2),)
+    assert gf.rref_rows([(2, 1), (1, 2)], 3, 2) == ((1, 2),)
 
 
 def test_rref_gf2_hand():
@@ -41,58 +51,76 @@ def test_rref_pivots_monic_and_cleared():
 
 def test_kernel_hand_gf2():
     # v0+v1 = 0 and v1+v2 = 0 force v0 = v1 = v2
-    m = gf.Mat.from_rows(2, [(1, 1, 0), (0, 1, 1)], 3)
-    assert gf.kernel(m).rows == ((1, 1, 1),)
+    rows = [(1, 1, 0), (0, 1, 1)]
+    assert _kernel(rows, 3, 2).rows == ((1, 1, 1),) == reference_kernels.kernel(rows, 3, 2)
 
 
 def test_kernel_hand_gf3():
-    m = gf.Mat.from_rows(3, [(1, 2)], 2)
-    assert gf.kernel(m).rows == ((1, 1),)  # 1 + 2*1 = 3 = 0
+    assert _kernel([(1, 2)], 2, 3).rows == ((1, 1),)  # 1 + 2*1 = 3 = 0
+    assert reference_kernels.kernel([(1, 2)], 2, 3) == ((1, 1),)
 
 
 def test_left_kernel_rows_kill_matrix():
-    m = gf.Mat.from_rows(2, [(1, 1, 0), (1, 1, 0), (0, 1, 1)], 3)
-    lk = gf.left_kernel(m)
+    rows = [(1, 1, 0), (1, 1, 0), (0, 1, 1)]
+    lk = gf.left_kernel(2, 3, _packed(rows, 2))
     assert lk.dim == 1
     for a in lk.rows:
         combo = [0, 0, 0]
-        for c, row in zip(a, m.rows):
+        for c, row in zip(a, rows):
             combo = [(x + c * y) % 2 for x, y in zip(combo, row)]
         assert not any(combo)
+
+
+def _meets(points, w, u):
+    """gf.affine_meet prepared once and asked every point, on tuples."""
+    f, meet = w.field, gf.affine_meet(w, u)
+    got = [meet(f.pack(point)) for point in points]
+    return [None if v is None else f.unpack(v, w.ambient) for v in got]
 
 
 def test_affine_meet_hand():
     w = gf.Subspace.span(2, 3, [(0, 1, 0)])
     u = gf.Subspace.span(2, 3, [(1, 1, 0)])
-    got = gf.affine_meet((1, 0, 0), w, u)
-    assert got == (1, 1, 0)
+    assert _meets([(1, 0, 0), (0, 1, 0), (0, 0, 1)], w, u) == [(1, 1, 0), (0, 0, 0), None]
 
 
 def test_affine_meet_miss():
     w = gf.Subspace.span(2, 3, [(0, 1, 0)])
     u = gf.Subspace.span(2, 3, [(0, 0, 1)])
-    assert gf.affine_meet((1, 0, 0), w, u) is None
+    assert _meets([(1, 0, 0)], w, u) == [None]
 
 
 def test_split_components_hand():
     parts = [gf.Subspace.span(2, 3, [(1, 0, 0)]),
              gf.Subspace.span(2, 3, [(0, 1, 0), (0, 0, 1)])]
-    got = gf.split_components((1, 1, 1), parts)
+    got = _split((1, 1, 1), parts)
     assert got == [(1, 0, 0), (0, 1, 1)]
 
 
 def test_split_components_outside():
     parts = [gf.Subspace.span(2, 3, [(1, 0, 0)])]
-    assert gf.split_components((1, 1, 0), parts) is None
-    for short in [(1, 0), (1, 0, 0, 0)]:
+    assert _split((1, 1, 0), parts) is None
+    # a packed row has no length; one with a field past the ambient is refused
+    for wide in [(1, 0, 0, 1), (0, 0, 0, 0, 1)]:
         with pytest.raises(ValueError, match="ambient mismatch"):
-            gf.split_components(short, parts)
+            gf.split_components(gf.packed_field(2).pack(wide), parts)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        gf.split_components(gf.packed_field(3).pack((0, 0, 0, 2)),
+                            [gf.Subspace.span(3, 3, [(1, 0, 0)])])
+
+
+def _split(v, parts):
+    """gf.split_components on a tuple v, its packed components unpacked."""
+    f, n = parts[0].field, parts[0].ambient
+    got = gf.split_components(f.pack(v), parts)
+    return None if got is None else [f.unpack(c, n) for c in got]
 
 
 def _solve(rows, target, p):
     """gf.solve_packed on tuple rows and target."""
     f = gf.packed_field(p)
-    return gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+    got = gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+    return None if got is None else f.unpack(got, len(rows))
 
 
 def test_solve_combination_hand():
@@ -188,13 +216,12 @@ def test_rank_nullity_sweep(p):
     for _ in range(300):
         nrows = rng.randrange(0, 6)
         ncols = rng.randrange(1, 7)
-        m = gf.Mat.from_rows(p, [[rng.randrange(p) for _ in range(ncols)]
-                                 for _ in range(nrows)], ncols)
-        rank = len(gf.rref_rows(m.rows, p, ncols))
-        ker = gf.kernel(m)
+        rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
+        rank = len(gf.rref_rows(rows, p, ncols))
+        ker = _kernel(rows, ncols, p)
         assert rank + ker.dim == ncols
         for v in ker.rows:
-            for row in m.rows:
+            for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
@@ -236,7 +263,7 @@ def test_affine_meet_sweep(p):
         w = _random_subspace(rng, p, n)
         u = _random_subspace(rng, p, n)
         point = tuple(rng.randrange(p) for _ in range(n))
-        got = gf.affine_meet(point, w, u)
+        [got] = _meets([point], w, u)
         if got is not None:
             assert u.contains(got)
             diff = tuple((a - b) % p for a, b in zip(got, point))
@@ -279,7 +306,7 @@ def test_split_components_sweep(p):
                  gf.Subspace.span(p, n, s.rows[cut:])]
         coeffs = [rng.randrange(p) for _ in range(s.dim)]
         v = _combine(coeffs, s.rows, p, n)
-        got = gf.split_components(v, parts)
+        got = _split(v, parts)
         assert got is not None
         total = [0] * n
         for comp, part in zip(got, parts):
@@ -335,7 +362,7 @@ def _dense_tagged_solve(rows, target, p, tag_zero):
 def _dense_affine_meet(point, w, u):
     zero = (0,) * w.ambient
     rows = [(r, zero) for r in w.rows] + [(r, r) for r in u.rows]
-    return _dense_tagged_solve(rows, gf.normalize_vec(point, w.p), w.p, zero)
+    return _dense_tagged_solve(rows, reference_kernels.normalize(point, w.p), w.p, zero)
 
 
 def _dense_split_components(v, parts):
@@ -346,32 +373,32 @@ def _dense_split_components(v, parts):
             tag = [0] * (k * n)
             tag[i * n:(i + 1) * n] = r
             rows.append((r, tag))
-    got = _dense_tagged_solve(rows, gf.normalize_vec(v, p), p, (0,) * (k * n))
+    got = _dense_tagged_solve(rows, reference_kernels.normalize(v, p), p, (0,) * (k * n))
     return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
 
 
 def _dense_solve_combination(rows, target, p):
     k = len(rows)
-    tagged = [(gf.normalize_vec(r, p), tuple(int(j == i) for j in range(k)))
+    tagged = [(reference_kernels.normalize(r, p), tuple(int(j == i) for j in range(k)))
               for i, r in enumerate(rows)]
-    return _dense_tagged_solve(tagged, gf.normalize_vec(target, p), p, (0,) * k)
+    return _dense_tagged_solve(tagged, reference_kernels.normalize(target, p), p, (0,) * k)
 
 
-def _dense_kernel(m):
-    """Reference: back-substitution from the RREF of m's rows."""
-    reduced = gf.Subspace.span(m.p, m.ncols, m.rows)
+def _dense_kernel(rows, ncols, p):
+    """Reference: back-substitution from the RREF of the rows."""
+    reduced = gf.Subspace.span(p, ncols, rows)
     pivots = reduced.pivots
     basis = []
-    for f in range(m.ncols):
+    for f in range(ncols):
         if f in pivots:
             continue
-        v = [0] * m.ncols
+        v = [0] * ncols
         v[f] = 1
         for r, piv in zip(reduced.rows, pivots):
             if r[f]:
-                v[piv] = (-r[f]) % m.p
+                v[piv] = (-r[f]) % p
         basis.append(v)
-    return gf.Subspace.span(m.p, m.ncols, basis)
+    return gf.Subspace.span(p, ncols, basis)
 
 
 def _overlapping(rng, p, n):
@@ -392,7 +419,12 @@ def test_tagged_solves_match_dense_reference(p):
             _random_subspace(rng, p, n), _random_subspace(rng, p, n))
         meets_overlap += gf.subspace_intersect(w, u).dim > 0
         point = tuple(rng.randrange(p) for _ in range(n))
-        assert gf.affine_meet(point, w, u) == _dense_affine_meet(point, w, u)
+        # one preparation answers every point: the coset of a point of
+        # w + u always meets u, a random point's seldom does
+        near = _combine([rng.randrange(p) for _ in range(w.dim + u.dim)],
+                        w.rows + u.rows, p, n)
+        points = [point, near, tuple((a + b) % p for a, b in zip(near, point))]
+        assert _meets(points, w, u) == [_dense_affine_meet(v, w, u) for v in points]
 
         parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(1, 4))]
         splits_overlap += gf.direct_sum(p, n, parts) is None
@@ -401,7 +433,7 @@ def test_tagged_solves_match_dense_reference(p):
             total = gf.subspace_sum(total, s)
         inside = _combine([rng.randrange(p) for _ in range(total.dim)], total.rows, p, n)
         for v in (inside, point):
-            assert gf.split_components(v, parts) == _dense_split_components(v, parts)
+            assert _split(v, parts) == _dense_split_components(v, parts)
 
         k = rng.randrange(1, 6)
         rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
@@ -417,7 +449,9 @@ def test_kernels_match_back_substitution(p):
     rng = random.Random(7000 + p)
     for _ in range(300):
         nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
-        m = gf.Mat.from_rows(p, [[rng.randrange(p) for _ in range(ncols)]
-                                 for _ in range(nrows)], ncols)
-        assert gf.kernel(m) == _dense_kernel(m)
-        assert gf.left_kernel(m) == _dense_kernel(gf.transpose(m))
+        rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)]
+        ker = _kernel(rows, ncols, p)
+        assert ker == _dense_kernel(rows, ncols, p)
+        assert ker.rows == reference_kernels.kernel(rows, ncols, p)
+        assert gf.left_kernel(p, ncols, _packed(rows, p)) == _dense_kernel(
+            reference_kernels.transpose(rows, ncols), nrows, p)

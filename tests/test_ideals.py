@@ -16,7 +16,8 @@ from cyclicideals import gf
 from cyclicideals import oracle
 from cyclicideals.ideals import (InfeasibleSizeError, packed_cyclic_table,
                                  packed_socle)
-from cyclicideals.rings import RingPresentation, _mult_matrix
+from cyclicideals.rings import RingPresentation
+import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
                       SQUARE_ZERO_N3, TRIPLE, build, maximal_ideal_elements,
                       presentations)
@@ -86,7 +87,7 @@ def test_module_times_ideal(pair_n3):
 
 def _tuple_module_times_ideal(alg, i):
     # every generator times every basis row of i, on coefficient tuples
-    prods = [alg._mul_coeffs(g.coeffs, row) for g in alg.gens for row in i.rows]
+    prods = [reference_kernels.product(alg, g.coeffs, row) for g in alg.gens for row in i.rows]
     return gf.Subspace.span(alg.p, alg.dim, prods)
 
 
@@ -263,10 +264,13 @@ def test_packed_socle_is_the_socle_of_the_quotient(text):
             v = sum(bit for b, bit in enumerate(free) if combo >> b & 1)
             if not any(gf.gf2_reduce(gf.gf2_apply(m, v), e.key) for m in actions):
                 kept.append(v)
-        assert packed_socle(alg, e.key) == gf.gf2_rref(kept)
+        assert packed_socle(alg, e.key) == gf.packed_field(2).rref(kept)
     # and the socle of R itself as the intersection of M with the left
-    # kernels of the generators' multiplication matrices
+    # kernels of the generators' multiplication matrices, rows e_k * g
     soc = maximal_ideal(alg).space
     for g in alg.gens:
-        soc = gf.subspace_intersect(soc, gf.left_kernel(_mult_matrix(alg, g)))
+        rows = [reference_kernels.product(alg, alg.basis_element(k).coeffs, g.coeffs)
+                for k in range(alg.dim)]
+        kernel = gf.left_kernel(2, alg.dim, [gf.pack_vec(r) for r in rows])
+        soc = gf.subspace_intersect(soc, kernel)
     assert packed_socle(alg, ()) == list(soc.basis)

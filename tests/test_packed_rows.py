@@ -7,8 +7,9 @@ value it must handle, the Subspace operations built on it against the
 coordinate-at-a-time kernels of tests/reference_kernels.py over small
 and word-sized primes and ambients of a few hundred coordinates, the
 ideal closure and M*I of quotient algebras (whose generators' images
-overlap in a field), and power_form against the multiplication-matrix
-loop it replaced.  Every hypothesis test here is derandomized.
+overlap in a field), power_form against the multiplication-matrix loop
+it replaced, and Element arithmetic and mult_map, all with products
+from the tuple reference.  Every hypothesis test here is derandomized.
 """
 
 import random
@@ -22,8 +23,7 @@ from conftest import maximal_ideal_elements, presentations
 from cyclicideals import (Ideal, NotExpressibleError, SearchSpaceExceededError,
                           find_m_decomposition, gf, ideal_from_generators, maximal_ideal,
                           module_times_ideal, power_form, quotient_algebra)
-from cyclicideals.rings import (Algebra, RingPresentation, _is_prime, _mult_matrix,
-                                build_algebra)
+from cyclicideals.rings import Algebra, RingPresentation, _is_prime, build_algebra
 
 PRIMES = (3, 5, 7, 251, 65521, 2 ** 31 - 1)
 SMALL_PRIMES = tuple(p for p in range(3, 102) if _is_prime(p))
@@ -98,7 +98,7 @@ def test_pack_reduces_and_unpack_inverts():
         for _ in range(20):
             n = rng.randrange(0, 40)
             v = [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
-            assert f.unpack(f.pack(v), n) == gf.normalize_vec(v, p)
+            assert f.unpack(f.pack(v), n) == ref.normalize(v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,8 @@ def odd_cases(draw):
 def _solve(rows, target, p):
     """gf.solve_packed on tuple rows and target."""
     f = gf.packed_field(p)
-    return gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+    got = gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+    return None if got is None else f.unpack(got, len(rows))
 
 
 def _rows(basis):
@@ -154,7 +155,7 @@ def test_odd_subspace_operations_match_the_reference(case):
     assert a.rows == _rows(ra) and b.rows == _rows(rb)
     assert a.pivots == tuple(piv for piv, _ in ra)
     for v in probes:
-        red = ref.reduce_rows(gf.normalize_vec(v, p), ra, p)
+        red = ref.reduce_rows(ref.normalize(v, p), ra, p)
         assert a.reduce(v) == red
         assert a.contains(v) == (not any(red))
     assert all(a.contains(v) for v in avecs)
@@ -162,15 +163,17 @@ def test_odd_subspace_operations_match_the_reference(case):
     meet = gf.subspace_intersect(a, b)
     assert meet.rows == ref.intersect(a.rows, b.rows, n, p)
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
-    m = gf.Mat.from_rows(p, avecs, n)
-    assert gf.left_kernel(m).rows == ref.left_kernel(m.rows, n, p)
+    rows = [ref.normalize(v, p) for v in avecs]
+    f = gf.packed_field(p)
+    assert gf.left_kernel(p, n, [f.pack(r) for r in rows]).rows == ref.left_kernel(rows, n, p)
     for v in probes:
-        assert gf.split_components(v, [a, b]) == ref.split_components(v, [a.rows, b.rows], n, p)
-        got = _solve(m.rows, v, p)
-        assert got == ref.solve_combination(m.rows, v, p)
+        want = ref.split_components(v, [a.rows, b.rows], n, p)
+        assert gf.split_components(f.pack(v), [a, b]) == (want and [f.pack(c) for c in want])
+        got = _solve(rows, v, p)
+        assert got == ref.solve_combination(rows, v, p)
         if got is not None:
-            total = [sum(c * r[j] for c, r in zip(got, m.rows)) % p for j in range(n)]
-            assert tuple(total) == gf.normalize_vec(v, p)
+            total = [sum(c * r[j] for c, r in zip(got, rows)) % p for j in range(n)]
+            assert tuple(total) == ref.normalize(v, p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def _tuple_closure(alg, gens):
     while queue:
         v = queue.pop()
         if ref.insert_row(basis, v, alg.p):
-            queue.extend(alg._mul_coeffs(g.coeffs, v) for g in alg.gens)
+            queue.extend(ref.product(alg, g.coeffs, v) for g in alg.gens)
     return _rows(basis)
 
 
@@ -239,18 +242,18 @@ def test_odd_quotient_closure_matches_the_tuple_path():
         q = quotient_algebra(alg, killed).target
         f = gf.packed_field(p)
         assert q.action_masks() == [
-            [f.pack(q._mul_coeffs(g.coeffs, q.basis_element(k).coeffs)) for k in range(q.dim)]
+            [f.pack(ref.product(q, g.coeffs, q.basis_element(k).coeffs)) for k in range(q.dim)]
             for g in q.gens]
         gens = maximal_ideal_elements(q, data, data.draw(st.integers(1, 3)))
         j = ideal_from_generators(q, gens)
         assert j.rows == _tuple_closure(q, gens)
         assert Ideal(q, j.space) == j  # the checked constructor accepts it
-        prods = [q._mul_coeffs(g.coeffs, r) for g in q.gens for r in j.rows]
+        prods = [ref.product(q, g.coeffs, r) for g in q.gens for r in j.rows]
         assert module_times_ideal(q, j).rows == _rows(ref.echelon(prods, p))
         # a line outside M*J that J does not absorb is refused
         v = next((g for g in gens if not g.is_zero()), None)
         if v is not None and any(not gf.Subspace.span(p, q.dim, [v.coeffs]).contains(
-                q._mul_coeffs(g.coeffs, v.coeffs)) for g in q.gens):
+                ref.product(q, g.coeffs, v.coeffs)) for g in q.gens):
             with pytest.raises(ValueError):
                 Ideal(q, gf.Subspace.span(p, q.dim, [v.coeffs]))
             seen["refused"] += 1
@@ -266,21 +269,26 @@ def test_odd_quotient_closure_matches_the_tuple_path():
 # power_form against the multiplication-matrix loop
 
 
+def _mult_rows(alg, z):
+    """Rows e_k * z of the multiplication matrix of the tuple z."""
+    return [ref.product(alg, alg.basis_element(k).coeffs, z) for k in range(alg.dim)]
+
+
 def _reference_power_form(alg, x, z):
-    # one multiplication matrix of x^n per power, solved on tuples
+    # one multiplication matrix of x^n per power, all on tuples
     if z.is_zero():
         raise NotExpressibleError("not expressible")
-    rx = gf.Subspace.span(alg.p, alg.dim, _mult_matrix(alg, x).rows)
+    rx = gf.Subspace.span(alg.p, alg.dim, _mult_rows(alg, x.coeffs))
     if not rx.contains(z.coeffs):
         raise NotExpressibleError("not expressible")
     n = 0
-    xn = alg.unit()
+    xn = alg.unit().coeffs
     while n < alg.dim:
         n += 1
-        xn = xn * x
-        if xn.is_zero():
+        xn = ref.product(alg, xn, x.coeffs)
+        if not any(xn):
             break
-        a = _solve(_mult_matrix(alg, xn).rows, z.coeffs, alg.p)
+        a = _solve(_mult_rows(alg, xn), z.coeffs, alg.p)
         if a is not None and a[0] != 0:
             return alg.element(a), n
     raise NotExpressibleError("not expressible")
@@ -333,3 +341,62 @@ def test_power_form_matches_the_matrix_loop():
     check()
     assert seen["expressed"] >= 200 and seen["not expressible"] >= 80, seen
     assert seen["unit multiple"] >= 40 and min(seen[p] for p in (2, 3, 5)) >= 40, seen
+
+
+# ---------------------------------------------------------------------------
+# Element arithmetic and mult_map against the tuple product
+
+
+def test_element_arithmetic_matches_the_tuple_reference():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(presentations(), st.sampled_from((2, 3, 5)), st.booleans(), st.data())
+    def check(pres, p, quotient, data):
+        alg = build_algebra(RingPresentation.make(p, pres.vars, pres.relations,
+                                                  pres.truncate))
+        assume(alg.dim <= 30)
+        if quotient:
+            # R/I for I generated by random products of two elements of M,
+            # which keeps the variables and mixes the coefficients
+            k = data.draw(st.integers(1, 2))
+            gens = [u * v for u, v in zip(maximal_ideal_elements(alg, data, k),
+                                          maximal_ideal_elements(alg, data, k))]
+            alg = quotient_algebra(alg, ideal_from_generators(alg, gens)).target
+            seen["overlap" if p > 2 and _overlapping(alg) else "quotient"] += 1
+        f, dim = alg.field, alg.dim
+        coeffs = st.lists(st.integers(-p, 2 * p), min_size=dim, max_size=dim)
+        a, b = data.draw(coeffs), data.draw(coeffs)
+        c, n = data.draw(st.integers(-2 * p, 2 * p)), data.draw(st.integers(0, 4))
+        x, y = alg.element(a), alg.element(b)
+        ra, rb = ref.normalize(a, p), ref.normalize(b, p)
+        assert x.coeffs == ra and x.vec == f.pack(ra)
+        assert (x + y).coeffs == tuple((u + v) % p for u, v in zip(ra, rb))
+        assert (x - y).coeffs == tuple((u - v) % p for u, v in zip(ra, rb))
+        assert (-x).coeffs == tuple(-u % p for u in ra)
+        scaled = tuple(c * u % p for u in ra)
+        assert x.scale(c).coeffs == (x * c).coeffs == (c * x).coeffs == scaled
+        prod = ref.product(alg, ra, rb)
+        assert (x * y).coeffs == (y * x).coeffs == prod
+        power = alg.unit().coeffs
+        for _ in range(n):
+            power = ref.product(alg, power, ra)
+        assert (x ** n).coeffs == power
+        assert x.is_unit() == (ra[0] != 0)
+        twin = alg.element(list(ra))
+        assert x == twin and hash(x) == hash(twin)
+        assert (x == y) == (ra == rb)
+        # column k of the map is e_k * y, every field reduced mod p and
+        # nothing above the last coordinate
+        cols = alg.mult_map(y)
+        assert [f.unpack(col, dim) for col in cols] == [
+            ref.product(alg, alg.basis_element(k).coeffs, rb) for k in range(dim)]
+        assert all(col == f.pack(f.unpack(col, dim)) for col in cols)
+        # read lazily, in any order, the columns are the same
+        lazy, order = alg.columns(y), data.draw(st.permutations(range(dim)))
+        assert {k: lazy[k] for k in order} == dict(enumerate(cols))
+        seen[p, quotient] += 1
+
+    check()
+    assert seen["overlap"] >= 20 and seen["quotient"] >= 20, seen
+    assert min(seen[p, q] for p in (2, 3, 5) for q in (False, True)) >= 15, seen

@@ -1,10 +1,11 @@
 """Differential checks of the arithmetic core over random presentations.
 
-Products come from successor maps composed on demand; these tests
-recompute every basis product from exponent addition, the relations and
-the degree cap, compare the GF(2) action masks with packed products, and
-check the packed echelon paths against brute-force spans and the tuple
-reference kernels of tests/reference_kernels.py.
+Products come from the algebra's packed multiplication map; these
+tests recompute every basis product from exponent addition, the
+relations and the degree cap, compare the GF(2) action masks with the
+tuple products of tests/reference_kernels.py, and check the packed
+echelon paths against brute-force spans and the tuple reference
+kernels there.
 Ideal closure and the witness's principal-ideal-ring test are checked
 against their checked or quotient-built counterparts.
 """
@@ -34,9 +35,9 @@ def _standard(pres, m) -> bool:
 def test_basis_products_are_exponent_addition(pres):
     alg = build_algebra(pres)
     for i, a in enumerate(alg.basis):
-        ei = alg.basis_element(i).coeffs
+        ei = alg.basis_element(i)
         for j, b in enumerate(alg.basis):
-            got = alg._mul_coeffs(ei, alg.basis_element(j).coeffs)
+            got = (ei * alg.basis_element(j)).coeffs
             prod = tuple(x + y for x, y in zip(a, b))
             want = [0] * alg.dim
             if _standard(pres, prod):
@@ -58,8 +59,8 @@ def test_products_of_random_elements(pres, data):
             if ca and cb and _standard(pres, prod):
                 k = alg.index[prod]
                 want[k] = (want[k] + ca * cb) % pres.p
-    assert alg._mul_coeffs(tuple(a), tuple(b)) == tuple(want)
-    assert alg._mul_coeffs(tuple(b), tuple(a)) == tuple(want)
+    assert (alg.element(a) * alg.element(b)).coeffs == tuple(want)
+    assert (alg.element(b) * alg.element(a)).coeffs == tuple(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,7 +74,7 @@ def test_gf2_action_masks_match_packed_products(pres):
     assert masks == Algebra._action_masks(alg)
     for g, column in zip(alg.gens, masks):
         for k in range(alg.dim):
-            prod = alg._mul_coeffs(g.coeffs, alg.basis_element(k).coeffs)
+            prod = reference_kernels.product(alg, g.coeffs, alg.basis_element(k).coeffs)
             assert column[k] == gf.pack_vec(prod)
 
 
@@ -139,12 +140,12 @@ def test_echelon_paths_agree_with_brute_force(case):
     a = gf.Subspace.span(p, n, avecs)
     b = gf.Subspace.span(p, n, bvecs)
     sa, sb = _span_set(p, n, a.rows), _span_set(p, n, b.rows)
-    assert sa == _span_set(p, n, [gf.normalize_vec(u, p) for u in avecs])
+    assert sa == _span_set(p, n, [reference_kernels.normalize(u, p) for u in avecs])
     red = a.reduce(v)
-    diff = tuple((x - y) % p for x, y in zip(gf.normalize_vec(v, p), red))
+    diff = tuple((x - y) % p for x, y in zip(reference_kernels.normalize(v, p), red))
     assert diff in sa
     assert all(red[piv] == 0 for piv in a.pivots)
-    assert a.contains(v) == (gf.normalize_vec(v, p) in sa)
+    assert a.contains(v) == (reference_kernels.normalize(v, p) in sa)
     s = gf.subspace_sum(a, b)
     assert _span_set(p, n, s.rows) == {tuple((x + y) % p for x, y in zip(u, w))
                                         for u in sa for w in sb}
@@ -160,11 +161,12 @@ def test_packed_gf2_matches_generic_elimination(case):
     _, n, avecs, bvecs, v = case
     generic = []
     for u in avecs:
-        reference_kernels.insert_row(generic, gf.normalize_vec(u, 2), 2)
+        reference_kernels.insert_row(generic, reference_kernels.normalize(u, 2), 2)
     a = gf.Subspace.span(2, n, avecs)
     assert a.rows == tuple(r for _, r in generic)
     assert a.pivots == tuple(piv for piv, _ in generic)
-    assert a.reduce(v) == reference_kernels.reduce_rows(gf.normalize_vec(v, 2), generic, 2)
+    want = reference_kernels.reduce_rows(reference_kernels.normalize(v, 2), generic, 2)
+    assert a.reduce(v) == want
     b = gf.Subspace.span(2, n, bvecs)
     for r in b.rows:
         reference_kernels.insert_row(generic, r, 2)
@@ -181,3 +183,7 @@ def test_large_truncation_multiplies_without_a_table():
     assert prod == alg.basis_element(alg.index[(40, 40)])
     assert (prod * parse_element(alg, "x^10")).is_zero()  # degree 90 hits the cap
     assert str(prod * alg.gens[0]) == "x^41*y^40"
+    # a product reads the columns along its factor's support only: here
+    # the parent chain of y^40, not all 4095
+    cols = alg.columns(x40)
+    assert alg.field.apply(cols, y40.vec) == prod.vec and len(cols) <= 41
