@@ -20,14 +20,14 @@ from .structure import (DscVerdict, MDecomposition, SearchSpaceExceededError,
                         SpecReport, canonical_variable_split, classify_dsc,
                         classify_product, find_m_decomposition,
                         is_principal_ideal_ring, m_decomposition_problems,
-                        spec_classify, verify_m_decomposition)
+                        spec_classify, three_summand_counterexample,
+                        verify_m_decomposition)
 from .decompose import (CyclicDecomposition, InternalContradictionError, Trace,
                         WitnessInvalidError, decompose_ideal, minimal_exponent,
                         semisimple_decompose, verify_decomposition)
 from .oracle import (IdealCensus, InfeasibleSizeError, brute_decompose,
                      complete_census, decomposition_lengths, enumerate_ideals,
-                     enumerate_ideals_subsets, length_invariance, oracle_dsc,
-                     three_summand_counterexample)
+                     enumerate_ideals_subsets, length_invariance, oracle_dsc)
 
 __version__ = "0.1.0"
 

@@ -310,7 +310,11 @@ def quotient_algebra(alg: Algebra, i: Ideal) -> QuotientMap:
 
 class _CyclicTable(dict):
     """Vector of the maximal-ideal span -> RREF rows of its cyclic module,
-    closed with packed_closure the first time the vector is read."""
+    closed with packed_closure the first time the vector is read.  One
+    closure fills the whole coset v + Mv: each m in Mv is av with a in M,
+    and v + m = (1 + a)v with 1 + a a unit, so R(v + m) = Rv.  For v in I
+    outside MI the coset lies in I outside MI too, so a cover search of I
+    would read every vector of it anyway."""
 
     def __init__(self, alg: Algebra):
         super().__init__({0: ()})
@@ -320,6 +324,10 @@ class _CyclicTable(dict):
         if vec & 1 or vec >> self.alg.dim:
             raise KeyError(vec)  # outside the maximal-ideal span
         rows = self[vec] = tuple(packed_closure(self.alg, (), [vec]))
+        mv = _packed_times_m(self.alg, rows)  # M * Rv = Mv
+        for s in range(1, 1 << len(mv)):  # Gray-code walk of v + Mv
+            vec ^= mv[(s & -s).bit_length() - 1]
+            self[vec] = rows
         return rows
 
 

@@ -3,10 +3,11 @@
 Everything here is deliberately brute force.  The census lists all
 ideals one dimension at a time (cross-checkable against a subset-closure
 sweep at tiny sizes); the decomposition search is the exhaustive
-cyclic-cover search ideals.packed_first_cover, which the witness search
-of M shares.  Results are exact within the
-feasibility bounds and are used as the ground truth the constructive
-machinery is tested against.
+cyclic-cover search ideals.packed_first_cover.  structure.classify_dsc
+runs that search on M and on its three-summand ideal only, never the
+census, and imports nothing from here.  Results are exact within the
+feasibility bounds and are the ground truth the constructive machinery
+is tested against.
 
 The census steps up by socle lines.  A nonzero ideal J has MJ strictly
 inside it (Nakayama), so any hyperplane H of J containing MJ is an
@@ -30,10 +31,8 @@ from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
-                     ideal_from_generators, is_simple, maximal_ideal,
-                     packed_closure, packed_first_cover, packed_socle,
-                     zero_ideal)
+from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError,
+                     packed_closure, packed_first_cover, packed_socle)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -201,19 +200,3 @@ def oracle_dsc(alg: Algebra, max_dim: int = 8) -> DscVerdict:
                               (f"census of {census.count} ideals",))
     return DscVerdict("yes", None, None, None,
                       (f"all {census.count} ideals decompose",))
-
-
-def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
-                                 z: Element, rest: Optional[Ideal] = None) -> Ideal:
-    """The ideal R(x+y) + R(x+z), not a direct sum of cyclics whenever
-    M = Rx + Ry + Rz + rest is direct with all three summands non-simple."""
-    if rest is None:
-        rest = zero_ideal(alg)
-    parts = [cyclic(alg, g) for g in (x, y, z)]
-    for g, c in zip((x, y, z), parts):
-        if is_simple(alg, c) or c.is_zero():
-            raise ValueError(f"hypothesis not satisfied: R{g} must be non-simple")
-    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in parts + [rest]])
-    if total != maximal_ideal(alg).space:
-        raise ValueError("hypothesis not satisfied: sum is not direct onto M")
-    return ideal_from_generators(alg, [x + y, x + z])

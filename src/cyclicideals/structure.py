@@ -4,10 +4,11 @@ A local algebra has the "every ideal is a direct sum of cyclic modules"
 property (dsc, in the verdicts below) exactly when its maximal ideal
 splits as M = Rx + Ry + (sum of simple Rw) with the sum direct; at most
 two summands may be non-simple, and then R/Ann(x) and R/Ann(y) are
-principal ideal rings.  This module
-searches for such witnesses, refutes when three non-simple cyclic
-summands show up, and classifies the prime spectrum (at most three
-primes, Krull dimension at most one).
+principal ideal rings.  This module decides that from one direct cyclic
+cover of M (m_cover): none refutes with M itself, at most two non-simple
+summands make a witness, and three refute with R(x+y) + R(x+z).  It
+imports nothing from the oracle.  It also classifies the prime spectrum
+(at most three primes, Krull dimension at most one).
 
 R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
 generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
@@ -25,8 +26,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf
-from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError, cyclic,
-                     ideal_sum, is_simple, maximal_ideal, min_generators,
+from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, cyclic, ideal_from_generators,
+                     is_simple, maximal_ideal, min_generators,
                      module_times_ideal, packed_first_cover, zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
@@ -158,43 +159,65 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
-    """Search for a witness decomposition of the maximal ideal.
+def _witness_possible(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]]) -> bool:
+    """False when mu(M^2) >= 3: under a witness M^2 = Rx^2 + Ry^2 needs at
+    most two generators.  A direct variable split skips the check."""
+    return split is not None or min_generators(
+        alg, module_times_ideal(alg, maximal_ideal(alg))) <= 2
 
-    Tries the canonical variable grouping first, then (GF(2), bounded
-    dimension) the exhaustive search for a cyclic cover of M.  Returns
-    None when no witness exists at this size; raises
-    SearchSpaceExceededError when the bounds prevent that search from
-    running at all.
+
+def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: int
+            ) -> Optional[tuple[list[Element], list[Element]]]:
+    """A direct cover of M by cyclic submodules, as (generators of the
+    non-simple summands, generators of the simple ones), or None when M
+    is no direct sum of cyclic modules.
+
+    split is canonical_variable_split(alg): when it is direct, its pieces
+    are the cover.  Otherwise the exhaustive cover search runs on M; it
+    needs GF(2) and dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
+    SearchSpaceExceededError outside that.  Any one cover decides
+    (Krull-Schmidt, see packed_first_cover).
     """
-    return _witness_search(alg, canonical_variable_split(alg), max_pair_dim)
-
-
-def _witness_search(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]],
-                    max_pair_dim: int) -> Optional[MDecomposition]:
-    """find_m_decomposition given the result of canonical_variable_split."""
     if split is not None:
-        nonsimple = [g for g, c in split if not is_simple(alg, c)]
-        simple = [g for g, c in split if is_simple(alg, c)]
-        if len(nonsimple) <= 2:
-            return _normalized_witness(alg, nonsimple, simple)
-        # three independent non-simple cyclic summands refute any witness
-        return None
-    m = maximal_ideal(alg)
-    msq = module_times_ideal(alg, m)
-    if min_generators(alg, msq) >= 3:
-        # under any witness M^2 = Rx^2 + Ry^2, so M^2 never needs three
-        # generators; no witness can exist
-        return None
-    if alg.p != 2 or alg.dim - 1 > min(max_pair_dim, CYCLIC_TABLE_MAX_DIM):
+        return ([g for g, c in split if not is_simple(alg, c)],
+                [g for g, c in split if is_simple(alg, c)])
+    if alg.p != 2 or alg.dim - 1 > min(bound, CYCLIC_TABLE_MAX_DIM):
         raise SearchSpaceExceededError("search space exceeded")
-    # any cover of M decides (Krull-Schmidt), and it has at most
-    # mu(M^2) <= 2 non-simple summands, so it is a witness (Mx = Rx^2)
-    found = packed_first_cover(alg, m.space.basis)
+    found = packed_first_cover(alg, maximal_ideal(alg).space.basis)
     if found is None:
         return None
-    nonsimple, simples = ([Element.packed(alg, v) for v in vs] for vs in found)
-    return _normalized_witness(alg, nonsimple, simples)
+    return tuple([Element.packed(alg, v) for v in vs] for vs in found)
+
+
+def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
+    """A witness decomposition of the maximal ideal, read off m_cover
+    (search bound max_pair_dim): a cover with at most two non-simple
+    summands is one (Mx = Rx^2).  None when no witness exists; raises
+    SearchSpaceExceededError when the bounds prevent the search.
+    """
+    split = canonical_variable_split(alg)
+    if not _witness_possible(alg, split):
+        return None
+    cover = m_cover(alg, split, max_pair_dim)
+    if cover is None or len(cover[0]) > 2:
+        return None  # three independent non-simple summands refute any witness
+    return _normalized_witness(alg, *cover)
+
+
+def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
+                                 z: Element, rest: Optional[Ideal] = None) -> Ideal:
+    """The ideal R(x+y) + R(x+z), not a direct sum of cyclics whenever
+    M = Rx + Ry + Rz + rest is direct with all three summands non-simple."""
+    if rest is None:
+        rest = zero_ideal(alg)
+    parts = [cyclic(alg, g) for g in (x, y, z)]
+    for g, c in zip((x, y, z), parts):
+        if is_simple(alg, c) or c.is_zero():
+            raise ValueError(f"hypothesis not satisfied: R{g} must be non-simple")
+    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in parts + [rest]])
+    if total != maximal_ideal(alg).space:
+        raise ValueError("hypothesis not satisfied: sum is not direct onto M")
+    return ideal_from_generators(alg, [x + y, x + z])
 
 
 # ---------------------------------------------------------------------------
@@ -229,57 +252,42 @@ class DscVerdict:
 def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> DscVerdict:
     """Decide whether every ideal of alg splits into cyclic summands.
 
-    yes comes with a verified witness decomposition of M; no comes with
-    a concrete non-decomposable ideal (from the three-summand
-    construction, confirmed by the oracle when its bounds allow, or from
-    the oracle sweep); anything else is undecided_by_search.
+    One direct cover of M decides (m_cover).  No cover: no, and M itself
+    is the counterexample.  At most two non-simple summands: yes, with
+    the cover as a verified witness.  Three or more: no, with the ideal
+    R(x + y) + R(x + z) on three of them, confirmed by the exhaustive
+    cover search where dim M <= min(max_oracle_dim, 20) over GF(2).  The
+    cover search on M runs up to the larger bound where a witness is
+    possible, and up to max_oracle_dim where it can only refute; past
+    that the verdict is undecided_by_search.
     """
-    from . import oracle as oracle_mod
-
-    notes: list[str] = []
     split = canonical_variable_split(alg)
-    if split is not None:
-        nonsimple = [(g, c) for g, c in split if not is_simple(alg, c)]
-        if len(nonsimple) >= 3:
-            (x, _), (y, _), (z, _) = nonsimple[:3]
-            rest = zero_ideal(alg)
-            for g, c in split:
-                if g not in (x, y, z):
-                    rest = ideal_sum(rest, c)
-            j = oracle_mod.three_summand_counterexample(alg, x, y, z, rest)
-            note = ("sum of three independent non-simple cyclic summands: "
-                    f"R({x} + {y}) + R({x} + {z}) admits no direct-sum cover")
-            try:
-                if oracle_mod.brute_decompose(alg, j, max_oracle_dim) is not None:
-                    raise RuntimeError("internal contradiction: refutation ideal decomposed")
-                notes.append("counterexample confirmed by exhaustive search")
-            except InfeasibleSizeError:
-                notes.append("oracle confirmation skipped: infeasible size")
-            return DscVerdict("no", None, j, note, tuple(notes))
-
-    exceeded = False
+    possible = _witness_possible(alg, split)
+    bound = max(max_pair_dim, max_oracle_dim) if possible else max_oracle_dim
     try:
-        dec = _witness_search(alg, split, max_pair_dim)
+        cover = m_cover(alg, split, bound)
     except SearchSpaceExceededError:
-        dec = None
-        exceeded = True
-        notes.append(f"witness search space exceeded (p={alg.p}, dim M={alg.dim - 1})")
-    if dec is not None:
-        return DscVerdict("yes", dec, None, None, tuple(notes))
-
-    try:
-        verdict = oracle_mod.oracle_dsc(alg, max_oracle_dim)
-    except InfeasibleSizeError:
-        notes.append("oracle infeasible at this size")
-        return DscVerdict("undecided_by_search", None, None, None, tuple(notes))
-    if verdict.answer == "no":
-        return DscVerdict("no", None, verdict.counterexample,
-                          verdict.counterexample_note, tuple(notes) + verdict.notes)
-    if not exceeded:
-        raise RuntimeError("internal contradiction: every ideal decomposes "
-                           "yet the complete witness search found nothing")
-    notes.append("oracle accepts every ideal but no witness was constructed")
-    return DscVerdict("undecided_by_search", None, None, None, tuple(notes))
+        notes = ("oracle infeasible at this size",)
+        if possible:
+            notes = (f"witness search space exceeded (p={alg.p}, dim M={alg.dim - 1})",) + notes
+        return DscVerdict("undecided_by_search", None, None, None, notes)
+    if cover is None:
+        return DscVerdict("no", None, maximal_ideal(alg),
+                          "exhaustive search over all families of cyclic "
+                          "submodules found no direct-sum cover of M")
+    nonsimple, simples = cover
+    if len(nonsimple) <= 2:
+        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
+    x, y, z = nonsimple[:3]
+    j = three_summand_counterexample(alg, x, y, z,
+                                     ideal_from_generators(alg, nonsimple[3:] + simples))
+    note = ("sum of three independent non-simple cyclic summands: "
+            f"R({x} + {y}) + R({x} + {z}) admits no direct-sum cover")
+    if alg.p != 2 or alg.dim - 1 > min(max_oracle_dim, CYCLIC_TABLE_MAX_DIM):
+        return DscVerdict("no", None, j, note, ("oracle confirmation skipped: infeasible size",))
+    if packed_first_cover(alg, j.space.basis) is not None:
+        raise RuntimeError("internal contradiction: refutation ideal decomposed")
+    return DscVerdict("no", None, j, note, ("counterexample confirmed by exhaustive search",))
 
 
 def classify_product(verdicts: Sequence[DscVerdict]) -> DscVerdict:

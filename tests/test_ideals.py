@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,10 +13,10 @@ from cyclicideals import (Ideal, annihilator, build_algebra, cyclic,
                           maximal_ideal, min_generators, module_times_ideal,
                           parse_element, quotient_algebra, unit_ideal,
                           zero_ideal)
-from cyclicideals import gf
+from cyclicideals import gf, ideals
 from cyclicideals import oracle
-from cyclicideals.ideals import (InfeasibleSizeError, packed_cyclic_table,
-                                 packed_socle)
+from cyclicideals.ideals import (InfeasibleSizeError, packed_closure,
+                                 packed_cyclic_table, packed_socle)
 from cyclicideals.rings import RingPresentation
 import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
@@ -221,6 +222,28 @@ def test_packed_cyclic_table_matches_cyclic():
         assert table[vec] == tuple(gf.pack_vec(r) for r in cyclic(alg, z).rows)
     assert len(table) == 1 << (alg.dim - 1)
     assert packed_cyclic_table(alg) is table
+
+
+@pytest.mark.parametrize("text, closures", [
+    ("field 2 / vars x y / rel x^3 / rel y^3", 6),
+    (TRIPLE, 19),
+])
+def test_cover_of_m_closes_each_cyclic_module_once(text, closures):
+    # R(v + m) = Rv for m in Mv, so one closure fills the coset v + Mv
+    alg = build(text)
+    calls = []
+
+    def counting(alg, rows, seeds):
+        calls.append(seeds)
+        return packed_closure(alg, rows, seeds)
+
+    with mock.patch.object(ideals, "packed_closure", counting):
+        ideals.packed_first_cover(alg, maximal_ideal(alg).space.basis)
+    table = packed_cyclic_table(alg)
+    assert len(calls) == len(set(table.values()) - {()}) == closures
+    for vec, rows in table.items():
+        z = alg.element(gf.unpack_vec(vec, alg.dim))
+        assert rows == cyclic(alg, z).space.basis
 
 
 def test_packed_cyclic_table_refuses_vectors_outside_m(pair_n3):

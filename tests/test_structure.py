@@ -1,6 +1,8 @@
 """Witness search, the DSC verdict, products, and the prime spectrum."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 from typing import Optional
 from unittest import mock
 
@@ -8,14 +10,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cyclicideals import (MDecomposition, SearchSpaceExceededError,
-                          canonical_variable_split, classify_dsc,
+                          brute_decompose, canonical_variable_split, classify_dsc,
                           classify_product, cyclic, find_m_decomposition,
                           ideal_from_generators, is_principal_ideal_ring,
                           annihilator, m_decomposition_problems,
-                          parse_element, parse_presentation,
+                          oracle_dsc, parse_element, parse_presentation,
                           quotient_algebra, spec_classify,
                           verify_m_decomposition)
-from cyclicideals import gf, structure
+from cyclicideals import gf, oracle, structure
 from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
                                  packed_cyclic_table, packed_socle)
@@ -340,13 +342,84 @@ def test_classify_no_without_oracle_confirmation(triple):
     assert any("skipped" in n for n in verdict.notes)
 
 
+def test_classify_no_three_summands_on_a_cover():
+    # w = x^2 in the quotient, so Rw lies in Rx and the variable split
+    # fails; the cover of M has three non-simple summands Rx, Ry, Rz
+    big = build("field 2 / vars x y z w / rel x^3 / rel y^3 / rel z^3 / rel w^2"
+                " / rel x*y / rel x*z / rel x*w / rel y*z / rel y*w / rel z*w")
+    qmap = quotient_algebra(big, cyclic(big, parse_element(big, "w + x^2")))
+    q = qmap.target
+    assert canonical_variable_split(q) is None
+    nonsimple, _ = structure.m_cover(q, None, 8)
+    assert len(nonsimple) == 3
+    verdict = classify_dsc(q)
+    assert verdict.answer == "no"
+    expected = ideal_from_generators(q, [qmap.project(parse_element(big, g)) for g in
+                                         ("x + z", "y + z", "x^2", "y^2", "z^2")])
+    assert verdict.counterexample == expected and expected.dim == 5
+    assert verdict.notes == ("counterexample confirmed by exhaustive search",)
+
+
 def test_classify_no_from_oracle_sweep():
     big = build(PAIR_N3)
     q = quotient_by(big, "x^2 + y^2")
     verdict = classify_dsc(q)
     assert verdict.answer == "no"
-    assert verdict.counterexample is not None
-    assert verdict.counterexample.dim > 0
+    # no cover of M at all: M itself is the counterexample
+    assert verdict.counterexample == maximal_ideal(q)
+    assert brute_decompose(q, maximal_ideal(q)) is None
+    assert verdict.notes == ()
+
+
+def test_classify_never_runs_the_census():
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_dsc reached the census")
+
+    algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
+    with mock.patch.object(oracle, "enumerate_ideals", refuse), \
+            mock.patch.object(oracle, "oracle_dsc", refuse):
+        verdicts = [classify_dsc(alg) for alg in algs]
+    assert Counter(v.answer for v in verdicts) == Counter(
+        {"yes": 31, "no": 60, "undecided_by_search": 50})
+    for alg, v in zip(algs, verdicts):
+        if alg.dim - 1 <= 8:
+            assert oracle.oracle_dsc(alg).answer == v.answer
+
+
+# classify's cover search decides these at dim M 9 and 10; the census
+# that decided before stops at its default bound of 8
+NEWLY_DECIDED = (
+    "F2[x,y]/(x^2,y^5)", "F2[x,y]/(x^5,y^2)",
+    "F2[x,y,z]/(x^2,y^2,z^5,x*y,x*z)", "F2[x,y,z]/(x^2,y^2,z^5,x*y,y*z)",
+    "F2[x,y,z]/(x^2,y^5,z^2,x*y,x*z)", "F2[x,y,z]/(x^2,y^5,z^2,x*z,y*z)",
+    "F2[x,y,z]/(x^5,y^2,z^2,x*y,y*z)", "F2[x,y,z]/(x^5,y^2,z^2,x*z,y*z)",
+)
+
+
+def test_classify_refutes_with_m_past_the_census_bound():
+    family = dict(sweep_presentations(3, (2, 3, 4, 5), 40))
+    for name in NEWLY_DECIDED:
+        alg = build_algebra(family[name])
+        verdict = classify_dsc(alg)
+        assert verdict.answer == "no", name
+        assert verdict.counterexample == maximal_ideal(alg)
+        assert alg.dim - 1 in (9, 10)
+        if alg.dim - 1 == 9:
+            assert oracle_dsc(build_algebra(family[name]), 10).answer == "no"
+    tally = Counter(classify_dsc(build_algebra(pres)).answer for pres in family.values())
+    assert tally == Counter({"yes": 57, "no": 90, "undecided_by_search": 372})
+
+
+def test_structure_imports_nothing_from_the_oracle():
+    tree = ast.parse(Path(structure.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        assert not any("oracle" in n.split(".") for n in names), ast.dump(node)
 
 
 def test_classify_undecided_gf3():
