@@ -267,12 +267,13 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 1
 
 
-def _add_common(sp, oracle_knob=True):
+def _add_common(sp, witness_knob=True, oracle_knob=True):
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("--truncate", type=int, metavar="N",
                     help="override the truncation degree")
-    sp.add_argument("--max-dim", type=int, default=12, metavar="D",
-                    help="witness search bound on dim M (default 12)")
+    if witness_knob:
+        sp.add_argument("--max-dim", type=int, default=12, metavar="D",
+                        help="witness search bound on dim M (default 12)")
     if oracle_knob:
         sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
                         help="exhaustive search bound on dim M (default 8)")
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("oracle", help="exhaustive ideal census and verdict")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--list", action="store_true", help="dump every ideal")
-    _add_common(sp)
+    _add_common(sp, witness_knob=False)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("corpus", help="run the bundled expectation table")

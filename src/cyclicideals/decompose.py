@@ -13,6 +13,10 @@ cyclic splitting:
               single mixed generator z' = c x^(n0-1) + d y^(m0-1) + l
               carries both axes.
 
+Directness gives Mx = Rx^2, so Rx is a chain whose nonzero submodules
+are the R x^n, with dim R x^n = dim Rx - n + 1.  The principal and
+diagonal exponents are read off that count, never solved for.
+
 Every branch re-checks the identities it relies on, and
 build_decomposition checks every split direct onto i; a failed check
 raises InternalContradictionError rather than return an unverified one.
@@ -25,7 +29,7 @@ from typing import Optional
 
 from . import gf
 from .ideals import (Ideal, annihilator, cyclic, is_simple, module_times_ideal)
-from .rings import Element, NotExpressibleError, mono_degree, power_form
+from .rings import Element, mono_degree
 from .structure import MDecomposition, verify_m_decomposition
 
 
@@ -173,13 +177,7 @@ def _trusted(alg, gens, exps) -> bool:
 
 
 def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
-    """First element of i not in avoid, in the order of the p-adic codes
-    sum d_k p^k of the combinations sum d_k rows[k] of i's basis.
-
-    That is the first basis row outside avoid: codes below p^k combine
-    only rows[0..k-1], so while those rows lie in avoid so does every
-    such code, and code p^k is rows[k] itself.
-    """
+    """The first basis row of i outside avoid."""
     for r in i.space.basis:
         if avoid.field.reduce(r, avoid.basis):
             return Element.packed(alg, r)
@@ -219,14 +217,9 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
 
 
 def _principal(alg, dec, i, which) -> CyclicDecomposition:
-    g = dec.x if which == "x" else dec.y
-    mi = module_times_ideal(alg, i)
-    z = next(e for e in i.basis_elements() if not mi.contains(e))
-    try:
-        _, n = power_form(alg, g, z)
-    except NotExpressibleError as exc:
-        raise InternalContradictionError("principal branch generator "
-                                         "not a power") from exc
+    # Rg is a chain, so i = R g^n with dim i = dim Rg - n + 1
+    g, rg = (dec.x, dec.rx) if which == "x" else (dec.y, dec.ry)
+    n = rg.dim - i.dim + 1
     return build_decomposition(alg, i, [g ** n], "principal", axis=which, n0=n)
 
 
@@ -277,11 +270,8 @@ def _general(alg, dec, i) -> CyclicDecomposition:
     _check(comps is not None, "diagonal element escapes the witness sum")
     zx, zy = Element.packed(alg, comps[0]), Element.packed(alg, comps[1])
     _check(not zx.is_zero() and not zy.is_zero(), "diagonal element lost an axis")
-    try:
-        _, nx = power_form(alg, dec.x, zx)
-        _, ny = power_form(alg, dec.y, zy)
-    except NotExpressibleError as exc:
-        raise InternalContradictionError("diagonal components are not "
-                                         "unit powers") from exc
+    # on the chains Rx and Ry, R zx = R x^nx, so zx is a unit times x^nx
+    nx = dec.rx.dim - cyclic(alg, zx).dim + 1
+    ny = dec.ry.dim - cyclic(alg, zy).dim + 1
     _check(nx == n0 - 1 and ny == m0 - 1, "diagonal exponents off the shelf")
     return build_decomposition(alg, i, [zp] + rest, "diagonal", **knobs)

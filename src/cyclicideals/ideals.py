@@ -3,9 +3,10 @@
 An ideal is a subspace of the algebra (in basis coordinates) closed
 under multiplication by every generator of the maximal ideal.  Each one
 is held in canonical RREF form, so ideals compare and hash structurally.
-Closure is re-checked on construction, unless the basis comes straight
-out of a closure loop: any operation that produced a non-ideal is a bug
-we want to hear about immediately.
+Closure is re-checked on construction, unless the basis is closed by
+construction: the output of a closure loop, M itself, or M times an
+ideal.  Any other operation that produced a non-ideal is a bug we want
+to hear about immediately.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def unit_ideal(alg: Algebra) -> Ideal:
 def maximal_ideal(alg: Algebra) -> Ideal:
     """The unique maximal ideal: everything with zero unit coordinate."""
     rows = [alg.basis_element(k).vec for k in range(1, alg.dim)]
-    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows))
+    # closed by construction: the action maps into M
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows), _trusted=True)
 
 
 def cyclic(alg: Algebra, z: Element) -> Ideal:
@@ -218,7 +220,9 @@ def _packed_times_m(alg: Algebra, rows: Sequence[int]) -> list[int]:
 
 def module_times_ideal(alg: Algebra, i: Ideal) -> Ideal:
     """M * i, from the generators' action on the packed basis of i."""
-    return Ideal(alg, gf.Subspace(alg.p, alg.dim, _packed_times_m(alg, i.space.basis)))
+    # closed by construction: x_w (x_v a) = x_v (x_w a) with x_w a in i
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, _packed_times_m(alg, i.space.basis)),
+                 _trusted=True)
 
 
 def min_generators(alg: Algebra, i: Ideal) -> int:

@@ -575,9 +575,13 @@ def parse_element(alg: MonomialAlgebra, text: str) -> Element:
 def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
     """Write z = a * x^n with a a unit and n >= 1.
 
-    Every nonzero member of Rx has this form when R/Ann(x) is a principal
-    ideal ring (the caller's responsibility to ensure).  Raises
-    NotExpressibleError otherwise, or when z is zero or outside Rx.
+    Every nonzero member of Rx has this form when Mx = Rx^2, that is,
+    when x generates the maximal ideal of R/Ann(x) (the caller's
+    responsibility to ensure; a witness axis always does).  R/Ann(x)
+    being a principal ideal ring is not enough: in GF(2)[t]/(t^4) with
+    x = t^2 it is GF(2)[t]/(t^2), yet t^3 in Rx is no unit times a power
+    of x.  Raises NotExpressibleError when z has no such form, or is
+    zero or outside Rx.
 
     Column k of mult_map(x^n) is e_k * x^n, so it is mult_map(x) applied
     to column k of mult_map(x^(n-1)).

@@ -291,3 +291,10 @@ def test_bad_usage_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+def test_oracle_has_no_witness_bound(ring_file):
+    # only --max-oracle-dim bounds the census; --max-dim is not its flag
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", ring_file(PAIR_N3), "--max-dim", "5"])
+    assert exc.value.code == 3

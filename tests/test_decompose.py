@@ -12,10 +12,11 @@ from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError
                           maximal_ideal, minimal_exponent, parse_element,
                           semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
-from cyclicideals import oracle
+from cyclicideals import oracle, rings
 from cyclicideals.decompose import (_first_outside, _ideal_simple_part,
                                     build_decomposition)
 import reference_kernels
+import test_golden
 from conftest import AXIS_SOCLE, POWER_SERIES, build
 
 
@@ -359,3 +360,47 @@ def test_as_dict_trace_payload(pair_n3):
     assert d["generators"] == ["x + y"]
     assert d["trace"]["branch"] == "diagonal"
     assert d["trace"]["dims"] == [3]
+
+
+# ---------------------------------------------------------------------------
+# exponents are chain positions: no branch solves for a power
+
+
+@pytest.fixture
+def no_power_solving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose solved for a power")
+    monkeypatch.setattr(rings, "power_form", refuse)
+    monkeypatch.setattr(gf, "solve_packed", refuse)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("text", [
+    "vars x y / rel x^9 / rel y^9 / rel x*y",
+    "vars x y w / rel x^7 / rel y^11 / rel x*y / rel w^2 / rel x*w / rel y*w",
+])
+def test_principal_exponent_is_the_chain_position(p, text, no_power_solving):
+    # the decompose workload's rings: every nonzero R g^n of either axis
+    alg = build(f"field {p} / {text}")
+    dec = find_m_decomposition(alg)
+    for which, g, rg in (("x", dec.x, dec.rx), ("y", dec.y, dec.ry)):
+        assert g == alg.var(which)
+        for n in range(1, rg.dim + 1):
+            out = split(alg, cyclic(alg, g ** n))
+            assert out.trace.branch == "principal" and out.trace.axis == which
+            assert out.trace.n0 == n and out.generators == (g ** n,)
+
+
+def test_diagonal_cases_solve_for_no_power(pair_n3, no_power_solving):
+    test_diagonal_single_generator(pair_n3)
+    test_diagonal_mixed_exponents(pair_n3)
+    test_as_dict_trace_payload(pair_n3)
+
+
+def test_decompose_goldens_solve_for_no_power(tmp_path, no_power_solving):
+    paths = test_golden._ring_paths(tmp_path)
+    cases = [c for c in test_golden.CASES if c[0].startswith("decompose-")]
+    assert len(cases) == len(test_golden.DECOMPOSE)
+    for stem, argv, code in cases:
+        want = (test_golden.GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+        assert test_golden._run(argv, paths) == (code, want), stem

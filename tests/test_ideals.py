@@ -86,6 +86,19 @@ def test_module_times_ideal(pair_n3):
     assert module_times_ideal(pair_n3, zero_ideal(pair_n3)).is_zero()
 
 
+@pytest.mark.parametrize("text", [PAIR_N3, TRIPLE, "field 3 / vars x y / rel x^3 / rel y^2"])
+def test_m_and_m_times_i_are_built_without_a_closure_check(text):
+    # M and M*I are ideals by construction, so neither is re-checked
+    alg = build(text)
+    want_m = ideal_from_generators(alg, alg.gens)
+    want_m2 = ideal_from_generators(alg, [g * h for g in alg.gens for h in alg.gens])
+    with mock.patch.object(Ideal, "_check_closed",
+                           side_effect=AssertionError("closure re-checked")):
+        m = maximal_ideal(alg)
+        m2 = module_times_ideal(alg, m)
+    assert m == want_m and m2 == want_m2
+
+
 def _tuple_module_times_ideal(alg, i):
     # every generator times every basis row of i, on coefficient tuples
     prods = [reference_kernels.product(alg, g.coeffs, row) for g in alg.gens for row in i.rows]

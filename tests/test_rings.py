@@ -6,7 +6,8 @@ import pytest
 
 from cyclicideals import (DimensionLimitError, NotExpressibleError,
                           PresentationError, RingPresentation, RingSyntaxError,
-                          build_algebra, parse_element, parse_presentation,
+                          annihilator, build_algebra, cyclic,
+                          module_times_ideal, parse_element, parse_presentation,
                           power_form, pres_str)
 from cyclicideals.rings import mono_str
 from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, TWO_AXES, build,
@@ -249,6 +250,21 @@ def test_power_form_rejects():
     wx, wy = wide.gens
     with pytest.raises(NotExpressibleError):
         power_form(wide, wx, wx * wy)
+
+
+def test_power_form_needs_mx_equal_rx2_not_a_principal_quotient():
+    # GF(2)[t]/(t^4), x = t^2: R/Ann(x) = GF(2)[t]/(t^2) is a principal
+    # ideal ring, yet t^3 in Rx is no unit times a power of x, because
+    # Mx = R t^3 differs from Rx^2 = 0
+    alg = build("field 2 / vars t / rel t^4")
+    t = alg.gens[0]
+    x = t ** 2
+    assert alg.dim - annihilator(alg, x).dim == 2
+    rx = cyclic(alg, x)
+    assert module_times_ideal(alg, rx).dim == 1 and cyclic(alg, x ** 2).dim == 0
+    assert rx.contains(t ** 3)
+    with pytest.raises(NotExpressibleError):
+        power_form(alg, x, t ** 3)
 
 
 def test_power_form_every_member_of_chain():
