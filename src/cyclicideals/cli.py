@@ -273,10 +273,11 @@ def _add_common(sp, witness_knob=True, oracle_knob=True):
                     help="override the truncation degree")
     if witness_knob:
         sp.add_argument("--max-dim", type=int, default=12, metavar="D",
-                        help="witness search bound on dim M (default 12)")
+                        help="cover search bound on dim M (default 12)")
     if oracle_knob:
         sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
-                        help="exhaustive search bound on dim M (default 8)")
+                        help="census bound on dim M; in classify it bounds only "
+                             "the three-summand check (default 8)")
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,13 @@ summands make a witness, and three refute with R(x+y) + R(x+z).  It
 imports nothing from the oracle.  It also classifies the prime spectrum
 (at most three primes, Krull dimension at most one).
 
+Two counts rule a cover out before any search, over every field
+(m_count_failure).  If M = Rg_1 + ... + Rg_n is direct, g_j g_k lies in
+Rg_j meet Rg_k = 0, so Mg_k = Rg_k^2: each Rg_k is a chain with one
+socle line, and n = mu(M) by Nakayama, so dim soc(M) = mu(M).  And M^j
+is the direct sum of the Rg_k^j, so mu(M^j) = #{k : g_k^j != 0}, which
+never grows with j.  A count that fails refutes with M itself.
+
 R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
 generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
 onto M*Rg and that ideal's square onto M^2*Rg.  So the witness's own Rg
@@ -28,7 +35,8 @@ from typing import Optional, Sequence
 from . import gf
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, cyclic, ideal_from_generators,
                      is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, packed_first_cover, zero_ideal)
+                     module_times_ideal, packed_first_cover, packed_socle,
+                     zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
 
@@ -159,11 +167,31 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def _witness_possible(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]]) -> bool:
-    """False when mu(M^2) >= 3: under a witness M^2 = Rx^2 + Ry^2 needs at
-    most two generators.  A direct variable split skips the check."""
-    return split is not None or min_generators(
-        alg, module_times_ideal(alg, maximal_ideal(alg))) <= 2
+def m_count_failure(alg: Algebra) -> tuple[Optional[str], list[int]]:
+    """Check the two counts that every direct cyclic cover of M fixes
+    (the module docstring proves them): dim soc(M) = mu(M), and mu(M^j)
+    never grows with j.  Returns (the failed count as a proof note, or
+    None; the mu(M^j) read so far, from j = 1).  The socle count is the
+    cheaper one, so the chain of powers is walked only after it passes.
+    """
+    power = module_times_ideal(alg, maximal_ideal(alg))
+    mus = [alg.dim - 1 - power.dim]
+    soc = len(packed_socle(alg, ()))
+    if soc != mus[0]:
+        return (f"dim soc(M) = {soc} but mu(M) = {mus[0]}: a direct cover of M by "
+                "cyclic modules has mu(M) summands, each a chain with one socle "
+                "line"), mus
+    while power.dim:
+        lower = module_times_ideal(alg, power)
+        mus.append(power.dim - lower.dim)
+        if mus[-1] > mus[-2]:
+            j = len(mus)
+            before = "M" if j == 2 else f"M^{j - 1}"
+            return (f"mu(M^{j}) = {mus[-1]} but mu({before}) = {mus[-2]}: in a direct "
+                    "cover of M by cyclic modules Rg_k, mu(M^j) counts the g_k with "
+                    "g_k^j != 0, which never grows with j"), mus
+        power = lower
+    return None, mus
 
 
 def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: int
@@ -176,7 +204,10 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
     are the cover.  Otherwise the exhaustive cover search runs on M; it
     needs GF(2) and dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
     SearchSpaceExceededError outside that.  Any one cover decides
-    (Krull-Schmidt, see packed_first_cover).
+    (Krull-Schmidt, see packed_first_cover).  Every cover fixes two
+    counts, so callers check them first (m_count_failure): Mg_k = Rg_k^2
+    makes each summand Rg_k a chain with one socle line, so
+    dim soc(M) = mu(M), and mu(M^j) = #{k : g_k^j != 0} never grows.
     """
     if split is not None:
         return ([g for g, c in split if not is_simple(alg, c)],
@@ -192,12 +223,16 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """A witness decomposition of the maximal ideal, read off m_cover
     (search bound max_pair_dim): a cover with at most two non-simple
-    summands is one (Mx = Rx^2).  None when no witness exists; raises
+    summands is one (Mx = Rx^2).  None when no witness exists: a failed
+    count of m_count_failure, or mu(M^2) >= 3, the number of non-simple
+    summands of any cover, settles that before any search.  Raises
     SearchSpaceExceededError when the bounds prevent the search.
     """
     split = canonical_variable_split(alg)
-    if not _witness_possible(alg, split):
-        return None
+    if split is None:
+        failure, mus = m_count_failure(alg)
+        if failure is not None or len(mus) > 1 and mus[1] > 2:
+            return None
     cover = m_cover(alg, split, max_pair_dim)
     if cover is None or len(cover[0]) > 2:
         return None  # three independent non-simple summands refute any witness
@@ -252,25 +287,30 @@ class DscVerdict:
 def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> DscVerdict:
     """Decide whether every ideal of alg splits into cyclic summands.
 
-    One direct cover of M decides (m_cover).  No cover: no, and M itself
-    is the counterexample.  At most two non-simple summands: yes, with
-    the cover as a verified witness.  Three or more: no, with the ideal
-    R(x + y) + R(x + z) on three of them, confirmed by the exhaustive
-    cover search where dim M <= min(max_oracle_dim, 20) over GF(2).  The
-    cover search on M runs up to the larger bound where a witness is
-    possible, and up to max_oracle_dim where it can only refute; past
-    that the verdict is undecided_by_search.
+    One direct cover of M decides (m_cover).  Unless the variables split
+    M, two counts that every cover M = Rg_1 + ... + Rg_n fixes come first
+    (m_count_failure): directness gives Mg_k = Rg_k^2, so each Rg_k is a
+    chain with one socle line and n = mu(M), hence dim soc(M) = mu(M);
+    and mu(M^j) counts the g_k with g_k^j != 0, so it never grows with j.
+    A failed count or no cover: no, and M itself is the counterexample,
+    its proof the failed count or the exhausted search.  At most two
+    non-simple summands: yes, with the cover as a verified witness.
+    Three or more: no, with the ideal R(x + y) + R(x + z) on three of
+    them, confirmed by the exhaustive cover search where
+    dim M <= min(max_oracle_dim, 20) over GF(2); that confirmation is all
+    max_oracle_dim bounds.  The cover search of M runs up to
+    max_pair_dim; past it the verdict is undecided_by_search.
     """
     split = canonical_variable_split(alg)
-    possible = _witness_possible(alg, split)
-    bound = max(max_pair_dim, max_oracle_dim) if possible else max_oracle_dim
+    if split is None:
+        failure, _ = m_count_failure(alg)
+        if failure is not None:
+            return DscVerdict("no", None, maximal_ideal(alg), failure)
     try:
-        cover = m_cover(alg, split, bound)
+        cover = m_cover(alg, split, max_pair_dim)
     except SearchSpaceExceededError:
-        notes = ("oracle infeasible at this size",)
-        if possible:
-            notes = (f"witness search space exceeded (p={alg.p}, dim M={alg.dim - 1})",) + notes
-        return DscVerdict("undecided_by_search", None, None, None, notes)
+        return DscVerdict("undecided_by_search", None, None, None, (
+            f"witness search space exceeded (p={alg.p}, dim M={alg.dim - 1})",))
     if cover is None:
         return DscVerdict("no", None, maximal_ideal(alg),
                           "exhaustive search over all families of cyclic "

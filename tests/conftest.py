@@ -22,7 +22,9 @@ SQUARE_ZERO_N3 = ("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"
                   " / rel x*y / rel x*z / rel y*z")
 AXIS_SOCLE = "field 2 / vars x y / rel x*y / rel y^2 / truncate 6"
 TWO_AXES = "field 2 / vars x y / rel x*y / truncate 6"
-GF3_UNDECIDED = "field 3 / vars x y / rel x^2 / rel y^2"
+# both counts of structure.m_count_failure pass, the variables do not
+# split M, and the cover search of M is GF(2)-only
+GF3_UNDECIDED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
 
 
 @st.composite

@@ -11,8 +11,9 @@ INFINITE = "field 2 / vars x y / rel x*y"
 # three non-simple axes with dim M = 9, one past the default oracle bound
 TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
              " / rel x*y / rel x*z / rel y*z")
-# dim M = 23, past the packed cyclic table's limit of 20
-WIDE = "field 2 / vars x y / rel x^2 / rel y^12"
+# dim M = 22, past the packed cyclic table's limit of 20; both counts of
+# structure.m_count_failure pass, so only the cover search could decide
+WIDE = "field 2 / vars x y / rel x^2 / rel y^12 / rel x*y^11"
 
 
 @pytest.fixture
@@ -55,6 +56,21 @@ def test_classify_undecided(ring_file, capsys):
     assert "dsc: undecided" in out
 
 
+def test_classify_refutes_by_the_socle_count(ring_file, capsys):
+    # over GF(3) no cover search runs: soc(M) = span{x*y} is one line
+    # where a cover of M needs mu(M) = 2
+    path = ring_file("field 3 / vars x y / rel x^2 / rel y^2")
+    code, out, _ = run(capsys, "classify", "--json", path)
+    assert code == 1
+    ce = json.loads(out)["counterexample"]
+    assert ce["basis"] == ["x", "y", "x*y"] and ce["dim"] == 3
+    assert ce["proof"].startswith("dim soc(M) = 1 but mu(M) = 2")
+    for argv in (["decompose", path, "--ideal", "x"], ["spec", path]):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "no witness decomposition of the maximal ideal" in err
+
+
 def test_classify_confirms_with_a_raised_oracle_bound(ring_file, capsys):
     code, out, _ = run(capsys, "classify", ring_file(TRIPLE_N4),
                        "--max-oracle-dim", "10")
@@ -74,11 +90,14 @@ def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
 def test_oracle_bound_past_the_cyclic_table_limit(ring_file, capsys):
     code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", "25")
     assert code == 4 and "table limit 20" in err
-    # dim M = 21: the witness search and the oracle both refuse
-    narrower = ring_file(WIDE.replace("y^12", "y^11"))
+    # dim M = 21: --max-dim alone bounds the cover search of M, and the
+    # undecided verdict carries one note
+    narrower = ring_file(WIDE.replace("x*y^11", "x*y^10"))
     code, out, _ = run(capsys, "classify", narrower, "--max-dim", "12",
                        "--max-oracle-dim", "25")
-    assert code == 2 and "oracle infeasible at this size" in out
+    assert code == 2
+    assert [l for l in out.splitlines() if l.startswith("note:")] == [
+        "note: witness search space exceeded (p=2, dim M=21)"]
 
 
 def test_classify_json_is_deterministic(ring_file, capsys):

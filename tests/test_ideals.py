@@ -310,3 +310,27 @@ def test_packed_socle_is_the_socle_of_the_quotient(text):
         kernel = gf.left_kernel(2, alg.dim, [gf.pack_vec(r) for r in rows])
         soc = gf.subspace_intersect(soc, kernel)
     assert packed_socle(alg, ()) == list(soc.basis)
+
+
+@pytest.mark.parametrize("text", [
+    "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2",
+    "field 3 / vars x y / rel x^2 / rel y^2",
+    "field 5 / vars x y / rel x^3 / rel y^3 / rel x*y",
+])
+def test_packed_socle_over_odd_primes(text):
+    # the same definition over GF(p): every v in M off the pivots of I,
+    # enumerated coordinate by coordinate, whose images all lie in I
+    alg = build(text)
+    f = alg.field
+    for gens in ([], ["x"], ["y^2"], ["x + y"]):
+        i = ideal_from_generators(alg, [parse_element(alg, g) for g in gens])
+        free = [k for k in range(1, alg.dim) if k not in i.space.pivots]
+        kept = []
+        for digits in range(alg.p ** len(free)):
+            v = 0
+            for k in free:
+                digits, c = divmod(digits, alg.p)
+                v |= c << k * f.w
+            if not any(f.reduce(f.apply(m, v), i.space.basis) for m in alg.action_masks()):
+                kept.append(v)
+        assert packed_socle(alg, i.space.basis) == f.rref(kept)

@@ -20,12 +20,12 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
 from cyclicideals import gf, oracle, structure
 from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
-                                 packed_cyclic_table, packed_socle)
+                                 packed_cyclic_table, packed_first_cover, packed_socle)
 from cyclicideals.rings import RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_UNDECIDED, PAIR_N3, POWER_SERIES,
                       SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
-                      build_pres, presentations)
+                      build_pres, maximal_ideal_elements, presentations)
 
 
 # ---------------------------------------------------------------------------
@@ -212,29 +212,29 @@ def _summand_dims(dec: MDecomposition) -> list[int]:
 
 
 def _matches_reference_witness(make) -> tuple[bool, bool]:
-    """find_m_decomposition against the unpruned sweep, each on a fresh
-    algebra from make(): where the cover search is reached, it finds a
-    witness exactly when the sweep does, and that witness verifies, has
-    mu(M) summands and the sweep's summand dims (Krull-Schmidt); returns
-    whether the search was reached and whether it found a witness."""
-    reached = []
-    search = structure.packed_first_cover
-
-    def recording(alg, rows):
-        reached.append(alg)
-        return search(alg, rows)
-
-    with mock.patch.object(structure, "packed_first_cover", recording):
-        dec = find_m_decomposition(make())
-    if not reached:
+    """find_m_decomposition (counts first) against the cover search of M
+    and, up to dim M 8, the unpruned sweep, each on a fresh algebra from
+    make(): where the variables do not split M, it finds a witness
+    exactly when the search finds a cover with at most two non-simple
+    summands and the sweep finds a witness; that witness verifies, has
+    mu(M) summands and the cover's and the sweep's summand dims
+    (Krull-Schmidt).  Returns whether the search ran and whether it
+    found a witness."""
+    alg = make()
+    if canonical_variable_split(alg) is not None:
         return False, False
-    expected = _reference_fallback(make())
+    dec = find_m_decomposition(make())
+    cover = structure.m_cover(make(), None, 20)
+    assert (dec is None) == (cover is None or len(cover[0]) > 2)
+    # the sweep is quadratic in 2^dim M
+    expected = _reference_fallback(make()) if alg.dim - 1 <= 8 else dec
     assert (dec is None) == (expected is None)
     if dec is not None:
         alg = dec.algebra
         assert verify_m_decomposition(dec)
         assert dec.summand_count() == min_generators(alg, maximal_ideal(alg))
-        assert _summand_dims(dec) == _summand_dims(expected)
+        dims = sorted(cyclic(alg, g).dim for g in cover[0] + cover[1])
+        assert _summand_dims(dec) == dims == _summand_dims(expected)
     return True, dec is not None
 
 
@@ -243,8 +243,9 @@ def test_pruned_sweep_matches_the_reference_on_the_sweep_family():
     assert len(family) == 141
     outcomes = Counter(_matches_reference_witness(lambda: build_algebra(pres))
                        for _, pres in family)
-    # every monomial ring of the family that reaches the sweep has no witness
-    assert outcomes == Counter({(False, False): 112, (True, False): 29})
+    # every monomial ring of the family whose variables do not split M
+    # has no witness
+    assert outcomes == Counter({(False, False): 39, (True, False): 102})
 
 
 def _identify(alg, g, m2: int):
@@ -298,19 +299,83 @@ def test_pruned_sweep_matches_the_reference_on_random_rings():
     assert outcomes[True, False] + outcomes[True, True] >= 8, outcomes
 
 
+# dim soc(M) = mu(M) = 2 and mu(M^j) = 2, 2, 2, yet M has no cover: the
+# counts leave this ring to the cover search
+COUNTS_PASS_NO_COVER = "field 2 / vars x y / rel x^2 / rel y^4 / rel x*y^3"
+
+
 @pytest.mark.parametrize("found", [False, True])
 def test_fallback_closes_no_vector_of_m_squared(found):
     if found:  # a pair witness: test_fallback_pair's ring
         big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
                     " / rel x*y / rel x*z / rel y*z")
         alg = quotient_by(big, "x^2 + z")
-    else:  # Rx and Ry share xy, and nothing else splits M
-        alg = build("field 2 / vars x y / rel x^2 / rel y^2")
+    else:  # both counts pass, Rx and Ry share xy, and nothing else splits M
+        alg = build(COUNTS_PASS_NO_COVER)
     assert canonical_variable_split(alg) is None
     assert (find_m_decomposition(alg) is not None) == found
     msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
     closed = [v for v in packed_cyclic_table(alg) if v]
     assert closed and all(gf.gf2_reduce(v, msq) for v in closed)
+
+
+# ---------------------------------------------------------------------------
+# the counts every cover of M fixes
+
+
+def test_counts_never_refute_a_ring_with_a_cover():
+    tally = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(presentations(), st.data())
+    def check(pres, data):
+        pres = RingPresentation.make(2, pres.vars, pres.relations, pres.truncate)
+        alg = build_algebra(pres)
+        assume(alg.dim - 1 <= 10)
+        # a third of the draws are models R/(z) for a z in M
+        if data.draw(st.integers(0, 2)) == 0 and alg.dim > 1:
+            z = maximal_ideal_elements(alg, data, 1)[0]
+            assume(not z.is_zero())
+            alg = quotient_algebra(alg, cyclic(alg, z)).target
+        failure, _ = structure.m_count_failure(alg)
+        m = maximal_ideal(alg)
+        cover = packed_first_cover(alg, m.space.basis)
+        if failure is None:
+            tally["passed", cover is not None] += 1
+            return
+        tally["socle" if failure.startswith("dim soc(M)") else "chain"] += 1
+        assert cover is None, failure
+        assert oracle_dsc(alg, 10).answer == "no"
+
+    check()
+    # both counts must fire, and covers be found, for the check to mean
+    # something
+    assert tally["socle"] >= 10 and tally["chain"] >= 3, tally
+    assert tally["passed", True] >= 10, tally
+
+
+def test_counts_leave_a_ring_without_a_cover_to_the_search():
+    alg = build(COUNTS_PASS_NO_COVER)
+    assert structure.m_count_failure(alg) == (None, [2, 2, 2])
+    assert canonical_variable_split(alg) is None
+    assert packed_first_cover(alg, maximal_ideal(alg).space.basis) is None
+    verdict = classify_dsc(alg)
+    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
+    assert verdict.counterexample_note.startswith("exhaustive search")
+    assert oracle_dsc(build(COUNTS_PASS_NO_COVER), 10).answer == "no"
+
+
+def test_chain_count_refutes():
+    # M^2 = span{x^2, x*y, y^2, x^2*y} needs three generators, M two;
+    # soc(M) = span{y^2, x^2*y} passes the socle count
+    alg = build("field 2 / vars x y / rel x^3 / rel y^3 / rel x*y^2")
+    failure, mus = structure.m_count_failure(alg)
+    assert mus == [2, 3]
+    assert failure.startswith("mu(M^2) = 3 but mu(M) = 2")
+    verdict = classify_dsc(alg)
+    assert verdict.answer == "no" and verdict.counterexample_note == failure
+    assert find_m_decomposition(alg) is None
+    assert brute_decompose(alg, maximal_ideal(alg)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +445,15 @@ def test_classify_never_runs_the_census():
             mock.patch.object(oracle, "oracle_dsc", refuse):
         verdicts = [classify_dsc(alg) for alg in algs]
     assert Counter(v.answer for v in verdicts) == Counter(
-        {"yes": 31, "no": 60, "undecided_by_search": 50})
+        {"yes": 31, "no": 110})
     for alg, v in zip(algs, verdicts):
         if alg.dim - 1 <= 8:
             assert oracle.oracle_dsc(alg).answer == v.answer
 
 
-# classify's cover search decides these at dim M 9 and 10; the census
-# that decided before stops at its default bound of 8
+# classify refutes these with M at dim M 9 and 10 (the socle count, before
+# any search); the census that decided before stops at its default bound
+# of 8
 NEWLY_DECIDED = (
     "F2[x,y]/(x^2,y^5)", "F2[x,y]/(x^5,y^2)",
     "F2[x,y,z]/(x^2,y^2,z^5,x*y,x*z)", "F2[x,y,z]/(x^2,y^2,z^5,x*y,y*z)",
@@ -407,7 +473,36 @@ def test_classify_refutes_with_m_past_the_census_bound():
         if alg.dim - 1 == 9:
             assert oracle_dsc(build_algebra(family[name]), 10).answer == "no"
     tally = Counter(classify_dsc(build_algebra(pres)).answer for pres in family.values())
-    assert tally == Counter({"yes": 57, "no": 90, "undecided_by_search": 372})
+    assert tally == Counter({"yes": 57, "no": 462})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_classify_decides_both_sweep_families(p):
+    small = {name for name, _ in sweep_presentations(3, (2, 3, 4), 11)}
+    tally, small_tally = Counter(), Counter()
+    for name, pres in sweep_presentations(3, (2, 3, 4, 5), 40):
+        pres = RingPresentation.make(p, pres.vars, pres.relations, pres.truncate)
+        alg = build_algebra(pres)
+        mdim = alg.dim - 1
+        verdict = classify_dsc(alg)
+        tally[verdict.answer] += 1
+        if name in small:
+            small_tally[verdict.answer] += 1
+        if p == 2 and mdim <= 10:
+            assert oracle_dsc(build_algebra(pres), 10).answer == verdict.answer, name
+        if verdict.answer == "yes":
+            assert verify_m_decomposition(verdict.witness), name
+            continue
+        assert verdict.answer == "no", name
+        if verdict.counterexample == maximal_ideal(alg):
+            # the counts refute every ring of the families that has no cover
+            note = verdict.counterexample_note
+            assert note.startswith(("dim soc(M) = ", "mu(M^")), name
+            if p == 2 and mdim <= 12:
+                fresh = build_algebra(pres)
+                assert brute_decompose(fresh, maximal_ideal(fresh), 12) is None, name
+    assert small_tally == Counter({"yes": 31, "no": 110})
+    assert tally == Counter({"yes": 57, "no": 462})
 
 
 def test_structure_imports_nothing_from_the_oracle():
