@@ -5,7 +5,11 @@ monomial relations, and an optional total-degree truncation.  The
 algebra it builds is spanned by the standard monomials (those divisible
 by no relation and below the truncation degree), ordered by degree and
 then lexicographically with earlier variables first, so position 0 is
-always the unit monomial.  Products of standard monomials are again
+always the unit monomial.  The standard monomials are closed under
+division, so build_algebra grows them degree by degree from their own
+divisors and never walks the exponent box: its work follows the
+dimension, and max_dim refuses only a basis that really exceeds it.
+Products of standard monomials are again
 standard or zero, so multiplying by one variable is a lookup in that
 variable's successor map, packed (see gf) as the algebra's action masks.
 Elements are packed rows, and every product goes through one primitive,
@@ -464,8 +468,21 @@ class _Columns(dict):
 def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebra:
     """Enumerate the standard monomials and assemble the algebra.
 
-    Raises DimensionLimitError when the basis would exceed max_dim (or
-    when an untruncated exponent box is clearly hopeless).
+    The standard monomials are closed under division, so those of degree
+    d + 1 are the standard x_v * m over the standard m of degree d.  Each
+    is made once, from its canonical parent: x_v * m with v at least the
+    last variable of m.  A child x_v * m is standard when x_v stays below
+    its cap (pure powers and the truncation) and no impure relation
+    divides it; m is standard, so only the relations r with r_v equal to
+    the child's v-exponent can.  Taken parent by parent in basis order,
+    v ascending, each degree comes out in descending exponent order, the
+    basis order, with no sort: the children of one m descend as v grows,
+    and if parents m > m' of one degree first differ at i, then m'
+    involves a variable past i, so every child of m' adds past i while
+    every child of m adds at i or later, and it stays the larger at i.
+    The work is proportional to the basis times the variables, and
+    DimensionLimitError is raised once a degree takes the basis past
+    max_dim.
     """
     nv = len(pres.vars)
     caps = []
@@ -475,34 +492,29 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
         if pres.truncate is not None:
             cap = pres.truncate if cap is None else min(cap, pres.truncate)
         caps.append(cap)  # exponent of var i is < cap
-    box = 1
-    for cap in caps:
-        box *= cap
-    if pres.truncate is None and box > 4 * max_dim * max(nv, 1) and box > 10 ** 6:
-        raise DimensionLimitError("dimension exceeds configured limit")
-
-    # pure powers are already enforced through caps
-    impure = [r for r in pres.relations if not any(r[i] == mono_degree(r) for i in range(nv))]
-    basis = []
-    bound = pres.truncate
-
-    def extend(prefix: list[int], degree: int) -> None:
-        if len(prefix) == nv:
-            mono = tuple(prefix)
-            if not any(mono_divides(r, mono) for r in impure):
-                basis.append(mono)
-                if len(basis) > max_dim:
-                    raise DimensionLimitError("dimension exceeds configured limit")
-            return
-        i = len(prefix)
-        top = caps[i]
-        e = 0
-        while e < top and (bound is None or degree + e < bound):
-            extend(prefix + [e], degree + e)
-            e += 1
-
-    extend([], 0)
-    basis.sort(key=lambda m: (mono_degree(m), tuple(-k for k in m)))
+    # pure powers are already enforced through caps; an impure relation
+    # can only newly divide x_v * m through a variable v it involves
+    through = [[r for r in pres.relations if 0 < r[v] < mono_degree(r)] for v in range(nv)]
+    # (monomial, its last variable) of the current degree, in basis order
+    level = [((0,) * nv, 0)]
+    basis = [level[0][0]]
+    degree = 1
+    while level and (pres.truncate is None or degree < pres.truncate):
+        nxt = []
+        for m, last in level:
+            for v in range(last, nv):
+                e = m[v] + 1
+                if e >= caps[v]:
+                    continue
+                child = m[:v] + (e,) + m[v + 1:]
+                if any(r[v] == e and mono_divides(r, child) for r in through[v]):
+                    continue
+                nxt.append((child, v))
+        basis.extend(m for m, _ in nxt)
+        if len(basis) > max_dim:
+            raise DimensionLimitError("dimension exceeds configured limit")
+        level = nxt
+        degree += 1
     return MonomialAlgebra(pres, basis)
 
 

@@ -28,7 +28,7 @@ M with at most two non-simple summands is a witness.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -59,12 +59,15 @@ def is_principal_ideal_ring(alg: Algebra) -> bool:
 class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
     independent.  Its closures rx, ry (zero for a missing axis) and
-    simple_span are cached fields, built once."""
+    simple_span are cached fields, built once.  closures holds (g, Rg)
+    pairs already built for some summands g, so the witness does not
+    close them again; a witness built by hand closes its own."""
 
     algebra: Algebra
     x: Optional[Element]
     y: Optional[Element]
     simples: tuple[Element, ...]
+    closures: tuple[tuple[Element, Ideal], ...] = field(default=(), compare=False, repr=False)
 
     def summands(self) -> list[Element]:
         out = [g for g in (self.x, self.y) if g is not None]
@@ -79,13 +82,20 @@ class MDecomposition:
         """m_decomposition_problems of this witness, computed once."""
         return tuple(m_decomposition_problems(self))
 
+    def closure(self, g: Element) -> Ideal:
+        """Rg for a summand g, from closures when it is there."""
+        for h, c in self.closures:
+            if h == g:
+                return c
+        return cyclic(self.algebra, g)
+
     @cached_property
     def rx(self) -> Ideal:
-        return zero_ideal(self.algebra) if self.x is None else cyclic(self.algebra, self.x)
+        return zero_ideal(self.algebra) if self.x is None else self.closure(self.x)
 
     @cached_property
     def ry(self) -> Ideal:
-        return zero_ideal(self.algebra) if self.y is None else cyclic(self.algebra, self.y)
+        return zero_ideal(self.algebra) if self.y is None else self.closure(self.y)
 
     @cached_property
     def simple_span(self) -> gf.Subspace:
@@ -113,7 +123,7 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
     if any(g.is_zero() for g in dec.summands()):
         problems.append("zero summand")
         return problems
-    simples = [cyclic(alg, w) for w in dec.simples]
+    simples = [dec.closure(w) for w in dec.simples]
     total = gf.direct_sum(alg.p, alg.dim, [c.space for c in [dec.rx, dec.ry] + simples])
     if total is None:
         # overlapping summands never fill M directly: both problems hold
@@ -139,28 +149,37 @@ def verify_m_decomposition(dec: MDecomposition) -> bool:
 
 def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal]]]:
     """The variable grouping: M as the direct sum of the Rv over distinct
-    variable images, or None when that sum is not direct or falls short."""
+    variable images, with each Rv, or None when that sum is not direct.
+
+    Each image g is tested against the parts closed so far before it is
+    closed itself: a nonzero hg for a part Rh with g outside Rh is a
+    nonzero element of Rh meet Rg, and Rg is not Rh, so Rg would overlap
+    Rh or an earlier part equal to it, and the sum cannot be direct.  The
+    images generate M, so the sum of the distinct Rv is M, and it is
+    direct exactly when their dimensions add up to dim M.
+    """
     parts: list[tuple[Element, Ideal]] = []
-    seen = set()
     for g in alg.gens:
         if g.is_zero():
             continue
+        if any(not (h * g).is_zero() and not c.contains(g) for h, c in parts):
+            return None
         c = cyclic(alg, g)
-        if c.space in seen:
-            continue
-        seen.add(c.space)
-        parts.append((g, c))
-    total = gf.direct_sum(alg.p, alg.dim, [c.space for _, c in parts])
-    if total is not None and total.dim == alg.dim - 1:
+        if all(c != seen for _, seen in parts):
+            parts.append((g, c))
+    if sum(c.dim for _, c in parts) == alg.dim - 1:
         return parts
     return None
 
 
 def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
-                        simples: Sequence[Element]) -> MDecomposition:
+                        simples: Sequence[Element],
+                        closures: Sequence[tuple[Element, Ideal]] = ()) -> MDecomposition:
+    """The verified witness of a cover with at most two non-simple
+    summands; closures are the (g, Rg) pairs the cover already built."""
     x = nonsimple[0] if len(nonsimple) > 0 else None
     y = nonsimple[1] if len(nonsimple) > 1 else None
-    dec = MDecomposition(alg, x, y, tuple(simples))
+    dec = MDecomposition(alg, x, y, tuple(simples), tuple(closures))
     if dec.problems:
         raise RuntimeError("internal contradiction: witness failed verification: "
                            + "; ".join(dec.problems))
@@ -236,7 +255,7 @@ def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDeco
     cover = m_cover(alg, split, max_pair_dim)
     if cover is None or len(cover[0]) > 2:
         return None  # three independent non-simple summands refute any witness
-    return _normalized_witness(alg, *cover)
+    return _normalized_witness(alg, *cover, split or ())
 
 
 def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
@@ -317,7 +336,7 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
                           "submodules found no direct-sum cover of M")
     nonsimple, simples = cover
     if len(nonsimple) <= 2:
-        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
+        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples, split or ()))
     x, y, z = nonsimple[:3]
     j = three_summand_counterexample(alg, x, y, z,
                                      ideal_from_generators(alg, nonsimple[3:] + simples))

@@ -28,9 +28,9 @@ GF3_UNDECIDED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, max_vars=3):
     p = draw(st.sampled_from([2, 3, 5]))
-    nv = draw(st.integers(1, 3))
+    nv = draw(st.integers(1, max_vars))
     truncate = draw(st.one_of(st.none(), st.integers(2, 7)))
     rels = []
     for v in range(nv):

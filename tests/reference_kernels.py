@@ -7,7 +7,8 @@ pivot, each row a tuple monic at its pivot.  Every operation is plain
 arithmetic mod p on one coordinate at a time, so nothing here shares a
 layout or a reduction trick with the packed rows.  Products add
 exponents over the monomial basis, so they share neither the successor
-maps nor mult_map.
+maps nor mult_map.  The standard monomials come from a walk of the whole
+exponent box and one sort, not from their divisors.
 """
 
 from bisect import insort
@@ -139,3 +140,40 @@ def product(alg, a, b):
                 if k is not None:
                     out[k] = (out[k] + ca * cb) % p
     return tuple(out)
+
+
+def standard_monomials(pres, max_dim):
+    """The basis of build_algebra(pres, max_dim) by walking the exponent
+    box: every exponent tuple below the pure-power caps and the
+    truncation, kept when no relation divides it, then sorted by degree
+    and descending exponents.  Raises rings.DimensionLimitError when more
+    than max_dim survive."""
+    from cyclicideals.rings import DimensionLimitError, mono_degree, mono_divides
+
+    nv = len(pres.vars)
+    caps = []
+    for i in range(nv):
+        pure = [r[i] for r in pres.relations if r[i] > 0 and mono_degree(r) == r[i]]
+        cap = min(pure) if pure else None
+        if pres.truncate is not None:
+            cap = pres.truncate if cap is None else min(cap, pres.truncate)
+        caps.append(cap)
+    basis = []
+    bound = pres.truncate
+
+    def extend(prefix, degree):
+        if len(prefix) == nv:
+            mono = tuple(prefix)
+            if not any(mono_divides(r, mono) for r in pres.relations):
+                basis.append(mono)
+                if len(basis) > max_dim:
+                    raise DimensionLimitError("dimension exceeds configured limit")
+            return
+        e = 0
+        while e < caps[len(prefix)] and (bound is None or degree + e < bound):
+            extend(prefix + [e], degree + e)
+            e += 1
+
+    extend([], 0)
+    basis.sort(key=lambda m: (mono_degree(m), tuple(-k for k in m)))
+    return tuple(basis)

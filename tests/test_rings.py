@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicideals import (DimensionLimitError, NotExpressibleError,
                           PresentationError, RingPresentation, RingSyntaxError,
@@ -10,8 +11,9 @@ from cyclicideals import (DimensionLimitError, NotExpressibleError,
                           module_times_ideal, parse_element, parse_presentation,
                           power_form, pres_str)
 from cyclicideals.rings import mono_str
+import reference_kernels
 from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, TWO_AXES, build,
-                      build_pres)
+                      build_pres, presentations)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,29 @@ def test_dimension_limit():
     with pytest.raises(DimensionLimitError):
         build_algebra(parse_presentation("field 2 / vars x / truncate 5000"),
                       max_dim=4096)
+
+
+def test_dimension_limit_counts_the_basis_not_the_exponent_box():
+    # the exponent box below x^2000, y^2000 has 4 * 10^6 points, the basis
+    # 3,999 monomials: 1, then x^a and y^b for a, b < 2000
+    alg = build("field 2 / vars x y / rel x^2000 / rel y^2000 / rel x*y")
+    assert alg.dim == 3999
+    assert alg.basis[:5] == ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2))
+    assert alg.basis[-1] == (0, 1999)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(presentations(max_vars=4), st.integers(1, 400))
+def test_basis_matches_the_exponent_box_walk(pres, max_dim):
+    try:
+        expected = reference_kernels.standard_monomials(pres, max_dim)
+    except DimensionLimitError:
+        expected = None
+    if expected is None:
+        with pytest.raises(DimensionLimitError):
+            build_algebra(pres, max_dim)
+    else:
+        assert build_algebra(pres, max_dim).basis == expected
 
 
 # ---------------------------------------------------------------------------

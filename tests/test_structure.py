@@ -20,7 +20,8 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
 from cyclicideals import gf, oracle, structure
 from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
-                                 packed_cyclic_table, packed_first_cover, packed_socle)
+                                 packed_cyclic_table, packed_first_cover, packed_socle,
+                                 zero_ideal)
 from cyclicideals.rings import RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_UNDECIDED, PAIR_N3, POWER_SERIES,
@@ -57,6 +58,65 @@ def test_canonical_split_fails_on_overlap():
     assert canonical_variable_split(alg) is None
 
 
+# Reference: the full-closure variable split, which closes every variable
+# image before it looks for an overlap.
+
+
+def _reference_variable_split(alg):
+    parts, seen = [], set()
+    for g in alg.gens:
+        if g.is_zero():
+            continue
+        c = cyclic(alg, g)
+        if c.space not in seen:
+            seen.add(c.space)
+            parts.append((g, c))
+    total = gf.direct_sum(alg.p, alg.dim, [c.space for _, c in parts])
+    return parts if total is not None and total.dim == alg.dim - 1 else None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_stops_at_the_first_overlap(p):
+    alg = build(f"field {p} / vars x y / truncate 12")
+    with mock.patch.object(structure, "cyclic", wraps=structure.cyclic) as closures, \
+            mock.patch.object(gf, "direct_sum", wraps=gf.direct_sum) as sums:
+        assert canonical_variable_split(alg) is None
+    # x*y is a nonzero element of Rx meet Ry, and y lies outside Rx
+    assert closures.call_count == 1
+    assert sums.call_count == 0
+
+
+def test_split_matches_the_full_closure_reference_on_the_sweep_family():
+    for p in (2, 3):
+        for _, pres in sweep_presentations(3, (2, 3, 4), 11):
+            alg = build_algebra(RingPresentation.make(p, pres.vars, pres.relations))
+            assert canonical_variable_split(alg) == _reference_variable_split(alg)
+
+
+THREE_AXES = ("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
+              " / rel x*y / rel x*z / rel y*z")
+
+
+@pytest.mark.parametrize("text, gens, splits", [
+    ("field 2 / vars x y / rel x^2 / rel y^4 / rel x*y", ("x + y^2",), False),
+    (THREE_AXES, ("x^2 + z",), False),
+    (PAIR_N3, ("x^2 + y^2",), False),
+    ("field 2 / vars x y z w / rel x^3 / rel y^3 / rel z^3 / rel w^2 / rel x*y"
+     " / rel x*z / rel x*w / rel y*z / rel y*w / rel z*w", ("w + x^2",), False),
+    # y = x + x^2: distinct images of x and y that generate one cyclic
+    # module, with a nonzero product
+    ("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2 / rel x*z / rel y*z",
+     ("y + x + x^2",), True),
+    # y = -x over GF(3): distinct images, one cyclic module, product zero
+    ("field 3 / vars x y / rel x^3 / rel y^3 / rel x*y", ("x + y",), True),
+])
+def test_split_matches_the_full_closure_reference_on_quotients(text, gens, splits):
+    q = quotient_by(build(text), *gens)
+    split = canonical_variable_split(q)
+    assert split == _reference_variable_split(q)
+    assert (split is not None) == splits
+
+
 def test_find_witness_pair(pair_n3):
     dec = find_m_decomposition(pair_n3)
     assert dec is not None
@@ -88,18 +148,44 @@ def test_three_nonsimple_summands_refute(triple):
 
 def test_witness_problems_reported(pair_n3):
     x, y = pair_n3.gens
-    broken = MDecomposition(pair_n3, x + y, y, ())
-    problems = m_decomposition_problems(broken)
-    assert problems and not verify_m_decomposition(broken)
-    assert problems == ["summands are not independent",
-                        "summands do not fill the maximal ideal",
-                        "x*y is nonzero",
-                        "R/Ann(x + y) is not a principal ideal ring"]
-    # independent but short of M; overlapping through a socle line
-    assert m_decomposition_problems(MDecomposition(pair_n3, x, None, ())) == [
-        "summands do not fill the maximal ideal"]
-    assert m_decomposition_problems(MDecomposition(pair_n3, x, y, (x * x,))) == [
-        "summands are not independent", "summands do not fill the maximal ideal"]
+    # each hand-built witness closes its own summands; handed the closures,
+    # as a cover hands them over, it must report the same problems
+    for summands, expected in [
+            ((x + y, y, ()), ["summands are not independent",
+                              "summands do not fill the maximal ideal",
+                              "x*y is nonzero",
+                              "R/Ann(x + y) is not a principal ideal ring"]),
+            # independent but short of M; overlapping through a socle line
+            ((x, None, ()), ["summands do not fill the maximal ideal"]),
+            ((x, y, (x * x,)), ["summands are not independent",
+                                "summands do not fill the maximal ideal"]),
+            ((x, None, (y,)), ["summand y is not simple"])]:
+        broken = MDecomposition(pair_n3, *summands)
+        closures = tuple((g, cyclic(pair_n3, g)) for g in broken.summands())
+        for dec in (broken, MDecomposition(pair_n3, *summands, closures)):
+            assert m_decomposition_problems(dec) == expected
+            assert not verify_m_decomposition(dec)
+
+
+def test_witness_closes_each_summand_once():
+    algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
+    # the two axes rings of the benchmark's ladder
+    algs += [build("field 2 / vars x y / rel x^50 / rel y^51 / rel x*y"),
+             build("field 3 / vars x y / rel x^40 / rel y^41 / rel x*y")]
+    yes = 0
+    for alg in algs:
+        with mock.patch.object(structure, "cyclic", wraps=structure.cyclic) as closures:
+            verdict = classify_dsc(alg)
+            if verdict.answer != "yes":
+                continue
+            dec = verdict.witness
+            assert verify_m_decomposition(dec)
+        # the variable split closed every variable, and the witness none
+        assert closures.call_count == len(alg.gens) == dec.summand_count()
+        assert dec.rx == (cyclic(alg, dec.x) if dec.x is not None else zero_ideal(alg))
+        assert dec.ry == (cyclic(alg, dec.y) if dec.y is not None else zero_ideal(alg))
+        yes += 1
+    assert yes == 31 + 2
 
 
 def test_search_space_exceeded():
