@@ -11,6 +11,7 @@ to hear about immediately.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -358,34 +359,32 @@ def packed_first_cover(alg: Algebra, rows: Sequence[int]
                        ) -> Optional[tuple[list[int], list[int]]]:
     """A direct cover of the ideal I = span(rows) by cyclic submodules, as
     (generators of the non-simple summands, generators of the simple
-    ones), or None when I is no direct sum of cyclic modules.  GF(2);
-    rows is a packed reduced echelon basis.
+    ones), each sorted by subset mask, or None when I is no direct sum of
+    cyclic modules.  GF(2); rows is a packed reduced echelon basis.
 
     Any one cover decides: Rg = R/Ann(g) is indecomposable over a local
     ring, so by Krull-Schmidt every direct cover of I has the same
-    summands up to isomorphism.  Nakayama prunes: if I = Rg_1 + ... +
-    Rg_n is direct, I/MI is the direct sum of the lines Rg_k/Mg_k, so
-    every g_k lies outside MI and the g_k are independent modulo MI.  MI
-    is the direct sum of the Mg_k, so at most mu(MI) summands are
-    non-simple (Mg_k != 0).  The simple summands lie in S = soc(R) meet I,
-    and lines of S complete a non-simple part N to a direct cover exactly
-    when N + S = I: then a basis of S reduced greedily against N
-    supplies them.  S is spanned by its lines outside MI, unless it lies
-    in MI, and then N + S = I already forces N = I.  So the depth-first
-    search branches only over non-simple cyclic submodules, at most
-    mu(MI) deep, and at each node completes from the simple ones, the Rv
-    of dimension 1 (gv = cv with g nilpotent forces c = 0).
+    summands up to isomorphism.  Take any g_1, ..., g_n in I whose
+    classes form a basis of I/MI.  Nakayama gives sum Rg_k = I, so
+    sum dim Rg_k >= dim I, with equality exactly when the sum is direct.
+    Every direct cover has that form: I/MI is the direct sum of the lines
+    Rg_k/Mg_k, so the g_k lie outside MI, are independent modulo MI, and
+    number mu(I).  So I is a direct sum of cyclic modules exactly when
+    the minimum of sum w(c_k) over bases {c_k} of I/MI is dim I, where
+    w(c) = min dim Rv over the lifts v in c + MI.  The bases of a vector
+    space are those of a matroid, so taking classes greedily by weight
+    finds a minimum-weight basis.  Each class keeps its lift of least
+    (dim Rv, subset mask), and the classes are taken in that order.
 
-    Generators come from walking the subsets of rows in Gray-code order,
-    one XOR for the vector and one for its class modulo MI per step
+    Lifts come from walking the subsets of rows in Gray-code order, one
+    XOR for the vector and one for its class modulo MI per step
     (reduction against an echelon basis is linear).  Only vectors
-    outside MI are read from the cyclic table, and each submodule keeps
-    the generator of the smallest subset mask.
+    outside MI are read from the cyclic table.
     """
     table = packed_cyclic_table(alg)
     mi = _packed_times_m(alg, rows)
     classes = [gf.gf2_reduce(r, mi) for r in rows]
-    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
+    lightest: dict[int, tuple[int, int, int, int]] = {}
     mask = v = cls = 0
     for s in range(1, 1 << len(rows)):
         b = (s & -s).bit_length() - 1
@@ -393,28 +392,18 @@ def packed_first_cover(alg: Algebra, rows: Sequence[int]
         v ^= rows[b]
         cls ^= classes[b]
         if cls:
-            cyc = table[v]
-            if cyc not in firsts or mask < firsts[cyc][0]:
-                firsts[cyc] = (mask, v)
-    soc = gf.packed_field(2).rref(v for cyc, (_, v) in firsts.items() if len(cyc) == 1)
-    cands = sorted((mask, v, cyc) for cyc, (mask, v) in firsts.items() if len(cyc) > 1)
-    depth = len(mi) - len(_packed_times_m(alg, mi))
-    target = len(rows)
-
-    def search(start: int, heads: list[int], span: list[int], chosen: list[int]):
-        work = list(span)
-        simples = [r for r in soc if gf.gf2_insert(work, r)]
-        if len(work) == target:
-            return chosen, simples
-        if len(chosen) < depth:
-            for idx in range(start, len(cands)):
-                _, v, cyc = cands[idx]
-                grown, merged = list(heads), list(span)
-                if (len(span) + len(cyc) <= target and gf.gf2_insert(grown, v)
-                        and all(gf.gf2_insert(merged, r) for r in cyc)):
-                    found = search(idx + 1, grown, merged, chosen + [v])
-                    if found is not None:
-                        return found
+            lift = (len(table[v]), mask, v, cls)
+            if cls not in lightest or lift < lightest[cls]:
+                lightest[cls] = lift
+    heap = list(lightest.values())
+    heapq.heapify(heap)  # cheaper than sorting every class
+    basis: list[int] = []
+    chosen = []
+    while len(basis) < len(rows) - len(mi):
+        lift = heapq.heappop(heap)
+        if gf.gf2_insert(basis, lift[3]):
+            chosen.append(lift)
+    if sum(lift[0] for lift in chosen) != len(rows):
         return None
-
-    return search(0, list(mi), [], [])
+    chosen.sort(key=lambda lift: lift[1])
+    return ([v for d, _, v, _ in chosen if d > 1], [v for d, _, v, _ in chosen if d == 1])

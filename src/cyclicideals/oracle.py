@@ -2,12 +2,12 @@
 
 Everything here is deliberately brute force.  The census lists all
 ideals one dimension at a time (cross-checkable against a subset-closure
-sweep at tiny sizes); the decomposition search is the exhaustive
-cyclic-cover search ideals.packed_first_cover.  structure.classify_dsc
-runs that search on M and on its three-summand ideal only, never the
-census, and imports nothing from here.  Results are exact within the
-feasibility bounds and are the ground truth the constructive machinery
-is tested against.
+sweep at tiny sizes); each ideal is decided by ideals.packed_first_cover,
+which reads every vector of it and takes a minimum-weight basis of I/MI
+greedily.  structure.classify_dsc runs that cover on M and on its
+three-summand ideal only, never the census, and imports nothing from
+here.  Results are exact within the feasibility bounds and are the
+ground truth the constructive machinery is tested against.
 
 The census steps up by socle lines.  A nonzero ideal J has MJ strictly
 inside it (Nakayama), so any hyperplane H of J containing MJ is an
@@ -17,10 +17,10 @@ H.  So the ideals one dimension above I are exactly the I + span(v) for
 the nonzero v of the socle of R/I, each closed as it stands, and over
 GF(2) distinct v give distinct ideals.
 
-Nakayama also prunes that search (see its docstring) and proves length
-invariance: if I = Rg_1 + ... + Rg_n is direct with every g_k nonzero,
-I/MI is the direct sum of the lines Rg_k/Mg_k, so the g_k are
-independent modulo MI (none lies in MI) and n = mu(I) = dim I - dim MI
+Nakayama also makes that cover a greedy choice (see its docstring) and
+proves length invariance: if I = Rg_1 + ... + Rg_n is direct with every
+g_k nonzero, I/MI is the direct sum of the lines Rg_k/Mg_k, so the g_k
+are independent modulo MI (none lies in MI) and n = mu(I) = dim I - dim MI
 for every decomposition of I.
 """
 
@@ -32,7 +32,8 @@ from typing import Optional
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError,
-                     packed_closure, packed_first_cover, packed_socle)
+                     packed_closure, packed_cyclic_table, packed_first_cover,
+                     packed_socle)
 from .rings import Algebra, Element
 from .structure import DscVerdict
 
@@ -132,8 +133,10 @@ def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
 def _decomposition(alg: Algebra, i: Ideal, max_dim: int
                    ) -> Optional[CyclicDecomposition]:
     """The checked decomposition of i built from its first cover, or
-    None; for a proper ideal it is searched for and built once, then
-    cached on the algebra."""
+    None; for a proper ideal the cover is decided and built once, then
+    cached on the algebra.  The summands' closures are the cyclic
+    table's rows, which the cover has already read, so no generator is
+    closed again; build_decomposition still checks them direct onto i."""
     _require_feasible(alg, max_dim)
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
@@ -144,17 +147,22 @@ def _decomposition(alg: Algebra, i: Ideal, max_dim: int
     cache = vars(alg).setdefault("_brute_cache", {})
     if key not in cache:
         found = packed_first_cover(alg, key)
-        cache[key] = None if found is None else build_decomposition(
-            alg, i, [Element.packed(alg, v) for v in found[0] + found[1]],
-            "exhaustive")
+        if found is None:
+            cache[key] = None
+        else:
+            gens, table = found[0] + found[1], packed_cyclic_table(alg)
+            cache[key] = build_decomposition(
+                alg, i, [Element.packed(alg, v) for v in gens], "exhaustive",
+                closures=[Ideal(alg, gf.Subspace(alg.p, alg.dim, table[v]), _trusted=True)
+                          for v in gens])
     return cache[key]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
-    """A decomposition of i into independent cyclic submodules, the first
-    one the exhaustive cover search finds, or None when no family covers
-    i.  Results for proper ideals are cached."""
+    """A decomposition of i into independent cyclic submodules, the one
+    packed_first_cover picks after reading every vector of i, or None
+    when no family covers i.  Results for proper ideals are cached."""
     return _decomposition(alg, i, max_dim)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import gf
@@ -392,26 +391,35 @@ class Algebra:
 class MonomialAlgebra(Algebra):
     """Standard-monomial model of a monomial quotient ring."""
 
-    def __init__(self, presentation: RingPresentation, basis: Sequence[tuple[int, ...]]):
+    def __init__(self, presentation: RingPresentation, basis: Sequence[tuple[int, ...]],
+                 parents: Sequence[tuple[int, int]]):
+        """parents[k] = (v, j) for k >= 1, with m_k = x_v * m_j made from
+        its canonical parent (v the last variable of m_k), as build_algebra
+        makes every standard monomial; parents[0] = (0, 0)."""
         self.presentation = presentation
         self.p = presentation.p
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.index = {m: i for i, m in enumerate(self.basis)}
-        nv = len(presentation.vars)
+        self._parents = parents = tuple(parents)
         # succ[v][k]: index of x_v * m_k, or -1 where that product vanishes,
-        # which is exactly when it is no standard monomial
-        self.succ = [[self.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1)
-                      for m in self.basis] for v in range(nv)]
-        self.gens = tuple(self.basis_element(self.index[tuple(int(i == v) for i in range(nv))])
-                          for v in range(nv))
-
-    @cached_property
-    def _parents(self) -> dict[int, tuple[int, int]]:
-        # k -> some (v, j) with m_k = x_v * m_j, so j < k; built on first
-        # use, so building the algebra does not pay for it
-        return {k: (v, j) for v, step in enumerate(self.succ)
-                for j, k in enumerate(step) if k > 0}
+        # which is exactly when it is no standard monomial.  The canonical
+        # products, v at least the last variable of m_k, are the monomials
+        # build_algebra made; it rejected the rest.  The others follow from
+        # x_v * m_k = x_last * (x_v * m_j) for m_k = x_last * m_j: that
+        # outer product is canonical, and x_v * m_j = 0 forces x_v * m_k = 0
+        succ = self.succ = [[-1] * self.dim for _ in presentation.vars]
+        for k in range(1, self.dim):
+            v, j = parents[k]
+            succ[v][j] = k
+        for k in range(1, self.dim):
+            last, j = parents[k]
+            for v in range(last):
+                i = succ[v][j]
+                if i >= 0:
+                    succ[v][k] = succ[last][i]
+        # no degree-1 relation, so every variable is a standard monomial
+        self.gens = tuple(self.basis_element(step[0]) for step in succ)
 
     def columns(self, z: Element) -> "_Columns":
         return _Columns(self, z.vec)
@@ -480,9 +488,10 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
     and if parents m > m' of one degree first differ at i, then m'
     involves a variable past i, so every child of m' adds past i while
     every child of m adds at i or later, and it stays the larger at i.
-    The work is proportional to the basis times the variables, and
-    DimensionLimitError is raised once a degree takes the basis past
-    max_dim.
+    Each monomial's canonical parent goes to the algebra, which reads
+    its successor table off them.  The work is proportional to the basis
+    times the variables, and DimensionLimitError is raised once a degree
+    takes the basis past max_dim.
     """
     nv = len(pres.vars)
     caps = []
@@ -495,13 +504,13 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
     # pure powers are already enforced through caps; an impure relation
     # can only newly divide x_v * m through a variable v it involves
     through = [[r for r in pres.relations if 0 < r[v] < mono_degree(r)] for v in range(nv)]
-    # (monomial, its last variable) of the current degree, in basis order
-    level = [((0,) * nv, 0)]
-    basis = [level[0][0]]
+    basis, parents = [(0,) * nv], [(0, 0)]  # (v, j): m_k = x_v * m_j
+    level = [0]  # indices of the monomials of the current degree
     degree = 1
     while level and (pres.truncate is None or degree < pres.truncate):
         nxt = []
-        for m, last in level:
+        for j in level:
+            m, last = basis[j], parents[j][0]
             for v in range(last, nv):
                 e = m[v] + 1
                 if e >= caps[v]:
@@ -509,13 +518,14 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
                 child = m[:v] + (e,) + m[v + 1:]
                 if any(r[v] == e and mono_divides(r, child) for r in through[v]):
                     continue
-                nxt.append((child, v))
-        basis.extend(m for m, _ in nxt)
+                nxt.append(len(basis))
+                basis.append(child)
+                parents.append((v, j))
         if len(basis) > max_dim:
             raise DimensionLimitError("dimension exceeds configured limit")
         level = nxt
         degree += 1
-    return MonomialAlgebra(pres, basis)
+    return MonomialAlgebra(pres, basis, parents)
 
 
 def parse_element(alg: MonomialAlgebra, text: str) -> Element:

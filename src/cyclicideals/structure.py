@@ -220,8 +220,9 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
     is no direct sum of cyclic modules.
 
     split is canonical_variable_split(alg): when it is direct, its pieces
-    are the cover.  Otherwise the exhaustive cover search runs on M; it
-    needs GF(2) and dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
+    are the cover.  Otherwise packed_first_cover reads every vector of M
+    and takes a minimum-weight basis of M/M^2; it needs GF(2) and
+    dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
     SearchSpaceExceededError outside that.  Any one cover decides
     (Krull-Schmidt, see packed_first_cover).  Every cover fixes two
     counts, so callers check them first (m_count_failure): Mg_k = Rg_k^2

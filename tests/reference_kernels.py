@@ -177,3 +177,55 @@ def standard_monomials(pres, max_dim):
     extend([], 0)
     basis.sort(key=lambda m: (mono_degree(m), tuple(-k for k in m)))
     return tuple(basis)
+
+
+def reference_first_cover(alg, rows):
+    """The first cover of a depth-first search, as (non-simple, simple)
+    generator lists: the reference that pins the cover the greedy
+    minimum-weight basis of ideals.packed_first_cover picks.
+
+    Unlike the kernels above it shares the packed rows and the cyclic
+    table with the package.  It lists one generator per cyclic submodule
+    (the smallest subset mask of rows), searches the non-simple ones
+    depth-first in mask order, at most mu(MI) deep, and completes each
+    node greedily from the reduced echelon basis of the simple ones.
+    """
+    from cyclicideals import gf
+    from cyclicideals.ideals import _packed_times_m, packed_cyclic_table
+
+    table = packed_cyclic_table(alg)
+    mi = _packed_times_m(alg, rows)
+    classes = [gf.gf2_reduce(r, mi) for r in rows]
+    firsts: dict[tuple[int, ...], tuple[int, int]] = {}
+    mask = v = cls = 0
+    for s in range(1, 1 << len(rows)):
+        b = (s & -s).bit_length() - 1
+        mask ^= 1 << b
+        v ^= rows[b]
+        cls ^= classes[b]
+        if cls:
+            cyc = table[v]
+            if cyc not in firsts or mask < firsts[cyc][0]:
+                firsts[cyc] = (mask, v)
+    soc = gf.packed_field(2).rref(v for cyc, (_, v) in firsts.items() if len(cyc) == 1)
+    cands = sorted((mask, v, cyc) for cyc, (mask, v) in firsts.items() if len(cyc) > 1)
+    depth = len(mi) - len(_packed_times_m(alg, mi))
+    target = len(rows)
+
+    def search(start: int, heads: list[int], span: list[int], chosen: list[int]):
+        work = list(span)
+        simples = [r for r in soc if gf.gf2_insert(work, r)]
+        if len(work) == target:
+            return chosen, simples
+        if len(chosen) < depth:
+            for idx in range(start, len(cands)):
+                _, v, cyc = cands[idx]
+                grown, merged = list(heads), list(span)
+                if (len(span) + len(cyc) <= target and gf.gf2_insert(grown, v)
+                        and all(gf.gf2_insert(merged, r) for r in cyc)):
+                    found = search(idx + 1, grown, merged, chosen + [v])
+                    if found is not None:
+                        return found
+        return None
+
+    return search(0, list(mi), [], [])

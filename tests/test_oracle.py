@@ -31,8 +31,9 @@ from cyclicideals import (Ideal, InfeasibleSizeError, brute_decompose,
                           oracle, oracle_dsc, parse_element,
                           three_summand_counterexample, unit_ideal,
                           verify_decomposition, zero_ideal)
-from cyclicideals.ideals import packed_closure, packed_cyclic_table
+from cyclicideals.ideals import packed_closure, packed_cyclic_table, packed_first_cover
 from cyclicideals.rings import RingPresentation, build_algebra
+import reference_kernels
 from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
                       TWO_AXES, build, maximal_ideal_elements, presentations)
@@ -316,6 +317,42 @@ def test_every_cover_has_the_same_summand_dims(text):
     for e in enumerate_ideals(alg).entries[:-1]:
         covers = _reference_covers(_reference_candidates(alg, e.key), e.ideal.dim)
         assert len({tuple(_cover_dims(alg, c)) for c in covers}) <= 1
+
+
+@pytest.mark.parametrize("text", [TRIPLE, XYZ, SOCLE_W3])
+def test_census_decompositions_verify(text):
+    # the summands' closures come from the cyclic table, and
+    # verify_decomposition closes every generator again
+    alg = build(text)
+    census = complete_census(enumerate_ideals(alg))
+    for e in census.entries:
+        dec = brute_decompose(alg, e.ideal)
+        assert (dec is not None) == e.decomposable
+        if dec is not None:
+            assert verify_decomposition(alg, e.ideal, dec)
+    assert any(e.decomposable for e in census.entries[:-1])
+
+
+def test_greedy_cover_is_the_first_cover_of_the_depth_first_search():
+    # the (non-simple, simple) lists carry the witness and counterexample
+    # payloads of classify, so the minimum-weight basis must pick exactly
+    # the cover the depth-first search found first
+    sizes = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = build_algebra(RingPresentation.make(2, pres.vars, pres.relations,
+                                                  pres.truncate))
+        assume(alg.dim - 1 <= 9)
+        keys = [e.key for e in enumerate_ideals(alg, 9).entries[:-1]]  # M among them
+        for key in keys:
+            assert (packed_first_cover(alg, key)
+                    == reference_kernels.reference_first_cover(alg, key)), key
+        sizes.append(len(keys))
+
+    check()
+    assert sum(n > 20 for n in sizes) >= 8, sizes
 
 
 STUCK_IDEALS = [(TRIPLE, ("x1 + x3", "x2 + x3")), (XYZ, ("x^2", "x*z")),

@@ -165,6 +165,18 @@ def test_basis_matches_the_exponent_box_walk(pres, max_dim):
         assert build_algebra(pres, max_dim).basis == expected
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(presentations(max_vars=4))
+def test_successors_match_the_tuple_lookup(pres):
+    # build_algebra hands over the canonical products and a recurrence
+    # fills in the rest; the reference builds each product x_v * m_k and
+    # looks it up
+    alg = build_algebra(pres)
+    want = [[alg.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1) for m in alg.basis]
+            for v in range(len(pres.vars))]
+    assert alg.succ == want
+
+
 # ---------------------------------------------------------------------------
 # element arithmetic
 
