@@ -7,9 +7,10 @@
     cyclicideals oracle FILE                exhaustive census and verdict
     cyclicideals corpus [PATTERN ...]       run the bundled expectations
 
-Exit codes: classify returns 0 yes / 1 no / 2 undecided / 3 error.  The
-other commands return 0 on success, 3 on parse or usage errors, 4 when
-the request is semantically out of reach (no witness, infeasible size,
+Exit codes: classify returns 0 yes / 1 no / 3 error; every ring it
+builds is monomial, and a monomial ring is always decided.  The other
+commands return 0 on success, 3 on parse or usage errors, 4 when the
+request is semantically out of reach (no witness, infeasible size,
 improper ideal).  corpus returns 1 if any bundled row deviates.
 
 JSON output (--json) is deterministic: keys sorted, fixed separators.
@@ -29,8 +30,8 @@ from .oracle import (InfeasibleSizeError, complete_census, enumerate_ideals,
 from .rings import (DimensionLimitError, PresentationError, RingSyntaxError,
                     build_algebra, parse_element, parse_presentation, pres_str)
 from .corpus import run_corpus
-from .structure import (DscVerdict, SearchSpaceExceededError, classify_dsc,
-                        classify_product, find_m_decomposition, spec_classify)
+from .structure import (DscVerdict, classify_dsc, classify_product,
+                        find_m_decomposition, spec_classify)
 
 
 class UsageError(Exception):
@@ -69,7 +70,7 @@ def _load_ring(path: str, truncate):
 
 
 def _classify_one(pres, alg, args) -> tuple[DscVerdict, dict]:
-    verdict = classify_dsc(alg, args.max_dim, args.max_oracle_dim)
+    verdict = classify_dsc(alg, max_oracle_dim=args.max_oracle_dim)
     payload = verdict.as_dict()
     payload["ring"] = pres_str(pres)
     payload["dim"] = alg.dim
@@ -115,11 +116,7 @@ def _cmd_classify(args) -> int:
     if len(pieces) == 1:
         payload = pieces[0][1]
     else:
-        try:
-            overall = classify_product([v for v, _ in pieces])
-        except ValueError:
-            overall = DscVerdict("undecided_by_search", None, None, None,
-                                 ("some factor undecided, none refuted",))
+        overall = classify_product([v for v, _ in pieces])
         payload = overall.as_dict()
         payload["ring"] = " x ".join(p["ring"] for _, p in pieces)
         payload["dim"] = sum(p["dim"] for _, p in pieces)
@@ -133,14 +130,11 @@ def _cmd_classify(args) -> int:
             for k, f in enumerate(payload["factors"], 1):
                 print(f"--- factor {k} ---")
                 _print_classify(f)
-    return {"yes": 0, "no": 1, "undecided": 2}[payload["dsc"]]
+    return {"yes": 0, "no": 1}[payload["dsc"]]
 
 
-def _witness_or_refuse(alg, max_dim):
-    try:
-        dec = find_m_decomposition(alg, max_dim)
-    except SearchSpaceExceededError as exc:
-        raise RefusalError(str(exc)) from exc
+def _witness_or_refuse(alg):
+    dec = find_m_decomposition(alg)
     if dec is None:
         raise RefusalError("no witness decomposition of the maximal ideal")
     return dec
@@ -148,7 +142,7 @@ def _witness_or_refuse(alg, max_dim):
 
 def _cmd_decompose(args) -> int:
     pres, alg = _load_ring(args.file, args.truncate)
-    dec = _witness_or_refuse(alg, args.max_dim)
+    dec = _witness_or_refuse(alg)
     gens = []
     for chunk in args.ideal.split(","):
         chunk = chunk.strip()
@@ -186,7 +180,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_spec(args) -> int:
     pres, alg = _load_ring(args.file, args.truncate)
-    dec = _witness_or_refuse(alg, args.max_dim)
+    dec = _witness_or_refuse(alg)
     report = spec_classify(pres, dec)
     payload = report.as_dict()
     payload["ring"] = pres_str(pres)
@@ -267,13 +261,10 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 1
 
 
-def _add_common(sp, witness_knob=True, oracle_knob=True):
+def _add_common(sp, oracle_knob=True):
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("--truncate", type=int, metavar="N",
                     help="override the truncation degree")
-    if witness_knob:
-        sp.add_argument("--max-dim", type=int, default=12, metavar="D",
-                        help="cover search bound on dim M (default 12)")
     if oracle_knob:
         sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
                         help="census bound on dim M; in classify it bounds only "
@@ -306,7 +297,7 @@ def main(argv=None) -> int:
     sp = sub.add_parser("oracle", help="exhaustive ideal census and verdict")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--list", action="store_true", help="dump every ideal")
-    _add_common(sp, witness_knob=False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("corpus", help="run the bundled expectation table")

@@ -10,6 +10,13 @@ summands make a witness, and three refute with R(x+y) + R(x+z).  It
 imports nothing from the oracle.  It also classifies the prime spectrum
 (at most three primes, Krull dimension at most one).
 
+A monomial ring is decided by its presentation (classify_dsc proves
+it): M has a direct cyclic cover exactly when every product of two
+distinct variables vanishes, and then the variable split is that cover.
+So a nonzero mixed product refutes with M, and no monomial ring reaches
+the counts or the cover search below.  Those serve the other algebras
+only, such as the quotient models R/I.
+
 Two counts rule a cover out before any search, over every field
 (m_count_failure).  If M = Rg_1 + ... + Rg_n is direct, g_j g_k lies in
 Rg_j meet Rg_k = 0, so Mg_k = Rg_k^2: each Rg_k is a chain with one
@@ -228,6 +235,9 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
     counts, so callers check them first (m_count_failure): Mg_k = Rg_k^2
     makes each summand Rg_k a chain with one socle line, so
     dim soc(M) = mu(M), and mu(M^j) = #{k : g_k^j != 0} never grows.
+    classify_dsc never searches a monomial ring: its variables split M
+    or a mixed product refutes first, so the search serves only the
+    other algebras, such as quotient models.
     """
     if split is not None:
         return ([g for g, c in split if not is_simple(alg, c)],
@@ -241,22 +251,18 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
 
 
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
-    """A witness decomposition of the maximal ideal, read off m_cover
-    (search bound max_pair_dim): a cover with at most two non-simple
-    summands is one (Mx = Rx^2).  None when no witness exists: a failed
-    count of m_count_failure, or mu(M^2) >= 3, the number of non-simple
-    summands of any cover, settles that before any search.  Raises
-    SearchSpaceExceededError when the bounds prevent the search.
+    """The witness decomposition of the maximal ideal that classify_dsc
+    finds (cover search bound max_pair_dim; the three-summand refutation
+    is not confirmed), or None when M has none: a monomial ring with a
+    nonzero mixed product, a failed count of m_count_failure, no cover,
+    or a cover with three non-simple summands.  Raises
+    SearchSpaceExceededError where the verdict is undecided_by_search,
+    which only a non-monomial algebra reaches.
     """
-    split = canonical_variable_split(alg)
-    if split is None:
-        failure, mus = m_count_failure(alg)
-        if failure is not None or len(mus) > 1 and mus[1] > 2:
-            return None
-    cover = m_cover(alg, split, max_pair_dim)
-    if cover is None or len(cover[0]) > 2:
-        return None  # three independent non-simple summands refute any witness
-    return _normalized_witness(alg, *cover, split or ())
+    verdict = classify_dsc(alg, max_pair_dim, 0)
+    if verdict.answer == "undecided_by_search":
+        raise SearchSpaceExceededError("search space exceeded")
+    return verdict.witness
 
 
 def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
@@ -307,8 +313,43 @@ class DscVerdict:
 def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> DscVerdict:
     """Decide whether every ideal of alg splits into cyclic summands.
 
-    One direct cover of M decides (m_cover).  Unless the variables split
-    M, two counts that every cover M = Rg_1 + ... + Rg_n fixes come first
+    One direct cover of M decides (m_cover).  A monomial ring is decided
+    by its presentation first: if x_a x_b != 0 for some distinct
+    variables, the answer is no with M itself as the counterexample, its
+    proof naming the first such pair in gens order.  Otherwise the
+    variables split M: each Rx_a is the span of the powers of x_a, and
+    these are disjoint sets of monomials that together span M.
+
+    Lemma: let R = k[x_1, ..., x_n]/I with I monomial (a truncation
+    included) and no degree-1 relation.  Then M is a direct sum of cyclic
+    modules only if x_a x_b = 0 for all a != b.
+      1. A direct cover M = Rg_1 + ... + Rg_m gives Mg_k = Rg_k^2 (see
+         the module docstring), so Rg_k = span(g_k, g_k^2, ...) and
+         g_j g_k = 0 for j != k; with m = mu(M) = n, R is isomorphic to
+         S_e = k[t_1, ..., t_n]/(t_i t_j for i != j, t_i^(e_i)).
+      2. Pass to the algebraic closure K of k: a direct sum stays direct
+         after extending scalars.
+      3. R and S_e are graded, and each equals its associated graded
+         ring, so a local isomorphism gives a graded one: a basis
+         l_1, ..., l_n of the linear forms R_1 with l_i l_j = 0 for
+         i != j.
+      4. Let B: R_1 x R_1 -> R_2 be the product and
+         Rad = {l in R_1 : l R_1 = 0}.  The maps T of R_1/Rad with
+         B(Ta, b) = B(a, Tb) form exactly the diagonal algebra in the
+         l basis (the nonzero l_i^2 are independent), so the lines of the
+         l_i with l_i^2 != 0 are unique modulo Rad.
+      5. The torus (K*)^n scales the variables and acts on R by graded
+         automorphisms that keep B.  It permutes those finitely many
+         lines and, being connected, fixes each one.  A torus-stable
+         line of R_1/Rad is spanned by the image of one variable, since
+         the variables have distinct characters.  So each variable lies
+         in Rad or is c l_i + r with c != 0 and r in Rad, distinct
+         variables taking distinct l_i.  Rad kills R_1, so for a != b,
+         x_a x_b is 0 or c c' l_i l_j with i != j, which is 0.
+
+    The counts and the cover search below serve only the other algebras,
+    such as quotient models.  Unless the variables split M, two counts
+    that every cover M = Rg_1 + ... + Rg_n fixes come first
     (m_count_failure): directness gives Mg_k = Rg_k^2, so each Rg_k is a
     chain with one socle line and n = mu(M), hence dim soc(M) = mu(M);
     and mu(M^j) counts the g_k with g_k^j != 0, so it never grows with j.
@@ -319,8 +360,16 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     them, confirmed by the exhaustive cover search where
     dim M <= min(max_oracle_dim, 20) over GF(2); that confirmation is all
     max_oracle_dim bounds.  The cover search of M runs up to
-    max_pair_dim; past it the verdict is undecided_by_search.
+    max_pair_dim; past it, or at odd p, the verdict is
+    undecided_by_search.  No monomial ring is ever undecided.
     """
+    if isinstance(alg, MonomialAlgebra):
+        for a, g in enumerate(alg.gens):
+            for h in alg.gens[a + 1:]:
+                if not (g * h).is_zero():
+                    return DscVerdict("no", None, maximal_ideal(alg), (
+                        f"{g}*{h} != 0: M of a monomial ring is a direct sum of cyclic "
+                        "modules only if every product of two distinct variables vanishes"))
     split = canonical_variable_split(alg)
     if split is None:
         failure, _ = m_count_failure(alg)

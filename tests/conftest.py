@@ -22,9 +22,28 @@ SQUARE_ZERO_N3 = ("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"
                   " / rel x*y / rel x*z / rel y*z")
 AXIS_SOCLE = "field 2 / vars x y / rel x*y / rel y^2 / truncate 6"
 TWO_AXES = "field 2 / vars x y / rel x*y / truncate 6"
-# both counts of structure.m_count_failure pass, the variables do not
-# split M, and the cover search of M is GF(2)-only
-GF3_UNDECIDED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
+# x*y != 0, so classify refutes it with M by that mixed product; both
+# counts of structure.m_count_failure pass, and the cover search of M,
+# which is GF(2)-only, could not decide it
+GF3_MIXED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
+
+# the proof of classify_dsc's no for a monomial ring with a nonzero product
+# of two distinct variables, formatted with that product, e.g. "x*y"
+MIXED_PROOF = ("{} != 0: M of a monomial ring is a direct sum of cyclic modules "
+               "only if every product of two distinct variables vanishes")
+
+
+def mixed_product(alg):
+    """The first product of two distinct variables, in variable order,
+    that survives in the monomial algebra alg, as text such as "x*y"; None
+    when every such product vanishes.  Read off the standard monomials:
+    x_a*x_b survives exactly when it is one of them."""
+    names = alg.presentation.vars
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            if tuple(int(v in (a, b)) for v in range(len(names))) in alg.index:
+                return f"{names[a]}*{names[b]}"
+    return None
 
 
 @st.composite

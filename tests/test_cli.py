@@ -5,14 +5,15 @@ import json
 import pytest
 
 from cyclicideals.cli import main
-from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, TRIPLE, TWO_AXES)
+from conftest import (AXIS_SOCLE, GF3_MIXED, MIXED_PROOF, PAIR_N3, TRIPLE,
+                      TWO_AXES)
 
 INFINITE = "field 2 / vars x y / rel x*y"
 # three non-simple axes with dim M = 9, one past the default oracle bound
 TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
              " / rel x*y / rel x*z / rel y*z")
 # dim M = 22, past the packed cyclic table's limit of 20; both counts of
-# structure.m_count_failure pass, so only the cover search could decide
+# structure.m_count_failure pass, and x*y != 0 refutes it
 WIDE = "field 2 / vars x y / rel x^2 / rel y^12 / rel x*y^11"
 
 
@@ -50,21 +51,23 @@ def test_classify_no(ring_file, capsys):
     assert "counterexample ideal" in out
 
 
-def test_classify_undecided(ring_file, capsys):
-    code, out, _ = run(capsys, "classify", ring_file(GF3_UNDECIDED))
-    assert code == 2
-    assert "dsc: undecided" in out
+def test_classify_refutes_a_mixed_product_over_gf3(ring_file, capsys):
+    # no cover search runs over GF(3), and none is needed
+    code, out, _ = run(capsys, "classify", ring_file(GF3_MIXED))
+    assert code == 1
+    assert "dsc: no" in out
+    assert f"  {MIXED_PROOF.format('x*y')}" in out.splitlines()
 
 
 def test_classify_refutes_by_the_socle_count(ring_file, capsys):
-    # over GF(3) no cover search runs: soc(M) = span{x*y} is one line
-    # where a cover of M needs mu(M) = 2
+    # soc(M) = span{x*y} is one line where a cover of M needs mu(M) = 2,
+    # but x*y != 0 refutes first
     path = ring_file("field 3 / vars x y / rel x^2 / rel y^2")
     code, out, _ = run(capsys, "classify", "--json", path)
     assert code == 1
     ce = json.loads(out)["counterexample"]
     assert ce["basis"] == ["x", "y", "x*y"] and ce["dim"] == 3
-    assert ce["proof"].startswith("dim soc(M) = 1 but mu(M) = 2")
+    assert ce["proof"] == MIXED_PROOF.format("x*y")
     for argv in (["decompose", path, "--ideal", "x"], ["spec", path]):
         code, _, err = run(capsys, *argv)
         assert code == 4
@@ -78,26 +81,30 @@ def test_classify_confirms_with_a_raised_oracle_bound(ring_file, capsys):
     assert "note: counterexample confirmed by exhaustive search" in out
 
 
-def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
-    path = ring_file(WIDE)
-    code, out, _ = run(capsys, "classify", path, "--max-dim", "25")
-    assert code == 2 and "witness search space exceeded" in out
+def _assert_refuted_past_the_table(capsys, path) -> None:
+    code, out, _ = run(capsys, "classify", "--json", path, "--max-oracle-dim", "25")
+    payload = json.loads(out)
+    assert code == 1 and payload["dsc"] == "no" and payload["notes"] == []
+    assert payload["counterexample"]["dim"] == payload["dim"] - 1
+    assert payload["counterexample"]["proof"] == MIXED_PROOF.format("x*y")
     for argv in (["decompose", path, "--ideal", "x"], ["spec", path]):
-        code, _, err = run(capsys, *argv, "--max-dim", "25")
-        assert code == 4 and "refused: search space exceeded" in err
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and "no witness decomposition of the maximal ideal" in err
+
+
+def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
+    # dim M = 22: the mixed product refutes at any size
+    _assert_refuted_past_the_table(capsys, ring_file(WIDE))
 
 
 def test_oracle_bound_past_the_cyclic_table_limit(ring_file, capsys):
     code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", "25")
     assert code == 4 and "table limit 20" in err
-    # dim M = 21: --max-dim alone bounds the cover search of M, and the
-    # undecided verdict carries one note
+    # dim M = 21
     narrower = ring_file(WIDE.replace("x*y^11", "x*y^10"))
-    code, out, _ = run(capsys, "classify", narrower, "--max-dim", "12",
-                       "--max-oracle-dim", "25")
-    assert code == 2
-    assert [l for l in out.splitlines() if l.startswith("note:")] == [
-        "note: witness search space exceeded (p=2, dim M=21)"]
+    code, _, err = run(capsys, "oracle", narrower, "--max-oracle-dim", "25")
+    assert code == 4 and "table limit 20" in err
+    _assert_refuted_past_the_table(capsys, narrower)
 
 
 def test_classify_json_is_deterministic(ring_file, capsys):
@@ -121,13 +128,14 @@ def test_classify_product_no_dominates(ring_file, capsys):
     assert "--- factor 2 ---" in out
 
 
-def test_classify_product_undecided(ring_file, capsys):
+def test_classify_product_with_a_mixed_product_factor(ring_file, capsys):
     code, out, _ = run(capsys, "classify", "--json",
-                       ring_file(PAIR_N3, "a.ring"), ring_file(GF3_UNDECIDED, "b.ring"))
-    assert code == 2
+                       ring_file(PAIR_N3, "a.ring"), ring_file(GF3_MIXED, "b.ring"))
+    assert code == 1
     payload = json.loads(out)
-    assert payload["notes"] == ["some factor undecided, none refuted"]
-    assert [f["dsc"] for f in payload["factors"]] == ["yes", "undecided"]
+    assert payload["notes"] == ["factor 2 fails"]
+    assert payload["counterexample"]["proof"] == MIXED_PROOF.format("x*y")
+    assert [f["dsc"] for f in payload["factors"]] == ["yes", "no"]
 
 
 def test_classify_missing_and_malformed(ring_file, capsys, tmp_path):
@@ -256,7 +264,7 @@ def test_oracle_json_histogram(ring_file, capsys):
 
 
 def test_oracle_refuses_infeasible(ring_file, capsys):
-    code, _, err = run(capsys, "oracle", ring_file(GF3_UNDECIDED))
+    code, _, err = run(capsys, "oracle", ring_file(GF3_MIXED))
     assert code == 4 and "GF(3)" in err
     code, _, err = run(capsys, "oracle", ring_file(TWO_AXES))
     assert code == 4 and "refused:" in err
@@ -312,8 +320,11 @@ def test_bad_usage_exits_3(capsys):
     assert exc.value.code == 3
 
 
-def test_oracle_has_no_witness_bound(ring_file):
-    # only --max-oracle-dim bounds the census; --max-dim is not its flag
+@pytest.mark.parametrize("argv", [["classify"], ["decompose", "--ideal", "x"],
+                                  ["spec"], ["oracle"]], ids=lambda argv: argv[0])
+def test_no_command_takes_max_dim(ring_file, argv):
+    # a monomial ring needs no search bound, and only --max-oracle-dim
+    # bounds the census: --max-dim is no flag of any command
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", ring_file(PAIR_N3), "--max-dim", "5"])
+        main([argv[0], ring_file(PAIR_N3), *argv[1:], "--max-dim", "5"])
     assert exc.value.code == 3

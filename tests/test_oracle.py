@@ -34,7 +34,7 @@ from cyclicideals import (Ideal, InfeasibleSizeError, brute_decompose,
 from cyclicideals.ideals import packed_closure, packed_cyclic_table, packed_first_cover
 from cyclicideals.rings import RingPresentation, build_algebra
 import reference_kernels
-from conftest import (AXIS_SOCLE, GF3_UNDECIDED, PAIR_N3, PAIR_N4,
+from conftest import (AXIS_SOCLE, GF3_MIXED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
                       TWO_AXES, build, maximal_ideal_elements, presentations)
 
@@ -419,7 +419,7 @@ def test_oracle_and_classifier_agree_on_corpus_rings():
 
 def test_oracle_refuses_odd_fields_and_big_rings():
     with pytest.raises(InfeasibleSizeError, match=r"GF\(3\)"):
-        oracle_dsc(build(GF3_UNDECIDED))
+        oracle_dsc(build(GF3_MIXED))
     wide = build(TWO_AXES)  # dim M = 10
     with pytest.raises(InfeasibleSizeError):
         enumerate_ideals(wide)

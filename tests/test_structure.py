@@ -24,9 +24,10 @@ from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ide
                                  zero_ideal)
 from cyclicideals.rings import RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
-from conftest import (AXIS_SOCLE, CHAIN4, GF3_UNDECIDED, PAIR_N3, POWER_SERIES,
-                      SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
-                      build_pres, maximal_ideal_elements, presentations)
+from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
+                      POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
+                      build_pres, maximal_ideal_elements, mixed_product,
+                      presentations)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +189,19 @@ def test_witness_closes_each_summand_once():
     assert yes == 31 + 2
 
 
+def gf3_undecided():
+    """GF(3)[x,y]/(x^2, y^4, xy) modulo x + y^2, a quotient model: no
+    mixed product decides it, its variables do not split M, both counts
+    pass, and the cover search of M is GF(2)-only."""
+    return quotient_by(build("field 3 / vars x y / rel x^2 / rel y^4 / rel x*y"),
+                       "x + y^2")
+
+
 def test_search_space_exceeded():
     with pytest.raises(SearchSpaceExceededError):
-        find_m_decomposition(build(GF3_UNDECIDED))
+        find_m_decomposition(gf3_undecided())
+    # a monomial ring never reaches the search: x*y != 0 refutes this one
+    assert find_m_decomposition(build(GF3_MIXED)) is None
     # the canonical split is bound-free; only the fallback is gated
     assert find_m_decomposition(build(TWO_AXES), max_pair_dim=4) is not None
     big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
@@ -400,6 +411,9 @@ def test_fallback_closes_no_vector_of_m_squared(found):
         alg = build(COUNTS_PASS_NO_COVER)
     assert canonical_variable_split(alg) is None
     assert (find_m_decomposition(alg) is not None) == found
+    # find_m_decomposition refutes the monomial ring by x*y != 0 before
+    # any search, so run the search itself
+    assert (structure.m_cover(alg, None, 20) is not None) == found
     msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
     closed = [v for v in packed_cyclic_table(alg) if v]
     assert closed and all(gf.gf2_reduce(v, msq) for v in closed)
@@ -445,10 +459,39 @@ def test_counts_leave_a_ring_without_a_cover_to_the_search():
     assert structure.m_count_failure(alg) == (None, [2, 2, 2])
     assert canonical_variable_split(alg) is None
     assert packed_first_cover(alg, maximal_ideal(alg).space.basis) is None
+    # classify refutes the monomial ring by its mixed product, before the
+    # counts
     verdict = classify_dsc(alg)
     assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
-    assert verdict.counterexample_note.startswith("exhaustive search")
+    assert verdict.counterexample_note == MIXED_PROOF.format("x*y")
     assert oracle_dsc(build(COUNTS_PASS_NO_COVER), 10).answer == "no"
+
+    # on a quotient model the counts pass and the search refutes
+    def make():
+        return quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3"
+                                 " / rel x*z / rel y*z"), "z^2 + x*y")
+    q = make()
+    assert structure.m_count_failure(q)[0] is None
+    assert canonical_variable_split(q) is None
+    verdict = classify_dsc(q)
+    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(q)
+    assert verdict.counterexample_note.startswith("exhaustive search")
+    assert oracle_dsc(make(), 10).answer == "no"
+
+
+def _assert_count_refutes(make, proof: str) -> None:
+    """classify_dsc refutes the quotient model make() with M by the count
+    whose proof starts with proof, and brute force agrees."""
+    alg = make()
+    assert canonical_variable_split(alg) is None
+    failure, _ = structure.m_count_failure(alg)
+    assert failure.startswith(proof)
+    verdict = classify_dsc(alg)
+    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
+    assert verdict.counterexample_note == failure
+    assert find_m_decomposition(alg) is None
+    fresh = make()
+    assert brute_decompose(fresh, maximal_ideal(fresh)) is None
 
 
 def test_chain_count_refutes():
@@ -458,10 +501,69 @@ def test_chain_count_refutes():
     failure, mus = structure.m_count_failure(alg)
     assert mus == [2, 3]
     assert failure.startswith("mu(M^2) = 3 but mu(M) = 2")
-    verdict = classify_dsc(alg)
-    assert verdict.answer == "no" and verdict.counterexample_note == failure
+    assert classify_dsc(alg).counterexample_note == MIXED_PROOF.format("x*y")
     assert find_m_decomposition(alg) is None
     assert brute_decompose(alg, maximal_ideal(alg)) is None
+    # no mixed product decides a quotient model: there the chain count does
+    _assert_count_refutes(
+        lambda: quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
+                                  " / rel y*z"), "z + x^2"),
+        "mu(M^2) = 3 but mu(M) = 2")
+
+
+def test_socle_count_refutes():
+    # z = x*y: soc(M) = span{x*y} is one line where a cover needs mu(M) = 2
+    _assert_count_refutes(
+        lambda: quotient_by(build("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"),
+                            "z + x*y"),
+        "dim soc(M) = 1 but mu(M) = 2")
+
+
+# ---------------------------------------------------------------------------
+# a monomial ring is decided by its presentation
+
+
+def test_a_mixed_product_decides_every_monomial_ring():
+    tally = Counter()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(presentations(max_vars=4), st.data())
+    def check(pres, data):
+        # kill each product of two distinct variables with probability 1/2,
+        # so every pattern of surviving mixed products is drawn
+        nv = len(pres.vars)
+        pairs = [tuple(int(v in (a, b)) for v in range(nv))
+                 for a in range(nv) for b in range(a + 1, nv)]
+        pres = RingPresentation.make(pres.p, pres.vars, pres.relations + tuple(
+            m for m in pairs if data.draw(st.booleans())), pres.truncate)
+        alg = build_algebra(pres)
+        mdim = alg.dim - 1
+        assume(mdim <= 40)
+        mixed = mixed_product(alg)
+        assert (mixed is not None) == (canonical_variable_split(alg) is None)
+        verdict = classify_dsc(alg)
+        assert verdict.answer in ("yes", "no")
+        refuted_by_m = verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
+        assert refuted_by_m == (mixed is not None)
+        if mixed is not None:
+            assert verdict.counterexample_note == MIXED_PROOF.format(mixed)
+            assert find_m_decomposition(build_algebra(pres)) is None
+        tally["mixed" if mixed else "split"] += 1
+        if pres.p != 2:
+            return
+        if mdim <= 14:
+            cover = structure.m_cover(build_algebra(pres), None, 20)
+            assert (cover is None) == refuted_by_m
+            tally["search"] += 1
+        if mdim <= 10:
+            assert oracle_dsc(build_algebra(pres), 10).answer == verdict.answer
+            tally["oracle"] += 1
+
+    check()
+    # both sides of the lemma, the search and the oracle must be reached
+    # often enough for the comparison to mean something
+    assert tally["mixed"] >= 40 and tally["split"] >= 40, tally
+    assert tally["search"] >= 30 and tally["oracle"] >= 25, tally
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +683,10 @@ def test_classify_decides_both_sweep_families(p):
             continue
         assert verdict.answer == "no", name
         if verdict.counterexample == maximal_ideal(alg):
-            # the counts refute every ring of the families that has no cover
-            note = verdict.counterexample_note
-            assert note.startswith(("dim soc(M) = ", "mu(M^")), name
+            # a mixed product refutes every ring of the families that has
+            # no cover, and so does a count
+            assert verdict.counterexample_note == MIXED_PROOF.format(mixed_product(alg)), name
+            assert structure.m_count_failure(alg)[0] is not None, name
             if p == 2 and mdim <= 12:
                 fresh = build_algebra(pres)
                 assert brute_decompose(fresh, maximal_ideal(fresh), 12) is None, name
@@ -604,10 +707,15 @@ def test_structure_imports_nothing_from_the_oracle():
 
 
 def test_classify_undecided_gf3():
-    verdict = classify_dsc(build(GF3_UNDECIDED))
+    verdict = classify_dsc(gf3_undecided())
     assert verdict.answer == "undecided_by_search"
     assert verdict.as_dict()["dsc"] == "undecided"
     assert any("exceeded" in n for n in verdict.notes)
+    # a monomial ring is never undecided: x*y != 0 refutes this one
+    alg = build(GF3_MIXED)
+    verdict = classify_dsc(alg)
+    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
+    assert verdict.counterexample_note == MIXED_PROOF.format("x*y")
 
 
 def test_classify_principal_chain(chain4):
