@@ -6,8 +6,9 @@ sweep at tiny sizes); each ideal is decided by ideals.packed_first_cover,
 which reads every vector of it and takes a minimum-weight basis of I/MI
 greedily.  structure.classify_dsc runs that cover on its three-summand
 ideal, and on M only for an algebra that is not monomial; it never runs
-the census and imports nothing from here.  Results are exact within the feasibility bounds and are the
-ground truth the constructive machinery is tested against.
+the census and imports nothing from here.  Results are exact within the
+feasibility bounds and are the ground truth the constructive machinery
+is tested against.
 
 The census steps up by socle lines.  A nonzero ideal J has MJ strictly
 inside it (Nakayama), so any hyperplane H of J containing MJ is an
