@@ -10,6 +10,15 @@ the census and imports nothing from here.  Results are exact within the
 feasibility bounds and are the ground truth the constructive machinery
 is tested against.
 
+The census is decided in packed rows.  One cache per algebra maps an
+ideal's packed key to the generators of its cover, or None; R is an
+entry with the single generator 1.  A cover enters the cache only after
+its closure rows from the cyclic table number dim I and row-reduce to
+I's key, which is the direct-sum certificate build_decomposition
+checks.  complete_census, oracle_dsc and decomposition_lengths read
+nothing else; only brute_decompose wraps a cover into a
+CyclicDecomposition, once per ideal.
+
 The census steps up by socle lines.  A nonzero ideal J has MJ strictly
 inside it (Nakayama), so any hyperplane H of J containing MJ is an
 ideal with dim H = dim J - 1, and J = H + span(v) for the v reduced
@@ -31,7 +40,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gf
-from .decompose import CyclicDecomposition, build_decomposition
+from .decompose import (CyclicDecomposition, InternalContradictionError,
+                        build_decomposition)
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError,
                      packed_closure, packed_cyclic_table, packed_first_cover,
                      packed_socle)
@@ -70,8 +80,12 @@ class IdealCensus:
         return len(self.entries)
 
 
-def _entry_key_sort(alg: Algebra, key: tuple[int, ...]):
-    return (len(key), tuple(gf.unpack_vec(r, alg.dim) for r in key))
+def _canonical_keys(alg: Algebra, keys) -> list[tuple[int, ...]]:
+    """The proper ideals' keys in (dim, basis) order, then R's.  A row's
+    bits read from coordinate 0 sort as its 0/1 tuple does."""
+    width = f"0{alg.dim}b"
+    ordered = sorted(keys, key=lambda k: (len(k), tuple(format(r, width)[::-1] for r in k)))
+    return ordered + [tuple(1 << k for k in range(alg.dim))]
 
 
 def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
@@ -103,8 +117,7 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
                     seen.add(grown)
                     nxt.append(grown)
         frontier = nxt
-    keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
-    keys.append(tuple(1 << k for k in range(alg.dim)))
+    keys = _canonical_keys(alg, seen)
     # every key, R's included, is already a closed packed reduced echelon
     # basis: each child adds one socle vector v of R/I, and Mv lies in I
     entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
@@ -126,62 +139,73 @@ def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
     for mask in range(1 << len(vectors)):
         seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
         seen.add(tuple(packed_closure(alg, (), seeds)))
-    keys = sorted(seen, key=lambda k: _entry_key_sort(alg, k))
-    keys.append(tuple(1 << k for k in range(alg.dim)))
-    return keys
+    return _canonical_keys(alg, seen)
 
 
-def _decomposition(alg: Algebra, i: Ideal, max_dim: int
-                   ) -> Optional[CyclicDecomposition]:
-    """The checked decomposition of i built from its first cover, or
-    None; for a proper ideal the cover is decided and built once, then
-    cached on the algebra.  The summands' closures are the cyclic
-    table's rows, which the cover has already read, so no generator is
-    closed again; build_decomposition still checks them direct onto i."""
+def _decomposition(alg: Algebra, i: Ideal, max_dim: int) -> Optional[tuple[int, ...]]:
+    """The packed generators of i's first cover, or None when i is no
+    direct sum of cyclic modules: one cache per algebra, from an ideal's
+    packed key, serves every function here.  Only R contains a unit, so
+    R = R*1 and its cover is (1,); any other ideal takes the one that
+    packed_first_cover picks.  Before a cover is cached its closure rows
+    must number dim i and span i, so the summands are direct onto i: the
+    certificate build_decomposition checks, in packed rows."""
     _require_feasible(alg, max_dim)
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
-    if i.dim == alg.dim:
-        # only R itself contains a unit, so R = R*1 is the sole cover
-        return build_decomposition(alg, i, [alg.unit()], "exhaustive")
     key = i.space.basis
-    cache = vars(alg).setdefault("_brute_cache", {})
-    if key not in cache:
-        found = packed_first_cover(alg, key)
-        if found is None:
-            cache[key] = None
-        else:
-            gens, table = found[0] + found[1], packed_cyclic_table(alg)
-            cache[key] = build_decomposition(
-                alg, i, [Element.packed(alg, v) for v in gens], "exhaustive",
-                closures=[Ideal(alg, gf.Subspace(alg.p, alg.dim, table[v]), _trusted=True)
-                          for v in gens])
-    return cache[key]
+    covers = vars(alg).setdefault("_covers", {})
+    if key not in covers:
+        found = ([1], []) if len(key) == alg.dim else packed_first_cover(alg, key)
+        gens = None if found is None else tuple(found[0] + found[1])
+        if gens is not None:
+            rows = [r for c in _closures(alg, gens) for r in c]
+            if len(rows) != len(key) or tuple(gf.packed_field(2).rref(rows)) != key:
+                raise InternalContradictionError("cover failed verification")
+        covers[key] = gens
+    return covers[key]
+
+
+def _closures(alg: Algebra, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The RREF rows of each Rv, v in gens: the cyclic table's, R's at 1."""
+    table = packed_cyclic_table(alg)
+    return [table[v] if v != 1 else tuple(packed_closure(alg, (), [1])) for v in gens]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
     """A decomposition of i into independent cyclic submodules, the one
     packed_first_cover picks after reading every vector of i, or None
-    when no family covers i.  Results for proper ideals are cached."""
-    return _decomposition(alg, i, max_dim)
+    when no family covers i.  The only function here that builds a
+    CyclicDecomposition: build_decomposition wraps the cached cover once
+    per ideal, R included, closures taken from the cyclic table, and
+    the result is cached."""
+    gens = _decomposition(alg, i, max_dim)
+    built = vars(alg).setdefault("_brute_cache", {})
+    key = i.space.basis
+    if key not in built:
+        built[key] = None if gens is None else build_decomposition(
+            alg, i, [Element.packed(alg, v) for v in gens], "exhaustive",
+            closures=[Ideal(alg, gf.Subspace(alg.p, alg.dim, c), _trusted=True)
+                      for c in _closures(alg, gens)])
+    return built[key]
 
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
     """Every achievable number of summands over all decompositions of i:
-    by Nakayama (mu(I),) when i decomposes, else (), read off the
-    decomposition brute_decompose finds (cached) with no search of its
-    own."""
-    dec = _decomposition(alg, i, max_dim)
-    return () if dec is None else (dec.length,)
+    by Nakayama (mu(I),) when i decomposes, else (), read off the cached
+    cover's generators with no search and no decomposition object."""
+    gens = _decomposition(alg, i, max_dim)
+    return () if gens is None else (len(gens),)
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
-    """Fill in decomposability and lengths, one search per ideal."""
+    """Fill in decomposability and lengths from each ideal's cached,
+    checked cover: one search per ideal, and no CyclicDecomposition."""
     alg = census.algebra
     for e in census.entries:
-        e.decomposable = brute_decompose(alg, e.ideal, max_dim) is not None
         e.lengths = decomposition_lengths(alg, e.ideal, max_dim)
+        e.decomposable = e.lengths != ()
     return census
 
 
@@ -202,7 +226,7 @@ def oracle_dsc(alg: Algebra, max_dim: int = 8) -> DscVerdict:
     (canonical order) that cannot be decomposed."""
     census = enumerate_ideals(alg, max_dim)
     for e in census.entries:
-        if brute_decompose(alg, e.ideal, max_dim) is None:
+        if _decomposition(alg, e.ideal, max_dim) is None:
             note = ("exhaustive search over all families of cyclic "
                     "submodules found no direct-sum cover")
             return DscVerdict("no", None, e.ideal, note,

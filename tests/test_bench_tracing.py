@@ -45,14 +45,25 @@ def test_traced_census_searches_each_ideal_once():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        ci.complete_census(ci.enumerate_ideals(alg))
+        census = ci.complete_census(ci.enumerate_ideals(alg))
+        ci.oracle_dsc(alg)
+        after_census = tracer.stats()
+        for _ in range(2):
+            for e in census.entries:
+                ci.brute_decompose(alg, e.ideal)
     finally:
         tracer.uninstall()
     stats = tracer.stats()
-    # the census has 14 ideals, 13 of them proper: brute_decompose
-    # searches each proper one once, and decomposition_lengths reads the
-    # cached cover
-    assert stats["oracle.brute_decompose.calls"] == 14
+    # the census has 14 ideals, 13 of them proper: the census reads each
+    # ideal's cover through decomposition_lengths, oracle_dsc reads the
+    # cached covers, and neither calls brute_decompose
+    assert after_census["oracle.brute_decompose.calls"] == 0
+    assert after_census["oracle.decomposition_lengths.calls"] == 14
+    assert after_census["oracle.oracle_dsc.calls"] == 1
+    assert after_census["ideals.packed_cyclic_table.misses"] == 1
+    # brute_decompose builds each proper ideal's decomposition on its
+    # first call and reads it back on the second; R is not counted
+    assert stats["oracle.brute_decompose.calls"] == 28
     assert stats["oracle.brute_decompose.misses"] == 13
-    assert stats["oracle.decomposition_lengths.calls"] == 14
+    assert stats["oracle.brute_decompose.hits"] == 13
     assert stats["ideals.packed_cyclic_table.misses"] == 1

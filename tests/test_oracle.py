@@ -22,8 +22,8 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclicideals import (Ideal, InfeasibleSizeError, brute_decompose,
-                          classify_dsc, complete_census, cyclic,
+from cyclicideals import (Ideal, InfeasibleSizeError, InternalContradictionError,
+                          brute_decompose, classify_dsc, complete_census, cyclic,
                           decomposition_lengths, enumerate_ideals,
                           enumerate_ideals_subsets, find_m_decomposition, gf,
                           ideal_from_generators, is_simple, length_invariance,
@@ -212,20 +212,132 @@ def test_census_lengths_stay_under_witness_bound(pair_n3):
 
 
 def test_census_builds_each_decomposition_once(monkeypatch):
-    # the oracle command completes the census, then asks oracle_dsc,
-    # which reads the decompositions the census built
+    # the oracle command completes the census, then asks oracle_dsc: both
+    # read the cached covers, searched once per proper ideal, and build no
+    # CyclicDecomposition; brute_decompose builds each one once, on demand
     alg = build(PAIR_N3)
-    built = Counter()
-    original = oracle.build_decomposition
+    searched, built = Counter(), Counter()
+    search, build_dec = oracle.packed_first_cover, oracle.build_decomposition
 
-    def counting(alg, i, gens, branch, **knobs):
+    def counting_search(alg, rows):
+        searched[tuple(rows)] += 1
+        return search(alg, rows)
+
+    def counting_build(alg, i, gens, branch, **knobs):
         built[i.space.basis] += 1
-        return original(alg, i, gens, branch, **knobs)
+        return build_dec(alg, i, gens, branch, **knobs)
 
-    monkeypatch.setattr(oracle, "build_decomposition", counting)
+    monkeypatch.setattr(oracle, "packed_first_cover", counting_search)
+    monkeypatch.setattr(oracle, "build_decomposition", counting_build)
     census = complete_census(enumerate_ideals(alg))
     assert oracle_dsc(alg).answer == "yes"
-    assert [built[e.key] for e in census.entries[:-1]] == [1] * 13
+    assert [searched[e.key] for e in census.entries] == [1] * 13 + [0]
+    assert not built
+    first = [brute_decompose(alg, e.ideal) for e in census.entries]
+    again = [brute_decompose(alg, e.ideal) for e in census.entries]
+    assert all(a is b for a, b in zip(first, again))
+    assert [built[e.key] for e in census.entries] == [1] * 14
+    assert sum(searched.values()) == 13  # R is never searched
+
+
+def test_whole_ring_is_decided_once():
+    alg = build(PAIR_N3)
+    dec = brute_decompose(alg, unit_ideal(alg))
+    assert brute_decompose(alg, unit_ideal(alg)) is dec
+    assert alg._covers[unit_ideal(alg).space.basis] == (1,)
+
+
+def _gf2_ring(pres):
+    return build_algebra(RingPresentation.make(2, pres.vars, pres.relations, pres.truncate))
+
+
+def _tuple_order(alg, keys):
+    # the census order of the unpacked 0/1 tuples, R last
+    proper = [k for k in keys if len(k) < alg.dim]
+    return sorted(proper, key=lambda k: (len(k), tuple(gf.unpack_vec(r, alg.dim)
+                                                        for r in k))) + [keys[-1]]
+
+
+def test_packed_sort_key_keeps_the_tuple_order():
+    subsets = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = _gf2_ring(pres)
+        assume(alg.dim - 1 <= 8)
+        keys = [e.key for e in enumerate_ideals(alg).entries]
+        assert keys == _tuple_order(alg, keys)
+        assert keys[-1] == unit_ideal(alg).space.basis
+        if alg.dim - 1 <= 4:
+            listed = enumerate_ideals_subsets(alg)
+            assert listed == _tuple_order(alg, listed) == keys
+            subsets.append(len(listed))
+
+    check()
+    assert sum(n > 5 for n in subsets) >= 10, subsets
+
+
+def _repeat_first(alg, rows):
+    # rows[0] as many times as I has rows
+    return ([], [rows[0]] * len(rows))
+
+
+def _one_extra(alg, rows):
+    non_simple, simple = packed_first_cover(alg, rows)
+    return non_simple, simple + [rows[-1]]
+
+
+@pytest.mark.parametrize("cover", [_repeat_first, _one_extra])
+def test_census_refuses_an_overlapping_cover(monkeypatch, cover):
+    alg = build(PAIR_N3)
+    census = enumerate_ideals(alg)
+    monkeypatch.setattr(oracle, "packed_first_cover", lambda alg, rows: (
+        cover(alg, rows) if len(rows) >= 2 else packed_first_cover(alg, rows)))
+    with pytest.raises(InternalContradictionError, match="cover failed verification"):
+        complete_census(census)
+
+
+def test_cover_check_reads_the_span(monkeypatch):
+    # x^2 twice: as many closure rows as the socle has, spanning one line
+    alg = build(PAIR_N3)
+    x, y = alg.gens
+    socle = ideal_from_generators(alg, [x ** 2, y ** 2])
+    line = (x ** 2).vec
+    assert len(packed_cyclic_table(alg)[line]) == 1 and socle.dim == 2
+    monkeypatch.setattr(oracle, "packed_first_cover", lambda alg, rows: ([], [line, line]))
+    with pytest.raises(InternalContradictionError, match="cover failed verification"):
+        decomposition_lengths(alg, socle)
+
+
+def test_census_answers_as_the_decompositions_do():
+    sizes = []
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = _gf2_ring(pres)
+        assume(alg.dim - 1 <= 8)
+        verdict = oracle_dsc(alg)
+        census = complete_census(enumerate_ideals(alg))
+        stuck = None
+        for e in census.entries:
+            dec = brute_decompose(alg, e.ideal)
+            assert e.decomposable == (dec is not None)
+            assert e.lengths == (() if dec is None else (dec.length,))
+            if dec is not None:
+                assert verify_decomposition(alg, e.ideal, dec)
+            elif stuck is None:
+                stuck = e.ideal
+        # oracle_dsc names the first ideal brute_decompose cannot split
+        assert verdict.answer == ("yes" if stuck is None else "no")
+        assert verdict.counterexample == stuck
+        assert oracle_dsc(alg) == verdict
+        sizes.append((census.count, stuck is not None))
+
+    check()
+    assert sum(n > 20 for n, _ in sizes) >= 8, sizes
+    assert sum(no for _, no in sizes) >= 5, sizes
 
 
 def test_lengths_refuse_another_algebra():
