@@ -338,12 +338,13 @@ class _CyclicTable(dict):
 def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
     """Map each vector of the maximal-ideal span to cyclic(v)'s RREF rows.
 
-    GF(2) only.  The table is cached on the algebra and lazy: a vector
-    is closed the first time it is read, so a search pays only for the
-    generators it looks at.  Past CYCLIC_TABLE_MAX_DIM it refuses before
-    any work.
+    The table is cached on the algebra and lazy: a vector is closed the
+    first time it is read, so a search pays only for the generators it
+    looks at.  It refuses, before any work, an odd p and a dim M past
+    CYCLIC_TABLE_MAX_DIM.
     """
-    assert alg.p == 2
+    if alg.p != 2:
+        raise InfeasibleSizeError(f"cyclic table handles GF(2) only, not GF({alg.p})")
     cached = getattr(alg, "_cyclic_table", None)
     if cached is not None:
         return cached

@@ -81,6 +81,14 @@ def pres_str(pres: "RingPresentation") -> str:
     return base
 
 
+def _pure_power(relations: Iterable[Sequence[int]], i: int) -> Optional[int]:
+    """The least k with x_i^k among the relations, None if there is none.
+    A pure power of x_i lies in a monomial ideal exactly when some
+    generator is itself a pure power of x_i, so x_i is nilpotent exactly
+    when this is not None."""
+    return min((r[i] for r in relations if 0 < r[i] == mono_degree(r)), default=None)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -125,66 +133,80 @@ class RingPresentation:
                 raise PresentationError("variable eliminated by degree-1 relation")
         if truncate is not None and truncate < 2:
             raise PresentationError("truncate bound must be at least 2")
-        # a pure power of a variable lies in a monomial ideal exactly when
-        # some generator is itself a pure power of that variable
-        nonnil = []
-        for i in range(nv):
-            pure = any(r[i] > 0 and mono_degree(r) == r[i] for r in rels)
-            nonnil.append(not pure)
+        nonnil = tuple(_pure_power(rels, i) is None for i in range(nv))
         if truncate is None and any(nonnil):
             raise PresentationError("infinite dimensional without truncate")
-        return cls(p, names, tuple(rels), truncate, tuple(nonnil))
+        return cls(p, names, tuple(rels), truncate, nonnil)
 
     def var_index(self, name: str) -> int:
         return self.vars.index(name)
 
 
 # ---------------------------------------------------------------------------
-# ring file parser.  One declaration per line; '#' starts a comment; '/'
-# is also accepted as a declaration separator so presentations can be
+# ring text: one term reader for rel lines and element expressions, and
+# the ring file parser.  One declaration per line; '#' starts a comment;
+# '/' is also accepted as a declaration separator so presentations can be
 # written on a single line.
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
-def _parse_monomial(text: str, names: Sequence[str], line_no: int, col0: int) -> tuple[int, ...]:
-    exps = [0] * len(names)
-    pos = 0
-    expect_term = True
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "*":
-            if expect_term:
-                raise RingSyntaxError("unexpected '*'", line_no, col0 + pos + 1)
-            expect_term = True
-            pos += 1
-            continue
-        if not expect_term:
-            raise RingSyntaxError("expected '*' between factors", line_no, col0 + pos + 1)
-        m = _NAME_RE.match(text, pos)
-        if not m:
-            raise RingSyntaxError("expected variable name", line_no, col0 + pos + 1)
-        name = m.group(0)
-        if name not in names:
-            raise RingSyntaxError(f"unknown variable '{name}'", line_no, col0 + pos + 1)
-        pos = m.end()
-        exp = 1
-        if pos < len(text) and text[pos] == "^":
-            pos += 1
-            m = re.compile(r"\d+").match(text, pos)
-            if not m or int(m.group(0)) < 1:
-                raise RingSyntaxError("exponent must be a positive integer", line_no, col0 + pos + 1)
-            exp = int(m.group(0))
-            pos = m.end()
-        exps[names.index(name)] += exp
-        expect_term = False
-    if expect_term:
-        raise RingSyntaxError("empty monomial", line_no, col0 + 1)
-    return tuple(exps)
+def read_terms(text: str, names: Sequence[str], line: int = 1, col0: int = 0
+               ) -> list[tuple[int, tuple[int, ...]]]:
+    """The signed terms of text, each an (integer coefficient, exponent
+    tuple) pair over names.  The one grammar of ring text:
+
+        expression = ['+' | '-'] term (('+' | '-') term)*
+        term       = factor ('*' factor)*
+        factor     = integer | name ['^' k]        with k >= 1
+
+    Factors multiply into their term, so x*x*y reads as (1, (2, 1)).
+    Errors are RingSyntaxErrors on the given line, their column counted
+    from col0, the 0-based column where text starts in that line.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end
+
+    def fail(message: str, k: int):  # token positions are needed only here
+        at = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise RingSyntaxError(message, line, col0 + at[k] + 1)
+
+    terms, k = [], 0
+    while True:
+        coeff, exps = 1, [0] * len(names)
+        if tokens[k] in ("+", "-"):
+            coeff = -1 if tokens[k] == "-" else 1
+            k += 1
+        while True:  # the factors of one term
+            tok = tokens[k]
+            if tok in names:
+                exp = 1
+                if tokens[k + 1] == "^":
+                    k += 2
+                    exp = int(tokens[k]) if tokens[k].isdecimal() else 0
+                    if exp < 1:
+                        fail("exponent must be a positive integer", k)
+                exps[names.index(tok)] += exp
+            elif tok.isdecimal():
+                coeff *= int(tok)
+            elif _NAME_RE.match(tok):
+                fail(f"unknown variable '{tok}'", k)
+            else:
+                fail(f"unexpected '{tok}'" if tok else "empty monomial", k)
+            k += 1
+            if tokens[k] != "*":
+                break
+            k += 1
+        terms.append((coeff, tuple(exps)))
+        tok = tokens[k]
+        if not tok:
+            return terms
+        if tok.isdecimal() or _NAME_RE.match(tok):
+            fail("expected '*' between factors", k)
+        if tok not in ("+", "-"):
+            fail(f"unexpected '{tok}'", k)
 
 
 def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresentation:
@@ -193,11 +215,14 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
     Declarations, one per line (or '/'-separated):
         field <prime>
         vars <name> [<name> ...]
-        rel <monomial>          # repeatable, monomial = term ('*' term)*
+        rel <monomial>          # repeatable
         truncate <N>            # optional total-degree truncation
 
-    A truncate argument overrides whatever the text declares, so an
-    infinite-dimensional presentation can still be modelled.
+    A rel reads with read_terms and must be one term of coefficient 1,
+    such as x^2*y or x*x*y.  Error columns count from the start of the
+    line as written.  A truncate argument overrides whatever the text
+    declares, so an infinite-dimensional presentation can still be
+    modelled.
     """
     p: Optional[int] = None
     names: Optional[tuple[str, ...]] = None
@@ -216,11 +241,11 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
             fields = stripped.split(None, 1)
             keyword = fields[0]
             rest = fields[1] if len(fields) > 1 else ""
-            rest_col = start_col + len(keyword) + 1
+            rest_col = start_col + len(stripped) - len(rest)  # rest is a suffix of stripped
             if keyword == "field":
                 if p is not None:
                     raise RingSyntaxError("duplicate field declaration", line_no, start_col + 1)
-                if not rest.strip().isdigit():
+                if not rest.isdecimal():
                     raise RingSyntaxError("field expects an integer", line_no, rest_col + 1)
                 p = int(rest)
             elif keyword == "vars":
@@ -237,7 +262,7 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
             elif keyword == "truncate":
                 if declared is not None:
                     raise RingSyntaxError("duplicate truncate declaration", line_no, start_col + 1)
-                if not rest.strip().isdigit():
+                if not rest.isdecimal():
                     raise RingSyntaxError("truncate expects an integer", line_no, rest_col + 1)
                 declared = int(rest)
             else:
@@ -247,7 +272,12 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
         raise PresentationError("missing field declaration")
     if names is None:
         raise PresentationError("missing vars declaration")
-    relations = [_parse_monomial(spec, names, ln, col) for spec, ln, col in rel_specs]
+    relations = []
+    for spec, ln, col in rel_specs:
+        terms = read_terms(spec, names, ln, col)
+        if len(terms) != 1 or terms[0][0] != 1:
+            raise RingSyntaxError("rel expects one monomial of coefficient 1", ln, col + 1)
+        relations.append(terms[0][1])
     return RingPresentation.make(p, names, relations,
                                  declared if truncate is None else truncate)
 
@@ -496,8 +526,7 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
     nv = len(pres.vars)
     caps = []
     for i in range(nv):
-        pure = [r[i] for r in pres.relations if r[i] > 0 and mono_degree(r) == r[i]]
-        cap = min(pure) if pure else None
+        cap = _pure_power(pres.relations, i)
         if pres.truncate is not None:
             cap = pres.truncate if cap is None else min(cap, pres.truncate)
         caps.append(cap)  # exponent of var i is < cap
@@ -529,65 +558,19 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
 
 
 def parse_element(alg: MonomialAlgebra, text: str) -> Element:
-    """Parse a polynomial expression over the ring variables.
+    """Parse an expression of read_terms over the ring variables, such as
+    "x^2 + 2*x*y - 1", as the sum of c * e_k over its terms c * m_k.
 
-    Grammar: signed terms joined by '+'/'-'; each term multiplies integer
-    coefficients and variable powers, e.g. "x^2 + 2*x*y - 1".
+    A monomial outside alg.index is no standard monomial, so it is zero
+    and its term drops; nothing is multiplied.  Errors are
+    RingSyntaxErrors on line 1 with the column in text.
     """
-    tokens = re.findall(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|-|\S", text)
-    pos = 0
-
-    def fail(msg: str):
-        raise ValueError(f"bad element expression: {msg} (near token {pos})")
-
-    def parse_factor() -> Element:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end")
-        tok = tokens[pos]
-        if tok.isdigit():
-            pos += 1
-            return alg.unit().scale(int(tok))
-        if _NAME_RE.fullmatch(tok):
-            if tok not in alg.presentation.vars:
-                fail(f"unknown variable '{tok}'")
-            pos += 1
-            base = alg.var(tok)
-            if pos < len(tokens) and tokens[pos] == "^":
-                pos += 1
-                if pos >= len(tokens) or not tokens[pos].isdigit():
-                    fail("exponent must be an integer")
-                n = int(tokens[pos])
-                pos += 1
-                return base ** n
-            return base
-        fail(f"unexpected token '{tok}'")
-
-    def parse_term() -> Element:
-        nonlocal pos
-        out = parse_factor()
-        while pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            out = out * parse_factor()
-        return out
-
-    if not tokens:
-        fail("empty expression")
-    negate = False
-    if tokens[pos] in "+-":
-        negate = tokens[pos] == "-"
-        pos += 1
-    total = parse_term()
-    if negate:
-        total = -total
-    while pos < len(tokens):
-        op = tokens[pos]
-        if op not in "+-":
-            fail(f"unexpected token '{op}'")
-        pos += 1
-        term = parse_term()
-        total = total - term if op == "-" else total + term
-    return total
+    f, vec = alg.field, 0
+    for c, exps in read_terms(text, alg.presentation.vars):
+        k = alg.index.get(exps)
+        if k is not None:
+            vec = f.addmul(vec, c, 1 << k * f.w)
+    return Element.packed(alg, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ arithmetic mod p on one coordinate at a time, so nothing here shares a
 layout or a reduction trick with the packed rows.  Products add
 exponents over the monomial basis, so they share neither the successor
 maps nor mult_map.  The standard monomials come from a walk of the whole
-exponent box and one sort, not from their divisors.
+exponent box and one sort, not from their divisors.  Element
+expressions are read by recursive descent and multiplied out, each power
+by repeated products, not summed off the monomial index.
 """
 
+import re
 from bisect import insort
 
 
@@ -229,3 +232,64 @@ def reference_first_cover(alg, rows):
         return None
 
     return search(0, list(mi), [], [])
+
+
+def parse_element(alg, text):
+    """The element of a polynomial expression over alg's variables, read
+    by recursive descent and multiplied out: every factor is an element,
+    x^n is the power x ** n, and a term is the product of its factors.
+    Exponents here may be 0; ValueError on a malformed expression."""
+    tokens = re.findall(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|-|\S", text)
+    pos = 0
+
+    def fail(msg: str):
+        raise ValueError(f"bad element expression: {msg} (near token {pos})")
+
+    def parse_factor():
+        nonlocal pos
+        if pos >= len(tokens):
+            fail("unexpected end")
+        tok = tokens[pos]
+        if tok.isdigit():
+            pos += 1
+            return alg.unit().scale(int(tok))
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            if tok not in alg.presentation.vars:
+                fail(f"unknown variable '{tok}'")
+            pos += 1
+            base = alg.var(tok)
+            if pos < len(tokens) and tokens[pos] == "^":
+                pos += 1
+                if pos >= len(tokens) or not tokens[pos].isdigit():
+                    fail("exponent must be an integer")
+                n = int(tokens[pos])
+                pos += 1
+                return base ** n
+            return base
+        fail(f"unexpected token '{tok}'")
+
+    def parse_term():
+        nonlocal pos
+        out = parse_factor()
+        while pos < len(tokens) and tokens[pos] == "*":
+            pos += 1
+            out = out * parse_factor()
+        return out
+
+    if not tokens:
+        fail("empty expression")
+    negate = False
+    if tokens[pos] in "+-":
+        negate = tokens[pos] == "-"
+        pos += 1
+    total = parse_term()
+    if negate:
+        total = -total
+    while pos < len(tokens):
+        op = tokens[pos]
+        if op not in "+-":
+            fail(f"unexpected token '{op}'")
+        pos += 1
+        term = parse_term()
+        total = total - term if op == "-" else total + term
+    return total

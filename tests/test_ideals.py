@@ -274,6 +274,16 @@ def test_packed_cyclic_table_guard():
     assert not hasattr(wide, "_cyclic_table")
 
 
+def test_cyclic_table_and_cover_refuse_odd_p():
+    # a typed refusal before any work, not an assertion or a KeyError
+    alg = build("field 3 / vars x y / rel x^2 / rel y^2 / rel x*y")
+    with pytest.raises(InfeasibleSizeError, match=r"GF\(2\) only, not GF\(3\)"):
+        packed_cyclic_table(alg)
+    with pytest.raises(InfeasibleSizeError, match=r"GF\(2\) only, not GF\(3\)"):
+        ideals.packed_first_cover(alg, maximal_ideal(alg).space.basis)
+    assert not hasattr(alg, "_cyclic_table")
+
+
 def test_packed_cyclic_table_refusal_is_the_oracle_refusal():
     # one typed refusal for every size limit, caught under either name
     assert oracle.InfeasibleSizeError is InfeasibleSizeError

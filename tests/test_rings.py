@@ -47,6 +47,44 @@ def test_syntax_error_position():
     assert "unknown variable 'z'" in str(info.value)
 
 
+@pytest.mark.parametrize("text,line,column,fragment", [
+    ("field 2\nvars x\nrel   x*z\n", 3, 9, "unknown variable 'z'"),
+    ("field   two\nvars x\nrel x^2", 1, 9, "field expects an integer"),
+    ("field 2 / vars x / rel  x*z", 1, 27, "unknown variable 'z'"),
+    ("field 2 / vars  x / rel  x^2 y", 1, 30, "between factors"),
+])
+def test_syntax_error_columns_count_every_blank(text, line, column, fragment):
+    # the column is where the text stands in the line, however many
+    # blanks follow the keyword
+    with pytest.raises(RingSyntaxError, match=fragment) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text,column,fragment", [
+    ("field \u00b2 / vars x / rel x^2", 7, "field expects an integer"),
+    ("field 2 / vars x / truncate \u00b3", 29, "truncate expects an integer"),
+])
+def test_declared_integers_are_decimal(text, column, fragment):
+    # '²'.isdigit() holds, but int('²') fails
+    with pytest.raises(RingSyntaxError, match=fragment) as info:
+        parse_presentation(text)
+    assert info.value.column == column
+
+
+@pytest.mark.parametrize("text", ["field 2 / vars x y / rel x^2 + y^2",
+                                  "field 2 / vars x y / rel 3*x^2",
+                                  "field 2 / vars x y / rel -x*y"])
+def test_rel_is_one_monomial_of_coefficient_one(text):
+    with pytest.raises(RingSyntaxError, match="one monomial of coefficient 1"):
+        parse_presentation(text)
+
+
+def test_rel_reads_the_element_grammar():
+    pres = parse_presentation("field 3 / vars x y / rel 1*x ^ 2 / rel y*y*1*y")
+    assert pres.relations == ((0, 3), (2, 0))
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("field 2 / field 3 / vars x / rel x^2", "duplicate field"),
     ("field two / vars x / rel x^2", "field expects an integer"),
@@ -249,6 +287,59 @@ def test_parse_element_errors(text):
     alg = build(PAIR_N3)
     with pytest.raises(ValueError):
         parse_element(alg, text)
+
+
+@pytest.mark.parametrize("text,column,fragment", [
+    ("x + 2*q", 7, "unknown variable 'q'"),
+    ("x y", 3, "between factors"),
+    ("x^0 + y", 3, "exponent must be a positive integer"),
+    ("x - -y", 5, "unexpected '-'"),
+    ("x +", 4, "empty monomial"),
+])
+def test_parse_element_error_columns(text, column, fragment):
+    with pytest.raises(RingSyntaxError, match=fragment) as info:
+        parse_element(build(PAIR_N3), text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+@st.composite
+def element_texts(draw, names):
+    """Expressions of signed terms with integer coefficients, positive
+    exponents, repeated factors and monomials past the relations."""
+
+    def factor():
+        if draw(st.integers(0, 3)) == 0:
+            return str(draw(st.integers(0, 12)))
+        name, exp = draw(st.sampled_from(names)), draw(st.integers(1, 7))
+        return name if exp == 1 and draw(st.booleans()) else f"{name}^{exp}"
+
+    def gap():
+        return draw(st.sampled_from(["", " ", "  "]))
+
+    text = draw(st.sampled_from(["", "-", "+"]))
+    for n in range(draw(st.integers(1, 4))):
+        if n:
+            text += gap() + draw(st.sampled_from("+-")) + gap()
+        text += (gap() + "*" + gap()).join(factor() for _ in range(draw(st.integers(1, 4))))
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_parse_element_matches_the_multiplied_out_reference(pres, data):
+    alg = build_algebra(pres)
+    for _ in range(4):
+        text = data.draw(element_texts(pres.vars))
+        assert parse_element(alg, text) == reference_kernels.parse_element(alg, text), text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(presentations(), st.data())
+def test_parse_element_reads_back_str(pres, data):
+    alg = build_algebra(pres)
+    z = alg.element(data.draw(st.lists(st.integers(0, pres.p - 1),
+                                       min_size=alg.dim, max_size=alg.dim)))
+    assert parse_element(alg, str(z)) == z
 
 
 # ---------------------------------------------------------------------------
