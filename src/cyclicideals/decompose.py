@@ -6,9 +6,8 @@ cyclic splitting:
 
   principal   i inside Rx (or Ry): i = R x^n.
   semisimple  M*i = 0: i splits into lines.
-  axis        i inside Rx + L: i = R(x^n0 + l0) + (i meet J) with J the
-              part of L that i projects onto.
-  two_axes    general position, i = Rx' + Ry' + (i meet J).
+  axis        i inside Rx + L: i = R(x^n0 + l0) + (i meet L).
+  two_axes    general position, i = Rx' + Ry' + (i meet L).
   diagonal    general position where the two-axis sum falls short; a
               single mixed generator z' = c x^(n0-1) + d y^(m0-1) + l
               carries both axes.
@@ -196,39 +195,27 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     if i.dim == alg.dim:
         raise ValueError("not proper")
 
-    rx, ry, span = dec.rx.space, dec.ry.space, dec.simple_span
-
     if i.dim == 0:
         return semisimple_decompose(alg, i)
-    if rx.dim and rx.contains_subspace(i.space):
-        return _principal(alg, dec, i, "x")
-    if ry.dim and ry.contains_subspace(i.space):
-        return _principal(alg, dec, i, "y")
+    # the witness's axes, in the order principal and axis are tried
+    axes = [(which, g, rg) for which, g, rg in (("x", dec.x, dec.rx), ("y", dec.y, dec.ry))
+            if rg.dim]
+    for which, g, rg in axes:
+        if rg.space.contains_subspace(i.space):
+            # Rg is a chain, so i = R g^n with dim i = dim Rg - n + 1
+            n = rg.dim - i.dim + 1
+            return build_decomposition(alg, i, [g ** n], "principal", axis=which, n0=n)
     if module_times_ideal(alg, i).dim == 0:
         return semisimple_decompose(alg, i)
-    if rx.dim and gf.subspace_sum(rx, span).contains_subspace(i.space):
-        return _axis(alg, dec, i, "x")
-    if ry.dim and gf.subspace_sum(ry, span).contains_subspace(i.space):
-        return _axis(alg, dec, i, "y")
-    return _general(alg, dec, i)
+    # the simple part i keeps; the witness is direct onto M, so it is i meet L
+    kept = gf.subspace_intersect(i.space, dec.simple_span)
+    for which, g, rg in axes:
+        if gf.subspace_sum(rg.space, dec.simple_span).contains_subspace(i.space):
+            return _axis(alg, dec, i, which, kept)
+    return _general(alg, dec, i, kept)
 
 
-def _principal(alg, dec, i, which) -> CyclicDecomposition:
-    # Rg is a chain, so i = R g^n with dim i = dim Rg - n + 1
-    g, rg = (dec.x, dec.rx) if which == "x" else (dec.y, dec.ry)
-    n = rg.dim - i.dim + 1
-    return build_decomposition(alg, i, [g ** n], "principal", axis=which, n0=n)
-
-
-def _ideal_simple_part(dec, i) -> gf.Subspace:
-    # J = the portion of the simple span that i projects onto along
-    # Rx + Ry; the witness is direct onto M, so J = (i + Rx + Ry) meet L
-    reach = gf.subspace_sum(gf.subspace_sum(i.space, dec.rx.space), dec.ry.space)
-    return gf.subspace_intersect(reach, dec.simple_span)
-
-
-def _axis(alg, dec, i, which) -> CyclicDecomposition:
-    g = dec.x if which == "x" else dec.y
+def _axis(alg, dec, i, which, kept) -> CyclicDecomposition:
     n0, l0, gn = minimal_exponent(alg, dec, i, which)
     gen = gn + l0
     _check(not gen.is_zero(), "axis generator vanished")
@@ -236,21 +223,19 @@ def _axis(alg, dec, i, which) -> CyclicDecomposition:
         # the correction must not change the annihilator
         _check(annihilator(alg, gen) == annihilator(alg, gn),
                "axis correction changed the annihilator")
-    j = _ideal_simple_part(dec, i)
-    gens = [gen] + [Element.packed(alg, r) for r in gf.subspace_intersect(i.space, j).basis]
+    gens = [gen] + [Element.packed(alg, r) for r in kept.basis]
     return build_decomposition(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
 
-def _general(alg, dec, i) -> CyclicDecomposition:
+def _general(alg, dec, i, kept) -> CyclicDecomposition:
     n0, l1, xn = minimal_exponent(alg, dec, i, "x")
     m0, l2, ym = minimal_exponent(alg, dec, i, "y")
     xp, yp = xn + l1, ym + l2
-    ij = gf.subspace_intersect(i.space, _ideal_simple_part(dec, i))
     axes = [cyclic(alg, xp), cyclic(alg, yp)]
-    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [ij])
+    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [kept])
     _check(s is not None, "axis summands overlap")
     _check(i.space.contains_subspace(s), "axis summands escape i")
-    rest = [Element.packed(alg, r) for r in ij.basis]
+    rest = [Element.packed(alg, r) for r in kept.basis]
     knobs = dict(n0=n0, m0=m0, l1=str(l1), l2=str(l2))
 
     if s == i.space:

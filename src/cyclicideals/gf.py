@@ -329,14 +329,14 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subspace]:
-    """The sum of the parts when it is direct, None when they overlap."""
-    total = Subspace.zero(p, ambient)
+    """The sum of the parts when it is direct, None when they overlap: one
+    elimination of all their rows, direct when no row drops out."""
+    parts = list(parts)
+    zero = Subspace.zero(p, ambient)
     for s in parts:
-        grown = subspace_sum(total, s)
-        if grown.dim != total.dim + s.dim:
-            return None
-        total = grown
-    return total
+        _check_compatible(zero, s)
+    basis = packed_field(p).rref(r for s in parts for r in s.basis)
+    return Subspace(p, ambient, basis) if len(basis) == sum(s.dim for s in parts) else None
 
 
 def vanishing_block(p: int, n: int, rows: Iterable[int]) -> list[int]:

@@ -89,6 +89,11 @@ def _pure_power(relations: Iterable[Sequence[int]], i: int) -> Optional[int]:
     return min((r[i] for r in relations if 0 < r[i] == mono_degree(r)), default=None)
 
 
+# a field size at or above this is refused before _is_prime, whose trial
+# division up to sqrt(p) would stall on it
+FIELD_BOUND = 2 ** 31
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -118,6 +123,8 @@ class RingPresentation:
     def make(cls, p: int, names: Sequence[str], relations: Iterable[Sequence[int]],
              truncate: Optional[int] = None) -> "RingPresentation":
         names = tuple(names)
+        if p >= FIELD_BOUND:
+            raise PresentationError("field size too large, must be below 2^31")
         if not _is_prime(p):
             raise PresentationError("field size not prime")
         if not names:
@@ -129,7 +136,10 @@ class RingPresentation:
         for r in rels:
             if len(r) != nv or any(k < 0 for k in r):
                 raise PresentationError("bad relation exponent vector")
-            if mono_degree(r) <= 1:
+            degree = mono_degree(r)
+            if degree == 0:
+                raise PresentationError("constant relation makes the ring zero")
+            if degree == 1:
                 raise PresentationError("variable eliminated by degree-1 relation")
         if truncate is not None and truncate < 2:
             raise PresentationError("truncate bound must be at least 2")
@@ -520,8 +530,8 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
     every child of m adds at i or later, and it stays the larger at i.
     Each monomial's canonical parent goes to the algebra, which reads
     its successor table off them.  The work is proportional to the basis
-    times the variables, and DimensionLimitError is raised once a degree
-    takes the basis past max_dim.
+    times the variables, and DimensionLimitError is raised as soon as one
+    parent's children take the basis past max_dim.
     """
     nv = len(pres.vars)
     caps = []
@@ -550,8 +560,8 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
                 nxt.append(len(basis))
                 basis.append(child)
                 parents.append((v, j))
-        if len(basis) > max_dim:
-            raise DimensionLimitError("dimension exceeds configured limit")
+            if len(basis) > max_dim:
+                raise DimensionLimitError("dimension exceeds configured limit")
         level = nxt
         degree += 1
     return MonomialAlgebra(pres, basis, parents)

@@ -13,8 +13,7 @@ from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError
                           semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
 from cyclicideals import oracle, rings
-from cyclicideals.decompose import (_first_outside, _ideal_simple_part,
-                                    build_decomposition)
+from cyclicideals.decompose import _first_outside, build_decomposition
 import reference_kernels
 import test_golden
 from conftest import AXIS_SOCLE, POWER_SERIES, build
@@ -330,7 +329,8 @@ def test_first_outside_matches_element_sweep(p):
     "field 5 / vars x y / rel x^4 / rel y^3 / rel x*y",
 ])
 def test_ideal_simple_part_is_the_projection(text):
-    """J = (i + Rx + Ry) meet L equals the span of the L-parts of i's rows."""
+    """The simples an ideal keeps are i meet L: with J = (i + Rx + Ry)
+    meet L, the span of the L-parts of i's rows, i meet J = i meet L."""
     alg = build(text)
     dec = find_m_decomposition(alg)
     rx, ry, span = dec.rx.space, dec.ry.space, dec.simple_span
@@ -341,8 +341,10 @@ def test_ideal_simple_part_is_the_projection(text):
         i = ideal_from_generators(alg, gens)
         lparts = [alg.field.unpack(gf.split_components(r, [rx, ry, span])[2], alg.dim)
                   for r in i.space.basis]
-        want = gf.Subspace.span(alg.p, alg.dim, lparts)
-        assert _ideal_simple_part(dec, i) == want
+        reach = gf.subspace_sum(gf.subspace_sum(i.space, rx), ry)
+        j = gf.subspace_intersect(reach, span)
+        assert j == gf.Subspace.span(alg.p, alg.dim, lparts)
+        assert gf.subspace_intersect(i.space, j) == gf.subspace_intersect(i.space, span)
 
 
 def test_length_never_exceeds_witness_bound(pair_n3):

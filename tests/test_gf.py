@@ -253,6 +253,16 @@ def test_direct_sum_sweep(p):
         assert gf.direct_sum(p, n, parts) == (total if direct else None)
 
 
+def test_direct_sum_refuses_a_mismatched_part():
+    base = gf.Subspace.span(3, 3, [(1, 0, 0)])
+    for other in (gf.Subspace.span(5, 3, [(0, 1, 0)]), gf.Subspace.span(3, 4, [(0, 1, 0, 0)]),
+                  gf.Subspace.zero(2, 3)):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            gf.direct_sum(3, 3, [base, other])
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        gf.direct_sum(3, 3, [gf.Subspace.zero(3, 2)])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_affine_meet_sweep(p):
     """Returned points satisfy both memberships; None answers are

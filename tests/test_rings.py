@@ -1,6 +1,9 @@
 """Presentations, the standard-monomial basis, and element arithmetic."""
 
 import random
+import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from cyclicideals import (DimensionLimitError, NotExpressibleError,
                           annihilator, build_algebra, cyclic,
                           module_times_ideal, parse_element, parse_presentation,
                           power_form, pres_str)
+from cyclicideals import rings
 from cyclicideals.rings import mono_str
 import reference_kernels
 from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, TWO_AXES, build,
@@ -106,6 +110,8 @@ def test_syntax_errors(text, fragment):
     ("field 4 / vars x / rel x^2", "field size not prime"),
     ("field 2 / vars x x / rel x^2", "duplicate variable"),
     ("field 2 / vars x y / rel x / rel y^2", "degree-1 relation"),
+    ("field 2 / vars x / rel 1", "constant relation makes the ring zero"),
+    ("field 2147483648 / vars x / rel x^2", "must be below 2\\^31"),
     ("field 2 / vars x", "infinite dimensional without truncate"),
     ("field 2 / vars x / truncate 1", "truncate bound must be at least 2"),
     ("vars x / rel x^2", "missing field"),
@@ -114,6 +120,16 @@ def test_syntax_errors(text, fragment):
 def test_presentation_errors(text, fragment):
     with pytest.raises(PresentationError, match=fragment):
         parse_presentation(text)
+
+
+def test_huge_field_refused_before_trial_division():
+    # trial division up to sqrt(p) would run for minutes on this prime
+    start = time.perf_counter()
+    with mock.patch.object(rings, "_is_prime", side_effect=AssertionError("trial division")):
+        with pytest.raises(PresentationError, match="must be below 2\\^31"):
+            parse_presentation("field 1000000000000000003 / vars x / rel x^2")
+    assert time.perf_counter() - start < 1.0
+    assert build("field 2147483647 / vars x / rel x^2").dim == 2
 
 
 def test_presentation_error_no_vars():
@@ -178,6 +194,21 @@ def test_dimension_limit():
     with pytest.raises(DimensionLimitError):
         build_algebra(parse_presentation("field 2 / vars x / truncate 5000"),
                       max_dim=4096)
+
+
+def test_dimension_limit_refuses_inside_a_degree():
+    # degree 2 of 300 variables holds 45,150 monomials of 300 exponents,
+    # over 100 MB; the guard must refuse long before that degree is full
+    names = " ".join(f"x{k}" for k in range(300))
+    pres = parse_presentation(f"field 2 / vars {names} / truncate 3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError, match="exceeds configured limit"):
+            build_algebra(pres, max_dim=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_dimension_limit_counts_the_basis_not_the_exponent_box():
