@@ -2,8 +2,9 @@
 
 A product of local rings is not local, but its ideals split along the
 idempotents, so the decision reduces to the factors.  classify_product
-combines per-factor verdicts: all yes gives yes, any refuted factor
-gives no (with the embedded counterexample), otherwise undecided.
+combines per-factor verdicts: all yes gives yes, and any refuted factor
+gives no, with the embedded counterexample.  Every factor here is a
+monomial ring, which classify_dsc always decides.
 """
 
 from cyclicideals import (build_algebra, classify_dsc, classify_product,

@@ -8,26 +8,25 @@ the first two by brute force for cross-checking.
 """
 
 from .rings import (Algebra, DimensionLimitError, Element, MonomialAlgebra,
-                    NotExpressibleError, PresentationError, RingPresentation,
-                    RingSyntaxError, build_algebra, parse_element,
-                    parse_presentation, power_form, pres_str)
+                    PresentationError, RingPresentation, RingSyntaxError,
+                    build_algebra, parse_element, parse_presentation, pres_str)
 from .ideals import (Ideal, QuotientAlgebra, QuotientMap, annihilator, cyclic,
                      ideal_from_generators, ideal_intersect, ideal_product,
                      ideal_sum, is_simple, maximal_ideal, min_generators,
                      module_times_ideal, quotient_algebra, unit_ideal,
                      zero_ideal)
-from .structure import (DscVerdict, MDecomposition, SearchSpaceExceededError,
-                        SpecReport, canonical_variable_split, classify_dsc,
+from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
+                        SearchSpaceExceededError, SpecReport,
+                        canonical_variable_split, classify_dsc,
                         classify_product, find_m_decomposition,
-                        is_principal_ideal_ring, m_decomposition_problems,
-                        spec_classify, three_summand_counterexample,
-                        verify_m_decomposition)
-from .decompose import (CyclicDecomposition, InternalContradictionError, Trace,
-                        WitnessInvalidError, decompose_ideal, minimal_exponent,
+                        m_decomposition_problems, spec_classify,
+                        three_summand_counterexample, verify_m_decomposition)
+from .decompose import (CyclicDecomposition, Trace, WitnessInvalidError,
+                        decompose_ideal, minimal_exponent,
                         semisimple_decompose, verify_decomposition)
 from .oracle import (IdealCensus, InfeasibleSizeError, brute_decompose,
                      complete_census, decomposition_lengths, enumerate_ideals,
-                     enumerate_ideals_subsets, length_invariance, oracle_dsc)
+                     length_invariance, oracle_dsc)
 
 __version__ = "0.1.0"
 
@@ -35,19 +34,17 @@ __all__ = [
     "Algebra", "CyclicDecomposition", "DimensionLimitError", "DscVerdict",
     "Element", "Ideal", "IdealCensus", "InfeasibleSizeError",
     "InternalContradictionError", "MDecomposition", "MonomialAlgebra",
-    "NotExpressibleError", "PresentationError", "QuotientAlgebra",
-    "QuotientMap", "RingPresentation", "RingSyntaxError",
-    "SearchSpaceExceededError", "SpecReport", "Trace", "WitnessInvalidError",
-    "annihilator", "brute_decompose", "build_algebra",
+    "PresentationError", "QuotientAlgebra", "QuotientMap", "RingPresentation",
+    "RingSyntaxError", "SearchSpaceExceededError", "SpecReport", "Trace",
+    "WitnessInvalidError", "annihilator", "brute_decompose", "build_algebra",
     "canonical_variable_split", "classify_dsc", "classify_product",
     "complete_census", "cyclic", "decompose_ideal", "decomposition_lengths",
-    "enumerate_ideals", "enumerate_ideals_subsets", "find_m_decomposition",
-    "ideal_from_generators", "ideal_intersect", "ideal_product", "ideal_sum",
-    "is_principal_ideal_ring", "is_simple", "length_invariance",
-    "m_decomposition_problems", "maximal_ideal", "min_generators",
-    "minimal_exponent",
-    "module_times_ideal", "oracle_dsc", "parse_element", "parse_presentation",
-    "power_form", "pres_str", "quotient_algebra", "semisimple_decompose",
-    "spec_classify", "three_summand_counterexample", "unit_ideal",
-    "verify_decomposition", "verify_m_decomposition", "zero_ideal",
+    "enumerate_ideals", "find_m_decomposition", "ideal_from_generators",
+    "ideal_intersect", "ideal_product", "ideal_sum", "is_simple",
+    "length_invariance", "m_decomposition_problems", "maximal_ideal",
+    "min_generators", "minimal_exponent", "module_times_ideal", "oracle_dsc",
+    "parse_element", "parse_presentation", "pres_str", "quotient_algebra",
+    "semisimple_decompose", "spec_classify", "three_summand_counterexample",
+    "unit_ideal", "verify_decomposition", "verify_m_decomposition",
+    "zero_ideal",
 ]

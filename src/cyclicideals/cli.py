@@ -57,8 +57,8 @@ def _load_ring(path: str, truncate):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         pres = parse_presentation(text, truncate=truncate)
         alg = build_algebra(pres)
@@ -69,8 +69,8 @@ def _load_ring(path: str, truncate):
     return pres, alg
 
 
-def _classify_one(pres, alg, args) -> tuple[DscVerdict, dict]:
-    verdict = classify_dsc(alg, max_oracle_dim=args.max_oracle_dim)
+def _classify_one(pres, alg) -> tuple[DscVerdict, dict]:
+    verdict = classify_dsc(alg)
     payload = verdict.as_dict()
     payload["ring"] = pres_str(pres)
     payload["dim"] = alg.dim
@@ -109,7 +109,7 @@ def _print_classify(payload) -> None:
 def _cmd_classify(args) -> int:
     try:
         loaded = [_load_ring(path, args.truncate) for path in args.files]
-        pieces = [_classify_one(pres, alg, args) for pres, alg in loaded]
+        pieces = [_classify_one(pres, alg) for pres, alg in loaded]
     except (UsageError, RefusalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -261,14 +261,10 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r["ok"] for r in rows) else 1
 
 
-def _add_common(sp, oracle_knob=True):
+def _add_common(sp):
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("--truncate", type=int, metavar="N",
                     help="override the truncation degree")
-    if oracle_knob:
-        sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
-                        help="census bound on dim M; in classify it bounds only "
-                             "the three-summand check (default 8)")
 
 
 def main(argv=None) -> int:
@@ -286,18 +282,20 @@ def main(argv=None) -> int:
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--ideal", required=True, metavar="GENS",
                     help="comma-separated generator expressions, e.g. 'x+y,x^2'")
-    _add_common(sp, oracle_knob=False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_decompose)
 
     sp = sub.add_parser("spec", help="prime spectrum from a witness decomposition")
     sp.add_argument("file", metavar="FILE")
-    _add_common(sp, oracle_knob=False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_spec)
 
     sp = sub.add_parser("oracle", help="exhaustive ideal census and verdict")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--list", action="store_true", help="dump every ideal")
     _add_common(sp)
+    sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
+                    help="census bound on dim M (default 8)")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("corpus", help="run the bundled expectation table")

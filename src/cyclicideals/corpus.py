@@ -73,12 +73,12 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
              use_oracle: bool = True) -> dict:
     """Classify one bundled case and compare against its frozen row.
 
-    With use_oracle=False only the constructive checks run: the verdict
-    skips oracle confirmation and the census column stays empty.
+    max_oracle_dim bounds the census.  With use_oracle=False only the
+    constructive checks run, and the census column stays empty.
     """
     case = case_by_key(key)
     pres, alg = load_case(key)
-    verdict = classify_dsc(alg, max_pair_dim, max_oracle_dim if use_oracle else 0)
+    verdict = classify_dsc(alg, max_pair_dim)
     got_dsc = verdict.as_dict()["dsc"]
     spec_case = None
     if verdict.witness is not None:

@@ -29,15 +29,12 @@ from typing import Optional
 from . import gf
 from .ideals import (Ideal, annihilator, cyclic, is_simple, module_times_ideal)
 from .rings import Element, mono_degree
-from .structure import MDecomposition, verify_m_decomposition
+from .structure import (InternalContradictionError, MDecomposition,
+                        verify_m_decomposition)
 
 
 class WitnessInvalidError(ValueError):
     """The supplied decomposition of M does not verify."""
-
-
-class InternalContradictionError(RuntimeError):
-    """A branch precondition held but its guaranteed identity failed."""
 
 
 @dataclass(frozen=True)

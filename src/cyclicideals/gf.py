@@ -367,8 +367,7 @@ def left_kernel(p: int, n: int, rows: Sequence[int]) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # tagged elimination: solve over [vec | tag] rows while tracking where
-# each reduction came from.  Backbone of affine_meet / split_components /
-# solve_packed.
+# each reduction came from.  Backbone of affine_meet and split_components.
 
 
 def _tagged_basis(rows: Iterable[int], f: Field, n: int) -> list[int]:
@@ -430,11 +429,3 @@ def split_components(v: int, parts: Sequence[Subspace]) -> Optional[list[int]]:
     got = _tagged_solve(_tagged_basis(rows, f, n), v, f, n)
     mask = (1 << shift) - 1
     return None if got is None else [got >> shift * i & mask for i in range(len(parts))]
-
-
-def solve_packed(p: int, n: int, rows: Sequence[int], target: int) -> Optional[int]:
-    """Packed coefficients c with sum c_i * rows_i = target, or None,
-    over packed rows n coordinates wide."""
-    f = packed_field(p)
-    tagged = [r | 1 << (n + i) * f.w for i, r in enumerate(rows)]
-    return _tagged_solve(_tagged_basis(tagged, f, n), target, f, n)

@@ -4,11 +4,10 @@ Everything here is deliberately brute force.  The census lists all
 ideals one dimension at a time (cross-checkable against a subset-closure
 sweep at tiny sizes); each ideal is decided by ideals.packed_first_cover,
 which reads every vector of it and takes a minimum-weight basis of I/MI
-greedily.  structure.classify_dsc runs that cover on its three-summand
-ideal, and on M only for an algebra that is not monomial; it never runs
-the census and imports nothing from here.  Results are exact within the
-feasibility bounds and are the ground truth the constructive machinery
-is tested against.
+greedily.  structure.classify_dsc runs that cover only on M of an
+algebra that is not monomial; it never runs the census and imports
+nothing from here.  Results are exact within the feasibility bounds
+and are the ground truth the constructive machinery is tested against.
 
 The census is decided in packed rows.  One cache per algebra maps an
 ideal's packed key to the generators of its cover, or None; R is an
@@ -40,13 +39,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gf
-from .decompose import (CyclicDecomposition, InternalContradictionError,
-                        build_decomposition)
+from .decompose import CyclicDecomposition, build_decomposition
 from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError,
                      packed_closure, packed_cyclic_table, packed_first_cover,
                      packed_socle)
 from .rings import Algebra, Element
-from .structure import DscVerdict
+from .structure import DscVerdict, InternalContradictionError
 
 
 def _require_feasible(alg: Algebra, max_dim: int) -> None:
@@ -125,21 +123,6 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     census = IdealCensus(alg, entries)
     alg._census = census
     return census
-
-
-def enumerate_ideals_subsets(alg: Algebra) -> list[tuple[int, ...]]:
-    """Independent re-enumeration: close every subset of the nonzero
-    vectors of M.  Exponential in 2^dim(M); the cross-check partner for
-    the breadth-first census at very small sizes."""
-    mdim = alg.dim - 1
-    if alg.p != 2 or mdim > 4:
-        raise InfeasibleSizeError("subset enumeration needs GF(2) and dim M <= 4")
-    vectors = [m << 1 for m in range(1, 1 << mdim)]
-    seen = set()
-    for mask in range(1 << len(vectors)):
-        seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
-        seen.add(tuple(packed_closure(alg, (), seeds)))
-    return _canonical_keys(alg, seen)
 
 
 def _decomposition(alg: Algebra, i: Ideal, max_dim: int) -> Optional[tuple[int, ...]]:

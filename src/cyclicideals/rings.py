@@ -45,10 +45,6 @@ class DimensionLimitError(RuntimeError):
     """Basis enumeration exceeded the configured dimension guard."""
 
 
-class NotExpressibleError(ValueError):
-    """power_form got an element outside unit * x^n form."""
-
-
 # ---------------------------------------------------------------------------
 # monomials: exponent tuples over the presentation's variables
 
@@ -581,41 +577,3 @@ def parse_element(alg: MonomialAlgebra, text: str) -> Element:
         if k is not None:
             vec = f.addmul(vec, c, 1 << k * f.w)
     return Element.packed(alg, vec)
-
-
-# ---------------------------------------------------------------------------
-# unit-power normal form inside a cyclic module
-
-
-def power_form(alg: Algebra, x: Element, z: Element) -> tuple[Element, int]:
-    """Write z = a * x^n with a a unit and n >= 1.
-
-    Every nonzero member of Rx has this form when Mx = Rx^2, that is,
-    when x generates the maximal ideal of R/Ann(x) (the caller's
-    responsibility to ensure; a witness axis always does).  R/Ann(x)
-    being a principal ideal ring is not enough: in GF(2)[t]/(t^4) with
-    x = t^2 it is GF(2)[t]/(t^2), yet t^3 in Rx is no unit times a power
-    of x.  Raises NotExpressibleError when z has no such form, or is
-    zero or outside Rx.
-
-    Column k of mult_map(x^n) is e_k * x^n, so it is mult_map(x) applied
-    to column k of mult_map(x^(n-1)).
-    """
-    if z.is_zero():
-        raise NotExpressibleError("not expressible")
-    p, dim, f = alg.p, alg.dim, alg.field
-    cols = alg.mult_map(x)
-    target = z.vec
-    if f.reduce(target, f.rref(cols)):
-        raise NotExpressibleError("not expressible")  # z is outside Rx
-    rows = cols
-    for n in range(1, dim + 1):
-        if not rows[0]:  # row 0 is x^n itself
-            break
-        a = gf.solve_packed(p, dim, rows, target)
-        # the solution coset is a + Ann(x^n) which sits inside the maximal
-        # ideal whenever x^n != 0, so a unit solution exists iff a is one
-        if a is not None and a & f.one:
-            return Element.packed(alg, a), n
-        rows = [f.apply(cols, r) for r in rows]
-    raise NotExpressibleError("not expressible")

@@ -6,7 +6,8 @@ splits as M = Rx + Ry + (sum of simple Rw) with the sum direct; at most
 two summands may be non-simple, and then R/Ann(x) and R/Ann(y) are
 principal ideal rings.  This module decides that from one direct cyclic
 cover of M (m_cover): none refutes with M itself, at most two non-simple
-summands make a witness, and three refute with R(x+y) + R(x+z).  It
+summands make a witness, and three refute with R(x+y) + R(x+z), by a
+rank certificate that classify_dsc proves at every p and size.  It
 imports nothing from the oracle.  It also classifies the prime spectrum
 (at most three primes, Krull dimension at most one).
 
@@ -52,14 +53,8 @@ class SearchSpaceExceededError(RuntimeError):
     cover of M."""
 
 
-def is_principal_ideal_ring(alg: Algebra) -> bool:
-    """True when the maximal ideal needs at most one generator.
-
-    For these finite-dimensional local algebras that is equivalent to
-    every ideal being principal.  On a truncated model the verdict
-    refers to the truncation.
-    """
-    return min_generators(alg, maximal_ideal(alg)) <= 1
+class InternalContradictionError(RuntimeError):
+    """A precondition held but the identity it guarantees failed."""
 
 
 @dataclass(frozen=True)
@@ -188,8 +183,8 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     y = nonsimple[1] if len(nonsimple) > 1 else None
     dec = MDecomposition(alg, x, y, tuple(simples), tuple(closures))
     if dec.problems:
-        raise RuntimeError("internal contradiction: witness failed verification: "
-                           + "; ".join(dec.problems))
+        raise InternalContradictionError("witness failed verification: "
+                                         + "; ".join(dec.problems))
     return dec
 
 
@@ -231,10 +226,9 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
     and takes a minimum-weight basis of M/M^2; it needs GF(2) and
     dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
     SearchSpaceExceededError outside that.  Any one cover decides
-    (Krull-Schmidt, see packed_first_cover).  Every cover fixes two
-    counts, so callers check them first (m_count_failure): Mg_k = Rg_k^2
-    makes each summand Rg_k a chain with one socle line, so
-    dim soc(M) = mu(M), and mu(M^j) = #{k : g_k^j != 0} never grows.
+    (Krull-Schmidt, see packed_first_cover).  Every cover fixes the two
+    counts of m_count_failure (the module docstring proves them), so
+    callers check them first.
     classify_dsc never searches a monomial ring: its variables split M
     or a mixed product refutes first, so the search serves only the
     other algebras, such as quotient models.
@@ -252,14 +246,13 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
 
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """The witness decomposition of the maximal ideal that classify_dsc
-    finds (cover search bound max_pair_dim; the three-summand refutation
-    is not confirmed), or None when M has none: a monomial ring with a
-    nonzero mixed product, a failed count of m_count_failure, no cover,
-    or a cover with three non-simple summands.  Raises
-    SearchSpaceExceededError where the verdict is undecided_by_search,
-    which only a non-monomial algebra reaches.
+    finds (cover search bound max_pair_dim), or None when M has none: a
+    monomial ring with a nonzero mixed product, a failed count of
+    m_count_failure, no cover, or a cover with three non-simple
+    summands.  Raises SearchSpaceExceededError where the verdict is
+    undecided_by_search, which only a non-monomial algebra reaches.
     """
-    verdict = classify_dsc(alg, max_pair_dim, 0)
+    verdict = classify_dsc(alg, max_pair_dim)
     if verdict.answer == "undecided_by_search":
         raise SearchSpaceExceededError("search space exceeded")
     return verdict.witness
@@ -267,10 +260,12 @@ def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDeco
 
 def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
                                  z: Element, rest: Optional[Ideal] = None) -> Ideal:
-    """The ideal R(x+y) + R(x+z), not a direct sum of cyclics whenever
-    M = Rx + Ry + Rz + rest is direct with all three summands non-simple."""
-    if rest is None:
-        rest = zero_ideal(alg)
+    """The ideal J = Ru + Rv, u = x + y and v = x + z, not a direct sum of
+    cyclics whenever M = Rx + Ry + Rz + rest is direct with all three
+    summands non-simple.  It checks rank_certificate(alg, u, v), which
+    always holds here (classify_dsc proves it), and raises
+    InternalContradictionError when it fails."""
+    rest = rest or zero_ideal(alg)
     parts = [cyclic(alg, g) for g in (x, y, z)]
     for g, c in zip((x, y, z), parts):
         if is_simple(alg, c) or c.is_zero():
@@ -278,7 +273,19 @@ def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
     total = gf.direct_sum(alg.p, alg.dim, [c.space for c in parts + [rest]])
     if total != maximal_ideal(alg).space:
         raise ValueError("hypothesis not satisfied: sum is not direct onto M")
+    if not rank_certificate(alg, x + y, x + z):
+        raise InternalContradictionError("u^2, uv, v^2 are dependent modulo M*J^2")
     return ideal_from_generators(alg, [x + y, x + z])
+
+
+def rank_certificate(alg: Algebra, u: Element, v: Element) -> bool:
+    """True when u^2, uv, v^2 are independent modulo M*J^2, J = Ru + Rv:
+    then J is no direct sum of cyclic modules (classify_dsc proves it).
+    It is a sufficient test for that, not a decider.  M*J^2 is M times
+    the ideal the three products generate."""
+    products = [u * u, u * v, v * v]
+    rows = list(module_times_ideal(alg, ideal_from_generators(alg, products)).space.basis)
+    return all([alg.field.insert(rows, w.vec) for w in products])
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +363,24 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     A failed count or no cover: no, and M itself is the counterexample,
     its proof the failed count or the exhausted search.  At most two
     non-simple summands: yes, with the cover as a verified witness.
-    Three or more: no, with the ideal R(x + y) + R(x + z) on three of
-    them, confirmed by the exhaustive cover search where
-    dim M <= min(max_oracle_dim, 20) over GF(2); that confirmation is all
-    max_oracle_dim bounds.  The cover search of M runs up to
-    max_pair_dim; past it, or at odd p, the verdict is
-    undecided_by_search.  No monomial ring is ever undecided.
+    Three or more: no, with J = Ru + Rv, u = x + y and v = x + z, on
+    three of them, at every p and size.  Suppose u^2, uv, v^2, which
+    generate J^2, are independent modulo MJ^2.  Then mu(J) = 2, since a
+    cyclic J = Ra has J^2 = Ra^2.  So a direct cover of J would be
+    J = Ra + Rb with a, b a basis of J/MJ, and ab in Ra meet Rb = 0.
+    Write a = alpha u + beta v and b = gamma u + delta v modulo MJ; then
+    ab = alpha gamma u^2 + (alpha delta + beta gamma) uv + beta delta v^2
+    modulo MJ^2, so all three coefficients vanish.  Then
+    (alpha delta)(beta gamma) = (alpha gamma)(beta delta) = 0 and
+    alpha delta = -beta gamma, so both are 0 and
+    alpha delta - beta gamma = 0: a, b are no basis after all.
+    rank_certificate checks that independence, and it always holds: in
+    a direct M = Rx + Ry + Rz + rest the products are x^2 + y^2, x^2 and
+    x^2 + z^2, independent modulo M^3, which contains MJ^2.  The cover
+    search of M runs up to max_pair_dim; past it, or at odd p, the
+    verdict is undecided_by_search.  No monomial ring is ever undecided.
+    max_oracle_dim does nothing; bench/workloads.py passes it
+    positionally until ROADMAP item 5 drops it.
     """
     if isinstance(alg, MonomialAlgebra):
         for a, g in enumerate(alg.gens):
@@ -390,13 +409,10 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     x, y, z = nonsimple[:3]
     j = three_summand_counterexample(alg, x, y, z,
                                      ideal_from_generators(alg, nonsimple[3:] + simples))
-    note = ("sum of three independent non-simple cyclic summands: "
-            f"R({x} + {y}) + R({x} + {z}) admits no direct-sum cover")
-    if alg.p != 2 or alg.dim - 1 > min(max_oracle_dim, CYCLIC_TABLE_MAX_DIM):
-        return DscVerdict("no", None, j, note, ("oracle confirmation skipped: infeasible size",))
-    if packed_first_cover(alg, j.space.basis) is not None:
-        raise RuntimeError("internal contradiction: refutation ideal decomposed")
-    return DscVerdict("no", None, j, note, ("counterexample confirmed by exhaustive search",))
+    u, v = f"({x} + {y})", f"({x} + {z})"
+    return DscVerdict("no", None, j, "sum of three independent non-simple cyclic summands: "
+                      f"R{u} + R{v} admits no direct-sum cover",
+                      (f"{u}^2, {u}*{v}, {v}^2 have rank 3 modulo M*J^2",))
 
 
 def classify_product(verdicts: Sequence[DscVerdict]) -> DscVerdict:

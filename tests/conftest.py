@@ -33,6 +33,13 @@ MIXED_PROOF = ("{} != 0: M of a monomial ring is a direct sum of cyclic modules 
                "only if every product of two distinct variables vanishes")
 
 
+def certificate_note(x, y, z):
+    """The note of classify_dsc's three-summand no on the non-simple
+    summands x, y, z: the rank of its three products modulo M*J^2."""
+    u, v = f"({x} + {y})", f"({x} + {z})"
+    return f"{u}^2, {u}*{v}, {v}^2 have rank 3 modulo M*J^2"
+
+
 def mixed_product(alg):
     """The first product of two distinct variables, in variable order,
     that survives in the monomial algebra alg, as text such as "x*y"; None

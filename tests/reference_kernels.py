@@ -11,6 +11,10 @@ maps nor mult_map.  The standard monomials come from a walk of the whole
 exponent box and one sort, not from their divisors.  Element
 expressions are read by recursive descent and multiplied out, each power
 by repeated products, not summed off the monomial index.
+
+The last section keeps helpers that left the package because no path of
+it calls them: power_form with its packed solver, the principal ideal
+ring test and the subset-closure census.
 """
 
 import re
@@ -293,3 +297,89 @@ def parse_element(alg, text):
         term = parse_term()
         total = total - term if op == "-" else total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# helpers that left the package: no path of it calls them, and the tests
+# keep them as references
+
+
+class NotExpressibleError(ValueError):
+    """power_form got an element outside unit * x^n form."""
+
+
+def solve_packed(p, n, rows, target):
+    """Packed coefficients c with sum c_i * rows_i = target, or None,
+    over packed rows n coordinates wide."""
+    from cyclicideals import gf
+
+    f = gf.packed_field(p)
+    tagged = [r | 1 << (n + i) * f.w for i, r in enumerate(rows)]
+    return gf._tagged_solve(gf._tagged_basis(tagged, f, n), target, f, n)
+
+
+def power_form(alg, x, z):
+    """Write z = a * x^n with a a unit and n >= 1.
+
+    Every nonzero member of Rx has this form when Mx = Rx^2, that is,
+    when x generates the maximal ideal of R/Ann(x) (the caller's
+    responsibility to ensure; a witness axis always does).  R/Ann(x)
+    being a principal ideal ring is not enough: in GF(2)[t]/(t^4) with
+    x = t^2 it is GF(2)[t]/(t^2), yet t^3 in Rx is no unit times a power
+    of x.  Raises NotExpressibleError when z has no such form, or is
+    zero or outside Rx.
+
+    Column k of mult_map(x^n) is e_k * x^n, so it is mult_map(x) applied
+    to column k of mult_map(x^(n-1)).
+    """
+    from cyclicideals.rings import Element
+
+    if z.is_zero():
+        raise NotExpressibleError("not expressible")
+    p, dim, f = alg.p, alg.dim, alg.field
+    cols = alg.mult_map(x)
+    target = z.vec
+    if f.reduce(target, f.rref(cols)):
+        raise NotExpressibleError("not expressible")  # z is outside Rx
+    rows = cols
+    for n in range(1, dim + 1):
+        if not rows[0]:  # row 0 is x^n itself
+            break
+        a = solve_packed(p, dim, rows, target)
+        # the solution coset is a + Ann(x^n) which sits inside the maximal
+        # ideal whenever x^n != 0, so a unit solution exists iff a is one
+        if a is not None and a & f.one:
+            return Element.packed(alg, a), n
+        rows = [f.apply(cols, r) for r in rows]
+    raise NotExpressibleError("not expressible")
+
+
+def is_principal_ideal_ring(alg):
+    """True when the maximal ideal needs at most one generator.
+
+    For these finite-dimensional local algebras that is equivalent to
+    every ideal being principal.  On a truncated model the verdict
+    refers to the truncation.
+    """
+    from cyclicideals.ideals import maximal_ideal, min_generators
+
+    return min_generators(alg, maximal_ideal(alg)) <= 1
+
+
+def enumerate_ideals_subsets(alg):
+    """Independent re-enumeration of the census keys: close every subset
+    of the nonzero vectors of M.  Exponential in 2^dim(M); the
+    cross-check partner for the breadth-first census at very small
+    sizes."""
+    from cyclicideals.ideals import InfeasibleSizeError, packed_closure
+    from cyclicideals.oracle import _canonical_keys
+
+    mdim = alg.dim - 1
+    if alg.p != 2 or mdim > 4:
+        raise InfeasibleSizeError("subset enumeration needs GF(2) and dim M <= 4")
+    vectors = [m << 1 for m in range(1, 1 << mdim)]
+    seen = set()
+    for mask in range(1 << len(vectors)):
+        seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
+        seen.add(tuple(packed_closure(alg, (), seeds)))
+    return _canonical_keys(alg, seen)

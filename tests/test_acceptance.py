@@ -14,12 +14,12 @@ from cyclicideals import (annihilator, brute_decompose, build_algebra,
                           classify_dsc, complete_census, cyclic,
                           decompose_ideal, enumerate_ideals,
                           find_m_decomposition, gf, ideal_from_generators,
-                          is_principal_ideal_ring, length_invariance,
-                          maximal_ideal, min_generators, oracle_dsc,
-                          power_form, quotient_algebra, spec_classify,
+                          length_invariance, maximal_ideal, min_generators,
+                          oracle_dsc, quotient_algebra, spec_classify,
                           verify_decomposition)
 from cyclicideals.corpus import CASES, load_case, sweep_presentations
 import reference_kernels
+from reference_kernels import is_principal_ideal_ring, power_form
 from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, SQUARE_ZERO_N2,
                       TRIPLE, TWO_AXES, build, build_pres)
 

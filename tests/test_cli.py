@@ -6,10 +6,10 @@ import pytest
 
 from cyclicideals.cli import main
 from conftest import (AXIS_SOCLE, GF3_MIXED, MIXED_PROOF, PAIR_N3, TRIPLE,
-                      TWO_AXES)
+                      TWO_AXES, certificate_note)
 
 INFINITE = "field 2 / vars x y / rel x*y"
-# three non-simple axes with dim M = 9, one past the default oracle bound
+# three non-simple axes with dim M = 9, one past the oracle's default bound
 TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
              " / rel x*y / rel x*z / rel y*z")
 # dim M = 22, past the packed cyclic table's limit of 20; both counts of
@@ -74,15 +74,30 @@ def test_classify_refutes_by_the_socle_count(ring_file, capsys):
         assert "no witness decomposition of the maximal ideal" in err
 
 
-def test_classify_confirms_with_a_raised_oracle_bound(ring_file, capsys):
-    code, out, _ = run(capsys, "classify", ring_file(TRIPLE_N4),
-                       "--max-oracle-dim", "10")
+def test_classify_takes_no_oracle_bound(ring_file, capsys):
+    # the rank certificate refutes at any size, so only oracle keeps the flag
+    path = ring_file(TRIPLE_N4)
+    code, out, _ = run(capsys, "classify", path)
     assert code == 1
-    assert "note: counterexample confirmed by exhaustive search" in out
+    assert f"note: {certificate_note('x', 'y', 'z')}" in out.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", path, "--max-oracle-dim", "8"])
+    assert exc.value.code == 3
+    code, _, err = run(capsys, "oracle", path, "--max-oracle-dim", "8")
+    assert code == 4 and "exceeds the oracle bound 8" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "oracle"])
+def test_a_ring_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.ring"
+    path.write_bytes(b"field 2\nvars x\nrel x^2\xff\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
 
 
 def _assert_refuted_past_the_table(capsys, path) -> None:
-    code, out, _ = run(capsys, "classify", "--json", path, "--max-oracle-dim", "25")
+    code, out, _ = run(capsys, "classify", "--json", path)
     payload = json.loads(out)
     assert code == 1 and payload["dsc"] == "no" and payload["notes"] == []
     assert payload["counterexample"]["dim"] == payload["dim"] - 1

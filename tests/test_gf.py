@@ -117,9 +117,9 @@ def _split(v, parts):
 
 
 def _solve(rows, target, p):
-    """gf.solve_packed on tuple rows and target."""
+    """reference_kernels.solve_packed on tuple rows and target."""
     f = gf.packed_field(p)
-    got = gf.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
+    got = reference_kernels.solve_packed(p, len(target), [f.pack(r) for r in rows], f.pack(target))
     return None if got is None else f.unpack(got, len(rows))
 
 

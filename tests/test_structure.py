@@ -1,6 +1,7 @@
 """Witness search, the DSC verdict, products, and the prime spectrum."""
 
 import ast
+import random
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -12,8 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           brute_decompose, canonical_variable_split, classify_dsc,
                           classify_product, cyclic, find_m_decomposition,
-                          ideal_from_generators, is_principal_ideal_ring,
-                          annihilator, m_decomposition_problems,
+                          ideal_from_generators, annihilator,
+                          m_decomposition_problems,
                           oracle_dsc, parse_element, parse_presentation,
                           quotient_algebra, spec_classify,
                           verify_m_decomposition)
@@ -22,12 +23,13 @@ from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
                                  packed_cyclic_table, packed_first_cover, packed_socle,
                                  zero_ideal)
-from cyclicideals.rings import RingPresentation, build_algebra
+from cyclicideals.rings import Element, RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
-                      build_pres, maximal_ideal_elements, mixed_product,
-                      presentations)
+                      build_pres, certificate_note, maximal_ideal_elements,
+                      mixed_product, presentations)
+from reference_kernels import is_principal_ideal_ring
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +587,20 @@ def test_classify_no_three_summands(triple):
     expected = ideal_from_generators(triple, [x1 + x2, x1 + x3])
     assert verdict.counterexample == expected
     assert "no direct-sum cover" in verdict.counterexample_note
-    assert any("confirmed by exhaustive search" in n for n in verdict.notes)
+    assert verdict.notes == (certificate_note("x1", "x2", "x3"),)
 
 
 def test_classify_no_without_oracle_confirmation(triple):
-    # oracle bound 0 forces the refutation to stand on its own
-    verdict = classify_dsc(triple, max_oracle_dim=0)
-    assert verdict.answer == "no"
-    assert any("skipped" in n for n in verdict.notes)
+    # the rank certificate is the whole refutation: no cover search runs
+    # on J, and the third argument of classify_dsc changes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_dsc searched for a cover")
+
+    with mock.patch.object(structure, "packed_first_cover", refuse):
+        verdicts = [classify_dsc(triple), classify_dsc(triple, 12, 0),
+                    classify_dsc(triple, 12, 20)]
+    assert verdicts[0].answer == "no"
+    assert all(v.as_dict() == verdicts[0].as_dict() for v in verdicts)
 
 
 def test_classify_no_three_summands_on_a_cover():
@@ -610,7 +618,94 @@ def test_classify_no_three_summands_on_a_cover():
     expected = ideal_from_generators(q, [qmap.project(parse_element(big, g)) for g in
                                          ("x + z", "y + z", "x^2", "y^2", "z^2")])
     assert verdict.counterexample == expected and expected.dim == 5
-    assert verdict.notes == ("counterexample confirmed by exhaustive search",)
+    assert verdict.notes == (certificate_note("x", "y", "z"),)
+
+
+# ---------------------------------------------------------------------------
+# the three-summand rank certificate, against the cover search
+
+
+@st.composite
+def three_summand_rings(draw):
+    """(ring text, variables, exponents) of a GF(p) monomial ring on three
+    or four variables, every mixed product zero, with pure powers x_i^e
+    for e in 2..4, at least three of them with e >= 3: the variables
+    split M into three or more non-simple summands."""
+    nv = draw(st.integers(3, 4))
+    exps = draw(st.lists(st.integers(2, 4), min_size=nv, max_size=nv)
+                .filter(lambda es: sum(e >= 3 for e in es) >= 3))
+    p = draw(st.sampled_from((2, 3, 5, 2 ** 31 - 1)))
+    names = [f"x{i + 1}" for i in range(nv)]
+    rels = [f"rel {n}^{e}" for n, e in zip(names, exps)]
+    rels += [f"rel {a}*{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+    return f"field {p} / vars {' '.join(names)} / " + " / ".join(rels), names, exps
+
+
+def test_every_three_summand_no_carries_the_rank_certificate():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(three_summand_rings())
+    def check(case):
+        text, names, exps = case
+        alg = build(text)
+        x, y, z = [alg.var(n) for n, e in zip(names, exps) if e >= 3][:3]
+        verdict = classify_dsc(alg)
+        assert verdict.answer == "no"
+        assert verdict.notes == (certificate_note(x, y, z),)
+        assert verdict.counterexample == ideal_from_generators(alg, [x + y, x + z])
+        if alg.p == 2 and alg.dim - 1 <= 12:
+            assert brute_decompose(alg, verdict.counterexample, 12) is None
+            seen["brute force"] += 1
+        seen["p", alg.p] += 1
+        seen["vars", len(names)] += 1
+
+    check()
+    keys = [("p", p) for p in (2, 3, 5, 2 ** 31 - 1)] + [("vars", 3), ("vars", 4)]
+    assert min(seen[k] for k in keys) >= 5, seen
+    assert seen["brute force"] == seen["p", 2], seen
+
+
+# GF(2) rings with a variable split (the first two) and without one (a
+# mixed product survives), dim M 6 to 14
+SOUNDNESS_RINGS = (
+    "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3 / rel x*y / rel x*z / rel y*z",
+    "field 2 / vars x y z / rel x^4 / rel y^3 / rel z^3 / rel x*y / rel x*z / rel y*z",
+    "field 2 / vars x y / rel x^4 / rel y^4 / rel x^2*y^2",
+    "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3 / rel x*y",
+    "field 2 / vars x y / rel x^5 / rel y^4 / rel x*y^2",
+    "field 2 / vars x y z / rel x^2 / rel y^3 / rel z^3 / rel y*z",
+)
+
+
+def test_the_rank_certificate_fires_only_on_ideals_without_a_cover():
+    # a sufficient test for no, not a decider: wherever it fires on a
+    # two-generated ideal, the cover search finds no cover either
+    fired = Counter()
+    for text in SOUNDNESS_RINGS:
+        alg = build(text)
+        rng = random.Random(text)
+        for _ in range(300):
+            u, v = (Element.packed(alg, rng.randrange(1 << alg.dim) & ~1) for _ in "uv")
+            j = ideal_from_generators(alg, [u, v])
+            if min_generators(alg, j) == 2 and structure.rank_certificate(alg, u, v):
+                fired[text] += 1
+                assert packed_first_cover(alg, j.space.basis) is None, (text, u, v)
+    assert min(fired[text] for text in SOUNDNESS_RINGS) >= 20, fired
+
+
+
+def test_one_internal_contradiction_type(triple, pair_n3):
+    from cyclicideals import InternalContradictionError, decompose
+    assert structure.InternalContradictionError is InternalContradictionError
+    assert decompose.InternalContradictionError is InternalContradictionError
+    assert issubclass(InternalContradictionError, RuntimeError)
+    with mock.patch.object(structure, "rank_certificate", lambda *args: False):
+        with pytest.raises(InternalContradictionError, match=r"modulo M\*J\^2"):
+            classify_dsc(triple)
+    x = pair_n3.var("x")
+    with pytest.raises(InternalContradictionError, match="witness failed verification"):
+        structure._normalized_witness(pair_n3, [x], [])
 
 
 def test_classify_no_from_oracle_sweep():
