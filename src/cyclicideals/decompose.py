@@ -97,20 +97,19 @@ def _check(cond: bool, msg: str) -> None:
         raise InternalContradictionError(msg)
 
 
-def build_decomposition(alg, i: Ideal, gens, branch: str, closures=None, **knobs
+def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
                         ) -> CyclicDecomposition:
     """The one constructor of a CyclicDecomposition, and a checked one.
 
-    Closes each generator once, unless `closures` already holds each
-    R gens[k], checks that those closures are direct onto i (raising
+    Reads each R gens[k] from cyclic, which closes a generator once per
+    algebra, checks that those closures are direct onto i (raising
     InternalContradictionError otherwise), and reads the summand dims
     and simplicity flags off them, so the result passes
     verify_decomposition.  `knobs` are the branch's Trace fields (axis,
     n0, m0, l0, l1, l2).
     """
     gens = tuple(gens)
-    if closures is None:
-        closures = [cyclic(alg, g) for g in gens]
+    closures = [cyclic(alg, g) for g in gens]
     _check(gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space,
            "decomposition failed verification")
     pres = getattr(alg, "presentation", None)
@@ -238,8 +237,7 @@ def _general(alg, dec, i, kept) -> CyclicDecomposition:
     if s == i.space:
         _check(not xp.is_zero() and not yp.is_zero(), "axis generator vanished")
         gens = (xp, yp, *rest)
-        return build_decomposition(alg, i, gens, "two_axes",
-                                   closures=axes + [cyclic(alg, g) for g in rest], **knobs)
+        return build_decomposition(alg, i, gens, "two_axes", **knobs)
 
     # the two-axis sum falls short: a single diagonal generator
     # c x^(n0-1) + d y^(m0-1) + l must close the gap

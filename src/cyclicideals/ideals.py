@@ -110,6 +110,9 @@ def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     queues its images, so the basis comes out closed, unchecked.  The
     action maps into M, so a unit can only come in as a generator.
     """
+    gens = list(gens)
+    if any(g.algebra is not alg for g in gens):
+        raise ValueError("algebra mismatch")
     queue = [g.vec for g in gens]
     if any(v & alg.field.one for v in queue):
         return unit_ideal(alg)  # a unit generates everything
@@ -189,8 +192,15 @@ def maximal_ideal(alg: Algebra) -> Ideal:
 
 
 def cyclic(alg: Algebra, z: Element) -> Ideal:
-    """The cyclic module Rz (an ideal, since R is commutative)."""
-    return ideal_from_generators(alg, [z])
+    """The cyclic module Rz (an ideal, since R is commutative), closed on
+    the first request and kept in a per-algebra memo keyed by z's packed
+    row, so every caller shares the one Rz."""
+    if z.algebra is not alg:
+        raise ValueError("algebra mismatch")
+    memo = vars(alg).setdefault("_cyclic", {})
+    if z.vec not in memo:
+        memo[z.vec] = ideal_from_generators(alg, [z])
+    return memo[z.vec]
 
 
 def annihilator(alg: Algebra, target: Union[Element, Ideal]) -> Ideal:

@@ -16,7 +16,9 @@ its closure rows from the cyclic table number dim I and row-reduce to
 I's key, which is the direct-sum certificate build_decomposition
 checks.  complete_census, oracle_dsc and decomposition_lengths read
 nothing else; only brute_decompose wraps a cover into a
-CyclicDecomposition, once per ideal.
+CyclicDecomposition, once per ideal, and build_decomposition checks it
+again on closures that ideals.cyclic computes from the generators, not
+on the table's rows.
 
 The census steps up by socle lines.  A nonzero ideal J has MJ strictly
 inside it (Nakayama), so any hyperplane H of J containing MJ is an
@@ -161,16 +163,14 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
     packed_first_cover picks after reading every vector of i, or None
     when no family covers i.  The only function here that builds a
     CyclicDecomposition: build_decomposition wraps the cached cover once
-    per ideal, R included, closures taken from the cyclic table, and
+    per ideal, R included, reading each summand from ideals.cyclic, and
     the result is cached."""
     gens = _decomposition(alg, i, max_dim)
     built = vars(alg).setdefault("_brute_cache", {})
     key = i.space.basis
     if key not in built:
         built[key] = None if gens is None else build_decomposition(
-            alg, i, [Element.packed(alg, v) for v in gens], "exhaustive",
-            closures=[Ideal(alg, gf.Subspace(alg.p, alg.dim, c), _trusted=True)
-                      for c in _closures(alg, gens)])
+            alg, i, [Element.packed(alg, v) for v in gens], "exhaustive")
     return built[key]
 
 

@@ -36,7 +36,7 @@ M with at most two non-simple summands is a witness.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -60,16 +60,14 @@ class InternalContradictionError(RuntimeError):
 @dataclass(frozen=True)
 class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
-    independent.  Its closures rx, ry (zero for a missing axis) and
-    simple_span are cached fields, built once.  closures holds (g, Rg)
-    pairs already built for some summands g, so the witness does not
-    close them again; a witness built by hand closes its own."""
+    independent.  rx and ry (zero for a missing axis) are read from
+    cyclic, so each summand is closed from its own generator once per
+    algebra, whoever built the witness; simple_span is cached."""
 
     algebra: Algebra
     x: Optional[Element]
     y: Optional[Element]
     simples: tuple[Element, ...]
-    closures: tuple[tuple[Element, Ideal], ...] = field(default=(), compare=False, repr=False)
 
     def summands(self) -> list[Element]:
         out = [g for g in (self.x, self.y) if g is not None]
@@ -84,20 +82,13 @@ class MDecomposition:
         """m_decomposition_problems of this witness, computed once."""
         return tuple(m_decomposition_problems(self))
 
-    def closure(self, g: Element) -> Ideal:
-        """Rg for a summand g, from closures when it is there."""
-        for h, c in self.closures:
-            if h == g:
-                return c
-        return cyclic(self.algebra, g)
-
     @cached_property
     def rx(self) -> Ideal:
-        return zero_ideal(self.algebra) if self.x is None else self.closure(self.x)
+        return zero_ideal(self.algebra) if self.x is None else cyclic(self.algebra, self.x)
 
     @cached_property
     def ry(self) -> Ideal:
-        return zero_ideal(self.algebra) if self.y is None else self.closure(self.y)
+        return zero_ideal(self.algebra) if self.y is None else cyclic(self.algebra, self.y)
 
     @cached_property
     def simple_span(self) -> gf.Subspace:
@@ -125,7 +116,7 @@ def m_decomposition_problems(dec: MDecomposition) -> list[str]:
     if any(g.is_zero() for g in dec.summands()):
         problems.append("zero summand")
         return problems
-    simples = [dec.closure(w) for w in dec.simples]
+    simples = [cyclic(alg, w) for w in dec.simples]
     total = gf.direct_sum(alg.p, alg.dim, [c.space for c in [dec.rx, dec.ry] + simples])
     if total is None:
         # overlapping summands never fill M directly: both problems hold
@@ -175,13 +166,12 @@ def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal
 
 
 def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
-                        simples: Sequence[Element],
-                        closures: Sequence[tuple[Element, Ideal]] = ()) -> MDecomposition:
+                        simples: Sequence[Element]) -> MDecomposition:
     """The verified witness of a cover with at most two non-simple
-    summands; closures are the (g, Rg) pairs the cover already built."""
+    summands."""
     x = nonsimple[0] if len(nonsimple) > 0 else None
     y = nonsimple[1] if len(nonsimple) > 1 else None
-    dec = MDecomposition(alg, x, y, tuple(simples), tuple(closures))
+    dec = MDecomposition(alg, x, y, tuple(simples))
     if dec.problems:
         raise InternalContradictionError("witness failed verification: "
                                          + "; ".join(dec.problems))
@@ -405,7 +395,7 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
                           "submodules found no direct-sum cover of M")
     nonsimple, simples = cover
     if len(nonsimple) <= 2:
-        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples, split or ()))
+        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
     x, y, z = nonsimple[:3]
     j = three_summand_counterexample(alg, x, y, z,
                                      ideal_from_generators(alg, nonsimple[3:] + simples))

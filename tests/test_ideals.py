@@ -40,6 +40,32 @@ def test_cyclic_pair_n3(pair_n3):
     assert cyclic(pair_n3, x + y) == span_of(pair_n3, "x+y", "x^2", "y^2")
 
 
+def test_cyclic_closes_once_per_algebra():
+    a, b = build(PAIR_N3), build(PAIR_N3)
+    with mock.patch.object(ideals, "ideal_from_generators",
+                           wraps=ideals.ideal_from_generators) as closures:
+        ra = cyclic(a, a.gens[0])
+        assert cyclic(a, a.gens[0]) is ra
+        assert cyclic(a, parse_element(a, "x")) is ra  # an equal element
+        rb = cyclic(b, b.gens[0])
+    # two algebras from one text keep separate memos
+    assert closures.call_count == 2
+    assert rb is not ra and ra.algebra is a and rb.algebra is b
+    assert rb.rows == ra.rows
+
+
+def test_a_foreign_element_is_refused():
+    alg = build("field 2 / vars x y / rel x^3 / rel y^2 / rel x*y")
+    foreign = [build(CHAIN5).gens[0] ** 3,  # x^3 of GF(2)[x]/(x^5)
+               build("field 3 / vars x y / rel x^3 / rel y^2 / rel x*y").gens[0],
+               build("field 2 / vars x y / rel x^3 / rel y^2 / rel x*y").gens[0]]
+    for z in foreign:
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            cyclic(alg, z)
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            ideal_from_generators(alg, [alg.gens[1], z])
+
+
 def test_ideal_from_generators_unit_short_circuit(pair_n3):
     one = pair_n3.unit()
     assert ideal_from_generators(pair_n3, [one + pair_n3.gens[0]]) == unit_ideal(pair_n3)

@@ -434,8 +434,8 @@ def test_every_cover_has_the_same_summand_dims(text):
 
 @pytest.mark.parametrize("text", [TRIPLE, XYZ, SOCLE_W3])
 def test_census_decompositions_verify(text):
-    # the summands' closures come from the cyclic table, and
-    # verify_decomposition closes every generator again
+    # build_decomposition closes every generator through cyclic, not from
+    # the cyclic table's rows, and verify_decomposition reads the same Rg
     alg = build(text)
     census = complete_census(enumerate_ideals(alg))
     for e in census.entries:

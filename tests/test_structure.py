@@ -3,6 +3,8 @@
 import ast
 import random
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 from unittest import mock
@@ -18,8 +20,8 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           oracle_dsc, parse_element, parse_presentation,
                           quotient_algebra, spec_classify,
                           verify_m_decomposition)
-from cyclicideals import gf, oracle, structure
-from cyclicideals.corpus import sweep_presentations
+from cyclicideals import gf, ideals, oracle, structure
+from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
                                  packed_cyclic_table, packed_first_cover, packed_socle,
                                  zero_ideal)
@@ -151,8 +153,9 @@ def test_three_nonsimple_summands_refute(triple):
 
 def test_witness_problems_reported(pair_n3):
     x, y = pair_n3.gens
-    # each hand-built witness closes its own summands; handed the closures,
-    # as a cover hands them over, it must report the same problems
+    # every witness closes its own summands from their generators: no
+    # field takes closures built elsewhere
+    assert [f.name for f in fields(MDecomposition)] == ["algebra", "x", "y", "simples"]
     for summands, expected in [
             ((x + y, y, ()), ["summands are not independent",
                               "summands do not fill the maximal ideal",
@@ -163,11 +166,30 @@ def test_witness_problems_reported(pair_n3):
             ((x, y, (x * x,)), ["summands are not independent",
                                 "summands do not fill the maximal ideal"]),
             ((x, None, (y,)), ["summand y is not simple"])]:
-        broken = MDecomposition(pair_n3, *summands)
-        closures = tuple((g, cyclic(pair_n3, g)) for g in broken.summands())
-        for dec in (broken, MDecomposition(pair_n3, *summands, closures)):
-            assert m_decomposition_problems(dec) == expected
-            assert not verify_m_decomposition(dec)
+        dec = MDecomposition(pair_n3, *summands)
+        assert m_decomposition_problems(dec) == expected
+        assert not verify_m_decomposition(dec)
+    # R(x + y) = span{x + y, x^2} falls short of M = span{x, x^2, y}
+    alg = build("field 2 / vars x y / rel x^3 / rel y^2 / rel x*y")
+    x, y = alg.gens
+    dec = MDecomposition(alg, x + y, None, ())
+    assert m_decomposition_problems(dec) == ["summands do not fill the maximal ideal"]
+    assert not verify_m_decomposition(dec)
+
+
+@contextmanager
+def closures_recorded():
+    """Record the generators of every ideal_from_generators call."""
+    calls = []
+    real = ideals.ideal_from_generators
+
+    def recording(alg, gens):
+        calls.append(list(gens))
+        return real(alg, calls[-1])
+
+    with mock.patch.object(ideals, "ideal_from_generators", recording), \
+            mock.patch.object(structure, "ideal_from_generators", recording):
+        yield calls
 
 
 def test_witness_closes_each_summand_once():
@@ -177,18 +199,27 @@ def test_witness_closes_each_summand_once():
              build("field 3 / vars x y / rel x^40 / rel y^41 / rel x*y")]
     yes = 0
     for alg in algs:
-        with mock.patch.object(structure, "cyclic", wraps=structure.cyclic) as closures:
+        with closures_recorded() as closures:
             verdict = classify_dsc(alg)
             if verdict.answer != "yes":
                 continue
             dec = verdict.witness
             assert verify_m_decomposition(dec)
         # the variable split closed every variable, and the witness none
-        assert closures.call_count == len(alg.gens) == dec.summand_count()
+        assert len(closures) == len(alg.gens) == dec.summand_count()
         assert dec.rx == (cyclic(alg, dec.x) if dec.x is not None else zero_ideal(alg))
         assert dec.ry == (cyclic(alg, dec.y) if dec.y is not None else zero_ideal(alg))
         yes += 1
     assert yes == 31 + 2
+
+
+def test_classify_closes_each_variable_once_on_the_triple():
+    alg = build_algebra(parse_presentation(corpus_text("nilpotent-triple")))
+    with closures_recorded() as closures:
+        assert classify_dsc(alg).answer == "no"
+    # the split closes x1, x2, x3; the counterexample's hypothesis check
+    # reads them back rather than closing them again
+    assert [gens for gens in closures if len(gens) == 1] == [[g] for g in alg.gens]
 
 
 def gf3_undecided():
@@ -323,7 +354,8 @@ def _matches_reference_witness(make) -> tuple[bool, bool]:
     if canonical_variable_split(alg) is not None:
         return False, False
     dec = find_m_decomposition(make())
-    cover = structure.m_cover(make(), None, 20)
+    searched = make()
+    cover = structure.m_cover(searched, None, 20)
     assert (dec is None) == (cover is None or len(cover[0]) > 2)
     # the sweep is quadratic in 2^dim M
     expected = _reference_fallback(make()) if alg.dim - 1 <= 8 else dec
@@ -332,7 +364,7 @@ def _matches_reference_witness(make) -> tuple[bool, bool]:
         alg = dec.algebra
         assert verify_m_decomposition(dec)
         assert dec.summand_count() == min_generators(alg, maximal_ideal(alg))
-        dims = sorted(cyclic(alg, g).dim for g in cover[0] + cover[1])
+        dims = sorted(cyclic(searched, g).dim for g in cover[0] + cover[1])
         assert _summand_dims(dec) == dims == _summand_dims(expected)
     return True, dec is not None
 
