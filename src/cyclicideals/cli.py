@@ -55,7 +55,7 @@ def _dump(payload) -> str:
 
 def _load_ring(path: str, truncate):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc

@@ -133,20 +133,21 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     """Least n with g^n + l in i for some l in the simple span; returns
     (n, l, g^n) with l = 0 whenever g^n itself lies in i.  The first n
     with g^n = 0 qualifies vacuously (take l = 0), so the exponent
-    always exists for a nilpotent axis."""
+    always exists for a nilpotent axis.  Otherwise g^n + l is the
+    i-component of g^n split over [simple span, i]."""
     g = dec.x if which == "x" else dec.y
     if g is None:
         raise ValueError("no such exponent")
     f, cols, basis = alg.field, alg.columns(g), i.space.basis
-    meet = gf.affine_meet(dec.simple_span, i.space)
+    split = gf.splitter([dec.simple_span, i.space])
     gn = alg.unit().vec
     for n in range(1, alg.dim + 1):
         gn = f.apply(cols, gn)
         if not gn or not f.reduce(gn, basis):
             return n, alg.zero(), Element.packed(alg, gn)
-        met = meet(gn)
-        if met is not None:
-            return n, Element.packed(alg, f.addmul(met, -1, gn)), Element.packed(alg, gn)
+        comps = split(gn)
+        if comps is not None:
+            return n, Element.packed(alg, f.addmul(comps[1], -1, gn)), Element.packed(alg, gn)
     raise ValueError("no such exponent")
 
 

@@ -367,65 +367,46 @@ def left_kernel(p: int, n: int, rows: Sequence[int]) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # tagged elimination: solve over [vec | tag] rows while tracking where
-# each reduction came from.  Backbone of affine_meet and split_components.
+# each reduction came from.  Backbone of splitter and split_components.
 
 
-def _tagged_basis(rows: Iterable[int], f: Field, n: int) -> list[int]:
-    """The elimination of the [vec | tag] rows, vec in the low n
-    coordinates and the tag in the fields above it.
+def splitter(parts: Sequence[Subspace]) -> Callable[[int], Optional[list[int]]]:
+    """Eliminate the parts' tagged rows once, and return the map from a
+    packed row v to its packed components, one per part and summing to
+    v, or to None when v is outside the sum of the parts.
 
-    A row whose vec reduces to zero is dropped, so the kept rows are the
-    greedy basis of the vecs in row order; a target in their span is
-    then sum c_j vec_j over that basis in exactly one way, whatever
-    order the elimination runs in.
+    Each row [vec | tag] carries its vec again as its tag, in the block
+    of the part it came from.  A row whose vec reduces to zero is
+    dropped, so the kept rows are the greedy basis of the vecs in row
+    order, and pivots and row choices depend on the vecs alone.  The
+    parts are expected to be independent; with overlap the components
+    are still a valid splitting, just not the unique one.
     """
-    mask = (1 << n * f.w) - 1
+    if not parts:
+        raise ValueError("no parts")
+    for s in parts[1:]:
+        _check_compatible(parts[0], s)
+    f = parts[0].field
+    shift = parts[0].ambient * f.w
+    mask = (1 << shift) - 1
     basis: list[int] = []
-    for r in rows:
-        r = f.reduce(r, basis)
-        if r & mask:
-            f.place(basis, r)
-    return basis
+    for i, s in enumerate(parts):
+        for r in s.basis:
+            r = f.reduce(r | r << shift * (i + 1), basis)
+            if r & mask:
+                f.place(basis, r)
 
-
-def _tagged_solve(basis: Sequence[int], target: int, f: Field, n: int) -> Optional[int]:
-    """The packed tag sum c_j tag_j of target over a _tagged_basis, None
-    when target is outside the span of its vecs."""
-    shift = n * f.w
-    # target - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tag
-    res = f.reduce(target, basis)
-    return None if res & ((1 << shift) - 1) else f.addmul(0, -1, res >> shift)
-
-
-def affine_meet(w: Subspace, u: Subspace) -> Callable[[int], Optional[int]]:
-    """Eliminate the rows [w | 0] and [u | u] once, and return the map from
-    a packed point to some packed v in (point + w) meet u, the u-component
-    of point split over [w, u], or to None when the coset misses u."""
-    _check_compatible(w, u)
-    f, n = w.field, w.ambient
-    shift = n * f.w
-    basis = _tagged_basis([*w.basis, *(r | r << shift for r in u.basis)], f, n)
-    return lambda point: _tagged_solve(basis, point, f, n)
+    def split(v: int) -> Optional[list[int]]:
+        if v >> shift:
+            raise ValueError("ambient mismatch")
+        # v - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tags
+        res = f.reduce(v, basis)
+        tags = f.addmul(0, -1, res >> shift)
+        return None if res & mask else [tags >> shift * i & mask for i in range(len(parts))]
+    return split
 
 
 def split_components(v: int, parts: Sequence[Subspace]) -> Optional[list[int]]:
     """Write the packed row v = sum of one packed component per part;
-    None if v is outside the sum.
-
-    The parts are expected to be independent; with overlap the returned
-    components are still a valid splitting, just not the unique one.
-    """
-    if not parts:
-        raise ValueError("no parts")
-    p, n = parts[0].p, parts[0].ambient
-    for s in parts[1:]:
-        _check_compatible(parts[0], s)
-    f = packed_field(p)
-    shift = n * f.w
-    if v >> shift:
-        raise ValueError("ambient mismatch")
-    # each row's tag is its copy in the block of the part it came from
-    rows = [r | r << shift * (i + 1) for i, s in enumerate(parts) for r in s.basis]
-    got = _tagged_solve(_tagged_basis(rows, f, n), v, f, n)
-    mask = (1 << shift) - 1
-    return None if got is None else [got >> shift * i & mask for i in range(len(parts))]
+    None if v is outside the sum.  The splitter of the parts, applied once."""
+    return splitter(parts)(v)

@@ -150,7 +150,8 @@ class RingPresentation:
 
 # ---------------------------------------------------------------------------
 # ring text: one term reader for rel lines and element expressions, and
-# the ring file parser.  One declaration per line; '#' starts a comment;
+# the ring file parser with one table of the declarations made at most
+# once.  One declaration per line; '#' starts a comment;
 # '/' is also accepted as a declaration separator so presentations can be
 # written on a single line.
 
@@ -215,6 +216,21 @@ def read_terms(text: str, names: Sequence[str], line: int = 1, col0: int = 0
             fail(f"unexpected '{tok}'", k)
 
 
+def _integer(rest: str) -> Optional[int]:
+    return int(rest) if rest.isdecimal() else None
+
+
+def _names(rest: str) -> Optional[tuple[str, ...]]:
+    got = tuple(rest.split())
+    return got if got and all(_NAME_RE.fullmatch(n) for n in got) else None
+
+
+# the declarations made at most once: keyword -> (what its argument must
+# be, the reader of its value, which gives None for any other argument)
+_DECLARATIONS = {"field": ("an integer", _integer), "vars": ("variable names", _names),
+                 "truncate": ("an integer", _integer)}
+
+
 def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresentation:
     """Parse the ring file grammar.
 
@@ -230,10 +246,8 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
     declares, so an infinite-dimensional presentation can still be
     modelled.
     """
-    p: Optional[int] = None
-    names: Optional[tuple[str, ...]] = None
+    declared: dict = {}
     rel_specs: list[tuple[str, int, int]] = []
-    declared: Optional[int] = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -248,44 +262,32 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
             keyword = fields[0]
             rest = fields[1] if len(fields) > 1 else ""
             rest_col = start_col + len(stripped) - len(rest)  # rest is a suffix of stripped
-            if keyword == "field":
-                if p is not None:
-                    raise RingSyntaxError("duplicate field declaration", line_no, start_col + 1)
-                if not rest.isdecimal():
-                    raise RingSyntaxError("field expects an integer", line_no, rest_col + 1)
-                p = int(rest)
-            elif keyword == "vars":
-                if names is not None:
-                    raise RingSyntaxError("duplicate vars declaration", line_no, start_col + 1)
-                got = tuple(rest.split())
-                if not got or not all(_NAME_RE.fullmatch(n) for n in got):
-                    raise RingSyntaxError("vars expects variable names", line_no, rest_col + 1)
-                names = got
-            elif keyword == "rel":
-                if names is None:
+            if keyword == "rel":
+                if "vars" not in declared:
                     raise RingSyntaxError("rel before vars", line_no, start_col + 1)
                 rel_specs.append((rest, line_no, rest_col))
-            elif keyword == "truncate":
-                if declared is not None:
-                    raise RingSyntaxError("duplicate truncate declaration", line_no, start_col + 1)
-                if not rest.isdecimal():
-                    raise RingSyntaxError("truncate expects an integer", line_no, rest_col + 1)
-                declared = int(rest)
+            elif keyword in _DECLARATIONS:
+                if keyword in declared:
+                    raise RingSyntaxError(f"duplicate {keyword} declaration", line_no, start_col + 1)
+                expects, read = _DECLARATIONS[keyword]
+                declared[keyword] = value = read(rest)
+                if value is None:
+                    raise RingSyntaxError(f"{keyword} expects {expects}", line_no, rest_col + 1)
             else:
                 raise RingSyntaxError(f"unknown declaration '{keyword}'", line_no, start_col + 1)
 
-    if p is None:
-        raise PresentationError("missing field declaration")
-    if names is None:
-        raise PresentationError("missing vars declaration")
+    for keyword in ("field", "vars"):
+        if keyword not in declared:
+            raise PresentationError(f"missing {keyword} declaration")
+    names = declared["vars"]
     relations = []
     for spec, ln, col in rel_specs:
         terms = read_terms(spec, names, ln, col)
         if len(terms) != 1 or terms[0][0] != 1:
             raise RingSyntaxError("rel expects one monomial of coefficient 1", ln, col + 1)
         relations.append(terms[0][1])
-    return RingPresentation.make(p, names, relations,
-                                 declared if truncate is None else truncate)
+    return RingPresentation.make(declared["field"], names, relations,
+                                 declared.get("truncate") if truncate is None else truncate)
 
 
 # ---------------------------------------------------------------------------

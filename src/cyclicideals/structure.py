@@ -485,8 +485,7 @@ def spec_classify(pres: RingPresentation, dec: MDecomposition) -> SpecReport:
     if not verify_m_decomposition(dec):
         raise ValueError("decomposition not verified")
 
-    slots = [g for g in (dec.x, dec.y) if g is not None]
-    summands = slots + list(dec.simples)
+    summands = dec.summands()
     non_nil = [g for g in summands if not _symbolic_nilpotent(pres, alg, g)]
     nil_part = [g for g in summands if _symbolic_nilpotent(pres, alg, g)]
     truncated = pres.truncate is not None

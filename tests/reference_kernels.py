@@ -314,8 +314,14 @@ def solve_packed(p, n, rows, target):
     from cyclicideals import gf
 
     f = gf.packed_field(p)
-    tagged = [r | 1 << (n + i) * f.w for i, r in enumerate(rows)]
-    return gf._tagged_solve(gf._tagged_basis(tagged, f, n), target, f, n)
+    mask = (1 << n * f.w) - 1
+    basis = []  # the rows [rows_i | e_i], eliminated
+    for i, r in enumerate(rows):
+        r = f.reduce(r | 1 << (n + i) * f.w, basis)
+        if r & mask:
+            f.place(basis, r)
+    res = f.reduce(target, basis)
+    return None if res & mask else f.addmul(0, -1, res >> n * f.w)
 
 
 def power_form(alg, x, z):

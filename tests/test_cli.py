@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -94,6 +95,21 @@ def test_a_ring_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command
     code, out, err = run(capsys, command, str(path))
     assert code == 3 and out == ""
     assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
+
+def test_a_byte_order_mark_is_not_part_of_the_ring_text(tmp_path, capsys):
+    plain = resources.files("cyclicideals") / "corpus" / "nilpotent-triple.ring"
+    text = plain.read_text(encoding="utf-8")
+    bom = tmp_path / "bom.ring"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = run(capsys, "classify", "--json", str(plain))
+    assert run(capsys, "classify", "--json", str(bom)) == want
+    assert want[0] == 1 and json.loads(want[1])["dsc"] == "no"
+    # an error further down keeps its line and column
+    bom.write_bytes(b"\xef\xbb\xbffield 2\nvars x\n  rel x^2 +\n")
+    code, out, err = run(capsys, "classify", str(bom))
+    assert code == 3 and out == ""
+    assert err == f"error: {bom}: line 3, column 12: empty monomial\n"
 
 
 def _assert_refuted_past_the_table(capsys, path) -> None:

@@ -72,10 +72,11 @@ def test_left_kernel_rows_kill_matrix():
 
 
 def _meets(points, w, u):
-    """gf.affine_meet prepared once and asked every point, on tuples."""
-    f, meet = w.field, gf.affine_meet(w, u)
-    got = [meet(f.pack(point)) for point in points]
-    return [None if v is None else f.unpack(v, w.ambient) for v in got]
+    """Some v in (point + w) meet u for every point, on tuples: the
+    u-component of the point under gf.splitter([w, u]), prepared once."""
+    f, split = w.field, gf.splitter([w, u])
+    got = [split(f.pack(point)) for point in points]
+    return [None if c is None else f.unpack(c[1], w.ambient) for c in got]
 
 
 def test_affine_meet_hand():

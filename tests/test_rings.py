@@ -106,6 +106,73 @@ def test_syntax_errors(text, fragment):
         parse_presentation(text)
 
 
+_BLANKS = st.text(alphabet=" \t", max_size=3)
+
+
+@st.composite
+def _declarations(draw):
+    """A valid presentation as its (keyword, argument) pairs, vars before
+    every rel, field and truncate anywhere."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z", "t1", "a_b", "Q"]),
+                          min_size=1, max_size=3, unique=True))
+    nv = len(names)
+    truncate = draw(st.none() | st.integers(2, 6))
+    rels = [tuple(draw(st.integers(2, 4)) * (j == i) for j in range(nv))
+            for i in range(nv) if truncate is None or draw(st.booleans())]
+    rels += draw(st.lists(st.tuples(*[st.integers(0, 2)] * nv).filter(lambda e: sum(e) >= 2),
+                          max_size=2))
+    decls = [("vars", draw(_BLANKS).join(" " + n for n in names))]
+    for r in rels:  # blanks may stand around every '*'
+        decls.append(("rel", "*".join(draw(_BLANKS) + f + draw(_BLANKS)
+                                      for f in mono_str(r, names).split("*"))))
+    decls.insert(draw(st.integers(0, len(decls))), ("field", str(draw(st.sampled_from([2, 3, 5])))))
+    if truncate is not None:
+        decls.insert(draw(st.integers(0, len(decls))), ("truncate", str(truncate)))
+    return decls
+
+
+def _render(data, decls):
+    """The declarations laid out with random separators, blanks, tabs and
+    comments, and the (line, column) where each keyword stands."""
+    lines, line, at = [], "", []
+    for k, (keyword, arg) in enumerate(decls):
+        line += data.draw(_BLANKS)
+        at.append((len(lines) + 1, len(line) + 1))
+        line += keyword + data.draw(st.text(alphabet=" \t", min_size=1, max_size=3))
+        line += arg + data.draw(_BLANKS)
+        if k + 1 < len(decls) and data.draw(st.booleans()):
+            line += "/"
+            continue
+        if data.draw(st.booleans()):
+            line += "#" + data.draw(st.text(alphabet="ab /#\t", max_size=6))
+        lines.append(line)
+        line = ""
+        if data.draw(st.booleans()):  # a blank or comment-only line
+            lines.append(data.draw(_BLANKS) + data.draw(st.sampled_from(["", "# field 2"])))
+    return "\n".join(lines), at
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_declarations(), st.data())
+def test_declarations_read_the_same_under_any_layout(decls, data):
+    want = parse_presentation("\n".join(f"{k} {a}" for k, a in decls))
+    text, _ = _render(data, decls)
+    assert parse_presentation(text) == want
+    # a second once-only declaration, or an unknown one, is refused at the
+    # line and column where its keyword stands
+    keyword = data.draw(st.sampled_from(
+        [k for k, _ in decls if k != "rel"] + ["ideal", "fields", "Vars", "x"]))
+    first = next((k for k, (kw, _) in enumerate(decls) if kw == keyword), -1)
+    slot = data.draw(st.integers(first + 1, len(decls)))
+    arg = data.draw(st.sampled_from(["3", "two", "x y", ""]))
+    text, at = _render(data, decls[:slot] + [(keyword, arg)] + decls[slot:])
+    message = (f"duplicate {keyword} declaration" if first >= 0
+               else f"unknown declaration '{keyword}'")
+    with pytest.raises(RingSyntaxError) as info:
+        parse_presentation(text)
+    assert str(info.value) == "line {}, column {}: {}".format(*at[slot], message)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("field 4 / vars x / rel x^2", "field size not prime"),
     ("field 2 / vars x x / rel x^2", "duplicate variable"),
