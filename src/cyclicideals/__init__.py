@@ -10,11 +10,10 @@ the first two by brute force for cross-checking.
 from .rings import (Algebra, DimensionLimitError, Element, MonomialAlgebra,
                     PresentationError, RingPresentation, RingSyntaxError,
                     build_algebra, parse_element, parse_presentation, pres_str)
-from .ideals import (Ideal, QuotientAlgebra, QuotientMap, annihilator, cyclic,
-                     ideal_from_generators, ideal_intersect, ideal_product,
-                     ideal_sum, is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, quotient_algebra, unit_ideal,
-                     zero_ideal)
+from .ideals import (Ideal, annihilator, cyclic, ideal_from_generators,
+                     ideal_intersect, ideal_product, ideal_sum, is_simple,
+                     maximal_ideal, min_generators, module_times_ideal,
+                     unit_ideal, zero_ideal)
 from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
                         SearchSpaceExceededError, SpecReport,
                         canonical_variable_split, classify_dsc,
@@ -34,17 +33,16 @@ __all__ = [
     "Algebra", "CyclicDecomposition", "DimensionLimitError", "DscVerdict",
     "Element", "Ideal", "IdealCensus", "InfeasibleSizeError",
     "InternalContradictionError", "MDecomposition", "MonomialAlgebra",
-    "PresentationError", "QuotientAlgebra", "QuotientMap", "RingPresentation",
-    "RingSyntaxError", "SearchSpaceExceededError", "SpecReport", "Trace",
-    "WitnessInvalidError", "annihilator", "brute_decompose", "build_algebra",
+    "PresentationError", "RingPresentation", "RingSyntaxError",
+    "SearchSpaceExceededError", "SpecReport", "Trace", "WitnessInvalidError",
+    "annihilator", "brute_decompose", "build_algebra",
     "canonical_variable_split", "classify_dsc", "classify_product",
     "complete_census", "cyclic", "decompose_ideal", "decomposition_lengths",
     "enumerate_ideals", "find_m_decomposition", "ideal_from_generators",
     "ideal_intersect", "ideal_product", "ideal_sum", "is_simple",
     "length_invariance", "m_decomposition_problems", "maximal_ideal",
     "min_generators", "minimal_exponent", "module_times_ideal", "oracle_dsc",
-    "parse_element", "parse_presentation", "pres_str", "quotient_algebra",
-    "semisimple_decompose", "spec_classify", "three_summand_counterexample",
-    "unit_ideal", "verify_decomposition", "verify_m_decomposition",
-    "zero_ideal",
+    "parse_element", "parse_presentation", "pres_str", "semisimple_decompose",
+    "spec_classify", "three_summand_counterexample", "unit_ideal",
+    "verify_decomposition", "verify_m_decomposition", "zero_ideal",
 ]

@@ -116,7 +116,7 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
     exps = [knobs[k] for k in ("n0", "m0") if knobs.get(k) is not None]
     trace = Trace(branch=branch, dims=tuple(c.dim for c in closures),
                   truncated=pres is not None and pres.truncate is not None,
-                  trusted=_trusted(alg, gens, exps), **knobs)
+                  trusted=_trusted(alg, pres, gens, exps), **knobs)
     flags = tuple(is_simple(alg, c) for c in closures)
     return CyclicDecomposition(i, gens, flags, trace)
 
@@ -151,12 +151,12 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     raise ValueError("no such exponent")
 
 
-def _trusted(alg, gens, exps) -> bool:
+def _trusted(alg, pres, gens, exps) -> bool:
     """A truncated-model decomposition lifts to the full ring when its
     generators and exponents stay strictly below the horizon, the top
     degree the model still represents faithfully.  The ideal's tail may
-    reach the horizon; only the chosen data must not."""
-    pres = getattr(alg, "presentation", None)
+    reach the horizon; only the chosen data must not.  pres is alg's
+    presentation, None for an algebra without one."""
     if pres is None or pres.truncate is None:
         return True
     horizon = pres.truncate - 1

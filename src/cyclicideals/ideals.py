@@ -12,7 +12,6 @@ to hear about immediately.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from . import gf
@@ -68,10 +67,6 @@ class Ideal:
         self._require_same(z)
         return not self.space.field.reduce(z.vec, self.space.basis)
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        self._require_same(other)
-        return self.space.contains_subspace(other.space)
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -96,7 +91,8 @@ class Ideal:
         return ideal_intersect(self, other)
 
     def __le__(self, other: "Ideal") -> bool:
-        return other.contains_ideal(self)
+        self._require_same(other)
+        return other.space.contains_subspace(self.space)
 
     def __repr__(self) -> str:
         gens = ", ".join(self.algebra.el_str(r) for r in self.space.basis)
@@ -238,84 +234,6 @@ def module_times_ideal(alg: Algebra, i: Ideal) -> Ideal:
 def min_generators(alg: Algebra, i: Ideal) -> int:
     """Minimal number of module generators, dim i - dim M*i (Nakayama)."""
     return i.dim - module_times_ideal(alg, i).dim
-
-
-# ---------------------------------------------------------------------------
-# quotient algebras R / I
-
-
-class QuotientAlgebra(Algebra):
-    """R/I modeled on the non-pivot coordinates of I's RREF basis.
-
-    Multiplication lifts through the canonical section, multiplies in the
-    source, and projects back, so associativity and commutativity are
-    inherited rather than re-proved.
-    """
-
-    def __init__(self, source: Algebra, ideal: Ideal):
-        self.source = source
-        self.ideal = ideal
-        self.p = source.p
-        pivots = set(ideal.space.pivots)
-        self.nonpivot = tuple(j for j in range(source.dim) if j not in pivots)
-        self.dim = len(self.nonpivot)
-        gens = []
-        seen = set()
-        for g in source.gens:
-            img = self.project_vec(g.vec)
-            if img and img not in seen:
-                seen.add(img)
-                gens.append(Element.packed(self, img))
-        self.gens = tuple(gens)
-
-    def project_vec(self, v: int) -> int:
-        """The packed row v of R reduced modulo I, read off the non-pivot
-        coordinates: its image in R/I."""
-        f = self.field
-        red = f.reduce(v, self.ideal.space.basis)
-        return sum((red >> j * f.w & f.one) << k * f.w for k, j in enumerate(self.nonpivot))
-
-    def lift_vec(self, v: int) -> int:
-        """The canonical section: coordinate k of v at non-pivot k of R."""
-        f = self.field
-        return sum((v >> k * f.w & f.one) << j * f.w for k, j in enumerate(self.nonpivot))
-
-    def columns(self, z: Element) -> list[int]:
-        cols = self.source.columns(Element.packed(self.source, self.lift_vec(z.vec)))
-        return [self.project_vec(cols[j]) for j in self.nonpivot]
-
-    def el_str(self, vec: int) -> str:
-        return self.source.el_str(self.lift_vec(vec))
-
-    def __repr__(self) -> str:
-        killed = ", ".join(self.source.el_str(r) for r in self.ideal.space.basis)
-        return f"QuotientAlgebra<mod span {{{killed}}}, dim {self.dim}>"
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """R -> R/I with its canonical right inverse."""
-
-    source: Algebra
-    target: QuotientAlgebra
-
-    def project(self, z: Element) -> Element:
-        if z.algebra is not self.source:
-            raise ValueError("algebra mismatch")
-        return Element.packed(self.target, self.target.project_vec(z.vec))
-
-    def lift(self, z: Element) -> Element:
-        if z.algebra is not self.target:
-            raise ValueError("algebra mismatch")
-        return Element.packed(self.source, self.target.lift_vec(z.vec))
-
-
-def quotient_algebra(alg: Algebra, i: Ideal) -> QuotientMap:
-    if i.algebra is not alg:
-        raise ValueError("algebra mismatch")
-    if i.dim == alg.dim:
-        raise ValueError("not proper")
-    return QuotientMap(alg, QuotientAlgebra(alg, i))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Elements are packed rows, and every product goes through one primitive,
 Algebra.columns(z), the packed columns e_k * z.  A monomial algebra
 computes column k when it is first read, as x_v times column j for
 m_k = x_v * m_j, so v * z costs the parent chains of v's support only;
-a quotient (see ideals.quotient_algebra) lifts z and projects.
+any other Algebra, such as the quotient models R/I of the tests,
+supplies its own columns.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
     declared: dict = {}
     rel_specs: list[tuple[str, int, int]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         col = 0
         for chunk in line.split("/"):

@@ -15,8 +15,9 @@ A monomial ring is decided by its presentation (classify_dsc proves
 it): M has a direct cyclic cover exactly when every product of two
 distinct variables vanishes, and then the variable split is that cover.
 So a nonzero mixed product refutes with M, and no monomial ring reaches
-the counts or the cover search below.  Those serve the other algebras
-only, such as the quotient models R/I.
+the counts or the cover search below.  Those serve only other Algebra
+classes, which the package never builds; the tests reach them through
+their quotient models R/I (tests/conftest.py).
 
 Two counts rule a cover out before any search, over every field
 (m_count_failure).  If M = Rg_1 + ... + Rg_n is direct, g_j g_k lies in
@@ -220,8 +221,8 @@ def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: i
     counts of m_count_failure (the module docstring proves them), so
     callers check them first.
     classify_dsc never searches a monomial ring: its variables split M
-    or a mixed product refutes first, so the search serves only the
-    other algebras, such as quotient models.
+    or a mixed product refutes first, so the search serves only other
+    Algebra classes, such as the tests' quotient models.
     """
     if split is not None:
         return ([g for g, c in split if not is_simple(alg, c)],
@@ -291,7 +292,6 @@ class DscVerdict:
     counterexample: Optional[Ideal] = None
     counterexample_note: Optional[str] = None
     notes: tuple[str, ...] = ()
-    factors: Optional[tuple["DscVerdict", ...]] = None
 
     def as_dict(self) -> dict:
         short = {"yes": "yes", "no": "no", "undecided_by_search": "undecided"}[self.answer]
@@ -344,12 +344,13 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
          variables taking distinct l_i.  Rad kills R_1, so for a != b,
          x_a x_b is 0 or c c' l_i l_j with i != j, which is 0.
 
-    The counts and the cover search below serve only the other algebras,
-    such as quotient models.  Unless the variables split M, two counts
-    that every cover M = Rg_1 + ... + Rg_n fixes come first
-    (m_count_failure): directness gives Mg_k = Rg_k^2, so each Rg_k is a
-    chain with one socle line and n = mu(M), hence dim soc(M) = mu(M);
-    and mu(M^j) counts the g_k with g_k^j != 0, so it never grows with j.
+    The counts and the cover search below serve only other Algebra
+    classes, such as the tests' quotient models.  Unless the variables
+    split M, two counts that every cover M = Rg_1 + ... + Rg_n fixes
+    come first (m_count_failure): directness gives Mg_k = Rg_k^2, so
+    each Rg_k is a chain with one socle line and n = mu(M), hence
+    dim soc(M) = mu(M); and mu(M^j) counts the g_k with g_k^j != 0, so
+    it never grows with j.
     A failed count or no cover: no, and M itself is the counterexample,
     its proof the failed count or the exhausted search.  At most two
     non-simple summands: yes, with the cover as a verified witness.
@@ -414,17 +415,16 @@ def classify_product(verdicts: Sequence[DscVerdict]) -> DscVerdict:
     verdicts = tuple(verdicts)
     if not verdicts:
         return DscVerdict("yes", None, None, None,
-                          ("empty product: zero ring, vacuously yes",), ())
+                          ("empty product: zero ring, vacuously yes",))
     for k, v in enumerate(verdicts):
         # one refuted factor settles the product, undecided factors or not
         if v.answer == "no":
             return DscVerdict("no", None, v.counterexample, v.counterexample_note,
-                              (f"factor {k + 1} fails",) + v.notes, verdicts)
+                              (f"factor {k + 1} fails",) + v.notes)
     for v in verdicts:
         if v.answer == "undecided_by_search":
             raise ValueError("factor undecided")
-    return DscVerdict("yes", None, None, None,
-                      ("all factors hold",), verdicts)
+    return DscVerdict("yes", None, None, None, ("all factors hold",))
 
 
 # ---------------------------------------------------------------------------

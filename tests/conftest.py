@@ -1,14 +1,16 @@
 """Shared rings and hypothesis strategies for the suite.
 
 Algebras cache their census, cyclic table, and brute-force results, so
-the hot rings are built once per session and handed around.
+the hot rings are built once per session and handed around.  The
+package builds monomial algebras only; QuotientAlgebra models the
+suite's other local algebras, the quotients R/I.
 """
 
 import pytest
 from hypothesis import strategies as st
 
-from cyclicideals import build_algebra, parse_presentation
-from cyclicideals.rings import RingPresentation, mono_degree
+from cyclicideals import Ideal, build_algebra, parse_presentation
+from cyclicideals.rings import Algebra, Element, RingPresentation, mono_degree
 
 PAIR_N3 = "field 2 / vars x y / rel x^3 / rel y^3 / rel x*y"
 PAIR_N4 = "field 2 / vars x y / rel x^4 / rel y^4 / rel x*y"
@@ -26,6 +28,10 @@ TWO_AXES = "field 2 / vars x y / rel x*y / truncate 6"
 # counts of structure.m_count_failure pass, and the cover search of M,
 # which is GF(2)-only, could not decide it
 GF3_MIXED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
+
+# the characters besides \n and \r at which str.splitlines() ends a line;
+# in ring text they are blanks inside a line, as editors count lines
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 # the proof of classify_dsc's no for a monomial ring with a nonzero product
 # of two distinct variables, formatted with that product, e.g. "x*y"
@@ -51,6 +57,68 @@ def mixed_product(alg):
             if tuple(int(v in (a, b)) for v in range(len(names))) in alg.index:
                 return f"{names[a]}*{names[b]}"
     return None
+
+
+class QuotientAlgebra(Algebra):
+    """R/I modeled on the non-pivot coordinates of I's RREF basis, for a
+    proper ideal I of the algebra R.
+
+    Multiplication lifts through the canonical section, multiplies in the
+    source, and projects back, so associativity and commutativity are
+    inherited rather than re-proved.  project and lift carry elements
+    between R and R/I.
+    """
+
+    def __init__(self, source: Algebra, ideal: Ideal):
+        if ideal.algebra is not source:
+            raise ValueError("algebra mismatch")
+        if ideal.dim == source.dim:
+            raise ValueError("not proper")
+        self.source = source
+        self.ideal = ideal
+        self.p = source.p
+        pivots = set(ideal.space.pivots)
+        self.nonpivot = tuple(j for j in range(source.dim) if j not in pivots)
+        self.dim = len(self.nonpivot)
+        gens = {}  # the distinct nonzero images of the source's generators
+        for g in source.gens:
+            img = self.project_vec(g.vec)
+            if img:
+                gens.setdefault(img, Element.packed(self, img))
+        self.gens = tuple(gens.values())
+
+    def project_vec(self, v: int) -> int:
+        """The packed row v of R reduced modulo I, read off the non-pivot
+        coordinates: its image in R/I."""
+        f = self.field
+        red = f.reduce(v, self.ideal.space.basis)
+        return sum((red >> j * f.w & f.one) << k * f.w for k, j in enumerate(self.nonpivot))
+
+    def lift_vec(self, v: int) -> int:
+        """The canonical section: coordinate k of v at non-pivot k of R."""
+        f = self.field
+        return sum((v >> k * f.w & f.one) << j * f.w for k, j in enumerate(self.nonpivot))
+
+    def project(self, z: Element) -> Element:
+        if z.algebra is not self.source:
+            raise ValueError("algebra mismatch")
+        return Element.packed(self, self.project_vec(z.vec))
+
+    def lift(self, z: Element) -> Element:
+        if z.algebra is not self:
+            raise ValueError("algebra mismatch")
+        return Element.packed(self.source, self.lift_vec(z.vec))
+
+    def columns(self, z: Element) -> list[int]:
+        cols = self.source.columns(self.lift(z))
+        return [self.project_vec(cols[j]) for j in self.nonpivot]
+
+    def el_str(self, vec: int) -> str:
+        return self.source.el_str(self.lift_vec(vec))
+
+    def __repr__(self) -> str:
+        killed = ", ".join(self.source.el_str(r) for r in self.ideal.space.basis)
+        return f"QuotientAlgebra<mod span {{{killed}}}, dim {self.dim}>"
 
 
 @st.composite

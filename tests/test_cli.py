@@ -6,8 +6,8 @@ from importlib import resources
 import pytest
 
 from cyclicideals.cli import main
-from conftest import (AXIS_SOCLE, GF3_MIXED, MIXED_PROOF, PAIR_N3, TRIPLE,
-                      TWO_AXES, certificate_note)
+from conftest import (AXIS_SOCLE, GF3_MIXED, MIXED_PROOF, PAIR_N3,
+                      SPLITLINES_BREAKS, TRIPLE, TWO_AXES, certificate_note)
 
 INFINITE = "field 2 / vars x y / rel x*y"
 # three non-simple axes with dim M = 9, one past the oracle's default bound
@@ -110,6 +110,16 @@ def test_a_byte_order_mark_is_not_part_of_the_ring_text(tmp_path, capsys):
     code, out, err = run(capsys, "classify", str(bom))
     assert code == 3 and out == ""
     assert err == f"error: {bom}: line 3, column 12: empty monomial\n"
+
+
+@pytest.mark.parametrize("text", [f"field 2\nvars x{c}\nrel x*z\n" for c in SPLITLINES_BREAKS]
+                         + ["field 2\r\nvars x\r\nrel x*z\r\n", "field 2\rvars x\rrel x*z\r"])
+def test_ring_file_lines_end_at_newlines_only(tmp_path, capsys, text):
+    path = tmp_path / "r.ring"
+    path.write_bytes(text.encode())
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: line 3, column 7: unknown variable 'z'\n"
 
 
 def _assert_refuted_past_the_table(capsys, path) -> None:

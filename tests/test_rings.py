@@ -16,8 +16,8 @@ from cyclicideals import rings
 from cyclicideals.rings import mono_str
 import reference_kernels
 from reference_kernels import NotExpressibleError, power_form
-from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, TWO_AXES, build,
-                      build_pres, presentations)
+from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, SPLITLINES_BREAKS,
+                      TWO_AXES, build, build_pres, presentations)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,24 @@ def test_syntax_error_position():
     assert info.value.line == 3
     assert info.value.column == 7
     assert "unknown variable 'z'" in str(info.value)
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+def test_only_newlines_end_a_line(char):
+    with pytest.raises(RingSyntaxError) as info:
+        parse_presentation(f"field 2\nvars x{char}\nrel x*z")
+    assert str(info.value) == "line 3, column 7: unknown variable 'z'"
+    # as the only separator it runs two declarations together
+    with pytest.raises(RingSyntaxError) as info:
+        parse_presentation(f"field 2{char}vars x")
+    assert str(info.value) == "line 1, column 7: field expects an integer"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_every_newline_convention_ends_a_line(newline):
+    with pytest.raises(RingSyntaxError) as info:
+        parse_presentation(newline.join(["field 2", "vars x", "", "rel x*z", ""]))
+    assert str(info.value) == "line 4, column 7: unknown variable 'z'"
 
 
 @pytest.mark.parametrize("text,line,column,fragment", [

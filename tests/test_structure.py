@@ -18,8 +18,7 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           ideal_from_generators, annihilator,
                           m_decomposition_problems,
                           oracle_dsc, parse_element, parse_presentation,
-                          quotient_algebra, spec_classify,
-                          verify_m_decomposition)
+                          spec_classify, verify_m_decomposition)
 from cyclicideals import gf, ideals, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
@@ -28,9 +27,9 @@ from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ide
 from cyclicideals.rings import Element, RingPresentation, build_algebra
 from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
-                      POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES, build,
-                      build_pres, certificate_note, maximal_ideal_elements,
-                      mixed_product, presentations)
+                      POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES,
+                      QuotientAlgebra, build, build_pres, certificate_note,
+                      maximal_ideal_elements, mixed_product, presentations)
 from reference_kernels import is_principal_ideal_ring
 
 
@@ -42,8 +41,8 @@ def test_pir(pair_n3, chain4):
     assert is_principal_ideal_ring(chain4)
     assert not is_principal_ideal_ring(pair_n3)
     x = pair_n3.gens[0]
-    q = quotient_algebra(pair_n3, annihilator(pair_n3, x))
-    assert is_principal_ideal_ring(q.target)
+    q = QuotientAlgebra(pair_n3, annihilator(pair_n3, x))
+    assert is_principal_ideal_ring(q)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def test_search_space_exceeded():
 
 def quotient_by(alg, *gens):
     i = ideal_from_generators(alg, [parse_element(alg, g) for g in gens])
-    return quotient_algebra(alg, i).target
+    return QuotientAlgebra(alg, i)
 
 
 def test_fallback_single_generator():
@@ -383,7 +382,7 @@ def _identify(alg, g, m2: int):
     """R/(g + m2) for a generator g and a packed m2 in M^2: g becomes an
     element of M^2, so the variable images no longer split M."""
     z = g + alg.element(gf.unpack_vec(m2, alg.dim))
-    return quotient_algebra(alg, cyclic(alg, z)).target
+    return QuotientAlgebra(alg, cyclic(alg, z))
 
 
 def test_pruned_sweep_matches_the_reference_on_quotients():
@@ -470,7 +469,7 @@ def test_counts_never_refute_a_ring_with_a_cover():
         if data.draw(st.integers(0, 2)) == 0 and alg.dim > 1:
             z = maximal_ideal_elements(alg, data, 1)[0]
             assume(not z.is_zero())
-            alg = quotient_algebra(alg, cyclic(alg, z)).target
+            alg = QuotientAlgebra(alg, cyclic(alg, z))
         failure, _ = structure.m_count_failure(alg)
         m = maximal_ideal(alg)
         cover = packed_first_cover(alg, m.space.basis)
@@ -640,14 +639,13 @@ def test_classify_no_three_summands_on_a_cover():
     # fails; the cover of M has three non-simple summands Rx, Ry, Rz
     big = build("field 2 / vars x y z w / rel x^3 / rel y^3 / rel z^3 / rel w^2"
                 " / rel x*y / rel x*z / rel x*w / rel y*z / rel y*w / rel z*w")
-    qmap = quotient_algebra(big, cyclic(big, parse_element(big, "w + x^2")))
-    q = qmap.target
+    q = QuotientAlgebra(big, cyclic(big, parse_element(big, "w + x^2")))
     assert canonical_variable_split(q) is None
     nonsimple, _ = structure.m_cover(q, None, 8)
     assert len(nonsimple) == 3
     verdict = classify_dsc(q)
     assert verdict.answer == "no"
-    expected = ideal_from_generators(q, [qmap.project(parse_element(big, g)) for g in
+    expected = ideal_from_generators(q, [q.project(parse_element(big, g)) for g in
                                          ("x + z", "y + z", "x^2", "y^2", "z^2")])
     assert verdict.counterexample == expected and expected.dim == 5
     assert verdict.notes == (certificate_note("x", "y", "z"),)
