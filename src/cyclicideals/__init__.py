@@ -16,7 +16,7 @@ from .ideals import (Ideal, annihilator, cyclic, ideal_from_generators,
                      unit_ideal, zero_ideal)
 from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
                         SearchSpaceExceededError, SpecReport,
-                        canonical_variable_split, classify_dsc,
+                        WitnessDoesNotLiftError, canonical_variable_split, classify_dsc,
                         classify_product, find_m_decomposition,
                         m_decomposition_problems, spec_classify,
                         three_summand_counterexample, verify_m_decomposition)
@@ -34,7 +34,8 @@ __all__ = [
     "Element", "Ideal", "IdealCensus", "InfeasibleSizeError",
     "InternalContradictionError", "MDecomposition", "MonomialAlgebra",
     "PresentationError", "RingPresentation", "RingSyntaxError",
-    "SearchSpaceExceededError", "SpecReport", "Trace", "WitnessInvalidError",
+    "SearchSpaceExceededError", "SpecReport", "Trace", "WitnessDoesNotLiftError",
+    "WitnessInvalidError",
     "annihilator", "brute_decompose", "build_algebra",
     "canonical_variable_split", "classify_dsc", "classify_product",
     "complete_census", "cyclic", "decompose_ideal", "decomposition_lengths",

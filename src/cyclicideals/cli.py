@@ -30,8 +30,8 @@ from .oracle import (InfeasibleSizeError, complete_census, enumerate_ideals,
 from .rings import (DimensionLimitError, PresentationError, RingSyntaxError,
                     build_algebra, parse_element, parse_presentation, pres_str)
 from .corpus import run_corpus
-from .structure import (DscVerdict, classify_dsc, classify_product,
-                        find_m_decomposition, spec_classify)
+from .structure import (DscVerdict, WitnessDoesNotLiftError, classify_dsc,
+                        classify_product, find_m_decomposition, spec_classify)
 
 
 class UsageError(Exception):
@@ -76,7 +76,10 @@ def _classify_one(pres, alg) -> tuple[DscVerdict, dict]:
     payload["dim"] = alg.dim
     payload["spec"] = None
     if verdict.witness is not None:
-        payload["spec"] = spec_classify(pres, verdict.witness).as_dict()
+        try:
+            payload["spec"] = spec_classify(pres, verdict.witness).as_dict()
+        except WitnessDoesNotLiftError as exc:
+            payload["notes"].append(f"spec refused: {exc}")
     return verdict, payload
 
 
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RefusalError as exc:
+    except (RefusalError, WitnessDoesNotLiftError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
 

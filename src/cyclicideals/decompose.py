@@ -160,13 +160,8 @@ def _trusted(alg, pres, gens, exps) -> bool:
     if pres is None or pres.truncate is None:
         return True
     horizon = pres.truncate - 1
-    if any(n >= horizon for n in exps):
-        return False
-    for g in gens:
-        for k, c in enumerate(g.coeffs):
-            if c and mono_degree(alg.basis[k]) >= horizon:
-                return False
-    return True
+    return all(n < horizon for n in exps) and all(
+        mono_degree(e) < horizon for g in gens for _, e in alg.terms(g.vec))
 
 
 def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:

@@ -9,6 +9,9 @@ always the unit monomial.  The standard monomials are closed under
 division, so build_algebra grows them degree by degree from their own
 divisors and never walks the exponent box: its work follows the
 dimension, and max_dim refuses only a basis that really exceeds it.
+RingPresentation.splits_untruncated runs the monomial test of
+structure.classify_dsc's lemma on the ring without its truncation, so
+spec_classify can tell a truncated model's witness that lifts.
 Products of standard monomials are again
 standard or zero, so multiplying by one variable is a lookup in that
 variable's successor map, packed (see gf) as the algebra's action masks.
@@ -17,7 +20,11 @@ Algebra.columns(z), the packed columns e_k * z.  A monomial algebra
 computes column k when it is first read, as x_v times column j for
 m_k = x_v * m_j, so v * z costs the parent chains of v's support only;
 any other Algebra, such as the quotient models R/I of the tests,
-supplies its own columns.
+supplies its own columns.  MonomialAlgebra.terms is the one map back from
+a packed row to monomials: the (coefficient, exponents) pair of each
+nonzero field, found from the row's lowest set bit, so rendering an
+element or reading its degrees builds no coordinate tuple.
+parse_element goes the other way, summing read_terms' pairs into a row.
 """
 
 from __future__ import annotations
@@ -147,6 +154,18 @@ class RingPresentation:
 
     def var_index(self, name: str) -> int:
         return self.vars.index(name)
+
+    def splits_untruncated(self) -> bool:
+        """The monomial test of structure.classify_dsc's lemma on the ring
+        without its truncation: every product of two distinct variables
+        lies in the relations, and at most two variables have a square
+        outside them.  Relations are distinct and of degree >= 2, so a
+        quadratic monomial lies in the relations exactly when it is one,
+        and the test counts the quadratic relations: all nv(nv - 1)/2
+        mixed products, and at least nv - 2 squares."""
+        quadratic = [r for r in self.relations if mono_degree(r) == 2]
+        squares, nv = sum(2 in r for r in quadratic), len(self.vars)
+        return len(quadratic) - squares == nv * (nv - 1) // 2 and squares >= nv - 2
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +487,23 @@ class MonomialAlgebra(Algebra):
         w = gf.packed_field(self.p).w
         return [[1 << w * k if k >= 0 else 0 for k in step] for step in self.succ]
 
+    def terms(self, vec: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The (coefficient, exponents) pair of each nonzero field of the
+        packed row vec, in basis order; parse_element sums such pairs
+        back into a row.  The one map from a basis index to its monomial."""
+        w, one, out = self.field.w, self.field.one, []
+        while vec:
+            k = ((vec & -vec).bit_length() - 1) // w
+            c = vec >> k * w & one
+            vec -= c << k * w
+            out.append((c, self.basis[k]))
+        return out
+
     def el_str(self, vec: int) -> str:
         names = self.presentation.vars
         parts = []
-        for i, c in enumerate(self.field.unpack(vec, self.dim)):
-            if not c:
-                continue
-            mono = mono_str(self.basis[i], names)
+        for c, e in self.terms(vec):
+            mono = mono_str(e, names)
             if mono == "1":
                 parts.append(str(c))
             elif c == 1:
@@ -487,10 +516,7 @@ class MonomialAlgebra(Algebra):
         return self.gens[self.presentation.var_index(name)]
 
     def __repr__(self) -> str:
-        rels = ", ".join(mono_str(r, self.presentation.vars) for r in self.presentation.relations)
-        trunc = f", truncate {self.presentation.truncate}" if self.presentation.truncate else ""
-        return (f"MonomialAlgebra(GF({self.p})[{', '.join(self.presentation.vars)}]"
-                f" / ({rels}){trunc}, dim {self.dim})")
+        return f"MonomialAlgebra({pres_str(self.presentation)}, dim {self.dim})"
 
 
 class _Columns(dict):
@@ -569,7 +595,8 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
 
 def parse_element(alg: MonomialAlgebra, text: str) -> Element:
     """Parse an expression of read_terms over the ring variables, such as
-    "x^2 + 2*x*y - 1", as the sum of c * e_k over its terms c * m_k.
+    "x^2 + 2*x*y - 1", as the sum of c * e_k over its terms c * m_k:
+    the reverse of MonomialAlgebra.terms.
 
     A monomial outside alg.index is no standard monomial, so it is zero
     and its term drops; nothing is multiplied.  Errors are

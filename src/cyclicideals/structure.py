@@ -58,6 +58,11 @@ class InternalContradictionError(RuntimeError):
     """A precondition held but the identity it guarantees failed."""
 
 
+class WitnessDoesNotLiftError(ValueError):
+    """A truncated model's witness says nothing of the untruncated ring:
+    spec_classify refuses to read its spectrum."""
+
+
 @dataclass(frozen=True)
 class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
@@ -444,18 +449,11 @@ class SpecReport:
         return {**asdict(self), "primes": list(self.primes)}
 
 
-def _support_vars(alg: MonomialAlgebra, z: Element) -> set[int]:
-    out: set[int] = set()
-    for idx, c in enumerate(z.coeffs):
-        if c:
-            out.update(v for v, e in enumerate(alg.basis[idx]) if e)
-    return out
-
-
 def _symbolic_nilpotent(pres: RingPresentation, alg: MonomialAlgebra, z: Element) -> bool:
     # read from the untruncated presentation: a combination is nilpotent
     # iff every variable it involves is
-    return all(not pres.nonnilpotent[v] for v in _support_vars(alg, z))
+    return not any(pres.nonnilpotent[v] for _, e in alg.terms(z.vec)
+                   for v, k in enumerate(e) if k)
 
 
 def _render_prime(gens: Sequence[Element]) -> str:
@@ -477,7 +475,15 @@ def spec_classify(pres: RingPresentation, dec: MDecomposition) -> SpecReport:
     The spectrum has at most three members: M itself, plus one prime per
     non-nilpotent cyclic summand (drop that summand, keep the rest).  On
     truncated models the report is a symbolic claim about the
-    untruncated ring; nilpotency is read from the presentation.
+    untruncated ring; nilpotency is read from the presentation.  The
+    claim holds when the untruncated ring passes the monomial test of
+    classify_dsc's lemma (RingPresentation.splits_untruncated) and at
+    most two summands are non-nilpotent: then its variables split M as
+    the model's do.  Otherwise the truncation, not the relations, made
+    the witness, and WitnessDoesNotLiftError is raised.  A truncation at
+    degree 3 or more keeps every quadratic monomial, so every yes witness
+    of classify_dsc passes there; its witnesses fail only under a
+    truncation at degree 2 with two or more variables.
     """
     alg = dec.algebra
     if not isinstance(alg, MonomialAlgebra) or alg.presentation != pres:
@@ -490,9 +496,10 @@ def spec_classify(pres: RingPresentation, dec: MDecomposition) -> SpecReport:
     nil_part = [g for g in summands if _symbolic_nilpotent(pres, alg, g)]
     truncated = pres.truncate is not None
 
-    if len(non_nil) > 2:
-        raise ValueError("decomposition not verified: more than two "
-                         "non-nilpotent summands")
+    if len(non_nil) > 2 or not pres.splits_untruncated():
+        raise WitnessDoesNotLiftError(
+            "the witness does not lift to the untruncated ring, where a mixed product "
+            "or a third square is nonzero, or three summands are non-nilpotent")
     if not non_nil:
         report = SpecReport("a", ("M",), 0, truncated)
     elif len(summands) == 1:

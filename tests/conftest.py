@@ -122,8 +122,8 @@ class QuotientAlgebra(Algebra):
 
 
 @st.composite
-def presentations(draw, max_vars=3):
-    p = draw(st.sampled_from([2, 3, 5]))
+def presentations(draw, max_vars=3, primes=(2, 3, 5)):
+    p = draw(st.sampled_from(primes))
     nv = draw(st.integers(1, max_vars))
     truncate = draw(st.one_of(st.none(), st.integers(2, 7)))
     rels = []

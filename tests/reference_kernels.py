@@ -10,7 +10,8 @@ exponents over the monomial basis, so they share neither the successor
 maps nor mult_map.  The standard monomials come from a walk of the whole
 exponent box and one sort, not from their divisors.  Element
 expressions are read by recursive descent and multiplied out, each power
-by repeated products, not summed off the monomial index.
+by repeated products, not summed off the monomial index, and rendered by
+a walk over every coordinate of the unpacked row, not over its terms.
 
 The last section keeps helpers that left the package because no path of
 it calls them: power_form with its packed solver, the principal ideal
@@ -147,6 +148,27 @@ def product(alg, a, b):
                 if k is not None:
                     out[k] = (out[k] + ca * cb) % p
     return tuple(out)
+
+
+def el_str(alg, vec):
+    """str of the element of a monomial algebra whose packed row is vec,
+    read off its coordinate tuple: each nonzero coordinate names its
+    basis monomial."""
+    from cyclicideals.rings import mono_str
+
+    names = alg.presentation.vars
+    parts = []
+    for i, c in enumerate(alg.field.unpack(vec, alg.dim)):
+        if not c:
+            continue
+        mono = mono_str(alg.basis[i], names)
+        if mono == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts) if parts else "0"
 
 
 def standard_monomials(pres, max_dim):

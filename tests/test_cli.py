@@ -279,6 +279,30 @@ def test_spec_refuses_without_witness(ring_file, capsys):
     assert code == 4 and "no witness" in err
 
 
+@pytest.mark.parametrize("names", ["x y", "x y z"])
+def test_a_witness_made_by_the_truncation_is_refused(ring_file, capsys, names):
+    # truncate 2 kills x*y, which the untruncated ring keeps: classify
+    # still answers yes by its exit code, without a spectrum
+    path = ring_file(f"field 2 / vars {names} / truncate 2")
+    code, out, _ = run(capsys, "classify", "--json", path)
+    payload = json.loads(out)
+    assert code == 0 and payload["dsc"] == "yes"
+    assert payload["spec"] is None
+    assert [n for n in payload["notes"] if n.startswith("spec refused: ")]
+    code, out, err = run(capsys, "spec", path)
+    assert code == 4 and not out
+    assert err.startswith("refused: the witness does not lift")
+
+
+@pytest.mark.parametrize("text, case", [("field 2 / vars x / truncate 2", "b"),
+                                        ("field 2 / vars x y / rel x*y / truncate 2", "e")])
+def test_a_witness_the_relations_make_keeps_its_spectrum(ring_file, capsys, text, case):
+    code, out, _ = run(capsys, "classify", "--json", ring_file(text))
+    assert code == 0 and json.loads(out)["spec"]["case"] == case
+    code, out, _ = run(capsys, "spec", ring_file(text))
+    assert code == 0 and f"case: {case}" in out
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -341,58 +341,8 @@ def test_solve_combination_sweep(p):
 
 
 # ---------------------------------------------------------------------------
-# the row-kernel solves against the dense eliminations they replaced: the
-# same particular solutions, not only valid ones
-
-
-def _dense_tagged_solve(rows, target, p, tag_zero):
-    """Reference: eliminate (vector, tag) pairs on dense lists, keeping
-    the greedy basis, then reduce target and accumulate its tag."""
-    work = []  # (pivot, monic row, tag)
-    for vec, tag in rows:
-        vec = list(vec)
-        for piv, wv, wt in work:
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, wv)]
-                tag = [(a - c * b) % p for a, b in zip(tag, wt)]
-        piv = next((j for j, c in enumerate(vec) if c), -1)
-        if piv >= 0:
-            s = pow(vec[piv], -1, p)
-            work.append((piv, tuple((s * c) % p for c in vec), [(s * c) % p for c in tag]))
-    residual = list(target)
-    acc = tag_zero
-    for piv, wv, wt in work:
-        c = residual[piv]
-        if c:
-            residual = [(a - c * b) % p for a, b in zip(residual, wv)]
-            acc = [(a + c * b) % p for a, b in zip(acc, wt)]
-    return None if any(residual) else tuple(acc)
-
-
-def _dense_affine_meet(point, w, u):
-    zero = (0,) * w.ambient
-    rows = [(r, zero) for r in w.rows] + [(r, r) for r in u.rows]
-    return _dense_tagged_solve(rows, reference_kernels.normalize(point, w.p), w.p, zero)
-
-
-def _dense_split_components(v, parts):
-    p, n, k = parts[0].p, parts[0].ambient, len(parts)
-    rows = []
-    for i, s in enumerate(parts):
-        for r in s.rows:
-            tag = [0] * (k * n)
-            tag[i * n:(i + 1) * n] = r
-            rows.append((r, tag))
-    got = _dense_tagged_solve(rows, reference_kernels.normalize(v, p), p, (0,) * (k * n))
-    return None if got is None else [got[i * n:(i + 1) * n] for i in range(k)]
-
-
-def _dense_solve_combination(rows, target, p):
-    k = len(rows)
-    tagged = [(reference_kernels.normalize(r, p), tuple(int(j == i) for j in range(k)))
-              for i, r in enumerate(rows)]
-    return _dense_tagged_solve(tagged, reference_kernels.normalize(target, p), p, (0,) * k)
+# the row-kernel solves against the tuple eliminations of reference_kernels:
+# the same particular solutions, not only valid ones
 
 
 def _dense_kernel(rows, ncols, p):
@@ -435,7 +385,10 @@ def test_tagged_solves_match_dense_reference(p):
         near = _combine([rng.randrange(p) for _ in range(w.dim + u.dim)],
                         w.rows + u.rows, p, n)
         points = [point, near, tuple((a + b) % p for a, b in zip(near, point))]
-        assert _meets(points, w, u) == [_dense_affine_meet(v, w, u) for v in points]
+        # the meet is the tag of [w|0] and [u|u]
+        tagged = [r + (0,) * n for r in w.rows] + [r + r for r in u.rows]
+        assert _meets(points, w, u) == [reference_kernels.tagged_solve(tagged, v, p, n, n)
+                                        for v in points]
 
         parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(1, 4))]
         splits_overlap += gf.direct_sum(p, n, parts) is None
@@ -444,13 +397,14 @@ def test_tagged_solves_match_dense_reference(p):
             total = gf.subspace_sum(total, s)
         inside = _combine([rng.randrange(p) for _ in range(total.dim)], total.rows, p, n)
         for v in (inside, point):
-            assert _split(v, parts) == _dense_split_components(v, parts)
+            assert _split(v, parts) == reference_kernels.split_components(
+                v, [s.rows for s in parts], n, p)
 
         k = rng.randrange(1, 6)
         rows = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
         target = _combine([rng.randrange(p) for _ in range(k)], rows, p, n)
         for t in (target, point):
-            assert _solve(rows, t, p) == _dense_solve_combination(rows, t, p)
+            assert _solve(rows, t, p) == reference_kernels.solve_combination(rows, t, p)
     # the sweep reaches the cases where a particular solution is a choice
     assert meets_overlap > 50 and splits_overlap > 20
 

@@ -458,6 +458,18 @@ def test_parse_element_reads_back_str(pres, data):
     assert parse_element(alg, str(z)) == z
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(presentations(primes=(2, 3, 5, 2 ** 31 - 1)), st.data())
+def test_terms_walk_the_nonzero_coordinates(pres, data):
+    alg = build_algebra(pres)
+    coeff = st.sampled_from([0, 0, 1, pres.p - 1]) | st.integers(0, pres.p - 1)
+    drawn = [alg.element(data.draw(st.lists(coeff, min_size=alg.dim, max_size=alg.dim)))
+             for _ in range(3)]
+    for z in [alg.zero(), alg.unit()] + drawn:
+        assert alg.terms(z.vec) == [(c, alg.basis[k]) for k, c in enumerate(z.coeffs) if c]
+        assert str(z) == reference_kernels.el_str(alg, z.vec)
+
+
 # ---------------------------------------------------------------------------
 # unit-times-power form
 

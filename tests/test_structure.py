@@ -18,7 +18,8 @@ from cyclicideals import (MDecomposition, SearchSpaceExceededError,
                           ideal_from_generators, annihilator,
                           m_decomposition_problems,
                           oracle_dsc, parse_element, parse_presentation,
-                          spec_classify, verify_m_decomposition)
+                          spec_classify, verify_m_decomposition,
+                          WitnessDoesNotLiftError)
 from cyclicideals import gf, ideals, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
@@ -947,6 +948,42 @@ def test_spec_rejects_unverified(pair_n3):
     broken = MDecomposition(pair_n3, x + y, y, ())
     with pytest.raises(ValueError, match="not verified"):
         spec_classify(pres, broken)
+
+
+@pytest.mark.parametrize("names", ["x y", "x y z"])
+def test_spec_refuses_a_witness_made_by_the_truncation(names):
+    # the model's x*y = 0 comes from truncate 2; GF(2)[x, y] has krull dim 2
+    pres, alg = build_pres(f"field 2 / vars {names} / truncate 2")
+    dec = find_m_decomposition(alg)
+    assert classify_dsc(alg).answer == "yes" and verify_m_decomposition(dec)
+    assert not pres.splits_untruncated()
+    with pytest.raises(WitnessDoesNotLiftError, match="does not lift"):
+        spec_classify(pres, dec)
+
+
+def test_spec_refuses_three_non_nilpotent_summands():
+    # the witness x, y, z + x^3 of a ring that passes the monomial test:
+    # z + x^3 is simple, as z is, but involves the non-nilpotent x
+    pres, alg = build_pres("field 2 / vars x y z / rel x*y / rel x*z / rel y*z"
+                           " / rel z^2 / truncate 4")
+    x, y, z = alg.gens
+    dec = MDecomposition(alg, x, y, (z + x ** 3,))
+    assert pres.splits_untruncated() and verify_m_decomposition(dec)
+    with pytest.raises(WitnessDoesNotLiftError, match="three summands are non-nilpotent"):
+        spec_classify(pres, dec)
+
+
+@pytest.mark.parametrize("text, passes", [
+    ("field 2 / vars x / truncate 2", True),
+    ("field 2 / vars x y / rel x*y / truncate 2", True),
+    ("field 2 / vars x y / rel x^2 / truncate 2", False),
+    ("field 2 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 3", False),
+    ("field 2 / vars x y z / rel x*y / rel x*z / rel y*z / rel z^2 / truncate 3", True),
+    ("field 2 / vars x y z / rel x*y / rel x*z / rel y*z / rel x^2 / rel y^2"
+     " / rel z^2 / truncate 2", True),
+])
+def test_splits_untruncated_counts_the_quadratic_relations(text, passes):
+    assert parse_presentation(text).splits_untruncated() is passes
 
 
 def test_spec_as_dict_schema():
