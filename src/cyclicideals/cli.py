@@ -7,11 +7,14 @@
     cyclicideals oracle FILE                exhaustive census and verdict
     cyclicideals corpus [PATTERN ...]       run the bundled expectations
 
-Exit codes: classify returns 0 yes / 1 no / 3 error; every ring it
-builds is monomial, and a monomial ring is always decided.  The other
-commands return 0 on success, 3 on parse or usage errors, 4 when the
-request is semantically out of reach (no witness, infeasible size,
-improper ideal).  corpus returns 1 if any bundled row deviates.
+Exit codes: classify returns 0 yes / 1 no; every ring it builds is
+monomial, and a monomial ring is always decided.  The other commands
+return 0 on success.  Every command returns 3 on parse or usage errors
+and 4, with "refused:" on stderr, when the request is out of reach (a
+ring past the dimension guard, no witness, infeasible census, improper
+ideal): each limit is raised by the layer that owns it and mapped to
+its exit code only in main.  corpus returns 1 if any bundled row
+deviates.
 
 JSON output (--json) is deterministic: keys sorted, fixed separators.
 """
@@ -110,12 +113,8 @@ def _print_classify(payload) -> None:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        loaded = [_load_ring(path, args.truncate) for path in args.files]
-        pieces = [_classify_one(pres, alg) for pres, alg in loaded]
-    except (UsageError, RefusalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    loaded = [_load_ring(path, args.truncate) for path in args.files]
+    pieces = [_classify_one(pres, alg) for pres, alg in loaded]
     if len(pieces) == 1:
         payload = pieces[0][1]
     else:
@@ -203,12 +202,9 @@ def _cmd_spec(args) -> int:
 
 def _cmd_oracle(args) -> int:
     pres, alg = _load_ring(args.file, args.truncate)
-    try:
-        census = enumerate_ideals(alg, args.max_oracle_dim)
-        complete_census(census, args.max_oracle_dim)
-        verdict = oracle_dsc(alg, args.max_oracle_dim)
-    except InfeasibleSizeError as exc:
-        raise RefusalError(str(exc)) from exc
+    census = enumerate_ideals(alg, args.max_oracle_dim)
+    complete_census(census, args.max_oracle_dim)
+    verdict = oracle_dsc(alg, args.max_oracle_dim)
     histogram = Counter(str(n) for e in census.entries for n in e.lengths)
     payload = {
         "ring": pres_str(pres),
@@ -315,7 +311,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RefusalError, WitnessDoesNotLiftError) as exc:
+    except (RefusalError, InfeasibleSizeError, WitnessDoesNotLiftError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
 

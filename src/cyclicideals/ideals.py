@@ -278,8 +278,8 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
         return cached
     mdim = alg.dim - 1
     if mdim > CYCLIC_TABLE_MAX_DIM:
-        raise InfeasibleSizeError(f"cyclic table infeasible at dim M = {mdim} "
-                                  f"(limit {CYCLIC_TABLE_MAX_DIM})")
+        raise InfeasibleSizeError(f"cyclic table infeasible: dim M = {mdim} exceeds "
+                                  f"the table limit {CYCLIC_TABLE_MAX_DIM}")
     table = alg._cyclic_table = _CyclicTable(alg)
     return table
 

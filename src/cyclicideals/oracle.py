@@ -42,24 +42,16 @@ from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, InfeasibleSizeError,
-                     packed_closure, packed_cyclic_table, packed_first_cover,
-                     packed_socle)
+from .ideals import (Ideal, InfeasibleSizeError, packed_closure,
+                     packed_cyclic_table, packed_first_cover, packed_socle)
 from .rings import Algebra, Element
 from .structure import DscVerdict, InternalContradictionError
 
 
 def _require_feasible(alg: Algebra, max_dim: int) -> None:
-    if alg.p != 2:
-        raise InfeasibleSizeError(f"oracle handles GF(2) only, not GF({alg.p})")
     if alg.dim - 1 > max_dim:
         raise InfeasibleSizeError(
             f"dim M = {alg.dim - 1} exceeds the oracle bound {max_dim}")
-    if alg.dim - 1 > CYCLIC_TABLE_MAX_DIM:
-        # brute_decompose needs the packed cyclic table, and past its
-        # limit the census alone runs for minutes
-        raise InfeasibleSizeError(f"dim M = {alg.dim - 1} exceeds the cyclic "
-                                  f"table limit {CYCLIC_TABLE_MAX_DIM}")
 
 
 @dataclass
@@ -97,6 +89,10 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     reached once per hyperplane of J over MJ, so children are
     deduplicated.  Cached per algebra.
     """
+    # every ideal is decided from the cyclic table, so it refuses odd p
+    # and dim M past its limit here, before a census that would run for
+    # minutes
+    packed_cyclic_table(alg)
     _require_feasible(alg, max_dim)
     cached = getattr(alg, "_census", None)
     if cached is not None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import gf
 
@@ -196,9 +196,9 @@ def read_terms(text: str, names: Sequence[str], line: int = 1, col0: int = 0
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end
 
-    def fail(message: str, k: int):  # token positions are needed only here
+    def error(message: str, k: int) -> RingSyntaxError:  # positions are needed only here
         at = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
-        raise RingSyntaxError(message, line, col0 + at[k] + 1)
+        return RingSyntaxError(message, line, col0 + at[k] + 1)
 
     terms, k = [], 0
     while True:
@@ -212,16 +212,17 @@ def read_terms(text: str, names: Sequence[str], line: int = 1, col0: int = 0
                 exp = 1
                 if tokens[k + 1] == "^":
                     k += 2
-                    exp = int(tokens[k]) if tokens[k].isdecimal() else 0
+                    exp = (_decimal(tokens[k], lambda message: error(message, k))
+                           if tokens[k].isdecimal() else 0)
                     if exp < 1:
-                        fail("exponent must be a positive integer", k)
+                        raise error("exponent must be a positive integer", k)
                 exps[names.index(tok)] += exp
             elif tok.isdecimal():
-                coeff *= int(tok)
+                coeff *= _decimal(tok, lambda message: error(message, k))
             elif _NAME_RE.match(tok):
-                fail(f"unknown variable '{tok}'", k)
+                raise error(f"unknown variable '{tok}'", k)
             else:
-                fail(f"unexpected '{tok}'" if tok else "empty monomial", k)
+                raise error(f"unexpected '{tok}'" if tok else "empty monomial", k)
             k += 1
             if tokens[k] != "*":
                 break
@@ -231,22 +232,34 @@ def read_terms(text: str, names: Sequence[str], line: int = 1, col0: int = 0
         if not tok:
             return terms
         if tok.isdecimal() or _NAME_RE.match(tok):
-            fail("expected '*' between factors", k)
+            raise error("expected '*' between factors", k)
         if tok not in ("+", "-"):
-            fail(f"unexpected '{tok}'", k)
+            raise error(f"unexpected '{tok}'", k)
 
 
-def _integer(rest: str) -> Optional[int]:
-    return int(rest) if rest.isdecimal() else None
+def _decimal(token: str, error: Callable[[str], RingSyntaxError]) -> int:
+    """The value of a decimal token: the one reader of integers in ring
+    text.  int() refuses a string of more digits than
+    sys.get_int_max_str_digits(), and that refusal is raised as
+    error(message), the RingSyntaxError at the token's line and column."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"integer of {len(token)} digits is too long") from None
 
 
-def _names(rest: str) -> Optional[tuple[str, ...]]:
+def _integer(rest: str, error: Callable[[str], RingSyntaxError]) -> Optional[int]:
+    return _decimal(rest, error) if rest.isdecimal() else None
+
+
+def _names(rest: str, error: Callable[[str], RingSyntaxError]) -> Optional[tuple[str, ...]]:
     got = tuple(rest.split())
     return got if got and all(_NAME_RE.fullmatch(n) for n in got) else None
 
 
 # the declarations made at most once: keyword -> (what its argument must
-# be, the reader of its value, which gives None for any other argument)
+# be, the reader of its value, which gives None for any other argument and
+# raises error(message) for an integer too long to read)
 _DECLARATIONS = {"field": ("an integer", _integer), "vars": ("variable names", _names),
                  "truncate": ("an integer", _integer)}
 
@@ -291,7 +304,8 @@ def parse_presentation(text: str, truncate: Optional[int] = None) -> RingPresent
                 if keyword in declared:
                     raise RingSyntaxError(f"duplicate {keyword} declaration", line_no, start_col + 1)
                 expects, read = _DECLARATIONS[keyword]
-                declared[keyword] = value = read(rest)
+                declared[keyword] = value = read(
+                    rest, lambda message: RingSyntaxError(message, line_no, rest_col + 1))
                 if value is None:
                     raise RingSyntaxError(f"{keyword} expects {expects}", line_no, rest_col + 1)
             else:

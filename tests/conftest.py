@@ -29,6 +29,9 @@ TWO_AXES = "field 2 / vars x y / rel x*y / truncate 6"
 # which is GF(2)-only, could not decide it
 GF3_MIXED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
 
+# one digit past the default limit of int() on a string (Python >= 3.10.7)
+LONG = "9" * 4301
+
 # the characters besides \n and \r at which str.splitlines() ends a line;
 # in ring text they are blanks inside a line, as editors count lines
 SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"

@@ -1,12 +1,16 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from cyclicideals import DimensionLimitError, build_algebra, parse_presentation
 from cyclicideals.cli import main
-from conftest import (AXIS_SOCLE, GF3_MIXED, MIXED_PROOF, PAIR_N3,
+from conftest import (AXIS_SOCLE, GF3_MIXED, LONG, MIXED_PROOF, PAIR_N3,
                       SPLITLINES_BREAKS, TRIPLE, TWO_AXES, certificate_note)
 
 INFINITE = "field 2 / vars x y / rel x*y"
@@ -148,6 +152,32 @@ def test_oracle_bound_past_the_cyclic_table_limit(ring_file, capsys):
     _assert_refuted_past_the_table(capsys, narrower)
 
 
+def test_classify_refuses_a_ring_past_the_dimension_guard(ring_file, capsys):
+    # the guard is a refusal, exit 4, as for every other command
+    big = ring_file("field 2 / vars x / truncate 5000", "big.ring")
+    code, out, err = run(capsys, "classify", big)
+    assert (code, out) == (4, "")
+    assert err == f"refused: {big}: dimension exceeds configured limit\n"
+    # in a product, a second factor past the guard refuses the whole
+    code, out, err = run(capsys, "classify", "--json", ring_file(PAIR_N3, "a.ring"), big)
+    assert (code, out) == (4, "")
+    assert err == f"refused: {big}: dimension exceeds configured limit\n"
+
+
+@pytest.mark.parametrize("text,line,column", [
+    (f"field {LONG} / vars x / rel x^2", 1, 7),
+    (f"field 2 / vars x / truncate {LONG}", 3, 10),
+    (f"field 2 / vars x / rel x^{LONG}", 3, 7),
+    (f"field 2 / vars x y / rel {LONG}*x^2", 3, 5),
+], ids=["field", "truncate", "exponent", "coefficient"])
+def test_a_long_integer_in_a_ring_file_is_a_syntax_error(ring_file, capsys, text, line, column):
+    path = ring_file(text)
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (3, "")
+    assert err == (f"error: {path}: line {line}, column {column}: "
+                   "integer of 4301 digits is too long\n")
+
+
 def test_classify_json_is_deterministic(ring_file, capsys):
     path = ring_file(PAIR_N3)
     _, first, _ = run(capsys, "classify", "--json", path)
@@ -232,6 +262,12 @@ def test_decompose_huge_exponent(ring_file, capsys):
                        "x^1000000000")
     assert code == 0
     assert "branch: semisimple" in out
+
+
+def test_decompose_long_exponent_is_a_syntax_error(ring_file, capsys):
+    code, _, err = run(capsys, "decompose", ring_file(PAIR_N3), "--ideal", f"x^{LONG}")
+    assert code == 3
+    assert err.endswith("': line 1, column 3: integer of 4301 digits is too long\n")
 
 
 def test_decompose_truncation_note(ring_file, capsys):
@@ -335,6 +371,16 @@ def test_oracle_refuses_infeasible(ring_file, capsys):
     assert code == 4 and "refused:" in err
 
 
+@pytest.mark.parametrize("bound", ["1", "8", "30"])
+def test_the_cyclic_table_refuses_for_the_oracle_at_any_budget(ring_file, capsys, bound):
+    # odd p and dim M past 20 are the table's limits, which no budget lifts
+    code, _, err = run(capsys, "oracle", ring_file(GF3_MIXED), "--max-oracle-dim", bound)
+    assert (code, err) == (4, "refused: cyclic table handles GF(2) only, not GF(3)\n")
+    code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", bound)
+    assert (code, err) == (4, "refused: cyclic table infeasible: dim M = 22 "
+                              "exceeds the table limit 20\n")
+
+
 # ---------------------------------------------------------------------------
 # corpus
 
@@ -370,6 +416,62 @@ def test_corpus_json(capsys):
     assert code == 0
     assert rows[0]["key"] == "power-series"
     assert rows[0]["census"] == 7 and rows[0]["ok"]
+
+
+# ---------------------------------------------------------------------------
+# no traceback on any ring text
+
+
+# declaration fragments, each slot's well-formed ones and broken ones;
+# long literals and truncations in the millions among them
+_FIELDS = (["field 2", "field 3"], ["field 4", f"field {LONG}", "field x"])
+_VARS = (["vars x", "vars x y", "vars x y z"], ["vars x x", "vars"])
+_RELS = (["rel x^2", "rel x^3", "rel y^2", "rel y^3", "rel z^2", "rel x*y", "rel x*z",
+          "rel y*z", "rel x*y^2", "rel x^1000000"],
+         ["rel x^0", "rel 2*x^2", "rel w", f"rel x^{LONG}", f"rel {LONG}*x^2"])
+_TRUNCATIONS = (["", "truncate 4", "truncate 6", "truncate 2000000"],
+                ["truncate 1", f"truncate {LONG}"])
+_STRAYS = (["", "# note"], ["ideal x", "field 3", "vars y"])
+
+
+@st.composite
+def _ring_texts(draw):
+    """A field, vars, up to four rels over the declared variables, a
+    truncation and a stray fragment anywhere, with at most one of those
+    five slots broken, in about one text in three."""
+    slots = (_FIELDS, _VARS, _RELS, _TRUNCATIONS, _STRAYS)
+    k = draw(st.integers(0, 3 * len(slots) - 1))
+    broken = slots[k] if k < len(slots) else None
+
+    def pick(slot, keep=lambda fragment: True):
+        good, bad = slot
+        return draw(st.sampled_from(bad if slot is broken else [f for f in good if keep(f)]))
+
+    decls = [pick(_FIELDS), pick(_VARS)]
+    names = set(decls[1].split()[1:]) or set("xyz")
+    decls += [pick(_RELS, lambda rel: set(rel[4:]) & set("xyz") <= names)
+              for _ in range(draw(st.integers(0, 4)))]
+    decls.append(pick(_TRUNCATIONS))
+    decls.insert(draw(st.integers(0, len(decls))), pick(_STRAYS))
+    return draw(st.sampled_from(["\n", " / "])).join(decls)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ring_texts(), st.sampled_from(["x", "x + y", "y^2", "1 + x", "q", f"x^{LONG}"]))
+def test_no_ring_text_leaks_a_traceback(tmp_path_factory, text, ideal):
+    try:
+        dim = build_algebra(parse_presentation(text)).dim
+    except (ValueError, DimensionLimitError):  # syntax and presentation errors
+        dim = 0
+    assume(dim < 100)  # larger rings below the dimension guard may take seconds
+    path = tmp_path_factory.mktemp("fuzz") / "r.ring"
+    path.write_text(text + "\n")
+    for argv in (["classify"], ["spec"], ["oracle"], ["decompose", "--ideal", ideal]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 3, 4), (argv, text)
+        assert code != 4 or err.getvalue().startswith("refused: "), (argv, text)
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,29 @@ def test_oracle_stops_at_the_cyclic_table_limit():
     assert getattr(alg, "_cyclic_table", None) is None
 
 
+@pytest.mark.parametrize("max_dim", [1, 8, 30])
+def test_the_cyclic_table_refuses_for_the_census_at_any_budget(max_dim):
+    # odd p and dim M past 20 are the table's limits, read before the budget
+    with pytest.raises(InfeasibleSizeError,
+                       match=r"^cyclic table handles GF\(2\) only, not GF\(3\)$"):
+        enumerate_ideals(build(GF3_MIXED), max_dim)
+    wide = build("field 2 / vars x / truncate 23")  # dim M = 22
+    with pytest.raises(InfeasibleSizeError, match="^cyclic table infeasible: dim M = 22 "
+                                                  "exceeds the table limit 20$"):
+        enumerate_ideals(wide, max_dim)
+
+
+def test_an_ideal_of_odd_p_is_refused_where_its_cover_reads_the_table():
+    # packed_first_cover reads the table for a proper ideal, _closures for R
+    alg = build(GF3_MIXED)
+    for i in (maximal_ideal(alg), unit_ideal(alg)):
+        for run in (brute_decompose, decomposition_lengths):
+            with pytest.raises(InfeasibleSizeError,
+                               match=r"^cyclic table handles GF\(2\) only, not GF\(3\)$"):
+                run(alg, i, 30)
+    assert getattr(alg, "_covers", {}) == {}
+
+
 # ---------------------------------------------------------------------------
 # the three-summand obstruction
 

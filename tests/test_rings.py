@@ -16,7 +16,7 @@ from cyclicideals import rings
 from cyclicideals.rings import mono_str
 import reference_kernels
 from reference_kernels import NotExpressibleError, power_form
-from conftest import (AXIS_SOCLE, PAIR_N3, POWER_SERIES, SPLITLINES_BREAKS,
+from conftest import (AXIS_SOCLE, LONG, PAIR_N3, POWER_SERIES, SPLITLINES_BREAKS,
                       TWO_AXES, build, build_pres, presentations)
 
 
@@ -92,6 +92,18 @@ def test_declared_integers_are_decimal(text, column, fragment):
     with pytest.raises(RingSyntaxError, match=fragment) as info:
         parse_presentation(text)
     assert info.value.column == column
+
+
+@pytest.mark.parametrize("text,column", [
+    (f"field {LONG} / vars x / rel x^2", 7),
+    (f"field 2 / vars x / truncate {LONG}", 29),
+    (f"field 2 / vars x / rel x^{LONG}", 26),
+    (f"field 2 / vars x y / rel {LONG}*x^2", 26),
+], ids=["field", "truncate", "exponent", "coefficient"])
+def test_a_long_integer_is_a_syntax_error_at_its_column(text, column):
+    with pytest.raises(RingSyntaxError) as info:
+        parse_presentation(text)
+    assert str(info.value) == f"line 1, column {column}: integer of 4301 digits is too long"
 
 
 @pytest.mark.parametrize("text", ["field 2 / vars x y / rel x^2 + y^2",
@@ -416,6 +428,14 @@ def test_parse_element_error_columns(text, column, fragment):
     with pytest.raises(RingSyntaxError, match=fragment) as info:
         parse_element(build(PAIR_N3), text)
     assert (info.value.line, info.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text,column", [(f"x + y^{LONG}", 7), (f"x - {LONG}*y", 5)],
+                         ids=["exponent", "coefficient"])
+def test_parse_element_reads_long_integers_as_syntax_errors(text, column):
+    with pytest.raises(RingSyntaxError) as info:
+        parse_element(build(PAIR_N3), text)
+    assert str(info.value) == f"line 1, column {column}: integer of 4301 digits is too long"
 
 
 @st.composite
