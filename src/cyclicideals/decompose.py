@@ -138,7 +138,7 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     g = dec.x if which == "x" else dec.y
     if g is None:
         raise ValueError("no such exponent")
-    f, cols, basis = alg.field, alg.columns(g), i.space.basis
+    f, cols, basis = alg.field, alg.columns(g), i.space.echelon
     split = gf.splitter([dec.simple_span, i.space])
     gn = alg.unit().vec
     for n in range(1, alg.dim + 1):
@@ -167,7 +167,7 @@ def _trusted(alg, pres, gens, exps) -> bool:
 def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
     """The first basis row of i outside avoid."""
     for r in i.space.basis:
-        if avoid.field.reduce(r, avoid.basis):
+        if avoid.field.reduce(r, avoid.echelon):
             return Element.packed(alg, r)
     return None
 

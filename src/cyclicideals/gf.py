@@ -24,27 +24,59 @@ field of v * m spills into the next one.
 
 A row's pivot is its lowest nonzero field, read off its lowest set bit.
 Basis rows are monic at their pivots, so their lowest set bits sort
-them by pivot.  Every row operation runs in one kernel pair per field:
-gf2_reduce / gf2_place for p == 2 and PackedField.reduce / .place
-otherwise, insert being reduce followed by place.  Intersections,
-kernels and solves eliminate block rows [left | right] on them, the
-right block in the fields above the left one: shifted by n W for a left
-block n coordinates wide.
+them by pivot.  A basis that is reduced against or grown is an Echelon:
+its rows, a pivot mask with each row's lowest set bit, and the union of
+the rows.  Every row of a reduced echelon basis is zero at every other
+pivot, so reducing v costs one row operation per pivot where v is
+nonzero, the fields of v & mask * (2^W - 1); the row for a pivot is
+found by counting the mask bits below it, and the rows v misses are
+never visited.  Placing a reduced v rewrites only rows pivoted below
+it, and none at all when the union is zero at v's pivot.  Every row
+operation runs in one kernel pair per field: gf2_reduce / gf2_place for
+p == 2 and PackedField.reduce / .place otherwise, insert being reduce
+followed by place.  Intersections, kernels and solves eliminate block
+rows [left | right] on them, the right block in the fields above the
+left one: shifted by n W for a left block n coordinates wide.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Vec = tuple[int, ...]
 
 
-def _lowest(r: int) -> int:
-    return r & -r
+# ---------------------------------------------------------------------------
+# echelon bases
+
+
+class Echelon:
+    """A reduced echelon basis of packed rows, grown in place by insert.
+
+    `rows` are sorted by pivot, so tuple(rows) is the canonical basis.
+    `mask` holds each row's pivot bit, its lowest set bit (bit jW for
+    pivot j), so the row for pivot bit b is rows[(mask & (b - 1)).bit_count()].
+    `union` is nonzero in field j exactly when some row is, the OR of the
+    rows for p == 2.  Building one costs one pass over its rows, none for
+    an empty basis.
+    """
+
+    __slots__ = ("rows", "mask", "union")
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.rows = rows = list(rows)
+        mask = union = 0
+        for r in rows:
+            mask |= r & -r
+            union |= r
+        self.mask, self.union = mask, union
+
+    def copy(self) -> "Echelon":
+        e = Echelon.__new__(Echelon)
+        e.rows, e.mask, e.union = self.rows[:], self.mask, self.union
+        return e
 
 
 # ---------------------------------------------------------------------------
@@ -69,31 +101,40 @@ def unpack_vec(m: int, n: int) -> Vec:
     return tuple(format(m, f"0{n}b")[::-1][:n].encode().translate(_DIGITS))
 
 
-def gf2_reduce(v: int, rows: Sequence[int]) -> int:
-    """Reduce v against rows in reduced echelon form (pivot = lowest bit)."""
-    for r in rows:
-        if v & (r & -r):
-            v ^= r
+def gf2_reduce(v: int, e: Echelon) -> int:
+    """Reduce v against the echelon basis: one xor per pivot v hits, as
+    each row is zero at every other pivot."""
+    mask, rows = e.mask, e.rows
+    hit = v & mask
+    while hit:
+        b = hit & -hit
+        v ^= rows[(mask & (b - 1)).bit_count()]
+        hit ^= b
     return v
 
 
-def gf2_place(rows: list[int], v: int) -> None:
-    """Add v, nonzero and reduced against the echelon rows, to them."""
+def gf2_place(e: Echelon, v: int) -> None:
+    """Add v, nonzero and reduced against the echelon basis, to it."""
     piv = v & -v
-    # only rows pivoted below v can have v's pivot bit
-    at = bisect_left(rows, piv, key=_lowest)
-    for i in range(at):
-        if rows[i] & piv:
-            rows[i] ^= v
+    rows = e.rows
+    at = (e.mask & (piv - 1)).bit_count()
+    # only rows pivoted below v can have v's pivot bit, and none has it
+    # unless the union does
+    if e.union & piv:
+        for i in range(at):
+            if rows[i] & piv:
+                rows[i] ^= v
     rows.insert(at, v)
+    e.mask |= piv
+    e.union |= v  # a bit a row loses to v is a bit of v
 
 
-def gf2_insert(rows: list[int], v: int) -> bool:
-    """Insert v into a reduced echelon basis in place; False if dependent."""
-    v = gf2_reduce(v, rows)
+def gf2_insert(e: Echelon, v: int) -> bool:
+    """Insert v into the echelon basis in place; False if dependent."""
+    v = gf2_reduce(v, e)
     if v == 0:
         return False
-    gf2_place(rows, v)
+    gf2_place(e, v)
     return True
 
 
@@ -114,19 +155,20 @@ def gf2_apply(masks: Sequence[int], v: int) -> int:
 class _Rows:
     """insert and rref on a field's reduce and place."""
 
-    def insert(self, rows: list[int], v: int) -> bool:
-        """Insert v into a reduced echelon basis in place; False if dependent."""
-        v = self.reduce(v, rows)
+    def insert(self, e: Echelon, v: int) -> bool:
+        """Insert v into the echelon basis in place; False if dependent."""
+        v = self.reduce(v, e)
         if not v:
             return False
-        self.place(rows, v)
+        self.place(e, v)
         return True
 
     def rref(self, vectors: Iterable[int]) -> list[int]:
-        rows: list[int] = []
+        """The rows of the reduced echelon basis of the span of vectors."""
+        e = Echelon()
         for v in vectors:
-            self.insert(rows, v)
-        return rows
+            self.insert(e, v)
+        return e.rows
 
 
 class _GF2(_Rows):
@@ -140,14 +182,14 @@ class _GF2(_Rows):
     def unpack(self, x: int, n: int) -> Vec:
         return unpack_vec(x, n)
 
-    def reduce(self, v: int, rows: Sequence[int]) -> int:
-        return gf2_reduce(v, rows)
+    def reduce(self, v: int, e: Echelon) -> int:
+        return gf2_reduce(v, e)
 
-    def place(self, rows: list[int], v: int) -> None:
-        gf2_place(rows, v)
+    def place(self, e: Echelon, v: int) -> None:
+        gf2_place(e, v)
 
-    def insert(self, rows: list[int], v: int) -> bool:
-        return gf2_insert(rows, v)
+    def insert(self, e: Echelon, v: int) -> bool:
+        return gf2_insert(e, v)
 
     def apply(self, masks: Sequence[int], v: int) -> int:
         return gf2_apply(masks, v)
@@ -192,34 +234,41 @@ class PackedField(_Rows):
         w, one = self.w, self.one
         return tuple([x >> (w * j) & one for j in range(n)])
 
-    def reduce(self, v: int, rows: Sequence[int]) -> int:
-        """Reduce v against rows in reduced echelon form."""
-        if not v:
-            return v
-        p, one, mod = self.p, self.one, self.mod
-        # v is zero at the pivots below its lowest nonzero field
-        start = bisect_left(rows, (v & -v) >> (self.w - 1), key=_lowest)
-        for r in islice(rows, start, None):
-            c = v >> ((r & -r).bit_length() - 1) & one
-            if c:
-                v = mod(v + (p - c) * r)
+    def reduce(self, v: int, e: Echelon) -> int:
+        """Reduce v against the echelon basis: one row operation per
+        pivot field where v is nonzero, as each row is zero at every
+        other pivot."""
+        mask, rows = e.mask, e.rows
+        hit = v & mask * self.one  # v's pivot fields
+        p, w, mod, n = self.p, self.w, self.mod, len(rows)
+        while hit:  # top field first, so c needs no mask
+            sh = hit.bit_length() - 1
+            sh -= sh % w
+            c = hit >> sh
+            hit ^= c << sh
+            v = mod(v + (p - c) * rows[n - (mask >> sh).bit_count()])
         return v
 
-    def place(self, rows: list[int], v: int) -> None:
-        """Add v, nonzero and reduced against the echelon rows, to them."""
-        p, one, mod = self.p, self.one, self.mod
+    def place(self, e: Echelon, v: int) -> None:
+        """Add v, nonzero and reduced against the echelon basis, to it."""
+        p, one, mod, rows = self.p, self.one, self.mod, e.rows
         sh = (v & -v).bit_length() - 1
         sh -= sh % self.w
         c = v >> sh & one
         if c != 1:
             v = mod(pow(c, -1, p) * v)
-        # only rows pivoted below v can be nonzero at v's pivot
-        at = bisect_left(rows, 1 << sh, key=_lowest)
-        for i in range(at):
-            c = rows[i] >> sh & one
-            if c:
-                rows[i] = mod(rows[i] + (p - c) * v)
+        piv = 1 << sh
+        at = (e.mask & (piv - 1)).bit_count()
+        # only rows pivoted below v can be nonzero at v's pivot, and none
+        # is unless the union is
+        if e.union >> sh & one:
+            for i in range(at):
+                c = rows[i] >> sh & one
+                if c:
+                    rows[i] = mod(rows[i] + (p - c) * v)
         rows.insert(at, v)
+        e.mask |= piv
+        e.union |= v  # a field a row loses to v is nonzero in v
 
     def apply(self, masks: Sequence[int], v: int) -> int:
         """Image of v under the linear map whose column j is masks[j];
@@ -288,6 +337,12 @@ class Subspace:
         return packed_field(self.p)
 
     @cached_property
+    def echelon(self) -> Echelon:
+        """The basis as an Echelon to reduce against; shared, so copy it
+        before inserting."""
+        return Echelon(self.basis)
+
+    @cached_property
     def rows(self) -> tuple[Vec, ...]:
         f = self.field
         return tuple(f.unpack(r, self.ambient) for r in self.basis)
@@ -303,15 +358,15 @@ class Subspace:
 
     def reduce(self, v: Sequence[int]) -> Vec:
         f = self.field
-        return f.unpack(f.reduce(f.pack(v), self.basis), self.ambient)
+        return f.unpack(f.reduce(f.pack(v), self.echelon), self.ambient)
 
     def contains(self, v: Sequence[int]) -> bool:
         f = self.field
-        return not f.reduce(f.pack(v), self.basis)
+        return not f.reduce(f.pack(v), self.echelon)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        f = self.field
-        return not any(f.reduce(r, self.basis) for r in other.basis)
+        f, e = self.field, self.echelon
+        return not any(f.reduce(r, e) for r in other.basis)
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -322,10 +377,10 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
     f = a.field
-    basis = list(a.basis)
+    basis = a.echelon.copy()
     for r in b.basis:
         f.insert(basis, r)
-    return Subspace(a.p, a.ambient, basis)
+    return Subspace(a.p, a.ambient, basis.rows)
 
 
 def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subspace]:
@@ -389,7 +444,7 @@ def splitter(parts: Sequence[Subspace]) -> Callable[[int], Optional[list[int]]]:
     f = parts[0].field
     shift = parts[0].ambient * f.w
     mask = (1 << shift) - 1
-    basis: list[int] = []
+    basis = Echelon()
     for i, s in enumerate(parts):
         for r in s.basis:
             r = f.reduce(r | r << shift * (i + 1), basis)

@@ -42,10 +42,10 @@ class Ideal:
         alg, space = self.algebra, self.space
         if space.dim < alg.dim and 0 in space.pivots:
             raise ValueError("proper ideal with a unit coordinate")
-        f = space.field
+        f, e = space.field, space.echelon
         images = (f.apply(masks, r) for masks in alg.action_masks()
                   for r in space.basis)
-        if any(f.reduce(v, space.basis) for v in images):
+        if any(f.reduce(v, e) for v in images):
             raise ValueError("subspace is not closed under the algebra action")
 
     @property
@@ -65,7 +65,7 @@ class Ideal:
 
     def contains(self, z: Element) -> bool:
         self._require_same(z)
-        return not self.space.field.reduce(z.vec, self.space.basis)
+        return not self.space.field.reduce(z.vec, self.space.echelon)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -120,13 +120,13 @@ def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> l
     """Packed RREF of the smallest ideal containing span(rows) and the
     seed vectors; rows must already be in packed reduced echelon form."""
     f, actions = gf.packed_field(alg.p), alg.action_masks()
-    basis = list(rows)
+    basis = gf.Echelon(rows)
     queue = list(seeds)
     while queue:
         v = queue.pop()
         if f.insert(basis, v):
             queue.extend(f.apply(masks, v) for masks in actions)
-    return basis
+    return basis.rows
 
 
 def packed_socle(alg: Algebra, rows: Sequence[int]) -> list[int]:
@@ -141,13 +141,13 @@ def packed_socle(alg: Algebra, rows: Sequence[int]) -> list[int]:
     f, actions = alg.field, alg.action_masks()
     n = alg.dim
     width = n * len(actions)
-    pivots = {r & -r for r in rows}  # pivot fields are monic
+    e = gf.Echelon(rows)
     block = []
     for k in range(1, n):
-        if 1 << k * f.w not in pivots:
+        if not e.mask >> k * f.w & 1:
             images = 0
             for j, masks in enumerate(actions):
-                images |= f.reduce(masks[k], rows) << (n * j * f.w)
+                images |= f.reduce(masks[k], e) << (n * j * f.w)
             block.append(images | 1 << (width + k) * f.w)
     return gf.vanishing_block(alg.p, width, block)
 
@@ -312,7 +312,8 @@ def packed_first_cover(alg: Algebra, rows: Sequence[int]
     """
     table = packed_cyclic_table(alg)
     mi = _packed_times_m(alg, rows)
-    classes = [gf.gf2_reduce(r, mi) for r in rows]
+    mi_basis = gf.Echelon(mi)
+    classes = [gf.gf2_reduce(r, mi_basis) for r in rows]
     lightest: dict[int, tuple[int, int, int, int]] = {}
     mask = v = cls = 0
     for s in range(1, 1 << len(rows)):
@@ -326,9 +327,9 @@ def packed_first_cover(alg: Algebra, rows: Sequence[int]
                 lightest[cls] = lift
     heap = list(lightest.values())
     heapq.heapify(heap)  # cheaper than sorting every class
-    basis: list[int] = []
+    basis = gf.Echelon()
     chosen = []
-    while len(basis) < len(rows) - len(mi):
+    while len(basis.rows) < len(rows) - len(mi):
         lift = heapq.heappop(heap)
         if gf.gf2_insert(basis, lift[3]):
             chosen.append(lift)

@@ -85,9 +85,10 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
 
     Breadth-first, one dimension per step: the children of I are the
     I + span(v) for the nonzero v of the socle of R/I (see the module
-    docstring), each I's echelon basis with v inserted.  An ideal J is
-    reached once per hyperplane of J over MJ, so children are
-    deduplicated.  Cached per algebra.
+    docstring), each I's echelon basis with v placed: v is zero at every
+    pivot of I, so there is nothing to reduce.  An ideal J is reached
+    once per hyperplane of J over MJ, so children are deduplicated.
+    Cached per algebra.
     """
     # every ideal is decided from the cyclic table, so it refuses odd p
     # and dim M past its limit here, before a census that would run for
@@ -105,10 +106,11 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
             lines = [0]
             for s in packed_socle(alg, rows):
                 lines += [v ^ s for v in lines]
+            base = gf.Echelon(rows)
             for v in lines[1:]:
-                grown = list(rows)
-                gf.gf2_insert(grown, v)
-                grown = tuple(grown)
+                grown = base.copy()
+                gf.gf2_place(grown, v)
+                grown = tuple(grown.rows)
                 if grown not in seen:
                     seen.add(grown)
                     nxt.append(grown)

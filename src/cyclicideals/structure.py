@@ -280,8 +280,8 @@ def rank_certificate(alg: Algebra, u: Element, v: Element) -> bool:
     It is a sufficient test for that, not a decider.  M*J^2 is M times
     the ideal the three products generate."""
     products = [u * u, u * v, v * v]
-    rows = list(module_times_ideal(alg, ideal_from_generators(alg, products)).space.basis)
-    return all([alg.field.insert(rows, w.vec) for w in products])
+    basis = gf.Echelon(module_times_ideal(alg, ideal_from_generators(alg, products)).space.basis)
+    return all([alg.field.insert(basis, w.vec) for w in products])
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class QuotientAlgebra(Algebra):
         """The packed row v of R reduced modulo I, read off the non-pivot
         coordinates: its image in R/I."""
         f = self.field
-        red = f.reduce(v, self.ideal.space.basis)
+        red = f.reduce(v, self.ideal.space.echelon)
         return sum((red >> j * f.w & f.one) << k * f.w for k, j in enumerate(self.nonpivot))
 
     def lift_vec(self, v: int) -> int:

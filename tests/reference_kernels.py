@@ -224,7 +224,8 @@ def reference_first_cover(alg, rows):
 
     table = packed_cyclic_table(alg)
     mi = _packed_times_m(alg, rows)
-    classes = [gf.gf2_reduce(r, mi) for r in rows]
+    mi_basis = gf.Echelon(mi)
+    classes = [gf.gf2_reduce(r, mi_basis) for r in rows]
     firsts: dict[tuple[int, ...], tuple[int, int]] = {}
     mask = v = cls = 0
     for s in range(1, 1 << len(rows)):
@@ -241,23 +242,23 @@ def reference_first_cover(alg, rows):
     depth = len(mi) - len(_packed_times_m(alg, mi))
     target = len(rows)
 
-    def search(start: int, heads: list[int], span: list[int], chosen: list[int]):
-        work = list(span)
+    def search(start: int, heads, span, chosen: list[int]):
+        work = span.copy()
         simples = [r for r in soc if gf.gf2_insert(work, r)]
-        if len(work) == target:
+        if len(work.rows) == target:
             return chosen, simples
         if len(chosen) < depth:
             for idx in range(start, len(cands)):
                 _, v, cyc = cands[idx]
-                grown, merged = list(heads), list(span)
-                if (len(span) + len(cyc) <= target and gf.gf2_insert(grown, v)
+                grown, merged = heads.copy(), span.copy()
+                if (len(span.rows) + len(cyc) <= target and gf.gf2_insert(grown, v)
                         and all(gf.gf2_insert(merged, r) for r in cyc)):
                     found = search(idx + 1, grown, merged, chosen + [v])
                     if found is not None:
                         return found
         return None
 
-    return search(0, list(mi), [], [])
+    return search(0, gf.Echelon(mi), gf.Echelon(), [])
 
 
 def parse_element(alg, text):
@@ -337,7 +338,7 @@ def solve_packed(p, n, rows, target):
 
     f = gf.packed_field(p)
     mask = (1 << n * f.w) - 1
-    basis = []  # the rows [rows_i | e_i], eliminated
+    basis = gf.Echelon()  # the rows [rows_i | e_i], eliminated
     for i, r in enumerate(rows):
         r = f.reduce(r | 1 << (n + i) * f.w, basis)
         if r & mask:
@@ -360,6 +361,7 @@ def power_form(alg, x, z):
     Column k of mult_map(x^n) is e_k * x^n, so it is mult_map(x) applied
     to column k of mult_map(x^(n-1)).
     """
+    from cyclicideals import gf
     from cyclicideals.rings import Element
 
     if z.is_zero():
@@ -367,7 +369,7 @@ def power_form(alg, x, z):
     p, dim, f = alg.p, alg.dim, alg.field
     cols = alg.mult_map(x)
     target = z.vec
-    if f.reduce(target, f.rref(cols)):
+    if f.reduce(target, gf.Echelon(f.rref(cols))):
         raise NotExpressibleError("not expressible")  # z is outside Rx
     rows = cols
     for n in range(1, dim + 1):

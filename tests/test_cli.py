@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cyclicideals
 from cyclicideals import DimensionLimitError, build_algebra, parse_presentation
 from cyclicideals.cli import main
 from conftest import (AXIS_SOCLE, GF3_MIXED, LONG, MIXED_PROOF, PAIR_N3,
@@ -162,6 +167,23 @@ def test_classify_refuses_a_ring_past_the_dimension_guard(ring_file, capsys):
     code, out, err = run(capsys, "classify", "--json", ring_file(PAIR_N3, "a.ring"), big)
     assert (code, out) == (4, "")
     assert err == f"refused: {big}: dimension exceeds configured limit\n"
+
+
+@pytest.mark.parametrize("text,codes", [
+    # dim 4093: three axes, no witness, so classify says no and spec refuses
+    ("field 2 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 1365", (1, 4)),
+    # dim 4095: two axes, a witness, and a spectrum
+    ("field 2 / vars x y / rel x*y / truncate 2048", (0, 0)),
+], ids=["three-axes-dim-4093", "two-axes-dim-4095"])
+def test_rings_just_under_the_dimension_guard_finish_in_seconds(ring_file, text, codes):
+    # a fresh interpreter per command, as a user runs it; a ring under
+    # the guard must not stall for seconds (ROADMAP aim 3)
+    path = ring_file(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclicideals.__file__).parents[1]))
+    for command, code in zip(("classify", "spec"), codes):
+        done = subprocess.run([sys.executable, "-m", "cyclicideals.cli", command, path],
+                              capture_output=True, env=env, timeout=5)
+        assert done.returncode == code, done.stderr
 
 
 @pytest.mark.parametrize("text,line,column", [

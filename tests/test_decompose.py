@@ -183,7 +183,8 @@ def _every_ideal(alg):
         grown_all = []
         for rows in frontier:
             pivots = {((r & -r).bit_length() - 1) // f.w for r in rows}
-            block = [sum(f.reduce(masks[k], rows) << j * n * f.w
+            echelon = gf.Echelon(rows)
+            block = [sum(f.reduce(masks[k], echelon) << j * n * f.w
                          for j, masks in enumerate(actions)) | 1 << (width + k) * f.w
                      for k in range(1, n) if k not in pivots]
             soc = gf.vanishing_block(alg.p, width, block)
@@ -192,11 +193,11 @@ def _every_ideal(alg):
                     v = top
                     for c, r in zip(cs, soc):
                         v = f.addmul(v, c, r)
-                    grown = list(rows)
+                    grown = gf.Echelon(rows)
                     f.insert(grown, v)
-                    if tuple(grown) not in seen:
-                        seen.add(tuple(grown))
-                        grown_all.append(tuple(grown))
+                    if tuple(grown.rows) not in seen:
+                        seen.add(tuple(grown.rows))
+                        grown_all.append(tuple(grown.rows))
         frontier = grown_all
     return seen
 

@@ -9,7 +9,7 @@ spaces are gf.left_kernel of the transpose.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclicideals import gf
 import reference_kernels
@@ -170,11 +170,85 @@ def test_packed_matches_generic_gf2():
 
 
 def test_gf2_insert_reports_dependence():
-    rows = []
+    rows = gf.Echelon()
     assert gf.gf2_insert(rows, 0b011)
     assert gf.gf2_insert(rows, 0b110)
     assert not gf.gf2_insert(rows, 0b101)  # xor of the first two
     assert not gf.gf2_insert(rows, 0)
+
+
+@st.composite
+def echelon_runs(draw):
+    """A prime, a width and a run of steps on one growing basis: ("insert",
+    v), ("reduce", v) or ("rewrite", pick, tail).  The run opens with a
+    vector of two nonzero coordinates and a rewrite, so every run has an
+    insert whose place must change an earlier row."""
+    p = draw(st.sampled_from([2, 3, 5, 2 ** 31 - 1]))
+    n = draw(st.integers(2, 24))
+    coeff = st.integers(0, p - 1)
+    vec = st.lists(coeff, min_size=n, max_size=n)
+    a = draw(st.integers(0, n - 2))
+    b = draw(st.integers(a + 1, n - 1))
+    first = [0] * n
+    first[a], first[b] = draw(st.integers(1, p - 1)), draw(st.integers(1, p - 1))
+    step = st.one_of(st.tuples(st.just("insert"), vec), st.tuples(st.just("reduce"), vec),
+                     st.tuples(st.just("rewrite"), st.integers(0, 10 ** 6), vec))
+    steps = draw(st.lists(step, max_size=3 * n))
+    return p, n, [("insert", first), ("rewrite", 0, [0] * n)] + steps
+
+
+def _check_echelon(e, basis, f, n):
+    """e holds the reference basis, its pivot mask and a union nonzero in
+    exactly the fields where some row is."""
+    assert [f.unpack(r, n) for r in e.rows] == [row for _, row in basis]
+    assert e.mask == sum(1 << piv * f.w for piv, _ in basis)
+    assert [e.union >> j * f.w & f.one != 0 for j in range(n)] == \
+        [any(row[j] for _, row in basis) for j in range(n)]
+    if f.p == 2:
+        assert e.union == sum(1 << j for j in range(n) if any(row[j] for _, row in basis))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(echelon_runs())
+def test_echelon_kernels_match_the_reference_on_a_growing_basis(run):
+    p, n, steps = run
+    f = gf.packed_field(p)
+    e, basis = gf.Echelon(), []
+    rewrites = 0
+    for kind, *args in steps:
+        if kind == "reduce":
+            v = args[0]
+            want = reference_kernels.reduce_rows(reference_kernels.normalize(v, p), basis, p)
+            assert f.unpack(f.reduce(f.pack(v), e), n) == want
+            continue
+        if kind == "rewrite":
+            # a vector pivoted at a non-pivot column where an earlier row
+            # is nonzero: placing it must rewrite that row
+            pick, tail = args
+            pivots = {piv for piv, _ in basis}
+            spots = [j for piv, row in basis for j in range(piv + 1, n)
+                     if row[j] and j not in pivots]
+            if not spots:
+                continue
+            j = spots[pick % len(spots)]
+            v = [0] * j + [1] + list(tail[j + 1:])
+            before = list(basis)
+        else:
+            v, before = args[0], None
+        want = reference_kernels.insert_row(basis, reference_kernels.normalize(v, p), p)
+        assert f.insert(e, f.pack(v)) == want
+        if before is not None:
+            now = dict(basis)
+            rewritten = [piv for piv, old in before if old[j]]
+            assert want and rewritten and all(now[piv][j] == 0 for piv in rewritten)
+            rewrites += 1
+        _check_echelon(e, basis, f, n)
+    assert rewrites >= 1
+    # a copy grows apart from the basis it was taken from
+    grown = e.copy()
+    f.insert(grown, f.pack([1] * n))
+    _check_echelon(e, basis, f, n)
+    assert gf.Echelon(e.rows).mask == e.mask
 
 
 @given(st.integers(min_value=0, max_value=2 ** 12 - 1), st.integers(min_value=12, max_value=16))

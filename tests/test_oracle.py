@@ -378,9 +378,10 @@ def _reference_covers(cands, target, start=0, rows=(), dim=0):
         v, crows = cands[idx]
         if dim + len(crows) > target:
             continue
-        merged = list(rows)
+        merged = gf.Echelon(rows)
         if all(gf.gf2_insert(merged, r) for r in crows):
-            for rest in _reference_covers(cands, target, idx + 1, merged, dim + len(crows)):
+            for rest in _reference_covers(cands, target, idx + 1, merged.rows,
+                                          dim + len(crows)):
                 yield [v] + rest
 
 

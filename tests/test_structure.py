@@ -294,7 +294,7 @@ def _reference_fallback(alg) -> Optional[MDecomposition]:
     soc = packed_socle(alg, ())
 
     def complete(rows, dim):
-        work = list(rows)
+        work = gf.Echelon(rows)
         added = []
         for r in soc:
             if gf.gf2_reduce(r, work):
@@ -328,10 +328,10 @@ def _reference_fallback(alg) -> Optional[MDecomposition]:
         for w in vectors[i + 1:]:
             if dv + dims[w] > mdim:
                 continue
-            merged = list(table[v])
+            merged = gf.Echelon(table[v])
             if not all(gf.gf2_insert(merged, r) for r in table[w]):
                 continue
-            added = complete(merged, dv + dims[w])
+            added = complete(merged.rows, dv + dims[w])
             if added is not None:
                 return build([v, w], added)
     return None
@@ -448,7 +448,7 @@ def test_fallback_closes_no_vector_of_m_squared(found):
     # find_m_decomposition refutes the monomial ring by x*y != 0 before
     # any search, so run the search itself
     assert (structure.m_cover(alg, None, 20) is not None) == found
-    msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
+    msq = module_times_ideal(alg, maximal_ideal(alg)).space.echelon
     closed = [v for v in packed_cyclic_table(alg) if v]
     assert closed and all(gf.gf2_reduce(v, msq) for v in closed)
 
