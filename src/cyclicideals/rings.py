@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import gf
@@ -431,8 +432,9 @@ class Algebra:
     def el_str(self, vec: int) -> str:
         raise NotImplementedError
 
-    @property
+    @cached_property
     def field(self) -> gf.Field:
+        """The packed layout and kernels of GF(p), looked up once."""
         return gf.packed_field(self.p)
 
     def element(self, coeffs: Sequence[int]) -> Element:

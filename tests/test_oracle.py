@@ -31,6 +31,7 @@ from cyclicideals import (Ideal, InfeasibleSizeError, InternalContradictionError
                           oracle, oracle_dsc, parse_element,
                           three_summand_counterexample, unit_ideal,
                           verify_decomposition, zero_ideal)
+from cyclicideals import ideals
 from cyclicideals.ideals import packed_closure, packed_cyclic_table, packed_first_cover
 from cyclicideals.rings import RingPresentation, build_algebra
 import reference_kernels
@@ -214,37 +215,39 @@ def test_census_lengths_stay_under_witness_bound(pair_n3):
 
 def test_census_builds_each_decomposition_once(monkeypatch):
     # the oracle command completes the census, then asks oracle_dsc: both
-    # read the cached covers, searched once per proper ideal, and build no
-    # CyclicDecomposition; brute_decompose builds each one once, on demand
+    # read the cached covers, picked once per proper ideal on the lattice,
+    # and build no CyclicDecomposition; brute_decompose builds each one
+    # once, on demand, and never asks the lattice
     alg = build(PAIR_N3)
-    searched, built = Counter(), Counter()
-    search, build_dec = oracle.packed_first_cover, oracle.build_decomposition
+    picked, built = Counter(), Counter()
+    pick, build_dec = oracle._pick_cover, oracle.build_decomposition
 
-    def counting_search(alg, rows):
-        searched[tuple(rows)] += 1
-        return search(alg, rows)
+    def counting_pick(lattice, k):
+        picked[lattice.keys[k]] += 1
+        return pick(lattice, k)
 
     def counting_build(alg, i, gens, branch, **knobs):
         built[i.space.basis] += 1
         return build_dec(alg, i, gens, branch, **knobs)
 
-    monkeypatch.setattr(oracle, "packed_first_cover", counting_search)
+    monkeypatch.setattr(oracle, "_pick_cover", counting_pick)
     monkeypatch.setattr(oracle, "build_decomposition", counting_build)
     census = complete_census(enumerate_ideals(alg))
     assert oracle_dsc(alg).answer == "yes"
-    assert [searched[e.key] for e in census.entries] == [1] * 13 + [0]
+    assert [picked[e.key] for e in census.entries] == [1] * 13 + [0]
     assert not built
     first = [brute_decompose(alg, e.ideal) for e in census.entries]
     again = [brute_decompose(alg, e.ideal) for e in census.entries]
     assert all(a is b for a, b in zip(first, again))
     assert [built[e.key] for e in census.entries] == [1] * 14
-    assert sum(searched.values()) == 13  # R is never searched
+    assert sum(picked.values()) == 13  # R is never picked
 
 
 def test_whole_ring_is_decided_once():
     alg = build(PAIR_N3)
     dec = brute_decompose(alg, unit_ideal(alg))
     assert brute_decompose(alg, unit_ideal(alg)) is dec
+    assert decomposition_lengths(alg, unit_ideal(alg)) == (1,)
     assert alg._covers[unit_ideal(alg).space.basis] == (1,)
 
 
@@ -279,22 +282,23 @@ def test_packed_sort_key_keeps_the_tuple_order():
     assert sum(n > 5 for n in subsets) >= 10, subsets
 
 
-def _repeat_first(alg, rows):
-    # rows[0] as many times as I has rows
-    return ([], [rows[0]] * len(rows))
+def _repeat_first(pick, lattice, k):
+    # the first row of J as many times as J has rows
+    rows = lattice.keys[k]
+    return (rows[0],) * len(rows)
 
 
-def _one_extra(alg, rows):
-    non_simple, simple = packed_first_cover(alg, rows)
-    return non_simple, simple + [rows[-1]]
+def _one_extra(pick, lattice, k):
+    return pick(lattice, k) + (lattice.keys[k][-1],)
 
 
 @pytest.mark.parametrize("cover", [_repeat_first, _one_extra])
 def test_census_refuses_an_overlapping_cover(monkeypatch, cover):
     alg = build(PAIR_N3)
     census = enumerate_ideals(alg)
-    monkeypatch.setattr(oracle, "packed_first_cover", lambda alg, rows: (
-        cover(alg, rows) if len(rows) >= 2 else packed_first_cover(alg, rows)))
+    pick = oracle._pick_cover
+    monkeypatch.setattr(oracle, "_pick_cover", lambda lattice, k: (
+        cover(pick, lattice, k) if len(lattice.keys[k]) >= 2 else pick(lattice, k)))
     with pytest.raises(InternalContradictionError, match="cover failed verification"):
         complete_census(census)
 
@@ -305,8 +309,8 @@ def test_cover_check_reads_the_span(monkeypatch):
     x, y = alg.gens
     socle = ideal_from_generators(alg, [x ** 2, y ** 2])
     line = (x ** 2).vec
-    assert len(packed_cyclic_table(alg)[line]) == 1 and socle.dim == 2
-    monkeypatch.setattr(oracle, "packed_first_cover", lambda alg, rows: ([], [line, line]))
+    assert len(packed_closure(alg, (), [line])) == 1 and socle.dim == 2
+    monkeypatch.setattr(oracle, "_pick_cover", lambda lattice, k: (line, line))
     with pytest.raises(InternalContradictionError, match="cover failed verification"):
         decomposition_lengths(alg, socle)
 
@@ -469,6 +473,66 @@ def test_greedy_cover_is_the_first_cover_of_the_depth_first_search():
     assert sum(n > 20 for n in sizes) >= 8, sizes
 
 
+def test_lattice_decides_as_the_walk_does():
+    # every census entry but R: the lattice's verdict is the Gray-code
+    # walk's, and a decomposable entry has mu(I) summands
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = _gf2_ring(pres)
+        assume(alg.dim - 1 <= 9)
+        census = complete_census(enumerate_ideals(alg, 9), 9)
+        for e in census.entries[:-1]:
+            assert e.decomposable == (packed_first_cover(alg, e.key) is not None), e.key
+            if e.decomposable:
+                assert e.lengths == (min_generators(alg, e.ideal),)
+            seen[e.decomposable] += 1
+
+    check()
+    assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+# GF(2)[x,y,z]/(x^3, y^3, z^2, x*z, y*z): dim M 9, 147 ideals, 42 of them cyclic
+CENSUS_147 = "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2 / rel x*z / rel y*z"
+
+
+def test_census_walks_no_ideal_and_closes_each_cyclic_once(monkeypatch):
+    alg = build(CENSUS_147)
+    walks, closed = [], []
+    for module in (oracle, ideals):
+        walk, close = module.packed_first_cover, module.packed_closure
+        monkeypatch.setattr(module, "packed_first_cover",
+                            lambda alg, rows, walk=walk: walks.append(rows) or walk(alg, rows))
+        monkeypatch.setattr(module, "packed_closure",
+                            lambda alg, rows, seeds, close=close: (
+                                closed.append((tuple(rows), tuple(seeds)))
+                                or close(alg, rows, seeds)))
+    census = complete_census(enumerate_ideals(alg, 9), 9)
+    assert oracle_dsc(alg, 9).answer == "no"
+    cyclics = sum(e.lengths == (1,) for e in census.entries)  # R among them
+    assert census.count == 147 and cyclics == 42
+    assert walks == []
+    assert 0 < len(closed) <= cyclics
+    assert len(set(closed)) == len(closed) and all(rows == () for rows, _ in closed)
+
+
+@pytest.mark.parametrize("text,mdim,count", [
+    ("field 2 / vars x y / rel x^4 / rel y^4 / rel x^2*y^2", 11, 245),
+    ("field 2 / vars x y / rel x^4 / rel y^4 / rel x^3*y^2", 13, 315),
+])
+def test_larger_census_rings_agree_with_the_walk(text, mdim, count):
+    alg = build(text)
+    assert alg.dim - 1 == mdim
+    assert oracle_dsc(alg, mdim).answer == "no"
+    census = complete_census(enumerate_ideals(alg, mdim), mdim)
+    assert census.count == count
+    for e in census.entries:
+        assert (brute_decompose(alg, e.ideal, mdim) is not None) == e.decomposable
+    assert sum(not e.decomposable for e in census.entries) > 0
+
+
 STUCK_IDEALS = [(TRIPLE, ("x1 + x3", "x2 + x3")), (XYZ, ("x^2", "x*z")),
                 (XYZ, ("x^2", "x*y")), (SOCLE_W3, ("x", "y")),
                 (SOCLE_W3, ("x", "y + w3"))]
@@ -570,7 +634,8 @@ def test_the_cyclic_table_refuses_for_the_census_at_any_budget(max_dim):
 
 
 def test_an_ideal_of_odd_p_is_refused_where_its_cover_reads_the_table():
-    # packed_first_cover reads the table for a proper ideal, _closures for R
+    # brute_decompose asks the table before its walk, R included, and
+    # decomposition_lengths runs the census, which asks it first
     alg = build(GF3_MIXED)
     for i in (maximal_ideal(alg), unit_ideal(alg)):
         for run in (brute_decompose, decomposition_lengths):
