@@ -5,7 +5,8 @@
 Run from the repository root.  It prints three lines: `src/ lines`, the
 total line count of src/cyclicideals/*.py, and `src/ code lines` and
 `tests/ code lines`, which count the lines that hold a token other than
-a comment or a docstring.
+a comment or a docstring.  Then one `src/<module>.py code lines` line per
+module, in name order, shows which module a change grew or shrank.
 """
 
 import ast
@@ -33,11 +34,13 @@ def code_lines(path: str) -> int:
 
 
 def main() -> None:
-    src = glob.glob("src/cyclicideals/*.py")
+    src = sorted(glob.glob("src/cyclicideals/*.py"))
     lines = sum(Path(path).read_bytes().count(b"\n") for path in src)
     print(f"src/ lines: {lines} total")
     for name, paths in (("src/", src), ("tests/", glob.glob("tests/*.py"))):
         print(f"{name} code lines: {sum(map(code_lines, paths))}")
+    for path in src:
+        print(f"src/{Path(path).name} code lines: {code_lines(path)}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from .ideals import (Ideal, annihilator, cyclic, ideal_from_generators,
                      maximal_ideal, min_generators, module_times_ideal,
                      unit_ideal, zero_ideal)
 from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
-                        SearchSpaceExceededError, SpecReport,
-                        WitnessDoesNotLiftError, canonical_variable_split, classify_dsc,
+                        SpecReport, WitnessDoesNotLiftError,
+                        canonical_variable_split, classify_dsc,
                         classify_product, find_m_decomposition,
                         m_decomposition_problems, spec_classify,
                         three_summand_counterexample, verify_m_decomposition)
@@ -34,7 +34,7 @@ __all__ = [
     "Element", "Ideal", "IdealCensus", "InfeasibleSizeError",
     "InternalContradictionError", "MDecomposition", "MonomialAlgebra",
     "PresentationError", "RingPresentation", "RingSyntaxError",
-    "SearchSpaceExceededError", "SpecReport", "Trace", "WitnessDoesNotLiftError",
+    "SpecReport", "Trace", "WitnessDoesNotLiftError",
     "WitnessInvalidError",
     "annihilator", "brute_decompose", "build_algebra",
     "canonical_variable_split", "classify_dsc", "classify_product",

@@ -75,10 +75,12 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
 
     max_oracle_dim bounds the census.  With use_oracle=False only the
     constructive checks run, and the census column stays empty.
+    max_pair_dim does nothing; bench/workloads.py passes it until ROADMAP
+    item 1 drops it.
     """
     case = case_by_key(key)
     pres, alg = load_case(key)
-    verdict = classify_dsc(alg, max_pair_dim)
+    verdict = classify_dsc(alg)
     got_dsc = verdict.as_dict()["dsc"]
     spec_case = None
     if verdict.witness is not None:

@@ -4,9 +4,10 @@ The census lists all ideals one dimension at a time (cross-checkable
 against a subset-closure sweep at tiny sizes) and decides each one on
 the lattice it walked, from the cyclic ideals the ideal contains; no
 vector of an ideal is enumerated.  brute_decompose decides one ideal on
-its own, by ideals.packed_first_cover, which reads every vector of it.
-structure.classify_dsc runs that cover only on M of an algebra that is
-not monomial; it never runs the census and imports nothing from here.
+its own, by ideals.packed_first_cover, which reads every vector of it,
+on any GF(2) algebra, monomial or not.  structure.classify_dsc decides
+monomial algebras only, by their presentation; it never runs the census
+or the walk, and imports nothing from here.
 Results are exact within the feasibility bounds and are the ground
 truth the constructive machinery is tested against.
 
@@ -206,16 +207,18 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     J/MJ picks, or None when J is no direct sum of cyclic modules (see
     the module docstring): the cyclic ideals below J in discovery order,
     each kept when its generator is independent modulo MJ of those kept,
-    until mu(J) are kept."""
+    until mu(J) are kept.  MJ is itself a census ideal, and the cyclic
+    ideals inside it are skipped unread: their generators lie in MJ."""
     mj, cyclic = lattice.graded()
     dim = len(lattice.keys[k])
     mu = dim - len(mj[k].rows)
     if mu <= 1:  # the zero ideal, or J = R v
         return (lattice.line[k],) * mu
+    m = lattice.index[tuple(mj[k].rows)]
     basis = mj[k].copy()
     picked = []
     weight = 0
-    members = lattice.below[k] & cyclic
+    members = lattice.below[k] & cyclic & ~(lattice.below[m] | 1 << m)
     while members and len(picked) < mu:
         low = members & -members
         members ^= low

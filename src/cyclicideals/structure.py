@@ -4,27 +4,16 @@ A local algebra has the "every ideal is a direct sum of cyclic modules"
 property (dsc, in the verdicts below) exactly when its maximal ideal
 splits as M = Rx + Ry + (sum of simple Rw) with the sum direct; at most
 two summands may be non-simple, and then R/Ann(x) and R/Ann(y) are
-principal ideal rings.  This module decides that from one direct cyclic
-cover of M (m_cover): none refutes with M itself, at most two non-simple
-summands make a witness, and three refute with R(x+y) + R(x+z), by a
-rank certificate that classify_dsc proves at every p and size.  It
-imports nothing from the oracle.  It also classifies the prime spectrum
-(at most three primes, Krull dimension at most one).
-
-A monomial ring is decided by its presentation (classify_dsc proves
-it): M has a direct cyclic cover exactly when every product of two
-distinct variables vanishes, and then the variable split is that cover.
-So a nonzero mixed product refutes with M, and no monomial ring reaches
-the counts or the cover search below.  Those serve only other Algebra
-classes, which the package never builds; the tests reach them through
-their quotient models R/I (tests/conftest.py).
-
-Two counts rule a cover out before any search, over every field
-(m_count_failure).  If M = Rg_1 + ... + Rg_n is direct, g_j g_k lies in
-Rg_j meet Rg_k = 0, so Mg_k = Rg_k^2: each Rg_k is a chain with one
-socle line, and n = mu(M) by Nakayama, so dim soc(M) = mu(M).  And M^j
-is the direct sum of the Rg_k^j, so mu(M^j) = #{k : g_k^j != 0}, which
-never grows with j.  A count that fails refutes with M itself.
+principal ideal rings.  This module decides that for a monomial algebra
+by its presentation (classify_dsc proves it): M has a direct cyclic
+cover exactly when every product of two distinct variables vanishes,
+and then the variable split is that cover.  So a nonzero mixed product
+refutes with M itself, at most two non-simple summands make a witness,
+and three refute with R(x+y) + R(x+z), by a rank certificate that
+classify_dsc proves at every p and size.  Any other Algebra is refused;
+the oracle decides it.  This module imports nothing from the oracle.
+It also classifies the prime spectrum (at most three primes, Krull
+dimension at most one).
 
 R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
 generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
@@ -42,16 +31,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import gf
-from .ideals import (CYCLIC_TABLE_MAX_DIM, Ideal, cyclic, ideal_from_generators,
-                     is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, packed_first_cover, packed_socle,
+from .ideals import (Ideal, cyclic, ideal_from_generators, is_simple,
+                     maximal_ideal, min_generators, module_times_ideal,
                      zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
-
-
-class SearchSpaceExceededError(RuntimeError):
-    """Witness search bounds prevent an exhaustive search for a cyclic
-    cover of M."""
 
 
 class InternalContradictionError(RuntimeError):
@@ -184,74 +167,14 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
-def m_count_failure(alg: Algebra) -> tuple[Optional[str], list[int]]:
-    """Check the two counts that every direct cyclic cover of M fixes
-    (the module docstring proves them): dim soc(M) = mu(M), and mu(M^j)
-    never grows with j.  Returns (the failed count as a proof note, or
-    None; the mu(M^j) read so far, from j = 1).  The socle count is the
-    cheaper one, so the chain of powers is walked only after it passes.
-    """
-    power = module_times_ideal(alg, maximal_ideal(alg))
-    mus = [alg.dim - 1 - power.dim]
-    soc = len(packed_socle(alg, ()))
-    if soc != mus[0]:
-        return (f"dim soc(M) = {soc} but mu(M) = {mus[0]}: a direct cover of M by "
-                "cyclic modules has mu(M) summands, each a chain with one socle "
-                "line"), mus
-    while power.dim:
-        lower = module_times_ideal(alg, power)
-        mus.append(power.dim - lower.dim)
-        if mus[-1] > mus[-2]:
-            j = len(mus)
-            before = "M" if j == 2 else f"M^{j - 1}"
-            return (f"mu(M^{j}) = {mus[-1]} but mu({before}) = {mus[-2]}: in a direct "
-                    "cover of M by cyclic modules Rg_k, mu(M^j) counts the g_k with "
-                    "g_k^j != 0, which never grows with j"), mus
-        power = lower
-    return None, mus
-
-
-def m_cover(alg: Algebra, split: Optional[list[tuple[Element, Ideal]]], bound: int
-            ) -> Optional[tuple[list[Element], list[Element]]]:
-    """A direct cover of M by cyclic submodules, as (generators of the
-    non-simple summands, generators of the simple ones), or None when M
-    is no direct sum of cyclic modules.
-
-    split is canonical_variable_split(alg): when it is direct, its pieces
-    are the cover.  Otherwise packed_first_cover reads every vector of M
-    and takes a minimum-weight basis of M/M^2; it needs GF(2) and
-    dim M <= min(bound, CYCLIC_TABLE_MAX_DIM), and raises
-    SearchSpaceExceededError outside that.  Any one cover decides
-    (Krull-Schmidt, see packed_first_cover).  Every cover fixes the two
-    counts of m_count_failure (the module docstring proves them), so
-    callers check them first.
-    classify_dsc never searches a monomial ring: its variables split M
-    or a mixed product refutes first, so the search serves only other
-    Algebra classes, such as the tests' quotient models.
-    """
-    if split is not None:
-        return ([g for g, c in split if not is_simple(alg, c)],
-                [g for g, c in split if is_simple(alg, c)])
-    if alg.p != 2 or alg.dim - 1 > min(bound, CYCLIC_TABLE_MAX_DIM):
-        raise SearchSpaceExceededError("search space exceeded")
-    found = packed_first_cover(alg, maximal_ideal(alg).space.basis)
-    if found is None:
-        return None
-    return tuple([Element.packed(alg, v) for v in vs] for vs in found)
-
-
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """The witness decomposition of the maximal ideal that classify_dsc
-    finds (cover search bound max_pair_dim), or None when M has none: a
-    monomial ring with a nonzero mixed product, a failed count of
-    m_count_failure, no cover, or a cover with three non-simple
-    summands.  Raises SearchSpaceExceededError where the verdict is
-    undecided_by_search, which only a non-monomial algebra reaches.
+    finds, or None when M has none: a nonzero mixed product, or three
+    non-simple summands.  Like classify_dsc it refuses, with TypeError,
+    an algebra that is not monomial.  max_pair_dim does nothing;
+    bench/workloads.py passes it until ROADMAP item 1 drops it.
     """
-    verdict = classify_dsc(alg, max_pair_dim)
-    if verdict.answer == "undecided_by_search":
-        raise SearchSpaceExceededError("search space exceeded")
-    return verdict.witness
+    return classify_dsc(alg).witness
 
 
 def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
@@ -292,20 +215,19 @@ def rank_certificate(alg: Algebra, u: Element, v: Element) -> bool:
 class DscVerdict:
     """Outcome of the direct-sum-of-cyclics decision for one ring."""
 
-    answer: str  # "yes" | "no" | "undecided_by_search"
+    answer: str  # "yes" | "no"
     witness: Optional[MDecomposition] = None
     counterexample: Optional[Ideal] = None
     counterexample_note: Optional[str] = None
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        short = {"yes": "yes", "no": "no", "undecided_by_search": "undecided"}[self.answer]
         ce = None
         if self.counterexample is not None:
             ce = self.counterexample.as_dict()
             ce["proof"] = self.counterexample_note
         return {
-            "dsc": short,
+            "dsc": self.answer,
             "witness": None if self.witness is None else self.witness.as_dict(),
             "counterexample": ce,
             "notes": list(self.notes),
@@ -313,22 +235,24 @@ class DscVerdict:
 
 
 def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> DscVerdict:
-    """Decide whether every ideal of alg splits into cyclic summands.
+    """Decide whether every ideal of the monomial algebra alg splits into
+    cyclic summands.
 
-    One direct cover of M decides (m_cover).  A monomial ring is decided
-    by its presentation first: if x_a x_b != 0 for some distinct
+    The presentation decides: if x_a x_b != 0 for some distinct
     variables, the answer is no with M itself as the counterexample, its
     proof naming the first such pair in gens order.  Otherwise the
     variables split M: each Rx_a is the span of the powers of x_a, and
     these are disjoint sets of monomials that together span M.
+    canonical_variable_split finds that split; were it to fail, the lemma
+    below would be contradicted, and InternalContradictionError is raised.
 
     Lemma: let R = k[x_1, ..., x_n]/I with I monomial (a truncation
     included) and no degree-1 relation.  Then M is a direct sum of cyclic
     modules only if x_a x_b = 0 for all a != b.
-      1. A direct cover M = Rg_1 + ... + Rg_m gives Mg_k = Rg_k^2 (see
-         the module docstring), so Rg_k = span(g_k, g_k^2, ...) and
-         g_j g_k = 0 for j != k; with m = mu(M) = n, R is isomorphic to
-         S_e = k[t_1, ..., t_n]/(t_i t_j for i != j, t_i^(e_i)).
+      1. A direct cover M = Rg_1 + ... + Rg_m puts g_j g_k in
+         Rg_j meet Rg_k = 0 for j != k, so Mg_k = Rg_k^2 and
+         Rg_k = span(g_k, g_k^2, ...); with m = mu(M) = n, R is
+         isomorphic to S_e = k[t_1, ..., t_n]/(t_i t_j for i != j, t_i^(e_i)).
       2. Pass to the algebraic closure K of k: a direct sum stays direct
          after extending scalars.
       3. R and S_e are graded, and each equals its associated graded
@@ -349,22 +273,14 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
          variables taking distinct l_i.  Rad kills R_1, so for a != b,
          x_a x_b is 0 or c c' l_i l_j with i != j, which is 0.
 
-    The counts and the cover search below serve only other Algebra
-    classes, such as the tests' quotient models.  Unless the variables
-    split M, two counts that every cover M = Rg_1 + ... + Rg_n fixes
-    come first (m_count_failure): directness gives Mg_k = Rg_k^2, so
-    each Rg_k is a chain with one socle line and n = mu(M), hence
-    dim soc(M) = mu(M); and mu(M^j) counts the g_k with g_k^j != 0, so
-    it never grows with j.
-    A failed count or no cover: no, and M itself is the counterexample,
-    its proof the failed count or the exhausted search.  At most two
-    non-simple summands: yes, with the cover as a verified witness.
-    Three or more: no, with J = Ru + Rv, u = x + y and v = x + z, on
-    three of them, at every p and size.  Suppose u^2, uv, v^2, which
-    generate J^2, are independent modulo MJ^2.  Then mu(J) = 2, since a
-    cyclic J = Ra has J^2 = Ra^2.  So a direct cover of J would be
-    J = Ra + Rb with a, b a basis of J/MJ, and ab in Ra meet Rb = 0.
-    Write a = alpha u + beta v and b = gamma u + delta v modulo MJ; then
+    At most two non-simple summands of the split: yes, with the split as
+    a verified witness.  Three or more: no, with J = Ru + Rv, u = x + y
+    and v = x + z, on three of them, at every p and size.  Suppose u^2,
+    uv, v^2, which generate J^2, are independent modulo MJ^2.  Then
+    mu(J) = 2, since a cyclic J = Ra has J^2 = Ra^2.  So a direct cover
+    of J would be J = Ra + Rb with a, b a basis of J/MJ, and ab in
+    Ra meet Rb = 0.  Write a = alpha u + beta v and b = gamma u + delta v
+    modulo MJ; then
     ab = alpha gamma u^2 + (alpha delta + beta gamma) uv + beta delta v^2
     modulo MJ^2, so all three coefficients vanish.  Then
     (alpha delta)(beta gamma) = (alpha gamma)(beta delta) = 0 and
@@ -372,34 +288,26 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     alpha delta - beta gamma = 0: a, b are no basis after all.
     rank_certificate checks that independence, and it always holds: in
     a direct M = Rx + Ry + Rz + rest the products are x^2 + y^2, x^2 and
-    x^2 + z^2, independent modulo M^3, which contains MJ^2.  The cover
-    search of M runs up to max_pair_dim; past it, or at odd p, the
-    verdict is undecided_by_search.  No monomial ring is ever undecided.
-    max_oracle_dim does nothing; bench/workloads.py passes it
-    positionally until ROADMAP item 5 drops it.
+    x^2 + z^2, independent modulo M^3, which contains MJ^2.
+
+    Any other Algebra raises TypeError before any closure; the oracle
+    decides it.  max_pair_dim and max_oracle_dim do nothing;
+    bench/workloads.py passes them positionally until ROADMAP item 1
+    drops both.
     """
-    if isinstance(alg, MonomialAlgebra):
-        for a, g in enumerate(alg.gens):
-            for h in alg.gens[a + 1:]:
-                if not (g * h).is_zero():
-                    return DscVerdict("no", None, maximal_ideal(alg), (
-                        f"{g}*{h} != 0: M of a monomial ring is a direct sum of cyclic "
-                        "modules only if every product of two distinct variables vanishes"))
+    if not isinstance(alg, MonomialAlgebra):
+        raise TypeError("classify_dsc decides monomial algebras only")
+    for a, g in enumerate(alg.gens):
+        for h in alg.gens[a + 1:]:
+            if not (g * h).is_zero():
+                return DscVerdict("no", None, maximal_ideal(alg), (
+                    f"{g}*{h} != 0: M of a monomial ring is a direct sum of cyclic "
+                    "modules only if every product of two distinct variables vanishes"))
     split = canonical_variable_split(alg)
     if split is None:
-        failure, _ = m_count_failure(alg)
-        if failure is not None:
-            return DscVerdict("no", None, maximal_ideal(alg), failure)
-    try:
-        cover = m_cover(alg, split, max_pair_dim)
-    except SearchSpaceExceededError:
-        return DscVerdict("undecided_by_search", None, None, None, (
-            f"witness search space exceeded (p={alg.p}, dim M={alg.dim - 1})",))
-    if cover is None:
-        return DscVerdict("no", None, maximal_ideal(alg),
-                          "exhaustive search over all families of cyclic "
-                          "submodules found no direct-sum cover of M")
-    nonsimple, simples = cover
+        raise InternalContradictionError("no mixed product, yet the variables do not split M")
+    nonsimple = [g for g, c in split if not is_simple(alg, c)]
+    simples = [g for g, c in split if is_simple(alg, c)]
     if len(nonsimple) <= 2:
         return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
     x, y, z = nonsimple[:3]
@@ -422,13 +330,9 @@ def classify_product(verdicts: Sequence[DscVerdict]) -> DscVerdict:
         return DscVerdict("yes", None, None, None,
                           ("empty product: zero ring, vacuously yes",))
     for k, v in enumerate(verdicts):
-        # one refuted factor settles the product, undecided factors or not
         if v.answer == "no":
             return DscVerdict("no", None, v.counterexample, v.counterexample_note,
                               (f"factor {k + 1} fails",) + v.notes)
-    for v in verdicts:
-        if v.answer == "undecided_by_search":
-            raise ValueError("factor undecided")
     return DscVerdict("yes", None, None, None, ("all factors hold",))
 
 

@@ -24,9 +24,8 @@ SQUARE_ZERO_N3 = ("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"
                   " / rel x*y / rel x*z / rel y*z")
 AXIS_SOCLE = "field 2 / vars x y / rel x*y / rel y^2 / truncate 6"
 TWO_AXES = "field 2 / vars x y / rel x*y / truncate 6"
-# x*y != 0, so classify refutes it with M by that mixed product; both
-# counts of structure.m_count_failure pass, and the cover search of M,
-# which is GF(2)-only, could not decide it
+# x*y != 0, so classify refutes it with M by that mixed product; the
+# oracle, which is GF(2)-only, refuses it
 GF3_MIXED = "field 3 / vars x y / rel x^2 / rel y^3 / rel x*y^2"
 
 # one digit past the default limit of int() on a string (Python >= 3.10.7)

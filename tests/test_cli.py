@@ -22,8 +22,8 @@ INFINITE = "field 2 / vars x y / rel x*y"
 # three non-simple axes with dim M = 9, one past the oracle's default bound
 TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
              " / rel x*y / rel x*z / rel y*z")
-# dim M = 22, past the packed cyclic table's limit of 20; both counts of
-# structure.m_count_failure pass, and x*y != 0 refutes it
+# dim M = 22, past the packed cyclic table's limit of 20; x*y != 0
+# refutes it
 WIDE = "field 2 / vars x y / rel x^2 / rel y^12 / rel x*y^11"
 
 
@@ -62,7 +62,7 @@ def test_classify_no(ring_file, capsys):
 
 
 def test_classify_refutes_a_mixed_product_over_gf3(ring_file, capsys):
-    # no cover search runs over GF(3), and none is needed
+    # the mixed product decides at every p
     code, out, _ = run(capsys, "classify", ring_file(GF3_MIXED))
     assert code == 1
     assert "dsc: no" in out
@@ -70,8 +70,8 @@ def test_classify_refutes_a_mixed_product_over_gf3(ring_file, capsys):
 
 
 def test_classify_refutes_by_the_socle_count(ring_file, capsys):
-    # soc(M) = span{x*y} is one line where a cover of M needs mu(M) = 2,
-    # but x*y != 0 refutes first
+    # soc(M) = span{x*y} is one line where a cover of M needs two, and
+    # the proof classify gives is x*y != 0
     path = ring_file("field 3 / vars x y / rel x^2 / rel y^2")
     code, out, _ = run(capsys, "classify", "--json", path)
     assert code == 1

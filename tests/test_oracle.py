@@ -518,6 +518,22 @@ def test_census_walks_no_ideal_and_closes_each_cyclic_once(monkeypatch):
     assert len(set(closed)) == len(closed) and all(rows == () for rows, _ in closed)
 
 
+def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
+    # MJ is a census ideal, so the cyclic ideals inside it, whose
+    # generators reduce to zero modulo MJ, are masked out unread
+    alg = build(CENSUS_147)
+    lattice = enumerate_ideals(alg, 9).lattice
+    mj, _ = lattice.graded()
+    tried = []
+    insert = gf.gf2_insert
+    monkeypatch.setattr(gf, "gf2_insert", lambda e, v: tried.append(v) or insert(e, v))
+    for k in range(len(lattice.keys)):
+        start = len(tried)
+        oracle._pick_cover(lattice, k)
+        assert all(gf.gf2_reduce(v, mj[k]) for v in tried[start:]), lattice.keys[k]
+    assert len(tried) > len(lattice.keys)
+
+
 @pytest.mark.parametrize("text,mdim,count", [
     ("field 2 / vars x y / rel x^4 / rel y^4 / rel x^2*y^2", 11, 245),
     ("field 2 / vars x y / rel x^4 / rel y^4 / rel x^3*y^2", 13, 315),

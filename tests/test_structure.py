@@ -6,31 +6,29 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclicideals import (MDecomposition, SearchSpaceExceededError,
-                          brute_decompose, canonical_variable_split, classify_dsc,
+from cyclicideals import (MDecomposition, brute_decompose,
+                          canonical_variable_split, classify_dsc,
                           classify_product, cyclic, find_m_decomposition,
                           ideal_from_generators, annihilator,
                           m_decomposition_problems,
                           oracle_dsc, parse_element, parse_presentation,
-                          spec_classify, verify_m_decomposition,
-                          WitnessDoesNotLiftError)
+                          spec_classify, verify_decomposition,
+                          verify_m_decomposition, WitnessDoesNotLiftError)
 from cyclicideals import gf, ideals, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
-                                 packed_cyclic_table, packed_first_cover, packed_socle,
-                                 zero_ideal)
+                                 packed_cyclic_table, packed_first_cover, zero_ideal)
 from cyclicideals.rings import Element, RingPresentation, build_algebra
-from cyclicideals.structure import DscVerdict
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES,
                       QuotientAlgebra, build, build_pres, certificate_note,
-                      maximal_ideal_elements, mixed_product, presentations)
+                      mixed_product, presentations)
+import reference_kernels
 from reference_kernels import is_principal_ideal_ring
 
 
@@ -222,30 +220,25 @@ def test_classify_closes_each_variable_once_on_the_triple():
     assert [gens for gens in closures if len(gens) == 1] == [[g] for g in alg.gens]
 
 
-def gf3_undecided():
-    """GF(3)[x,y]/(x^2, y^4, xy) modulo x + y^2, a quotient model: no
-    mixed product decides it, its variables do not split M, both counts
-    pass, and the cover search of M is GF(2)-only."""
-    return quotient_by(build("field 3 / vars x y / rel x^2 / rel y^4 / rel x*y"),
-                       "x + y^2")
-
-
-def test_search_space_exceeded():
-    with pytest.raises(SearchSpaceExceededError):
-        find_m_decomposition(gf3_undecided())
-    # a monomial ring never reaches the search: x*y != 0 refutes this one
-    assert find_m_decomposition(build(GF3_MIXED)) is None
-    # the canonical split is bound-free; only the fallback is gated
+def test_max_pair_dim_bounds_nothing():
+    # a monomial ring is decided by its presentation at any size: x*y != 0
+    # refutes this one, and the variables split the other
+    assert find_m_decomposition(build(GF3_MIXED), max_pair_dim=0) is None
     assert find_m_decomposition(build(TWO_AXES), max_pair_dim=4) is not None
-    big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
-                " / rel x*y / rel x*z / rel y*z")
-    q = quotient_by(big, "x^2 + z")  # dim M = 4
-    with pytest.raises(SearchSpaceExceededError):
-        find_m_decomposition(q, max_pair_dim=3)
+
+
+def test_a_monomial_ring_over_gf3_is_decided():
+    # the oracle's walk is GF(2)-only; the mixed product decides at every p
+    alg = build(GF3_MIXED)
+    verdict = classify_dsc(alg)
+    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
+    assert verdict.counterexample_note == MIXED_PROOF.format("x*y")
+    assert verdict.as_dict()["dsc"] == "no"
+    assert verdict.as_dict()["counterexample"]["proof"] == MIXED_PROOF.format("x*y")
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive fallback on quotient models (no variable grouping there)
+# quotient models: refused by classify_dsc, decided by the oracle
 
 
 def quotient_by(alg, *gens):
@@ -253,130 +246,79 @@ def quotient_by(alg, *gens):
     return QuotientAlgebra(alg, i)
 
 
-def test_fallback_single_generator():
-    # in R/(x + y^2) the maximal ideal is cyclic but no variable image
-    # generates it on its own terms: the images of x and y^2 coincide
-    big = build("field 2 / vars x y / rel x^2 / rel y^4 / rel x*y")
-    q = quotient_by(big, "x + y^2")
+def gf3_undecided():
+    """GF(3)[x,y]/(x^2, y^4, xy) modulo x + y^2, a quotient model: no
+    mixed product decides it, its variables do not split M, and the
+    oracle's walk is GF(2)-only."""
+    return quotient_by(build("field 3 / vars x y / rel x^2 / rel y^4 / rel x*y"),
+                       "x + y^2")
+
+
+def gf2_no_cover():
+    """GF(2)[x,y]/(x^3, y^3, xy) modulo x^2 + y^2: the socle collapses to
+    one line inside every non-simple cyclic module, so M has no cover."""
+    return quotient_by(build(PAIR_N3), "x^2 + y^2")
+
+
+def gf2_cyclic_m():
+    """GF(2)[x,y]/(x^2, y^4, xy) modulo x + y^2: M is cyclic, though the
+    images of x and y^2 coincide."""
+    return quotient_by(build("field 2 / vars x y / rel x^2 / rel y^4 / rel x*y"),
+                       "x + y^2")
+
+
+def gf2_pair_cover():
+    """GF(2)[x,y,z]/(x^3, y^3, z^2, xy, xz, yz) modulo x^2 + z: M is
+    Rx + Ry, and z is no summand of it."""
+    return quotient_by(build(THREE_AXES), "x^2 + z")
+
+
+def gf2_short_chain():
+    """GF(2)[x,y,z]/(x^3, y^3, z^2, yz) modulo z + x^2: M needs two
+    generators, M^2 = span{x^2, xy, y^2, x^2 y} three."""
+    return quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
+                             " / rel y*z"), "z + x^2")
+
+
+def gf2_one_socle_line():
+    """GF(2)[x,y,z]/(x^2, y^2, z^2) modulo z + xy: soc(M) = span{xy} is
+    one line where a cover of M needs two."""
+    return quotient_by(build("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"),
+                       "z + x*y")
+
+
+def gf2_shared_square():
+    """GF(2)[x,y,z]/(x^3, y^3, z^3, xz, yz) modulo z^2 + xy: mu(M) = 2,
+    dim soc(M) = 2 and mu(M^j) never grows, yet M has no cover."""
+    return quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3"
+                             " / rel x*z / rel y*z"), "z^2 + x*y")
+
+
+@pytest.mark.parametrize("decide", [classify_dsc, find_m_decomposition])
+@pytest.mark.parametrize("make", [gf2_no_cover, gf3_undecided])
+def test_classify_refuses_an_algebra_that_is_not_monomial(make, decide):
+    q = make()
+    with pytest.raises(TypeError, match="decides monomial algebras only"):
+        decide(q)
+    # refused before any closure
+    assert "_cyclic" not in vars(q)
+
+
+# ce_dim: the dim of the oracle's counterexample, the first ideal in
+# canonical order with no cover; dim M is 3, 6, 3 and 6
+@pytest.mark.parametrize("make,ce_dim", [(gf2_no_cover, 3), (gf2_short_chain, 3),
+                                         (gf2_one_socle_line, 3),
+                                         (gf2_shared_square, 4)])
+def test_the_oracle_refutes_a_quotient_model_without_a_cover_of_m(make, ce_dim):
+    q = make()
+    m = maximal_ideal(q)
     assert canonical_variable_split(q) is None
-    dec = find_m_decomposition(q)
-    assert dec is not None and verify_m_decomposition(dec)
-    assert dec.summand_count() == 1
-    assert cyclic(q, dec.x).dim == q.dim - 1
-
-
-def test_fallback_pair():
-    big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
-                " / rel x*y / rel x*z / rel y*z")
-    q = quotient_by(big, "x^2 + z")
-    assert canonical_variable_split(q) is None
-    dec = find_m_decomposition(q)
-    assert dec is not None and verify_m_decomposition(dec)
-    assert dec.x is not None and dec.y is not None
-    assert dec.simples == ()
-
-
-def test_fallback_exhausts_honestly():
-    # R/(x^2 + y^2): the socle collapses to one line that sits inside
-    # every non-simple cyclic module, so no direct witness exists
-    big = build(PAIR_N3)
-    q = quotient_by(big, "x^2 + y^2")
-    assert find_m_decomposition(q) is None
-
-
-# Reference: the unpruned sweep, which makes no use of Nakayama.  It tries
-# every nonzero vector of M, and every pair of them, in canonical order.
-
-
-def _reference_fallback(alg) -> Optional[MDecomposition]:
-    mdim = alg.dim - 1
-    table = packed_cyclic_table(alg)
-    soc = packed_socle(alg, ())
-
-    def complete(rows, dim):
-        work = gf.Echelon(rows)
-        added = []
-        for r in soc:
-            if gf.gf2_reduce(r, work):
-                gf.gf2_insert(work, r)
-                added.append(r)
-        if dim + len(added) != mdim:
-            return None
-        return added
-
-    vectors = [m << 1 for m in range(1, 1 << mdim)]
-
-    def build(found, krows):
-        nonsimple, simples = [], []
-        for v in found:
-            elt = alg.element(gf.unpack_vec(v, alg.dim))
-            if len(table[v]) == 1:
-                simples.append(elt)
-            else:
-                nonsimple.append(elt)
-        simples.extend(alg.element(gf.unpack_vec(r, alg.dim)) for r in krows)
-        return structure._normalized_witness(alg, nonsimple, simples)
-
-    for v in vectors:
-        rows = list(table[v])
-        added = complete(rows, len(rows))
-        if added is not None:
-            return build([v], added)
-    dims = {v: len(table[v]) for v in vectors}
-    for i, v in enumerate(vectors):
-        dv = dims[v]
-        for w in vectors[i + 1:]:
-            if dv + dims[w] > mdim:
-                continue
-            merged = gf.Echelon(table[v])
-            if not all(gf.gf2_insert(merged, r) for r in table[w]):
-                continue
-            added = complete(merged.rows, dv + dims[w])
-            if added is not None:
-                return build([v, w], added)
-    return None
-
-
-def _summand_dims(dec: MDecomposition) -> list[int]:
-    return sorted(cyclic(dec.algebra, g).dim for g in dec.summands())
-
-
-def _matches_reference_witness(make) -> tuple[bool, bool]:
-    """find_m_decomposition (counts first) against the cover search of M
-    and, up to dim M 8, the unpruned sweep, each on a fresh algebra from
-    make(): where the variables do not split M, it finds a witness
-    exactly when the search finds a cover with at most two non-simple
-    summands and the sweep finds a witness; that witness verifies, has
-    mu(M) summands and the cover's and the sweep's summand dims
-    (Krull-Schmidt).  Returns whether the search ran and whether it
-    found a witness."""
-    alg = make()
-    if canonical_variable_split(alg) is not None:
-        return False, False
-    dec = find_m_decomposition(make())
-    searched = make()
-    cover = structure.m_cover(searched, None, 20)
-    assert (dec is None) == (cover is None or len(cover[0]) > 2)
-    # the sweep is quadratic in 2^dim M
-    expected = _reference_fallback(make()) if alg.dim - 1 <= 8 else dec
-    assert (dec is None) == (expected is None)
-    if dec is not None:
-        alg = dec.algebra
-        assert verify_m_decomposition(dec)
-        assert dec.summand_count() == min_generators(alg, maximal_ideal(alg))
-        dims = sorted(cyclic(searched, g).dim for g in cover[0] + cover[1])
-        assert _summand_dims(dec) == dims == _summand_dims(expected)
-    return True, dec is not None
-
-
-def test_pruned_sweep_matches_the_reference_on_the_sweep_family():
-    family = sweep_presentations(3, (2, 3, 4), 11)
-    assert len(family) == 141
-    outcomes = Counter(_matches_reference_witness(lambda: build_algebra(pres))
-                       for _, pres in family)
-    # every monomial ring of the family whose variables do not split M
-    # has no witness
-    assert outcomes == Counter({(False, False): 39, (True, False): 102})
+    assert packed_first_cover(q, m.space.basis) is None
+    assert brute_decompose(q, m) is None
+    verdict = oracle_dsc(q)
+    assert verdict.answer == "no" and verdict.counterexample.dim == ce_dim
+    assert brute_decompose(q, verdict.counterexample) is None
+    assert (verdict.counterexample == m) == (ce_dim == m.dim)
 
 
 def _identify(alg, g, m2: int):
@@ -386,171 +328,73 @@ def _identify(alg, g, m2: int):
     return QuotientAlgebra(alg, cyclic(alg, z))
 
 
-def test_pruned_sweep_matches_the_reference_on_quotients():
-    # the monomial rings never reach the sweep with a witness; these do
+def _walk_matches_the_reference(q) -> bool:
+    """packed_first_cover of M on q picks the reference's first cover, and
+    brute_decompose(q, M) verifies, with mu(M) summands, whenever M has a
+    cover; returns whether it has one."""
+    m = maximal_ideal(q)
+    cover = packed_first_cover(q, m.space.basis)
+    assert cover == reference_kernels.reference_first_cover(q, m.space.basis)
+    dec = brute_decompose(q, m)
+    assert (dec is None) == (cover is None)
+    if dec is not None:
+        assert verify_decomposition(q, m, dec)
+        assert dec.length == min_generators(q, m)
+    return cover is not None
+
+
+@pytest.mark.parametrize("make,shape", [(gf2_cyclic_m, (1, 0)),
+                                        (gf2_pair_cover, (2, 0)),
+                                        (gf2_no_cover, None)])
+def test_the_walk_of_m_on_a_quotient_model(make, shape):
+    # shape: the (non-simple, simple) summand counts of the first cover
+    q = make()
+    assert canonical_variable_split(q) is None
+    assert _walk_matches_the_reference(q) == (shape is not None)
+    cover = packed_first_cover(q, maximal_ideal(q).space.basis)
+    assert (cover and tuple(map(len, cover))) == shape
+
+
+def test_the_walk_of_m_matches_the_reference_on_quotient_models():
     outcomes = Counter()
-    for _, pres in sweep_presentations(3, (2, 3), 8):
-        alg = build_algebra(pres)
-        msq = module_times_ideal(alg, maximal_ideal(alg)).space.basis
-        for k in range(len(alg.gens)):
-            for r in msq:
-                def make(k=k, r=r):
-                    fresh = build_algebra(pres)
-                    return _identify(fresh, fresh.gens[k], r)
-                outcomes[_matches_reference_witness(make)] += 1
-    assert outcomes == Counter({(False, False): 150, (True, False): 153,
-                                (True, True): 68})
+    family = [pres for _, pres in sweep_presentations(3, (2, 3), 8)]
 
-
-def test_pruned_sweep_matches_the_reference_on_random_rings():
-    outcomes = Counter()
-
-    @settings(max_examples=200, deadline=None)
-    @given(presentations(), st.data())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(family), presentations()), st.data())
     def check(pres, data):
-        pres = RingPresentation.make(2, pres.vars, pres.relations, pres.truncate)
-        alg = build_algebra(pres)
+        alg = build_algebra(RingPresentation.make(2, pres.vars, pres.relations,
+                                                  pres.truncate))
         assume(alg.dim - 1 <= 8)
-        # half the draws identify a variable with an element of M^2
-        k = data.draw(st.integers(0, len(alg.gens) - 1)) if data.draw(st.booleans()) else None
+        # identify a variable with an element of M^2, so the variable
+        # images no longer split M
+        k = data.draw(st.integers(0, len(alg.gens) - 1))
         m2 = 0
         for r in module_times_ideal(alg, maximal_ideal(alg)).space.basis:
             if data.draw(st.booleans()):
                 m2 ^= r
-
-        def make():
-            fresh = build_algebra(pres)
-            return fresh if k is None else _identify(fresh, fresh.gens[k], m2)
-
-        outcomes[_matches_reference_witness(make)] += 1
+        outcomes[_walk_matches_the_reference(_identify(alg, alg.gens[k], m2))] += 1
 
     check()
-    # the variable split answers most drawn rings before the sweep runs;
-    # enough must reach it for the comparison to mean something
-    assert outcomes[True, False] + outcomes[True, True] >= 8, outcomes
+    # both outcomes must occur often enough for the comparison to mean
+    # something
+    assert outcomes[True] >= 5 and outcomes[False] >= 5, outcomes
 
 
-# dim soc(M) = mu(M) = 2 and mu(M^j) = 2, 2, 2, yet M has no cover: the
-# counts leave this ring to the cover search
-COUNTS_PASS_NO_COVER = "field 2 / vars x y / rel x^2 / rel y^4 / rel x*y^3"
+# Rx and Ry share xy, and M has no direct cyclic cover
+NO_COVER = "field 2 / vars x y / rel x^2 / rel y^4 / rel x*y^3"
 
 
 @pytest.mark.parametrize("found", [False, True])
 def test_fallback_closes_no_vector_of_m_squared(found):
-    if found:  # a pair witness: test_fallback_pair's ring
-        big = build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
-                    " / rel x*y / rel x*z / rel y*z")
-        alg = quotient_by(big, "x^2 + z")
-    else:  # both counts pass, Rx and Ry share xy, and nothing else splits M
-        alg = build(COUNTS_PASS_NO_COVER)
+    if found:
+        alg = gf2_pair_cover()
+    else:
+        alg = build(NO_COVER)
     assert canonical_variable_split(alg) is None
-    assert (find_m_decomposition(alg) is not None) == found
-    # find_m_decomposition refutes the monomial ring by x*y != 0 before
-    # any search, so run the search itself
-    assert (structure.m_cover(alg, None, 20) is not None) == found
+    assert (packed_first_cover(alg, maximal_ideal(alg).space.basis) is not None) == found
     msq = module_times_ideal(alg, maximal_ideal(alg)).space.echelon
     closed = [v for v in packed_cyclic_table(alg) if v]
     assert closed and all(gf.gf2_reduce(v, msq) for v in closed)
-
-
-# ---------------------------------------------------------------------------
-# the counts every cover of M fixes
-
-
-def test_counts_never_refute_a_ring_with_a_cover():
-    tally = Counter()
-
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(presentations(), st.data())
-    def check(pres, data):
-        pres = RingPresentation.make(2, pres.vars, pres.relations, pres.truncate)
-        alg = build_algebra(pres)
-        assume(alg.dim - 1 <= 10)
-        # a third of the draws are models R/(z) for a z in M
-        if data.draw(st.integers(0, 2)) == 0 and alg.dim > 1:
-            z = maximal_ideal_elements(alg, data, 1)[0]
-            assume(not z.is_zero())
-            alg = QuotientAlgebra(alg, cyclic(alg, z))
-        failure, _ = structure.m_count_failure(alg)
-        m = maximal_ideal(alg)
-        cover = packed_first_cover(alg, m.space.basis)
-        if failure is None:
-            tally["passed", cover is not None] += 1
-            return
-        tally["socle" if failure.startswith("dim soc(M)") else "chain"] += 1
-        assert cover is None, failure
-        assert oracle_dsc(alg, 10).answer == "no"
-
-    check()
-    # both counts must fire, and covers be found, for the check to mean
-    # something
-    assert tally["socle"] >= 10 and tally["chain"] >= 3, tally
-    assert tally["passed", True] >= 10, tally
-
-
-def test_counts_leave_a_ring_without_a_cover_to_the_search():
-    alg = build(COUNTS_PASS_NO_COVER)
-    assert structure.m_count_failure(alg) == (None, [2, 2, 2])
-    assert canonical_variable_split(alg) is None
-    assert packed_first_cover(alg, maximal_ideal(alg).space.basis) is None
-    # classify refutes the monomial ring by its mixed product, before the
-    # counts
-    verdict = classify_dsc(alg)
-    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
-    assert verdict.counterexample_note == MIXED_PROOF.format("x*y")
-    assert oracle_dsc(build(COUNTS_PASS_NO_COVER), 10).answer == "no"
-
-    # on a quotient model the counts pass and the search refutes
-    def make():
-        return quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3"
-                                 " / rel x*z / rel y*z"), "z^2 + x*y")
-    q = make()
-    assert structure.m_count_failure(q)[0] is None
-    assert canonical_variable_split(q) is None
-    verdict = classify_dsc(q)
-    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(q)
-    assert verdict.counterexample_note.startswith("exhaustive search")
-    assert oracle_dsc(make(), 10).answer == "no"
-
-
-def _assert_count_refutes(make, proof: str) -> None:
-    """classify_dsc refutes the quotient model make() with M by the count
-    whose proof starts with proof, and brute force agrees."""
-    alg = make()
-    assert canonical_variable_split(alg) is None
-    failure, _ = structure.m_count_failure(alg)
-    assert failure.startswith(proof)
-    verdict = classify_dsc(alg)
-    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
-    assert verdict.counterexample_note == failure
-    assert find_m_decomposition(alg) is None
-    fresh = make()
-    assert brute_decompose(fresh, maximal_ideal(fresh)) is None
-
-
-def test_chain_count_refutes():
-    # M^2 = span{x^2, x*y, y^2, x^2*y} needs three generators, M two;
-    # soc(M) = span{y^2, x^2*y} passes the socle count
-    alg = build("field 2 / vars x y / rel x^3 / rel y^3 / rel x*y^2")
-    failure, mus = structure.m_count_failure(alg)
-    assert mus == [2, 3]
-    assert failure.startswith("mu(M^2) = 3 but mu(M) = 2")
-    assert classify_dsc(alg).counterexample_note == MIXED_PROOF.format("x*y")
-    assert find_m_decomposition(alg) is None
-    assert brute_decompose(alg, maximal_ideal(alg)) is None
-    # no mixed product decides a quotient model: there the chain count does
-    _assert_count_refutes(
-        lambda: quotient_by(build("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
-                                  " / rel y*z"), "z + x^2"),
-        "mu(M^2) = 3 but mu(M) = 2")
-
-
-def test_socle_count_refutes():
-    # z = x*y: soc(M) = span{x*y} is one line where a cover needs mu(M) = 2
-    _assert_count_refutes(
-        lambda: quotient_by(build("field 2 / vars x y z / rel x^2 / rel y^2 / rel z^2"),
-                            "z + x*y"),
-        "dim soc(M) = 1 but mu(M) = 2")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +430,8 @@ def test_a_mixed_product_decides_every_monomial_ring():
         if pres.p != 2:
             return
         if mdim <= 14:
-            cover = structure.m_cover(build_algebra(pres), None, 20)
+            fresh = build_algebra(pres)
+            cover = packed_first_cover(fresh, maximal_ideal(fresh).space.basis)
             assert (cover is None) == refuted_by_m
             tally["search"] += 1
         if mdim <= 10:
@@ -624,32 +469,33 @@ def test_classify_no_three_summands(triple):
 
 def test_classify_no_without_oracle_confirmation(triple):
     # the rank certificate is the whole refutation: no cover search runs
-    # on J, and the third argument of classify_dsc changes nothing
+    # on J, and the arguments after the algebra change nothing
     def refuse(*args, **kwargs):
         raise AssertionError("classify_dsc searched for a cover")
 
-    with mock.patch.object(structure, "packed_first_cover", refuse):
+    with mock.patch.object(ideals, "packed_first_cover", refuse):
         verdicts = [classify_dsc(triple), classify_dsc(triple, 12, 0),
                     classify_dsc(triple, 12, 20)]
     assert verdicts[0].answer == "no"
     assert all(v.as_dict() == verdicts[0].as_dict() for v in verdicts)
 
 
-def test_classify_no_three_summands_on_a_cover():
+def test_no_three_summands_on_a_cover():
     # w = x^2 in the quotient, so Rw lies in Rx and the variable split
     # fails; the cover of M has three non-simple summands Rx, Ry, Rz
     big = build("field 2 / vars x y z w / rel x^3 / rel y^3 / rel z^3 / rel w^2"
                 " / rel x*y / rel x*z / rel x*w / rel y*z / rel y*w / rel z*w")
     q = QuotientAlgebra(big, cyclic(big, parse_element(big, "w + x^2")))
     assert canonical_variable_split(q) is None
-    nonsimple, _ = structure.m_cover(q, None, 8)
+    nonsimple, simples = packed_first_cover(q, maximal_ideal(q).space.basis)
     assert len(nonsimple) == 3
-    verdict = classify_dsc(q)
-    assert verdict.answer == "no"
+    x, y, z = (Element.packed(q, v) for v in nonsimple)
+    rest = ideal_from_generators(q, [Element.packed(q, v) for v in simples])
+    j = structure.three_summand_counterexample(q, x, y, z, rest)
     expected = ideal_from_generators(q, [q.project(parse_element(big, g)) for g in
                                          ("x + z", "y + z", "x^2", "y^2", "z^2")])
-    assert verdict.counterexample == expected and expected.dim == 5
-    assert verdict.notes == (certificate_note("x", "y", "z"),)
+    assert j == expected and expected.dim == 5
+    assert certificate_note(x, y, z) == certificate_note("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -737,17 +583,10 @@ def test_one_internal_contradiction_type(triple, pair_n3):
     x = pair_n3.var("x")
     with pytest.raises(InternalContradictionError, match="witness failed verification"):
         structure._normalized_witness(pair_n3, [x], [])
-
-
-def test_classify_no_from_oracle_sweep():
-    big = build(PAIR_N3)
-    q = quotient_by(big, "x^2 + y^2")
-    verdict = classify_dsc(q)
-    assert verdict.answer == "no"
-    # no cover of M at all: M itself is the counterexample
-    assert verdict.counterexample == maximal_ideal(q)
-    assert brute_decompose(q, maximal_ideal(q)) is None
-    assert verdict.notes == ()
+    # the lemma: with no mixed product, the variables split M
+    with mock.patch.object(structure, "canonical_variable_split", lambda alg: None):
+        with pytest.raises(InternalContradictionError, match="do not split M"):
+            classify_dsc(pair_n3)
 
 
 def test_classify_never_runs_the_census():
@@ -765,9 +604,8 @@ def test_classify_never_runs_the_census():
             assert oracle.oracle_dsc(alg).answer == v.answer
 
 
-# classify refutes these with M at dim M 9 and 10 (the socle count, before
-# any search); the census that decided before stops at its default bound
-# of 8
+# classify refutes these with M at dim M 9 and 10, by a mixed product; the
+# census stops at its default bound of 8
 NEWLY_DECIDED = (
     "F2[x,y]/(x^2,y^5)", "F2[x,y]/(x^5,y^2)",
     "F2[x,y,z]/(x^2,y^2,z^5,x*y,x*z)", "F2[x,y,z]/(x^2,y^2,z^5,x*y,y*z)",
@@ -810,9 +648,8 @@ def test_classify_decides_both_sweep_families(p):
         assert verdict.answer == "no", name
         if verdict.counterexample == maximal_ideal(alg):
             # a mixed product refutes every ring of the families that has
-            # no cover, and so does a count
+            # no cover
             assert verdict.counterexample_note == MIXED_PROOF.format(mixed_product(alg)), name
-            assert structure.m_count_failure(alg)[0] is not None, name
             if p == 2 and mdim <= 12:
                 fresh = build_algebra(pres)
                 assert brute_decompose(fresh, maximal_ideal(fresh), 12) is None, name
@@ -832,18 +669,6 @@ def test_structure_imports_nothing_from_the_oracle():
         assert not any("oracle" in n.split(".") for n in names), ast.dump(node)
 
 
-def test_classify_undecided_gf3():
-    verdict = classify_dsc(gf3_undecided())
-    assert verdict.answer == "undecided_by_search"
-    assert verdict.as_dict()["dsc"] == "undecided"
-    assert any("exceeded" in n for n in verdict.notes)
-    # a monomial ring is never undecided: x*y != 0 refutes this one
-    alg = build(GF3_MIXED)
-    verdict = classify_dsc(alg)
-    assert verdict.answer == "no" and verdict.counterexample == maximal_ideal(alg)
-    assert verdict.counterexample_note == MIXED_PROOF.format("x*y")
-
-
 def test_classify_principal_chain(chain4):
     verdict = classify_dsc(chain4)
     assert verdict.answer == "yes"
@@ -857,18 +682,14 @@ def test_classify_principal_chain(chain4):
 def test_product_verdicts(pair_n3, triple):
     yes = classify_dsc(pair_n3)
     no = classify_dsc(triple)
-    undecided = DscVerdict("undecided_by_search")
 
     assert classify_product([yes, yes]).answer == "yes"
-    got = classify_product([yes, no])
-    assert got.answer == "no"
-    assert got.counterexample == no.counterexample
-    assert any("factor 2 fails" in n for n in got.notes)
-    # a refuted factor settles the product even next to undecided ones
-    assert classify_product([undecided, no]).answer == "no"
+    for verdicts, k in (([yes, no], 2), ([no, yes], 1)):
+        got = classify_product(verdicts)
+        assert got.answer == "no"
+        assert got.counterexample == no.counterexample
+        assert f"factor {k} fails" in got.notes
     assert classify_product([]).answer == "yes"
-    with pytest.raises(ValueError, match="factor undecided"):
-        classify_product([yes, undecided])
 
 
 # ---------------------------------------------------------------------------
