@@ -129,29 +129,6 @@ def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> l
     return basis.rows
 
 
-def packed_socle(alg: Algebra, rows: Sequence[int]) -> list[int]:
-    """Packed RREF of the socle of R/I, for the ideal I = span(rows) in
-    packed reduced echelon form: the v in M, zero at every pivot of I,
-    with g*v in I for every generator g.  With rows = () it is soc(M).
-
-    One elimination of the rows [images of e_k mod I, one block per
-    generator | e_k] over the non-pivot coordinates k >= 1; the rows
-    whose image blocks vanish span the socle.
-    """
-    f, actions = alg.field, alg.action_masks()
-    n = alg.dim
-    width = n * len(actions)
-    e = gf.Echelon(rows)
-    block = []
-    for k in range(1, n):
-        if not e.mask >> k * f.w & 1:
-            images = 0
-            for j, masks in enumerate(actions):
-                images |= f.reduce(masks[k], e) << (n * j * f.w)
-            block.append(images | 1 << (width + k) * f.w)
-    return gf.vanishing_block(alg.p, width, block)
-
-
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     a._require_same(b)
     return Ideal(a.algebra, gf.subspace_sum(a.space, b.space))

@@ -11,36 +11,37 @@ or the walk, and imports nothing from here.
 Results are exact within the feasibility bounds and are the ground
 truth the constructive machinery is tested against.
 
-The census steps up by socle lines.  A nonzero ideal J has MJ strictly
-inside it (Nakayama), so any hyperplane H of J containing MJ is an
-ideal with dim H = dim J - 1, and J = H + span(v) for the v reduced
-modulo H; that v lies in the socle of R/H, since Mv lies in MJ, inside
-H.  So the ideals one dimension above I are exactly the I + span(v) for
-the nonzero v of the socle of R/I, each closed as it stands, and over
-GF(2) distinct v give distinct ideals.  Call those hyperplanes H the
-parents of J.
+The census steps down from M by hyperplanes.  A nonzero ideal J has MJ
+strictly inside it (Nakayama), and any hyperplane H of J containing MJ
+is an ideal, since MH lies in MJ, inside H; call these the parents of
+J.  They are the kernels of the nonzero functionals on J/MJ, 2^mu - 1
+of them over GF(2), where mu = mu(J) = dim J - dim MJ.  The rows of J's
+RREF whose pivot is not a pivot of MJ are zero at every pivot of MJ, so
+they are reduced modulo MJ and lift a basis w_1, ..., w_mu of J/MJ;
+each parent is MJ plus the span of mu - 1 combinations of them.  Every
+ideal I strictly inside M is reached: M/I is nilpotent and nonzero, so
+it has a socle line, some v in M outside I with Mv inside I, and I is a
+parent of the ideal J = I + span(v), as MJ = MI + span(Mv) lies in I.
+So, by induction down from M, the walk reaches every ideal inside M.
 
 Nakayama proves length invariance: if I = Rg_1 + ... + Rg_n is direct
 with every g_k nonzero, I/MI is the direct sum of the lines Rg_k/Mg_k,
 so the g_k are independent modulo MI (none lies in MI) and
 n = mu(I) = dim I - dim MI for every decomposition of I.
 
-Each ideal is decided on the lattice.  Let J = I + span(v) with I a
-parent of J; every parent contains MJ.  Then
+Each ideal is decided on the lattice the walk leaves, with no vector of
+it enumerated:
 
-  * MJ = MI + span(g v) over the generators g, since g v lies in I, so
-    any product of two or more generators takes v into MI;
-  * mu(J) = dim J - dim MJ;
+  * MH = M(MJ) + span(g w) for a parent H = MJ + span(w, ...) of J, over
+    the generators g and the w spanning H over MJ: g w lies in MJ, so
+    any product of two or more generators takes w into M(MJ).  M(MJ) is
+    computed once per distinct MJ, and MH when H is first reached;
   * the cyclic ideals inside J are those inside its parents, plus J
-    itself when mu(J) = 1, and then v generates J.  A cyclic C inside J
-    with C != J has C + MJ != J (Nakayama), so C lies in a hyperplane of
-    J over MJ, a parent.  If mu(J) = 1, MJ is the only parent and
-    v, outside it, generates J; if mu(J) >= 2, J is not cyclic.
-
-So the enumeration records each ideal's first parent and v, and ORs in
-the set of ideals below each parent; the graded work (each MJ and
-mu(J)) is done once, when a decision is first read, so a caller that
-only counts the census pays nothing for it.
+    itself when mu(J) = 1, and then its one lift generates J.  A cyclic
+    C inside J with C != J has C + MJ != J (Nakayama), so C lies in a
+    hyperplane of J over MJ, a parent.  In the same way every ideal
+    strictly inside J lies in a parent, so the ideals below J are the
+    union over its parents.
 
 Rg = R/Ann(g) is indecomposable over a local ring, so by Krull-Schmidt
 every direct cover of J has the same summands up to isomorphism, and
@@ -51,8 +52,8 @@ exactly when a basis of J/MJ of least weight sum has weight dim J,
 where a class c weighs min dim Rg over g in c.  Every class c is the
 class of the generators of a cyclic C inside J (C = Rg for g in c, and
 every generator of C is a unit multiple of g, so lies in c + MJ), so
-the cyclic ideals inside J, taken by (dim, discovery), list every
-class at its least weight first.  The bases of a vector space are
+the cyclic ideals inside J, taken in ascending dim, list every class
+at its least weight first.  The bases of a vector space are
 those of a matroid, so picking greedily each C whose generator is
 independent of MJ and of the picks so far, until mu(J) are picked,
 gives a basis of least weight.  J decomposes exactly when the picked
@@ -76,8 +77,8 @@ from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import (Ideal, InfeasibleSizeError, packed_closure,
-                     packed_cyclic_table, packed_first_cover, packed_socle)
+from .ideals import (Ideal, InfeasibleSizeError, _packed_times_m, packed_closure,
+                     packed_cyclic_table, packed_first_cover)
 from .rings import Algebra, Element
 from .structure import DscVerdict, InternalContradictionError
 
@@ -96,36 +97,20 @@ class CensusEntry:
     lengths: Optional[tuple[int, ...]] = None
 
 
+@dataclass
 class Lattice:
-    """The ideals inside M in discovery order, (dim, first reached): the
-    ideal keys[k] was first reached as keys[parent[k]] + span(line[k]),
-    bit h of below[k] is set for every ideal keys[h] strictly inside it,
-    and index maps a key back to k.  graded() reads off each MJ and the
-    cyclic ideals on its first call."""
+    """The ideals inside M in ascending dim, as the walk down from M
+    leaves them: index maps keys[k] back to k, mj[k] is the echelon basis
+    of M keys[k], bit k of cyclic is set when keys[k] is cyclic, and then
+    gens[k] generates it, and bit h of below[k] is set for every ideal
+    keys[h] strictly inside keys[k]."""
 
-    def __init__(self, alg: Algebra, keys, index, parent, line, below):
-        self.alg = alg
-        self.keys, self.index = keys, index
-        self.parent, self.line, self.below = parent, line, below
-        self._graded: Optional[tuple[list[gf.Echelon], int]] = None
-
-    def graded(self) -> tuple[list[gf.Echelon], int]:
-        """(echelon bases of MJ by index, mask of the cyclic ideals):
-        MJ = MI + span(g v) for J = I + span(v), I its first parent."""
-        if self._graded is None:
-            actions = self.alg.action_masks()
-            mj = [gf.Echelon()]
-            cyclic = 0
-            for k in range(1, len(self.keys)):
-                e = mj[self.parent[k]].copy()
-                v = self.line[k]
-                for masks in actions:
-                    gf.gf2_insert(e, gf.gf2_apply(masks, v))
-                mj.append(e)
-                if len(self.keys[k]) - len(e.rows) == 1:
-                    cyclic |= 1 << k
-            self._graded = mj, cyclic
-        return self._graded
+    keys: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
+    mj: list[gf.Echelon]
+    cyclic: int
+    gens: list[int]
+    below: list[int]
 
 
 @dataclass
@@ -141,22 +126,24 @@ class IdealCensus:
 
 def _canonical_keys(alg: Algebra, keys) -> list[tuple[int, ...]]:
     """The proper ideals' keys in (dim, basis) order, then R's.  A row's
-    bits read from coordinate 0 sort as its 0/1 tuple does."""
+    bits read from coordinate 0 sort as its 0/1 tuple does; each distinct
+    row is formatted once, as rows repeat across keys."""
     width = f"0{alg.dim}b"
-    ordered = sorted(keys, key=lambda k: (len(k), tuple(format(r, width)[::-1] for r in k)))
+    text = {r: format(r, width)[::-1] for r in {r for key in keys for r in key}}
+    ordered = sorted(keys, key=lambda k: (len(k), tuple(map(text.__getitem__, k))))
     return ordered + [tuple(1 << k for k in range(alg.dim))]
 
 
 def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     """Every ideal of alg, zero through R, in canonical (dim, basis) order.
 
-    Breadth-first, one dimension per step: the children of I are the
-    I + span(v) for the nonzero v of the socle of R/I (see the module
-    docstring), each I's echelon basis with v placed: v is zero at every
-    pivot of I, so there is nothing to reduce.  An ideal J is reached
-    once per hyperplane of J over MJ, so children are deduplicated; the
-    census's Lattice keeps J's first parent and v, and the ideals below
-    every parent.  Cached per algebra.
+    Breadth-first down from M, one dimension per step: the parents of J
+    are MJ plus the span of each hyperplane of the lifts of J/MJ (see the
+    module docstring), each built on a copy of MJ's echelon basis and
+    deduplicated by key, since an ideal is reached once per ideal one
+    dimension above it.  The census's Lattice keeps every ideal's MJ,
+    its cyclic ideals with their generators and the ideals below each
+    one.  Cached per algebra.
     """
     # the cyclic table's refusals of odd p and of dim M past its limit
     # are the census's too, made here before a census that would run
@@ -166,38 +153,58 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     cached = getattr(alg, "_census", None)
     if cached is not None:
         return cached
-    keys: list[tuple[int, ...]] = [()]
-    index = {(): 0}
-    parent, line, below = [0], [0], [0]
-    start = 0
-    while start < len(keys):
-        end = len(keys)
-        for k in range(start, end):
-            rows = keys[k]
-            lines = [0]
-            for s in packed_socle(alg, rows):
-                lines += [v ^ s for v in lines]
-            base = gf.Echelon(rows)
-            inherited = below[k] | 1 << k
-            for v in lines[1:]:
-                grown = base.copy()
-                gf.gf2_place(grown, v)
-                grown = tuple(grown.rows)
-                j = index.get(grown)
-                if j is None:
-                    index[grown] = len(keys)
-                    keys.append(grown)
-                    parent.append(k)
-                    line.append(v)
-                    below.append(inherited)
-                else:
-                    below[j] |= inherited
-        start = end
+    actions = alg.action_masks()
+    top = tuple(1 << k for k in range(1, alg.dim))
+    keys, index = [top], {top: 0}
+    mj = [gf.Echelon(_packed_times_m(alg, top))]
+    parents, gens = [], []
+    times_m: dict[tuple[int, ...], gf.Echelon] = {}  # M(MJ) by MJ's key
+    for t, rows in enumerate(keys):  # keys grows behind t, a layer at a time
+        e = mj[t]
+        lifts = [r for r in rows if not r & -r & e.mask]
+        gens.append(lifts[0] if len(lifts) == 1 else 0)
+        ups = []
+        if lifts:
+            mk = tuple(e.rows)
+            if mk not in times_m:
+                times_m[mk] = gf.Echelon(_packed_times_m(alg, mk))
+        for c in range(1, 1 << len(lifts)):  # the nonzero functionals on J/MJ
+            low = c & -c
+            w0 = lifts[low.bit_length() - 1]
+            span = [w ^ w0 if c >> i & 1 else w
+                    for i, w in enumerate(lifts) if 1 << i != low]
+            h = e.copy()
+            for w in span:
+                gf.gf2_insert(h, w)
+            key = tuple(h.rows)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(keys)
+                keys.append(key)
+                mh = times_m[mk].copy()
+                for w in span:
+                    for masks in actions:
+                        gf.gf2_insert(mh, gf.gf2_apply(masks, w))
+                mj.append(mh)
+            ups.append(j)
+        parents.append(ups)
+    # ascending dim from here: every parent precedes its children
+    n = len(keys)
+    for walked in (keys, mj, gens, parents):
+        walked.reverse()
+    below = []
+    for ups in parents:
+        inside = 0
+        for h in ups:
+            inside |= below[n - 1 - h] | 1 << n - 1 - h
+        below.append(inside)
+    lattice = Lattice(keys, {key: k for k, key in enumerate(keys)}, mj,
+                      sum(1 << k for k, g in enumerate(gens) if g), gens, below)
     # every key, R's included, is already a closed packed reduced echelon
-    # basis: each child adds one socle vector v of R/I, and Mv lies in I
+    # basis, and a hyperplane of an ideal over its M-multiple is an ideal
     entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
                                 key) for key in _canonical_keys(alg, keys))
-    census = IdealCensus(alg, entries, Lattice(alg, keys, index, parent, line, below))
+    census = IdealCensus(alg, entries, lattice)
     alg._census = census
     return census
 
@@ -209,22 +216,22 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     each kept when its generator is independent modulo MJ of those kept,
     until mu(J) are kept.  MJ is itself a census ideal, and the cyclic
     ideals inside it are skipped unread: their generators lie in MJ."""
-    mj, cyclic = lattice.graded()
+    mj = lattice.mj[k]
     dim = len(lattice.keys[k])
-    mu = dim - len(mj[k].rows)
-    if mu <= 1:  # the zero ideal, or J = R v
-        return (lattice.line[k],) * mu
-    m = lattice.index[tuple(mj[k].rows)]
-    basis = mj[k].copy()
+    mu = dim - len(mj.rows)
+    if mu <= 1:  # the zero ideal, or J = R g
+        return (lattice.gens[k],) * mu
+    m = lattice.index[tuple(mj.rows)]
+    basis = mj.copy()
     picked = []
     weight = 0
-    members = lattice.below[k] & cyclic & ~(lattice.below[m] | 1 << m)
+    members = lattice.below[k] & lattice.cyclic & ~(lattice.below[m] | 1 << m)
     while members and len(picked) < mu:
         low = members & -members
         members ^= low
         c = low.bit_length() - 1
-        if gf.gf2_insert(basis, lattice.line[c]):
-            picked.append(lattice.line[c])
+        if gf.gf2_insert(basis, lattice.gens[c]):
+            picked.append(lattice.gens[c])
             weight += len(lattice.keys[c])
     if len(picked) < mu:
         raise InternalContradictionError("a class of J/MJ has no cyclic ideal below J")
@@ -300,9 +307,9 @@ def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
     """Fill in decomposability and lengths from each ideal's checked
-    cover, picked on the lattice from the cyclic ideals below it: the
-    graded work runs once per census, one generator is closed per cyclic
-    ideal picked, and no CyclicDecomposition is built."""
+    cover, picked on the lattice from the cyclic ideals below it: each
+    MJ comes from the walk, one generator is closed per cyclic ideal
+    picked, and no CyclicDecomposition is built."""
     alg = census.algebra
     for e in census.entries:
         e.lengths = decomposition_lengths(alg, e.ideal, max_dim)

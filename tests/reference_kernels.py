@@ -15,7 +15,7 @@ a walk over every coordinate of the unpacked row, not over its terms.
 
 The last section keeps helpers that left the package because no path of
 it calls them: power_form with its packed solver, the principal ideal
-ring test and the subset-closure census.
+ring test, the subset-closure census and the packed socle of R/I.
 """
 
 import re
@@ -413,3 +413,28 @@ def enumerate_ideals_subsets(alg):
         seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
         seen.add(tuple(packed_closure(alg, (), seeds)))
     return _canonical_keys(alg, seen)
+
+
+def packed_socle(alg, rows):
+    """Packed RREF of the socle of R/I, for the ideal I = span(rows) in
+    packed reduced echelon form: the v in M, zero at every pivot of I,
+    with g*v in I for every generator g.  With rows = () it is soc(M).
+
+    One elimination of the rows [images of e_k mod I, one block per
+    generator | e_k] over the non-pivot coordinates k >= 1; the rows
+    whose image blocks vanish span the socle.
+    """
+    from cyclicideals import gf
+
+    f, actions = alg.field, alg.action_masks()
+    n = alg.dim
+    width = n * len(actions)
+    e = gf.Echelon(rows)
+    block = []
+    for k in range(1, n):
+        if not e.mask >> k * f.w & 1:
+            images = 0
+            for j, masks in enumerate(actions):
+                images |= f.reduce(masks[k], e) << (n * j * f.w)
+            block.append(images | 1 << (width + k) * f.w)
+    return gf.vanishing_block(alg.p, width, block)

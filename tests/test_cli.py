@@ -69,9 +69,9 @@ def test_classify_refutes_a_mixed_product_over_gf3(ring_file, capsys):
     assert f"  {MIXED_PROOF.format('x*y')}" in out.splitlines()
 
 
-def test_classify_refutes_by_the_socle_count(ring_file, capsys):
-    # soc(M) = span{x*y} is one line where a cover of M needs two, and
-    # the proof classify gives is x*y != 0
+def test_classify_refutes_by_the_mixed_product(ring_file, capsys):
+    # x*y != 0 is the proof classify gives, and decompose and spec find
+    # no witness to run on
     path = ring_file("field 3 / vars x y / rel x^2 / rel y^2")
     code, out, _ = run(capsys, "classify", "--json", path)
     assert code == 1

@@ -36,6 +36,9 @@ EXTRA_RINGS = {
     "gf3-socle": "field 3 / vars x y w / rel x^4 / rel y^4 / rel x*y"
                  " / rel w^2 / rel x*w / rel y*w",
     "gf5-axes": "field 5 / vars x y / rel x^4 / rel y^3 / rel x*y",
+    # dim M 9, 147 ideals: the census order and every entry's lengths
+    "gf2-census147": "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2"
+                     " / rel x*z / rel y*z",
 }
 CORPUS = ("axis-with-socle", "nilpotent-pair-n3", "nilpotent-pair-n4",
           "nilpotent-triple", "power-series", "square-zero-n2",
@@ -74,6 +77,8 @@ def _cases() -> list[tuple[str, list[str], int]]:
         out.append((f"oracle-{ring}", ["oracle", "--json", ring], 0))
     for ring in ("nilpotent-triple", "square-zero-n3"):
         out.append((f"oracle-list-{ring}", ["oracle", "--json", "--list", ring], 0))
+    out.append(("oracle-list-gf2-census147",
+                ["oracle", "--json", "--list", "--max-oracle-dim", "9", "gf2-census147"], 0))
     for k, (ring, ideal) in enumerate(DECOMPOSE):
         out.append((f"decompose-{k:02d}-{ring}",
                     ["decompose", "--json", ring, "--ideal", ideal], 0))

@@ -14,8 +14,7 @@ from cyclicideals import (Ideal, annihilator, build_algebra, cyclic,
                           parse_element, unit_ideal, zero_ideal)
 from cyclicideals import gf, ideals
 from cyclicideals import oracle
-from cyclicideals.ideals import (InfeasibleSizeError, packed_closure,
-                                 packed_cyclic_table, packed_socle)
+from cyclicideals.ideals import InfeasibleSizeError, packed_closure, packed_cyclic_table
 from cyclicideals.rings import RingPresentation
 import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
@@ -318,7 +317,7 @@ def test_packed_cyclic_table_refusal_is_the_oracle_refusal():
 
 
 # ---------------------------------------------------------------------------
-# packed socle
+# packed socle, kept as a reference in reference_kernels
 
 
 @pytest.mark.parametrize("text", [PAIR_N3, TRIPLE, AXIS_SOCLE, SQUARE_ZERO_N3])
@@ -336,7 +335,7 @@ def test_packed_socle_is_the_socle_of_the_quotient(text):
             if not any(gf.gf2_reduce(gf.gf2_apply(m, v), e.ideal.space.echelon)
                        for m in actions):
                 kept.append(v)
-        assert packed_socle(alg, e.key) == gf.packed_field(2).rref(kept)
+        assert reference_kernels.packed_socle(alg, e.key) == gf.packed_field(2).rref(kept)
     # and the socle of R itself as the intersection of M with the left
     # kernels of the generators' multiplication matrices, rows e_k * g
     soc = maximal_ideal(alg).space
@@ -345,7 +344,7 @@ def test_packed_socle_is_the_socle_of_the_quotient(text):
                 for k in range(alg.dim)]
         kernel = gf.left_kernel(2, alg.dim, [gf.pack_vec(r) for r in rows])
         soc = gf.subspace_intersect(soc, kernel)
-    assert packed_socle(alg, ()) == list(soc.basis)
+    assert reference_kernels.packed_socle(alg, ()) == list(soc.basis)
 
 
 @pytest.mark.parametrize("text", [
@@ -369,4 +368,4 @@ def test_packed_socle_over_odd_primes(text):
                 v |= c << k * f.w
             if not any(f.reduce(f.apply(m, v), i.space.echelon) for m in alg.action_masks()):
                 kept.append(v)
-        assert packed_socle(alg, i.space.basis) == f.rref(kept)
+        assert reference_kernels.packed_socle(alg, i.space.basis) == f.rref(kept)

@@ -523,7 +523,7 @@ def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
     # generators reduce to zero modulo MJ, are masked out unread
     alg = build(CENSUS_147)
     lattice = enumerate_ideals(alg, 9).lattice
-    mj, _ = lattice.graded()
+    mj = lattice.mj
     tried = []
     insert = gf.gf2_insert
     monkeypatch.setattr(gf, "gf2_insert", lambda e, v: tried.append(v) or insert(e, v))
@@ -532,6 +532,72 @@ def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
         oracle._pick_cover(lattice, k)
         assert all(gf.gf2_reduce(v, mj[k]) for v in tried[start:]), lattice.keys[k]
     assert len(tried) > len(lattice.keys)
+
+
+def _socle_steps(alg) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    # the ideals inside M stepped up from zero, each I + span(v) for the
+    # nonzero v of the reference socle of R/I, mapped to those I
+    f = gf.packed_field(2)
+    parents = {(): set()}
+    layer = [()]
+    while layer:
+        above = []
+        for i in layer:
+            soc = reference_kernels.packed_socle(alg, i)
+            for combo in range(1, 1 << len(soc)):
+                v = 0
+                for b, r in enumerate(soc):
+                    if combo >> b & 1:
+                        v ^= r
+                j = tuple(f.rref(list(i) + [v]))
+                if j not in parents:
+                    parents[j] = set()
+                    above.append(j)
+                parents[j].add(i)
+        layer = above
+    return parents
+
+
+def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
+    # the Lattice a census leaves against a recomputation from scratch:
+    # parents by the reference socle, MJ by module_times_ideal, cyclic by
+    # mu = 1, below by containment; no Zassenhaus elimination runs in
+    # the census or its decisions
+    sizes = []
+
+    def refuse(*args):
+        raise AssertionError("vanishing_block called during the census")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(presentations())
+    def check(pres):
+        alg = _gf2_ring(pres)
+        assume(alg.dim - 1 <= 8)
+        ups = _socle_steps(alg)
+        with monkeypatch.context() as patched:
+            patched.setattr(gf, "vanishing_block", refuse)
+            lattice = complete_census(enumerate_ideals(alg)).lattice
+        keys = lattice.keys
+        assert sorted(keys) == sorted(ups)
+        assert [len(key) for key in keys] == sorted(len(key) for key in keys)
+        assert all(lattice.index[key] == k for k, key in enumerate(keys))
+        echelons = [gf.Echelon(key) for key in keys]
+        for k, key in enumerate(keys):
+            inside = [h for h, sub in enumerate(keys) if h != k
+                      and not any(gf.gf2_reduce(r, echelons[k]) for r in sub)]
+            assert lattice.below[k] == sum(1 << h for h in inside), key
+            assert {keys[h] for h in inside if len(keys[h]) == len(key) - 1} == ups[key]
+            ideal = Ideal(alg, gf.Subspace(2, alg.dim, key))
+            mj = module_times_ideal(alg, ideal)
+            assert tuple(lattice.mj[k].rows) == mj.space.basis
+            cyclic = ideal.dim - mj.dim == 1
+            assert lattice.cyclic >> k & 1 == cyclic
+            if cyclic:
+                assert tuple(packed_closure(alg, (), [lattice.gens[k]])) == key
+        sizes.append(len(keys))
+
+    check()
+    assert sum(n > 20 for n in sizes) >= 8, sizes
 
 
 @pytest.mark.parametrize("text,mdim,count", [

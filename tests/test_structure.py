@@ -246,10 +246,10 @@ def quotient_by(alg, *gens):
     return QuotientAlgebra(alg, i)
 
 
-def gf3_undecided():
-    """GF(3)[x,y]/(x^2, y^4, xy) modulo x + y^2, a quotient model: no
-    mixed product decides it, its variables do not split M, and the
-    oracle's walk is GF(2)-only."""
+def gf3_refused():
+    """GF(3)[x,y]/(x^2, y^4, xy) modulo x + y^2, a quotient model that
+    classify_dsc refuses; the oracle's walk is GF(2)-only, so nothing
+    here decides it."""
     return quotient_by(build("field 3 / vars x y / rel x^2 / rel y^4 / rel x*y"),
                        "x + y^2")
 
@@ -295,7 +295,7 @@ def gf2_shared_square():
 
 
 @pytest.mark.parametrize("decide", [classify_dsc, find_m_decomposition])
-@pytest.mark.parametrize("make", [gf2_no_cover, gf3_undecided])
+@pytest.mark.parametrize("make", [gf2_no_cover, gf3_refused])
 def test_classify_refuses_an_algebra_that_is_not_monomial(make, decide):
     q = make()
     with pytest.raises(TypeError, match="decides monomial algebras only"):
