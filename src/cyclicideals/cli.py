@@ -5,16 +5,18 @@
     cyclicideals decompose FILE --ideal G   split one ideal into cyclics
     cyclicideals spec FILE                  prime spectrum report
     cyclicideals oracle FILE                exhaustive census and verdict
+                                            (GF(2), within a budget of
+                                            ideals)
     cyclicideals corpus [PATTERN ...]       run the bundled expectations
 
 Exit codes: classify returns 0 yes / 1 no; every ring it builds is
 monomial, and a monomial ring is always decided.  The other commands
 return 0 on success.  Every command returns 3 on parse or usage errors
 and 4, with "refused:" on stderr, when the request is out of reach (a
-ring past the dimension guard, no witness, infeasible census, improper
-ideal): each limit is raised by the layer that owns it and mapped to
-its exit code only in main.  corpus returns 1 if any bundled row
-deviates.
+ring past the dimension guard, no witness, a census of odd p or past
+its budget of ideals, improper ideal): each limit is raised by the
+layer that owns it and mapped to its exit code only in main.  corpus
+returns 1 if any bundled row deviates.
 
 JSON output (--json) is deterministic: keys sorted, fixed separators.
 """
@@ -202,9 +204,8 @@ def _cmd_spec(args) -> int:
 
 def _cmd_oracle(args) -> int:
     pres, alg = _load_ring(args.file, args.truncate)
-    census = enumerate_ideals(alg, args.max_oracle_dim)
-    complete_census(census, args.max_oracle_dim)
-    verdict = oracle_dsc(alg, args.max_oracle_dim)
+    census = complete_census(enumerate_ideals(alg))
+    verdict = oracle_dsc(alg)
     histogram = Counter(str(n) for e in census.entries for n in e.lengths)
     payload = {
         "ring": pres_str(pres),
@@ -293,8 +294,6 @@ def main(argv=None) -> int:
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--list", action="store_true", help="dump every ideal")
     _add_common(sp)
-    sp.add_argument("--max-oracle-dim", type=int, default=8, metavar="D",
-                    help="census bound on dim M (default 8)")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("corpus", help="run the bundled expectation table")

@@ -73,10 +73,10 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
              use_oracle: bool = True) -> dict:
     """Classify one bundled case and compare against its frozen row.
 
-    max_oracle_dim bounds the census.  With use_oracle=False only the
-    constructive checks run, and the census column stays empty.
-    max_pair_dim does nothing; bench/workloads.py passes it until ROADMAP
-    item 1 drops it.
+    With use_oracle=False only the constructive checks run, and the
+    census column stays empty.  max_pair_dim and max_oracle_dim do
+    nothing (the census is bounded by its budget of ideals);
+    bench/workloads.py passes them until ROADMAP item 1 drops them.
     """
     case = case_by_key(key)
     pres, alg = load_case(key)
@@ -87,7 +87,7 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
         spec_case = spec_classify(pres, verdict.witness).case
     census = None
     if use_oracle and case.census is not None:
-        census = enumerate_ideals(alg, max_oracle_dim).count
+        census = enumerate_ideals(alg).count
     ok = (got_dsc == case.dsc and spec_case == case.spec_case
           and (census is None or census == case.census))
     return {

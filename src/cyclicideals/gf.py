@@ -299,6 +299,8 @@ def packed_field(p: int) -> Field:
     return f
 
 
+# nothing in the package calls it; it moves to tests/reference_kernels.py
+# once bench/tracing.py no longer spans it
 def rref_rows(vectors: Iterable[Sequence[int]], p: int, ncols: int) -> tuple[Vec, ...]:
     """Canonical reduced row echelon basis of the span of `vectors`."""
     return Subspace.span(p, ncols, vectors).rows

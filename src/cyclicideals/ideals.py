@@ -7,12 +7,17 @@ Closure is re-checked on construction, unless the basis is closed by
 construction: the output of a closure loop, M itself, or M times an
 ideal.  Any other operation that produced a non-ideal is a bug we want
 to hear about immediately.
+
+Each cyclic module Rz is closed once per algebra (cyclic), and every
+cover the oracle certifies reads its summands from there.  No cover is
+searched here: the oracle decides every ideal on its lattice.  The
+lazy packed cyclic table is kept only because the benchmark's traced
+pass still names it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import gf
 from .rings import Algebra, Element
@@ -214,7 +219,9 @@ def min_generators(alg: Algebra, i: Ideal) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed GF(2) caches and the cyclic-cover search
+# the packed GF(2) cyclic table: nothing in the package reads it, and it
+# moves to tests/reference_kernels.py, beside the Gray-code cover walk
+# that reads it, once bench/tracing.py no longer spans it
 
 
 class _CyclicTable(dict):
@@ -259,58 +266,3 @@ def packed_cyclic_table(alg: Algebra) -> dict[int, tuple[int, ...]]:
                                   f"the table limit {CYCLIC_TABLE_MAX_DIM}")
     table = alg._cyclic_table = _CyclicTable(alg)
     return table
-
-
-def packed_first_cover(alg: Algebra, rows: Sequence[int]
-                       ) -> Optional[tuple[list[int], list[int]]]:
-    """A direct cover of the ideal I = span(rows) by cyclic submodules, as
-    (generators of the non-simple summands, generators of the simple
-    ones), each sorted by subset mask, or None when I is no direct sum of
-    cyclic modules.  GF(2); rows is a packed reduced echelon basis.
-
-    Any one cover decides: Rg = R/Ann(g) is indecomposable over a local
-    ring, so by Krull-Schmidt every direct cover of I has the same
-    summands up to isomorphism.  Take any g_1, ..., g_n in I whose
-    classes form a basis of I/MI.  Nakayama gives sum Rg_k = I, so
-    sum dim Rg_k >= dim I, with equality exactly when the sum is direct.
-    Every direct cover has that form: I/MI is the direct sum of the lines
-    Rg_k/Mg_k, so the g_k lie outside MI, are independent modulo MI, and
-    number mu(I).  So I is a direct sum of cyclic modules exactly when
-    the minimum of sum w(c_k) over bases {c_k} of I/MI is dim I, where
-    w(c) = min dim Rv over the lifts v in c + MI.  The bases of a vector
-    space are those of a matroid, so taking classes greedily by weight
-    finds a minimum-weight basis.  Each class keeps its lift of least
-    (dim Rv, subset mask), and the classes are taken in that order.
-
-    Lifts come from walking the subsets of rows in Gray-code order, one
-    XOR for the vector and one for its class modulo MI per step
-    (reduction against an echelon basis is linear).  Only vectors
-    outside MI are read from the cyclic table.
-    """
-    table = packed_cyclic_table(alg)
-    mi = _packed_times_m(alg, rows)
-    mi_basis = gf.Echelon(mi)
-    classes = [gf.gf2_reduce(r, mi_basis) for r in rows]
-    lightest: dict[int, tuple[int, int, int, int]] = {}
-    mask = v = cls = 0
-    for s in range(1, 1 << len(rows)):
-        b = (s & -s).bit_length() - 1
-        mask ^= 1 << b
-        v ^= rows[b]
-        cls ^= classes[b]
-        if cls:
-            lift = (len(table[v]), mask, v, cls)
-            if cls not in lightest or lift < lightest[cls]:
-                lightest[cls] = lift
-    heap = list(lightest.values())
-    heapq.heapify(heap)  # cheaper than sorting every class
-    basis = gf.Echelon()
-    chosen = []
-    while len(basis.rows) < len(rows) - len(mi):
-        lift = heapq.heappop(heap)
-        if gf.gf2_insert(basis, lift[3]):
-            chosen.append(lift)
-    if sum(lift[0] for lift in chosen) != len(rows):
-        return None
-    chosen.sort(key=lambda lift: lift[1])
-    return ([v for d, _, v, _ in chosen if d > 1], [v for d, _, v, _ in chosen if d == 1])

@@ -1,17 +1,24 @@
 """Exhaustive GF(2) certificates: enumerate every ideal, decide each one.
 
-The census lists all ideals one dimension at a time (cross-checkable
-against a subset-closure sweep at tiny sizes) and decides each one on
-the lattice it walked, from the cyclic ideals the ideal contains; no
-vector of an ideal is enumerated.  brute_decompose decides one ideal on
-its own, by ideals.packed_first_cover, which reads every vector of it,
-on any GF(2) algebra, monomial or not.  structure.classify_dsc decides
-monomial algebras only, by their presentation; it never runs the census
-or the walk, and imports nothing from here.
-Results are exact within the feasibility bounds and are the ground
-truth the constructive machinery is tested against.
+One walk serves every function here.  _walk lists the ideals inside any
+ideal T, one dimension at a time down from T (cross-checkable against a
+subset-closure sweep at tiny sizes), and leaves the lattice that decides
+each of them from the cyclic ideals it contains; no vector of an ideal
+is enumerated.  The census walks down from M; brute_decompose decides
+one ideal I by walking down from I alone, so its generators never
+depend on whether a census ran.  Either works on any GF(2) algebra,
+monomial or not.  structure.classify_dsc decides monomial algebras
+only, by their presentation; it never runs the walk, and imports
+nothing from here.  Results are exact and are the ground truth the
+constructive machinery is tested against.
 
-The census steps down from M by hyperplanes.  A nonzero ideal J has MJ
+The walk is bounded by the ideals it reaches, not by dim M: it refuses
+an odd p before any GF(2) kernel runs, and a walk as soon as it reaches
+more than IDEAL_BUDGET ideals, so a flat ring with hundreds of thousands
+of ideals is refused in about a second, and a deep ring of small
+lattice is decided whatever its dimension.
+
+The walk steps down from T by hyperplanes.  A nonzero ideal J has MJ
 strictly inside it (Nakayama), and any hyperplane H of J containing MJ
 is an ideal, since MH lies in MJ, inside H; call these the parents of
 J.  They are the kernels of the nonzero functionals on J/MJ, 2^mu - 1
@@ -19,10 +26,11 @@ of them over GF(2), where mu = mu(J) = dim J - dim MJ.  The rows of J's
 RREF whose pivot is not a pivot of MJ are zero at every pivot of MJ, so
 they are reduced modulo MJ and lift a basis w_1, ..., w_mu of J/MJ;
 each parent is MJ plus the span of mu - 1 combinations of them.  Every
-ideal I strictly inside M is reached: M/I is nilpotent and nonzero, so
-it has a socle line, some v in M outside I with Mv inside I, and I is a
-parent of the ideal J = I + span(v), as MJ = MI + span(Mv) lies in I.
-So, by induction down from M, the walk reaches every ideal inside M.
+ideal I strictly inside T is reached: M is nilpotent, so for the
+largest k with M^k T not inside I there is some v in M^k T outside I
+with Mv inside I, and I is a parent of the ideal J = I + span(v), as
+MJ = MI + span(Mv) lies in I.  So, by induction down from T, the walk
+reaches every ideal inside T.
 
 Nakayama proves length invariance: if I = Rg_1 + ... + Rg_n is direct
 with every g_k nonzero, I/MI is the direct sum of the lines Rg_k/Mg_k,
@@ -59,15 +67,15 @@ independent of MJ and of the picks so far, until mu(J) are picked,
 gives a basis of least weight.  J decomposes exactly when the picked
 dims sum to dim J.
 
-One cache per algebra maps an ideal's packed key to the generators of
-its cover, or None; R is an entry with the single generator 1.  A cover
-enters the cache only after its generators, each closed once per
-algebra by packed_closure, give rows that number dim J and row-reduce
-to J's key: the direct-sum certificate build_decomposition checks, read
-off the generators alone, not off the lattice.  complete_census,
-oracle_dsc and decomposition_lengths read nothing else; brute_decompose
-keeps its own cache of the walk's covers, so its generators never
-depend on whether a census ran.
+A cover is kept only after its generators, each closed once per
+algebra by ideals.cyclic, give rows that number dim J and row-reduce
+to J's key: the direct-sum certificate build_decomposition checks,
+read off the generators alone, not off the lattice.  One cache per
+algebra maps an ideal's packed key to the generators of its census
+cover, or None, and R is an entry with the single generator 1;
+complete_census, oracle_dsc and decomposition_lengths read nothing
+else.  brute_decompose keeps its own cache of the decompositions built
+from the covers of its walks.
 """
 
 from __future__ import annotations
@@ -77,16 +85,14 @@ from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import (Ideal, InfeasibleSizeError, _packed_times_m, packed_closure,
-                     packed_cyclic_table, packed_first_cover)
+from .ideals import Ideal, InfeasibleSizeError, _packed_times_m, cyclic
 from .rings import Algebra, Element
 from .structure import DscVerdict, InternalContradictionError
 
-
-def _require_feasible(alg: Algebra, max_dim: int) -> None:
-    if alg.dim - 1 > max_dim:
-        raise InfeasibleSizeError(
-            f"dim M = {alg.dim - 1} exceeds the oracle bound {max_dim}")
+# the most ideals one walk may reach: the square-zero ring in 7
+# variables (29,213 ideals) is censused in about 2 s, and the walk of
+# the one in 8 (417,200) is refused in about 1.3 s
+IDEAL_BUDGET = 50_000
 
 
 @dataclass
@@ -99,11 +105,11 @@ class CensusEntry:
 
 @dataclass
 class Lattice:
-    """The ideals inside M in ascending dim, as the walk down from M
-    leaves them: index maps keys[k] back to k, mj[k] is the echelon basis
-    of M keys[k], bit k of cyclic is set when keys[k] is cyclic, and then
-    gens[k] generates it, and bit h of below[k] is set for every ideal
-    keys[h] strictly inside keys[k]."""
+    """The ideals inside the top of a walk in ascending dim, top last, as
+    the walk leaves them: index maps keys[k] back to k, mj[k] is the
+    echelon basis of M keys[k], bit k of cyclic is set when keys[k] is
+    cyclic, and then gens[k] generates it, and bit h of below[k] is set
+    for every ideal keys[h] strictly inside keys[k]."""
 
     keys: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
@@ -134,27 +140,20 @@ def _canonical_keys(alg: Algebra, keys) -> list[tuple[int, ...]]:
     return ordered + [tuple(1 << k for k in range(alg.dim))]
 
 
-def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
-    """Every ideal of alg, zero through R, in canonical (dim, basis) order.
+def _walk(alg: Algebra, top: tuple[int, ...]) -> Lattice:
+    """The lattice of every ideal inside the ideal whose key is top.
 
-    Breadth-first down from M, one dimension per step: the parents of J
-    are MJ plus the span of each hyperplane of the lifts of J/MJ (see the
-    module docstring), each built on a copy of MJ's echelon basis and
-    deduplicated by key, since an ideal is reached once per ideal one
-    dimension above it.  The census's Lattice keeps every ideal's MJ,
-    its cyclic ideals with their generators and the ideals below each
-    one.  Cached per algebra.
+    Breadth-first down from top, one dimension per step: the parents of
+    J are MJ plus the span of each hyperplane of the lifts of J/MJ (see
+    the module docstring), each built on a copy of MJ's echelon basis
+    and deduplicated by key, since an ideal is reached once per ideal
+    one dimension above it.  Refuses an odd p before any GF(2) kernel
+    runs, and the walk as soon as it reaches more than IDEAL_BUDGET
+    ideals.
     """
-    # the cyclic table's refusals of odd p and of dim M past its limit
-    # are the census's too, made here before a census that would run
-    # for minutes
-    packed_cyclic_table(alg)
-    _require_feasible(alg, max_dim)
-    cached = getattr(alg, "_census", None)
-    if cached is not None:
-        return cached
+    if alg.p != 2:
+        raise InfeasibleSizeError(f"the census handles GF(2) only, not GF({alg.p})")
     actions = alg.action_masks()
-    top = tuple(1 << k for k in range(1, alg.dim))
     keys, index = [top], {top: 0}
     mj = [gf.Echelon(_packed_times_m(alg, top))]
     parents, gens = [], []
@@ -179,6 +178,9 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
             key = tuple(h.rows)
             j = index.get(key)
             if j is None:
+                if len(keys) == IDEAL_BUDGET:
+                    raise InfeasibleSizeError(
+                        f"census infeasible: more than {IDEAL_BUDGET} ideals to walk")
                 j = index[key] = len(keys)
                 keys.append(key)
                 mh = times_m[mk].copy()
@@ -198,12 +200,26 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
         for h in ups:
             inside |= below[n - 1 - h] | 1 << n - 1 - h
         below.append(inside)
-    lattice = Lattice(keys, {key: k for k, key in enumerate(keys)}, mj,
-                      sum(1 << k for k, g in enumerate(gens) if g), gens, below)
+    return Lattice(keys, {key: k for k, key in enumerate(keys)}, mj,
+                   sum(1 << k for k, g in enumerate(gens) if g), gens, below)
+
+
+def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
+    """Every ideal of alg, zero through R, in canonical (dim, basis) order,
+    with the Lattice of the walk down from M, which keeps every ideal's
+    MJ, its cyclic ideals with their generators and the ideals below
+    each one.  Cached per algebra.  max_dim does nothing: the walk's
+    IDEAL_BUDGET bounds the census, and bench/workloads.py passes
+    max_dim until ROADMAP item 1 drops it.
+    """
+    cached = getattr(alg, "_census", None)
+    if cached is not None:
+        return cached
+    lattice = _walk(alg, tuple(1 << k for k in range(1, alg.dim)))
     # every key, R's included, is already a closed packed reduced echelon
     # basis, and a hyperplane of an ideal over its M-multiple is an ideal
     entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
-                                key) for key in _canonical_keys(alg, keys))
+                                key) for key in _canonical_keys(alg, lattice.keys))
     census = IdealCensus(alg, entries, lattice)
     alg._census = census
     return census
@@ -214,8 +230,9 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     J/MJ picks, or None when J is no direct sum of cyclic modules (see
     the module docstring): the cyclic ideals below J in discovery order,
     each kept when its generator is independent modulo MJ of those kept,
-    until mu(J) are kept.  MJ is itself a census ideal, and the cyclic
-    ideals inside it are skipped unread: their generators lie in MJ."""
+    until mu(J) are kept.  MJ is itself an ideal of the lattice, and the
+    cyclic ideals inside it are skipped unread: their generators lie in
+    MJ."""
     mj = lattice.mj[k]
     dim = len(lattice.keys[k])
     mu = dim - len(mj.rows)
@@ -238,70 +255,66 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     return tuple(picked) if weight == dim else None
 
 
-def _closure(alg: Algebra, v: int) -> tuple[int, ...]:
-    """The RREF rows of Rv, closed by packed_closure once per algebra."""
-    closed = vars(alg).setdefault("_closed", {})
-    if v not in closed:
-        closed[v] = tuple(packed_closure(alg, (), [v]))
-    return closed[v]
+def _certified(alg: Algebra, key: tuple[int, ...], gens: Optional[tuple[int, ...]]
+               ) -> Optional[tuple[int, ...]]:
+    """gens, once the closures of the cover's generators, read from
+    ideals.cyclic, number len(key) rows and row-reduce to key, so the
+    summands are direct onto the ideal: the certificate
+    build_decomposition checks, in packed rows."""
+    if gens is not None:
+        rows = [r for v in gens for r in cyclic(alg, Element.packed(alg, v)).space.basis]
+        if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
+            raise InternalContradictionError("cover failed verification")
+    return gens
 
 
-def _decomposition(alg: Algebra, i: Ideal, max_dim: int) -> Optional[tuple[int, ...]]:
-    """The packed generators of i's cover, or None when i is no direct sum
-    of cyclic modules: one cache per algebra, from an ideal's packed key,
-    serves every census function here.  Only R contains a unit, so
-    R = R*1 and its cover is (1,); any other ideal takes the one that
-    _pick_cover reads off the census lattice.  Before a cover is cached
-    the closures of its generators must number dim i rows and span i, so
-    the summands are direct onto i: the certificate build_decomposition
-    checks, in packed rows."""
-    _require_feasible(alg, max_dim)
+def _decomposition(alg: Algebra, i: Ideal) -> Optional[tuple[int, ...]]:
+    """The packed generators of i's census cover, or None when i is no
+    direct sum of cyclic modules: one cache per algebra, from an ideal's
+    packed key, serves every census function here.  Only R contains a
+    unit, so R = R*1 and its cover is (1,); any other ideal takes the one
+    that _pick_cover reads off the census lattice.  Each is certified
+    before it is cached."""
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     key = i.space.basis
     covers = vars(alg).setdefault("_covers", {})
     if key not in covers:
-        census = getattr(alg, "_census", None)
-        if census is None:
-            census = enumerate_ideals(alg, max_dim)
-        lattice = census.lattice
+        lattice = enumerate_ideals(alg).lattice
         gens = (1,) if len(key) == alg.dim else _pick_cover(lattice, lattice.index[key])
-        if gens is not None:
-            rows = [r for v in gens for r in _closure(alg, v)]
-            if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
-                raise InternalContradictionError("cover failed verification")
-        covers[key] = gens
+        covers[key] = _certified(alg, key, gens)
     return covers[key]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
-    """A decomposition of i into independent cyclic submodules, the one
-    packed_first_cover picks after reading every vector of i, or None
-    when no family covers i.  The only function here that builds a
-    CyclicDecomposition: build_decomposition checks the cover direct
-    onto i, reading each summand from ideals.cyclic, and the result is
-    cached per algebra, R included, apart from the census's covers."""
-    _require_feasible(alg, max_dim)
+    """A decomposition of i into independent cyclic submodules, or None
+    when no family covers i: the cover _pick_cover takes on the lattice
+    of the walk down from i, certified as the census's covers are.  The
+    only function here that builds a CyclicDecomposition:
+    build_decomposition checks the cover direct onto i, reading each
+    summand from ideals.cyclic, and the result is cached per algebra, R
+    included, apart from the census's covers.  max_dim does nothing, as
+    in enumerate_ideals."""
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     built = vars(alg).setdefault("_brute_cache", {})
     key = i.space.basis
     if key not in built:
-        packed_cyclic_table(alg)  # refuses odd p and dim M past its limit, R too
-        found = ([1], []) if len(key) == alg.dim else packed_first_cover(alg, key)
-        built[key] = None if found is None else build_decomposition(
-            alg, i, [Element.packed(alg, v) for v in found[0] + found[1]], "exhaustive")
+        lattice = _walk(alg, key)
+        gens = _certified(alg, key, _pick_cover(lattice, lattice.index[key]))
+        built[key] = None if gens is None else build_decomposition(
+            alg, i, [Element.packed(alg, v) for v in gens], "exhaustive")
     return built[key]
 
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
     """Every achievable number of summands over all decompositions of i:
     by Nakayama (mu(I),) when i decomposes, else (), read off the
-    checked cover that the census lattice picks for i, with no walk of
-    i's vectors and no decomposition object.  It runs the census of
-    i's algebra first if none is cached."""
-    gens = _decomposition(alg, i, max_dim)
+    checked cover that the census lattice picks for i, with no
+    decomposition object.  It runs the census of i's algebra first if
+    none is cached.  max_dim does nothing, as in enumerate_ideals."""
+    gens = _decomposition(alg, i)
     return () if gens is None else (len(gens),)
 
 
@@ -309,10 +322,11 @@ def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
     """Fill in decomposability and lengths from each ideal's checked
     cover, picked on the lattice from the cyclic ideals below it: each
     MJ comes from the walk, one generator is closed per cyclic ideal
-    picked, and no CyclicDecomposition is built."""
+    picked, and no CyclicDecomposition is built.  max_dim does nothing,
+    as in enumerate_ideals."""
     alg = census.algebra
     for e in census.entries:
-        e.lengths = decomposition_lengths(alg, e.ideal, max_dim)
+        e.lengths = decomposition_lengths(alg, e.ideal)
         e.decomposable = e.lengths != ()
     return census
 
@@ -331,10 +345,11 @@ def length_invariance(census: IdealCensus) -> bool:
 
 def oracle_dsc(alg: Algebra, max_dim: int = 8) -> DscVerdict:
     """Ground-truth verdict: decompose every ideal or exhibit the first
-    (canonical order) that cannot be decomposed."""
-    census = enumerate_ideals(alg, max_dim)
+    (canonical order) that cannot be decomposed.  max_dim does nothing,
+    as in enumerate_ideals."""
+    census = enumerate_ideals(alg)
     for e in census.entries:
-        if _decomposition(alg, e.ideal, max_dim) is None:
+        if _decomposition(alg, e.ideal) is None:
             note = ("exhaustive search over all families of cyclic "
                     "submodules found no direct-sum cover")
             return DscVerdict("no", None, e.ideal, note,

@@ -12,12 +12,16 @@ exponent box and one sort, not from their divisors.  Element
 expressions are read by recursive descent and multiplied out, each power
 by repeated products, not summed off the monomial index, and rendered by
 a walk over every coordinate of the unpacked row, not over its terms.
+Two cover walks over the vectors of an ideal, the Gray-code walk that
+left the package and the depth-first search that pins its pick, share
+the packed rows and the cyclic table with the package instead.
 
 The last section keeps helpers that left the package because no path of
 it calls them: power_form with its packed solver, the principal ideal
 ring test, the subset-closure census and the packed socle of R/I.
 """
 
+import heapq
 import re
 from bisect import insort
 
@@ -208,10 +212,71 @@ def standard_monomials(pres, max_dim):
     return tuple(basis)
 
 
+def packed_first_cover(alg, rows):
+    """A direct cover of the ideal I = span(rows) by cyclic submodules, as
+    (generators of the non-simple summands, generators of the simple
+    ones), each sorted by subset mask, or None when I is no direct sum of
+    cyclic modules.  GF(2); rows is a packed reduced echelon basis.  It
+    left the package when the oracle came to decide every ideal on the
+    lattice below it; the tests keep it as the independent walk of the
+    vectors of I that the lattice is checked against.
+
+    Any one cover decides: Rg = R/Ann(g) is indecomposable over a local
+    ring, so by Krull-Schmidt every direct cover of I has the same
+    summands up to isomorphism.  Take any g_1, ..., g_n in I whose
+    classes form a basis of I/MI.  Nakayama gives sum Rg_k = I, so
+    sum dim Rg_k >= dim I, with equality exactly when the sum is direct.
+    Every direct cover has that form: I/MI is the direct sum of the lines
+    Rg_k/Mg_k, so the g_k lie outside MI, are independent modulo MI, and
+    number mu(I).  So I is a direct sum of cyclic modules exactly when
+    the minimum of sum w(c_k) over bases {c_k} of I/MI is dim I, where
+    w(c) = min dim Rv over the lifts v in c + MI.  The bases of a vector
+    space are those of a matroid, so taking classes greedily by weight
+    finds a minimum-weight basis.  Each class keeps its lift of least
+    (dim Rv, subset mask), and the classes are taken in that order.
+
+    Lifts come from walking the subsets of rows in Gray-code order, one
+    XOR for the vector and one for its class modulo MI per step
+    (reduction against an echelon basis is linear).  Only vectors
+    outside MI are read from the packed cyclic table, which refuses an
+    odd p and a dim M past its limit.
+    """
+    from cyclicideals import gf
+    from cyclicideals.ideals import _packed_times_m, packed_cyclic_table
+
+    table = packed_cyclic_table(alg)
+    mi = _packed_times_m(alg, rows)
+    mi_basis = gf.Echelon(mi)
+    classes = [gf.gf2_reduce(r, mi_basis) for r in rows]
+    lightest = {}
+    mask = v = cls = 0
+    for s in range(1, 1 << len(rows)):
+        b = (s & -s).bit_length() - 1
+        mask ^= 1 << b
+        v ^= rows[b]
+        cls ^= classes[b]
+        if cls:
+            lift = (len(table[v]), mask, v, cls)
+            if cls not in lightest or lift < lightest[cls]:
+                lightest[cls] = lift
+    heap = list(lightest.values())
+    heapq.heapify(heap)  # cheaper than sorting every class
+    basis = gf.Echelon()
+    chosen = []
+    while len(basis.rows) < len(rows) - len(mi):
+        lift = heapq.heappop(heap)
+        if gf.gf2_insert(basis, lift[3]):
+            chosen.append(lift)
+    if sum(lift[0] for lift in chosen) != len(rows):
+        return None
+    chosen.sort(key=lambda lift: lift[1])
+    return ([v for d, _, v, _ in chosen if d > 1], [v for d, _, v, _ in chosen if d == 1])
+
+
 def reference_first_cover(alg, rows):
     """The first cover of a depth-first search, as (non-simple, simple)
     generator lists: the reference that pins the cover the greedy
-    minimum-weight basis of ideals.packed_first_cover picks.
+    minimum-weight basis of packed_first_cover picks.
 
     Unlike the kernels above it shares the packed rows and the cyclic
     table with the package.  It lists one generator per cyclic submodule

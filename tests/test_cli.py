@@ -8,18 +8,20 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclicideals
-from cyclicideals import DimensionLimitError, build_algebra, parse_presentation
+from cyclicideals import DimensionLimitError, build_algebra, oracle, parse_presentation
 from cyclicideals.cli import main
 from conftest import (AXIS_SOCLE, GF3_MIXED, LONG, MIXED_PROOF, PAIR_N3,
                       SPLITLINES_BREAKS, TRIPLE, TWO_AXES, certificate_note)
 
 INFINITE = "field 2 / vars x y / rel x*y"
-# three non-simple axes with dim M = 9, one past the oracle's default bound
+# three non-simple axes with dim M = 9, one past the oracle's old bound on
+# dim M
 TRIPLE_N4 = ("field 2 / vars x y z / rel x^4 / rel y^4 / rel z^4"
              " / rel x*y / rel x*z / rel y*z")
 # dim M = 22, past the packed cyclic table's limit of 20; x*y != 0
@@ -85,16 +87,18 @@ def test_classify_refutes_by_the_mixed_product(ring_file, capsys):
 
 
 def test_classify_takes_no_oracle_bound(ring_file, capsys):
-    # the rank certificate refutes at any size, so only oracle keeps the flag
+    # the rank certificate refutes at any size, and the census is bounded
+    # by the ideals it reaches, so no command takes a bound on dim M
     path = ring_file(TRIPLE_N4)
     code, out, _ = run(capsys, "classify", path)
     assert code == 1
     assert f"note: {certificate_note('x', 'y', 'z')}" in out.splitlines()
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", path, "--max-oracle-dim", "8"])
-    assert exc.value.code == 3
-    code, _, err = run(capsys, "oracle", path, "--max-oracle-dim", "8")
-    assert code == 4 and "exceeds the oracle bound 8" in err
+    for command in ("classify", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--max-oracle-dim", "8"])
+        assert exc.value.code == 3
+    code, out, _ = run(capsys, "oracle", "--json", path)
+    assert code == 0 and json.loads(out)["dsc"] == "no"
 
 
 @pytest.mark.parametrize("command", ["classify", "oracle"])
@@ -148,13 +152,13 @@ def test_max_dim_past_the_cyclic_table_limit(ring_file, capsys):
 
 
 def test_oracle_bound_past_the_cyclic_table_limit(ring_file, capsys):
-    code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", "25")
-    assert code == 4 and "table limit 20" in err
-    # dim M = 21
-    narrower = ring_file(WIDE.replace("x*y^11", "x*y^10"))
-    code, _, err = run(capsys, "oracle", narrower, "--max-oracle-dim", "25")
-    assert code == 4 and "table limit 20" in err
-    _assert_refuted_past_the_table(capsys, narrower)
+    # the table's limit of 20 bounds no census: oracle decides dim M = 22
+    # and 21, and agrees with classify
+    narrower = ring_file(WIDE.replace("x*y^11", "x*y^10"), "narrower.ring")
+    for path in (ring_file(WIDE), narrower):
+        code, out, _ = run(capsys, "oracle", "--json", path)
+        assert code == 0 and json.loads(out)["dsc"] == "no"
+        _assert_refuted_past_the_table(capsys, path)
 
 
 def test_classify_refuses_a_ring_past_the_dimension_guard(ring_file, capsys):
@@ -184,6 +188,20 @@ def test_rings_just_under_the_dimension_guard_finish_in_seconds(ring_file, text,
         done = subprocess.run([sys.executable, "-m", "cyclicideals.cli", command, path],
                               capture_output=True, env=env, timeout=5)
         assert done.returncode == code, done.stderr
+
+
+def test_oracle_refuses_square_zero_in_8_variables_in_seconds(ring_file):
+    # dim M = 8, inside the old bound on dim M, but 417,200 ideals: the
+    # walk stops at its budget of ideals, in a fresh interpreter as a
+    # user runs it, before the census turns into a stall (ROADMAP aim 3)
+    names = "abcdefgh"
+    rels = " / ".join(f"rel {u}*{v}" for k, u in enumerate(names) for v in names[k:])
+    path = ring_file(f"field 2 / vars {' '.join(names)} / {rels}")
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclicideals.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cyclicideals.cli", "oracle", path],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("refused: census infeasible: more than ")
 
 
 @pytest.mark.parametrize("text,line,column", [
@@ -386,21 +404,23 @@ def test_oracle_json_histogram(ring_file, capsys):
     assert payload["lengths_histogram"] == {"0": 1, "1": 9, "2": 4}
 
 
-def test_oracle_refuses_infeasible(ring_file, capsys):
+def test_oracle_refuses_infeasible(ring_file, capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", ring_file(GF3_MIXED))
     assert code == 4 and "GF(3)" in err
-    code, _, err = run(capsys, "oracle", ring_file(TWO_AXES))
-    assert code == 4 and "refused:" in err
+    # xy, x^6, y^6 has 62 ideals, 61 of them inside M
+    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 60)
+    code, out, err = run(capsys, "oracle", ring_file(TWO_AXES))
+    assert (code, out) == (4, "")
+    assert err == "refused: census infeasible: more than 60 ideals to walk\n"
 
 
-@pytest.mark.parametrize("bound", ["1", "8", "30"])
-def test_the_cyclic_table_refuses_for_the_oracle_at_any_budget(ring_file, capsys, bound):
-    # odd p and dim M past 20 are the table's limits, which no budget lifts
-    code, _, err = run(capsys, "oracle", ring_file(GF3_MIXED), "--max-oracle-dim", bound)
-    assert (code, err) == (4, "refused: cyclic table handles GF(2) only, not GF(3)\n")
-    code, _, err = run(capsys, "oracle", ring_file(WIDE), "--max-oracle-dim", bound)
-    assert (code, err) == (4, "refused: cyclic table infeasible: dim M = 22 "
-                              "exceeds the table limit 20\n")
+def test_the_cyclic_table_refuses_for_the_oracle_at_any_budget(ring_file, capsys):
+    # odd p is refused before the walk; dim M past 20, the table's limit,
+    # is no limit of the census
+    code, _, err = run(capsys, "oracle", ring_file(GF3_MIXED))
+    assert (code, err) == (4, "refused: the census handles GF(2) only, not GF(3)\n")
+    code, out, _ = run(capsys, "oracle", "--json", ring_file(WIDE))
+    assert code == 0 and json.loads(out)["dsc"] == "no"
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +510,10 @@ def test_no_ring_text_leaks_a_traceback(tmp_path_factory, text, ideal):
     path.write_text(text + "\n")
     for argv in (["classify"], ["spec"], ["oracle"], ["decompose", "--ideal", ideal]):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a census refuses the same way at any budget of ideals; a small
+        # one keeps each refusal of a wide ring to a fraction of a second
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(oracle, "IDEAL_BUDGET", 2000):
             code = main([argv[0], str(path), *argv[1:]])
         assert code in (0, 1, 3, 4), (argv, text)
         assert code != 4 or err.getvalue().startswith("refused: "), (argv, text)
@@ -509,11 +532,13 @@ def test_bad_usage_exits_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-dim", "--max-oracle-dim"])
 @pytest.mark.parametrize("argv", [["classify"], ["decompose", "--ideal", "x"],
                                   ["spec"], ["oracle"]], ids=lambda argv: argv[0])
-def test_no_command_takes_max_dim(ring_file, argv):
-    # a monomial ring needs no search bound, and only --max-oracle-dim
-    # bounds the census: --max-dim is no flag of any command
+def test_no_command_takes_max_dim(ring_file, argv, flag):
+    # a monomial ring needs no search bound, and the census is bounded by
+    # the ideals it reaches, not by dim M: neither flag is one of any
+    # command
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], ring_file(PAIR_N3), *argv[1:], "--max-dim", "5"])
+        main([argv[0], ring_file(PAIR_N3), *argv[1:], flag, "5"])
     assert exc.value.code == 3

@@ -78,7 +78,7 @@ def _cases() -> list[tuple[str, list[str], int]]:
     for ring in ("nilpotent-triple", "square-zero-n3"):
         out.append((f"oracle-list-{ring}", ["oracle", "--json", "--list", ring], 0))
     out.append(("oracle-list-gf2-census147",
-                ["oracle", "--json", "--list", "--max-oracle-dim", "9", "gf2-census147"], 0))
+                ["oracle", "--json", "--list", "gf2-census147"], 0))
     for k, (ring, ideal) in enumerate(DECOMPOSE):
         out.append((f"decompose-{k:02d}-{ring}",
                     ["decompose", "--json", ring, "--ideal", ideal], 0))

@@ -275,7 +275,7 @@ def test_cover_of_m_closes_each_cyclic_module_once(text, closures):
         return packed_closure(alg, rows, seeds)
 
     with mock.patch.object(ideals, "packed_closure", counting):
-        ideals.packed_first_cover(alg, maximal_ideal(alg).space.basis)
+        reference_kernels.packed_first_cover(alg, maximal_ideal(alg).space.basis)
     table = packed_cyclic_table(alg)
     assert len(calls) == len(set(table.values()) - {()}) == closures
     for vec, rows in table.items():
@@ -304,7 +304,7 @@ def test_cyclic_table_and_cover_refuse_odd_p():
     with pytest.raises(InfeasibleSizeError, match=r"GF\(2\) only, not GF\(3\)"):
         packed_cyclic_table(alg)
     with pytest.raises(InfeasibleSizeError, match=r"GF\(2\) only, not GF\(3\)"):
-        ideals.packed_first_cover(alg, maximal_ideal(alg).space.basis)
+        reference_kernels.packed_first_cover(alg, maximal_ideal(alg).space.basis)
     assert not hasattr(alg, "_cyclic_table")
 
 

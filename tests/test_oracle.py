@@ -32,10 +32,10 @@ from cyclicideals import (Ideal, InfeasibleSizeError, InternalContradictionError
                           three_summand_counterexample, unit_ideal,
                           verify_decomposition, zero_ideal)
 from cyclicideals import ideals
-from cyclicideals.ideals import packed_closure, packed_cyclic_table, packed_first_cover
+from cyclicideals.ideals import packed_closure, packed_cyclic_table
 from cyclicideals.rings import RingPresentation, build_algebra
 import reference_kernels
-from reference_kernels import enumerate_ideals_subsets
+from reference_kernels import enumerate_ideals_subsets, packed_first_cover
 from conftest import (AXIS_SOCLE, GF3_MIXED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
                       TWO_AXES, build, maximal_ideal_elements, presentations)
@@ -217,7 +217,7 @@ def test_census_builds_each_decomposition_once(monkeypatch):
     # the oracle command completes the census, then asks oracle_dsc: both
     # read the cached covers, picked once per proper ideal on the lattice,
     # and build no CyclicDecomposition; brute_decompose builds each one
-    # once, on demand, and never asks the lattice
+    # once, on demand, from one pick on the lattice of its own walk
     alg = build(PAIR_N3)
     picked, built = Counter(), Counter()
     pick, build_dec = oracle._pick_cover, oracle.build_decomposition
@@ -240,7 +240,8 @@ def test_census_builds_each_decomposition_once(monkeypatch):
     again = [brute_decompose(alg, e.ideal) for e in census.entries]
     assert all(a is b for a, b in zip(first, again))
     assert [built[e.key] for e in census.entries] == [1] * 14
-    assert sum(picked.values()) == 13  # R is never picked
+    # R is picked only on the walk down from R
+    assert [picked[e.key] for e in census.entries] == [2] * 13 + [1]
 
 
 def test_whole_ring_is_decided_once():
@@ -452,9 +453,10 @@ def test_census_decompositions_verify(text):
 
 
 def test_greedy_cover_is_the_first_cover_of_the_depth_first_search():
-    # the (non-simple, simple) lists carry the witness and counterexample
-    # payloads of classify, so the minimum-weight basis must pick exactly
-    # the cover the depth-first search found first
+    # the two reference walks over the vectors of an ideal pin each
+    # other: the Gray-code walk's minimum-weight basis, which the lattice
+    # is checked against, picks exactly the cover the depth-first search
+    # finds first
     sizes = []
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -463,7 +465,7 @@ def test_greedy_cover_is_the_first_cover_of_the_depth_first_search():
         alg = build_algebra(RingPresentation.make(2, pres.vars, pres.relations,
                                                   pres.truncate))
         assume(alg.dim - 1 <= 9)
-        keys = [e.key for e in enumerate_ideals(alg, 9).entries[:-1]]  # M among them
+        keys = [e.key for e in enumerate_ideals(alg).entries[:-1]]  # M among them
         for key in keys:
             assert (packed_first_cover(alg, key)
                     == reference_kernels.reference_first_cover(alg, key)), key
@@ -483,7 +485,7 @@ def test_lattice_decides_as_the_walk_does():
     def check(pres):
         alg = _gf2_ring(pres)
         assume(alg.dim - 1 <= 9)
-        census = complete_census(enumerate_ideals(alg, 9), 9)
+        census = complete_census(enumerate_ideals(alg))
         for e in census.entries[:-1]:
             assert e.decomposable == (packed_first_cover(alg, e.key) is not None), e.key
             if e.decomposable:
@@ -499,30 +501,30 @@ CENSUS_147 = "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2 / rel x*z / rel
 
 
 def test_census_walks_no_ideal_and_closes_each_cyclic_once(monkeypatch):
+    # no vector of an ideal is walked: the package keeps no cover walk,
+    # and each cyclic ideal picked is closed once, through ideals.cyclic
+    assert not hasattr(ideals, "packed_first_cover")
+    assert not hasattr(oracle, "packed_first_cover")
     alg = build(CENSUS_147)
-    walks, closed = [], []
-    for module in (oracle, ideals):
-        walk, close = module.packed_first_cover, module.packed_closure
-        monkeypatch.setattr(module, "packed_first_cover",
-                            lambda alg, rows, walk=walk: walks.append(rows) or walk(alg, rows))
-        monkeypatch.setattr(module, "packed_closure",
-                            lambda alg, rows, seeds, close=close: (
-                                closed.append((tuple(rows), tuple(seeds)))
-                                or close(alg, rows, seeds)))
-    census = complete_census(enumerate_ideals(alg, 9), 9)
-    assert oracle_dsc(alg, 9).answer == "no"
+    closed = []
+    close = ideals.packed_closure
+    monkeypatch.setattr(ideals, "packed_closure",
+                        lambda alg, rows, seeds: (closed.append((tuple(rows), tuple(seeds)))
+                                                  or close(alg, rows, seeds)))
+    census = complete_census(enumerate_ideals(alg))
+    assert oracle_dsc(alg).answer == "no"
     cyclics = sum(e.lengths == (1,) for e in census.entries)  # R among them
     assert census.count == 147 and cyclics == 42
-    assert walks == []
     assert 0 < len(closed) <= cyclics
     assert len(set(closed)) == len(closed) and all(rows == () for rows, _ in closed)
+    assert {seeds for _, seeds in closed} == {(v,) for v in alg._cyclic if v != 1}
 
 
 def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
     # MJ is a census ideal, so the cyclic ideals inside it, whose
     # generators reduce to zero modulo MJ, are masked out unread
     alg = build(CENSUS_147)
-    lattice = enumerate_ideals(alg, 9).lattice
+    lattice = enumerate_ideals(alg).lattice
     mj = lattice.mj
     tried = []
     insert = gf.gf2_insert
@@ -607,11 +609,11 @@ def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
 def test_larger_census_rings_agree_with_the_walk(text, mdim, count):
     alg = build(text)
     assert alg.dim - 1 == mdim
-    assert oracle_dsc(alg, mdim).answer == "no"
-    census = complete_census(enumerate_ideals(alg, mdim), mdim)
+    assert oracle_dsc(alg).answer == "no"
+    census = complete_census(enumerate_ideals(alg))
     assert census.count == count
     for e in census.entries:
-        assert (brute_decompose(alg, e.ideal, mdim) is not None) == e.decomposable
+        assert (brute_decompose(alg, e.ideal) is not None) == e.decomposable
     assert sum(not e.decomposable for e in census.entries) > 0
 
 
@@ -677,54 +679,121 @@ def test_oracle_and_classifier_agree_on_corpus_rings():
     assert oracle_dsc(alg).answer == classify_dsc(alg).answer == "no"
 
 
-def test_oracle_refuses_odd_fields_and_big_rings():
+def test_oracle_refuses_odd_fields_and_big_rings(monkeypatch):
     with pytest.raises(InfeasibleSizeError, match=r"GF\(3\)"):
         oracle_dsc(build(GF3_MIXED))
-    wide = build(TWO_AXES)  # dim M = 10
-    with pytest.raises(InfeasibleSizeError):
-        enumerate_ideals(wide)
-    assert oracle_dsc(wide, max_dim=10).answer == "yes"
+    # dim M = 10, past the old default bound of 8; xy, x^6, y^6 has
+    # 2 * 6^2 - 2 * 6 + 2 = 62 ideals (see the two axes of length 20 below)
+    wide = build(TWO_AXES)
+    assert oracle_dsc(wide).answer == classify_dsc(wide).answer == "yes"
+    assert enumerate_ideals(wide).count == 62
+    # the budget counts the ideals a walk reaches: 61 inside M, and R
+    # besides, so a budget of 60 refuses the census of the same ring
+    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 60)
+    big = build(TWO_AXES)
+    with pytest.raises(InfeasibleSizeError, match="^census infeasible: more than 60 ideals"):
+        enumerate_ideals(big)
+    assert getattr(big, "_census", None) is None
+    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 61)
+    assert enumerate_ideals(big).count == 62
 
 
 def test_cached_census_still_checks_the_bound():
+    # the bound is the walk's budget of ideals, checked as the walk goes;
+    # max_dim is no bound, and a cached census is read back whatever it
+    # says
     alg = build(TRIPLE)  # dim M = 6
     assert enumerate_ideals(alg, 8).count == 80
-    with pytest.raises(InfeasibleSizeError, match="exceeds the oracle bound 5"):
-        enumerate_ideals(alg, 5)
-    assert enumerate_ideals(alg, 6) is alg._census
+    assert enumerate_ideals(alg, 5) is alg._census
+    assert enumerate_ideals(alg, 0) is alg._census
 
 
-def test_oracle_stops_at_the_cyclic_table_limit():
-    alg = build("field 2 / vars x y / rel x^2 / rel y^12")  # dim M = 23
-    for run in (enumerate_ideals, oracle_dsc):
-        with pytest.raises(InfeasibleSizeError, match="table limit 20"):
-            run(alg, 25)
-    assert getattr(alg, "_census", None) is None
+def test_oracle_decides_past_the_cyclic_table_limit():
+    # dim M = 23: the table's limit of 20 no longer bounds the census,
+    # and the census reads no entry of the table
+    alg = build("field 2 / vars x y / rel x^2 / rel y^12")
+    census = complete_census(enumerate_ideals(alg, 1))
+    assert oracle_dsc(alg, 1).answer == classify_dsc(alg).answer == "no"
+    assert census.count > 23 and length_invariance(census)
     assert getattr(alg, "_cyclic_table", None) is None
 
 
 @pytest.mark.parametrize("max_dim", [1, 8, 30])
 def test_the_cyclic_table_refuses_for_the_census_at_any_budget(max_dim):
-    # odd p and dim M past 20 are the table's limits, read before the budget
+    # odd p is the census's one refusal that no ring size lifts; dim M
+    # past 20 is no limit of the census (x^23 has the 24 ideals (x^k))
     with pytest.raises(InfeasibleSizeError,
-                       match=r"^cyclic table handles GF\(2\) only, not GF\(3\)$"):
+                       match=r"^the census handles GF\(2\) only, not GF\(3\)$"):
         enumerate_ideals(build(GF3_MIXED), max_dim)
     wide = build("field 2 / vars x / truncate 23")  # dim M = 22
-    with pytest.raises(InfeasibleSizeError, match="^cyclic table infeasible: dim M = 22 "
-                                                  "exceeds the table limit 20$"):
-        enumerate_ideals(wide, max_dim)
+    assert enumerate_ideals(wide, max_dim).count == 24
 
 
 def test_an_ideal_of_odd_p_is_refused_where_its_cover_reads_the_table():
-    # brute_decompose asks the table before its walk, R included, and
-    # decomposition_lengths runs the census, which asks it first
+    # brute_decompose walks down from the ideal, R included, and
+    # decomposition_lengths runs the census: both walks refuse odd p
+    # before any GF(2) kernel runs
     alg = build(GF3_MIXED)
     for i in (maximal_ideal(alg), unit_ideal(alg)):
         for run in (brute_decompose, decomposition_lengths):
             with pytest.raises(InfeasibleSizeError,
-                               match=r"^cyclic table handles GF\(2\) only, not GF\(3\)$"):
+                               match=r"^the census handles GF\(2\) only, not GF\(3\)$"):
                 run(alg, i, 30)
     assert getattr(alg, "_covers", {}) == {}
+    assert getattr(alg, "_brute_cache", {}) == {}
+
+
+# ---------------------------------------------------------------------------
+# rings past the old dim-M bound, against classify and hand counts
+
+
+def test_a_chain_of_dim_161_is_decided_by_its_lattice():
+    # GF(2)[x]/(x^161): the ideals are the 162 powers (x^k), k = 0..161,
+    # and M = Rx is cyclic
+    alg = build("field 2 / vars x / rel x^161")
+    assert alg.dim - 1 == 160
+    assert enumerate_ideals(alg).count == 162
+    assert oracle_dsc(alg).answer == classify_dsc(alg).answer == "yes"
+    dec = brute_decompose(alg, maximal_ideal(alg))
+    assert dec.length == 1 and verify_decomposition(alg, maximal_ideal(alg), dec)
+
+
+def test_two_axes_of_length_20_have_2n2_minus_2n_plus_2_ideals():
+    # GF(2)[x,y]/(xy, x^n, y^n) with n = 20: the n^2 monomial ideals
+    # (x^a, y^b), 1 <= a, b <= n, zero among them; the (n - 1)^2 ideals
+    # R(x^a + y^b) = span(x^a + y^b) + (x^(a+1), y^(b+1)), a, b < n; and R
+    alg = build("field 2 / vars x y / rel x*y / rel x^20 / rel y^20")
+    assert alg.dim - 1 == 38
+    census = complete_census(enumerate_ideals(alg))
+    assert census.count == 20 ** 2 + 19 ** 2 + 1 == 762
+    assert oracle_dsc(alg).answer == classify_dsc(alg).answer == "yes"
+    assert all(e.decomposable for e in census.entries)
+
+
+def test_x5_y5_has_4574_ideals_and_an_ideal_with_no_cover():
+    # dim M = 24; the mixed product x*y refutes it for classify
+    alg = build("field 2 / vars x y / rel x^5 / rel y^5")
+    assert alg.dim - 1 == 24
+    census = complete_census(enumerate_ideals(alg))
+    assert census.count == 4574 and length_invariance(census)
+    verdict = oracle_dsc(alg)
+    assert verdict.answer == classify_dsc(alg).answer == "no"
+    assert brute_decompose(alg, verdict.counterexample) is None
+
+
+# every subspace of M is an ideal: 417,200 of them in 8 variables
+SQUARE_ZERO_N8 = ("field 2 / vars a b c d e f g h / "
+                  + " / ".join(f"rel {u}*{v}" for k, u in enumerate("abcdefgh")
+                               for v in "abcdefgh"[k:]))
+
+
+def test_the_walk_refuses_square_zero_in_8_variables():
+    alg = build(SQUARE_ZERO_N8)
+    assert alg.dim - 1 == 8
+    for run in (lambda: enumerate_ideals(alg), lambda: brute_decompose(alg, maximal_ideal(alg))):
+        with pytest.raises(InfeasibleSizeError, match=f"more than {oracle.IDEAL_BUDGET} ideals"):
+            run()
+    assert getattr(alg, "_census", None) is None and alg._brute_cache == {}
 
 
 # ---------------------------------------------------------------------------

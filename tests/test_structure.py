@@ -22,14 +22,14 @@ from cyclicideals import (MDecomposition, brute_decompose,
 from cyclicideals import gf, ideals, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
-                                 packed_cyclic_table, packed_first_cover, zero_ideal)
+                                 packed_cyclic_table, zero_ideal)
 from cyclicideals.rings import Element, RingPresentation, build_algebra
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES,
                       QuotientAlgebra, build, build_pres, certificate_note,
                       mixed_product, presentations)
 import reference_kernels
-from reference_kernels import is_principal_ideal_ring
+from reference_kernels import is_principal_ideal_ring, packed_first_cover
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +468,13 @@ def test_classify_no_three_summands(triple):
 
 
 def test_classify_no_without_oracle_confirmation(triple):
-    # the rank certificate is the whole refutation: no cover search runs
-    # on J, and the arguments after the algebra change nothing
+    # the rank certificate is the whole refutation: the oracle's walk,
+    # the package's one cover procedure, never runs on J, and the
+    # arguments after the algebra change nothing
     def refuse(*args, **kwargs):
         raise AssertionError("classify_dsc searched for a cover")
 
-    with mock.patch.object(ideals, "packed_first_cover", refuse):
+    with mock.patch.object(oracle, "_walk", refuse):
         verdicts = [classify_dsc(triple), classify_dsc(triple, 12, 0),
                     classify_dsc(triple, 12, 20)]
     assert verdicts[0].answer == "no"
