@@ -82,23 +82,17 @@ class Echelon:
 # ---------------------------------------------------------------------------
 # packed GF(2) kernel of the module
 
-# byte -> ASCII digit of its parity; ASCII digit -> byte
-_PARITY = bytes(0x30 | (b & 1) for b in range(256))
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def pack_vec(v: Sequence[int]) -> int:
     """Bit j of the result is v[j] mod 2."""
-    try:
-        raw = bytes(v)
-    except ValueError:  # entries outside 0..255; parity survives mod 256
-        raw = bytes(c % 256 for c in v)
-    return int(raw.translate(_PARITY)[::-1], 2) if raw else 0
+    out = 0
+    for c in reversed(v):
+        out = out << 1 | c & 1
+    return out
 
 
 def unpack_vec(m: int, n: int) -> Vec:
     """The low n bits of m as a 0/1 tuple, bit j at position j."""
-    return tuple(format(m, f"0{n}b")[::-1][:n].encode().translate(_DIGITS))
+    return tuple([m >> j & 1 for j in range(n)])
 
 
 def gf2_reduce(v: int, e: Echelon) -> int:

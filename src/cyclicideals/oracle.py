@@ -2,15 +2,16 @@
 
 One walk serves every function here.  _walk lists the ideals inside any
 ideal T, one dimension at a time down from T (cross-checkable against a
-subset-closure sweep at tiny sizes), and leaves the lattice that decides
-each of them from the cyclic ideals it contains; no vector of an ideal
-is enumerated.  The census walks down from M; brute_decompose decides
-one ideal I by walking down from I alone, so its generators never
-depend on whether a census ran.  Either works on any GF(2) algebra,
-monomial or not.  structure.classify_dsc decides monomial algebras
-only, by their presentation; it never runs the walk, and imports
-nothing from here.  Results are exact and are the ground truth the
-constructive machinery is tested against.
+subset-closure sweep at tiny sizes), and leaves them in the census's
+(dim, basis) order, with the lattice that decides each of them from the
+cyclic ideals it contains; no vector of an ideal is enumerated.  The
+census walks down from R, so census entry k is lattice index k, and
+one cache of covers serves the census and brute_decompose alike (see
+the last paragraph).  Either works on any GF(2) algebra, monomial or
+not.  structure.classify_dsc decides monomial algebras only, by their
+presentation; it never runs the walk, and imports nothing from here.
+Results are exact and are the ground truth the constructive machinery
+is tested against.
 
 The walk is bounded by the ideals it reaches, not by dim M: it refuses
 an odd p before any GF(2) kernel runs, and a walk as soon as it reaches
@@ -71,11 +72,15 @@ A cover is kept only after its generators, each closed once per
 algebra by ideals.cyclic, give rows that number dim J and row-reduce
 to J's key: the direct-sum certificate build_decomposition checks,
 read off the generators alone, not off the lattice.  One cache per
-algebra maps an ideal's packed key to the generators of its census
-cover, or None, and R is an entry with the single generator 1;
-complete_census, oracle_dsc and decomposition_lengths read nothing
-else.  brute_decompose keeps its own cache of the decompositions built
-from the covers of its walks.
+algebra maps an ideal's packed key to the generators of its cover, or
+None.  R = R*1 is answered ahead of any walk; any other ideal's cover
+is picked on the census lattice when one is cached, else on the walk
+down from the ideal itself.  The greedy takes the cyclic ideals below J
+in the census order, which is the same sequence on every lattice that
+holds J, and each one's generator is the one lift of its key, so the
+pick is the same either way.  Every function here reads that cache;
+brute_decompose keeps a second one, of the decompositions it builds
+from the covers.
 """
 
 from __future__ import annotations
@@ -105,11 +110,11 @@ class CensusEntry:
 
 @dataclass
 class Lattice:
-    """The ideals inside the top of a walk in ascending dim, top last, as
-    the walk leaves them: index maps keys[k] back to k, mj[k] is the
-    echelon basis of M keys[k], bit k of cyclic is set when keys[k] is
-    cyclic, and then gens[k] generates it, and bit h of below[k] is set
-    for every ideal keys[h] strictly inside keys[k]."""
+    """The ideals inside the top of a walk in the census's (dim, basis)
+    order, top last: index maps keys[k] back to k, mj[k] is the echelon
+    basis of M keys[k], bit k of cyclic is set when keys[k] is cyclic,
+    and then gens[k] generates it, and bit h of below[k] is set for
+    every ideal keys[h] strictly inside keys[k]."""
 
     keys: list[tuple[int, ...]]
     index: dict[tuple[int, ...], int]
@@ -123,25 +128,16 @@ class Lattice:
 class IdealCensus:
     algebra: Algebra
     entries: tuple[CensusEntry, ...]
-    lattice: Optional[Lattice] = field(default=None, repr=False, compare=False)
+    lattice: Lattice = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.entries)
 
 
-def _canonical_keys(alg: Algebra, keys) -> list[tuple[int, ...]]:
-    """The proper ideals' keys in (dim, basis) order, then R's.  A row's
-    bits read from coordinate 0 sort as its 0/1 tuple does; each distinct
-    row is formatted once, as rows repeat across keys."""
-    width = f"0{alg.dim}b"
-    text = {r: format(r, width)[::-1] for r in {r for key in keys for r in key}}
-    ordered = sorted(keys, key=lambda k: (len(k), tuple(map(text.__getitem__, k))))
-    return ordered + [tuple(1 << k for k in range(alg.dim))]
-
-
 def _walk(alg: Algebra, top: tuple[int, ...]) -> Lattice:
-    """The lattice of every ideal inside the ideal whose key is top.
+    """The lattice of every ideal inside the ideal whose key is top, in
+    the census's (dim, basis) order.
 
     Breadth-first down from top, one dimension per step: the parents of
     J are MJ plus the span of each hyperplane of the lifts of J/MJ (see
@@ -149,7 +145,11 @@ def _walk(alg: Algebra, top: tuple[int, ...]) -> Lattice:
     and deduplicated by key, since an ideal is reached once per ideal
     one dimension above it.  Refuses an odd p before any GF(2) kernel
     runs, and the walk as soon as it reaches more than IDEAL_BUDGET
-    ideals.
+    ideals.  The keys are then sorted by dim and by their rows as 0/1
+    tuples: a row's bits read from coordinate 0 sort as its tuple does,
+    and each distinct row is formatted once, as rows repeat across keys.
+    A parent is one dim below its child, so it comes first, and below
+    is built in one pass.
     """
     if alg.p != 2:
         raise InfeasibleSizeError(f"the census handles GF(2) only, not GF({alg.p})")
@@ -190,36 +190,39 @@ def _walk(alg: Algebra, top: tuple[int, ...]) -> Lattice:
                 mj.append(mh)
             ups.append(j)
         parents.append(ups)
-    # ascending dim from here: every parent precedes its children
-    n = len(keys)
-    for walked in (keys, mj, gens, parents):
-        walked.reverse()
+    width = f"0{alg.dim}b"
+    text = {r: format(r, width)[::-1] for r in {r for key in keys for r in key}}
+    order = sorted(range(len(keys)),
+                   key=lambda t: (len(keys[t]), tuple(map(text.__getitem__, keys[t]))))
+    rank = {t: k for k, t in enumerate(order)}
     below = []
-    for ups in parents:
+    for t in order:
         inside = 0
-        for h in ups:
-            inside |= below[n - 1 - h] | 1 << n - 1 - h
+        for h in parents[t]:
+            inside |= below[rank[h]] | 1 << rank[h]
         below.append(inside)
-    return Lattice(keys, {key: k for k, key in enumerate(keys)}, mj,
-                   sum(1 << k for k, g in enumerate(gens) if g), gens, below)
+    keys = [keys[t] for t in order]
+    return Lattice(keys, {key: k for k, key in enumerate(keys)}, [mj[t] for t in order],
+                   sum(1 << k for k, t in enumerate(order) if gens[t]),
+                   [gens[t] for t in order], below)
 
 
 def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
     """Every ideal of alg, zero through R, in canonical (dim, basis) order,
-    with the Lattice of the walk down from M, which keeps every ideal's
+    with the Lattice of the walk down from R, which keeps every ideal's
     MJ, its cyclic ideals with their generators and the ideals below
-    each one.  Cached per algebra.  max_dim does nothing: the walk's
-    IDEAL_BUDGET bounds the census, and bench/workloads.py passes
-    max_dim until ROADMAP item 1 drops it.
+    each one: entry k is lattice index k.  Cached per algebra.  max_dim
+    does nothing: the walk's IDEAL_BUDGET bounds the census, and
+    bench/workloads.py passes max_dim until ROADMAP item 1 drops it.
     """
     cached = getattr(alg, "_census", None)
     if cached is not None:
         return cached
-    lattice = _walk(alg, tuple(1 << k for k in range(1, alg.dim)))
-    # every key, R's included, is already a closed packed reduced echelon
-    # basis, and a hyperplane of an ideal over its M-multiple is an ideal
+    lattice = _walk(alg, tuple(1 << k for k in range(alg.dim)))
+    # every key is already a closed packed reduced echelon basis, and a
+    # hyperplane of an ideal over its M-multiple is an ideal
     entries = tuple(CensusEntry(Ideal(alg, gf.Subspace(alg.p, alg.dim, key), _trusted=True),
-                                key) for key in _canonical_keys(alg, lattice.keys))
+                                key) for key in lattice.keys)
     census = IdealCensus(alg, entries, lattice)
     alg._census = census
     return census
@@ -228,7 +231,7 @@ def enumerate_ideals(alg: Algebra, max_dim: int = 8) -> IdealCensus:
 def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     """The generators of the cover of keys[k] that the greedy basis of
     J/MJ picks, or None when J is no direct sum of cyclic modules (see
-    the module docstring): the cyclic ideals below J in discovery order,
+    the module docstring): the cyclic ideals below J in canonical order,
     each kept when its generator is independent modulo MJ of those kept,
     until mu(J) are kept.  MJ is itself an ideal of the lattice, and the
     cyclic ideals inside it are skipped unread: their generators lie in
@@ -255,54 +258,51 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     return tuple(picked) if weight == dim else None
 
 
-def _certified(alg: Algebra, key: tuple[int, ...], gens: Optional[tuple[int, ...]]
-               ) -> Optional[tuple[int, ...]]:
-    """gens, once the closures of the cover's generators, read from
-    ideals.cyclic, number len(key) rows and row-reduce to key, so the
-    summands are direct onto the ideal: the certificate
-    build_decomposition checks, in packed rows."""
-    if gens is not None:
-        rows = [r for v in gens for r in cyclic(alg, Element.packed(alg, v)).space.basis]
-        if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
-            raise InternalContradictionError("cover failed verification")
-    return gens
-
-
-def _decomposition(alg: Algebra, i: Ideal) -> Optional[tuple[int, ...]]:
-    """The packed generators of i's census cover, or None when i is no
-    direct sum of cyclic modules: one cache per algebra, from an ideal's
-    packed key, serves every census function here.  Only R contains a
-    unit, so R = R*1 and its cover is (1,); any other ideal takes the one
-    that _pick_cover reads off the census lattice.  Each is certified
-    before it is cached."""
+def _cover(alg: Algebra, i: Ideal, lattice: Optional[Lattice] = None, k: int = 0
+           ) -> Optional[tuple[int, ...]]:
+    """The packed generators of i's cover, or None when i is no direct
+    sum of cyclic modules: one cache per algebra, from an ideal's packed
+    key, serves every function here.  Only R contains a unit, so R = R*1
+    at every p and its cover (1,) needs no walk.  Any other ideal takes
+    the cover _pick_cover reads off lattice at index k, or, with no
+    lattice given, off the census lattice when one is cached, else off
+    the walk down from i; the pick is the same on each (see the module
+    docstring).  A cover is cached only once the closures of its
+    generators, read from ideals.cyclic, number dim i rows and
+    row-reduce to i's key, so the summands are direct onto i: the
+    certificate build_decomposition checks, in packed rows."""
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     key = i.space.basis
     covers = vars(alg).setdefault("_covers", {})
     if key not in covers:
-        lattice = enumerate_ideals(alg).lattice
-        gens = (1,) if len(key) == alg.dim else _pick_cover(lattice, lattice.index[key])
-        covers[key] = _certified(alg, key, gens)
+        if lattice is None and len(key) < alg.dim:
+            census = getattr(alg, "_census", None)
+            lattice = _walk(alg, key) if census is None else census.lattice
+            k = lattice.index[key]
+        gens = (1,) if len(key) == alg.dim else _pick_cover(lattice, k)
+        if gens is not None:
+            rows = [r for v in gens for r in cyclic(alg, Element.packed(alg, v)).space.basis]
+            if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
+                raise InternalContradictionError("cover failed verification")
+        covers[key] = gens
     return covers[key]
 
 
 def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
                     ) -> Optional[CyclicDecomposition]:
     """A decomposition of i into independent cyclic submodules, or None
-    when no family covers i: the cover _pick_cover takes on the lattice
-    of the walk down from i, certified as the census's covers are.  The
-    only function here that builds a CyclicDecomposition:
-    build_decomposition checks the cover direct onto i, reading each
-    summand from ideals.cyclic, and the result is cached per algebra, R
-    included, apart from the census's covers.  max_dim does nothing, as
-    in enumerate_ideals."""
-    if i.algebra is not alg:
-        raise ValueError("algebra mismatch")
+    when no family covers i: i's certified cover from the one cache,
+    picked on the census lattice when one is cached and else on the walk
+    down from i, so its generators depend on i alone.  The only function
+    here that builds a CyclicDecomposition: build_decomposition checks
+    the cover direct onto i, reading each summand from ideals.cyclic,
+    and the result is cached per algebra.  max_dim does nothing, as in
+    enumerate_ideals."""
     built = vars(alg).setdefault("_brute_cache", {})
+    gens = _cover(alg, i)
     key = i.space.basis
     if key not in built:
-        lattice = _walk(alg, key)
-        gens = _certified(alg, key, _pick_cover(lattice, lattice.index[key]))
         built[key] = None if gens is None else build_decomposition(
             alg, i, [Element.packed(alg, v) for v in gens], "exhaustive")
     return built[key]
@@ -310,24 +310,24 @@ def brute_decompose(alg: Algebra, i: Ideal, max_dim: int = 8
 
 def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int, ...]:
     """Every achievable number of summands over all decompositions of i:
-    by Nakayama (mu(I),) when i decomposes, else (), read off the
-    checked cover that the census lattice picks for i, with no
-    decomposition object.  It runs the census of i's algebra first if
-    none is cached.  max_dim does nothing, as in enumerate_ideals."""
-    gens = _decomposition(alg, i)
+    by Nakayama (mu(I),) when i decomposes, else (), read off i's
+    certified cover from the one cache, with no decomposition object.
+    max_dim does nothing, as in enumerate_ideals."""
+    gens = _cover(alg, i)
     return () if gens is None else (len(gens),)
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
     """Fill in decomposability and lengths from each ideal's checked
-    cover, picked on the lattice from the cyclic ideals below it: each
-    MJ comes from the walk, one generator is closed per cyclic ideal
-    picked, and no CyclicDecomposition is built.  max_dim does nothing,
-    as in enumerate_ideals."""
-    alg = census.algebra
-    for e in census.entries:
-        e.lengths = decomposition_lengths(alg, e.ideal)
-        e.decomposable = e.lengths != ()
+    cover, picked on the lattice from the cyclic ideals below it and
+    read by the entry's index: each MJ comes from the walk, one
+    generator is closed per cyclic ideal picked, and no
+    CyclicDecomposition is built.  max_dim does nothing, as in
+    enumerate_ideals."""
+    for k, e in enumerate(census.entries):
+        gens = _cover(census.algebra, e.ideal, census.lattice, k)
+        e.lengths = () if gens is None else (len(gens),)
+        e.decomposable = gens is not None
     return census
 
 
@@ -348,8 +348,8 @@ def oracle_dsc(alg: Algebra, max_dim: int = 8) -> DscVerdict:
     (canonical order) that cannot be decomposed.  max_dim does nothing,
     as in enumerate_ideals."""
     census = enumerate_ideals(alg)
-    for e in census.entries:
-        if _decomposition(alg, e.ideal) is None:
+    for k, e in enumerate(census.entries):
+        if _cover(alg, e.ideal, census.lattice, k) is None:
             note = ("exhaustive search over all families of cyclic "
                     "submodules found no direct-sum cover")
             return DscVerdict("no", None, e.ideal, note,

@@ -130,25 +130,13 @@ def verify_m_decomposition(dec: MDecomposition) -> bool:
 
 
 def canonical_variable_split(alg: Algebra) -> Optional[list[tuple[Element, Ideal]]]:
-    """The variable grouping: M as the direct sum of the Rv over distinct
-    variable images, with each Rv, or None when that sum is not direct.
-
-    Each image g is tested against the parts closed so far before it is
-    closed itself: a nonzero hg for a part Rh with g outside Rh is a
-    nonzero element of Rh meet Rg, and Rg is not Rh, so Rg would overlap
-    Rh or an earlier part equal to it, and the sum cannot be direct.  The
-    images generate M, so the sum of the distinct Rv is M, and it is
-    direct exactly when their dimensions add up to dim M.
+    """The variable grouping: M as the direct sum of the Rv over the
+    nonzero variable images, with each Rv, or None when that sum is not
+    direct.  The images generate M, so the sum of their Rv is M, and it
+    is direct exactly when their dimensions add up to dim M; two images
+    with one Rv, or any overlap, push the sum past it.
     """
-    parts: list[tuple[Element, Ideal]] = []
-    for g in alg.gens:
-        if g.is_zero():
-            continue
-        if any(not (h * g).is_zero() and not c.contains(g) for h, c in parts):
-            return None
-        c = cyclic(alg, g)
-        if all(c != seen for _, seen in parts):
-            parts.append((g, c))
+    parts = [(g, cyclic(alg, g)) for g in alg.gens if not g.is_zero()]
     if sum(c.dim for _, c in parts) == alg.dim - 1:
         return parts
     return None

@@ -465,9 +465,9 @@ def enumerate_ideals_subsets(alg):
     """Independent re-enumeration of the census keys: close every subset
     of the nonzero vectors of M.  Exponential in 2^dim(M); the
     cross-check partner for the breadth-first census at very small
-    sizes."""
+    sizes.  The keys come in the census order: by dim, then by their
+    rows as 0/1 tuples read from coordinate 0, R last."""
     from cyclicideals.ideals import InfeasibleSizeError, packed_closure
-    from cyclicideals.oracle import _canonical_keys
 
     mdim = alg.dim - 1
     if alg.p != 2 or mdim > 4:
@@ -477,7 +477,9 @@ def enumerate_ideals_subsets(alg):
     for mask in range(1 << len(vectors)):
         seeds = [v for b, v in enumerate(vectors) if mask >> b & 1]
         seen.add(tuple(packed_closure(alg, (), seeds)))
-    return _canonical_keys(alg, seen)
+    bits = range(alg.dim)
+    ordered = sorted(seen, key=lambda key: (len(key), [[r >> j & 1 for j in bits] for r in key]))
+    return ordered + [tuple(1 << j for j in bits)]
 
 
 def packed_socle(alg, rows):

@@ -54,12 +54,13 @@ def test_traced_census_searches_each_ideal_once():
     finally:
         tracer.uninstall()
     stats = tracer.stats()
-    # the census has 14 ideals, 13 of them proper: the census reads each
-    # ideal's cover through decomposition_lengths, oracle_dsc reads the
-    # cached covers, and neither calls brute_decompose nor reads the
-    # packed cyclic table
+    # the census has 14 ideals, 13 of them proper: complete_census reads
+    # each ideal's cover by its lattice index, with no call of
+    # decomposition_lengths, oracle_dsc reads the cached covers, and
+    # neither calls brute_decompose nor reads the packed cyclic table
     assert after_census["oracle.brute_decompose.calls"] == 0
-    assert after_census["oracle.decomposition_lengths.calls"] == 14
+    assert after_census["oracle.complete_census.calls"] == 1
+    assert after_census["oracle.decomposition_lengths.calls"] == 0
     assert after_census["oracle.oracle_dsc.calls"] == 1
     assert after_census["ideals.packed_cyclic_table.calls"] == 0
     # brute_decompose builds each proper ideal's decomposition on its
@@ -67,5 +68,5 @@ def test_traced_census_searches_each_ideal_once():
     assert stats["oracle.brute_decompose.calls"] == 28
     assert stats["oracle.brute_decompose.misses"] == 13
     assert stats["oracle.brute_decompose.hits"] == 13
-    # each decides its ideal on the lattice of its own walk, no table
+    # each reads its ideal's cover from the census's cache, no table
     assert stats["ideals.packed_cyclic_table.calls"] == 0

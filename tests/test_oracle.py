@@ -32,6 +32,7 @@ from cyclicideals import (Ideal, InfeasibleSizeError, InternalContradictionError
                           three_summand_counterexample, unit_ideal,
                           verify_decomposition, zero_ideal)
 from cyclicideals import ideals
+from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import packed_closure, packed_cyclic_table
 from cyclicideals.rings import RingPresentation, build_algebra
 import reference_kernels
@@ -216,8 +217,8 @@ def test_census_lengths_stay_under_witness_bound(pair_n3):
 def test_census_builds_each_decomposition_once(monkeypatch):
     # the oracle command completes the census, then asks oracle_dsc: both
     # read the cached covers, picked once per proper ideal on the lattice,
-    # and build no CyclicDecomposition; brute_decompose builds each one
-    # once, on demand, from one pick on the lattice of its own walk
+    # and build no CyclicDecomposition; brute_decompose reads the same
+    # covers and builds each decomposition once, on demand, with no pick
     alg = build(PAIR_N3)
     picked, built = Counter(), Counter()
     pick, build_dec = oracle._pick_cover, oracle.build_decomposition
@@ -234,14 +235,14 @@ def test_census_builds_each_decomposition_once(monkeypatch):
     monkeypatch.setattr(oracle, "build_decomposition", counting_build)
     census = complete_census(enumerate_ideals(alg))
     assert oracle_dsc(alg).answer == "yes"
+    # R = R*1 is answered ahead of any pick
     assert [picked[e.key] for e in census.entries] == [1] * 13 + [0]
     assert not built
     first = [brute_decompose(alg, e.ideal) for e in census.entries]
     again = [brute_decompose(alg, e.ideal) for e in census.entries]
     assert all(a is b for a, b in zip(first, again))
     assert [built[e.key] for e in census.entries] == [1] * 14
-    # R is picked only on the walk down from R
-    assert [picked[e.key] for e in census.entries] == [2] * 13 + [1]
+    assert [picked[e.key] for e in census.entries] == [1] * 13 + [0]
 
 
 def test_whole_ring_is_decided_once():
@@ -250,6 +251,21 @@ def test_whole_ring_is_decided_once():
     assert brute_decompose(alg, unit_ideal(alg)) is dec
     assert decomposition_lengths(alg, unit_ideal(alg)) == (1,)
     assert alg._covers[unit_ideal(alg).space.basis] == (1,)
+
+
+def test_the_whole_ring_needs_no_walk(monkeypatch):
+    # R = R*1 on the square-zero ring in 8 variables, whose walk the
+    # budget refuses, and on an odd-p ring, which no walk takes
+    def refuse(*args):
+        raise AssertionError("_walk called for R")
+
+    monkeypatch.setattr(oracle, "_walk", refuse)
+    for text in (SQUARE_ZERO_N8, GF3_MIXED):
+        alg = build(text)
+        dec = brute_decompose(alg, unit_ideal(alg))
+        assert dec.generators == (alg.unit(),)
+        assert verify_decomposition(alg, unit_ideal(alg), dec)
+        assert decomposition_lengths(alg, unit_ideal(alg)) == (1,)
 
 
 def _gf2_ring(pres):
@@ -264,16 +280,23 @@ def _tuple_order(alg, keys):
 
 
 def test_packed_sort_key_keeps_the_tuple_order():
+    # the census order, R last, is the lattice's own order, and the walk
+    # down from any ideal sorts its keys the same way
     subsets = []
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(presentations())
-    def check(pres):
+    @given(presentations(), st.data())
+    def check(pres, data):
         alg = _gf2_ring(pres)
         assume(alg.dim - 1 <= 8)
-        keys = [e.key for e in enumerate_ideals(alg).entries]
-        assert keys == _tuple_order(alg, keys)
+        census = enumerate_ideals(alg)
+        keys = [e.key for e in census.entries]
+        assert keys == census.lattice.keys == _tuple_order(alg, keys)
         assert keys[-1] == unit_ideal(alg).space.basis
+        top = data.draw(st.sampled_from(keys))
+        inside = gf.Echelon(top)
+        assert oracle._walk(alg, top).keys == [
+            k for k in keys if not any(gf.gf2_reduce(r, inside) for r in k)]
         if alg.dim - 1 <= 4:
             listed = enumerate_ideals_subsets(alg)
             assert listed == _tuple_order(alg, listed) == keys
@@ -561,10 +584,12 @@ def _socle_steps(alg) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
 
 
 def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
-    # the Lattice a census leaves against a recomputation from scratch:
-    # parents by the reference socle, MJ by module_times_ideal, cyclic by
-    # mu = 1, below by containment; no Zassenhaus elimination runs in
-    # the census or its decisions
+    # the Lattice of the walk down from M against a recomputation from
+    # scratch: parents by the reference socle, MJ by module_times_ideal,
+    # cyclic by mu = 1, below by containment.  The census walks down from
+    # R, one step further up: its lattice is this one with R last, above
+    # everything, over MR = M and generated by 1.  No Zassenhaus
+    # elimination runs in the census, the walk or their decisions
     sizes = []
 
     def refuse(*args):
@@ -576,11 +601,19 @@ def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
         alg = _gf2_ring(pres)
         assume(alg.dim - 1 <= 8)
         ups = _socle_steps(alg)
+        m = maximal_ideal(alg).space.basis
         with monkeypatch.context() as patched:
             patched.setattr(gf, "vanishing_block", refuse)
-            lattice = complete_census(enumerate_ideals(alg)).lattice
+            lattice = oracle._walk(alg, m)
+            census = complete_census(enumerate_ideals(alg)).lattice
         keys = lattice.keys
+        n = len(keys)
         assert sorted(keys) == sorted(ups)
+        assert census.keys == keys + [unit_ideal(alg).space.basis]
+        assert [e.rows for e in census.mj] == [e.rows for e in lattice.mj] + [list(m)]
+        assert census.gens == lattice.gens + [1]
+        assert census.below == lattice.below + [(1 << n) - 1]
+        assert census.cyclic == lattice.cyclic | 1 << n
         assert [len(key) for key in keys] == sorted(len(key) for key in keys)
         assert all(lattice.index[key] == k for k, key in enumerate(keys))
         echelons = [gf.Echelon(key) for key in keys]
@@ -596,7 +629,7 @@ def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
             assert lattice.cyclic >> k & 1 == cyclic
             if cyclic:
                 assert tuple(packed_closure(alg, (), [lattice.gens[k]])) == key
-        sizes.append(len(keys))
+        sizes.append(n)
 
     check()
     assert sum(n > 20 for n in sizes) >= 8, sizes
@@ -615,6 +648,32 @@ def test_larger_census_rings_agree_with_the_walk(text, mdim, count):
     for e in census.entries:
         assert (brute_decompose(alg, e.ideal) is not None) == e.decomposable
     assert sum(not e.decomposable for e in census.entries) > 0
+
+
+def _presentation_text(pres) -> str:
+    rels = " / ".join("rel " + "*".join(f"{v}^{e}" for v, e in zip(pres.vars, r) if e)
+                      for r in pres.relations)
+    return f"field 2 / vars {' '.join(pres.vars)} / {rels}"
+
+
+CENSUS_VS_ALONE = ([_presentation_text(pres)
+                    for _, pres in sweep_presentations(3, (2, 3, 4), 9)[::15]]
+                   + [CENSUS_147, SOCLE_W3])
+
+
+@pytest.mark.parametrize("text", CENSUS_VS_ALONE)
+def test_brute_decompose_alone_returns_the_census_covers(text):
+    # the greedy reads the cyclic ideals below J in the census order on
+    # every lattice that holds J, so the walk down from J alone, on a
+    # fresh algebra, picks the census's cover of J
+    alg = build(text)
+    census = complete_census(enumerate_ideals(alg))
+    for e in census.entries:
+        fresh = build(text)
+        dec = brute_decompose(fresh, Ideal(fresh, gf.Subspace(2, fresh.dim, e.key)))
+        assert getattr(fresh, "_census", None) is None
+        gens = None if dec is None else tuple(g.vec for g in dec.generators)
+        assert gens == alg._covers[e.key], e.key
 
 
 STUCK_IDEALS = [(TRIPLE, ("x1 + x3", "x2 + x3")), (XYZ, ("x^2", "x*z")),
@@ -687,14 +746,14 @@ def test_oracle_refuses_odd_fields_and_big_rings(monkeypatch):
     wide = build(TWO_AXES)
     assert oracle_dsc(wide).answer == classify_dsc(wide).answer == "yes"
     assert enumerate_ideals(wide).count == 62
-    # the budget counts the ideals a walk reaches: 61 inside M, and R
-    # besides, so a budget of 60 refuses the census of the same ring
-    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 60)
+    # the budget counts the ideals a walk reaches, R among them, so a
+    # budget of 61 refuses the census of the same ring
+    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 61)
     big = build(TWO_AXES)
-    with pytest.raises(InfeasibleSizeError, match="^census infeasible: more than 60 ideals"):
+    with pytest.raises(InfeasibleSizeError, match="^census infeasible: more than 61 ideals"):
         enumerate_ideals(big)
     assert getattr(big, "_census", None) is None
-    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 61)
+    monkeypatch.setattr(oracle, "IDEAL_BUDGET", 62)
     assert enumerate_ideals(big).count == 62
 
 
@@ -730,17 +789,18 @@ def test_the_cyclic_table_refuses_for_the_census_at_any_budget(max_dim):
 
 
 def test_an_ideal_of_odd_p_is_refused_where_its_cover_reads_the_table():
-    # brute_decompose walks down from the ideal, R included, and
-    # decomposition_lengths runs the census: both walks refuse odd p
-    # before any GF(2) kernel runs
+    # with no census cached, brute_decompose and decomposition_lengths
+    # walk down from the ideal, and the walk refuses odd p before any
+    # GF(2) kernel runs; R = R*1 at every p, with no walk
     alg = build(GF3_MIXED)
-    for i in (maximal_ideal(alg), unit_ideal(alg)):
-        for run in (brute_decompose, decomposition_lengths):
-            with pytest.raises(InfeasibleSizeError,
-                               match=r"^the census handles GF\(2\) only, not GF\(3\)$"):
-                run(alg, i, 30)
+    for run in (brute_decompose, decomposition_lengths):
+        with pytest.raises(InfeasibleSizeError,
+                           match=r"^the census handles GF\(2\) only, not GF\(3\)$"):
+            run(alg, maximal_ideal(alg), 30)
     assert getattr(alg, "_covers", {}) == {}
     assert getattr(alg, "_brute_cache", {}) == {}
+    assert brute_decompose(alg, unit_ideal(alg), 30).generators == (alg.unit(),)
+    assert decomposition_lengths(alg, unit_ideal(alg), 30) == (1,)
 
 
 # ---------------------------------------------------------------------------
