@@ -19,15 +19,26 @@ diagonal exponents are read off that count, never solved for.
 Every branch re-checks the identities it relies on, and
 build_decomposition checks every split direct onto i; a failed check
 raises InternalContradictionError rather than return an unverified one.
+
+Work per ideal is what depends on i: the test M*i = 0, which applies
+the generators to i's basis rows and stops at the first nonzero image
+rather than eliminate M*i; i meet L; one splitter of [L, i], which
+_general shares between its two exponent searches; and the closures
+and certificate of the split.  Whatever depends on the witness alone is
+read once per witness and kept on it (MDecomposition): the closures Rx,
+Ry and L, the sums Rx + L and Ry + L, and the powers g, g^2, ... of
+each axis up to the first zero, which give both the principal generator
+g^n and the candidates of the exponent search.  Decomposing many ideals
+on one witness therefore pays for those once.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import gf
-from .ideals import (Ideal, annihilator, cyclic, is_simple, module_times_ideal)
+from .ideals import Ideal, annihilator, cyclic, is_simple, killed_by_m
 from .rings import Element, mono_degree
 from .structure import (InternalContradictionError, MDecomposition,
                         verify_m_decomposition)
@@ -59,7 +70,9 @@ class Trace:
     trusted: bool = True
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "dims": list(self.dims)}
+        return {"branch": self.branch, "axis": self.axis, "n0": self.n0, "m0": self.m0,
+                "l0": self.l0, "l1": self.l1, "l2": self.l2, "dims": list(self.dims),
+                "truncated": self.truncated, "trusted": self.trusted}
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
 
 def semisimple_decompose(alg, i: Ideal) -> CyclicDecomposition:
     """Split an ideal killed by M into one line per basis row."""
-    if module_times_ideal(alg, i).dim != 0:
+    if not killed_by_m(alg, i):
         raise ValueError("not semisimple")
     return build_decomposition(alg, i, i.basis_elements(), "semisimple")
 
@@ -135,14 +148,16 @@ def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
     with g^n = 0 qualifies vacuously (take l = 0), so the exponent
     always exists for a nilpotent axis.  Otherwise g^n + l is the
     i-component of g^n split over [simple span, i]."""
-    g = dec.x if which == "x" else dec.y
-    if g is None:
-        raise ValueError("no such exponent")
-    f, cols, basis = alg.field, alg.columns(g), i.space.echelon
-    split = gf.splitter([dec.simple_span, i.space])
-    gn = alg.unit().vec
-    for n in range(1, alg.dim + 1):
-        gn = f.apply(cols, gn)
+    return _exponent(alg, dec, i, which, gf.splitter([dec.simple_span, i.space]))
+
+
+def _exponent(alg, dec: MDecomposition, i: Ideal, which: str, split
+              ) -> tuple[int, Element, Element]:
+    """minimal_exponent with split, the splitter of [simple span, i],
+    given, so one splitter serves both axes of an ideal.  The powers
+    g^n are the witness's, computed once per witness."""
+    f, basis = alg.field, i.space.echelon
+    for n, gn in enumerate(dec.x_powers if which == "x" else dec.y_powers, 1):
         if not gn or not f.reduce(gn, basis):
             return n, alg.zero(), Element.packed(alg, gn)
         comps = split(gn)
@@ -176,9 +191,9 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     """Decompose a proper ideal using a verified witness for M.
 
     Branches: principal, semisimple, axis, two_axes, diagonal.  The
-    witness's closures Rx, Ry and L are read off dec, never rebuilt, and
-    the split comes from build_decomposition, so it is checked direct
-    onto i.
+    witness's closures Rx, Ry and L, its sums Rg + L and its axis powers
+    are read off dec, never rebuilt, and the split comes from
+    build_decomposition, so it is checked direct onto i.
     """
     if not verify_m_decomposition(dec):
         raise WitnessInvalidError("witness invalid")
@@ -190,19 +205,20 @@ def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     if i.dim == 0:
         return semisimple_decompose(alg, i)
     # the witness's axes, in the order principal and axis are tried
-    axes = [(which, g, rg) for which, g, rg in (("x", dec.x, dec.rx), ("y", dec.y, dec.ry))
-            if rg.dim]
-    for which, g, rg in axes:
+    axes = [(which, rg) for which, rg in (("x", dec.rx), ("y", dec.ry)) if rg.dim]
+    for which, rg in axes:
         if rg.space.contains_subspace(i.space):
             # Rg is a chain, so i = R g^n with dim i = dim Rg - n + 1
             n = rg.dim - i.dim + 1
-            return build_decomposition(alg, i, [g ** n], "principal", axis=which, n0=n)
-    if module_times_ideal(alg, i).dim == 0:
+            gn = (dec.x_powers if which == "x" else dec.y_powers)[n - 1]
+            return build_decomposition(alg, i, [Element.packed(alg, gn)], "principal",
+                                       axis=which, n0=n)
+    if killed_by_m(alg, i):
         return semisimple_decompose(alg, i)
     # the simple part i keeps; the witness is direct onto M, so it is i meet L
     kept = gf.subspace_intersect(i.space, dec.simple_span)
-    for which, g, rg in axes:
-        if gf.subspace_sum(rg.space, dec.simple_span).contains_subspace(i.space):
+    for which, _ in axes:
+        if (dec.rx_plus_l if which == "x" else dec.ry_plus_l).contains_subspace(i.space):
             return _axis(alg, dec, i, which, kept)
     return _general(alg, dec, i, kept)
 
@@ -220,8 +236,9 @@ def _axis(alg, dec, i, which, kept) -> CyclicDecomposition:
 
 
 def _general(alg, dec, i, kept) -> CyclicDecomposition:
-    n0, l1, xn = minimal_exponent(alg, dec, i, "x")
-    m0, l2, ym = minimal_exponent(alg, dec, i, "y")
+    split = gf.splitter([dec.simple_span, i.space])
+    n0, l1, xn = _exponent(alg, dec, i, "x", split)
+    m0, l2, ym = _exponent(alg, dec, i, "y", split)
     xp, yp = xn + l1, ym + l2
     axes = [cyclic(alg, xp), cyclic(alg, yp)]
     s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [kept])

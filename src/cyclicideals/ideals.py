@@ -193,10 +193,16 @@ def annihilator(alg: Algebra, target: Union[Element, Ideal]) -> Ideal:
 
 def is_simple(alg: Algebra, i: Ideal) -> bool:
     """One-dimensional and killed by the maximal ideal."""
-    if i.dim != 1:
-        return False
-    f, (row,) = i.space.field, i.space.basis
-    return not any(f.apply(masks, row) for masks in alg.action_masks())
+    return i.dim == 1 and killed_by_m(alg, i)
+
+
+def killed_by_m(alg: Algebra, i: Ideal) -> bool:
+    """M * i = 0, without eliminating M * i: the generators span M, so it
+    holds exactly when each of them kills each basis row of i, and the
+    test stops at the first nonzero image."""
+    f = alg.field
+    return not any(f.apply(masks, r) for masks in alg.action_masks()
+                   for r in i.space.basis)
 
 
 def _packed_times_m(alg: Algebra, rows: Sequence[int]) -> list[int]:

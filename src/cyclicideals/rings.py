@@ -495,6 +495,7 @@ class MonomialAlgebra(Algebra):
                     succ[v][k] = succ[last][i]
         # no degree-1 relation, so every variable is a standard monomial
         self.gens = tuple(self.basis_element(step[0]) for step in succ)
+        self._mono_text: dict[tuple[int, ...], str] = {}  # el_str's mono_str, kept
 
     def columns(self, z: Element) -> "_Columns":
         return _Columns(self, z.vec)
@@ -516,10 +517,12 @@ class MonomialAlgebra(Algebra):
         return out
 
     def el_str(self, vec: int) -> str:
-        names = self.presentation.vars
+        names, text = self.presentation.vars, self._mono_text
         parts = []
         for c, e in self.terms(vec):
-            mono = mono_str(e, names)
+            mono = text.get(e)
+            if mono is None:
+                mono = text[e] = mono_str(e, names)
             if mono == "1":
                 parts.append(str(c))
             elif c == 1:

@@ -26,7 +26,7 @@ M with at most two non-simple summands is a witness.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -51,7 +51,9 @@ class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
     independent.  rx and ry (zero for a missing axis) are read from
     cyclic, so each summand is closed from its own generator once per
-    algebra, whoever built the witness; simple_span is cached."""
+    algebra, whoever built the witness.  simple_span, the sums Rg + L
+    and the powers of each axis are computed when first read and kept,
+    so every ideal decomposed on this witness shares them."""
 
     algebra: Algebra
     x: Optional[Element]
@@ -83,6 +85,40 @@ class MDecomposition:
     def simple_span(self) -> gf.Subspace:
         alg = self.algebra
         return gf.Subspace(alg.p, alg.dim, alg.field.rref(w.vec for w in self.simples))
+
+    @cached_property
+    def rx_plus_l(self) -> gf.Subspace:
+        """Rx + L."""
+        return gf.subspace_sum(self.rx.space, self.simple_span)
+
+    @cached_property
+    def ry_plus_l(self) -> gf.Subspace:
+        """Ry + L."""
+        return gf.subspace_sum(self.ry.space, self.simple_span)
+
+    @cached_property
+    def x_powers(self) -> tuple[int, ...]:
+        """The packed rows of x, x^2, ... up to the first zero (see _powers)."""
+        return self._powers(self.x)
+
+    @cached_property
+    def y_powers(self) -> tuple[int, ...]:
+        """The packed rows of y, y^2, ... up to the first zero (see _powers)."""
+        return self._powers(self.y)
+
+    def _powers(self, g: Optional[Element]) -> tuple[int, ...]:
+        """g, g^2, ..., g^n as packed rows: n is the first exponent with
+        g^n = 0, or dim R when g is not nilpotent; empty for a missing
+        axis.  On a verified witness Rg is the chain of the R g^k, R g^k
+        its member of dim (dim Rg) - k + 1."""
+        if g is None:
+            return ()
+        alg = self.algebra
+        f, cols, gn, out = alg.field, alg.columns(g), alg.unit().vec, []
+        while gn and len(out) < alg.dim:
+            gn = f.apply(cols, gn)
+            out.append(gn)
+        return tuple(out)
 
     def as_dict(self) -> dict:
         return {
@@ -294,8 +330,9 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     split = canonical_variable_split(alg)
     if split is None:
         raise InternalContradictionError("no mixed product, yet the variables do not split M")
-    nonsimple = [g for g, c in split if not is_simple(alg, c)]
-    simples = [g for g, c in split if is_simple(alg, c)]
+    nonsimple, simples = [], []
+    for g, c in split:
+        (simples if is_simple(alg, c) else nonsimple).append(g)
     if len(nonsimple) <= 2:
         return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
     x, y, z = nonsimple[:3]
@@ -338,7 +375,8 @@ class SpecReport:
     truncated_model: bool
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "primes": list(self.primes)}
+        return {"case": self.case, "primes": list(self.primes),
+                "krull_dim": self.krull_dim, "truncated_model": self.truncated_model}
 
 
 def _symbolic_nilpotent(pres: RingPresentation, alg: MonomialAlgebra, z: Element) -> bool:
@@ -384,8 +422,9 @@ def spec_classify(pres: RingPresentation, dec: MDecomposition) -> SpecReport:
         raise ValueError("decomposition not verified")
 
     summands = dec.summands()
-    non_nil = [g for g in summands if not _symbolic_nilpotent(pres, alg, g)]
-    nil_part = [g for g in summands if _symbolic_nilpotent(pres, alg, g)]
+    non_nil, nil_part = [], []
+    for g in summands:
+        (nil_part if _symbolic_nilpotent(pres, alg, g) else non_nil).append(g)
     truncated = pres.truncate is not None
 
     if len(non_nil) > 2 or not pres.splits_untruncated():

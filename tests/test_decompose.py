@@ -5,6 +5,7 @@ import pytest
 import random
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError,
                           Trace, WitnessInvalidError, cyclic, decompose_ideal,
@@ -12,7 +13,7 @@ from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError
                           maximal_ideal, minimal_exponent, parse_element,
                           semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
-from cyclicideals import oracle
+from cyclicideals import decompose, oracle
 from cyclicideals.decompose import _first_outside, build_decomposition
 import reference_kernels
 import test_golden
@@ -243,6 +244,68 @@ def test_minimal_exponent_matches_the_per_exponent_loop(p):
                 seen[n > 1, l.is_zero()] += 1
     # later exponents, and corrections l, occur
     assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+# ---------------------------------------------------------------------------
+# one witness, many ideals
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_shared_witness_decomposes_as_a_fresh_one(p):
+    """Many ideals on one witness: each payload equals the one of a fresh
+    algebra and witness, Rx + L and Ry + L are each summed at most once,
+    and _general eliminates one [L, i] splitter per ideal."""
+    text = (f"field {p} / vars x y w / rel x^5 / rel y^4 / rel x*y"
+            " / rel w^2 / rel x*w / rel y*w")
+    alg = build(text)
+    dec = find_m_decomposition(alg)
+    monos = ["x", "x^2", "x^3", "x^4", "y", "y^2", "y^3", "w"]
+    rng = random.Random(900 + p)
+    drawn = []
+    for _ in range(120):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = rng.sample(monos, rng.randint(1, 3))
+            gens.append(" + ".join(f"{rng.randrange(1, p)}*{m}" for m in terms))
+        drawn.append(gens)
+
+    sums, splits, generals = [], [], []
+    real_sum, real_splitter, real_general = gf.subspace_sum, gf.splitter, decompose._general
+
+    def spy_sum(a, b):
+        sums.append(a)
+        return real_sum(a, b)
+
+    def spy_splitter(parts):
+        splits.append(list(parts))
+        return real_splitter(parts)
+
+    def spy_general(alg, dec, i, kept):
+        before = len(splits)
+        out = real_general(alg, dec, i, kept)
+        generals.append([s for s in splits[before:] if len(s) == 2])
+        assert generals[-1] == [[dec.simple_span, i.space]]
+        return out
+
+    shared = []
+    with mock.patch.object(gf, "subspace_sum", spy_sum), \
+            mock.patch.object(gf, "splitter", spy_splitter), \
+            mock.patch.object(decompose, "_general", spy_general):
+        for gens in drawn:
+            i = ideal_of(alg, *gens)
+            if i.dim < alg.dim:
+                shared.append((gens, decompose_ideal(alg, dec, i).as_dict()))
+    assert len(sums) <= 2 and len(set(sums)) == len(sums)
+    assert set(sums) <= {dec.rx.space, dec.ry.space}
+    assert len(generals) >= 10
+
+    branches = Counter()
+    for gens, payload in shared:
+        fresh = build(text)
+        i = ideal_of(fresh, *gens)
+        assert decompose_ideal(fresh, find_m_decomposition(fresh), i).as_dict() == payload
+        branches[payload["trace"]["branch"]] += 1
+    assert len(branches) == 5, branches
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,32 @@ def test_module_times_ideal_matches_the_tuple_path():
     assert min(primes[p] for p in (2, 3, 5)) >= 20, primes
 
 
+def test_killed_by_m_is_m_times_i_vanishing():
+    # the early-exit test against the eliminated M*i, on a drawn ideal and
+    # on every M^k i below it: M kills the last nonzero one, and only the
+    # nonzero ones are counted
+    seen = Counter()
+    for p in (2, 3, 5):
+
+        @settings(derandomize=True, max_examples=60, deadline=None)
+        @given(presentations(), st.data())
+        def check(pres, data):
+            alg = build_algebra(RingPresentation.make(p, pres.vars, pres.relations,
+                                                      pres.truncate))
+            assume(alg.dim <= 40)
+            gens = maximal_ideal_elements(alg, data, data.draw(st.integers(1, 3)))
+            i = ideal_from_generators(alg, gens)
+            while not i.is_zero():
+                mi = module_times_ideal(alg, i)
+                assert ideals.killed_by_m(alg, i) == (mi.dim == 0)
+                seen[p, mi.dim == 0] += 1
+                i = mi
+            assert ideals.killed_by_m(alg, i)
+
+        check()
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
 # ---------------------------------------------------------------------------
 # annihilators
 
