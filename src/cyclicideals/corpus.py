@@ -9,10 +9,9 @@ way round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+import os
 from itertools import combinations, product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .oracle import enumerate_ideals
 from .rings import (MonomialAlgebra, RingPresentation, build_algebra, mono_str,
@@ -20,8 +19,7 @@ from .rings import (MonomialAlgebra, RingPresentation, build_algebra, mono_str,
 from .structure import classify_dsc, spec_classify
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     key: str
     filename: str
     dsc: str
@@ -60,8 +58,9 @@ def matching_cases(selectors=None) -> list[CorpusCase]:
 
 
 def corpus_text(key: str) -> str:
-    case = case_by_key(key)
-    return (resources.files("cyclicideals") / "corpus" / case.filename).read_text()
+    path = os.path.join(os.path.dirname(__file__), "corpus", case_by_key(key).filename)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_case(key: str) -> tuple[RingPresentation, MonomialAlgebra]:

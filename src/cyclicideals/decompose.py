@@ -34,8 +34,7 @@ on one witness therefore pays for those once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import gf
 from .ideals import Ideal, annihilator, cyclic, is_simple, killed_by_m
@@ -48,8 +47,7 @@ class WitnessInvalidError(ValueError):
     """The supplied decomposition of M does not verify."""
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Which branch ran and the data it chose.
 
     n0/m0 are exponents along x/y (for principal and axis branches, n0
@@ -75,8 +73,7 @@ class Trace:
                 "truncated": self.truncated, "trusted": self.trusted}
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(NamedTuple):
     """i as the direct sum of the cyclic submodules R*g over generators."""
 
     ideal: Ideal
@@ -241,19 +238,20 @@ def _general(alg, dec, i, kept) -> CyclicDecomposition:
     m0, l2, ym = _exponent(alg, dec, i, "y", split)
     xp, yp = xn + l1, ym + l2
     axes = [cyclic(alg, xp), cyclic(alg, yp)]
-    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [kept])
-    _check(s is not None, "axis summands overlap")
-    _check(i.space.contains_subspace(s), "axis summands escape i")
     rest = [Element.packed(alg, r) for r in kept.basis]
     knobs = dict(n0=n0, m0=m0, l1=str(l1), l2=str(l2))
 
-    if s == i.space:
+    if axes[0].dim + axes[1].dim + kept.dim == i.dim:
+        # build_decomposition's certificate checks the sum direct onto i
         _check(not xp.is_zero() and not yp.is_zero(), "axis generator vanished")
         gens = (xp, yp, *rest)
         return build_decomposition(alg, i, gens, "two_axes", **knobs)
 
-    # the two-axis sum falls short: a single diagonal generator
-    # c x^(n0-1) + d y^(m0-1) + l must close the gap
+    # otherwise the two-axis sum, checked direct inside i, falls short: a
+    # single diagonal generator c x^(n0-1) + d y^(m0-1) + l must close the gap
+    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [kept])
+    _check(s is not None, "axis summands overlap")
+    _check(i.space.contains_subspace(s), "axis summands escape i")
     _check(n0 >= 2 and m0 >= 2, "diagonal branch with boundary exponent")
     zp = _first_outside(alg, i, s)
     _check(zp is not None, "no element outside the axis sum")

@@ -41,7 +41,6 @@ left one: shifted by n W for a left block n coordinates wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -304,20 +303,33 @@ def rref_rows(vectors: Iterable[Sequence[int]], p: int, ncols: int) -> tuple[Vec
 # subspaces
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(p)^ambient held as its canonical RREF basis.
 
     `basis` is that basis as packed rows (see packed_field), sorted by
-    pivot.  `rows` is the tuple view, built on first use.
+    pivot.  `rows` is the tuple view, built on first use.  Immutable,
+    equal and hashed by (p, ambient, basis).
     """
 
-    p: int
-    ambient: int
-    basis: tuple
+    def __init__(self, p: int, ambient: int, basis: Iterable[int]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", tuple(basis))
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Subspace")
+
+    def _key(self) -> tuple:
+        return self.p, self.ambient, self.basis
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Subspace(p={!r}, ambient={!r}, basis={!r})".format(*self._key())
 
     @classmethod
     def span(cls, p: int, ambient: int, vectors: Iterable[Sequence[int]]) -> "Subspace":

@@ -85,7 +85,6 @@ from the covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import gf
@@ -100,35 +99,46 @@ from .structure import DscVerdict, InternalContradictionError
 IDEAL_BUDGET = 50_000
 
 
-@dataclass
 class CensusEntry:
-    ideal: Ideal
-    key: tuple[int, ...]
-    decomposable: Optional[bool] = None
-    lengths: Optional[tuple[int, ...]] = None
+    """One ideal of a census; complete_census fills in decomposable and
+    lengths.  Equal by all four fields."""
+
+    def __init__(self, ideal: Ideal, key: tuple[int, ...], decomposable: Optional[bool] = None,
+                 lengths: Optional[tuple[int, ...]] = None):
+        self.ideal, self.key, self.decomposable, self.lengths = ideal, key, decomposable, lengths
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass
 class Lattice:
     """The ideals inside the top of a walk in the census's (dim, basis)
     order, top last: index maps keys[k] back to k, mj[k] is the echelon
     basis of M keys[k], bit k of cyclic is set when keys[k] is cyclic,
     and then gens[k] generates it, and bit h of below[k] is set for
-    every ideal keys[h] strictly inside keys[k]."""
+    every ideal keys[h] strictly inside keys[k].  Equal by all six
+    fields."""
 
-    keys: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
-    mj: list[gf.Echelon]
-    cyclic: int
-    gens: list[int]
-    below: list[int]
+    def __init__(self, keys: list[tuple[int, ...]], index: dict[tuple[int, ...], int],
+                 mj: list[gf.Echelon], cyclic: int, gens: list[int], below: list[int]):
+        self.keys, self.index, self.mj = keys, index, mj
+        self.cyclic, self.gens, self.below = cyclic, gens, below
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
 
-@dataclass
 class IdealCensus:
-    algebra: Algebra
-    entries: tuple[CensusEntry, ...]
-    lattice: Lattice = field(repr=False, compare=False)
+    """The ideals of an algebra in the census's (dim, basis) order, with
+    the lattice they were walked on.  Equal by algebra and entries."""
+
+    def __init__(self, algebra: Algebra, entries: tuple[CensusEntry, ...], lattice: Lattice):
+        self.algebra, self.entries, self.lattice = algebra, entries, lattice
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.entries) == (other.algebra, other.entries)
 
     @property
     def count(self) -> int:

@@ -30,9 +30,8 @@ parse_element goes the other way, summing read_terms' pairs into a row.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import gf
 
@@ -114,8 +113,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(NamedTuple):
     """Validated ring description; relations are canonical exponent tuples."""
 
     p: int

@@ -26,9 +26,8 @@ M with at most two non-simple summands is a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf
 from .ideals import (Ideal, cyclic, ideal_from_generators, is_simple,
@@ -46,19 +45,36 @@ class WitnessDoesNotLiftError(ValueError):
     spec_classify refuses to read its spectrum."""
 
 
-@dataclass(frozen=True)
 class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
     independent.  rx and ry (zero for a missing axis) are read from
     cyclic, so each summand is closed from its own generator once per
     algebra, whoever built the witness.  simple_span, the sums Rg + L
     and the powers of each axis are computed when first read and kept,
-    so every ideal decomposed on this witness shares them."""
+    so every ideal decomposed on this witness shares them.  Immutable,
+    equal and hashed by (algebra, x, y, simples)."""
 
-    algebra: Algebra
-    x: Optional[Element]
-    y: Optional[Element]
-    simples: tuple[Element, ...]
+    def __init__(self, algebra: Algebra, x: Optional[Element], y: Optional[Element],
+                 simples: tuple[Element, ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "simples", simples)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable MDecomposition")
+
+    def _key(self) -> tuple:
+        return self.algebra, self.x, self.y, self.simples
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "MDecomposition(algebra={!r}, x={!r}, y={!r}, simples={!r})".format(*self._key())
 
     def summands(self) -> list[Element]:
         out = [g for g in (self.x, self.y) if g is not None]
@@ -235,8 +251,7 @@ def rank_certificate(alg: Algebra, u: Element, v: Element) -> bool:
 # verdicts
 
 
-@dataclass(frozen=True)
-class DscVerdict:
+class DscVerdict(NamedTuple):
     """Outcome of the direct-sum-of-cyclics decision for one ring."""
 
     answer: str  # "yes" | "no"
@@ -365,8 +380,7 @@ def classify_product(verdicts: Sequence[DscVerdict]) -> DscVerdict:
 # prime spectrum
 
 
-@dataclass(frozen=True)
-class SpecReport:
+class SpecReport(NamedTuple):
     """Symbolic prime spectrum read off a verified witness decomposition."""
 
     case: str  # "a" .. "e"

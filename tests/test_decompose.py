@@ -340,6 +340,51 @@ def test_build_decomposition_refuses_an_overlap(pair_n3):
         build_decomposition(pair_n3, maximal_ideal(pair_n3), [x + y, x], "two_axes")
 
 
+SOCLE_AXES = "field 2 / vars x y w / rel x^5 / rel y^4 / rel x*y / rel w^2 / rel x*w / rel y*w"
+
+
+def test_general_position_sums_the_axes_only_for_the_diagonal():
+    """A two-axis split whose dims fill i goes to build_decomposition,
+    whose certificate is its one direct sum; only the diagonal branch
+    eliminates the axis sum before its own certificate."""
+    alg = build(SOCLE_AXES)
+    dec = find_m_decomposition(alg)
+    calls, real_sum = [], gf.direct_sum
+
+    def spy_sum(p, ambient, parts):
+        calls.append(len(parts))
+        return real_sum(p, ambient, parts)
+
+    seen = Counter()
+    for gens in [("x^2", "y^2"), ("x", "y^3", "w"), ("x^3", "y"), ("x + y",),
+                 ("x^2 + y^2",), ("x + y^2 + w",)]:
+        i = ideal_of(alg, *gens)
+        calls.clear()
+        with mock.patch.object(gf, "direct_sum", spy_sum):
+            branch = decompose_ideal(alg, dec, i).trace.branch
+        seen[branch] += 1
+        assert len(calls) == {"two_axes": 1, "diagonal": 2}[branch], (gens, branch)
+    assert seen == {"two_axes": 3, "diagonal": 3}
+
+
+def test_a_two_axis_split_that_escapes_i_is_refused(monkeypatch):
+    # R x^2 + R(y^2 + w) has dim 4 + 2 = dim i, but w is outside i: the
+    # certificate, not a separate check, refuses it
+    alg = build(SOCLE_AXES)
+    dec = find_m_decomposition(alg)
+    i = ideal_of(alg, "x^2", "y^2")
+    assert decompose_ideal(alg, dec, i).trace.branch == "two_axes"
+    w, real = parse_element(alg, "w"), decompose._exponent
+
+    def shifted(alg, dec, i, which, split):
+        n, l, gn = real(alg, dec, i, which, split)
+        return (n, l + w, gn) if which == "y" else (n, l, gn)
+
+    monkeypatch.setattr(decompose, "_exponent", shifted)
+    with pytest.raises(InternalContradictionError, match="failed verification"):
+        decompose_ideal(alg, dec, i)
+
+
 def test_verify_decomposition_counts_dimensions(pair_n3):
     x, y = pair_n3.gens
     m = ideal_of(pair_n3, "x", "y")
