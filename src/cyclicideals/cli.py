@@ -242,8 +242,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_corpus(args) -> int:
     try:
-        rows = run_corpus(selectors=args.selectors or None,
-                          use_oracle=not args.no_oracle)
+        rows = run_corpus(selectors=args.selectors or None)
     except KeyError as exc:
         raise UsageError(str(exc.args[0]))
     if args.json:
@@ -254,8 +253,6 @@ def _cmd_corpus(args) -> int:
             spec = r["spec_case"] or "-"
             census = "-" if r["census"] is None else str(r["census"])
             flag = "ok" if r["ok"] else "MISMATCH"
-            if r["unverified_by_oracle"]:
-                flag += " (unverified by oracle)"
             print(f"{r['key']:<{width}}  dsc={r['dsc']:<9} case={spec:<2} "
                   f"ideals={census:<4} {flag}")
     return 0 if all(r["ok"] for r in rows) else 1
@@ -299,8 +296,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("corpus", help="run the bundled expectation table")
     sp.add_argument("selectors", nargs="*", metavar="PATTERN",
                     help="run only cases whose key contains PATTERN")
-    sp.add_argument("--no-oracle", action="store_true",
-                    help="constructive checks only, rows marked unverified")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_corpus)
 

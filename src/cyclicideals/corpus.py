@@ -68,14 +68,13 @@ def load_case(key: str) -> tuple[RingPresentation, MonomialAlgebra]:
     return pres, build_algebra(pres)
 
 
-def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
-             use_oracle: bool = True) -> dict:
-    """Classify one bundled case and compare against its frozen row.
+def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8) -> dict:
+    """Classify one bundled case and compare against its frozen row,
+    checking its census count when the row freezes one.
 
-    With use_oracle=False only the constructive checks run, and the
-    census column stays empty.  max_pair_dim and max_oracle_dim do
-    nothing (the census is bounded by its budget of ideals);
-    bench/workloads.py passes them until ROADMAP item 1 drops them.
+    max_pair_dim and max_oracle_dim do nothing (the census is bounded by
+    its budget of ideals); bench/workloads.py passes them until ROADMAP
+    item 1 drops them.
     """
     case = case_by_key(key)
     pres, alg = load_case(key)
@@ -84,11 +83,8 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
     spec_case = None
     if verdict.witness is not None:
         spec_case = spec_classify(pres, verdict.witness).case
-    census = None
-    if use_oracle and case.census is not None:
-        census = enumerate_ideals(alg).count
-    ok = (got_dsc == case.dsc and spec_case == case.spec_case
-          and (census is None or census == case.census))
+    census = None if case.census is None else enumerate_ideals(alg).count
+    ok = got_dsc == case.dsc and spec_case == case.spec_case and census == case.census
     return {
         "key": key,
         "dsc": got_dsc,
@@ -97,13 +93,13 @@ def run_case(key: str, max_pair_dim: int = 12, max_oracle_dim: int = 8,
         "expected_spec_case": case.spec_case,
         "census": census,
         "expected_census": case.census,
-        "unverified_by_oracle": not use_oracle,
+        "unverified_by_oracle": False,
         "ok": ok,
     }
 
 
-def run_corpus(selectors=None, use_oracle: bool = True) -> list[dict]:
-    return [run_case(c.key, use_oracle=use_oracle) for c in matching_cases(selectors)]
+def run_corpus(selectors=None) -> list[dict]:
+    return [run_case(c.key) for c in matching_cases(selectors)]
 
 
 _SWEEP_VARS = ("x", "y", "z")

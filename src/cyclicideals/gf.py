@@ -59,7 +59,8 @@ class Echelon:
     pivot j), so the row for pivot bit b is rows[(mask & (b - 1)).bit_count()].
     `union` is nonzero in field j exactly when some row is, the OR of the
     rows for p == 2.  Building one costs one pass over its rows, none for
-    an empty basis.
+    an empty basis.  Equal by rows, which fix mask and union; unhashable,
+    as it grows in place.
     """
 
     __slots__ = ("rows", "mask", "union")
@@ -71,6 +72,9 @@ class Echelon:
             mask |= r & -r
             union |= r
         self.mask, self.union = mask, union
+
+    def __eq__(self, other):
+        return self.rows == other.rows if other.__class__ is Echelon else NotImplemented
 
     def copy(self) -> "Echelon":
         e = Echelon.__new__(Echelon)

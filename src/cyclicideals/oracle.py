@@ -268,29 +268,27 @@ def _pick_cover(lattice: Lattice, k: int) -> Optional[tuple[int, ...]]:
     return tuple(picked) if weight == dim else None
 
 
-def _cover(alg: Algebra, i: Ideal, lattice: Optional[Lattice] = None, k: int = 0
-           ) -> Optional[tuple[int, ...]]:
+def _cover(alg: Algebra, i: Ideal) -> Optional[tuple[int, ...]]:
     """The packed generators of i's cover, or None when i is no direct
     sum of cyclic modules: one cache per algebra, from an ideal's packed
     key, serves every function here.  Only R contains a unit, so R = R*1
     at every p and its cover (1,) needs no walk.  Any other ideal takes
-    the cover _pick_cover reads off lattice at index k, or, with no
-    lattice given, off the census lattice when one is cached, else off
-    the walk down from i; the pick is the same on each (see the module
-    docstring).  A cover is cached only once the closures of its
-    generators, read from ideals.cyclic, number dim i rows and
-    row-reduce to i's key, so the summands are direct onto i: the
-    certificate build_decomposition checks, in packed rows."""
+    the cover _pick_cover reads off the census lattice at i's index when
+    a census is cached, else off the walk down from i; the pick is the
+    same on each (see the module docstring).  A cover is cached only
+    once the closures of its generators, read from ideals.cyclic, number
+    dim i rows and row-reduce to i's key, so the summands are direct
+    onto i: the certificate build_decomposition checks, in packed rows."""
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     key = i.space.basis
     covers = vars(alg).setdefault("_covers", {})
     if key not in covers:
-        if lattice is None and len(key) < alg.dim:
+        gens = (1,)
+        if len(key) < alg.dim:
             census = getattr(alg, "_census", None)
             lattice = _walk(alg, key) if census is None else census.lattice
-            k = lattice.index[key]
-        gens = (1,) if len(key) == alg.dim else _pick_cover(lattice, k)
+            gens = _pick_cover(lattice, lattice.index[key])
         if gens is not None:
             rows = [r for v in gens for r in cyclic(alg, Element.packed(alg, v)).space.basis]
             if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
@@ -329,13 +327,13 @@ def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
     """Fill in decomposability and lengths from each ideal's checked
-    cover, picked on the lattice from the cyclic ideals below it and
-    read by the entry's index: each MJ comes from the walk, one
-    generator is closed per cyclic ideal picked, and no
+    cover, which _cover picks on the census lattice the algebra caches,
+    from the cyclic ideals below the ideal: each MJ comes from the walk,
+    one generator is closed per cyclic ideal picked, and no
     CyclicDecomposition is built.  max_dim does nothing, as in
     enumerate_ideals."""
-    for k, e in enumerate(census.entries):
-        gens = _cover(census.algebra, e.ideal, census.lattice, k)
+    for e in census.entries:
+        gens = _cover(census.algebra, e.ideal)
         e.lengths = () if gens is None else (len(gens),)
         e.decomposable = gens is not None
     return census
@@ -358,8 +356,8 @@ def oracle_dsc(alg: Algebra, max_dim: int = 8) -> DscVerdict:
     (canonical order) that cannot be decomposed.  max_dim does nothing,
     as in enumerate_ideals."""
     census = enumerate_ideals(alg)
-    for k, e in enumerate(census.entries):
-        if _cover(alg, e.ideal, census.lattice, k) is None:
+    for e in census.entries:
+        if _cover(alg, e.ideal) is None:
             note = ("exhaustive search over all families of cyclic "
                     "submodules found no direct-sum cover")
             return DscVerdict("no", None, e.ideal, note,

@@ -445,11 +445,14 @@ def test_corpus_selector(capsys):
     assert code == 3 and "no corpus case matches" in err
 
 
-def test_corpus_no_oracle(capsys):
-    code, out, _ = run(capsys, "corpus", "nilpotent-pair-n3", "--no-oracle")
-    assert code == 0
-    assert "(unverified by oracle)" in out
-    assert "ideals=-" in out
+def test_corpus_always_takes_its_census(capsys):
+    # corpus has no mode without the census: --no-oracle is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "nilpotent-pair-n3", "--no-oracle"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cyclicideals ")
+    assert "cyclicideals: error: unrecognized arguments: --no-oracle" in err
 
 
 def test_corpus_json(capsys):

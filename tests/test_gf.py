@@ -251,6 +251,18 @@ def test_echelon_kernels_match_the_reference_on_a_growing_basis(run):
     assert gf.Echelon(e.rows).mask == e.mask
 
 
+def test_echelons_are_equal_by_rows():
+    # mask and union follow from the rows; an Echelon grows in place, so
+    # it has no hash
+    e = gf.Echelon([0b011, 0b100])
+    assert e == gf.Echelon(e.rows) == e.copy()
+    grown = e.copy()
+    assert gf.gf2_insert(grown, 0b1000)
+    assert grown != e and e != e.rows
+    with pytest.raises(TypeError):
+        hash(e)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 12 - 1), st.integers(min_value=12, max_value=16))
 def test_pack_unpack_roundtrip(m, n):
     assert gf.pack_vec(gf.unpack_vec(m, n)) == m

@@ -83,7 +83,6 @@ def _cases() -> list[tuple[str, list[str], int]]:
         out.append((f"decompose-{k:02d}-{ring}",
                     ["decompose", "--json", ring, "--ideal", ideal], 0))
     out.append(("corpus", ["corpus", "--json"], 0))
-    out.append(("corpus-no-oracle", ["corpus", "--json", "--no-oracle"], 0))
     return out
 
 

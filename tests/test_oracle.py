@@ -306,6 +306,21 @@ def test_packed_sort_key_keeps_the_tuple_order():
     assert sum(n > 5 for n in subsets) >= 10, subsets
 
 
+def test_two_walks_of_one_ring_compare_equal():
+    # a Lattice is equal by all six fields, its MJ echelons by their
+    # rows: two fresh algebras walk to equal lattices, and one MJ row
+    # changed breaks the equality
+    text = "field 2 / vars x y / rel x^3 / rel y^3 / rel x*y"
+    a, b = build(text), build(text)
+    top = unit_ideal(a).space.basis
+    lattice, other = oracle._walk(a, top), oracle._walk(b, top)
+    assert lattice == other
+    rows = other.mj[-1].rows
+    other.mj[-1] = gf.Echelon(rows[:-1] + [rows[-1] ^ rows[0]])
+    assert (other.keys, other.below) == (lattice.keys, lattice.below)
+    assert lattice != other
+
+
 def _repeat_first(pick, lattice, k):
     # the first row of J as many times as J has rows
     rows = lattice.keys[k]
