@@ -299,7 +299,10 @@ def main(argv=None) -> int:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_corpus)
 
-    args = parser.parse_args(argv)
+    # leftovers are reported with the usage of the subcommand they follow
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except UsageError as exc:

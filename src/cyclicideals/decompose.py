@@ -13,8 +13,9 @@ cyclic splitting:
               carries both axes.
 
 Directness gives Mx = Rx^2, so Rx is a chain whose nonzero submodules
-are the R x^n, with dim R x^n = dim Rx - n + 1.  The principal and
-diagonal exponents are read off that count, never solved for.
+are the R x^n, with dim R x^n = dim Rx - n + 1.  The principal exponent
+is read off that count and the diagonal ones off products with the
+powers of x, never solved for.
 
 Every branch re-checks the identities it relies on, and
 build_decomposition checks every split direct onto i; a failed check
@@ -37,7 +38,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import gf
-from .ideals import Ideal, annihilator, cyclic, is_simple, killed_by_m
+from .ideals import Ideal, cyclic, is_simple, killed_by_m
 from .rings import Element, mono_degree
 from .structure import (InternalContradictionError, MDecomposition,
                         verify_m_decomposition)
@@ -184,6 +185,17 @@ def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
     return None
 
 
+def _unit_times_power(alg, z, powers, m: int) -> bool:
+    """Whether z, nonzero in the chain Rg, is a unit times g^m, for
+    0 < m < L and powers g, g^2, ..., g^L = 0 of the witness axis.  On
+    the chain z = u g^k with u a unit, and z g^j = 0 exactly when
+    k + j >= L; so k = m exactly when z g^(L-m) = 0 and z g^(L-m-1) != 0,
+    with g^0 = 1.  Two products, no closure of Rz."""
+    f, cols, top = alg.field, alg.columns(z), len(powers)
+    below = powers[top - m - 2] if top - m >= 2 else alg.unit().vec
+    return not f.apply(cols, powers[top - m - 1]) and bool(f.apply(cols, below))
+
+
 def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
     """Decompose a proper ideal using a verified witness for M.
 
@@ -225,9 +237,11 @@ def _axis(alg, dec, i, which, kept) -> CyclicDecomposition:
     gen = gn + l0
     _check(not gen.is_zero(), "axis generator vanished")
     if not l0.is_zero():
-        # the correction must not change the annihilator
-        _check(annihilator(alg, gen) == annihilator(alg, gn),
-               "axis correction changed the annihilator")
+        # l0 = -comps[0] lies in L and ML = 0, so a (gn + l0) = a gn for
+        # every a in M: the correction keeps the annihilator.  gn is
+        # nonzero, or l0 would be 0, and so is gen, as Rg + L is direct.
+        # All of it rests on M l0 = 0, checked on R l0, a single row
+        _check(killed_by_m(alg, cyclic(alg, l0)), "axis correction outside L")
     gens = [gen] + [Element.packed(alg, r) for r in kept.basis]
     return build_decomposition(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
@@ -259,8 +273,7 @@ def _general(alg, dec, i, kept) -> CyclicDecomposition:
     _check(comps is not None, "diagonal element escapes the witness sum")
     zx, zy = Element.packed(alg, comps[0]), Element.packed(alg, comps[1])
     _check(not zx.is_zero() and not zy.is_zero(), "diagonal element lost an axis")
-    # on the chains Rx and Ry, R zx = R x^nx, so zx is a unit times x^nx
-    nx = dec.rx.dim - cyclic(alg, zx).dim + 1
-    ny = dec.ry.dim - cyclic(alg, zy).dim + 1
-    _check(nx == n0 - 1 and ny == m0 - 1, "diagonal exponents off the shelf")
+    _check(_unit_times_power(alg, zx, dec.x_powers, n0 - 1)
+           and _unit_times_power(alg, zy, dec.y_powers, m0 - 1),
+           "diagonal exponents off the shelf")
     return build_decomposition(alg, i, [zp] + rest, "diagonal", **knobs)

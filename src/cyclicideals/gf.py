@@ -34,8 +34,8 @@ never visited.  Placing a reduced v rewrites only rows pivoted below
 it, and none at all when the union is zero at v's pivot.  Every row
 operation runs in one kernel pair per field: gf2_reduce / gf2_place for
 p == 2 and PackedField.reduce / .place otherwise, insert being reduce
-followed by place.  Intersections, kernels and solves eliminate block
-rows [left | right] on them, the right block in the fields above the
+followed by place.  Intersections and splittings eliminate block rows
+[left | right] on them, the right block in the fields above the
 left one: shifted by n W for a left block n coordinates wide.
 """
 
@@ -422,14 +422,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     shift = n * a.field.w
     rows = [r | r << shift for r in a.basis] + list(b.basis)
     return Subspace(p, n, vanishing_block(p, n, rows))
-
-
-def left_kernel(p: int, n: int, rows: Sequence[int]) -> Subspace:
-    """{a : sum a_i rows_i = 0}, coefficients over the packed rows, each
-    n coordinates wide, from the rows [rows_i | e_i]."""
-    w = packed_field(p).w
-    tagged = [r | 1 << (n + i) * w for i, r in enumerate(rows)]
-    return Subspace(p, len(rows), vanishing_block(p, n, tagged))
 
 
 # ---------------------------------------------------------------------------

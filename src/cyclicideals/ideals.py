@@ -5,8 +5,9 @@ under multiplication by every generator of the maximal ideal.  Each one
 is held in canonical RREF form, so ideals compare and hash structurally.
 Closure is re-checked on construction, unless the basis is closed by
 construction: the output of a closure loop, M itself, or M times an
-ideal.  Any other operation that produced a non-ideal is a bug we want
-to hear about immediately.
+ideal.  Any other subspace is checked, so one that is no ideal is
+refused at once.  The decision procedures read an ideal as a subspace,
+through the kernels of gf.
 
 Each cyclic module Rz is closed once per algebra (cyclic), and every
 cover the oracle certifies reads its summands from there.  No cover is
@@ -86,15 +87,6 @@ class Ideal:
     def __hash__(self) -> int:
         return hash((id(self.algebra), self.space))
 
-    def __add__(self, other: "Ideal") -> "Ideal":
-        return ideal_sum(self, other)
-
-    def __mul__(self, other: "Ideal") -> "Ideal":
-        return ideal_product(self, other)
-
-    def __and__(self, other: "Ideal") -> "Ideal":
-        return ideal_intersect(self, other)
-
     def __le__(self, other: "Ideal") -> bool:
         self._require_same(other)
         return other.space.contains_subspace(self.space)
@@ -134,25 +126,6 @@ def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> l
     return basis.rows
 
 
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    a._require_same(b)
-    return Ideal(a.algebra, gf.subspace_sum(a.space, b.space))
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    a._require_same(b)
-    alg = a.algebra
-    f = alg.field
-    maps = [alg.columns(Element.packed(alg, v)) for v in b.space.basis]
-    prods = [f.apply(cols, u) for cols in maps for u in a.space.basis]
-    return Ideal(alg, gf.Subspace(alg.p, alg.dim, f.rref(prods)))
-
-
-def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
-    a._require_same(b)
-    return Ideal(a.algebra, gf.subspace_intersect(a.space, b.space))
-
-
 def zero_ideal(alg: Algebra) -> Ideal:
     return Ideal(alg, gf.Subspace.zero(alg.p, alg.dim))
 
@@ -179,16 +152,6 @@ def cyclic(alg: Algebra, z: Element) -> Ideal:
     if z.vec not in memo:
         memo[z.vec] = ideal_from_generators(alg, [z])
     return memo[z.vec]
-
-
-def annihilator(alg: Algebra, target: Union[Element, Ideal]) -> Ideal:
-    """Ann(z) = {a : a*z = 0}; for an ideal, intersect over its basis."""
-    if isinstance(target, Ideal):
-        out = unit_ideal(alg)
-        for row in target.space.basis:
-            out = ideal_intersect(out, annihilator(alg, Element.packed(alg, row)))
-        return out
-    return Ideal(alg, gf.left_kernel(alg.p, alg.dim, alg.mult_map(target)))
 
 
 def is_simple(alg: Algebra, i: Ideal) -> bool:

@@ -391,10 +391,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.vec
 
-    def is_unit(self) -> bool:
-        # local ring: units are exactly the elements outside the maximal ideal
-        return bool(self.vec & self.algebra.field.one)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.algebra is other.algebra
                 and self.vec == other.vec)

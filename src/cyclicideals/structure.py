@@ -81,9 +81,6 @@ class MDecomposition:
         out.extend(self.simples)
         return out
 
-    def summand_count(self) -> int:
-        return len(self.summands())
-
     @cached_property
     def problems(self) -> tuple[str, ...]:
         """m_decomposition_problems of this witness, computed once."""

@@ -9,7 +9,8 @@ suite's other local algebras, the quotients R/I.
 import pytest
 from hypothesis import strategies as st
 
-from cyclicideals import Ideal, build_algebra, parse_presentation
+import reference_kernels
+from cyclicideals import Ideal, build_algebra, gf, parse_presentation
 from cyclicideals.rings import Algebra, Element, RingPresentation, mono_degree
 
 PAIR_N3 = "field 2 / vars x y / rel x^3 / rel y^3 / rel x*y"
@@ -121,6 +122,14 @@ class QuotientAlgebra(Algebra):
     def __repr__(self) -> str:
         killed = ", ".join(self.source.el_str(r) for r in self.ideal.space.basis)
         return f"QuotientAlgebra<mod span {{{killed}}}, dim {self.dim}>"
+
+
+def reference_annihilator(alg, z):
+    """Ann(z) = {a : a z = 0} as an ideal of alg, from the tuple reference
+    kernel: the left kernel of the rows e_k z, the unpacked mult_map(z)."""
+    rows = [alg.field.unpack(c, alg.dim) for c in alg.mult_map(z)]
+    kernel = reference_kernels.left_kernel(rows, alg.dim, alg.p)
+    return Ideal(alg, gf.Subspace.span(alg.p, alg.dim, kernel))
 
 
 @st.composite

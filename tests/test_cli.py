@@ -451,8 +451,9 @@ def test_corpus_always_takes_its_census(capsys):
         main(["corpus", "nilpotent-pair-n3", "--no-oracle"])
     assert exc.value.code == 3
     err = capsys.readouterr().err
-    assert err.startswith("usage: cyclicideals ")
-    assert "cyclicideals: error: unrecognized arguments: --no-oracle" in err
+    # the usage and the error are those of the corpus subcommand
+    assert err.startswith("usage: cyclicideals corpus [-h] [--json] ")
+    assert "cyclicideals corpus: error: unrecognized arguments: --no-oracle" in err
 
 
 def test_corpus_json(capsys):

@@ -14,7 +14,7 @@ from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError
                           semisimple_decompose, unit_ideal,
                           verify_decomposition, zero_ideal)
 from cyclicideals import decompose, oracle
-from cyclicideals.decompose import _first_outside, build_decomposition
+from cyclicideals.decompose import _first_outside, _unit_times_power, build_decomposition
 import reference_kernels
 import test_golden
 from conftest import AXIS_SOCLE, POWER_SERIES, build
@@ -385,6 +385,61 @@ def test_a_two_axis_split_that_escapes_i_is_refused(monkeypatch):
         decompose_ideal(alg, dec, i)
 
 
+def test_an_axis_correction_outside_l_is_refused(monkeypatch):
+    # l0 = y + x^3 is no element of L = Ry, as x kills y but not x^3; the
+    # generator x + y + x^3 still spans i, so only the check on l0 sees it
+    alg = build(AXIS_SOCLE)
+    dec = find_m_decomposition(alg)
+    i = ideal_of(alg, "x + y")
+    assert decompose_ideal(alg, dec, i).trace.l0 == "y"
+    x3, real = parse_element(alg, "x^3"), decompose.minimal_exponent
+
+    def shifted(alg, dec, i, which="x"):
+        n, l, gn = real(alg, dec, i, which)
+        return n, l + x3, gn
+
+    monkeypatch.setattr(decompose, "minimal_exponent", shifted)
+    with pytest.raises(InternalContradictionError, match="axis correction outside L"):
+        decompose_ideal(alg, dec, i)
+
+
+@pytest.mark.parametrize("p, gens", [
+    (2, ("x^2 + y^2",)),
+    (2, ("x^3 + y^2 + w", "x^4")),
+    (3, ("x^2 + 2*x^3 + y^2",)),
+    (5, ("3*x^3 + 2*y^2 + w",)),
+])
+def test_the_diagonal_branch_closes_neither_axis_component(p, gens):
+    # the exponents of zx and zy come from products with the witness's
+    # powers, so neither component is closed: alg._cyclic gains no entry
+    alg = build(SOCLE_AXES.replace("field 2", f"field {p}"))
+    dec = find_m_decomposition(alg)
+    i = ideal_of(alg, *gens)
+    before = set(alg._cyclic)
+    out = decompose_ideal(alg, dec, i)
+    assert out.trace.branch == "diagonal"
+    comps = gf.split_components(out.generators[0].vec,
+                                [dec.rx.space, dec.ry.space, dec.simple_span])
+    for z in comps[:2]:
+        assert z and z not in before and z not in alg._cyclic
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_times_power_reads_the_exponent_off_the_chain(p):
+    alg = build(f"field {p} / vars x y / rel x^5 / rel y^3 / rel x*y")
+    dec = find_m_decomposition(alg)
+    x, top = dec.x, len(dec.x_powers)
+    assert top == 5  # x^5 = 0
+    rng = random.Random(600 + p)
+    for k in range(1, top):
+        for _ in range(5):
+            unit = alg.unit().scale(rng.randrange(1, p)) + x * alg.element(
+                [rng.randrange(p) for _ in range(alg.dim)])
+            z = unit * x ** k
+            assert [_unit_times_power(alg, z, dec.x_powers, m) for m in range(1, top)] == [
+                m == k for m in range(1, top)]
+
+
 def test_verify_decomposition_counts_dimensions(pair_n3):
     x, y = pair_n3.gens
     m = ideal_of(pair_n3, "x", "y")
@@ -458,7 +513,7 @@ def test_ideal_simple_part_is_the_projection(text):
 
 def test_length_never_exceeds_witness_bound(pair_n3):
     dec = find_m_decomposition(pair_n3)
-    bound = dec.summand_count()
+    bound = len(dec.summands())
     for gens in (["x"], ["x+y"], ["x^2", "y^2"], ["x", "y"], ["x^2"], ["y"]):
         out = split(pair_n3, ideal_of(pair_n3, *gens))
         assert out.length <= bound

@@ -207,7 +207,7 @@ def test_length_invariance_holds(pair_n3):
 
 
 def test_census_lengths_stay_under_witness_bound(pair_n3):
-    bound = find_m_decomposition(pair_n3).summand_count()
+    bound = len(find_m_decomposition(pair_n3).summands())
     census = complete_census(enumerate_ideals(pair_n3))
     for e in census.entries:
         if e.ideal.dim < pair_n3.dim:

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclicideals import (DimensionLimitError, PresentationError,
-                          RingPresentation, RingSyntaxError, annihilator,
-                          build_algebra, cyclic, module_times_ideal,
+                          RingPresentation, RingSyntaxError, build_algebra,
+                          cyclic, module_times_ideal,
                           parse_element, parse_presentation, pres_str)
 from cyclicideals import rings
 from cyclicideals.rings import mono_str
 import reference_kernels
 from reference_kernels import NotExpressibleError, power_form
 from conftest import (AXIS_SOCLE, LONG, PAIR_N3, POWER_SERIES, SPLITLINES_BREAKS,
-                      TWO_AXES, build, build_pres, presentations)
+                      TWO_AXES, build, build_pres, presentations,
+                      reference_annihilator)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +376,6 @@ def test_maximal_ideal_elements_nilpotent():
         assert (v ** alg.dim).is_zero()
 
 
-def test_unit_detection():
-    alg = build(PAIR_N3)
-    x, y = alg.gens
-    assert (alg.unit() + x).is_unit()
-    assert not (x + y).is_unit()
-
-
 def test_element_str():
     alg = build("field 3 / vars x y / rel x^3 / rel y^2")
     z = parse_element(alg, "1 + 2*x^2 + x*y")
@@ -500,7 +494,7 @@ def test_power_form_chain():
     z = x ** 2 + x ** 3
     a, n = power_form(alg, x, z)
     assert n == 2
-    assert a.is_unit()
+    assert a.vec & alg.field.one  # a is a unit
     assert a * x ** n == z
     assert power_form(alg, x, x) == (alg.unit(), 1)
 
@@ -510,7 +504,7 @@ def test_power_form_gf3():
     x = alg.gens[0]
     z = x.scale(2) * x  # 2x^2
     a, n = power_form(alg, x, z)
-    assert n == 2 and a * x ** n == z and a.is_unit()
+    assert n == 2 and a * x ** n == z and a.vec & alg.field.one
 
 
 def test_power_form_rejects():
@@ -535,7 +529,7 @@ def test_power_form_needs_mx_equal_rx2_not_a_principal_quotient():
     alg = build("field 2 / vars t / rel t^4")
     t = alg.gens[0]
     x = t ** 2
-    assert alg.dim - annihilator(alg, x).dim == 2
+    assert alg.dim - reference_annihilator(alg, x).dim == 2
     rx = cyclic(alg, x)
     assert module_times_ideal(alg, rx).dim == 1 and cyclic(alg, x ** 2).dim == 0
     assert rx.contains(t ** 3)
