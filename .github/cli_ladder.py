@@ -47,6 +47,11 @@ LADDER = (
     Row("classify on the dim-4093 ring",
         "field 2 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 1365",
         ("classify",), 1, "stdout", r"^dsc: no$"),
+    # the same ring over GF(3): refutes checks its counterexample J with
+    # the odd-p packed kernels, near the guard
+    Row("classify on the GF(3) dim-4093 ring",
+        "field 3 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 1365",
+        ("classify",), 1, "stdout", r"^dsc: no$"),
     # x*y truncated at degree 2048 (dim 4,095): x^3 + y^5 needs both
     # axes, so it splits on the diagonal branch
     Row("decompose on the dim-4095 ring", "field 2 / vars x y / rel x*y / truncate 2048",

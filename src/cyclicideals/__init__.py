@@ -17,8 +17,8 @@ from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
                         SpecReport, WitnessDoesNotLiftError,
                         canonical_variable_split, classify_dsc,
                         classify_product, find_m_decomposition,
-                        m_decomposition_problems, spec_classify,
-                        three_summand_counterexample, verify_m_decomposition)
+                        m_decomposition_problems, refutes, spec_classify,
+                        verify_m_decomposition)
 from .decompose import (CyclicDecomposition, Trace, WitnessInvalidError,
                         decompose_ideal, minimal_exponent,
                         semisimple_decompose, verify_decomposition)
@@ -40,7 +40,7 @@ __all__ = [
     "find_m_decomposition", "ideal_from_generators", "is_simple",
     "length_invariance", "m_decomposition_problems", "maximal_ideal",
     "min_generators", "minimal_exponent", "module_times_ideal", "oracle_dsc",
-    "parse_element", "parse_presentation", "pres_str", "semisimple_decompose",
-    "spec_classify", "three_summand_counterexample", "unit_ideal",
+    "parse_element", "parse_presentation", "pres_str", "refutes",
+    "semisimple_decompose", "spec_classify", "unit_ideal",
     "verify_decomposition", "verify_m_decomposition", "zero_ideal",
 ]

@@ -326,16 +326,15 @@ def decomposition_lengths(alg: Algebra, i: Ideal, max_dim: int = 8) -> tuple[int
 
 
 def complete_census(census: IdealCensus, max_dim: int = 8) -> IdealCensus:
-    """Fill in decomposability and lengths from each ideal's checked
-    cover, which _cover picks on the census lattice the algebra caches,
-    from the cyclic ideals below the ideal: each MJ comes from the walk,
-    one generator is closed per cyclic ideal picked, and no
-    CyclicDecomposition is built.  max_dim does nothing, as in
-    enumerate_ideals."""
+    """Fill in each ideal's lengths through decomposition_lengths, and
+    decomposability as lengths being nonempty.  Each checked cover is
+    picked on the census lattice the algebra caches, from the cyclic
+    ideals below the ideal: each MJ comes from the walk, one generator
+    is closed per cyclic ideal picked, and no CyclicDecomposition is
+    built.  max_dim does nothing, as in enumerate_ideals."""
     for e in census.entries:
-        gens = _cover(census.algebra, e.ideal)
-        e.lengths = () if gens is None else (len(gens),)
-        e.decomposable = gens is not None
+        e.lengths = decomposition_lengths(census.algebra, e.ideal)
+        e.decomposable = bool(e.lengths)
     return census
 
 

@@ -9,8 +9,10 @@ by its presentation (classify_dsc proves it): M has a direct cyclic
 cover exactly when every product of two distinct variables vanishes,
 and then the variable split is that cover.  So a nonzero mixed product
 refutes with M itself, at most two non-simple summands make a witness,
-and three refute with R(x+y) + R(x+z), by a rank certificate that
-classify_dsc proves at every p and size.  Any other Algebra is refused;
+and three refute with J = R(x+y) + R(x+z).  That no is checked on J
+alone: refutes tests mu(J^2) > mu(J), mu(I) = dim I - dim MI, which no
+direct sum of cyclic modules passes, and classify_dsc proves that J
+passes it at every p and size.  Any other Algebra is refused;
 the oracle decides it.  This module imports nothing from the oracle.
 It also classifies the prime spectrum (at most three primes, Krull
 dimension at most one).
@@ -214,34 +216,19 @@ def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDeco
     return classify_dsc(alg).witness
 
 
-def three_summand_counterexample(alg: Algebra, x: Element, y: Element,
-                                 z: Element, rest: Optional[Ideal] = None) -> Ideal:
-    """The ideal J = Ru + Rv, u = x + y and v = x + z, not a direct sum of
-    cyclics whenever M = Rx + Ry + Rz + rest is direct with all three
-    summands non-simple.  It checks rank_certificate(alg, u, v), which
-    always holds here (classify_dsc proves it), and raises
-    InternalContradictionError when it fails."""
-    rest = rest or zero_ideal(alg)
-    parts = [cyclic(alg, g) for g in (x, y, z)]
-    for g, c in zip((x, y, z), parts):
-        if is_simple(alg, c) or c.is_zero():
-            raise ValueError(f"hypothesis not satisfied: R{g} must be non-simple")
-    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in parts + [rest]])
-    if total != maximal_ideal(alg).space:
-        raise ValueError("hypothesis not satisfied: sum is not direct onto M")
-    if not rank_certificate(alg, x + y, x + z):
-        raise InternalContradictionError("u^2, uv, v^2 are dependent modulo M*J^2")
-    return ideal_from_generators(alg, [x + y, x + z])
-
-
-def rank_certificate(alg: Algebra, u: Element, v: Element) -> bool:
-    """True when u^2, uv, v^2 are independent modulo M*J^2, J = Ru + Rv:
-    then J is no direct sum of cyclic modules (classify_dsc proves it).
-    It is a sufficient test for that, not a decider.  M*J^2 is M times
-    the ideal the three products generate."""
-    products = [u * u, u * v, v * v]
-    basis = gf.Echelon(module_times_ideal(alg, ideal_from_generators(alg, products)).space.basis)
-    return all([alg.field.insert(basis, w.vec) for w in products])
+def refutes(alg: Algebra, j: Ideal) -> bool:
+    """True when mu(J^2) > mu(J), mu(I) = dim I - dim MI: then J is no
+    direct sum of cyclic modules.  A direct J = Ra_1 + ... + Ra_m has
+    m = mu(J) (Nakayama) and a_i a_k in Ra_i meet Ra_k = 0 for i != k,
+    so J^2 = Ra_1^2 + ... + Ra_m^2 and mu(J^2) <= m.  A sufficient test,
+    not a decider; it reads J alone.  J's basis rows whose pivots MJ
+    lacks lift a basis of J/MJ (rows are monic at their pivots, so at
+    every p the lowest set bit marks the pivot), and their pairwise
+    products generate J^2."""
+    mask = module_times_ideal(alg, j).space.echelon.mask
+    lifts = [Element.packed(alg, r) for r in j.space.basis if not r & -r & mask]
+    j2 = ideal_from_generators(alg, [a * b for k, a in enumerate(lifts) for b in lifts[k:]])
+    return min_generators(alg, j2) > len(lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +298,12 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
 
     At most two non-simple summands of the split: yes, with the split as
     a verified witness.  Three or more: no, with J = Ru + Rv, u = x + y
-    and v = x + z, on three of them, at every p and size.  Suppose u^2,
-    uv, v^2, which generate J^2, are independent modulo MJ^2.  Then
-    mu(J) = 2, since a cyclic J = Ra has J^2 = Ra^2.  So a direct cover
-    of J would be J = Ra + Rb with a, b a basis of J/MJ, and ab in
-    Ra meet Rb = 0.  Write a = alpha u + beta v and b = gamma u + delta v
-    modulo MJ; then
-    ab = alpha gamma u^2 + (alpha delta + beta gamma) uv + beta delta v^2
-    modulo MJ^2, so all three coefficients vanish.  Then
-    (alpha delta)(beta gamma) = (alpha gamma)(beta delta) = 0 and
-    alpha delta = -beta gamma, so both are 0 and
-    alpha delta - beta gamma = 0: a, b are no basis after all.
-    rank_certificate checks that independence, and it always holds: in
-    a direct M = Rx + Ry + Rz + rest the products are x^2 + y^2, x^2 and
-    x^2 + z^2, independent modulo M^3, which contains MJ^2.
+    and v = x + z, on three of them, at every p and size, since refutes
+    holds on J.  In a direct M = Rx + Ry + Rz + rest the products of
+    distinct summands vanish and x, y, z are independent modulo M^2, so
+    mu(J) = 2.  J^2 is generated by u^2 = x^2 + y^2, uv = x^2 and
+    v^2 = x^2 + z^2, independent modulo M^3, which contains MJ^2, so
+    mu(J^2) = 3.
 
     Any other Algebra raises TypeError before any closure; the oracle
     decides it.  max_pair_dim and max_oracle_dim do nothing;
@@ -348,8 +327,9 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     if len(nonsimple) <= 2:
         return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
     x, y, z = nonsimple[:3]
-    j = three_summand_counterexample(alg, x, y, z,
-                                     ideal_from_generators(alg, nonsimple[3:] + simples))
+    j = ideal_from_generators(alg, [x + y, x + z])
+    if not refutes(alg, j):
+        raise InternalContradictionError("u^2, uv, v^2 are dependent modulo M*J^2")
     u, v = f"({x} + {y})", f"({x} + {z})"
     return DscVerdict("no", None, j, "sum of three independent non-simple cyclic summands: "
                       f"R{u} + R{v} admits no direct-sum cover",

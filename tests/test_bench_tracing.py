@@ -56,12 +56,12 @@ def test_traced_census_searches_each_ideal_once():
     stats = tracer.stats()
     # the census has 14 ideals, 13 of them proper: complete_census reads
     # each ideal's cover off the census lattice the algebra caches, with
-    # no call of decomposition_lengths, oracle_dsc reads the cached
-    # covers, and neither calls brute_decompose nor reads the packed
-    # cyclic table
+    # one call of decomposition_lengths per ideal, oracle_dsc reads the
+    # cached covers, and neither calls brute_decompose nor reads the
+    # packed cyclic table
     assert after_census["oracle.brute_decompose.calls"] == 0
     assert after_census["oracle.complete_census.calls"] == 1
-    assert after_census["oracle.decomposition_lengths.calls"] == 0
+    assert after_census["oracle.decomposition_lengths.calls"] == 14
     assert after_census["oracle.oracle_dsc.calls"] == 1
     assert after_census["ideals.packed_cyclic_table.calls"] == 0
     # brute_decompose builds each proper ideal's decomposition on its

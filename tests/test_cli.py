@@ -87,7 +87,7 @@ def test_classify_refutes_by_the_mixed_product(ring_file, capsys):
 
 
 def test_classify_takes_no_oracle_bound(ring_file, capsys):
-    # the rank certificate refutes at any size, and the census is bounded
+    # the certificate refutes at any size, and the census is bounded
     # by the ideals it reaches, so no command takes a bound on dim M
     path = ring_file(TRIPLE_N4)
     code, out, _ = run(capsys, "classify", path)

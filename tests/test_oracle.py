@@ -28,9 +28,8 @@ from cyclicideals import (Ideal, InfeasibleSizeError, InternalContradictionError
                           find_m_decomposition, gf,
                           ideal_from_generators, is_simple, length_invariance,
                           maximal_ideal, min_generators, module_times_ideal,
-                          oracle, oracle_dsc, parse_element,
-                          three_summand_counterexample, unit_ideal,
-                          verify_decomposition, zero_ideal)
+                          oracle, oracle_dsc, parse_element, refutes,
+                          unit_ideal, verify_decomposition, zero_ideal)
 from cyclicideals import ideals
 from cyclicideals.corpus import sweep_presentations
 from cyclicideals.ideals import packed_closure, packed_cyclic_table
@@ -878,19 +877,20 @@ def test_the_walk_refuses_square_zero_in_8_variables():
 def test_counterexample_construction():
     alg = build(TRIPLE)
     x1, x2, x3 = alg.gens
-    j = three_summand_counterexample(alg, x1, x2, x3)
-    assert j == ideal_from_generators(alg, [x1 + x2, x1 + x3])
+    j = ideal_from_generators(alg, [x1 + x2, x1 + x3])
+    assert refutes(alg, j)
     assert brute_decompose(alg, j) is None
 
 
-def test_counterexample_checks_hypotheses(pair_n3):
+def test_certificate_needs_three_non_simple_summands(pair_n3):
+    # off the hypotheses R(x + y) + R(x + z) need not carry it: R x3^2 is
+    # simple, and in PAIR_N3 z = x + y makes the sum M = Rx + Ry
     alg = build(TRIPLE)
     x1, x2, x3 = alg.gens
-    with pytest.raises(ValueError, match="non-simple"):
-        three_summand_counterexample(alg, x1, x2, x3 ** 2)
+    assert not refutes(alg, ideal_from_generators(alg, [x1 + x2, x1 + x3 ** 2]))
     x, y = pair_n3.gens
-    with pytest.raises(ValueError, match="not direct"):
-        three_summand_counterexample(pair_n3, x, y, x + y)
+    z = x + y
+    assert not refutes(pair_n3, ideal_from_generators(pair_n3, [x + y, x + z]))
 
 
 def test_counterexample_with_rest_summand():
@@ -899,6 +899,7 @@ def test_counterexample_with_rest_summand():
                 " / rel x1*x2 / rel x1*x3 / rel x2*x3 / rel w^2"
                 " / rel x1*w / rel x2*w / rel x3*w")
     x1, x2, x3, w = alg.gens
-    j = three_summand_counterexample(alg, x1, x2, x3, rest=cyclic(alg, w))
+    j = ideal_from_generators(alg, [x1 + x2, x1 + x3])
+    assert refutes(alg, j)
     assert is_simple(alg, cyclic(alg, w))
     assert brute_decompose(alg, j) is None
