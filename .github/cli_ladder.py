@@ -41,6 +41,8 @@ SOCLE_W3 = ("field 2 / vars x y w1 w2 w3 / rel x^2 / rel y^2 / rel w1*x / rel w1
             " / rel w2*x / rel w2*y / rel w3*x / rel w3*y / rel w1^2 / rel w1*w2"
             " / rel w1*w3 / rel w2^2 / rel w2*w3 / rel w3^2")
 
+WIDE_AXES = "field 2147483647 / vars x y / rel x*y / truncate 2048"
+
 LADDER = (
     # just under the 4,096 dimension guard; the three-axis ring has no
     # witness, so its verdict is no
@@ -57,6 +59,13 @@ LADDER = (
     Row("decompose on the dim-4095 ring", "field 2 / vars x y / rel x*y / truncate 2048",
         ("decompose", "--ideal", "x^3 + y^5", "--json"), 0, "stdout",
         r'"branch": "diagonal"'),
+    # the same two axes over GF(2^31 - 1), the widest field: the witness
+    # x, y is checked by its direct-sum certificate alone
+    Row("classify on the GF(2^31 - 1) dim-4095 ring", WIDE_AXES,
+        ("classify",), 0, "stdout", r"^dsc: yes$"),
+    # both axes are non-nilpotent in the untruncated ring: three primes
+    Row("spec on the GF(2^31 - 1) dim-4095 ring", WIDE_AXES,
+        ("spec",), 0, "stdout", r"^case: e$"),
     # dim M 13, which the census benchmark leaves out
     Row("oracle on the dim-M-13 ring", "field 2 / vars x y / rel x^4 / rel y^4 / rel x^3*y^2",
         ("oracle", "--json"), 0, "stdout", r'"census": 315\b'),

@@ -10,9 +10,9 @@ the first two by brute force for cross-checking.
 from .rings import (Algebra, DimensionLimitError, Element, MonomialAlgebra,
                     PresentationError, RingPresentation, RingSyntaxError,
                     build_algebra, parse_element, parse_presentation, pres_str)
-from .ideals import (Ideal, cyclic, ideal_from_generators, is_simple,
-                     maximal_ideal, min_generators, module_times_ideal,
-                     unit_ideal, zero_ideal)
+from .ideals import (Ideal, cyclic, direct_onto, ideal_from_generators,
+                     is_simple, maximal_ideal, min_generators,
+                     module_times_ideal, unit_ideal, zero_ideal)
 from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
                         SpecReport, WitnessDoesNotLiftError,
                         canonical_variable_split, classify_dsc,
@@ -32,15 +32,16 @@ __all__ = [
     "Algebra", "CyclicDecomposition", "DimensionLimitError", "DscVerdict",
     "Element", "Ideal", "IdealCensus", "InfeasibleSizeError",
     "InternalContradictionError", "MDecomposition", "MonomialAlgebra",
-    "PresentationError", "RingPresentation", "RingSyntaxError",
-    "SpecReport", "Trace", "WitnessDoesNotLiftError", "WitnessInvalidError",
+    "PresentationError", "RingPresentation", "RingSyntaxError", "SpecReport",
+    "Trace", "WitnessDoesNotLiftError", "WitnessInvalidError",
     "brute_decompose", "build_algebra", "canonical_variable_split",
     "classify_dsc", "classify_product", "complete_census", "cyclic",
-    "decompose_ideal", "decomposition_lengths", "enumerate_ideals",
-    "find_m_decomposition", "ideal_from_generators", "is_simple",
-    "length_invariance", "m_decomposition_problems", "maximal_ideal",
-    "min_generators", "minimal_exponent", "module_times_ideal", "oracle_dsc",
-    "parse_element", "parse_presentation", "pres_str", "refutes",
-    "semisimple_decompose", "spec_classify", "unit_ideal",
-    "verify_decomposition", "verify_m_decomposition", "zero_ideal",
+    "decompose_ideal", "decomposition_lengths", "direct_onto",
+    "enumerate_ideals", "find_m_decomposition", "ideal_from_generators",
+    "is_simple", "length_invariance", "m_decomposition_problems",
+    "maximal_ideal", "min_generators", "minimal_exponent",
+    "module_times_ideal", "oracle_dsc", "parse_element", "parse_presentation",
+    "pres_str", "refutes", "semisimple_decompose", "spec_classify",
+    "unit_ideal", "verify_decomposition", "verify_m_decomposition",
+    "zero_ideal",
 ]

@@ -18,7 +18,8 @@ is read off that count and the diagonal ones off products with the
 powers of x, never solved for.
 
 Every branch re-checks the identities it relies on, and
-build_decomposition checks every split direct onto i; a failed check
+build_decomposition checks every split direct onto i with
+ideals.direct_onto, the certificate of every cover; a failed check
 raises InternalContradictionError rather than return an unverified one.
 
 Work per ideal is what depends on i: the test M*i = 0, which applies
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from . import gf
-from .ideals import Ideal, cyclic, is_simple, killed_by_m
+from .ideals import Ideal, cyclic, direct_onto, is_simple, killed_by_m
 from .rings import Element, mono_degree
 from .structure import (InternalContradictionError, MDecomposition,
                         verify_m_decomposition)
@@ -96,11 +97,10 @@ class CyclicDecomposition(NamedTuple):
 
 
 def verify_decomposition(alg, i: Ideal, dec: CyclicDecomposition) -> bool:
-    """Directness certificate: the summands are independent and fill i."""
-    closures = [cyclic(alg, g) for g in dec.generators]
-    if list(dec.simple_flags) != [is_simple(alg, c) for c in closures]:
-        return False
-    return gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space
+    """Directness certificate: the summands are direct onto i
+    (direct_onto), with the simplicity flags their closures give."""
+    flags = [is_simple(alg, cyclic(alg, g)) for g in dec.generators]
+    return list(dec.simple_flags) == flags and direct_onto(alg, dec.generators, i)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -120,9 +120,8 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
     n0, m0, l0, l1, l2).
     """
     gens = tuple(gens)
+    _check(direct_onto(alg, gens, i), "decomposition failed verification")
     closures = [cyclic(alg, g) for g in gens]
-    _check(gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) == i.space,
-           "decomposition failed verification")
     pres = getattr(alg, "presentation", None)
     exps = [knobs[k] for k in ("n0", "m0") if knobs.get(k) is not None]
     trace = Trace(branch=branch, dims=tuple(c.dim for c in closures),

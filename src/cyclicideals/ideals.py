@@ -9,8 +9,10 @@ ideal.  Any other subspace is checked, so one that is no ideal is
 refused at once.  The decision procedures read an ideal as a subspace,
 through the kernels of gf.
 
-Each cyclic module Rz is closed once per algebra (cyclic), and every
-cover the oracle certifies reads its summands from there.  No cover is
+Each cyclic module Rz is closed once per algebra (cyclic), and
+direct_onto, the one certificate that a family of them is direct onto
+an ideal, reads its summands from there: for the witness of M, for a
+decomposition and for every cover the oracle certifies.  No cover is
 searched here: the oracle decides every ideal on its lattice.  The
 lazy packed cyclic table is kept only because the benchmark's traced
 pass still names it.
@@ -154,9 +156,21 @@ def cyclic(alg: Algebra, z: Element) -> Ideal:
     return memo[z.vec]
 
 
+def direct_onto(alg: Algebra, gens: Iterable[Element], i: Ideal) -> bool:
+    """Whether the closures Rg of gens, read from cyclic, are direct onto
+    i: their basis rows number dim i and row-reduce to i's basis.  The
+    rows span the sum of the Rg, so the sum is i exactly when they
+    reduce to i's basis, and then it is direct exactly when none of
+    them drops out.  The one direct-sum certificate of the package."""
+    key = i.space.basis
+    rows = [r for g in gens for r in cyclic(alg, g).space.basis]
+    return len(rows) == len(key) and tuple(alg.field.rref(rows)) == key
+
+
 def is_simple(alg: Algebra, i: Ideal) -> bool:
-    """One-dimensional and killed by the maximal ideal."""
-    return i.dim == 1 and killed_by_m(alg, i)
+    """One-dimensional.  That is enough: by Nakayama a nonzero ideal I
+    has MI strictly inside I, so M kills every ideal of dim 1."""
+    return i.dim == 1
 
 
 def killed_by_m(alg: Algebra, i: Ideal) -> bool:

@@ -68,19 +68,20 @@ independent of MJ and of the picks so far, until mu(J) are picked,
 gives a basis of least weight.  J decomposes exactly when the picked
 dims sum to dim J.
 
-A cover is kept only after its generators, each closed once per
-algebra by ideals.cyclic, give rows that number dim J and row-reduce
-to J's key: the direct-sum certificate build_decomposition checks,
-read off the generators alone, not off the lattice.  One cache per
-algebra maps an ideal's packed key to the generators of its cover, or
-None.  R = R*1 is answered ahead of any walk; any other ideal's cover
-is picked on the census lattice when one is cached, else on the walk
-down from the ideal itself.  The greedy takes the cyclic ideals below J
-in the census order, which is the same sequence on every lattice that
-holds J, and each one's generator is the one lift of its key, so the
-pick is the same either way.  Every function here reads that cache;
-brute_decompose keeps a second one, of the decompositions it builds
-from the covers.
+A cover is kept only after ideals.direct_onto certifies it: the
+closures of its generators, each closed once per algebra by
+ideals.cyclic, give rows that number dim J and row-reduce to J's key.
+It is the one direct-sum certificate of the package, which
+build_decomposition and the witness check of M call too, and it reads
+the generators alone, not the lattice.  One cache per algebra maps an
+ideal's packed key to the generators of its cover, or None.  R = R*1 is
+answered ahead of any walk; any other ideal's cover is picked on the
+census lattice when one is cached, else on the walk down from the ideal
+itself.  The greedy takes the cyclic ideals below J in the census order,
+which is the same sequence on every lattice that holds J, and each
+one's generator is the one lift of its key, so the pick is the same
+either way.  Every function here reads that cache; brute_decompose keeps
+a second one, of the decompositions it builds from the covers.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from typing import Optional
 
 from . import gf
 from .decompose import CyclicDecomposition, build_decomposition
-from .ideals import Ideal, InfeasibleSizeError, _packed_times_m, cyclic
+from .ideals import Ideal, InfeasibleSizeError, _packed_times_m, direct_onto
 from .rings import Algebra, Element
 from .structure import DscVerdict, InternalContradictionError
 
@@ -276,9 +277,8 @@ def _cover(alg: Algebra, i: Ideal) -> Optional[tuple[int, ...]]:
     the cover _pick_cover reads off the census lattice at i's index when
     a census is cached, else off the walk down from i; the pick is the
     same on each (see the module docstring).  A cover is cached only
-    once the closures of its generators, read from ideals.cyclic, number
-    dim i rows and row-reduce to i's key, so the summands are direct
-    onto i: the certificate build_decomposition checks, in packed rows."""
+    once ideals.direct_onto certifies its summands direct onto i, the
+    certificate build_decomposition checks."""
     if i.algebra is not alg:
         raise ValueError("algebra mismatch")
     key = i.space.basis
@@ -289,10 +289,8 @@ def _cover(alg: Algebra, i: Ideal) -> Optional[tuple[int, ...]]:
             census = getattr(alg, "_census", None)
             lattice = _walk(alg, key) if census is None else census.lattice
             gens = _pick_cover(lattice, lattice.index[key])
-        if gens is not None:
-            rows = [r for v in gens for r in cyclic(alg, Element.packed(alg, v)).space.basis]
-            if len(rows) != len(key) or tuple(alg.field.rref(rows)) != key:
-                raise InternalContradictionError("cover failed verification")
+        if gens is not None and not direct_onto(alg, [Element.packed(alg, v) for v in gens], i):
+            raise InternalContradictionError("cover failed verification")
         covers[key] = gens
     return covers[key]
 

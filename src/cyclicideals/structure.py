@@ -17,13 +17,17 @@ the oracle decides it.  This module imports nothing from the oracle.
 It also classifies the prime spectrum (at most three primes, Krull
 dimension at most one).
 
-R/Ann(g) is a principal ideal ring exactly when M*Rg needs at most one
-generator: a -> ag maps R/Ann(g) onto Rg as R-modules, its maximal ideal
-onto M*Rg and that ideal's square onto M^2*Rg.  So the witness's own Rg
-decides it, and no annihilator or quotient algebra is built.  In a
-direct M = Rx + Ry + L that always holds: xy lies in Rx meet Ry = 0 and
-Lx = 0, so M*Rx = Mx = Rx^2, which is cyclic.  So every cyclic cover of
-M with at most two non-simple summands is a witness.
+A witness is checked by its certificate alone (m_decomposition_problems):
+no summand is zero, the closures of its summands are direct onto M
+(ideals.direct_onto) and each simple summand has dim 1, which makes it
+simple (ideals.is_simple).  The rest follows.  R/Ann(g) is a principal
+ideal ring exactly when M*Rg needs at most one generator: a -> ag maps
+R/Ann(g) onto Rg as R-modules, its maximal ideal onto M*Rg and that
+ideal's square onto M^2*Rg.  In a direct M = Rx + Ry + L, xy lies in
+Rx meet Ry = 0 and Lx lies in ML = 0, so M*Rx = (Rx + Ry + L)x = Rx^2,
+which is cyclic.  So every cyclic cover of M with at most two
+non-simple summands is a witness, and no product xy, annihilator or
+quotient algebra is formed to check one.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf
-from .ideals import (Ideal, cyclic, ideal_from_generators, is_simple,
-                     maximal_ideal, min_generators, module_times_ideal,
-                     zero_ideal)
+from .ideals import (Ideal, cyclic, direct_onto, ideal_from_generators,
+                     is_simple, maximal_ideal, min_generators,
+                     module_times_ideal, zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
 
@@ -150,29 +154,24 @@ class MDecomposition:
 
 
 def m_decomposition_problems(dec: MDecomposition) -> list[str]:
-    """Why the witness fails to verify; empty list means it holds."""
+    """Why the witness fails to verify; empty list means it holds.
+
+    Three checks: no summand is zero, the summands are direct onto M
+    (ideals.direct_onto), and each simple summand is simple.  They are
+    enough, as the module docstring proves: on M = Rx + Ry + L direct,
+    xy lies in Rx meet Ry = 0, and M*Rg = (Rx + Ry + L)g = Rg^2 for each
+    axis g, since Lg lies in ML = 0, so R/Ann(g) is a principal ideal
+    ring.  Neither is checked again.
+    """
     alg = dec.algebra
-    problems = []
     if any(g.is_zero() for g in dec.summands()):
-        problems.append("zero summand")
-        return problems
-    simples = [cyclic(alg, w) for w in dec.simples]
-    total = gf.direct_sum(alg.p, alg.dim, [c.space for c in [dec.rx, dec.ry] + simples])
-    if total is None:
-        # overlapping summands never fill M directly: both problems hold
-        problems.append("summands are not independent")
-    if total != maximal_ideal(alg).space:
-        problems.append("summands do not fill the maximal ideal")
-    if dec.x is not None and dec.y is not None:
-        if not (dec.x * dec.y).is_zero():
-            problems.append("x*y is nonzero")
-    for w, c in zip(dec.simples, simples):
-        if not is_simple(alg, c):
+        return ["zero summand"]
+    problems = []
+    if not direct_onto(alg, dec.summands(), maximal_ideal(alg)):
+        problems.append("summands are not direct onto the maximal ideal")
+    for w in dec.simples:
+        if not is_simple(alg, cyclic(alg, w)):
             problems.append(f"summand {w} is not simple")
-    for g, rg in ((dec.x, dec.rx), (dec.y, dec.ry)):
-        # R/Ann(g) ~ Rg: its maximal ideal needs one generator iff M*Rg does
-        if g is not None and min_generators(alg, module_times_ideal(alg, rg)) > 1:
-            problems.append(f"R/Ann({g}) is not a principal ideal ring")
     return problems
 
 

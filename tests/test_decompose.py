@@ -345,8 +345,8 @@ SOCLE_AXES = "field 2 / vars x y w / rel x^5 / rel y^4 / rel x*y / rel w^2 / rel
 
 def test_general_position_sums_the_axes_only_for_the_diagonal():
     """A two-axis split whose dims fill i goes to build_decomposition,
-    whose certificate is its one direct sum; only the diagonal branch
-    eliminates the axis sum before its own certificate."""
+    whose certificate is direct_onto, no direct sum; only the diagonal
+    branch sums the axes, once, before its own certificate."""
     alg = build(SOCLE_AXES)
     dec = find_m_decomposition(alg)
     calls, real_sum = [], gf.direct_sum
@@ -363,7 +363,7 @@ def test_general_position_sums_the_axes_only_for_the_diagonal():
         with mock.patch.object(gf, "direct_sum", spy_sum):
             branch = decompose_ideal(alg, dec, i).trace.branch
         seen[branch] += 1
-        assert len(calls) == {"two_axes": 1, "diagonal": 2}[branch], (gens, branch)
+        assert len(calls) == {"two_axes": 0, "diagonal": 1}[branch], (gens, branch)
     assert seen == {"two_axes": 3, "diagonal": 3}
 
 

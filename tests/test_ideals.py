@@ -213,6 +213,37 @@ def test_is_simple(pair_n3):
     assert is_simple(two_axes, cyclic(two_axes, two_axes.gens[0]))
 
 
+def _sparse_element(alg, rng):
+    """A scalar times a basis element of M, plus another such term half
+    the time: sparse generators keep both outcomes of directness common."""
+    coeffs = [0] * alg.dim
+    for _ in range(rng.choice((1, 2))):
+        coeffs[rng.randrange(1, alg.dim)] = rng.randrange(1, alg.p)
+    return Element(alg, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_direct_onto_agrees_with_the_direct_sum(p):
+    """direct_onto(gens, i) says exactly that the closures of gens sum
+    directly to i: on random generator sets, against their own sum (where
+    only directness is in question) and against a random ideal."""
+    rng = random.Random(p)
+    seen = Counter()
+    for text in ("field {} / vars x y / rel x^3 / rel y^4 / rel x*y",
+                 "field {} / vars x y / truncate 4",
+                 "field {} / vars x y w / rel x^3 / rel y^2 / rel x*y / rel w^2"
+                 " / rel x*w / rel y*w"):
+        alg = build(text.format(p))
+        for _ in range(60):
+            gens = [_sparse_element(alg, rng) for _ in range(rng.randint(1, 3))]
+            others = [_sparse_element(alg, rng) for _ in range(rng.randint(0, 2))]
+            i = ideal_from_generators(alg, gens if rng.random() < 0.6 else others)
+            direct = gf.direct_sum(p, alg.dim, [cyclic(alg, g).space for g in gens]) == i.space
+            assert ideals.direct_onto(alg, gens, i) == direct, (text, gens, i)
+            seen[direct] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
+
+
 # ---------------------------------------------------------------------------
 # quotient algebras
 

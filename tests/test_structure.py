@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import random
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -19,8 +20,8 @@ from cyclicideals import (MDecomposition, brute_decompose,
                           verify_m_decomposition, WitnessDoesNotLiftError)
 from cyclicideals import gf, ideals, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
-from cyclicideals.ideals import (maximal_ideal, min_generators, module_times_ideal,
-                                 packed_cyclic_table, zero_ideal)
+from cyclicideals.ideals import (is_simple, killed_by_m, maximal_ideal, min_generators,
+                                 module_times_ideal, packed_cyclic_table, zero_ideal)
 from cyclicideals.rings import Element, RingPresentation, build_algebra
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES,
@@ -143,15 +144,15 @@ def test_witness_problems_reported(pair_n3):
     # every witness closes its own summands from their generators: no
     # field takes closures built elsewhere
     assert list(inspect.signature(MDecomposition).parameters) == ["algebra", "x", "y", "simples"]
+    # overlapping, with x*y != 0 and R/Ann(x + y) no principal ideal
+    # ring; independent but short of M; overlapping through a socle
+    # line: each is one failure of the certificate, and the deleted
+    # re-checks follow from it
+    not_direct = ["summands are not direct onto the maximal ideal"]
     for summands, expected in [
-            ((x + y, y, ()), ["summands are not independent",
-                              "summands do not fill the maximal ideal",
-                              "x*y is nonzero",
-                              "R/Ann(x + y) is not a principal ideal ring"]),
-            # independent but short of M; overlapping through a socle line
-            ((x, None, ()), ["summands do not fill the maximal ideal"]),
-            ((x, y, (x * x,)), ["summands are not independent",
-                                "summands do not fill the maximal ideal"]),
+            ((x + y, y, ()), not_direct),
+            ((x, None, ()), not_direct),
+            ((x, y, (x * x,)), not_direct),
             ((x, None, (y,)), ["summand y is not simple"])]:
         dec = MDecomposition(pair_n3, *summands)
         assert m_decomposition_problems(dec) == expected
@@ -160,8 +161,128 @@ def test_witness_problems_reported(pair_n3):
     alg = build("field 2 / vars x y / rel x^3 / rel y^2 / rel x*y")
     x, y = alg.gens
     dec = MDecomposition(alg, x + y, None, ())
-    assert m_decomposition_problems(dec) == ["summands do not fill the maximal ideal"]
+    assert m_decomposition_problems(dec) == not_direct
     assert not verify_m_decomposition(dec)
+
+
+# Reference: the full predicate a witness was checked by before its
+# certificate alone sufficed, with x*y = 0, simples killed by M and
+# R/Ann(g) a principal ideal ring re-checked on top of directness.
+
+
+def _reference_verifies(dec):
+    alg = dec.algebra
+    if any(g.is_zero() for g in dec.summands()):
+        return False
+    closures = [cyclic(alg, g) for g in dec.summands()]
+    if gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) != maximal_ideal(alg).space:
+        return False
+    if dec.x is not None and dec.y is not None and not (dec.x * dec.y).is_zero():
+        return False
+    simples = [cyclic(alg, w) for w in dec.simples]
+    if not all(c.dim == 1 and killed_by_m(alg, c) for c in simples):
+        return False
+    return all(min_generators(alg, module_times_ideal(alg, cyclic(alg, g))) <= 1
+               for g in (dec.x, dec.y) if g is not None)
+
+
+def _random_m(alg, rng):
+    return Element(alg, [0] + [rng.randrange(alg.p) for _ in range(1, alg.dim)])
+
+
+def _drawn_witnesses(alg, rng):
+    """Witnesses of M around classify's own, when it has one: that
+    witness, scaled by units, its axes moved by an element of M^2 or of M,
+    a simple summand dropped, an axis taken for a simple, a zero axis; and
+    random ones on any ring."""
+    out = []
+    verdict = classify_dsc(alg)
+    if verdict.answer == "yes":
+        w = verdict.witness
+        x, y, simples = w.x, w.y, w.simples
+
+        def unit():
+            return rng.randrange(1, alg.p)
+
+        def moved(g, by):
+            return None if g is None else g + by
+
+        out.append(w)
+        out.append(MDecomposition(alg, None if x is None else x.scale(unit()),
+                                  None if y is None else y.scale(unit()),
+                                  tuple(s.scale(unit()) for s in simples)))
+        for _ in range(2):
+            square = _random_m(alg, rng) * _random_m(alg, rng)
+            out.append(MDecomposition(alg, moved(x, square), y, simples))
+            out.append(MDecomposition(alg, x, moved(y, square), simples))
+        out.append(MDecomposition(alg, moved(x, _random_m(alg, rng)), y, simples))
+        if simples:
+            out.append(MDecomposition(alg, x, y, simples[1:]))
+            moved_last = simples[-1] + _random_m(alg, rng)
+            out.append(MDecomposition(alg, x, y, simples[:-1] + (moved_last,)))
+        if x is not None:
+            out.append(MDecomposition(alg, None, y, simples + (x,)))
+            out.append(MDecomposition(alg, alg.zero(), y, simples))
+    for _ in range(2):
+        count = rng.randrange(3)
+        y = rng.choice((None, _random_m(alg, rng)))
+        out.append(MDecomposition(alg, _random_m(alg, rng), y,
+                                  tuple(_random_m(alg, rng) for _ in range(count))))
+    return out
+
+
+ODD_AXES = ["field {} / vars x y / rel x^2 / rel y^3 / rel x*y",
+            "field {} / vars x y / rel x^3 / rel y^4 / rel x*y",
+            "field {} / vars x y w / rel x^3 / rel y^4 / rel x*y / rel w^2 / rel x*w / rel y*w",
+            "field {} / vars x y v w / rel x^4 / rel y^2 / rel x*y / rel v^2 / rel w^2"
+            " / rel x*v / rel x*w / rel y*v / rel y*w / rel v*w"]
+
+
+def test_the_certificate_alone_decides_as_the_full_predicate_did():
+    """verify_m_decomposition, which checks directness onto M, nonzero
+    summands and simples of dim 1, equals the full predicate on every
+    witness drawn on the sweep and on two-axis rings over GF(3) and GF(5)."""
+    rng = random.Random(38)
+    algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
+    algs += [build(text.format(p)) for p in (3, 5) for text in ODD_AXES for _ in range(4)]
+    seen = Counter()
+    for alg in algs:
+        for dec in _drawn_witnesses(alg, rng):
+            expected = _reference_verifies(dec)
+            assert verify_m_decomposition(dec) == expected, (alg, dec)
+            seen[expected] += 1
+    assert sum(seen.values()) >= 400 and seen[True] >= 50 and seen[False] >= 50, seen
+
+
+def test_classify_witnesses_keep_the_deleted_checks():
+    """The two facts the certificate implies, x*y = 0 and M*Rg on one
+    generator (so R/Ann(g) is a principal ideal ring), hold on every
+    witness classify verifies on the sweep and on the ladder's GF(3)
+    axes ring."""
+    algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
+    algs.append(build("field 3 / vars x y / rel x^40 / rel y^41 / rel x*y"))
+    witnesses = [v.witness for v in map(classify_dsc, algs) if v.answer == "yes"]
+    assert len(witnesses) == 31 + 1
+    for dec in witnesses:
+        alg = dec.algebra
+        assert verify_m_decomposition(dec)
+        if dec.x is not None and dec.y is not None:
+            assert (dec.x * dec.y).is_zero()
+        for g in (dec.x, dec.y):
+            if g is not None:
+                assert min_generators(alg, module_times_ideal(alg, cyclic(alg, g))) <= 1
+
+
+def test_is_simple_reads_the_dimension_alone_on_the_sweep_censuses():
+    # by Nakayama M kills every ideal of dim 1, so the dimension decides
+    simple = 0
+    for _, pres in sweep_presentations(3, (2, 3, 4), 11):
+        alg = build_algebra(pres)
+        for e in oracle.enumerate_ideals(alg).entries:
+            c = e.ideal
+            assert is_simple(alg, c) == (c.dim == 1 and killed_by_m(alg, c)), (pres, c)
+            simple += is_simple(alg, c)
+    assert simple > 0
 
 
 @contextmanager
