@@ -242,7 +242,7 @@ def test_the_certificate_alone_decides_as_the_full_predicate_did():
     """verify_m_decomposition, which checks directness onto M, nonzero
     summands and simples of dim 1, equals the full predicate on every
     witness drawn on the sweep and on two-axis rings over GF(3) and GF(5)."""
-    rng = random.Random(38)
+    rng = random.Random(1)
     algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
     algs += [build(text.format(p)) for p in (3, 5) for text in ODD_AXES for _ in range(4)]
     seen = Counter()
