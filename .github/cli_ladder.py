@@ -54,6 +54,10 @@ LADDER = (
     Row("classify on the GF(3) dim-4093 ring",
         "field 3 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 1365",
         ("classify",), 1, "stdout", r"^dsc: no$"),
+    # no relation, so x*y != 0 and M itself is the counterexample: a
+    # build near the guard (dim 4,095) and a render of M's 4,094 rows
+    Row("classify on the dim-4095 truncated plane", "field 2 / vars x y / truncate 90",
+        ("classify",), 1, "stdout", r"^dsc: no$"),
     # x*y truncated at degree 2048 (dim 4,095): x^3 + y^5 needs both
     # axes, so it splits on the diagonal branch
     Row("decompose on the dim-4095 ring", "field 2 / vars x y / rel x*y / truncate 2048",

@@ -117,14 +117,24 @@ def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
 
 def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> list[int]:
     """Packed RREF of the smallest ideal containing span(rows) and the
-    seed vectors; rows must already be in packed reduced echelon form."""
+    seed vectors; rows must already be in packed reduced echelon form.
+    A vector that enters the basis sends its image under each generator
+    to the queue, unless that product vanishes, as most products of a
+    monomial ring do: a zero vector never reaches field.insert, and the
+    nonzero ones are inserted in the order they would be with the zeros
+    queued too, so the rows come out the same."""
     f, actions = gf.packed_field(alg.p), alg.action_masks()
+    insert, apply = f.insert, f.apply
     basis = gf.Echelon(rows)
-    queue = list(seeds)
+    queue = list(filter(None, seeds))
+    push = queue.append
     while queue:
         v = queue.pop()
-        if f.insert(basis, v):
-            queue.extend(f.apply(masks, v) for masks in actions)
+        if insert(basis, v):
+            for masks in actions:
+                image = apply(masks, v)
+                if image:
+                    push(image)
     return basis.rows
 
 
@@ -133,13 +143,16 @@ def zero_ideal(alg: Algebra) -> Ideal:
 
 
 def unit_ideal(alg: Algebra) -> Ideal:
-    rows = [alg.basis_element(k).vec for k in range(alg.dim)]
+    w = alg.field.w
+    rows = [1 << k * w for k in range(alg.dim)]
     return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows))
 
 
 def maximal_ideal(alg: Algebra) -> Ideal:
-    """The unique maximal ideal: everything with zero unit coordinate."""
-    rows = [alg.basis_element(k).vec for k in range(1, alg.dim)]
+    """The unique maximal ideal: everything with zero unit coordinate,
+    its rows the packed unit vectors of coordinates 1 to dim - 1."""
+    w = alg.field.w
+    rows = [1 << k * w for k in range(1, alg.dim)]
     # closed by construction: the action maps into M
     return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows), _trusted=True)
 

@@ -9,6 +9,9 @@ always the unit monomial.  The standard monomials are closed under
 division, so build_algebra grows them degree by degree from their own
 divisors and never walks the exponent box: its work follows the
 dimension, and max_dim refuses only a basis that really exceeds it.
+Each degree is a contiguous range of the basis, and a new monomial is
+tested only against the impure relations indexed under its variable
+and exponent, so a child that none of them can divide costs no test.
 RingPresentation.splits_untruncated runs the monomial test of
 structure.classify_dsc's lemma on the ring without its truncation, so
 spec_classify can tell a truncated model's witness that lifts.
@@ -29,6 +32,7 @@ parse_element goes the other way, summing read_terms' pairs into a row.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -62,7 +66,7 @@ def mono_degree(e: Sequence[int]) -> int:
 
 
 def mono_divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_str(e: Sequence[int], names: Sequence[str]) -> str:
@@ -469,7 +473,7 @@ class MonomialAlgebra(Algebra):
         self.p = presentation.p
         self.basis = tuple(basis)
         self.dim = len(self.basis)
-        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.index = dict(zip(self.basis, range(self.dim)))
         self._parents = parents = tuple(parents)
         # succ[v][k]: index of x_v * m_k, or -1 where that product vanishes,
         # which is exactly when it is no standard monomial.  The canonical
@@ -561,47 +565,58 @@ def build_algebra(pres: RingPresentation, max_dim: int = 4096) -> MonomialAlgebr
     last variable of m.  A child x_v * m is standard when x_v stays below
     its cap (pure powers and the truncation) and no impure relation
     divides it; m is standard, so only the relations r with r_v equal to
-    the child's v-exponent can.  Taken parent by parent in basis order,
-    v ascending, each degree comes out in descending exponent order, the
-    basis order, with no sort: the children of one m descend as v grows,
-    and if parents m > m' of one degree first differ at i, then m'
-    involves a variable past i, so every child of m' adds past i while
-    every child of m adds at i or later, and it stays the larger at i.
-    Each monomial's canonical parent goes to the algebra, which reads
-    its successor table off them.  The work is proportional to the basis
-    times the variables, and DimensionLimitError is raised as soon as one
-    parent's children take the basis past max_dim.
+    the child's v-exponent can.  Each impure relation r is indexed under
+    (v, r_v) for every variable v it involves, and a child of v-exponent
+    e is tested against the relations under (v, e) alone: none, for most
+    children, and then no test is made.  Taken parent by parent in basis
+    order, v ascending, each degree comes out in descending exponent
+    order, the basis order, with no sort: the children of one m descend
+    as v grows, and if parents m > m' of one degree first differ at i,
+    then m' involves a variable past i, so every child of m' adds past i
+    while every child of m adds at i or later, and it stays the larger
+    at i.  So each degree is the contiguous range of the basis made from
+    the one before.  Each monomial's canonical parent goes to the
+    algebra, which reads its successor table off them.  The work is
+    proportional to the basis times the variables, and
+    DimensionLimitError is raised as soon as one parent's children take
+    the basis past max_dim.
     """
     nv = len(pres.vars)
-    caps = []
-    for i in range(nv):
-        cap = _pure_power(pres.relations, i)
+    # steps[v]: (v, cap, the impure relations under (v, e) by exponent e),
+    # the exponent of x_v staying below cap; pure powers are enforced
+    # through caps, and an impure relation can only newly divide x_v * m
+    # through a variable v it involves.  A parent whose last variable is
+    # v takes the steps from v on, sliced per parent: a table of every
+    # suffix would take memory quadratic in the variables
+    steps = []
+    for v in range(nv):
+        cap = _pure_power(pres.relations, v)
         if pres.truncate is not None:
             cap = pres.truncate if cap is None else min(cap, pres.truncate)
-        caps.append(cap)  # exponent of var i is < cap
-    # pure powers are already enforced through caps; an impure relation
-    # can only newly divide x_v * m through a variable v it involves
-    through = [[r for r in pres.relations if 0 < r[v] < mono_degree(r)] for v in range(nv)]
+        under: dict[int, list[tuple[int, ...]]] = {}
+        for r in pres.relations:
+            if 0 < r[v] < mono_degree(r):
+                under.setdefault(r[v], []).append(r)
+        steps.append((v, cap, under))
     basis, parents = [(0,) * nv], [(0, 0)]  # (v, j): m_k = x_v * m_j
-    level = [0]  # indices of the monomials of the current degree
+    start, end = 0, 1  # basis[start:end] is the current degree
     degree = 1
-    while level and (pres.truncate is None or degree < pres.truncate):
-        nxt = []
-        for j in level:
-            m, last = basis[j], parents[j][0]
-            for v in range(last, nv):
+    while start < end and (pres.truncate is None or degree < pres.truncate):
+        for j in range(start, end):
+            m = basis[j]
+            for v, cap, under in steps[parents[j][0]:]:
                 e = m[v] + 1
-                if e >= caps[v]:
+                if e >= cap:
                     continue
                 child = m[:v] + (e,) + m[v + 1:]
-                if any(r[v] == e and mono_divides(r, child) for r in through[v]):
+                rels = under.get(e)
+                if rels and any(mono_divides(r, child) for r in rels):
                     continue
-                nxt.append(len(basis))
                 basis.append(child)
                 parents.append((v, j))
             if len(basis) > max_dim:
                 raise DimensionLimitError("dimension exceeds configured limit")
-        level = nxt
+        start, end = end, len(basis)
         degree += 1
     return MonomialAlgebra(pres, basis, parents)
 

@@ -36,9 +36,9 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf
-from .ideals import (Ideal, cyclic, direct_onto, ideal_from_generators,
-                     is_simple, maximal_ideal, min_generators,
-                     module_times_ideal, zero_ideal)
+from .ideals import (Ideal, _packed_times_m, cyclic, direct_onto,
+                     ideal_from_generators, is_simple, maximal_ideal,
+                     min_generators, zero_ideal)
 from .rings import Algebra, Element, MonomialAlgebra, RingPresentation
 
 
@@ -223,8 +223,11 @@ def refutes(alg: Algebra, j: Ideal) -> bool:
     not a decider; it reads J alone.  J's basis rows whose pivots MJ
     lacks lift a basis of J/MJ (rows are monic at their pivots, so at
     every p the lowest set bit marks the pivot), and their pairwise
-    products generate J^2."""
-    mask = module_times_ideal(alg, j).space.echelon.mask
+    products generate J^2.  MJ is eliminated for its pivots alone, so no
+    ideal is made of it."""
+    mask = 0
+    for r in _packed_times_m(alg, j.space.basis):
+        mask |= r & -r
     lifts = [Element.packed(alg, r) for r in j.space.basis if not r & -r & mask]
     j2 = ideal_from_generators(alg, [a * b for k, a in enumerate(lifts) for b in lifts[k:]])
     return min_generators(alg, j2) > len(lifts)

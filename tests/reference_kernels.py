@@ -7,7 +7,8 @@ pivot, each row a tuple monic at its pivot.  Every operation is plain
 arithmetic mod p on one coordinate at a time, so nothing here shares a
 layout or a reduction trick with the packed rows.  Products add
 exponents over the monomial basis, so they share neither the successor
-maps nor mult_map.  The standard monomials come from a walk of the whole
+maps nor mult_map, and the ideal closure queues each of them, zero
+products too.  The standard monomials come from a walk of the whole
 exponent box and one sort, not from their divisors.  Element
 expressions are read by recursive descent and multiplied out, each power
 by repeated products, not summed off the monomial index, and rendered by
@@ -152,6 +153,19 @@ def product(alg, a, b):
                 if k is not None:
                     out[k] = (out[k] + ca * cb) % p
     return tuple(out)
+
+
+def closure(alg, vectors):
+    """The reduced echelon rows, as tuples, of the smallest ideal holding
+    the coefficient tuples vectors: the closure loop one product at a
+    time, every product queued, zero ones too."""
+    basis = []
+    queue = list(vectors)
+    while queue:
+        v = queue.pop()
+        if insert_row(basis, v, alg.p):
+            queue.extend(product(alg, g.coeffs, v) for g in alg.gens)
+    return tuple(r for _, r in basis)
 
 
 def el_str(alg, vec):

@@ -166,6 +166,53 @@ def test_module_times_ideal_matches_the_tuple_path():
     assert min(primes[p] for p in (2, 3, 5)) >= 20, primes
 
 
+def test_packed_closure_matches_the_tuple_closure():
+    """packed_closure queues only the nonzero products, and its rows are
+    those of the tuple loop, which queues every product.  The seeds are
+    random elements of M, socle monomials (every image of which
+    vanishes), a zero seed, or none at all; half the time the closure
+    starts from the rows of a cyclic ideal.  No zero row reaches
+    field.insert."""
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(presentations(), st.sampled_from((2, 3, 5)), st.data())
+    def check(pres, p, data):
+        alg = build_algebra(RingPresentation.make(p, pres.vars, pres.relations,
+                                                  pres.truncate))
+        assume(alg.dim <= 40)
+        f = alg.field
+        socle = [k for k in range(1, alg.dim) if all(step[k] < 0 for step in alg.succ)]
+        drawn = maximal_ideal_elements(alg, data, data.draw(st.integers(0, 2)))
+        socle_seeds = [f.addmul(0, data.draw(st.integers(1, p - 1)), 1 << k * f.w)
+                       for k in data.draw(st.lists(st.sampled_from(socle), max_size=2))]
+        seeds = [z.vec for z in drawn] + socle_seeds
+        if data.draw(st.booleans()):
+            seeds.insert(data.draw(st.integers(0, len(seeds))), 0)
+        start = ()
+        if data.draw(st.booleans()):
+            start = cyclic(alg, maximal_ideal_elements(alg, data, 1)[0]).space.basis
+        inserted, insert = [], f.insert
+
+        def spy(e, v):
+            inserted.append(v)
+            return insert(e, v)
+
+        with mock.patch.object(f, "insert", spy):
+            rows = packed_closure(alg, start, seeds)
+        assert all(inserted)
+        want = reference_kernels.closure(alg, [f.unpack(r, alg.dim) for r in (*start, *seeds)])
+        assert tuple(f.unpack(r, alg.dim) for r in rows) == want
+        seen[p] += 1
+        seen["empty"] += not seeds
+        seen["zero"] += 0 in seeds
+        seen["socle"] += bool(socle_seeds) and not drawn
+        seen["start"] += bool(start)
+
+    check()
+    assert min(seen[k] for k in (2, 3, 5, "empty", "zero", "socle", "start")) >= 20, seen
+
+
 def test_killed_by_m_is_m_times_i_vanishing():
     # the early-exit test against the eliminated M*i, on a drawn ideal and
     # on every M^k i below it: M kills the last nonzero one, and only the

@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -339,9 +340,103 @@ def test_successors_match_the_tuple_lookup(pres):
     # fills in the rest; the reference builds each product x_v * m_k and
     # looks it up
     alg = build_algebra(pres)
-    want = [[alg.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1) for m in alg.basis]
-            for v in range(len(pres.vars))]
-    assert alg.succ == want
+    assert alg.succ == _tuple_successors(alg)
+
+
+def _tuple_successors(alg):
+    return [[alg.index.get(m[:v] + (m[v] + 1,) + m[v + 1:], -1) for m in alg.basis]
+            for v in range(len(alg.presentation.vars))]
+
+
+def _shared_keys(pres):
+    """The (variable, exponent) keys under which build_algebra indexes two
+    or more impure relations."""
+    keys = Counter((v, e) for r in pres.relations for v, e in enumerate(r)
+                   if 0 < e < sum(r))
+    return [key for key, n in keys.items() if n >= 2]
+
+
+@st.composite
+def crowded_presentations(draw):
+    """Up to 4 variables and up to 6 impure relations, about half of them
+    sharing one (variable, exponent) key, with and without truncation."""
+    nv = draw(st.integers(2, 4))
+    truncate = draw(st.one_of(st.none(), st.integers(2, 9)))
+    rels = []
+    for v in range(nv):
+        if truncate is None or draw(st.booleans()):
+            m = [0] * nv
+            m[v] = draw(st.integers(2, 6))
+            rels.append(tuple(m))
+    key_v, key_e = draw(st.integers(0, nv - 1)), draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 6))):
+        m = [draw(st.integers(0, 3)) for _ in range(nv)]
+        v = key_v if draw(st.booleans()) else draw(st.integers(0, nv - 1))
+        m[v] = key_e if v == key_v else max(m[v], 1)
+        u = draw(st.integers(0, nv - 2))
+        u += u >= v  # a second variable, so the relation is impure
+        m[u] = max(m[u], 1)
+        rels.append(tuple(m))
+    return RingPresentation.make(2, [f"x{v}" for v in range(nv)], rels, truncate)
+
+
+def test_builder_matches_the_box_walk_under_crowded_relation_keys():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(crowded_presentations(), st.integers(1, 600))
+    def check(pres, max_dim):
+        try:
+            expected = reference_kernels.standard_monomials(pres, max_dim)
+        except DimensionLimitError:
+            with pytest.raises(DimensionLimitError):
+                build_algebra(pres, max_dim)
+            seen["refused"] += 1
+            return
+        alg = build_algebra(pres, max_dim)
+        assert alg.basis == expected
+        assert alg.succ == _tuple_successors(alg)
+        seen["shared" if _shared_keys(pres) else "distinct"] += 1
+        seen["truncated" if pres.truncate is not None else "untruncated"] += 1
+
+    check()
+    assert min(seen[k] for k in ("shared", "distinct", "truncated", "untruncated",
+                                 "refused")) >= 20, seen
+
+
+def test_a_child_is_tested_only_against_the_relations_of_its_key():
+    # x*z^2 and y*z^2 both sit under (z, 2), y*z^2 first in the sorted
+    # relations, so the child x*z^2 = z * (x*z) is cut only by the second
+    # relation of its key.  A child is made through its last variable v,
+    # and is tested only against relations of its own v-exponent: none
+    # for the children under (z, 1), such as x*z and z
+    pres = parse_presentation("field 2 / vars x y z / rel x^3 / rel y^3 / rel z^3"
+                              " / rel x*z^2 / rel y*z^2")
+    assert _shared_keys(pres) == [(2, 2)]
+    tested, divides = [], rings.mono_divides
+
+    def spy(a, b):
+        tested.append((a, b))
+        return divides(a, b)
+
+    with mock.patch.object(rings, "mono_divides", spy):
+        alg = build_algebra(pres)
+    assert alg.basis == reference_kernels.standard_monomials(pres, 4096)
+    assert (1, 0, 2) not in alg.basis and (0, 1, 2) not in alg.basis
+    assert (1, 0, 1) in alg.basis and (0, 0, 2) in alg.basis
+    assert ((0, 1, 2), (1, 0, 2)) in tested and ((1, 0, 2), (1, 0, 2)) in tested
+    last = [max(v for v in range(3) if b[v]) for _, b in tested]
+    assert all(a[v] == b[v] for (a, b), v in zip(tested, last))
+    assert 2 in last and not any(b[2] == 1 for _, b in tested)
+    assert alg.succ == _tuple_successors(alg)
+    x, y, z = alg.gens
+    assert (x * z * z).is_zero() and not (x * x * z).is_zero()
+
+
+def test_a_ring_without_impure_relations_tests_no_child():
+    with mock.patch.object(rings, "mono_divides", side_effect=AssertionError):
+        alg = build("field 3 / vars x y z / rel x^4 / rel y^3 / truncate 6")
+    assert alg.basis == reference_kernels.standard_monomials(alg.presentation, 4096)
 
 
 # ---------------------------------------------------------------------------
