@@ -25,10 +25,11 @@ field of v * m spills into the next one.
 A row's pivot is its lowest nonzero field, read off its lowest set bit.
 Basis rows are monic at their pivots, so their lowest set bits sort
 them by pivot.  A basis that is reduced against or grown is an Echelon:
-its rows, a pivot mask with each row's lowest set bit, and the union of
-the rows.  Every row of a reduced echelon basis is zero at every other
+its rows, a pivot mask with each row's lowest set bit, the union of
+the rows and, for odd p, the pivot fields' bits, mask * (2^W - 1).
+Every row of a reduced echelon basis is zero at every other
 pivot, so reducing v costs one row operation per pivot where v is
-nonzero, the fields of v & mask * (2^W - 1); the row for a pivot is
+nonzero, the fields of v & fields; the row for a pivot is
 found by counting the mask bits below it, and the rows v misses are
 never visited.  Placing a reduced v rewrites only rows pivoted below
 it, and none at all when the union is zero at v's pivot.  Every row
@@ -58,12 +59,16 @@ class Echelon:
     `mask` holds each row's pivot bit, its lowest set bit (bit jW for
     pivot j), so the row for pivot bit b is rows[(mask & (b - 1)).bit_count()].
     `union` is nonzero in field j exactly when some row is, the OR of the
-    rows for p == 2.  Building one costs one pass over its rows, none for
-    an empty basis.  Equal by rows, which fix mask and union; unhashable,
-    as it grows in place.
+    rows for p == 2.  `fields` is mask * (2^W - 1), every bit of the pivot
+    fields, kept by the odd-p kernels alone: None until PackedField.reduce
+    first forms it, then grown by PackedField.place, so a wide row pays
+    for the product once per basis and the p == 2 kernels, whose mask is
+    its own field mask, never form it.  Building one costs one pass over
+    its rows, none for an empty basis.  Equal by rows, which fix the
+    rest; unhashable, as it grows in place.
     """
 
-    __slots__ = ("rows", "mask", "union")
+    __slots__ = ("rows", "mask", "union", "fields")
 
     def __init__(self, rows: Iterable[int] = ()):
         self.rows = rows = list(rows)
@@ -71,14 +76,14 @@ class Echelon:
         for r in rows:
             mask |= r & -r
             union |= r
-        self.mask, self.union = mask, union
+        self.mask, self.union, self.fields = mask, union, None
 
     def __eq__(self, other):
         return self.rows == other.rows if other.__class__ is Echelon else NotImplemented
 
     def copy(self) -> "Echelon":
         e = Echelon.__new__(Echelon)
-        e.rows, e.mask, e.union = self.rows[:], self.mask, self.union
+        e.rows, e.mask, e.union, e.fields = self.rows[:], self.mask, self.union, self.fields
         return e
 
 
@@ -235,8 +240,10 @@ class PackedField(_Rows):
         """Reduce v against the echelon basis: one row operation per
         pivot field where v is nonzero, as each row is zero at every
         other pivot."""
-        mask, rows = e.mask, e.rows
-        hit = v & mask * self.one  # v's pivot fields
+        mask, rows, fields = e.mask, e.rows, e.fields
+        if fields is None:
+            fields = e.fields = mask * self.one
+        hit = v & fields  # v's pivot fields
         p, w, mod, n = self.p, self.w, self.mod, len(rows)
         while hit:  # top field first, so c needs no mask
             sh = hit.bit_length() - 1
@@ -266,6 +273,8 @@ class PackedField(_Rows):
         rows.insert(at, v)
         e.mask |= piv
         e.union |= v  # a field a row loses to v is nonzero in v
+        if e.fields is not None:
+            e.fields |= one << sh
 
     def apply(self, masks: Sequence[int], v: int) -> int:
         """Image of v under the linear map whose column j is masks[j];

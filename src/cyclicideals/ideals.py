@@ -4,10 +4,19 @@ An ideal is a subspace of the algebra (in basis coordinates) closed
 under multiplication by every generator of the maximal ideal.  Each one
 is held in canonical RREF form, so ideals compare and hash structurally.
 Closure is re-checked on construction, unless the basis is closed by
-construction: the output of a closure loop, M itself, or M times an
+construction: the output of a closure loop, R or M itself, or M times an
 ideal.  Any other subspace is checked, so one that is no ideal is
 refused at once.  The decision procedures read an ideal as a subspace,
 through the kernels of gf.
+
+An ideal of a monomial algebra generated by monomials, such as the
+chain Rx of a variable, is closed without field arithmetic: it is
+spanned by the standard monomials the generators divide, so its
+reduced echelon basis is their unit rows, read off the successor maps
+(MonomialAlgebra.multiples).  Any other generator set, and any other
+algebra, is closed by elimination (packed_closure).  Both read the
+algebra's own multiplication, never the oracle's lattice, so
+direct_onto stays a certificate independent of the census.
 
 Each cyclic module Rz is closed once per algebra (cyclic), and
 direct_onto, the one certificate that a family of them is direct onto
@@ -20,10 +29,10 @@ pass still names it.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import gf
-from .rings import Algebra, Element
+from .rings import Algebra, Element, MonomialAlgebra
 
 
 class InfeasibleSizeError(RuntimeError):
@@ -101,18 +110,44 @@ class Ideal:
 def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     """Smallest ideal containing the generators: span closure under the action.
 
-    Each new vector goes straight into the growing echelon basis and
-    queues its images, so the basis comes out closed, unchecked.  The
-    action maps into M, so a unit can only come in as a generator.
+    The action maps into M, so a unit can only come in as a generator,
+    and then the ideal is R.  When alg is a MonomialAlgebra and each
+    nonzero generator is c * m_k, one nonzero field, the ideal is that
+    of the m_k (c is a unit) and its basis is the unit rows of their
+    multiples, in index order: already the reduced echelon basis.  Else
+    each new vector goes straight into the growing echelon basis and
+    queues its images (packed_closure).  Either way the basis comes out
+    closed, unchecked.
     """
     gens = list(gens)
     if any(g.algebra is not alg for g in gens):
         raise ValueError("algebra mismatch")
-    queue = [g.vec for g in gens]
-    if any(v & alg.field.one for v in queue):
+    f = alg.field
+    queue = [g.vec for g in gens if g.vec]
+    if any(v & f.one for v in queue):
         return unit_ideal(alg)  # a unit generates everything
-    basis = packed_closure(alg, (), queue)
+    ks = _monomial_indices(alg, queue)
+    if ks is None:
+        basis = packed_closure(alg, (), queue)
+    else:
+        basis = [1 << k * f.w for k in alg.multiples(ks)]
     return Ideal(alg, gf.Subspace(alg.p, alg.dim, basis), _trusted=True)
+
+
+def _monomial_indices(alg: Algebra, vecs: Sequence[int]) -> Optional[list[int]]:
+    """The index k of each nonzero packed row c * e_k of vecs, or None
+    unless alg is a MonomialAlgebra and every row has one nonzero field:
+    one test per row, that nothing sits above its lowest field."""
+    if not isinstance(alg, MonomialAlgebra):
+        return None
+    w, one = alg.field.w, alg.field.one
+    ks = []
+    for v in vecs:
+        k = ((v & -v).bit_length() - 1) // w
+        if v >> k * w > one:
+            return None
+        ks.append(k)
+    return ks
 
 
 def packed_closure(alg: Algebra, rows: Sequence[int], seeds: Iterable[int]) -> list[int]:
@@ -143,9 +178,11 @@ def zero_ideal(alg: Algebra) -> Ideal:
 
 
 def unit_ideal(alg: Algebra) -> Ideal:
+    """R itself, its rows the packed unit vectors of every coordinate."""
     w = alg.field.w
     rows = [1 << k * w for k in range(alg.dim)]
-    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows))
+    # closed by construction: the whole space is an ideal
+    return Ideal(alg, gf.Subspace(alg.p, alg.dim, rows), _trusted=True)
 
 
 def maximal_ideal(alg: Algebra) -> Ideal:

@@ -18,6 +18,9 @@ spec_classify can tell a truncated model's witness that lifts.
 Products of standard monomials are again
 standard or zero, so multiplying by one variable is a lookup in that
 variable's successor map, packed (see gf) as the algebra's action masks.
+The same maps give the ideal that monomials generate: the standard
+monomials reached from them (MonomialAlgebra.multiples), no field
+arithmetic needed.
 Elements are packed rows, and every product goes through one primitive,
 Algebra.columns(z), the packed columns e_k * z.  A monomial algebra
 computes column k when it is first read, as x_v times column j for
@@ -497,6 +500,22 @@ class MonomialAlgebra(Algebra):
 
     def columns(self, z: Element) -> "_Columns":
         return _Columns(self, z.vec)
+
+    def multiples(self, ks: Iterable[int]) -> list[int]:
+        """The indices of the standard monomials divisible by some m_k, k in
+        ks, ascending: those reached from the ks through succ.  A product
+        of standard monomials is standard or zero and a divisor of a
+        standard monomial is standard, so m_k * m is either zero or
+        reached from k by one variable at a time, each step standard."""
+        succ, seen = self.succ, set(ks)
+        todo = list(seen)
+        for k in todo:  # grows as it is read
+            for step in succ:
+                i = step[k]
+                if i >= 0 and i not in seen:
+                    seen.add(i)
+                    todo.append(i)
+        return sorted(seen)
 
     def _action_masks(self) -> list[list[int]]:
         w = gf.packed_field(self.p).w

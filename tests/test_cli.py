@@ -178,7 +178,10 @@ def test_classify_refuses_a_ring_past_the_dimension_guard(ring_file, capsys):
     ("field 2 / vars x y z / rel x*y / rel x*z / rel y*z / truncate 1365", (1, 4)),
     # dim 4095: two axes, a witness, and a spectrum
     ("field 2 / vars x y / rel x*y / truncate 2048", (0, 0)),
-], ids=["three-axes-dim-4093", "two-axes-dim-4095"])
+    # the same over the widest field: each axis closes off the successor
+    # maps, and the witness's one elimination runs on the widest rows
+    ("field 2147483647 / vars x y / rel x*y / truncate 2048", (0, 0)),
+], ids=["three-axes-dim-4093", "two-axes-dim-4095", "wide-two-axes-dim-4095"])
 def test_rings_just_under_the_dimension_guard_finish_in_seconds(ring_file, text, codes):
     # a fresh interpreter per command, as a user runs it; a ring under
     # the guard must not stall for seconds (ROADMAP aim 3)

@@ -202,6 +202,9 @@ def _check_echelon(e, basis, f, n):
         [any(row[j] for _, row in basis) for j in range(n)]
     if f.p == 2:
         assert e.union == sum(1 << j for j in range(n) if any(row[j] for _, row in basis))
+    # the odd-p kernels form the pivot fields on their first reduce and
+    # grow them in place; the GF(2) kernels never form them
+    assert e.fields == (None if f.p == 2 else e.mask * f.one)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -242,9 +245,28 @@ def test_echelon_kernels_match_the_reference_on_a_growing_basis(run):
     assert rewrites >= 1
     # a copy grows apart from the basis it was taken from
     grown = e.copy()
+    assert grown.fields == e.fields
     f.insert(grown, f.pack([1] * n))
     _check_echelon(e, basis, f, n)
     assert gf.Echelon(e.rows).mask == e.mask
+    assert grown.fields == (None if p == 2 else grown.mask * f.one)
+
+
+@pytest.mark.parametrize("p", [3, 2 ** 31 - 1])
+def test_an_echelon_built_from_rows_forms_its_pivot_fields_once(p):
+    # the first reduce forms mask * (2^W - 1) and keeps it; a later
+    # reduce reads it, and a place grows it by the new pivot's field
+    f = gf.packed_field(p)
+    e = gf.Echelon(f.rref([f.pack([1, 2, 0, 0]), f.pack([0, 0, 1, 1])]))
+    assert e.fields is None
+    v = f.pack([1, 1, 1, 0])
+    assert f.reduce(v, e) == f.pack([0, p - 1, 0, p - 1])
+    assert e.fields == e.mask * f.one
+    formed = e.fields
+    assert f.reduce(v, e) == f.pack([0, p - 1, 0, p - 1])
+    assert e.fields is formed  # read, not formed again
+    assert f.insert(e, v)
+    assert e.fields == e.mask * f.one == gf.Echelon(e.rows).mask * f.one
 
 
 def test_echelons_are_equal_by_rows():

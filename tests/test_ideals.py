@@ -18,7 +18,7 @@ from cyclicideals import (Element, Ideal, MDecomposition, build_algebra, cyclic,
 from cyclicideals import gf, ideals
 from cyclicideals import oracle
 from cyclicideals.ideals import InfeasibleSizeError, packed_closure, packed_cyclic_table
-from cyclicideals.rings import RingPresentation
+from cyclicideals.rings import RingPresentation, mono_divides
 import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
                       SQUARE_ZERO_N3, TRIPLE, QuotientAlgebra, build,
@@ -72,6 +72,81 @@ def test_ideal_from_generators_unit_short_circuit(pair_n3):
     one = pair_n3.unit()
     assert ideal_from_generators(pair_n3, [one + pair_n3.gens[0]]) == unit_ideal(pair_n3)
     assert ideal_from_generators(pair_n3, []) == zero_ideal(pair_n3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_unit_ideal_is_the_closure_of_1_unchecked(p):
+    # the whole space is an ideal, so R is not re-checked
+    alg = build_algebra(RingPresentation.make(p, ("x", "y"), [(3, 0), (1, 1), (0, 4)]))
+    with mock.patch.object(Ideal, "_check_closed",
+                           side_effect=AssertionError("closure re-checked")):
+        r = unit_ideal(alg)
+    assert r.space.basis == tuple(packed_closure(alg, (), [alg.unit().vec]))
+    assert Ideal(alg, r.space) == r and r.dim == alg.dim
+
+
+def test_multiples_are_the_standard_monomials_divisible_by_one():
+    for text in (PAIR_N3, TRIPLE, AXIS_SOCLE, "field 2 / vars x y z / rel x^2*y / rel y*z^2"
+                 " / rel x*z / truncate 5"):
+        alg = build(text)
+        for ks in ([], [0], *([k] for k in range(alg.dim)), [1, alg.dim - 1], [2, 3, 2]):
+            want = [j for j in range(alg.dim)
+                    if any(mono_divides(alg.basis[k], alg.basis[j]) for k in ks)]
+            assert alg.multiples(ks) == want, (text, ks)
+
+
+@pytest.mark.parametrize("p", [5, 2 ** 31 - 1])
+def test_a_monomial_with_a_unit_coefficient_generates_its_chain(p):
+    alg = build_algebra(RingPresentation.make(p, ("x", "y"), [(1, 1)], truncate=6))
+    three_x2 = parse_element(alg, "3*x^2")
+    with mock.patch.object(ideals, "packed_closure",
+                           side_effect=AssertionError("monomials eliminated")):
+        chain = ideal_from_generators(alg, [three_x2, alg.zero()])
+        assert cyclic(alg, three_x2) == chain
+    assert [alg.el_str(r) for r in chain.space.basis] == ["x^2", "x^3", "x^4", "x^5"]
+
+
+def test_monomial_generators_close_as_packed_closure():
+    """Generators c * m_k, c a unit, close off the successor maps to the
+    rows of the elimination; a set with a row of two nonzero fields
+    goes to packed_closure, as does a zero generator beside it.  Rows
+    are compared with packed_closure and the tuple reference."""
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(presentations(primes=(2, 3, 5, 2 ** 31 - 1)), st.data())
+    def check(pres, data):
+        alg = build_algebra(pres)
+        assume(3 <= alg.dim <= 40)
+        f, p = alg.field, alg.p
+        index = st.integers(1, alg.dim - 1)
+        unit = st.integers(1, p - 1)
+        terms = data.draw(st.lists(st.tuples(index, unit), max_size=4))
+        gens = [Element.packed(alg, f.addmul(0, c, 1 << k * f.w)) for k, c in terms]
+        if data.draw(st.booleans()):
+            gens.insert(data.draw(st.integers(0, len(gens))), alg.zero())
+        mixed = data.draw(st.booleans())
+        if mixed:
+            a, b = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+            two = f.addmul(f.addmul(0, data.draw(unit), 1 << a * f.w), data.draw(unit),
+                           1 << b * f.w)
+            gens.insert(data.draw(st.integers(0, len(gens))), Element.packed(alg, two))
+        with mock.patch.object(ideals, "packed_closure",
+                               wraps=ideals.packed_closure) as closures:
+            got = ideal_from_generators(alg, gens)
+        assert closures.called == mixed
+        seeds = [g.vec for g in gens]
+        assert got.space.basis == tuple(packed_closure(alg, (), seeds))
+        want = reference_kernels.closure(alg, [f.unpack(v, alg.dim) for v in seeds])
+        assert got.rows == want
+        seen[p] += 1
+        seen["mixed" if mixed else "monomial"] += 1
+        seen["zero"] += any(g.is_zero() for g in gens)
+        seen["coefficient"] += any(c > 1 for _, c in terms)
+
+    check()
+    assert min(seen[k] for k in (2, 3, 5, 2 ** 31 - 1, "mixed", "monomial", "zero",
+                                 "coefficient")) >= 20, seen
 
 
 def test_non_ideal_subspace_rejected(pair_n3):

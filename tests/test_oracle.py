@@ -539,22 +539,28 @@ CENSUS_147 = "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2 / rel x*z / rel
 
 def test_census_walks_no_ideal_and_closes_each_cyclic_once(monkeypatch):
     # no vector of an ideal is walked: the package keeps no cover walk,
-    # and each cyclic ideal picked is closed once, through ideals.cyclic
+    # and each cyclic ideal picked is closed once, through ideals.cyclic;
+    # the closure is spied on where both its paths start, as a monomial
+    # generator never reaches packed_closure
     assert not hasattr(ideals, "packed_first_cover")
     assert not hasattr(oracle, "packed_first_cover")
     alg = build(CENSUS_147)
     closed = []
-    close = ideals.packed_closure
-    monkeypatch.setattr(ideals, "packed_closure",
-                        lambda alg, rows, seeds: (closed.append((tuple(rows), tuple(seeds)))
-                                                  or close(alg, rows, seeds)))
+    close = ideals.ideal_from_generators
+
+    def spy(alg, gens):
+        gens = list(gens)
+        closed.append(tuple(g.vec for g in gens))
+        return close(alg, gens)
+
+    monkeypatch.setattr(ideals, "ideal_from_generators", spy)
     census = complete_census(enumerate_ideals(alg))
     assert oracle_dsc(alg).answer == "no"
     cyclics = sum(e.lengths == (1,) for e in census.entries)  # R among them
     assert census.count == 147 and cyclics == 42
     assert 0 < len(closed) <= cyclics
-    assert len(set(closed)) == len(closed) and all(rows == () for rows, _ in closed)
-    assert {seeds for _, seeds in closed} == {(v,) for v in alg._cyclic if v != 1}
+    assert len(set(closed)) == len(closed)
+    assert set(closed) == {(v,) for v in alg._cyclic}
 
 
 def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
