@@ -76,6 +76,13 @@ LADDER = (
     # both axes are non-nilpotent in the untruncated ring: three primes
     Row("spec on the GF(2^31 - 1) dim-4095 ring", WIDE_AXES,
         ("spec",), 0, "stdout", r"^case: e$"),
+    # two axes over the widest field at half the size (dim 2,047):
+    # x + y^2 needs both axes, so the odd-p diagonal branch and its one
+    # elimination of [L, i] run on rows 2,047 x 124 bits wide
+    Row("decompose on the GF(2^31 - 1) dim-2047 ring",
+        "field 2147483647 / vars x y / rel x*y / truncate 1024",
+        ("decompose", "--ideal", "x + y^2", "--json"), 0, "stdout",
+        r'"branch": "diagonal"'),
     # three axes over the widest field: no witness, so refutes closes
     # and checks its counterexample J with the widest packed rows
     Row("classify on the GF(2^31 - 1) dim-4093 ring", WIDE_THREE_AXES,

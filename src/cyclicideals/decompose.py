@@ -14,8 +14,16 @@ cyclic splitting:
 
 Directness gives Mx = Rx^2, so Rx is a chain whose nonzero submodules
 are the R x^n, with dim R x^n = dim Rx - n + 1.  The principal exponent
-is read off that count and the diagonal ones off products with the
+is read off that count and the diagonal ones off the pivots of the
 powers of x, never solved for.
+
+The witness is read as coordinates.  The one that reaches decompose is
+classify_dsc's variable split, whose Rx, Ry and L are monomial ideals:
+their bases are unit rows, and the field masks of the three
+(MDecomposition.field_masks) partition M's coordinates.  So whether i
+lies in Rx, or in Rx + L, is read off the union of i's basis rows, and
+a vector of M splits over Rx, Ry and L by masking.  A verified witness
+whose closures are not coordinate raises WitnessInvalidError.
 
 Every branch re-checks the identities it relies on, and
 build_decomposition checks every split direct onto i with
@@ -24,14 +32,15 @@ raises InternalContradictionError rather than return an unverified one.
 
 Work per ideal is what depends on i: the test M*i = 0, which applies
 the generators to i's basis rows and stops at the first nonzero image
-rather than eliminate M*i; i meet L; one splitter of [L, i], which
-_general shares between its two exponent searches; and the closures
-and certificate of the split.  Whatever depends on the witness alone is
-read once per witness and kept on it (MDecomposition): the closures Rx,
-Ry and L, the sums Rx + L and Ry + L, and the powers g, g^2, ... of
-each axis up to the first zero, which give both the principal generator
-g^n and the candidates of the exponent search.  Decomposing many ideals
-on one witness therefore pays for those once.
+rather than eliminate M*i; one elimination of [L, i] (gf.splitter),
+which gives i meet L and the split that both exponent searches read;
+and the closures and certificate of the split.  Whatever depends on
+the witness alone is read once per witness and kept on it
+(MDecomposition): the closures Rx, Ry and L, their field masks, and
+the powers g, g^2, ... of each axis up to the first zero, which give
+both the principal generator g^n and the candidates of the exponent
+search.  Decomposing many ideals on one witness therefore pays for
+those once.
 """
 
 from __future__ import annotations
@@ -132,27 +141,24 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
 
 
 def semisimple_decompose(alg, i: Ideal) -> CyclicDecomposition:
-    """Split an ideal killed by M into one line per basis row."""
+    """Split an ideal killed by M into one line per basis row, after
+    checking M*i = 0; decompose_ideal, which has tested that already,
+    builds the split itself."""
     if not killed_by_m(alg, i):
         raise ValueError("not semisimple")
     return build_decomposition(alg, i, i.basis_elements(), "semisimple")
 
 
-def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str = "x"
+def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str, split
                      ) -> tuple[int, Element, Element]:
     """Least n with g^n + l in i for some l in the simple span; returns
     (n, l, g^n) with l = 0 whenever g^n itself lies in i.  The first n
     with g^n = 0 qualifies vacuously (take l = 0), so the exponent
     always exists for a nilpotent axis.  Otherwise g^n + l is the
-    i-component of g^n split over [simple span, i]."""
-    return _exponent(alg, dec, i, which, gf.splitter([dec.simple_span, i.space]))
-
-
-def _exponent(alg, dec: MDecomposition, i: Ideal, which: str, split
-              ) -> tuple[int, Element, Element]:
-    """minimal_exponent with split, the splitter of [simple span, i],
-    given, so one splitter serves both axes of an ideal.  The powers
-    g^n are the witness's, computed once per witness."""
+    i-component of g^n under split, the splitter of [simple span, i]
+    (gf.splitter's first value), so one elimination serves both axes of
+    an ideal.  The powers g^n are the witness's, computed once per
+    witness."""
     f, basis = alg.field, i.space.echelon
     for n, gn in enumerate(dec.x_powers if which == "x" else dec.y_powers, 1):
         if not gn or not f.reduce(gn, basis):
@@ -187,68 +193,74 @@ def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
 def _unit_times_power(alg, z, powers, m: int) -> bool:
     """Whether z, nonzero in the chain Rg, is a unit times g^m, for
     0 < m < L and powers g, g^2, ..., g^L = 0 of the witness axis.  On
-    the chain z = u g^k with u a unit, and z g^j = 0 exactly when
-    k + j >= L; so k = m exactly when z g^(L-m) = 0 and z g^(L-m-1) != 0,
-    with g^0 = 1.  Two products, no closure of Rz."""
-    f, cols, top = alg.field, alg.columns(z), len(powers)
-    below = powers[top - m - 2] if top - m >= 2 else alg.unit().vec
-    return not f.apply(cols, powers[top - m - 1]) and bool(f.apply(cols, below))
+    the chain z = u g^k with u a unit, so z = c g^k, c != 0, plus a
+    combination of the higher powers.  The basis of a monomial algebra
+    is ordered by degree and each power of g in M raises the least
+    degree, so the pivots of g, g^2, ... strictly increase and z's
+    lowest field is g^k's: k = m exactly when z's lowest field is
+    g^m's.  No product, no closure of Rz."""
+    w, z, gm = alg.field.w, z.vec, powers[m - 1]
+    return ((z & -z).bit_length() - 1) // w == ((gm & -gm).bit_length() - 1) // w
 
 
 def decompose_ideal(alg, dec: MDecomposition, i: Ideal) -> CyclicDecomposition:
-    """Decompose a proper ideal using a verified witness for M.
+    """Decompose a proper ideal using a verified coordinate witness for M.
 
     Branches: principal, semisimple, axis, two_axes, diagonal.  The
-    witness's closures Rx, Ry and L, its sums Rg + L and its axis powers
-    are read off dec, never rebuilt, and the split comes from
+    witness's closures Rx, Ry and L, their field masks and its axis
+    powers are read off dec, never rebuilt; which summands i reaches is
+    read off the union of i's basis rows; and the split comes from
     build_decomposition, so it is checked direct onto i.
     """
     if not verify_m_decomposition(dec):
         raise WitnessInvalidError("witness invalid")
+    if dec.field_masks is None:
+        raise WitnessInvalidError("witness closures are not coordinate subspaces")
     if i.algebra is not alg or dec.algebra is not alg:
         raise ValueError("mixed algebras")
     if i.dim == alg.dim:
         raise ValueError("not proper")
 
-    if i.dim == 0:
-        return semisimple_decompose(alg, i)
-    # the witness's axes, in the order principal and axis are tried
-    axes = [(which, rg) for which, rg in (("x", dec.rx), ("y", dec.ry)) if rg.dim]
-    for which, rg in axes:
-        if rg.space.contains_subspace(i.space):
-            # Rg is a chain, so i = R g^n with dim i = dim Rg - n + 1
-            n = rg.dim - i.dim + 1
+    xmask, ymask, _ = dec.field_masks
+    union = i.space.echelon.union
+    # the witness's axes, in the order principal and axis are tried, each
+    # with its own mask and the other axis's
+    axes = [(which, own, other)
+            for which, own, other in (("x", xmask, ymask), ("y", ymask, xmask)) if own]
+    for which, own, _ in axes:
+        if union and not union & ~own:
+            # i lies in the chain Rg, so i = R g^n with dim i = dim Rg - n + 1
+            n = (dec.rx if which == "x" else dec.ry).dim - i.dim + 1
             gn = (dec.x_powers if which == "x" else dec.y_powers)[n - 1]
             return build_decomposition(alg, i, [Element.packed(alg, gn)], "principal",
                                        axis=which, n0=n)
-    if killed_by_m(alg, i):
-        return semisimple_decompose(alg, i)
-    # the simple part i keeps; the witness is direct onto M, so it is i meet L
-    kept = gf.subspace_intersect(i.space, dec.simple_span)
-    for which, _ in axes:
-        if (dec.rx_plus_l if which == "x" else dec.ry_plus_l).contains_subspace(i.space):
-            return _axis(alg, dec, i, which, kept)
-    return _general(alg, dec, i, kept)
+    if killed_by_m(alg, i):  # the zero ideal too
+        return build_decomposition(alg, i, i.basis_elements(), "semisimple")
+    # one elimination of [L, i]: the split both exponent searches read and
+    # i meet L, the simple part i keeps, as the witness is direct onto M
+    split, kept = gf.splitter([dec.simple_span, i.space])
+    for which, _, other in axes:
+        if not union & other:  # i inside Rg + L
+            return _axis(alg, dec, i, which, split, kept)
+    return _general(alg, dec, i, split, kept)
 
 
-def _axis(alg, dec, i, which, kept) -> CyclicDecomposition:
-    n0, l0, gn = minimal_exponent(alg, dec, i, which)
+def _axis(alg, dec, i, which, split, kept) -> CyclicDecomposition:
+    n0, l0, gn = minimal_exponent(alg, dec, i, which, split)
     gen = gn + l0
     _check(not gen.is_zero(), "axis generator vanished")
-    if not l0.is_zero():
-        # l0 = -comps[0] lies in L and ML = 0, so a (gn + l0) = a gn for
-        # every a in M: the correction keeps the annihilator.  gn is
-        # nonzero, or l0 would be 0, and so is gen, as Rg + L is direct.
-        # All of it rests on M l0 = 0, checked on R l0, a single row
-        _check(killed_by_m(alg, cyclic(alg, l0)), "axis correction outside L")
+    # l0, minus the L-component of gn, lies in L and ML = 0, so
+    # a (gn + l0) = a gn for every a in M: the correction keeps the
+    # annihilator.  gn is nonzero, or l0 would be 0, and so is gen, as
+    # Rg + L is direct.  All of it rests on l0 in L, read off L's mask
+    _check(not l0.vec & ~dec.field_masks[2], "axis correction outside L")
     gens = [gen] + [Element.packed(alg, r) for r in kept.basis]
     return build_decomposition(alg, i, gens, "axis", axis=which, n0=n0, l0=str(l0))
 
 
-def _general(alg, dec, i, kept) -> CyclicDecomposition:
-    split = gf.splitter([dec.simple_span, i.space])
-    n0, l1, xn = _exponent(alg, dec, i, "x", split)
-    m0, l2, ym = _exponent(alg, dec, i, "y", split)
+def _general(alg, dec, i, split, kept) -> CyclicDecomposition:
+    n0, l1, xn = minimal_exponent(alg, dec, i, "x", split)
+    m0, l2, ym = minimal_exponent(alg, dec, i, "y", split)
     xp, yp = xn + l1, ym + l2
     axes = [cyclic(alg, xp), cyclic(alg, yp)]
     rest = [Element.packed(alg, r) for r in kept.basis]
@@ -268,9 +280,9 @@ def _general(alg, dec, i, kept) -> CyclicDecomposition:
     _check(n0 >= 2 and m0 >= 2, "diagonal branch with boundary exponent")
     zp = _first_outside(alg, i, s)
     _check(zp is not None, "no element outside the axis sum")
-    comps = gf.split_components(zp.vec, [dec.rx.space, dec.ry.space, dec.simple_span])
-    _check(comps is not None, "diagonal element escapes the witness sum")
-    zx, zy = Element.packed(alg, comps[0]), Element.packed(alg, comps[1])
+    # zp lies in M, whose coordinates the witness's masks partition
+    xmask, ymask, _ = dec.field_masks
+    zx, zy = Element.packed(alg, zp.vec & xmask), Element.packed(alg, zp.vec & ymask)
     _check(not zx.is_zero() and not zy.is_zero(), "diagonal element lost an axis")
     _check(_unit_times_power(alg, zx, dec.x_powers, n0 - 1)
            and _unit_times_power(alg, zy, dec.y_powers, m0 - 1),

@@ -35,9 +35,12 @@ never visited.  Placing a reduced v rewrites only rows pivoted below
 it, and none at all when the union is zero at v's pivot.  Every row
 operation runs in one kernel pair per field: gf2_reduce / gf2_place for
 p == 2 and PackedField.reduce / .place otherwise, insert being reduce
-followed by place.  Intersections and splittings eliminate block rows
-[left | right] on them, the right block in the fields above the
-left one: shifted by n W for a left block n coordinates wide.
+followed by place.  A splitting eliminates block rows [vec | tag] on
+them, each tag block in the fields above the vec block: shifted by n W
+per block for a vec n coordinates wide.  The same elimination yields
+the meet of the last part with the others, from the tags of the rows
+whose vec drops out, so one pass both splits over [L, i] and finds
+i meet L.
 """
 
 from __future__ import annotations
@@ -395,15 +398,6 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
         raise ValueError("ambient mismatch")
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    f = a.field
-    basis = a.echelon.copy()
-    for r in b.basis:
-        f.insert(basis, r)
-    return Subspace(a.p, a.ambient, basis.rows)
-
-
 def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subspace]:
     """The sum of the parts when it is direct, None when they overlap: one
     elimination of all their rows, direct when no row drops out."""
@@ -424,6 +418,8 @@ def vanishing_block(p: int, n: int, rows: Iterable[int]) -> list[int]:
     return [r >> shift for r in f.rref(rows) if not r & ((1 << shift) - 1)]
 
 
+# nothing in the package calls it; it moves to tests/reference_kernels.py
+# once bench/tracing.py no longer spans it
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """a meet b, from the rows [A|A] and [B|0]."""
     _check_compatible(a, b)
@@ -438,31 +434,39 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 # each reduction came from.  Backbone of splitter and split_components.
 
 
-def splitter(parts: Sequence[Subspace]) -> Callable[[int], Optional[list[int]]]:
+def splitter(parts: Sequence[Subspace]
+             ) -> tuple[Callable[[int], Optional[list[int]]], Subspace]:
     """Eliminate the parts' tagged rows once, and return the map from a
     packed row v to its packed components, one per part and summing to
-    v, or to None when v is outside the sum of the parts.
+    v, or to None when v is outside the sum of the parts; and the meet
+    of the last part with the sum of the others.
 
     Each row [vec | tag] carries its vec again as its tag, in the block
     of the part it came from.  A row whose vec reduces to zero is
     dropped, so the kept rows are the greedy basis of the vecs in row
     order, and pivots and row choices depend on the vecs alone.  The
     parts are expected to be independent; with overlap the components
-    are still a valid splitting, just not the unique one.
+    are still a valid splitting, just not the unique one.  A row of the
+    last part that drops out has tag blocks summing to its zero vec, so
+    its last block lies in the last part and in the sum of the others:
+    with the others independent those blocks span the meet, one per
+    dimension of it.
     """
     if not parts:
         raise ValueError("no parts")
     for s in parts[1:]:
         _check_compatible(parts[0], s)
-    f = parts[0].field
+    f, last = parts[0].field, len(parts)
     shift = parts[0].ambient * f.w
     mask = (1 << shift) - 1
-    basis = Echelon()
-    for i, s in enumerate(parts):
+    basis, meet = Echelon(), []
+    for i, s in enumerate(parts, 1):
         for r in s.basis:
-            r = f.reduce(r | r << shift * (i + 1), basis)
+            r = f.reduce(r | r << shift * i, basis)
             if r & mask:
                 f.place(basis, r)
+            elif i == last:
+                meet.append(r >> shift * last)
 
     def split(v: int) -> Optional[list[int]]:
         if v >> shift:
@@ -470,11 +474,13 @@ def splitter(parts: Sequence[Subspace]) -> Callable[[int], Optional[list[int]]]:
         # v - sum c_j (vec_j | tag_j) leaves -sum c_j tag_j in the tags
         res = f.reduce(v, basis)
         tags = f.addmul(0, -1, res >> shift)
-        return None if res & mask else [tags >> shift * i & mask for i in range(len(parts))]
-    return split
+        return None if res & mask else [tags >> shift * i & mask for i in range(last)]
+    return split, Subspace(parts[0].p, parts[0].ambient, f.rref(meet))
 
 
+# nothing in the package calls it; it moves to tests/reference_kernels.py
+# once bench/tracing.py no longer spans it
 def split_components(v: int, parts: Sequence[Subspace]) -> Optional[list[int]]:
     """Write the packed row v = sum of one packed component per part;
     None if v is outside the sum.  The splitter of the parts, applied once."""
-    return splitter(parts)(v)
+    return splitter(parts)[0](v)

@@ -55,10 +55,10 @@ class MDecomposition:
     """Witness M = Rx + Ry + L, L the span of the simple Rw, all summands
     independent.  rx and ry (zero for a missing axis) are read from
     cyclic, so each summand is closed from its own generator once per
-    algebra, whoever built the witness.  simple_span, the sums Rg + L
-    and the powers of each axis are computed when first read and kept,
-    so every ideal decomposed on this witness shares them.  Immutable,
-    equal and hashed by (algebra, x, y, simples)."""
+    algebra, whoever built the witness.  simple_span, the field masks
+    of Rx, Ry and L and the powers of each axis are computed when first
+    read and kept, so every ideal decomposed on this witness shares
+    them.  Immutable, equal and hashed by (algebra, x, y, simples)."""
 
     def __init__(self, algebra: Algebra, x: Optional[Element], y: Optional[Element],
                  simples: tuple[Element, ...]):
@@ -106,14 +106,22 @@ class MDecomposition:
         return gf.Subspace(alg.p, alg.dim, alg.field.rref(w.vec for w in self.simples))
 
     @cached_property
-    def rx_plus_l(self) -> gf.Subspace:
-        """Rx + L."""
-        return gf.subspace_sum(self.rx.space, self.simple_span)
-
-    @cached_property
-    def ry_plus_l(self) -> gf.Subspace:
-        """Ry + L."""
-        return gf.subspace_sum(self.ry.space, self.simple_span)
+    def field_masks(self) -> Optional[tuple[int, int, int]]:
+        """The field masks of Rx, Ry and L, each the bits of the fields
+        its basis rows occupy, when all three are coordinate subspaces,
+        else None.  A subspace is coordinate, spanned by unit rows,
+        exactly when its echelon's union is its pivot mask.  On a
+        verified coordinate witness the masks partition M's fields, so
+        a vector of M is split over the summands by masking; the
+        variable split of classify_dsc is such a witness, its summands
+        being monomial ideals."""
+        one, out = self.algebra.field.one, []
+        for space in (self.rx.space, self.ry.space, self.simple_span):
+            e = space.echelon
+            if e.union != e.mask:
+                return None
+            out.append(e.mask * one)
+        return tuple(out)
 
     @cached_property
     def x_powers(self) -> tuple[int, ...]:
@@ -265,9 +273,12 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
 
     The presentation decides: if x_a x_b != 0 for some distinct
     variables, the answer is no with M itself as the counterexample, its
-    proof naming the first such pair in gens order.  Otherwise the
-    variables split M: each Rx_a is the span of the powers of x_a, and
-    these are disjoint sets of monomials that together span M.
+    proof naming the first such pair in gens order.  Each product is
+    read off the successor table, with no field arithmetic: x_b is the
+    standard monomial succ[b][0], and x_a x_b = 0 exactly when
+    succ[a][succ[b][0]] < 0.  Otherwise the variables split M: each
+    Rx_a is the span of the powers of x_a, and these are disjoint sets
+    of monomials that together span M.
     canonical_variable_split finds that split; were it to fail, the lemma
     below would be contradicted, and InternalContradictionError is raised.
 
@@ -314,9 +325,10 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     """
     if not isinstance(alg, MonomialAlgebra):
         raise TypeError("classify_dsc decides monomial algebras only")
+    succ = alg.succ
     for a, g in enumerate(alg.gens):
-        for h in alg.gens[a + 1:]:
-            if not (g * h).is_zero():
+        for b, h in enumerate(alg.gens[a + 1:], a + 1):
+            if succ[a][succ[b][0]] >= 0:
                 return DscVerdict("no", None, maximal_ideal(alg), (
                     f"{g}*{h} != 0: M of a monomial ring is a direct sum of cyclic "
                     "modules only if every product of two distinct variables vanishes"))

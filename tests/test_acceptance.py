@@ -183,7 +183,7 @@ def test_criterion_8_kernel_laws_hold_on_random_instances():
                                  [[rng.randrange(p) for _ in range(ncols)]
                                   for _ in range(rng.randrange(0, 4))])
             meet = gf.subspace_intersect(a, b)
-            join = gf.subspace_sum(a, b)
+            join = gf.Subspace.span(p, ncols, a.rows + b.rows)
             assert join.dim + meet.dim == a.dim + b.dim
             instances += 1
     assert instances >= 10 ** 4

@@ -31,6 +31,13 @@ def split(alg, i):
     return out
 
 
+def exponent(alg, dec, i, which):
+    """minimal_exponent on the splitter of [L, i], as decompose_ideal
+    builds it."""
+    return minimal_exponent(alg, dec, i, which,
+                            gf.splitter([dec.simple_span, i.space])[0])
+
+
 # ---------------------------------------------------------------------------
 # the five branches
 
@@ -156,20 +163,20 @@ def test_minimal_exponent_with_witness():
     dec = find_m_decomposition(alg)
     assert dec.x == alg.var("x") and dec.simples == (alg.var("w"),)
     i = ideal_of(alg, "x^2 + w")
-    n, l, gn = minimal_exponent(alg, dec, i, "x")
+    n, l, gn = exponent(alg, dec, i, "x")
     assert (n, l, gn) == (2, alg.var("w"), alg.var("x") ** 2)
-    n, l, gn = minimal_exponent(alg, dec, ideal_of(alg, "x"), "x")
+    n, l, gn = exponent(alg, dec, ideal_of(alg, "x"), "x")
     assert n == 1 and l.is_zero() and gn == alg.var("x")
     with pytest.raises(ValueError, match="no such exponent"):
-        minimal_exponent(alg, dec, i, "y")  # the witness has no y slot
+        exponent(alg, dec, i, "y")  # the witness has no y slot
 
 
 def test_minimal_exponent_vacuous_at_nilpotency(pair_n3):
     # y^3 = 0 lands in any ideal, so the exponent never fails to exist
     dec = find_m_decomposition(pair_n3)
     i = ideal_of(pair_n3, "x + y^2")
-    assert minimal_exponent(pair_n3, dec, i, "x")[0] == 2
-    n, l, gn = minimal_exponent(pair_n3, dec, i, "y")
+    assert exponent(pair_n3, dec, i, "x")[0] == 2
+    n, l, gn = exponent(pair_n3, dec, i, "y")
     assert n == 3 and l.is_zero() and gn.is_zero()
 
 
@@ -238,7 +245,7 @@ def test_minimal_exponent_matches_the_per_exponent_loop(p):
         for rows in ideals:
             i = Ideal(alg, gf.Subspace(p, alg.dim, rows), _trusted=True)
             for which in ("x", "y"):
-                n, l, gn = minimal_exponent(alg, dec, i, which)
+                n, l, gn = exponent(alg, dec, i, which)
                 want = _per_exponent_minimal_exponent(alg, dec, i, which)
                 assert (n, l.coeffs, gn.coeffs) == want
                 seen[n > 1, l.is_zero()] += 1
@@ -253,8 +260,9 @@ def test_minimal_exponent_matches_the_per_exponent_loop(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_a_shared_witness_decomposes_as_a_fresh_one(p):
     """Many ideals on one witness: each payload equals the one of a fresh
-    algebra and witness, Rx + L and Ry + L are each summed at most once,
-    and _general eliminates one [L, i] splitter per ideal."""
+    algebra and witness, each axis or general ideal eliminates one
+    [L, i] splitter, whose meet is i meet L, and no ideal calls
+    subspace_intersect or split_components."""
     text = (f"field {p} / vars x y w / rel x^5 / rel y^4 / rel x*y"
             " / rel w^2 / rel x*w / rel y*w")
     alg = build(text)
@@ -269,35 +277,36 @@ def test_a_shared_witness_decomposes_as_a_fresh_one(p):
             gens.append(" + ".join(f"{rng.randrange(1, p)}*{m}" for m in terms))
         drawn.append(gens)
 
-    sums, splits, generals = [], [], []
-    real_sum, real_splitter, real_general = gf.subspace_sum, gf.splitter, decompose._general
-
-    def spy_sum(a, b):
-        sums.append(a)
-        return real_sum(a, b)
+    splits, meets, real_splitter = [], [], gf.splitter
 
     def spy_splitter(parts):
         splits.append(list(parts))
-        return real_splitter(parts)
-
-    def spy_general(alg, dec, i, kept):
-        before = len(splits)
-        out = real_general(alg, dec, i, kept)
-        generals.append([s for s in splits[before:] if len(s) == 2])
-        assert generals[-1] == [[dec.simple_span, i.space]]
+        out = real_splitter(parts)
+        meets.append((parts[1], out[1]))
         return out
 
-    shared = []
-    with mock.patch.object(gf, "subspace_sum", spy_sum), \
-            mock.patch.object(gf, "splitter", spy_splitter), \
-            mock.patch.object(decompose, "_general", spy_general):
+    def refuse(*args):
+        raise AssertionError("decompose_ideal left the witness's masks")
+
+    shared, needs_split = [], 0
+    with mock.patch.object(gf, "splitter", spy_splitter), \
+            mock.patch.object(gf, "subspace_intersect", refuse), \
+            mock.patch.object(gf, "split_components", refuse):
         for gens in drawn:
             i = ideal_of(alg, *gens)
             if i.dim < alg.dim:
-                shared.append((gens, decompose_ideal(alg, dec, i).as_dict()))
-    assert len(sums) <= 2 and len(set(sums)) == len(sums)
-    assert set(sums) <= {dec.rx.space, dec.ry.space}
-    assert len(generals) >= 10
+                splits.clear()
+                payload = decompose_ideal(alg, dec, i).as_dict()
+                shared.append((gens, payload))
+                branch = payload["trace"]["branch"]
+                if branch in ("axis", "two_axes", "diagonal"):
+                    needs_split += 1
+                    assert splits == [[dec.simple_span, i.space]], branch
+                else:
+                    assert splits == [], branch
+    assert needs_split >= 10
+    for space, meet in meets:
+        assert meet == gf.subspace_intersect(space, dec.simple_span)
 
     branches = Counter()
     for gens, payload in shared:
@@ -318,6 +327,17 @@ def test_witness_must_verify(pair_n3):
     broken = MDecomposition(pair_n3, x + y, y, ())
     with pytest.raises(WitnessInvalidError):
         decompose_ideal(pair_n3, broken, cyclic(pair_n3, x))
+
+
+def test_a_verified_witness_that_is_not_coordinate_is_refused(pair_n3):
+    # R(x + y^2) = span{x + y^2, x^2} and Ry are direct onto M, so the
+    # witness verifies, but R(x + y^2) is spanned by no unit rows
+    from cyclicideals import MDecomposition
+    x, y = pair_n3.gens
+    moved = MDecomposition(pair_n3, x + y ** 2, y, ())
+    assert not moved.problems and moved.field_masks is None
+    with pytest.raises(WitnessInvalidError, match="not coordinate"):
+        decompose_ideal(pair_n3, moved, cyclic(pair_n3, x))
 
 
 def test_rejects_improper_and_foreign(pair_n3, chain4):
@@ -374,13 +394,13 @@ def test_a_two_axis_split_that_escapes_i_is_refused(monkeypatch):
     dec = find_m_decomposition(alg)
     i = ideal_of(alg, "x^2", "y^2")
     assert decompose_ideal(alg, dec, i).trace.branch == "two_axes"
-    w, real = parse_element(alg, "w"), decompose._exponent
+    w, real = parse_element(alg, "w"), decompose.minimal_exponent
 
     def shifted(alg, dec, i, which, split):
         n, l, gn = real(alg, dec, i, which, split)
         return (n, l + w, gn) if which == "y" else (n, l, gn)
 
-    monkeypatch.setattr(decompose, "_exponent", shifted)
+    monkeypatch.setattr(decompose, "minimal_exponent", shifted)
     with pytest.raises(InternalContradictionError, match="failed verification"):
         decompose_ideal(alg, dec, i)
 
@@ -394,8 +414,8 @@ def test_an_axis_correction_outside_l_is_refused(monkeypatch):
     assert decompose_ideal(alg, dec, i).trace.l0 == "y"
     x3, real = parse_element(alg, "x^3"), decompose.minimal_exponent
 
-    def shifted(alg, dec, i, which="x"):
-        n, l, gn = real(alg, dec, i, which)
+    def shifted(alg, dec, i, which, split):
+        n, l, gn = real(alg, dec, i, which, split)
         return n, l + x3, gn
 
     monkeypatch.setattr(decompose, "minimal_exponent", shifted)
@@ -480,7 +500,7 @@ def test_first_outside_matches_element_sweep(p):
         i = ideal_from_generators(
             alg, [alg.element(vec()) for _ in range(rng.randrange(1, 3))])
         avoid = gf.Subspace.span(p, alg.dim, [vec() for _ in range(rng.randrange(0, 5))])
-        for a in (avoid, gf.subspace_sum(avoid, i.space)):
+        for a in (avoid, gf.Subspace.span(p, alg.dim, avoid.rows + i.rows)):
             got = _first_outside(alg, i, a)
             want = _first_outside_by_sweep(alg, i, a)
             assert (got is None) == (want is None)
@@ -505,7 +525,7 @@ def test_ideal_simple_part_is_the_projection(text):
         i = ideal_from_generators(alg, gens)
         lparts = [alg.field.unpack(gf.split_components(r, [rx, ry, span])[2], alg.dim)
                   for r in i.space.basis]
-        reach = gf.subspace_sum(gf.subspace_sum(i.space, rx), ry)
+        reach = gf.Subspace.span(alg.p, alg.dim, i.rows + rx.rows + ry.rows)
         j = gf.subspace_intersect(reach, span)
         assert j == gf.Subspace.span(alg.p, alg.dim, lparts)
         assert gf.subspace_intersect(i.space, j) == gf.subspace_intersect(i.space, span)

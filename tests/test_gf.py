@@ -70,7 +70,7 @@ def test_left_kernel_rows_kill_matrix():
 def _meets(points, w, u):
     """Some v in (point + w) meet u for every point, on tuples: the
     u-component of the point under gf.splitter([w, u]), prepared once."""
-    f, split = w.field, gf.splitter([w, u])
+    f, (split, _) = w.field, gf.splitter([w, u])
     got = [split(f.pack(point)) for point in points]
     return [None if c is None else f.unpack(c[1], w.ambient) for c in got]
 
@@ -135,7 +135,7 @@ def test_subspace_sum_and_intersect_hand():
     e3 = (0, 0, 1)
     a = gf.Subspace.span(2, 3, [e1, e2])
     b = gf.Subspace.span(2, 3, [e2, e3])
-    assert gf.subspace_sum(a, b).dim == 3
+    assert gf.Subspace.span(2, 3, a.rows + b.rows).dim == 3
     assert gf.subspace_intersect(a, b).rows == (e2,)
     c = gf.Subspace.span(2, 3, [(0, 1, 1)])
     assert gf.subspace_intersect(a, c).dim == 0
@@ -144,8 +144,8 @@ def test_subspace_sum_and_intersect_hand():
 def test_subspace_ambient_mismatch():
     a = gf.Subspace.span(2, 3, [(1, 0, 0)])
     b = gf.Subspace.span(2, 2, [(1, 0)])
-    with pytest.raises(ValueError):
-        gf.subspace_sum(a, b)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        gf.splitter([a, b])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def test_modular_dimension_law_sweep(p):
         n = rng.randrange(1, 7)
         a = _random_subspace(rng, p, n)
         b = _random_subspace(rng, p, n)
-        s = gf.subspace_sum(a, b)
+        s = gf.Subspace.span(p, n, a.rows + b.rows)
         i = gf.subspace_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         assert a.contains_subspace(i) and b.contains_subspace(i)
@@ -351,9 +351,7 @@ def test_direct_sum_sweep(p):
     for _ in range(300):
         n = rng.randrange(1, 7)
         parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(0, 4))]
-        total = gf.Subspace.zero(p, n)
-        for s in parts:
-            total = gf.subspace_sum(total, s)
+        total = gf.Subspace.span(p, n, [r for s in parts for r in s.rows])
         direct = total.dim == sum(s.dim for s in parts)
         assert gf.direct_sum(p, n, parts) == (total if direct else None)
 
@@ -470,8 +468,30 @@ def _overlapping(rng, p, n):
     """A subspace that shares a random vector with a second one."""
     a, b = _random_subspace(rng, p, n), _random_subspace(rng, p, n)
     common = tuple(rng.randrange(p) for _ in range(n))
-    return (gf.subspace_sum(a, gf.Subspace.span(p, n, [common])),
-            gf.subspace_sum(b, gf.Subspace.span(p, n, [common])))
+    return (gf.Subspace.span(p, n, a.rows + (common,)),
+            gf.Subspace.span(p, n, b.rows + (common,)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2 ** 31 - 1])
+def test_splitter_meet_is_the_intersection(p):
+    """The meet splitter returns, read off the tags of the last part's
+    rows that drop out, is that part's intersection with the sum of the
+    others: a meet b for parts [b, a], and a meet (b + c) for [b, c, a]
+    with b + c direct."""
+    rng = random.Random(6500 + p)
+    overlaps = 0
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        a, b = _overlapping(rng, p, n) if rng.randrange(2) else (
+            _random_subspace(rng, p, n), _random_subspace(rng, p, n))
+        want = gf.subspace_intersect(a, b)
+        assert gf.splitter([b, a])[1] == want
+        overlaps += want.dim > 0
+        c = _random_subspace(rng, p, n)
+        bc = gf.direct_sum(p, n, [b, c])
+        if bc is not None:
+            assert gf.splitter([b, c, a])[1] == gf.subspace_intersect(a, bc)
+    assert overlaps >= 50, overlaps
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -496,9 +516,7 @@ def test_tagged_solves_match_dense_reference(p):
 
         parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(1, 4))]
         splits_overlap += gf.direct_sum(p, n, parts) is None
-        total = gf.Subspace.zero(p, n)
-        for s in parts:
-            total = gf.subspace_sum(total, s)
+        total = gf.Subspace.span(p, n, [r for s in parts for r in s.rows])
         inside = _combine([rng.randrange(p) for _ in range(total.dim)], total.rows, p, n)
         for v in (inside, point):
             assert _split(v, parts) == reference_kernels.split_components(

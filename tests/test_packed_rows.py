@@ -159,7 +159,7 @@ def test_odd_subspace_operations_match_the_reference(case):
         assert a.reduce(v) == red
         assert a.contains(v) == (not any(red))
     assert all(a.contains(v) for v in avecs)
-    assert gf.subspace_sum(a, b).rows == _rows(ref.echelon(a.rows + b.rows, p))
+    assert gf.Subspace.span(p, n, a.rows + b.rows).rows == _rows(ref.echelon(a.rows + b.rows, p))
     meet = gf.subspace_intersect(a, b)
     assert meet.rows == ref.intersect(a.rows, b.rows, n, p)
     assert a.contains_subspace(meet) and b.contains_subspace(meet)

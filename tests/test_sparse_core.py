@@ -147,7 +147,7 @@ def test_echelon_paths_agree_with_brute_force(case):
     assert diff in sa
     assert all(red[piv] == 0 for piv in a.pivots)
     assert a.contains(v) == (reference_kernels.normalize(v, p) in sa)
-    s = gf.subspace_sum(a, b)
+    s = gf.Subspace.span(p, n, a.rows + b.rows)
     assert _span_set(p, n, s.rows) == {tuple((x + y) % p for x, y in zip(u, w))
                                         for u in sa for w in sb}
     i = gf.subspace_intersect(a, b)
@@ -171,7 +171,7 @@ def test_packed_gf2_matches_generic_elimination(case):
     b = gf.Subspace.span(2, n, bvecs)
     for r in b.rows:
         reference_kernels.insert_row(generic, r, 2)
-    assert gf.subspace_sum(a, b).rows == tuple(r for _, r in generic)
+    assert gf.Subspace.span(2, n, a.rows + b.rows).rows == tuple(r for _, r in generic)
 
 
 def test_large_truncation_multiplies_without_a_table():
