@@ -87,6 +87,10 @@ LADDER = (
     # and checks its counterexample J with the widest packed rows
     Row("classify on the GF(2^31 - 1) dim-4093 ring", WIDE_THREE_AXES,
         ("classify",), 1, "stdout", r"^dsc: no$"),
+    # the same ring: no witness, so spec refuses off the variable split,
+    # without closing the J that classify checks
+    Row("spec refusal on the GF(2^31 - 1) dim-4093 ring", WIDE_THREE_AXES,
+        ("spec",), 4, "stderr", r"^refused:"),
     # dim M 13, which the census benchmark leaves out
     Row("oracle on the dim-M-13 ring", "field 2 / vars x y / rel x^4 / rel y^4 / rel x^3*y^2",
         ("oracle", "--json"), 0, "stdout", r'"census": 315\b'),

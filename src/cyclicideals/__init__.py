@@ -20,8 +20,7 @@ from .structure import (DscVerdict, InternalContradictionError, MDecomposition,
                         m_decomposition_problems, refutes, spec_classify,
                         verify_m_decomposition)
 from .decompose import (CyclicDecomposition, Trace, WitnessInvalidError,
-                        decompose_ideal, minimal_exponent,
-                        semisimple_decompose, verify_decomposition)
+                        decompose_ideal, minimal_exponent, verify_decomposition)
 from .oracle import (IdealCensus, InfeasibleSizeError, brute_decompose,
                      complete_census, decomposition_lengths, enumerate_ideals,
                      length_invariance, oracle_dsc)
@@ -41,7 +40,7 @@ __all__ = [
     "is_simple", "length_invariance", "m_decomposition_problems",
     "maximal_ideal", "min_generators", "minimal_exponent",
     "module_times_ideal", "oracle_dsc", "parse_element", "parse_presentation",
-    "pres_str", "refutes", "semisimple_decompose", "spec_classify",
+    "pres_str", "refutes", "spec_classify",
     "unit_ideal", "verify_decomposition", "verify_m_decomposition",
     "zero_ideal",
 ]

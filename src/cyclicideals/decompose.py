@@ -25,6 +25,12 @@ lies in Rx, or in Rx + L, is read off the union of i's basis rows, and
 a vector of M splits over Rx, Ry and L by masking.  A verified witness
 whose closures are not coordinate raises WitnessInvalidError.
 
+The diagonal branch checks the two-axis sum direct inside i on one
+echelon of its rows, Rx', Ry' and i meet L, and takes the first basis
+row of i outside that echelon as its generator.  An ideal killed by M
+splits into lines on the semisimple branch of decompose_ideal, the
+one semisimple path.
+
 Every branch re-checks the identities it relies on, and
 build_decomposition checks every split direct onto i with
 ideals.direct_onto, the certificate of every cover; a failed check
@@ -140,15 +146,6 @@ def build_decomposition(alg, i: Ideal, gens, branch: str, **knobs
     return CyclicDecomposition(i, gens, flags, trace)
 
 
-def semisimple_decompose(alg, i: Ideal) -> CyclicDecomposition:
-    """Split an ideal killed by M into one line per basis row, after
-    checking M*i = 0; decompose_ideal, which has tested that already,
-    builds the split itself."""
-    if not killed_by_m(alg, i):
-        raise ValueError("not semisimple")
-    return build_decomposition(alg, i, i.basis_elements(), "semisimple")
-
-
 def minimal_exponent(alg, dec: MDecomposition, i: Ideal, which: str, split
                      ) -> tuple[int, Element, Element]:
     """Least n with g^n + l in i for some l in the simple span; returns
@@ -180,14 +177,6 @@ def _trusted(alg, pres, gens, exps) -> bool:
     horizon = pres.truncate - 1
     return all(n < horizon for n in exps) and all(
         mono_degree(e) < horizon for g in gens for _, e in alg.terms(g.vec))
-
-
-def _first_outside(alg, i: Ideal, avoid: gf.Subspace) -> Optional[Element]:
-    """The first basis row of i outside avoid."""
-    for r in i.space.basis:
-        if avoid.field.reduce(r, avoid.echelon):
-            return Element.packed(alg, r)
-    return None
 
 
 def _unit_times_power(alg, z, powers, m: int) -> bool:
@@ -273,13 +262,17 @@ def _general(alg, dec, i, split, kept) -> CyclicDecomposition:
         return build_decomposition(alg, i, gens, "two_axes", **knobs)
 
     # otherwise the two-axis sum, checked direct inside i, falls short: a
-    # single diagonal generator c x^(n0-1) + d y^(m0-1) + l must close the gap
-    s = gf.direct_sum(alg.p, alg.dim, [c.space for c in axes] + [kept])
-    _check(s is not None, "axis summands overlap")
-    _check(i.space.contains_subspace(s), "axis summands escape i")
+    # single diagonal generator c x^(n0-1) + d y^(m0-1) + l must close the
+    # gap.  The rows of Rx', Ry' and i meet L go into one echelon, and
+    # none may drop out; the generator is i's first basis row outside it
+    f, s = alg.field, gf.Echelon()
+    rows = [*axes[0].space.basis, *axes[1].space.basis, *kept.basis]
+    _check(all(f.insert(s, r) for r in rows), "axis summands overlap")
+    _check(not any(f.reduce(r, i.space.echelon) for r in rows), "axis summands escape i")
     _check(n0 >= 2 and m0 >= 2, "diagonal branch with boundary exponent")
-    zp = _first_outside(alg, i, s)
-    _check(zp is not None, "no element outside the axis sum")
+    row = next((r for r in i.space.basis if f.reduce(r, s)), None)
+    _check(row is not None, "no element outside the axis sum")
+    zp = Element.packed(alg, row)
     # zp lies in M, whose coordinates the witness's masks partition
     xmask, ymask, _ = dec.field_masks
     zx, zy = Element.packed(alg, zp.vec & xmask), Element.packed(alg, zp.vec & ymask)

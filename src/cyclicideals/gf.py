@@ -35,12 +35,13 @@ never visited.  Placing a reduced v rewrites only rows pivoted below
 it, and none at all when the union is zero at v's pivot.  Every row
 operation runs in one kernel pair per field: gf2_reduce / gf2_place for
 p == 2 and PackedField.reduce / .place otherwise, insert being reduce
-followed by place.  A splitting eliminates block rows [vec | tag] on
-them, each tag block in the fields above the vec block: shifted by n W
-per block for a vec n coordinates wide.  The same elimination yields
-the meet of the last part with the others, from the tags of the rows
-whose vec drops out, so one pass both splits over [L, i] and finds
-i meet L.
+followed by place.  A splitting (splitter) eliminates block rows
+[vec | tag] on them, each tag block in the fields above the vec block:
+shifted by n W per block for a vec n coordinates wide.  The same
+elimination yields the meet of the last part with the others, from the
+tags of the rows whose vec drops out, so one pass both splits over
+[L, i] and finds i meet L; it is the module's one block elimination,
+and a meet of two subspaces is read from it too.
 """
 
 from __future__ import annotations
@@ -398,40 +399,17 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
         raise ValueError("ambient mismatch")
 
 
-def direct_sum(p: int, ambient: int, parts: Iterable[Subspace]) -> Optional[Subspace]:
-    """The sum of the parts when it is direct, None when they overlap: one
-    elimination of all their rows, direct when no row drops out."""
-    parts = list(parts)
-    zero = Subspace.zero(p, ambient)
-    for s in parts:
-        _check_compatible(zero, s)
-    basis = packed_field(p).rref(r for s in parts for r in s.basis)
-    return Subspace(p, ambient, basis) if len(basis) == sum(s.dim for s in parts) else None
-
-
-def vanishing_block(p: int, n: int, rows: Iterable[int]) -> list[int]:
-    """Zassenhaus block elimination over packed [left | right] rows, the
-    left block n coordinates wide: the rows whose left block vanishes
-    carry their right blocks out as a packed reduced echelon basis."""
-    f = packed_field(p)
-    shift = n * f.w
-    return [r >> shift for r in f.rref(rows) if not r & ((1 << shift) - 1)]
-
-
 # nothing in the package calls it; it moves to tests/reference_kernels.py
 # once bench/tracing.py no longer spans it
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a meet b, from the rows [A|A] and [B|0]."""
-    _check_compatible(a, b)
-    n, p = a.ambient, a.p
-    shift = n * a.field.w
-    rows = [r | r << shift for r in a.basis] + list(b.basis)
-    return Subspace(p, n, vanishing_block(p, n, rows))
+    """a meet b: the meet of splitter's last part with the others."""
+    return splitter([b, a])[1]
 
 
 # ---------------------------------------------------------------------------
 # tagged elimination: solve over [vec | tag] rows while tracking where
-# each reduction came from.  Backbone of splitter and split_components.
+# each reduction came from.  The one block elimination of the module:
+# splitter, and split_components and subspace_intersect through it.
 
 
 def splitter(parts: Sequence[Subspace]

@@ -18,9 +18,12 @@ algebra, is closed by elimination (packed_closure).  Both read the
 algebra's own multiplication, never the oracle's lattice, so
 direct_onto stays a certificate independent of the census.
 
-Each cyclic module Rz is closed once per algebra (cyclic), and
-direct_onto, the one certificate that a family of them is direct onto
-an ideal, reads its summands from there: for the witness of M, for a
+Each cyclic module Rz is closed once per algebra: ideal_from_generators
+keeps a per-algebra memo for every call with one nonzero generator,
+and cyclic is that call.  So an ideal given by one generator, the
+certificate's Rg and the witness's Rx are one closure.  direct_onto,
+the one certificate that a family of them is direct onto an ideal,
+reads its summands from there: for the witness of M, for a
 decomposition and for every cover the oracle certifies.  No cover is
 searched here: the oracle decides every ideal on its lattice.  The
 lazy packed cyclic table is kept only because the benchmark's traced
@@ -110,20 +113,33 @@ class Ideal:
 def ideal_from_generators(alg: Algebra, gens: Iterable[Element]) -> Ideal:
     """Smallest ideal containing the generators: span closure under the action.
 
-    The action maps into M, so a unit can only come in as a generator,
-    and then the ideal is R.  When alg is a MonomialAlgebra and each
-    nonzero generator is c * m_k, one nonzero field, the ideal is that
-    of the m_k (c is a unit) and its basis is the unit rows of their
-    multiples, in index order: already the reduced echelon basis.  Else
-    each new vector goes straight into the growing echelon basis and
-    queues its images (packed_closure).  Either way the basis comes out
-    closed, unchecked.
+    With exactly one nonzero generator z the ideal is Rz, closed on the
+    first request and kept in a per-algebra memo keyed by z's packed
+    row, so every caller shares the one Rz (cyclic reads it too).  The
+    action maps into M, so a unit can only come in as a generator, and
+    then the ideal is R.  When alg is a MonomialAlgebra and each nonzero
+    generator is c * m_k, one nonzero field, the ideal is that of the
+    m_k (c is a unit) and its basis is the unit rows of their multiples,
+    in index order: already the reduced echelon basis.  Else each new
+    vector goes straight into the growing echelon basis and queues its
+    images (packed_closure).  Either way the basis comes out closed,
+    unchecked.
     """
     gens = list(gens)
     if any(g.algebra is not alg for g in gens):
         raise ValueError("algebra mismatch")
-    f = alg.field
     queue = [g.vec for g in gens if g.vec]
+    if len(queue) != 1:
+        return _close(alg, queue)
+    memo = vars(alg).setdefault("_cyclic", {})
+    if queue[0] not in memo:
+        memo[queue[0]] = _close(alg, queue)
+    return memo[queue[0]]
+
+
+def _close(alg: Algebra, queue: list[int]) -> Ideal:
+    """The ideal of the nonzero packed rows queue (ideal_from_generators)."""
+    f = alg.field
     if any(v & f.one for v in queue):
         return unit_ideal(alg)  # a unit generates everything
     ks = _monomial_indices(alg, queue)
@@ -195,15 +211,10 @@ def maximal_ideal(alg: Algebra) -> Ideal:
 
 
 def cyclic(alg: Algebra, z: Element) -> Ideal:
-    """The cyclic module Rz (an ideal, since R is commutative), closed on
-    the first request and kept in a per-algebra memo keyed by z's packed
-    row, so every caller shares the one Rz."""
-    if z.algebra is not alg:
-        raise ValueError("algebra mismatch")
-    memo = vars(alg).setdefault("_cyclic", {})
-    if z.vec not in memo:
-        memo[z.vec] = ideal_from_generators(alg, [z])
-    return memo[z.vec]
+    """The cyclic module Rz (an ideal, since R is commutative), read from
+    ideal_from_generators, whose memo closes it once per algebra and
+    which refuses a z of another algebra."""
+    return ideal_from_generators(alg, (z,))
 
 
 def direct_onto(alg: Algebra, gens: Iterable[Element], i: Ideal) -> bool:
@@ -211,10 +222,14 @@ def direct_onto(alg: Algebra, gens: Iterable[Element], i: Ideal) -> bool:
     i: their basis rows number dim i and row-reduce to i's basis.  The
     rows span the sum of the Rg, so the sum is i exactly when they
     reduce to i's basis, and then it is direct exactly when none of
-    them drops out.  The one direct-sum certificate of the package."""
+    them drops out.  Rows that are i's own basis rows, in any order,
+    are direct onto i, so when the rows, sorted, equal that basis, as
+    the unit rows of monomial closures do, nothing is eliminated.  The
+    one direct-sum certificate of the package."""
     key = i.space.basis
     rows = [r for g in gens for r in cyclic(alg, g).space.basis]
-    return len(rows) == len(key) and tuple(alg.field.rref(rows)) == key
+    return len(rows) == len(key) and (tuple(sorted(rows)) == key
+                                      or tuple(alg.field.rref(rows)) == key)
 
 
 def is_simple(alg: Algebra, i: Ideal) -> bool:

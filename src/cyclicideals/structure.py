@@ -213,14 +213,49 @@ def _normalized_witness(alg: Algebra, nonsimple: Sequence[Element],
     return dec
 
 
+def _variable_split(alg: Algebra) -> tuple[Optional[tuple[Element, Element]],
+                                            Optional[MDecomposition], list[Element]]:
+    """The two readings of the presentation that classify_dsc decides
+    by, before any verdict is built: the mixed-product test, then the
+    variable split.  Returns the first pair of distinct variables, in
+    gens order, whose product is nonzero, or None; then the verified
+    witness of the split when it has at most two non-simple summands,
+    else None; then those non-simple summands.  Refuses, with TypeError,
+    an algebra that is not monomial, before any closure.
+
+    Each product is read off the successor table, with no field
+    arithmetic: x_b is the standard monomial succ[b][0], and x_a x_b = 0
+    exactly when succ[a][succ[b][0]] < 0.  Without a mixed product the
+    variables split M (classify_dsc's lemma), so a failed
+    canonical_variable_split raises InternalContradictionError.
+    """
+    if not isinstance(alg, MonomialAlgebra):
+        raise TypeError("classify_dsc decides monomial algebras only")
+    succ = alg.succ
+    for a, g in enumerate(alg.gens):
+        for b, h in enumerate(alg.gens[a + 1:], a + 1):
+            if succ[a][succ[b][0]] >= 0:
+                return (g, h), None, []
+    split = canonical_variable_split(alg)
+    if split is None:
+        raise InternalContradictionError("no mixed product, yet the variables do not split M")
+    nonsimple, simples = [], []
+    for g, c in split:
+        (simples if is_simple(alg, c) else nonsimple).append(g)
+    witness = _normalized_witness(alg, nonsimple, simples) if len(nonsimple) <= 2 else None
+    return None, witness, nonsimple
+
+
 def find_m_decomposition(alg: Algebra, max_pair_dim: int = 12) -> Optional[MDecomposition]:
     """The witness decomposition of the maximal ideal that classify_dsc
     finds, or None when M has none: a nonzero mixed product, or three
-    non-simple summands.  Like classify_dsc it refuses, with TypeError,
-    an algebra that is not monomial.  max_pair_dim does nothing;
-    bench/workloads.py passes it until ROADMAP item 1 drops it.
+    non-simple summands.  It reads the same split as classify_dsc
+    (_variable_split), so a refusal builds no counterexample and closes
+    no J.  Like classify_dsc it refuses, with TypeError, an algebra that
+    is not monomial.  max_pair_dim does nothing; bench/workloads.py
+    passes it until ROADMAP item 1 drops it.
     """
-    return classify_dsc(alg).witness
+    return _variable_split(alg)[1]
 
 
 def refutes(alg: Algebra, j: Ideal) -> bool:
@@ -271,16 +306,14 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     """Decide whether every ideal of the monomial algebra alg splits into
     cyclic summands.
 
-    The presentation decides: if x_a x_b != 0 for some distinct
-    variables, the answer is no with M itself as the counterexample, its
-    proof naming the first such pair in gens order.  Each product is
-    read off the successor table, with no field arithmetic: x_b is the
-    standard monomial succ[b][0], and x_a x_b = 0 exactly when
-    succ[a][succ[b][0]] < 0.  Otherwise the variables split M: each
-    Rx_a is the span of the powers of x_a, and these are disjoint sets
-    of monomials that together span M.
-    canonical_variable_split finds that split; were it to fail, the lemma
-    below would be contradicted, and InternalContradictionError is raised.
+    The presentation decides (_variable_split reads it): if x_a x_b != 0
+    for some distinct variables, the answer is no with M itself as the
+    counterexample, its proof naming the first such pair in gens order.
+    Otherwise the variables split M: each Rx_a is the span of the powers
+    of x_a, and these are disjoint sets of monomials that together span
+    M.  canonical_variable_split finds that split; were it to fail, the
+    lemma below would be contradicted, and InternalContradictionError is
+    raised.
 
     Lemma: let R = k[x_1, ..., x_n]/I with I monomial (a truncation
     included) and no degree-1 relation.  Then M is a direct sum of cyclic
@@ -323,23 +356,13 @@ def classify_dsc(alg: Algebra, max_pair_dim: int = 12, max_oracle_dim: int = 8) 
     bench/workloads.py passes them positionally until ROADMAP item 1
     drops both.
     """
-    if not isinstance(alg, MonomialAlgebra):
-        raise TypeError("classify_dsc decides monomial algebras only")
-    succ = alg.succ
-    for a, g in enumerate(alg.gens):
-        for b, h in enumerate(alg.gens[a + 1:], a + 1):
-            if succ[a][succ[b][0]] >= 0:
-                return DscVerdict("no", None, maximal_ideal(alg), (
-                    f"{g}*{h} != 0: M of a monomial ring is a direct sum of cyclic "
-                    "modules only if every product of two distinct variables vanishes"))
-    split = canonical_variable_split(alg)
-    if split is None:
-        raise InternalContradictionError("no mixed product, yet the variables do not split M")
-    nonsimple, simples = [], []
-    for g, c in split:
-        (simples if is_simple(alg, c) else nonsimple).append(g)
-    if len(nonsimple) <= 2:
-        return DscVerdict("yes", _normalized_witness(alg, nonsimple, simples))
+    mixed, witness, nonsimple = _variable_split(alg)
+    if mixed is not None:
+        return DscVerdict("no", None, maximal_ideal(alg), (
+            f"{mixed[0]}*{mixed[1]} != 0: M of a monomial ring is a direct sum of cyclic "
+            "modules only if every product of two distinct variables vanishes"))
+    if witness is not None:
+        return DscVerdict("yes", witness)
     x, y, z = nonsimple[:3]
     j = ideal_from_generators(alg, [x + y, x + z])
     if not refutes(alg, j):

@@ -6,12 +6,16 @@ package builds monomial algebras only; QuotientAlgebra models the
 suite's other local algebras, the quotients R/I.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import strategies as st
 
 import reference_kernels
-from cyclicideals import Ideal, build_algebra, gf, parse_presentation
-from cyclicideals.rings import Algebra, Element, RingPresentation, mono_degree
+from cyclicideals import Ideal, build_algebra, gf, ideals, parse_presentation
+from cyclicideals.rings import (Algebra, Element, MonomialAlgebra, RingPresentation,
+                                mono_degree)
 
 PAIR_N3 = "field 2 / vars x y / rel x^3 / rel y^3 / rel x*y"
 PAIR_N4 = "field 2 / vars x y / rel x^4 / rel y^4 / rel x*y"
@@ -159,6 +163,30 @@ def maximal_ideal_elements(alg, data, count):
 
 def build(text):
     return build_algebra(parse_presentation(text))
+
+
+@contextmanager
+def closures_counted():
+    """Record every closure the package runs, on either of its two paths:
+    ("packed", seeds) for a packed_closure, ("monomial", ks) for a
+    monomial ideal read off MonomialAlgebra.multiples.  A closure served
+    from the memo of ideal_from_generators records nothing."""
+    calls = []
+    close, multiples = ideals.packed_closure, MonomialAlgebra.multiples
+
+    def packed(alg, rows, seeds):
+        seeds = list(seeds)
+        calls.append(("packed", seeds))
+        return close(alg, rows, seeds)
+
+    def monomial(self, ks):
+        ks = list(ks)
+        calls.append(("monomial", ks))
+        return multiples(self, ks)
+
+    with mock.patch.object(ideals, "packed_closure", packed), \
+            mock.patch.object(MonomialAlgebra, "multiples", monomial):
+        yield calls
 
 
 def build_pres(text):

@@ -503,7 +503,7 @@ def packed_socle(alg, rows):
 
     One elimination of the rows [images of e_k mod I, one block per
     generator | e_k] over the non-pivot coordinates k >= 1; the rows
-    whose image blocks vanish span the socle.
+    whose image blocks vanish carry the socle out in their e blocks.
     """
     from cyclicideals import gf
 
@@ -518,4 +518,5 @@ def packed_socle(alg, rows):
             for j, masks in enumerate(actions):
                 images |= f.reduce(masks[k], e) << (n * j * f.w)
             block.append(images | 1 << (width + k) * f.w)
-    return gf.vanishing_block(alg.p, width, block)
+    shift = width * f.w
+    return [r >> shift for r in f.rref(block) if not r & (1 << shift) - 1]

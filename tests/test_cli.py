@@ -179,7 +179,7 @@ def test_classify_refuses_a_ring_past_the_dimension_guard(ring_file, capsys):
     # dim 4095: two axes, a witness, and a spectrum
     ("field 2 / vars x y / rel x*y / truncate 2048", (0, 0)),
     # the same over the widest field: each axis closes off the successor
-    # maps, and the witness's one elimination runs on the widest rows
+    # maps, and the witness's unit rows are checked without elimination
     ("field 2147483647 / vars x y / rel x*y / truncate 2048", (0, 0)),
 ], ids=["three-axes-dim-4093", "two-axes-dim-4095", "wide-two-axes-dim-4095"])
 def test_rings_just_under_the_dimension_guard_finish_in_seconds(ring_file, text, codes):
@@ -191,6 +191,19 @@ def test_rings_just_under_the_dimension_guard_finish_in_seconds(ring_file, text,
         done = subprocess.run([sys.executable, "-m", "cyclicideals.cli", command, path],
                               capture_output=True, env=env, timeout=5)
         assert done.returncode == code, done.stderr
+
+
+def test_spec_refuses_the_wide_three_axes_without_closing_j(ring_file):
+    # three axes over GF(2^31 - 1), dim 4093: no witness, and spec says so
+    # off the variable split, without first closing and checking the
+    # counterexample J that classify prints, which takes seconds here
+    path = ring_file("field 2147483647 / vars x y z / rel x*y / rel x*z / rel y*z"
+                     " / truncate 1365")
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclicideals.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cyclicideals.cli", "spec", path],
+                          capture_output=True, text=True, env=env, timeout=2)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("refused: ")
 
 
 def test_oracle_refuses_square_zero_in_8_variables_in_seconds(ring_file):

@@ -21,7 +21,7 @@ _SPEC.loader.exec_module(ladder)
 
 def test_every_ring_parses_and_every_label_is_unique():
     labels = [row.label for row in ladder.LADDER]
-    assert len(set(labels)) == len(labels) == 14
+    assert len(set(labels)) == len(labels) == 15
     for row in ladder.LADDER:
         assert row.stream in ("stdout", "stderr")
         if row.ring is not None:

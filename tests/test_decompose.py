@@ -2,6 +2,7 @@
 
 import pytest
 
+import json
 import random
 from collections import Counter
 from itertools import product
@@ -11,13 +12,13 @@ from cyclicideals import (CyclicDecomposition, Ideal, InternalContradictionError
                           Trace, WitnessInvalidError, cyclic, decompose_ideal,
                           find_m_decomposition, gf, ideal_from_generators,
                           maximal_ideal, minimal_exponent, parse_element,
-                          semisimple_decompose, unit_ideal,
-                          verify_decomposition, zero_ideal)
+                          unit_ideal, verify_decomposition, zero_ideal)
 from cyclicideals import decompose, oracle
-from cyclicideals.decompose import _first_outside, _unit_times_power, build_decomposition
+from cyclicideals.decompose import _unit_times_power, build_decomposition
 import reference_kernels
 import test_golden
-from conftest import AXIS_SOCLE, POWER_SERIES, build
+from cyclicideals.cli import main
+from conftest import AXIS_SOCLE, POWER_SERIES, build, closures_counted
 
 
 def ideal_of(alg, *texts):
@@ -195,7 +196,9 @@ def _every_ideal(alg):
             block = [sum(f.reduce(masks[k], echelon) << j * n * f.w
                          for j, masks in enumerate(actions)) | 1 << (width + k) * f.w
                      for k in range(1, n) if k not in pivots]
-            soc = gf.vanishing_block(alg.p, width, block)
+            # the rows whose image blocks vanish carry the socle of R/I
+            shift = width * f.w
+            soc = [r >> shift for r in f.rref(block) if not r & (1 << shift) - 1]
             for k, top in enumerate(soc):
                 for cs in product(range(alg.p), repeat=k):
                     v = top
@@ -348,11 +351,6 @@ def test_rejects_improper_and_foreign(pair_n3, chain4):
         decompose_ideal(pair_n3, dec, zero_ideal(chain4))
 
 
-def test_semisimple_decompose_requires_killed(pair_n3):
-    with pytest.raises(ValueError, match="not semisimple"):
-        semisimple_decompose(pair_n3, cyclic(pair_n3, pair_n3.gens[0]))
-
-
 def test_build_decomposition_refuses_an_overlap(pair_n3):
     # R(x+y) = span{x+y, x^2, y^2} meets Rx in x^2: 3 + 2 > dim M = 4
     x, y = pair_n3.gens
@@ -363,28 +361,43 @@ def test_build_decomposition_refuses_an_overlap(pair_n3):
 SOCLE_AXES = "field 2 / vars x y w / rel x^5 / rel y^4 / rel x*y / rel w^2 / rel x*w / rel y*w"
 
 
-def test_general_position_sums_the_axes_only_for_the_diagonal():
+def test_general_position_sums_the_axes_only_for_the_diagonal(monkeypatch):
     """A two-axis split whose dims fill i goes to build_decomposition,
     whose certificate is direct_onto, no direct sum; only the diagonal
     branch sums the axes, once, before its own certificate."""
     alg = build(SOCLE_AXES)
     dec = find_m_decomposition(alg)
-    calls, real_sum = [], gf.direct_sum
+    checks, real = [], decompose._check
 
-    def spy_sum(p, ambient, parts):
-        calls.append(len(parts))
-        return real_sum(p, ambient, parts)
+    def spy(cond, msg):
+        checks.append(msg)
+        real(cond, msg)
 
+    monkeypatch.setattr(decompose, "_check", spy)
     seen = Counter()
     for gens in [("x^2", "y^2"), ("x", "y^3", "w"), ("x^3", "y"), ("x + y",),
                  ("x^2 + y^2",), ("x + y^2 + w",)]:
         i = ideal_of(alg, *gens)
-        calls.clear()
-        with mock.patch.object(gf, "direct_sum", spy_sum):
-            branch = decompose_ideal(alg, dec, i).trace.branch
+        checks.clear()
+        branch = decompose_ideal(alg, dec, i).trace.branch
         seen[branch] += 1
-        assert len(calls) == {"two_axes": 0, "diagonal": 1}[branch], (gens, branch)
+        sums = checks.count("axis summands overlap")
+        assert sums == {"two_axes": 0, "diagonal": 1}[branch], (gens, branch)
     assert seen == {"two_axes": 3, "diagonal": 3}
+
+
+def test_the_cli_closes_a_one_generator_ideal_once(tmp_path, capsys):
+    """The input ideal R(x + 2y + w) of `decompose` and the certificate's
+    summand on that generator are one closure: the diagonal generator is
+    i's first basis row, x + 2y + w itself, so the command eliminates one
+    packed closure, not two, and the witness's monomial Rx, Ry, Rw none."""
+    path = tmp_path / "socle.ring"
+    path.write_text(SOCLE_AXES.replace("field 2", "field 5").replace(" / ", "\n") + "\n")
+    with closures_counted() as closures:
+        assert main(["decompose", str(path), "--ideal", "x + 2*y + w", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["trace"]["branch"] == "diagonal" and out["generators"] == ["x + 2*y + w"]
+    assert [path for path, _ in closures].count("packed") == 1, closures
 
 
 def test_a_two_axis_split_that_escapes_i_is_refused(monkeypatch):
@@ -490,21 +503,34 @@ def _first_outside_by_sweep(alg, i, avoid):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_first_outside_matches_element_sweep(p):
-    alg = build(f"field {p} / vars x y / rel x^3 / rel y^2")  # dim M = 5
+    """The diagonal generator is the first element of i, in the sweep's
+    order, outside Rx' + Ry' + (i meet L), that sum rebuilt from the
+    package's exponents by a tuple elimination: the first basis row of i
+    outside it."""
+    alg = build(f"field {p} / vars x y w / rel x^4 / rel y^3 / rel x*y / rel w^2"
+                " / rel x*w / rel y*w")  # dim M = 6
+    dec = find_m_decomposition(alg)
     rng = random.Random(700 + p)
-
-    def vec():
-        return [0] + [rng.randrange(p) for _ in range(alg.dim - 1)]
-
-    for _ in range(40):
-        i = ideal_from_generators(
-            alg, [alg.element(vec()) for _ in range(rng.randrange(1, 3))])
-        avoid = gf.Subspace.span(p, alg.dim, [vec() for _ in range(rng.randrange(0, 5))])
-        for a in (avoid, gf.Subspace.span(p, alg.dim, avoid.rows + i.rows)):
-            got = _first_outside(alg, i, a)
-            want = _first_outside_by_sweep(alg, i, a)
-            assert (got is None) == (want is None)
-            assert got is None or got.coeffs == want.coeffs
+    diagonal = 0
+    for _ in range(60):
+        gens = [alg.element([0] + [rng.randrange(p) for _ in range(alg.dim - 1)])
+                for _ in range(rng.randrange(1, 3))]
+        i = ideal_from_generators(alg, gens)
+        if i.is_zero():
+            continue
+        out = decompose_ideal(alg, dec, i)
+        if out.trace.branch != "diagonal":
+            continue
+        (_, l1, xn), (_, l2, ym) = (exponent(alg, dec, i, which) for which in "xy")
+        xp, yp = xn + l1, ym + l2
+        meet = reference_kernels.intersect(i.rows, dec.simple_span.rows, alg.dim, p)
+        rows = cyclic(alg, xp).rows + cyclic(alg, yp).rows + meet
+        avoid = gf.Subspace.span(p, alg.dim, rows)
+        assert avoid.dim == len(rows)  # direct, as the branch checked
+        want = _first_outside_by_sweep(alg, i, avoid)
+        assert want is not None and out.generators[0].coeffs == want.coeffs
+        diagonal += 1
+    assert diagonal >= 10, diagonal
 
 
 @pytest.mark.parametrize("text", [

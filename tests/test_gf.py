@@ -345,28 +345,6 @@ def test_modular_dimension_law_sweep(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_direct_sum_sweep(p):
-    """direct_sum agrees with summing the parts and adding their dims."""
-    rng = random.Random(2500 + p)
-    for _ in range(300):
-        n = rng.randrange(1, 7)
-        parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(0, 4))]
-        total = gf.Subspace.span(p, n, [r for s in parts for r in s.rows])
-        direct = total.dim == sum(s.dim for s in parts)
-        assert gf.direct_sum(p, n, parts) == (total if direct else None)
-
-
-def test_direct_sum_refuses_a_mismatched_part():
-    base = gf.Subspace.span(3, 3, [(1, 0, 0)])
-    for other in (gf.Subspace.span(5, 3, [(0, 1, 0)]), gf.Subspace.span(3, 4, [(0, 1, 0, 0)]),
-                  gf.Subspace.zero(2, 3)):
-        with pytest.raises(ValueError, match="ambient mismatch"):
-            gf.direct_sum(3, 3, [base, other])
-    with pytest.raises(ValueError, match="ambient mismatch"):
-        gf.direct_sum(3, 3, [gf.Subspace.zero(3, 2)])
-
-
-@pytest.mark.parametrize("p", [2, 3])
 def test_affine_meet_sweep(p):
     """Returned points satisfy both memberships; None answers are
     re-checked by brute force over the (small) u."""
@@ -476,21 +454,23 @@ def _overlapping(rng, p, n):
 def test_splitter_meet_is_the_intersection(p):
     """The meet splitter returns, read off the tags of the last part's
     rows that drop out, is that part's intersection with the sum of the
-    others: a meet b for parts [b, a], and a meet (b + c) for [b, c, a]
-    with b + c direct."""
+    others, against the tuple Zassenhaus reference: a meet b for parts
+    [b, a], which subspace_intersect returns too, and a meet (b + c) for
+    [b, c, a] with b + c direct."""
     rng = random.Random(6500 + p)
     overlaps = 0
     for _ in range(200):
         n = rng.randrange(1, 7)
         a, b = _overlapping(rng, p, n) if rng.randrange(2) else (
             _random_subspace(rng, p, n), _random_subspace(rng, p, n))
-        want = gf.subspace_intersect(a, b)
-        assert gf.splitter([b, a])[1] == want
-        overlaps += want.dim > 0
+        want = reference_kernels.intersect(a.rows, b.rows, n, p)
+        assert gf.splitter([b, a])[1].rows == gf.subspace_intersect(a, b).rows == want
+        overlaps += len(want) > 0
         c = _random_subspace(rng, p, n)
-        bc = gf.direct_sum(p, n, [b, c])
-        if bc is not None:
-            assert gf.splitter([b, c, a])[1] == gf.subspace_intersect(a, bc)
+        bc = reference_kernels.echelon(b.rows + c.rows, p)
+        if len(bc) == b.dim + c.dim:
+            want = reference_kernels.intersect(a.rows, [r for _, r in bc], n, p)
+            assert gf.splitter([b, c, a])[1].rows == want
     assert overlaps >= 50, overlaps
 
 
@@ -515,8 +495,8 @@ def test_tagged_solves_match_dense_reference(p):
                                         for v in points]
 
         parts = [_random_subspace(rng, p, n) for _ in range(rng.randrange(1, 4))]
-        splits_overlap += gf.direct_sum(p, n, parts) is None
         total = gf.Subspace.span(p, n, [r for s in parts for r in s.rows])
+        splits_overlap += total.dim < sum(s.dim for s in parts)
         inside = _combine([rng.randrange(p) for _ in range(total.dim)], total.rows, p, n)
         for v in (inside, point):
             assert _split(v, parts) == reference_kernels.split_components(

@@ -21,7 +21,7 @@ from cyclicideals.ideals import InfeasibleSizeError, packed_closure, packed_cycl
 from cyclicideals.rings import RingPresentation, mono_divides
 import reference_kernels
 from conftest import (AXIS_SOCLE, CHAIN5, PAIR_N3, SQUARE_ZERO_N2,
-                      SQUARE_ZERO_N3, TRIPLE, QuotientAlgebra, build,
+                      SQUARE_ZERO_N3, TRIPLE, QuotientAlgebra, build, closures_counted,
                       maximal_ideal_elements, presentations,
                       reference_annihilator)
 
@@ -44,16 +44,43 @@ def test_cyclic_pair_n3(pair_n3):
 
 def test_cyclic_closes_once_per_algebra():
     a, b = build(PAIR_N3), build(PAIR_N3)
-    with mock.patch.object(ideals, "ideal_from_generators",
-                           wraps=ideals.ideal_from_generators) as closures:
+    with closures_counted() as closures:
         ra = cyclic(a, a.gens[0])
         assert cyclic(a, a.gens[0]) is ra
         assert cyclic(a, parse_element(a, "x")) is ra  # an equal element
         rb = cyclic(b, b.gens[0])
+        # x + y is no monomial: eliminated once, then read from the memo
+        rs = cyclic(a, parse_element(a, "x + y"))
+        assert ideal_from_generators(a, [parse_element(a, "x + y")]) is rs
     # two algebras from one text keep separate memos
-    assert closures.call_count == 2
+    assert [path for path, _ in closures] == ["monomial", "monomial", "packed"]
     assert rb is not ra and ra.algebra is a and rb.algebra is b
     assert rb.rows == ra.rows
+
+
+@pytest.mark.parametrize("text,elements", [
+    (PAIR_N3, ["x", "x^2 + y", "1 + x", "y^2"]),
+    ("field 5 / vars x y / rel x*y / truncate 5", ["2*x", "x^2 + 3*y", "1 + x", "y^2"]),
+])
+def test_cyclic_is_the_one_generator_closure(text, elements):
+    """cyclic(alg, z) is the very ideal ideal_from_generators returns for
+    z beside zero generators, in either order of the calls, for a
+    monomial z, a unit multiple of one, a general z and a unit."""
+    alg = build(text)
+    zero = alg.zero()
+    for k, t in enumerate(elements):
+        z = parse_element(alg, t)
+        if k % 2:
+            got = ideal_from_generators(alg, [z, zero])
+            assert cyclic(alg, z) is got
+        else:
+            got = cyclic(alg, z)
+            assert ideal_from_generators(alg, [zero, z, zero]) is got
+        assert got == Ideal(alg, got.space)  # closed, checked from outside
+    assert cyclic(alg, parse_element(alg, "1 + x")) == unit_ideal(alg)
+    # two nonzero generators are closed afresh, not memoized
+    x, y = alg.gens
+    assert ideal_from_generators(alg, [x, y]) is not ideal_from_generators(alg, [x, y])
 
 
 def test_a_foreign_element_is_refused():
@@ -344,11 +371,30 @@ def _sparse_element(alg, rng):
     return Element(alg, coeffs)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_direct_onto_agrees_with_the_direct_sum(p):
+def _reference_direct_onto(alg, gens, i):
+    """direct_onto by row reduction alone, on the tuple reference kernel:
+    the closures' rows number dim i and reduce to i's basis."""
+    rows = [r for g in gens for r in cyclic(alg, g).rows]
+    basis = reference_kernels.echelon(rows, alg.p)
+    return len(rows) == i.dim and tuple(r for _, r in basis) == i.rows
+
+
+def _monomial_element(alg, rng):
+    """A nonzero scalar times a basis element of M: its closure's rows
+    are unit rows."""
+    coeffs = [0] * alg.dim
+    coeffs[rng.randrange(1, alg.dim)] = rng.randrange(1, alg.p)
+    return Element(alg, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2 ** 31 - 1])
+def test_direct_onto_agrees_with_row_reduction(p):
     """direct_onto(gens, i) says exactly that the closures of gens sum
-    directly to i: on random generator sets, against their own sum (where
-    only directness is in question) and against a random ideal."""
+    directly to i, whether it answers from the sorted unit rows or
+    row-reduces: on monomial generators in any order, whose unit rows
+    come shuffled and are i's own basis rows when direct; on generators
+    whose closures share rows; and on general generators, against their
+    own sum (where only directness is in question) and a random ideal."""
     rng = random.Random(p)
     seen = Counter()
     for text in ("field {} / vars x y / rel x^3 / rel y^4 / rel x*y",
@@ -356,14 +402,31 @@ def test_direct_onto_agrees_with_the_direct_sum(p):
                  "field {} / vars x y w / rel x^3 / rel y^2 / rel x*y / rel w^2"
                  " / rel x*w / rel y*w"):
         alg = build(text.format(p))
-        for _ in range(60):
-            gens = [_sparse_element(alg, rng) for _ in range(rng.randint(1, 3))]
-            others = [_sparse_element(alg, rng) for _ in range(rng.randint(0, 2))]
+        for _ in range(90):
+            draw = _monomial_element if rng.random() < 0.5 else _sparse_element
+            gens = [draw(alg, rng) for _ in range(rng.randint(1, 3))]
+            others = [draw(alg, rng) for _ in range(rng.randint(0, 2))]
             i = ideal_from_generators(alg, gens if rng.random() < 0.6 else others)
-            direct = gf.direct_sum(p, alg.dim, [cyclic(alg, g).space for g in gens]) == i.space
+            direct = _reference_direct_onto(alg, gens, i)
             assert ideals.direct_onto(alg, gens, i) == direct, (text, gens, i)
-            seen[direct] += 1
-    assert seen[True] >= 20 and seen[False] >= 20, seen
+            rows = [r for g in gens for r in cyclic(alg, g).space.basis]
+            seen[direct, draw.__name__] += 1
+            seen["shuffled"] += direct and rows != sorted(rows)
+            if len(set(rows)) < len(rows) < alg.dim:
+                # shared rows: grow the sum of the closures by monomials
+                # until its dim reaches the row count, which no overlap
+                # lets it do on gens alone
+                grown = list(gens)
+                while ideal_from_generators(alg, grown).dim < len(rows):
+                    grown.append(_monomial_element(alg, rng))
+                i = ideal_from_generators(alg, grown)
+                if i.dim == len(rows):
+                    assert not ideals.direct_onto(alg, gens, i)
+                    assert not _reference_direct_onto(alg, gens, i)
+                    seen["duplicated"] += 1
+    assert min(seen[d, draw] for d in (True, False)
+               for draw in ("_monomial_element", "_sparse_element")) >= 10, seen
+    assert seen["shuffled"] >= 10 and seen["duplicated"] >= 10, seen
 
 
 # ---------------------------------------------------------------------------

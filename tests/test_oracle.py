@@ -38,7 +38,8 @@ import reference_kernels
 from reference_kernels import enumerate_ideals_subsets, packed_first_cover
 from conftest import (AXIS_SOCLE, GF3_MIXED, PAIR_N3, PAIR_N4,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TRIPLE,
-                      TWO_AXES, build, maximal_ideal_elements, presentations)
+                      TWO_AXES, build, closures_counted, maximal_ideal_elements,
+                      presentations)
 
 # GF(2)[x,y,w1..w3]/(x^2, y^2, w_i*(x,y,w)): most of M is socle, so most
 # covers need simple summands
@@ -537,30 +538,24 @@ def test_lattice_decides_as_the_walk_does():
 CENSUS_147 = "field 2 / vars x y z / rel x^3 / rel y^3 / rel z^2 / rel x*z / rel y*z"
 
 
-def test_census_walks_no_ideal_and_closes_each_cyclic_once(monkeypatch):
+def test_census_walks_no_ideal_and_closes_each_cyclic_once():
     # no vector of an ideal is walked: the package keeps no cover walk,
     # and each cyclic ideal picked is closed once, through ideals.cyclic;
-    # the closure is spied on where both its paths start, as a monomial
-    # generator never reaches packed_closure
+    # the closures are counted on both their paths, packed_closure and
+    # MonomialAlgebra.multiples, and each fills one entry of the memo of
+    # ideal_from_generators
     assert not hasattr(ideals, "packed_first_cover")
     assert not hasattr(oracle, "packed_first_cover")
     alg = build(CENSUS_147)
-    closed = []
-    close = ideals.ideal_from_generators
-
-    def spy(alg, gens):
-        gens = list(gens)
-        closed.append(tuple(g.vec for g in gens))
-        return close(alg, gens)
-
-    monkeypatch.setattr(ideals, "ideal_from_generators", spy)
-    census = complete_census(enumerate_ideals(alg))
-    assert oracle_dsc(alg).answer == "no"
+    with closures_counted() as closed:
+        census = complete_census(enumerate_ideals(alg))
+        assert oracle_dsc(alg).answer == "no"
     cyclics = sum(e.lengths == (1,) for e in census.entries)  # R among them
     assert census.count == 147 and cyclics == 42
-    assert 0 < len(closed) <= cyclics
-    assert len(set(closed)) == len(closed)
-    assert set(closed) == {(v,) for v in alg._cyclic}
+    # R is in the memo, but a unit generator takes neither path
+    proper = [v for v in alg._cyclic if not v & 1]
+    assert 0 < len(closed) == len(proper) < cyclics
+    assert all(len(gens) == 1 for _, gens in closed)
 
 
 def test_the_picker_tries_no_cyclic_ideal_inside_mj(monkeypatch):
@@ -613,9 +608,9 @@ def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
     sizes = []
 
     def refuse(*args):
-        raise AssertionError("vanishing_block called during the census")
+        raise AssertionError("splitter called during the census")
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(derandomize=True, max_examples=120, deadline=None)
     @given(presentations())
     def check(pres):
         alg = _gf2_ring(pres)
@@ -623,7 +618,7 @@ def test_the_walk_down_from_m_is_the_lattice_of_socle_steps(monkeypatch):
         ups = _socle_steps(alg)
         m = maximal_ideal(alg).space.basis
         with monkeypatch.context() as patched:
-            patched.setattr(gf, "vanishing_block", refuse)
+            patched.setattr(gf, "splitter", refuse)
             lattice = oracle._walk(alg, m)
             census = complete_census(enumerate_ideals(alg)).lattice
         keys = lattice.keys

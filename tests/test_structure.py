@@ -4,7 +4,6 @@ import ast
 import inspect
 import random
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +17,7 @@ from cyclicideals import (MDecomposition, brute_decompose,
                           oracle_dsc, parse_element, parse_presentation,
                           spec_classify, verify_decomposition,
                           verify_m_decomposition, WitnessDoesNotLiftError)
-from cyclicideals import gf, ideals, oracle, structure
+from cyclicideals import gf, oracle, structure
 from cyclicideals.corpus import corpus_text, sweep_presentations
 from cyclicideals.ideals import (is_simple, killed_by_m, maximal_ideal, min_generators,
                                  module_times_ideal, packed_cyclic_table, zero_ideal)
@@ -26,7 +25,8 @@ from cyclicideals.rings import Element, RingPresentation, build_algebra
 from conftest import (AXIS_SOCLE, CHAIN4, GF3_MIXED, MIXED_PROOF, PAIR_N3,
                       POWER_SERIES, SQUARE_ZERO_N2, SQUARE_ZERO_N3, TWO_AXES,
                       QuotientAlgebra, build, build_pres, certificate_note,
-                      mixed_product, presentations, reference_annihilator)
+                      closures_counted, mixed_product, presentations,
+                      reference_annihilator)
 import reference_kernels
 from reference_kernels import is_principal_ideal_ring, packed_first_cover
 
@@ -73,8 +73,9 @@ def _reference_variable_split(alg):
         if c.space not in seen:
             seen.add(c.space)
             parts.append((g, c))
-    total = gf.direct_sum(alg.p, alg.dim, [c.space for _, c in parts])
-    return parts if total is not None and total.dim == alg.dim - 1 else None
+    rows = [r for _, c in parts for r in c.rows]
+    direct = len(reference_kernels.echelon(rows, alg.p)) == len(rows) == alg.dim - 1
+    return parts if direct else None
 
 
 def test_split_matches_the_full_closure_reference_on_the_sweep_family():
@@ -174,8 +175,9 @@ def _reference_verifies(dec):
     alg = dec.algebra
     if any(g.is_zero() for g in dec.summands()):
         return False
-    closures = [cyclic(alg, g) for g in dec.summands()]
-    if gf.direct_sum(alg.p, alg.dim, [c.space for c in closures]) != maximal_ideal(alg).space:
+    rows = [r for g in dec.summands() for r in cyclic(alg, g).rows]
+    basis = reference_kernels.echelon(rows, alg.p)
+    if len(rows) != len(basis) or tuple(r for _, r in basis) != maximal_ideal(alg).rows:
         return False
     if dec.x is not None and dec.y is not None and not (dec.x * dec.y).is_zero():
         return False
@@ -285,21 +287,6 @@ def test_is_simple_reads_the_dimension_alone_on_the_sweep_censuses():
     assert simple > 0
 
 
-@contextmanager
-def closures_recorded():
-    """Record the generators of every ideal_from_generators call."""
-    calls = []
-    real = ideals.ideal_from_generators
-
-    def recording(alg, gens):
-        calls.append(list(gens))
-        return real(alg, calls[-1])
-
-    with mock.patch.object(ideals, "ideal_from_generators", recording), \
-            mock.patch.object(structure, "ideal_from_generators", recording):
-        yield calls
-
-
 def test_witness_closes_each_summand_once():
     algs = [build_algebra(pres) for _, pres in sweep_presentations(3, (2, 3, 4), 11)]
     # the two axes rings of the benchmark's ladder
@@ -307,7 +294,7 @@ def test_witness_closes_each_summand_once():
              build("field 3 / vars x y / rel x^40 / rel y^41 / rel x*y")]
     yes = 0
     for alg in algs:
-        with closures_recorded() as closures:
+        with closures_counted() as closures:
             verdict = classify_dsc(alg)
             if verdict.answer != "yes":
                 continue
@@ -321,13 +308,47 @@ def test_witness_closes_each_summand_once():
     assert yes == 31 + 2
 
 
+def _variable_indices(alg):
+    """The index of each variable's standard monomial, as the monomial
+    closure path reads it."""
+    return [[((g.vec & -g.vec).bit_length() - 1) // alg.field.w] for g in alg.gens]
+
+
 def test_classify_closes_each_variable_once_on_the_triple():
     alg = build_algebra(parse_presentation(corpus_text("nilpotent-triple")))
-    with closures_recorded() as closures:
+    with closures_counted() as closures:
         assert classify_dsc(alg).answer == "no"
-    # the split closes x1, x2, x3; the counterexample's hypothesis check
-    # reads them back rather than closing them again
-    assert [gens for gens in closures if len(gens) == 1] == [[g] for g in alg.gens]
+    # the split closes x1, x2, x3 off the successor maps; the
+    # counterexample's check eliminates only J and J^2, reading the
+    # variables' closures back rather than closing them again
+    monomial = [ks for path, ks in closures if path == "monomial"]
+    assert monomial == _variable_indices(alg)
+    assert [path for path, _ in closures].count("packed") == 2
+
+
+def test_find_m_decomposition_refuses_the_triple_without_an_elimination():
+    # no witness: the three axes are read off the variable split, and no
+    # counterexample J is closed or checked, as classify would
+    alg = build_algebra(parse_presentation(corpus_text("nilpotent-triple")))
+    with closures_counted() as closures:
+        assert find_m_decomposition(alg) is None
+    assert closures == [("monomial", ks) for ks in _variable_indices(alg)]
+
+
+def test_the_witness_check_inserts_no_row_on_unit_rows(monkeypatch):
+    """On the two-axis ring over GF(2^31 - 1) the closures of the witness
+    are unit rows, M's own basis rows in another order: direct_onto
+    accepts them sorted, and no field.insert runs from the variable
+    split to the verified witness."""
+    alg = build("field 2147483647 / vars x y / rel x*y / truncate 2048")
+
+    def refuse(*args):
+        raise AssertionError("field.insert called")
+
+    monkeypatch.setattr(gf.PackedField, "insert", refuse)
+    dec = classify_dsc(alg).witness
+    assert m_decomposition_problems(MDecomposition(alg, dec.x, dec.y, ())) == []
+    assert dec.rx.dim == dec.ry.dim == 2047
 
 
 def test_max_pair_dim_bounds_nothing():
