@@ -397,7 +397,7 @@ def test_the_cli_closes_a_one_generator_ideal_once(tmp_path, capsys):
         assert main(["decompose", str(path), "--ideal", "x + 2*y + w", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["trace"]["branch"] == "diagonal" and out["generators"] == ["x + 2*y + w"]
-    assert [path for path, _ in closures].count("packed") == 1, closures
+    assert [kind for kind, _ in closures].count("packed") == 1, closures
 
 
 def test_a_two_axis_split_that_escapes_i_is_refused(monkeypatch):

@@ -53,7 +53,7 @@ def test_cyclic_closes_once_per_algebra():
         rs = cyclic(a, parse_element(a, "x + y"))
         assert ideal_from_generators(a, [parse_element(a, "x + y")]) is rs
     # two algebras from one text keep separate memos
-    assert [path for path, _ in closures] == ["monomial", "monomial", "packed"]
+    assert [kind for kind, _ in closures] == ["monomial", "monomial", "packed"]
     assert rb is not ra and ra.algebra is a and rb.algebra is b
     assert rb.rows == ra.rows
 

@@ -321,9 +321,9 @@ def test_classify_closes_each_variable_once_on_the_triple():
     # the split closes x1, x2, x3 off the successor maps; the
     # counterexample's check eliminates only J and J^2, reading the
     # variables' closures back rather than closing them again
-    monomial = [ks for path, ks in closures if path == "monomial"]
+    monomial = [ks for kind, ks in closures if kind == "monomial"]
     assert monomial == _variable_indices(alg)
-    assert [path for path, _ in closures].count("packed") == 2
+    assert [kind for kind, _ in closures].count("packed") == 2
 
 
 def test_find_m_decomposition_refuses_the_triple_without_an_elimination():
